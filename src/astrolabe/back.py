@@ -20,15 +20,15 @@ command line prints both.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .exceptions import DomainError, NoSolution, ParseError, UndefinedBearing
+from .exceptions import DomainError, NoSolution, UndefinedBearing
 from .geometry import Arc, Circle, PlanePoint, Segment, circumcircle
 from .projection import from_plate_polar
+from .rete import _load_csv
 
 Element = Union[Arc, Segment, PlanePoint]
 
@@ -430,29 +430,4 @@ def build_back(cfg: BackConfig, localities: Iterable[Locality] = ()) -> BackMode
 def load_localities(path: Union[str, Path]) -> list[Locality]:
     """Read a locality CSV (`name,lat_deg,lon_deg`); format rules as for
     star catalogs."""
-    expected = ["name", "lat_deg", "lon_deg"]
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = [
-            (i + 1, line)
-            for i, line in enumerate(fh)
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
-    if not lines:
-        raise ParseError("locality file is empty")
-    header_no, header = lines[0]
-    if [c.strip().lower() for c in next(csv.reader([header]))] != expected:
-        raise ParseError(f"expected header {','.join(expected)!r}", line=header_no)
-    for line_no, raw in lines[1:]:
-        fields = next(csv.reader([raw]))
-        if len(fields) != 3:
-            raise ParseError(f"expected 3 fields, got {len(fields)}", line=line_no)
-        try:
-            lat, lon = float(fields[1]), float(fields[2])
-        except ValueError as exc:
-            raise ParseError(f"non-numeric value: {exc}", line=line_no) from None
-        try:
-            out.append(Locality(fields[0].strip(), lat, lon))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=line_no) from None
-    return out
+    return _load_csv(path, ("name", "lat_deg", "lon_deg"), "locality file", Locality)

@@ -10,10 +10,13 @@ config-file parse errors); 2 mathematical domain errors (arctic
 latitude, undefined projection, undefined bearing, infeasible
 scenario); 3 input/output failure.  Diagnostics go to stderr.
 
-A config file (--config) holds `key = value` lines, `#` comments
-allowed; command line flags override file values.  Keys: lat, lon,
-scale_mm, diameter_mm, obliquity, almucantar_step, azimuth_step,
-hour_lines, catalog, localities, seed, out, mirror_ew, precision.
+A config file (--config) holds `key = value` lines; `#` starts a
+comment at the start of a line or after whitespace, so a `#` inside a
+value (`catalog = data/stars#2.csv`) is kept.  Command line flags
+override file values.  Keys: lat, lon, scale_mm, diameter_mm,
+obliquity, almucantar_step, azimuth_step, hour_lines, catalog,
+localities, seed, out, mirror_ew, precision; a subcommand ignores the
+keys it has no use for (only analyze montecarlo reads seed).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import argparse
 import csv
 import io
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -29,6 +33,7 @@ from typing import Optional
 from . import error_analysis as ea
 from .back import (
     BackConfig,
+    BackModel,
     Locality,
     MECCA,
     bearing_oracle,
@@ -41,7 +46,7 @@ from .geometry import Circle, PlanePoint
 from .plate import PlateConfig, build_plate
 from .projection import ProjectionKind, axis_projection_radius, from_plate_polar
 from .render import RenderStyle, render_full, render_svg
-from .rete import build_rete, load_star_catalog
+from .rete import ReteModel, build_rete, load_star_catalog
 
 _CONFIG_KEYS = {
     "lat": float,
@@ -60,6 +65,7 @@ _CONFIG_KEYS = {
     "precision": int,
 }
 
+_COMMENT = re.compile(r"(^|\s)#.*")
 _TRUE = {"true", "yes", "1", "on"}
 _FALSE = {"false", "no", "0", "off"}
 
@@ -84,7 +90,7 @@ def load_config(path) -> dict:
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].rstrip("\n")
+            line = _COMMENT.sub("", raw.rstrip("\n"), count=1)
             if not line.strip():
                 continue
             if "=" not in line:
@@ -130,7 +136,9 @@ def _merge_config(args) -> None:
             setattr(args, key, value)
 
 
-def _resolve_scale(args, obliquity: float) -> float:
+def _geometry(args) -> tuple[float, float]:
+    """(obliquity, scale) from the flags and config, with their defaults."""
+    obliquity = args.obliquity if args.obliquity is not None else 23.44
     scale = getattr(args, "scale_mm", None)
     diameter = getattr(args, "diameter_mm", None)
     if scale is not None and diameter is not None:
@@ -138,12 +146,14 @@ def _resolve_scale(args, obliquity: float) -> float:
     if scale is not None:
         if scale <= 0:
             raise ValueError(f"scale must be positive, got {scale}")
-        return float(scale)
-    if diameter is not None:
+        scale = float(scale)
+    elif diameter is not None:
         if diameter <= 0:
             raise ValueError(f"diameter must be positive, got {diameter}")
-        return (diameter / 2.0) / math.tan(math.radians(45.0 + obliquity / 2.0))
-    return 100.0
+        scale = (diameter / 2.0) / math.tan(math.radians(45.0 + obliquity / 2.0))
+    else:
+        scale = 100.0
+    return obliquity, scale
 
 
 def _style(args) -> RenderStyle:
@@ -168,66 +178,53 @@ def _require(args, *names: str) -> None:
         raise ValueError(f"missing required value(s): {flags}")
 
 
-def _plate_config(args) -> PlateConfig:
-    _require(args, "lat")
-    obliquity = args.obliquity if args.obliquity is not None else 23.44
-    return PlateConfig(
-        latitude=args.lat,
-        scale=_resolve_scale(args, obliquity),
-        obliquity=obliquity,
-        almucantar_step=args.almucantar_step
-        if args.almucantar_step is not None
-        else 5.0,
-        azimuth_step=args.azimuth_step if args.azimuth_step is not None else 10.0,
-        hour_lines=args.hour_lines if getattr(args, "hour_lines", None) is not None else True,
-    )
+def _plate_config(args, obliquity: float, scale: float) -> PlateConfig:
+    optional = {
+        key: getattr(args, key)
+        for key in ("almucantar_step", "azimuth_step", "hour_lines")
+        if getattr(args, key, None) is not None
+    }
+    return PlateConfig(latitude=args.lat, scale=scale, obliquity=obliquity, **optional)
 
 
-def _cmd_plate(args) -> int:
-    _merge_config(args)
-    model = build_plate(_plate_config(args))
-    _write_text(args, render_svg(model, _style(args)))
-    return 0
-
-
-def _cmd_rete(args) -> int:
-    _merge_config(args)
-    obliquity = args.obliquity if args.obliquity is not None else 23.44
-    scale = _resolve_scale(args, obliquity)
+def _rete(args, obliquity: float, scale: float) -> ReteModel:
     catalog = load_star_catalog(args.catalog) if getattr(args, "catalog", None) else []
-    model = build_rete(catalog, scale, obliquity)
-    _write_text(args, render_svg(model, _style(args)))
-    return 0
+    return build_rete(catalog, scale, obliquity)
 
 
-def _back_config(args) -> tuple[BackConfig, list[Locality]]:
-    _require(args, "lat")
-    obliquity = args.obliquity if args.obliquity is not None else 23.44
-    scale = _resolve_scale(args, obliquity)
+def _back(args, obliquity: float, scale: float) -> BackModel:
     radius = scale * math.tan(math.radians(45.0 + obliquity / 2.0))
     cfg = BackConfig(latitude=args.lat, radius=radius, obliquity=obliquity)
     locs = (
         load_localities(args.localities) if getattr(args, "localities", None) else []
     )
-    return cfg, locs
+    return build_back(cfg, locs)
+
+
+def _cmd_plate(args) -> int:
+    _require(args, "lat")
+    model = build_plate(_plate_config(args, *_geometry(args)))
+    _write_text(args, render_svg(model, _style(args)))
+    return 0
+
+
+def _cmd_rete(args) -> int:
+    _write_text(args, render_svg(_rete(args, *_geometry(args)), _style(args)))
+    return 0
 
 
 def _cmd_back(args) -> int:
-    _merge_config(args)
-    cfg, locs = _back_config(args)
-    _write_text(args, render_svg(build_back(cfg, locs), _style(args)))
+    _require(args, "lat")
+    _write_text(args, render_svg(_back(args, *_geometry(args)), _style(args)))
     return 0
 
 
 def _cmd_full(args) -> int:
-    _merge_config(args)
-    plate_model = build_plate(_plate_config(args))
-    obliquity = args.obliquity if args.obliquity is not None else 23.44
-    scale = _resolve_scale(args, obliquity)
-    catalog = load_star_catalog(args.catalog) if getattr(args, "catalog", None) else []
-    rete_model = build_rete(catalog, scale, obliquity)
-    back_cfg, locs = _back_config(args)
-    back_model = build_back(back_cfg, locs)
+    _require(args, "lat")
+    geometry = _geometry(args)
+    plate_model = build_plate(_plate_config(args, *geometry))
+    rete_model = _rete(args, *geometry)
+    back_model = _back(args, *geometry)
     _write_text(args, render_full(plate_model, rete_model, back_model, _style(args)))
     return 0
 
@@ -236,14 +233,13 @@ _KINDS = ("stereographic", "gnomonic", "external", "orthographic")
 
 
 def _cmd_project(args) -> int:
-    _merge_config(args)
     if args.kind == "external":
         if args.q is None:
             raise ValueError("--kind external needs --q > 1")
         kind = ProjectionKind.external(args.q)
     else:
         kind = getattr(ProjectionKind, args.kind)()
-    scale = _resolve_scale(args, args.obliquity if args.obliquity is not None else 23.44)
+    _, scale = _geometry(args)
     r = axis_projection_radius(args.dec, kind, scale)
     p = from_plate_polar(r, args.hour_angle)
     rows = [
@@ -259,7 +255,6 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_qibla(args) -> int:
-    _merge_config(args)
     _require(args, "lat", "lon")
     obs = Locality(args.name or "observer", args.lat, args.lon)
     oracle = bearing_oracle(obs, MECCA)
@@ -335,8 +330,7 @@ def _cmd_analyze_chords(args) -> int:
 
 def _cmd_analyze_band(args) -> int:
     _require(args, "lat")
-    obliquity = args.obliquity if args.obliquity is not None else 23.44
-    scale = _resolve_scale(args, obliquity)
+    _, scale = _geometry(args)
     displacement, band = ea.band_misassignment(
         args.lat, scale, args.altitude, args.radius_error_fraction, args.band_step
     )
@@ -386,15 +380,7 @@ def _cmd_analyze_alidade(args) -> int:
 
 def _cmd_analyze_mc(args) -> int:
     _require(args, "lat", "sun_dec", "hour_angle")
-    obliquity = args.obliquity if args.obliquity is not None else 23.44
-    cfg = PlateConfig(
-        latitude=args.lat,
-        scale=_resolve_scale(args, obliquity),
-        obliquity=obliquity,
-        almucantar_step=args.almucantar_step
-        if args.almucantar_step is not None
-        else 5.0,
-    )
+    cfg = _plate_config(args, *_geometry(args))
     pert = ea.PerturbationSpec(
         center_sigma=args.center_sigma,
         radius_sigma=args.radius_sigma,
@@ -408,7 +394,6 @@ def _cmd_analyze_mc(args) -> int:
         args.sun_dec,
         args.hour_angle,
         args.trials,
-        workers=args.workers,
     )
     unit = "deg" if args.scenario == "altitude" else "hours"
     rows = [
@@ -426,9 +411,6 @@ def _cmd_analyze_mc(args) -> int:
 def _add_common(p: argparse.ArgumentParser, geometry: bool = True) -> None:
     p.add_argument("--config", help="config file with key = value lines")
     p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument(
-        "--seed", type=int, help="random seed for stochastic analyses (default 0)"
-    )
     if geometry:
         p.add_argument("--lat", type=float, help="geographic latitude, degrees north")
         p.add_argument(
@@ -629,8 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="hour graduation noise along the tropics, degrees",
     )
     a_mc.add_argument(
-        "--workers", type=int, default=1,
-        help="worker threads; results are identical for any count (default 1)",
+        "--seed", type=int, help="random seed for the trials (default 0)"
     )
     a_mc.set_defaults(func=_cmd_analyze_mc)
 
@@ -647,6 +628,7 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
+        _merge_config(args)
         return args.func(args)
     except (ParseError, UnknownKey) as exc:
         print(f"error: {exc}", file=sys.stderr)

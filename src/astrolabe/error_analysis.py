@@ -18,19 +18,17 @@ errors and replays an instrument readout against the unperturbed replay
 of the same pipeline, so a zero-sigma run reports exactly zero error and
 the hour-curve approximation itself (negligible by construction) never
 contaminates the statistics.  Trial i draws from
-numpy.random.default_rng([seed, i]), making results independent of
-worker count and trial order.
+numpy.random.default_rng([seed, i]), so a longer run starts with the
+trials of a shorter one.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import CollinearPoints, ScenarioInfeasible
 from .geometry import (
@@ -319,29 +317,34 @@ class _ReadoutEngine:
 
     def _read_altitude(self, point: PlanePoint, draws: np.ndarray) -> float:
         """Altitude read from the perturbed almucantar field by locating
-        the interpolated circle passing through `point`."""
+        the interpolated circle passing through `point`.
+
+        Between grid nodes k and k+1 the interpolated center c(t) and
+        radius r(t) are linear in t in [0, 1], so F(t) = |p - c(t)|^2 -
+        r(t)^2 is a quadratic.  Radii are positive, so F has the sign of
+        |p - c| - r at the nodes; on the first bracket where that sign
+        goes from <= 0 to >= 0, F rises through zero exactly once.
+        """
         cx, cy, r = self._field(draws)
-        grid = self.grid
-
-        def g(h: float) -> float:
-            x = np.interp(h, grid, cx)
-            y = np.interp(h, grid, cy)
-            rr = np.interp(h, grid, r)
-            return math.hypot(point.x - x, point.y - y) - rr
-
-        values = [g(h) for h in grid]
-        bracket = None
-        for k in range(self.n_grid - 1):
-            if values[k] <= 0.0 <= values[k + 1]:
-                bracket = (float(grid[k]), float(grid[k + 1]))
-                break
-        if bracket is None:
+        values = np.hypot(point.x - cx, point.y - cy) - r
+        rising = np.flatnonzero((values[:-1] <= 0.0) & (values[1:] >= 0.0))
+        if not rising.size:
             raise ScenarioInfeasible(
                 "the sighted point falls outside the readable altitude bands"
             )
+        k = int(rising[0])
         if values[k] == 0.0:
-            return bracket[0]
-        return float(brentq(g, bracket[0], bracket[1], xtol=1e-12, rtol=8.9e-16))
+            return float(self.grid[k])
+        dx, dy = point.x - cx[k], point.y - cy[k]
+        ddx, ddy, dr = cx[k + 1] - cx[k], cy[k + 1] - cy[k], r[k + 1] - r[k]
+        a = ddx * ddx + ddy * ddy - dr * dr
+        b = -2.0 * (dx * ddx + dy * ddy + r[k] * dr)
+        c = dx * dx + dy * dy - r[k] * r[k]
+        q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+        # F rises through zero at (-b + sqrt(disc)) / 2a: q/a when q > 0, else c/q
+        t = q / a if q > 0.0 else c / q
+        h0, h1 = self.grid[k], self.grid[k + 1]
+        return float(h0 + min(max(t, 0.0), 1.0) * (h1 - h0))
 
     def _hour_crossings(self, draws: np.ndarray) -> list[float]:
         """Plate angles of the 13 hour boundaries on the opposite-
@@ -463,7 +466,6 @@ def monte_carlo_readout(
     sun_dec: float,
     true_hour_angle: float,
     n_trials: int,
-    workers: int = 1,
 ) -> ErrorReport:
     """Readout-error statistics for an instrument engraved with Gaussian
     errors.
@@ -472,28 +474,22 @@ def monte_carlo_readout(
     perturbed almucantar grid; "time_to_sunset" reads the unequal hours
     remaining before sunset from the perturbed hour lines.  Per-trial
     errors are measured against the unperturbed replay of the same
-    readout, so sigma = 0 reports exactly zero.  Results are bit-equal
-    for any `workers` value.  Raises ScenarioInfeasible when the scene
-    cannot be set (sun below horizon, circumpolar sun, or a perturbation
-    so large the readout loses its bracket).
+    readout, so sigma = 0 reports exactly zero.  Trial i draws from its
+    own (seed, i) stream, so the same seed gives bit-equal samples and a
+    longer run starts with a shorter run's samples.  Raises
+    ScenarioInfeasible when the scene cannot be set (sun below horizon,
+    circumpolar sun, or a perturbation so large the readout loses its
+    bracket).
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     if n_trials < 1:
         raise ValueError(f"need at least one trial, got {n_trials!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
 
     engine = _ReadoutEngine(cfg, pert, scenario, sun_dec, true_hour_angle)
     ref = engine.reference()
 
-    if workers == 1:
-        samples = [engine.trial(i) - ref for i in range(n_trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = [v - ref for v in pool.map(engine.trial, range(n_trials))]
-
-    arr = np.array(samples, dtype=float)
+    arr = np.array([engine.trial(i) - ref for i in range(n_trials)], dtype=float)
     return ErrorReport(
         mean=float(arr.mean()),
         std=float(arr.std()),

@@ -153,8 +153,19 @@ def load_star_catalog(path: Union[str, Path]) -> list[StarEntry]:
     Raises ParseError (with the offending 1-based line) on a bad header,
     wrong field count, or a non-numeric value.
     """
-    expected = ["name", "ra_deg", "dec_deg", "mag"]
-    rows = []
+    return _load_csv(
+        path, ("name", "ra_deg", "dec_deg", "mag"), "star catalog", StarEntry
+    )
+
+
+def _load_csv(path: Union[str, Path], header: tuple, what: str, make) -> list:
+    """Rows of a CSV file with the given header, each built as
+    make(name, *numbers).  `#` lines and blank lines are skipped.
+
+    Raises ParseError (with the offending 1-based line) on an empty file,
+    a bad header, a wrong field count, a non-numeric value, or a row that
+    `make` rejects with ValueError.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         lines = [
             (i + 1, line)
@@ -162,25 +173,23 @@ def load_star_catalog(path: Union[str, Path]) -> list[StarEntry]:
             if line.strip() and not line.lstrip().startswith("#")
         ]
     if not lines:
-        raise ParseError("star catalog is empty")
-    header_no, header = lines[0]
-    if [c.strip().lower() for c in next(csv.reader([header]))] != expected:
-        raise ParseError(
-            f"expected header {','.join(expected)!r}", line=header_no
-        )
+        raise ParseError(f"{what} is empty")
+    header_no, first = lines[0]
+    if [c.strip().lower() for c in next(csv.reader([first]))] != list(header):
+        raise ParseError(f"expected header {','.join(header)!r}", line=header_no)
+    rows = []
     for line_no, raw in lines[1:]:
         fields = next(csv.reader([raw]))
-        if len(fields) != 4:
+        if len(fields) != len(header):
             raise ParseError(
-                f"expected 4 fields, got {len(fields)}", line=line_no
+                f"expected {len(header)} fields, got {len(fields)}", line=line_no
             )
-        name = fields[0].strip()
         try:
-            ra, dec, mag = (float(v) for v in fields[1:])
+            numbers = [float(v) for v in fields[1:]]
         except ValueError as exc:
             raise ParseError(f"non-numeric value: {exc}", line=line_no) from None
         try:
-            rows.append(StarEntry(name, ra, dec, mag))
+            rows.append(make(fields[0].strip(), *numbers))
         except ValueError as exc:
             raise ParseError(str(exc), line=line_no) from None
     return rows

@@ -81,7 +81,6 @@ def test_help_exits_zero_and_lists_flags(capsys):
         "--precision",
         "--config",
         "--out",
-        "--seed",
     ):
         assert flag in out
 
@@ -105,7 +104,7 @@ def test_plate_writes_svg_to_stdout(capsys):
 
 
 def test_plate_is_byte_deterministic(capsys, tmp_path):
-    args = ("plate", "--lat", "40", "--scale-mm", "100", "--seed", "1")
+    args = ("plate", "--lat", "40", "--scale-mm", "100")
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
@@ -271,6 +270,9 @@ def test_config_parses_types_and_comments(tmp_path):
     }
     assert isinstance(values["seed"], int)
     assert isinstance(values["scale_mm"], float)
+    # a `#` inside a value is part of it; after whitespace it opens a comment
+    cfg.write_text("catalog = data/stars#2.csv   # second catalog\n", encoding="utf-8")
+    assert load_config(cfg) == {"catalog": "data/stars#2.csv"}
 
 
 def test_config_comment_only_file_is_empty(tmp_path):
@@ -507,8 +509,7 @@ def test_analyze_montecarlo_matches_library_and_workers(capsys):
     code, out1, _ = run_cli(capsys, *argv)
     assert code == 0
     _, out2, _ = run_cli(capsys, *argv)
-    _, out4, _ = run_cli(capsys, *argv, "--workers", "4")
-    assert out1 == out2 == out4
+    assert out1 == out2
     report = ea.monte_carlo_readout(
         __import__("astrolabe").PlateConfig(latitude=40.0, scale=100.0),
         ea.PerturbationSpec(
@@ -521,6 +522,28 @@ def test_analyze_montecarlo_matches_library_and_workers(capsys):
     assert float(rows["mean_hours"]) == pytest.approx(report.mean, abs=1e-6)
     assert float(rows["std_hours"]) == pytest.approx(report.std, abs=1e-6)
     assert rows["classification"] == report.classification
+
+
+def test_analyze_band_and_montecarlo_read_config(capsys, tmp_path):
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text("lat = 40\nscale_mm = 80\nseed = 11\n", encoding="utf-8")
+    band = ("analyze", "band", "--altitude", "30", "--radius-error-fraction", "0.02")
+    mc = (
+        "analyze", "montecarlo", "--scenario", "altitude",
+        "--sun-dec", "10", "--hour-angle", "40", "--trials", "20",
+        "--center-sigma", "0.05", "--radius-sigma", "0.05",
+    )
+    for argv, flags in (
+        (band, ("--lat", "40", "--scale-mm", "80")),
+        (mc, ("--lat", "40", "--scale-mm", "80", "--seed", "11")),
+    ):
+        code, from_flags, _ = run_cli(capsys, *argv, *flags)
+        assert code == 0
+        code, from_config, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 0, err
+        assert from_config == from_flags
+    # the seed is read: without it the same scene draws other trials
+    assert run_cli(capsys, *mc, "--lat", "40", "--scale-mm", "80")[1] != from_config
 
 
 def test_analyze_montecarlo_infeasible_scene_exits_two(capsys):
@@ -556,6 +579,28 @@ def console_script_entry(name: str) -> tuple:
     return entry.group(1), entry.group(2)
 
 
+def source_env() -> dict:
+    """Environment for a child interpreter that imports this package from
+    the directory it was imported from here, with no install needed."""
+    src = str(Path(astrolabe.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, astrolabe.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, env=source_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_console_script_is_installed():
     """The declared ``astrolabe`` script runs the CLI in a separate process.
 
@@ -564,9 +609,7 @@ def test_console_script_is_installed():
     install is needed; an installed script on PATH is run as well.
     """
     module, attr = console_script_entry("astrolabe")
-    src = str(Path(astrolabe.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = source_env()
     wrapper = f"import sys, {module}; sys.argv[0] = 'astrolabe'; sys.exit({module}.{attr}())"
 
     def project(prefix, dec):
