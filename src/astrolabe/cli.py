@@ -16,7 +16,8 @@ value (`catalog = data/stars#2.csv`) is kept.  Command line flags
 override file values.  Keys: lat, lon, scale_mm, diameter_mm,
 obliquity, almucantar_step, azimuth_step, hour_lines, catalog,
 localities, seed, out, mirror_ew, precision; a subcommand ignores the
-keys it has no use for (only analyze montecarlo reads seed).
+keys it has no use for (only analyze montecarlo reads seed), but takes
+only the flags it reads.
 """
 
 from __future__ import annotations
@@ -408,32 +409,42 @@ def _cmd_analyze_mc(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, geometry: bool = True) -> None:
+# every flag shared by several subcommands, declared once; the option
+# string is the dest with dashes ("almucantar_step" -> --almucantar-step)
+_FLAGS = {
+    "lat": dict(type=float, help="geographic latitude, degrees north"),
+    "scale_mm": dict(
+        type=float, help="equator radius in mm (default 100 when no --diameter-mm)"
+    ),
+    "diameter_mm": dict(
+        type=float, help="overall plate diameter in mm (alternative to --scale-mm)"
+    ),
+    "obliquity": dict(type=float, help="ecliptic obliquity, degrees (default 23.44)"),
+    "mirror_ew": dict(
+        action="store_const", const=True,
+        help="mirror east-west (negates document x coordinates)",
+    ),
+    "precision": dict(type=int, help="coordinate decimals in the SVG (1-9, default 4)"),
+    "almucantar_step": dict(
+        type=float, help="altitude circle step in degrees, divides 90 (default 5)"
+    ),
+    "azimuth_step": dict(
+        type=float, help="azimuth arc step in degrees, divides 360 (default 10)"
+    ),
+    "catalog": dict(help="star catalog CSV (name,ra_deg,dec_deg,mag)"),
+    "localities": dict(help="locality CSV (name,lat_deg,lon_deg) for qibla marks"),
+}
+_GEOMETRY = ("scale_mm", "diameter_mm", "obliquity")
+_RENDER = ("mirror_ew", "precision")
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """--config, --out, and the named shared flags: a subcommand gets only
+    the flags it reads."""
     p.add_argument("--config", help="config file with key = value lines")
     p.add_argument("--out", help="output file (default: stdout)")
-    if geometry:
-        p.add_argument("--lat", type=float, help="geographic latitude, degrees north")
-        p.add_argument(
-            "--scale-mm", dest="scale_mm", type=float,
-            help="equator radius in mm (default 100 when no --diameter-mm)",
-        )
-        p.add_argument(
-            "--diameter-mm", dest="diameter_mm", type=float,
-            help="overall plate diameter in mm (alternative to --scale-mm)",
-        )
-        p.add_argument(
-            "--obliquity", type=float, help="ecliptic obliquity, degrees (default 23.44)"
-        )
-
-
-def _add_render(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--mirror-ew", dest="mirror_ew", action="store_const", const=True,
-        help="mirror east-west (negates document x coordinates)",
-    )
-    p.add_argument(
-        "--precision", type=int, help="coordinate decimals in the SVG (1-9, default 4)"
-    )
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,57 +456,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_plate = sub.add_parser("plate", help="plate (tympan) SVG for a latitude")
-    _add_common(p_plate)
-    _add_render(p_plate)
-    p_plate.add_argument(
-        "--almucantar-step", dest="almucantar_step", type=float,
-        help="altitude circle step in degrees, divides 90 (default 5)",
-    )
-    p_plate.add_argument(
-        "--azimuth-step", dest="azimuth_step", type=float,
-        help="azimuth arc step in degrees, divides 360 (default 10)",
-    )
-    p_plate.set_defaults(func=_cmd_plate, hour_lines=None)
+    _add_flags(p_plate, "lat", *_GEOMETRY, *_RENDER, "almucantar_step", "azimuth_step")
+    p_plate.set_defaults(func=_cmd_plate)
 
     p_rete = sub.add_parser("rete", help="rete (star map) SVG")
-    _add_common(p_rete)
-    _add_render(p_rete)
-    p_rete.add_argument(
-        "--catalog", help="star catalog CSV (name,ra_deg,dec_deg,mag)"
-    )
+    _add_flags(p_rete, *_GEOMETRY, *_RENDER, "catalog")
     p_rete.set_defaults(func=_cmd_rete)
 
     p_back = sub.add_parser("back", help="back face SVG (scales and calendar)")
-    _add_common(p_back)
-    _add_render(p_back)
-    p_back.add_argument(
-        "--localities", help="locality CSV (name,lat_deg,lon_deg) for qibla marks"
-    )
+    _add_flags(p_back, "lat", *_GEOMETRY, *_RENDER, "localities")
     p_back.set_defaults(func=_cmd_back)
 
     p_full = sub.add_parser("full", help="plate + rete + back in one SVG")
-    _add_common(p_full)
-    _add_render(p_full)
-    p_full.add_argument(
-        "--almucantar-step", dest="almucantar_step", type=float,
-        help="altitude circle step in degrees, divides 90 (default 5)",
+    _add_flags(
+        p_full, "lat", *_GEOMETRY, *_RENDER, "almucantar_step", "azimuth_step",
+        "catalog", "localities",
     )
-    p_full.add_argument(
-        "--azimuth-step", dest="azimuth_step", type=float,
-        help="azimuth arc step in degrees, divides 360 (default 10)",
-    )
-    p_full.add_argument(
-        "--catalog", help="star catalog CSV (name,ra_deg,dec_deg,mag)"
-    )
-    p_full.add_argument(
-        "--localities", help="locality CSV (name,lat_deg,lon_deg) for qibla marks"
-    )
-    p_full.set_defaults(func=_cmd_full, hour_lines=None)
+    p_full.set_defaults(func=_cmd_full)
 
     p_proj = sub.add_parser(
         "project", help="project one sphere point under a projection family member"
     )
-    _add_common(p_proj)
+    _add_flags(p_proj, *_GEOMETRY)
     p_proj.add_argument("--dec", type=float, required=True, help="declination, degrees")
     p_proj.add_argument(
         "--hour-angle", dest="hour_angle", type=float, default=0.0,
@@ -513,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qibla = sub.add_parser(
         "qibla", help="bearing to Mecca: 3D great-circle oracle and the closed form"
     )
-    _add_common(p_qibla)
+    _add_flags(p_qibla, "lat")
     p_qibla.add_argument("--lon", type=float, help="longitude, degrees east")
     p_qibla.add_argument("--name", help="observer name for the report")
     p_qibla.set_defaults(func=_cmd_qibla)
@@ -524,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     a_arc = an_sub.add_parser(
         "arc-displacement", help="arc displacement from tangential/radial offsets"
     )
-    _add_common(a_arc, geometry=False)
+    _add_flags(a_arc)
     a_arc.add_argument("--ds", type=float, help="tangential offset, mm")
     a_arc.add_argument("--dp", type=float, help="radial offset, mm")
     a_arc.add_argument("--radius", type=float, help="engraving radius, mm (angular form)")
@@ -536,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     a_ch = an_sub.add_parser(
         "quadrant-chords", help="diagnose quadrant graduation from four chords"
     )
-    _add_common(a_ch, geometry=False)
+    _add_flags(a_ch)
     a_ch.add_argument("--radius", type=float, required=True, help="circle radius, mm")
     a_ch.add_argument(
         "--marks", required=True,
@@ -550,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     a_band = an_sub.add_parser(
         "band", help="altitude band misassignment from a radius error"
     )
-    _add_common(a_band)
+    _add_flags(a_band, "lat", *_GEOMETRY)
     a_band.add_argument(
         "--altitude", type=float, required=True, help="true altitude band, degrees"
     )
@@ -565,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     a_band.set_defaults(func=_cmd_analyze_band)
 
     a_al = an_sub.add_parser("alidade", help="alidade sighting error budget")
-    _add_common(a_al, geometry=False)
+    _add_flags(a_al)
     a_al.add_argument("--length-mm", dest="length_mm", type=float, help="alidade length, mm")
     a_al.add_argument("--offset", type=float, help="sight-vane angular offset")
     a_al.add_argument(
@@ -582,11 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     a_mc = an_sub.add_parser(
         "montecarlo", help="Monte Carlo readout error under engraving noise"
     )
-    _add_common(a_mc)
-    a_mc.add_argument(
-        "--almucantar-step", dest="almucantar_step", type=float,
-        help="altitude circle step in degrees (default 5)",
-    )
+    _add_flags(a_mc, "lat", *_GEOMETRY, "almucantar_step")
     a_mc.add_argument(
         "--scenario", choices=ea.SCENARIOS, default="time_to_sunset",
         help="readout scenario (default time_to_sunset)",

@@ -7,11 +7,13 @@ always produce byte-identical documents).
 
 Model coordinates are mathematical (y up); the document negates y so
 the plate reads upright on screen, and `mirror_ew` additionally negates
-x for the mirrored engraving convention.  Both are applied to the
-primitives themselves (centers, angles, orientations) before
-stringification, which keeps the path arithmetic trivial and the
-reflection contract exact: toggling `mirror_ew` negates every x
-coordinate in the document and touches nothing else.
+x for the mirrored engraving convention.  Both reflections are sign
+factors (sx, sy) applied to each coordinate as it is formatted; the
+model geometry itself is emitted unchanged, and an arc's sweep flag is
+inverted when sx*sy < 0.  Rounding is symmetric in sign, so a
+`mirror_ew` document is the exact x-negation of the plain one: every x
+string gains or loses its minus sign (zero stays unsigned) and nothing
+else changes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 from xml.sax.saxutils import escape
 
 from .back import BackModel
@@ -113,82 +115,49 @@ def _fmt(value: float, precision: int) -> str:
     return s
 
 
-def arc_to_path(arc: Arc, precision: int = 4) -> str:
-    """SVG path fragment for an arc: M to the start point, one elliptical
-    arc command to the end point.  The sweep flag follows the arc's
-    orientation in coordinate algebra (ccw = positive-angle = 1); the
-    large-arc flag is set only for sweeps beyond a semicircle."""
+# ---- element emission --------------------------------------------------
+
+
+def _arc_path(arc: Arc, precision: int, sx: float, sy: float) -> str:
     p0 = arc.start_point
     p1 = arc.end_point
     sweep_deg = abs(math.degrees(arc.sweep))
     large = 1 if sweep_deg > 180.0 + 1e-12 else 0
     flag = 1 if arc.orientation == "ccw" else 0
+    if sx * sy < 0:  # a reflection in one axis reverses the sense of rotation
+        flag = 1 - flag
     r = _fmt(arc.circle.radius, precision)
     return (
-        f"M {_fmt(p0.x, precision)} {_fmt(p0.y, precision)} "
+        f"M {_fmt(sx * p0.x, precision)} {_fmt(sy * p0.y, precision)} "
         f"A {r} {r} 0 {large} {flag} "
-        f"{_fmt(p1.x, precision)} {_fmt(p1.y, precision)}"
+        f"{_fmt(sx * p1.x, precision)} {_fmt(sy * p1.y, precision)}"
     )
 
 
-# ---- model-space reflections ------------------------------------------
+def arc_to_path(arc: Arc, precision: int = 4) -> str:
+    """SVG path fragment for an arc: M to the start point, one elliptical
+    arc command to the end point.  The sweep flag follows the arc's
+    orientation in coordinate algebra (ccw = positive-angle = 1); the
+    large-arc flag is set only for sweeps beyond a semicircle."""
+    return _arc_path(arc, precision, 1.0, 1.0)
 
 
-def _flip_point(p: PlanePoint, sx: float, sy: float) -> PlanePoint:
-    return PlanePoint(sx * p.x, sy * p.y)
-
-
-def _flip_angle(theta: float, sx: float, sy: float) -> float:
-    if sx < 0 and sy < 0:
-        return theta + math.pi
-    if sx < 0:
-        return math.pi - theta
-    if sy < 0:
-        return -theta
-    return theta
-
-
-def _flip(el, sx: float, sy: float):
-    if sx > 0 and sy > 0:
-        return el
-    if isinstance(el, PlanePoint):
-        return _flip_point(el, sx, sy)
-    if isinstance(el, Segment):
-        return Segment(_flip_point(el.a, sx, sy), _flip_point(el.b, sx, sy))
-    if isinstance(el, Circle):
-        return Circle(_flip_point(el.center, sx, sy), el.radius)
-    if isinstance(el, Arc):
-        orientation = el.orientation
-        if sx * sy < 0:
-            orientation = "cw" if orientation == "ccw" else "ccw"
-        return Arc(
-            Circle(_flip_point(el.circle.center, sx, sy), el.circle.radius),
-            _flip_angle(el.start_angle, sx, sy),
-            _flip_angle(el.end_angle, sx, sy),
-            orientation,
-        )
-    raise TypeError(f"cannot reflect {type(el).__name__}")
-
-
-# ---- element emission --------------------------------------------------
-
-
-def _emit(el, precision: int) -> str:
+def _emit(el, precision: int, sx: float, sy: float) -> str:
     if isinstance(el, Circle):
         return (
-            f'<circle cx="{_fmt(el.center.x, precision)}" '
-            f'cy="{_fmt(el.center.y, precision)}" r="{_fmt(el.radius, precision)}"/>'
+            f'<circle cx="{_fmt(sx * el.center.x, precision)}" '
+            f'cy="{_fmt(sy * el.center.y, precision)}" r="{_fmt(el.radius, precision)}"/>'
         )
     if isinstance(el, Arc):
-        return f'<path d="{arc_to_path(el, precision)}"/>'
+        return f'<path d="{_arc_path(el, precision, sx, sy)}"/>'
     if isinstance(el, Segment):
         return (
-            f'<line x1="{_fmt(el.a.x, precision)}" y1="{_fmt(el.a.y, precision)}" '
-            f'x2="{_fmt(el.b.x, precision)}" y2="{_fmt(el.b.y, precision)}"/>'
+            f'<line x1="{_fmt(sx * el.a.x, precision)}" y1="{_fmt(sy * el.a.y, precision)}" '
+            f'x2="{_fmt(sx * el.b.x, precision)}" y2="{_fmt(sy * el.b.y, precision)}"/>'
         )
     if isinstance(el, PlanePoint):
         return (
-            f'<circle cx="{_fmt(el.x, precision)}" cy="{_fmt(el.y, precision)}" '
+            f'<circle cx="{_fmt(sx * el.x, precision)}" cy="{_fmt(sy * el.y, precision)}" '
             f'r="{_fmt(_STAR_MARKER_R, precision)}" fill="#000" stroke="none"/>'
         )
     raise TypeError(f"cannot emit {type(el).__name__}")
@@ -310,13 +279,13 @@ def _back_layers(m: BackModel) -> list[tuple[str, list, list[_Label]]]:
     return layers
 
 
-def _layers_for(model) -> tuple[list[tuple[str, list, list[_Label]]], Circle]:
+def _layers_for(model) -> list[tuple[str, list, list[_Label]]]:
     if isinstance(model, PlateModel):
-        return _plate_layers(model), model.boundary
+        return _plate_layers(model)
     if isinstance(model, ReteModel):
-        return _rete_layers(model), model.boundary
+        return _rete_layers(model)
     if isinstance(model, BackModel):
-        return _back_layers(model), model.boundary
+        return _back_layers(model)
     raise TypeError(f"cannot render {type(model).__name__}")
 
 
@@ -330,19 +299,19 @@ def _group(
     style: RenderStyle,
     sx: float,
     sy: float,
-    prefix: str = "",
+    prefix: str,
 ) -> str:
+    p = style.precision
     parts = [
         f'<g id="{prefix}{name}" fill="none" stroke="#000" '
         f'stroke-width="{style.stroke(name):g}" '
         f'stroke-linecap="round">'
     ]
     for el in elements:
-        parts.append("  " + _emit(_flip(el, sx, sy), style.precision))
+        parts.append("  " + _emit(el, p, sx, sy))
     for lab in labels:
-        p = _flip_point(PlanePoint(lab.x, lab.y), sx, sy)
         parts.append(
-            f'  <text x="{_fmt(p.x, style.precision)}" y="{_fmt(p.y, style.precision)}" '
+            f'  <text x="{_fmt(sx * lab.x, p)}" y="{_fmt(sy * lab.y, p)}" '
             f'font-size="{style.label_font_size:g}" text-anchor="{lab.anchor}" '
             f'fill="#000" stroke="none">{escape(lab.text)}</text>'
         )
@@ -350,18 +319,31 @@ def _group(
     return "\n".join(parts)
 
 
-def _select_layers(model, style: RenderStyle):
-    layers, boundary = _layers_for(model)
-    if style.include_layers is not None:
-        layers = [l for l in layers if l[0] in style.include_layers]
-    if not layers:
-        warnings.warn(
-            "model has no layers to draw; emitting the boundary only",
-            EmptyModelWarning,
-            stacklevel=3,
+def _bodies(style: RenderStyle, faces) -> list[str]:
+    """The joined layer groups of each (id prefix, model) face.  The
+    document negates y, and x too under `mirror_ew`; an empty layer
+    selection warns (EmptyModelWarning) and draws the boundary alone."""
+    sx = -1.0 if style.mirror_ew else 1.0
+    sy = -1.0
+    bodies = []
+    for prefix, model in faces:
+        layers = _layers_for(model)
+        if style.include_layers is not None:
+            layers = [l for l in layers if l[0] in style.include_layers]
+        if not layers:
+            warnings.warn(
+                "model has no layers to draw; emitting the boundary only",
+                EmptyModelWarning,
+                stacklevel=3,
+            )
+            layers = [("limb", [model.boundary], [])]
+        bodies.append(
+            "\n".join(
+                _group(name, els, labels, style, sx, sy, prefix)
+                for name, els, labels in layers
+            )
         )
-        layers = [("limb", [boundary], [])]
-    return layers, boundary
+    return bodies
 
 
 def _document(body: str, half_extent: float, style: RenderStyle, width: float = None) -> str:
@@ -386,13 +368,8 @@ def render_svg(model, style: Optional[RenderStyle] = None) -> str:
     document.  Layer selection via style.include_layers; an empty
     selection warns (EmptyModelWarning) and draws the boundary alone."""
     style = style or RenderStyle()
-    sx = -1.0 if style.mirror_ew else 1.0
-    sy = -1.0
-    layers, boundary = _select_layers(model, style)
-    body = "\n".join(
-        _group(name, els, labels, style, sx, sy) for name, els, labels in layers
-    )
-    return _document(body, boundary.radius * 1.05, style)
+    (body,) = _bodies(style, [("", model)])
+    return _document(body, model.boundary.radius * 1.05, style)
 
 
 def render_full(
@@ -405,21 +382,12 @@ def render_full(
     groups `plate`, `rete`, `back`, inner layer ids prefixed (e.g.
     `plate-tropics`) to keep ids unique."""
     style = style or RenderStyle()
-    sx = -1.0 if style.mirror_ew else 1.0
-    sy = -1.0
-    p = style.precision
-    half = max(
-        plate_model.boundary.radius, rete_model.boundary.radius, back_model.boundary.radius
-    ) * 1.05
-    parts = []
-    for i, (top, model) in enumerate(
-        (("plate", plate_model), ("rete", rete_model), ("back", back_model))
-    ):
-        layers, _ = _select_layers(model, style)
-        inner = "\n".join(
-            _group(name, els, labels, style, sx, sy, prefix=f"{top}-")
-            for name, els, labels in layers
-        )
-        shift = _fmt(2.0 * half * i, p)
-        parts.append(f'<g id="{top}" transform="translate({shift} 0)">\n{inner}\n</g>')
+    faces = {"plate": plate_model, "rete": rete_model, "back": back_model}
+    half = max(m.boundary.radius for m in faces.values()) * 1.05
+    bodies = _bodies(style, [(f"{top}-", m) for top, m in faces.items()])
+    parts = [
+        f'<g id="{top}" transform="translate({_fmt(2.0 * half * i, style.precision)} 0)">'
+        f"\n{inner}\n</g>"
+        for i, (top, inner) in enumerate(zip(faces, bodies))
+    ]
     return _document("\n".join(parts), half, style, width=6.0 * half)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ from astrolabe.geometry import Arc, Segment
 SCALE = 100.0
 OBLIQUITY = 23.44
 SVG_NS = "{http://www.w3.org/2000/svg}"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def wrapped_difference(a: float, b: float) -> float:
@@ -272,3 +274,20 @@ def test_c11_svg_golden_run_reproducibility(capsys):
     )
     for layer in ("limb", "tropics", "horizon", "almucantars", "azimuths", "hours"):
         assert ids.count(layer) == 1
+
+    # the three demo configurations reproduce the committed documents
+    data = DEMOS / "data"
+    golden_cases = {
+        "plate_lat40.svg": ["plate", "--lat", "40", "--scale-mm", "100"],
+        "rete_bright_stars.svg": [
+            "rete", "--catalog", str(data / "bright_stars.csv"), "--scale-mm", "100",
+        ],
+        "back_damascus.svg": [
+            "back", "--lat", "33.513", "--diameter-mm", "300",
+            "--localities", str(data / "cities.csv"),
+        ],
+    }
+    for name, argv in golden_cases.items():
+        assert cli_main(argv) == 0
+        rendered = capsys.readouterr().out
+        assert rendered == (DEMOS / "out" / name).read_text(encoding="utf-8"), name

@@ -231,6 +231,20 @@ def test_argparse_problems_exit_one(capsys):
     assert run_cli(capsys, "no-such-command")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qibla", "--lat", "10", "--lon", "10", "--obliquity", "99", "--scale-mm", "-5"),
+        ("project", "--dec", "10", "--lat", "95"),
+        ("rete", "--lat", "95"),
+    ],
+)
+def test_flags_a_subcommand_never_reads_are_rejected(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_unwritable_output_exits_three(capsys, tmp_path):
     target = tmp_path / "missing" / "plate.svg"
     code, _, err = run_cli(capsys, "plate", "--lat", "40", "--out", str(target))

@@ -229,30 +229,52 @@ def test_precision_controls_decimals():
     assert re.fullmatch(r"-?\d+\.\d{3}", circle.get("r"))
 
 
+def negated(s):
+    """The formatted number s with its sign flipped; zero stays unsigned."""
+    if s.startswith("-"):
+        return s[1:]
+    return s if float(s) == 0.0 else "-" + s
+
+
+# step 1/1 plates over the back face's band, 0.731 degrees apart; the
+# latitudes 26.924, 51.778 and 63.474 are among them
+MIRROR_LATITUDES = [round(24.0 + 0.731 * k, 3) for k in range(58)]
+
+
 def test_mirror_negates_x_only():
-    m = plate_model()
-    plain = ET.fromstring(render_svg(m))
-    mirrored = ET.fromstring(render_svg(m, RenderStyle(mirror_ew=True)))
-    for g_p, g_m in zip(plain.findall(f"{SVG}g"), mirrored.findall(f"{SVG}g")):
-        assert g_p.get("id") == g_m.get("id")
-        for el_p, el_m in zip(g_p, g_m):
-            assert el_p.tag == el_m.tag
-            if el_p.tag == f"{SVG}circle":
-                assert float(el_m.get("cx")) == pytest.approx(-float(el_p.get("cx")), abs=1e-9)
-                assert el_m.get("cy") == el_p.get("cy")
-                assert el_m.get("r") == el_p.get("r")
-            elif el_p.tag == f"{SVG}line":
-                assert float(el_m.get("x1")) == pytest.approx(-float(el_p.get("x1")), abs=1e-9)
-                assert float(el_m.get("x2")) == pytest.approx(-float(el_p.get("x2")), abs=1e-9)
-                assert el_m.get("y1") == el_p.get("y1")
-                assert el_m.get("y2") == el_p.get("y2")
-            elif el_p.tag == f"{SVG}path":
-                x1p, y1p, rp, lp, sp, x2p, y2p = parse_arc_path(el_p.get("d"))
-                x1m, y1m, rm, lm, sm, x2m, y2m = parse_arc_path(el_m.get("d"))
-                assert x1m == pytest.approx(-x1p, abs=1e-9)
-                assert x2m == pytest.approx(-x2p, abs=1e-9)
-                assert (y1m, y2m, rm, lm) == (y1p, y2p, rp, lp)
-                assert sm == 1 - sp  # reflection reverses the sweep sense
+    """The mirror_ew document is the plain one with every x string negated
+    and every arc sweep flag s replaced by 1 - s; nothing else differs."""
+    cases = [(plate_model(), 4), (rete_model(), 4), (back_model(), 4)] + [
+        (build_plate(PlateConfig(latitude=lat, scale=100.0, almucantar_step=1.0,
+                                 azimuth_step=1.0)), 9)
+        for lat in MIRROR_LATITUDES
+    ]
+    for model, precision in cases:
+        plain = ET.fromstring(render_svg(model, RenderStyle(precision=precision)))
+        mirrored = ET.fromstring(
+            render_svg(model, RenderStyle(precision=precision, mirror_ew=True))
+        )
+        assert plain.attrib == mirrored.attrib
+        groups = zip(plain.findall(f"{SVG}g"), mirrored.findall(f"{SVG}g"), strict=True)
+        for g_p, g_m in groups:
+            assert g_p.attrib == g_m.attrib
+            for el_p, el_m in zip(g_p, g_m, strict=True):
+                assert el_p.tag == el_m.tag
+                assert el_p.text == el_m.text
+                assert el_p.attrib.keys() == el_m.attrib.keys()
+                for key, value in el_p.attrib.items():
+                    if key in ("cx", "x1", "x2", "x"):
+                        assert el_m.get(key) == negated(value)
+                    elif key == "d":
+                        x1, y1, radii, sweep, x2, y2 = re.fullmatch(
+                            r"M (\S+) (\S+) A (\S+ \S+ 0 [01]) ([01]) (\S+) (\S+)", value
+                        ).groups()
+                        assert el_m.get(key) == (
+                            f"M {negated(x1)} {y1} A {radii} {1 - int(sweep)} "
+                            f"{negated(x2)} {y2}"
+                        )
+                    else:
+                        assert el_m.get(key) == value
 
 
 def test_mirrored_arcs_trace_the_mirrored_geometry():
