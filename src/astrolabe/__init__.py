@@ -28,8 +28,6 @@ from .back import (
     solve_altitude_for_azimuth,
 )
 from .error_analysis import (
-    AlidadeSpec,
-    ArcErrorSpec,
     ErrorReport,
     PerturbationSpec,
     alidade_offset_error,

@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Union
 
 from .exceptions import DomainError, NoSolution, UndefinedBearing
 from .geometry import Arc, Circle, PlanePoint, Segment, circumcircle
-from .projection import from_plate_polar
+from .projection import OBLIQUITY, from_plate_polar
 from .rete import _load_csv
 
 Element = Union[Arc, Segment, PlanePoint]
@@ -140,7 +140,7 @@ class BackConfig:
 
     latitude: float
     radius: float
-    obliquity: float = 23.44
+    obliquity: float = OBLIQUITY
     epoch: EpochConfig = field(default_factory=EpochConfig)
     shadow_digits: int = 12
     sine_divisions: int = 60
@@ -194,7 +194,7 @@ def solar_longitude(day: float, epoch: EpochConfig = DEFAULT_EPOCH) -> float:
     return (mean_lon + equation_of_center(m, epoch)) % 360.0
 
 
-def solar_declination(longitude: float, obliquity: float = 23.44) -> float:
+def solar_declination(longitude: float, obliquity: float = OBLIQUITY) -> float:
     """Declination (degrees) of the sun at an ecliptic longitude."""
     s = math.sin(math.radians(obliquity)) * math.sin(math.radians(longitude))
     return math.degrees(math.asin(max(-1.0, min(1.0, s))))

@@ -45,7 +45,7 @@ from .back import (
 from .exceptions import AstrolabeError, ParseError, UnknownKey
 from .geometry import Circle, PlanePoint
 from .plate import PlateConfig, build_plate
-from .projection import ProjectionKind, axis_projection_radius, from_plate_polar
+from .projection import OBLIQUITY, ProjectionKind, axis_projection_radius, from_plate_polar
 from .render import RenderStyle, render_full, render_svg
 from .rete import ReteModel, build_rete, load_star_catalog
 
@@ -139,7 +139,7 @@ def _merge_config(args) -> None:
 
 def _geometry(args) -> tuple[float, float]:
     """(obliquity, scale) from the flags and config, with their defaults."""
-    obliquity = args.obliquity if args.obliquity is not None else 23.44
+    obliquity = args.obliquity if args.obliquity is not None else OBLIQUITY
     scale = getattr(args, "scale_mm", None)
     diameter = getattr(args, "diameter_mm", None)
     if scale is not None and diameter is not None:
@@ -419,7 +419,9 @@ _FLAGS = {
     "diameter_mm": dict(
         type=float, help="overall plate diameter in mm (alternative to --scale-mm)"
     ),
-    "obliquity": dict(type=float, help="ecliptic obliquity, degrees (default 23.44)"),
+    "obliquity": dict(
+        type=float, help=f"ecliptic obliquity, degrees (default {OBLIQUITY})"
+    ),
     "mirror_ew": dict(
         action="store_const", const=True,
         help="mirror east-west (negates document x coordinates)",

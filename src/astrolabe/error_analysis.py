@@ -14,10 +14,11 @@ Closed forms:
 
 The Monte Carlo readout perturbs an engraved plate (almucantar centers
 and radii, horizon, hour-line graduation) with independent Gaussian
-errors and replays an instrument readout against the unperturbed replay
-of the same pipeline, so a zero-sigma run reports exactly zero error and
-the hour-curve approximation itself (negligible by construction) never
-contaminates the statistics.  Trial i draws from
+errors and reads every trial in one batched pass: one row of draws per
+trial, below a row of zeros that reads the unperturbed plate.  A trial's
+error is its row's reading minus row 0's, so a zero-sigma run reports
+exactly zero error and the hour-curve approximation itself (negligible
+by construction) never contaminates the statistics.  Trial i draws from
 numpy.random.default_rng([seed, i]), so a longer run starts with the
 trials of a shorter one.
 """
@@ -30,49 +31,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import CollinearPoints, ScenarioInfeasible
-from .geometry import (
-    Circle,
-    PlanePoint,
-    chord_length,
-    circle_circle_intersection,
-    circumcircle,
-    divide_arc_equal,
-    normalize_angle,
-)
+from .exceptions import ScenarioInfeasible
+from .geometry import COLLINEAR_AREA_REL, Circle, PlanePoint, chord_length
+from .geometry import divide_arc_equal, normalize_angle
+# unused here, but bench/tracing.py counts calls to them through this module
+from .geometry import circle_circle_intersection, circumcircle  # noqa: F401
 from .plate import PlateConfig, almucantar_solution, night_arc, tropic_circles
-from .projection import from_plate_polar, plate_angle_deg, stereographic_radius
+from .projection import from_plate_polar, stereographic_radius
 
 SCENARIOS = ("time_to_sunset", "altitude")
-
-
-@dataclass(frozen=True)
-class AlidadeSpec:
-    """An alidade: length (mm), sight-vane angular offset (radians), and
-    rotation graduation error (unit chosen by the caller; the derived
-    error keeps that unit)."""
-
-    length: float
-    offset_angle: float
-    rotation: float
-
-    def __post_init__(self):
-        if self.length <= 0.0:
-            raise ValueError(f"alidade length must be positive, got {self.length!r}")
-        if self.offset_angle < 0.0 or self.rotation < 0.0:
-            raise ValueError("alidade error magnitudes must be non-negative")
-
-
-@dataclass(frozen=True)
-class ArcErrorSpec:
-    """Tangential (ds) and radial (dp) engraving offsets of an arc, mm."""
-
-    ds: float
-    dp: float
-
-    def __post_init__(self):
-        if self.ds < 0.0 or self.dp < 0.0:
-            raise ValueError("offsets must be non-negative")
 
 
 def alidade_offset_error(length: float, offset_angle: float) -> float:
@@ -214,267 +181,168 @@ def _sun_altitude(latitude: float, dec: float, hour_angle: float) -> float:
     return math.degrees(math.asin(max(-1.0, min(1.0, s))))
 
 
-class _ReadoutEngine:
-    """Precomputed geometry plus the per-trial perturbation replay."""
+def _read_altitude(px, py, grid, cx, cy, r) -> np.ndarray:
+    """Altitude read at the point (px, py) from each row of a perturbed
+    almucantar field: center x, center y and radius, one column per grid
+    altitude.
 
-    def __init__(
-        self,
-        cfg: PlateConfig,
-        pert: PerturbationSpec,
-        scenario: str,
-        sun_dec: float,
-        true_hour_angle: float,
-    ):
-        self.cfg = cfg
-        self.pert = pert
-        self.scenario = scenario
-        self.sun_dec = sun_dec
-        self.hour_angle = true_hour_angle % 360.0
-
-        phi, s = cfg.latitude, cfg.scale
-        if abs(sun_dec) > cfg.obliquity + 1e-9:
-            raise ValueError(
-                f"sun declination {sun_dec} exceeds the obliquity {cfg.obliquity}"
-            )
-        self.altitude_true = _sun_altitude(phi, sun_dec, self.hour_angle)
-        if self.altitude_true <= 0.0:
-            raise ScenarioInfeasible("sun is below the horizon at this hour angle")
-        self.sun_point = from_plate_polar(
-            stereographic_radius(sun_dec, s), self.hour_angle
-        )
-
-        # almucantar grid h = 0, step, ..., 90 - step
-        step = cfg.almucantar_step
-        self.grid = np.array(
-            [k * step for k in range(int(round(90.0 / step)))], dtype=float
-        )
-        sols = [almucantar_solution(phi, h, s) for h in self.grid]
-        self.grid_cy = np.array([m.y_center for m in sols])
-        self.grid_r = np.array([m.radius for m in sols])
-        if self.altitude_true >= float(self.grid[-1]):
-            raise ScenarioInfeasible(
-                f"sun altitude {self.altitude_true:.2f} is above the last "
-                f"engraved almucantar ({self.grid[-1]:.0f})"
-            )
-        self.horizon = sols[0].circle
-
-        self.n_grid = len(self.grid)
-        # draw layout per trial: [alm cx,cy,dr]*n_grid, horizon cx,cy,dr,
-        # graduation angles 3x13, hour-circle cx,cy,dr x 11
-        self.n_draws = 3 * self.n_grid + 3 + 39 + 33
-
-        if scenario == "time_to_sunset":
-            if math.tan(math.radians(phi)) * abs(
-                math.tan(math.radians(sun_dec))
-            ) >= 1.0:
-                raise ScenarioInfeasible("the sun never sets at this configuration")
-            if not (0.0 < self.hour_angle < 180.0):
-                raise ValueError(
-                    "time_to_sunset expects an afternoon hour angle in (0, 180)"
-                )
-            self.tropics = tropic_circles(cfg)
-            self.division_angles = []
-            for c in self.tropics:
-                arc = night_arc(c, self.horizon)
-                sweep = arc.sweep
-                self.division_angles.append(
-                    [arc.start_angle + sweep * k / 12.0 for k in range(13)]
-                )
-            r_opp = stereographic_radius(-sun_dec, s)
-            self.opp_circle = Circle(PlanePoint(0.0, 0.0), r_opp)
-            # expected boundary crossings guide the intersection pick
-            guide = divide_arc_equal(night_arc(self.opp_circle, self.horizon), 12)
-            self.guide_points = guide
-
-    # ---- perturbation replay -------------------------------------------
-
-    def _draws(self, trial: int) -> np.ndarray:
-        rng = np.random.default_rng([self.pert.seed, trial])
-        return rng.normal(size=self.n_draws)
-
-    def _zero_draws(self) -> np.ndarray:
-        return np.zeros(self.n_draws)
-
-    def _field(self, draws: np.ndarray):
-        """Perturbed almucantar grid: center x, center y, radius arrays."""
-        sc, sr = self.pert.center_sigma, self.pert.radius_sigma
-        n = self.n_grid
-        cx = sc * draws[0:n]
-        cy = self.grid_cy + sc * draws[n : 2 * n]
-        r = self.grid_r + sr * draws[2 * n : 3 * n]
-        return cx, cy, r
-
-    def _horizon_circle(self, draws: np.ndarray) -> Circle:
-        sc, sr = self.pert.center_sigma, self.pert.radius_sigma
-        base = 3 * self.n_grid
-        return Circle(
-            PlanePoint(
-                self.horizon.center.x + sc * draws[base],
-                self.horizon.center.y + sc * draws[base + 1],
-            ),
-            self.horizon.radius + sr * draws[base + 2],
-        )
-
-    def _read_altitude(self, point: PlanePoint, draws: np.ndarray) -> float:
-        """Altitude read from the perturbed almucantar field by locating
-        the interpolated circle passing through `point`.
-
-        Between grid nodes k and k+1 the interpolated center c(t) and
-        radius r(t) are linear in t in [0, 1], so F(t) = |p - c(t)|^2 -
-        r(t)^2 is a quadratic.  Radii are positive, so F has the sign of
-        |p - c| - r at the nodes; on the first bracket where that sign
-        goes from <= 0 to >= 0, F rises through zero exactly once.
-        """
-        cx, cy, r = self._field(draws)
-        values = np.hypot(point.x - cx, point.y - cy) - r
-        rising = np.flatnonzero((values[:-1] <= 0.0) & (values[1:] >= 0.0))
-        if not rising.size:
-            raise ScenarioInfeasible(
-                "the sighted point falls outside the readable altitude bands"
-            )
-        k = int(rising[0])
-        if values[k] == 0.0:
-            return float(self.grid[k])
-        dx, dy = point.x - cx[k], point.y - cy[k]
-        ddx, ddy, dr = cx[k + 1] - cx[k], cy[k + 1] - cy[k], r[k + 1] - r[k]
-        a = ddx * ddx + ddy * ddy - dr * dr
-        b = -2.0 * (dx * ddx + dy * ddy + r[k] * dr)
-        c = dx * dx + dy * dy - r[k] * r[k]
-        q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
-        # F rises through zero at (-b + sqrt(disc)) / 2a: q/a when q > 0, else c/q
-        t = q / a if q > 0.0 else c / q
-        h0, h1 = self.grid[k], self.grid[k + 1]
-        return float(h0 + min(max(t, 0.0), 1.0) * (h1 - h0))
-
-    def _hour_crossings(self, draws: np.ndarray) -> list[float]:
-        """Plate angles of the 13 hour boundaries on the opposite-
-        declination circle, under perturbed graduation and arcs."""
-        sg = math.radians(self.pert.graduation_sigma)
-        sc, sr = self.pert.center_sigma, self.pert.radius_sigma
-        base_g = 3 * self.n_grid + 3
-        base_c = base_g + 39
-        horizon_p = self._horizon_circle(draws)
-
-        crossings = [0.0] * 13
-        pts = circle_circle_intersection(self.opp_circle, horizon_p)
-        if len(pts) < 2:
-            raise ScenarioInfeasible("perturbed horizon misses the sun's circle")
-        crossings[0] = plate_angle_deg(max(pts, key=lambda p: p.x))
-        crossings[12] = plate_angle_deg(min(pts, key=lambda p: p.x))
-
-        for k in range(1, 12):
-            trio = []
-            for c_idx, circ in enumerate(self.tropics):
-                ang = self.division_angles[c_idx][k] + sg * draws[
-                    base_g + 13 * c_idx + k
-                ]
-                trio.append(circ.point_at(ang))
-            guide = self.guide_points[k]
-            j = base_c + 3 * (k - 1)
-            try:
-                hc = circumcircle(*trio)
-                hc = Circle(
-                    PlanePoint(
-                        hc.center.x + sc * draws[j],
-                        hc.center.y + sc * draws[j + 1],
-                    ),
-                    hc.radius + sr * draws[j + 2],
-                )
-                pts = circle_circle_intersection(self.opp_circle, hc)
-            except CollinearPoints:
-                pts = self._line_circle(trio[0], trio[2])
-            if not pts:
-                raise ScenarioInfeasible(
-                    f"hour boundary {k} misses the sun's circle after perturbation"
-                )
-            best = min(pts, key=lambda p: p.distance_to(guide))
-            crossings[k] = plate_angle_deg(best)
-        return crossings
-
-    def _line_circle(self, a: PlanePoint, b: PlanePoint) -> tuple[PlanePoint, ...]:
-        """Intersections of the line a-b with the opposite circle."""
-        r = self.opp_circle.radius
-        dx, dy = b.x - a.x, b.y - a.y
-        qa = dx * dx + dy * dy
-        qb = 2.0 * (a.x * dx + a.y * dy)
-        qc = a.x * a.x + a.y * a.y - r * r
-        disc = qb * qb - 4.0 * qa * qc
-        if disc < 0.0:
-            return ()
-        sq = math.sqrt(disc)
-        out = []
-        for t in ((-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)):
-            out.append(PlanePoint(a.x + t * dx, a.y + t * dy))
-        return tuple(out)
-
-    def _read_sunset_hours(self, draws: np.ndarray) -> float:
-        """Unequal hours remaining until sunset, as read off the
-        perturbed plate."""
-        # place the rete: sun's date circle meets the almucantar of the
-        # observed altitude; the western branch is the afternoon side
-        cx, cy, r = self._field(draws)
-        h = self.altitude_true
-        alm = Circle(
-            PlanePoint(
-                float(np.interp(h, self.grid, cx)), float(np.interp(h, self.grid, cy))
-            ),
-            float(np.interp(h, self.grid, r)),
-        )
-        sun_circle = Circle(PlanePoint(0.0, 0.0), stereographic_radius(self.sun_dec, self.cfg.scale))
-        pts = circle_circle_intersection(sun_circle, alm)
-        if not pts:
-            raise ScenarioInfeasible(
-                "the observed altitude band misses the sun's circle"
-            )
-        west = max(pts, key=lambda p: p.x)
-        theta_sun = plate_angle_deg(west)
-
-        crossings = self._hour_crossings(draws)
-        d = [(c - crossings[0]) % 360.0 for c in crossings]
-        d[0] = 0.0
-        theta_q = (theta_sun + 180.0 - crossings[0]) % 360.0
-
-        # monotone repair is not attempted: perturbations small enough to
-        # keep the boundaries ordered are the model's domain
-        if any(d[i + 1] <= d[i] for i in range(12)):
-            raise ScenarioInfeasible("perturbed hour boundaries are out of order")
-        if theta_q <= d[0]:
-            k = 0
-        elif theta_q >= d[12]:
-            k = 11
-        else:
-            k = max(i for i in range(12) if d[i] <= theta_q)
-        dayhour = k + (theta_q - d[k]) / (d[k + 1] - d[k])
-        return 12.0 - dayhour
-
-    def _readout(self, draws: np.ndarray) -> float:
-        if self.scenario == "altitude":
-            return self._read_altitude(self.sun_point, draws)
-        return self._read_sunset_hours(draws)
-
-    def reference(self) -> float:
-        return self._readout(self._zero_draws())
-
-    def trial(self, index: int) -> float:
-        return self._readout(self._draws(index))
+    Between grid nodes k and k+1 the interpolated center c(t) and
+    radius r(t) are linear in t in [0, 1], so F(t) = |p - c(t)|^2 -
+    r(t)^2 is a quadratic.  Radii are positive, so F has the sign of
+    |p - c| - r at the nodes; on the first bracket where that sign
+    goes from <= 0 to >= 0, F rises through zero exactly once.
+    """
+    values = np.hypot(px - cx, py - cy) - r
+    rising = (values[:, :-1] <= 0.0) & (values[:, 1:] >= 0.0)
+    if not rising.any(axis=1).all():
+        raise ScenarioInfeasible("the sighted point falls outside the readable altitude bands")
+    rows = np.arange(len(values))
+    k = rising.argmax(axis=1)
+    dx, dy, r0 = px - cx[rows, k], py - cy[rows, k], r[rows, k]
+    ddx, ddy = cx[rows, k + 1] - cx[rows, k], cy[rows, k + 1] - cy[rows, k]
+    dr = r[rows, k + 1] - r0
+    a = ddx * ddx + ddy * ddy - dr * dr
+    b = -2.0 * (dx * ddx + dy * ddy + r0 * dr)
+    c = dx * dx + dy * dy - r0 * r0
+    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
+    # F rises through zero at (-b + sqrt(disc)) / 2a: q/a when q > 0, else c/q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(q > 0.0, q / a, c / q)
+    t = np.where(values[rows, k] == 0.0, 0.0, np.clip(t, 0.0, 1.0))
+    return grid[k] + t * (grid[k + 1] - grid[k])
 
 
-def monte_carlo_readout(
-    cfg: PlateConfig,
-    pert: PerturbationSpec,
-    scenario: str,
-    sun_dec: float,
-    true_hour_angle: float,
-    n_trials: int,
-) -> ErrorReport:
+def _line_meets_circle(nx, ny, e, radius):
+    """Where each line nx*x + ny*y = e meets the pole-centered circle
+    |p| = radius: arrays x1, y1, x2, y2, NaN where the line misses."""
+    n2 = nx * nx + ny * ny
+    half = np.sqrt(radius * radius * n2 - e * e) / n2
+    fx, fy = e * nx / n2, e * ny / n2
+    return fx - half * ny, fy + half * nx, fx + half * ny, fy - half * nx
+
+
+def _radical_line(cx, cy, r, radius):
+    """(nx, ny, e): circles (cx, cy, r) meet |p| = radius where n.p = e."""
+    return cx, cy, (cx * cx + cy * cy + radius * radius - r * r) / 2.0
+
+
+def _plate_angle(first, x1, y1, x2, y2):
+    """`plate_angle_deg` of point 1 where `first` holds, else of point 2."""
+    x, y = np.where(first, x1, x2), np.where(first, y1, y2)
+    return np.degrees(np.arctan2(x, y)) % 360.0
+
+
+def _positive(radius):
+    """The check `Circle` makes of each row's perturbed radius."""
+    bad = ~(radius > 0.0)
+    value = float(radius[bad.argmax()])
+    return bad, ValueError, f"circle radius must be positive, got {value!r}"
+
+
+def _read_sunset_hours(cfg, pert, sun_dec, altitude, grid, cx, cy, r, draws):
+    """Unequal hours remaining until sunset, read off each row of a
+    perturbed plate.  `draws` holds each row's horizon (center x, y,
+    radius), graduation (13 per tropic) and hour-circle (center x, y,
+    radius per boundary) draws.
+
+    Every intersection here is with a circle centered on the pole (the
+    sun's date circle, or the opposite circle the hours are read on), so
+    each is where a line meets that circle.  A failing run raises the
+    first failing check of its first failing row, as a replay would.
+    """
+    s, sc, sr = cfg.scale, pert.center_sigma, pert.radius_sigma
+    horizon = almucantar_solution(cfg.latitude, 0.0, s).circle
+    tropics = tropic_circles(cfg)
+    arcs = [night_arc(c, horizon) for c in tropics]
+    division = np.array([[a.start_angle + a.sweep * k / 12.0 for k in range(13)]
+                         for a in arcs])
+    r_sun, r_opp = stereographic_radius(sun_dec, s), stereographic_radius(-sun_dec, s)
+    # expected boundary crossings guide the intersection pick
+    guide = divide_arc_equal(night_arc(Circle(PlanePoint(0.0, 0.0), r_opp), horizon), 12)
+    gx, gy = np.array([p.x for p in guide[1:12]]), np.array([p.y for p in guide[1:12]])
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # place the rete: the sun's date circle meets the almucantar of the
+        # observed altitude (interpolated as np.interp does); the western
+        # branch is the afternoon side
+        j = int(np.searchsorted(grid, altitude, side="right")) - 1
+        alm = [(f[:, j + 1] - f[:, j]) / (grid[j + 1] - grid[j]) * (altitude - grid[j])
+               + f[:, j] for f in (cx, cy, r)]
+        x1, y1, x2, y2 = _line_meets_circle(*_radical_line(*alm, r_sun), r_sun)
+        theta_sun = _plate_angle(x1 >= x2, x1, y1, x2, y2)
+
+        # boundaries 0 and 12: the perturbed horizon's western and eastern
+        # crossings of the opposite circle
+        hr = horizon.radius + sr * draws[:, 2]
+        hx, hy = horizon.center.x + sc * draws[:, 0], horizon.center.y + sc * draws[:, 1]
+        x1, y1, x2, y2 = _line_meets_circle(*_radical_line(hx, hy, hr, r_opp), r_opp)
+        crossings = np.empty((len(draws), 13))
+        crossings[:, 0] = _plate_angle(x1 >= x2, x1, y1, x2, y2)
+        crossings[:, 12] = _plate_angle(x1 <= x2, x1, y1, x2, y2)
+
+        # boundaries 1-11: the circle through the perturbed division points
+        # on the three tropics, in closed form as geometry.circumcircle
+        grad = draws[:, 3:42].reshape(-1, 3, 13)[:, :, 1:12]
+        ang = division[:, 1:12] + math.radians(pert.graduation_sigma) * grad
+        radii = np.array([c.radius for c in tropics])[:, None]
+        px, py = radii * np.cos(ang), radii * np.sin(ang)
+        bx, by = px[:, 1] - px[:, 0], py[:, 1] - py[:, 0]
+        ex, ey = px[:, 2] - px[:, 0], py[:, 2] - py[:, 0]
+        dmax = np.max([np.hypot(bx, by), np.hypot(ex, ey), np.hypot(ex - bx, ey - by)], axis=0)
+        area2 = bx * ey - by * ex
+        b2, e2 = bx * bx + by * by, ex * ex + ey * ey
+        ux, uy = (ey * b2 - by * e2) / (2.0 * area2), (bx * e2 - ex * b2) / (2.0 * area2)
+        hc = draws[:, 42:].reshape(-1, 11, 3)
+        cr = np.hypot(ux, uy) + sr * hc[:, :, 2]
+        circle = _radical_line(px[:, 0] + ux + sc * hc[:, :, 0],
+                               py[:, 0] + uy + sc * hc[:, :, 1], cr, r_opp)
+        # a collinear triple (the midnight boundary) is the line through
+        # its Capricorn and Cancer points
+        line = np.abs(area2) / 2.0 < COLLINEAR_AREA_REL * dmax * dmax
+        chord = (ey, -ex, ey * px[:, 0] - ex * py[:, 0])
+        x1, y1, x2, y2 = _line_meets_circle(
+            *(np.where(line, u, v) for u, v in zip(chord, circle)), r_opp)
+        first = np.hypot(x1 - gx, y1 - gy) <= np.hypot(x2 - gx, y2 - gy)
+        crossings[:, 1:12] = _plate_angle(first, x1, y1, x2, y2)
+
+    d = (crossings - crossings[:, :1]) % 360.0
+    d[:, 0] = 0.0
+    theta = (theta_sun + 180.0 - crossings[:, 0]) % 360.0
+    miss = "misses the sun's circle"
+    # (failing rows, error, message) in the order one trial meets them
+    checks = [_positive(alm[2]),
+              (np.isnan(theta_sun), ScenarioInfeasible, f"the observed altitude band {miss}"),
+              _positive(hr),
+              (np.isnan(crossings[:, 0]), ScenarioInfeasible, f"perturbed horizon {miss}")]
+    for k in range(11):
+        checks.append(_positive(np.where(line[:, k], 1.0, cr[:, k])))
+        checks.append((np.isnan(crossings[:, k + 1]), ScenarioInfeasible,
+                       f"hour boundary {k + 1} {miss} after perturbation"))
+    # monotone repair is not attempted: perturbations small enough to
+    # keep the boundaries ordered are the model's domain
+    checks.append(((d[:, 1:] <= d[:, :-1]).any(axis=1), ScenarioInfeasible,
+                   "perturbed hour boundaries are out of order"))
+    bad = np.array([check[0] for check in checks])
+    failed = np.flatnonzero(bad.any(axis=0))
+    if failed.size:
+        _, error, message = checks[int(bad[:, failed[0]].argmax())]
+        raise error(message)
+
+    rows = np.arange(len(d))
+    k = np.clip((d[:, :12] <= theta[:, None]).sum(axis=1) - 1, 0, 11)
+    return 12.0 - (k + (theta - d[rows, k]) / (d[rows, k + 1] - d[rows, k]))
+
+
+def monte_carlo_readout(cfg: PlateConfig, pert: PerturbationSpec, scenario: str,
+                        sun_dec: float, true_hour_angle: float, n_trials: int) -> ErrorReport:
     """Readout-error statistics for an instrument engraved with Gaussian
     errors.
 
     Scenarios: "altitude" reads the sun's altitude band back from the
     perturbed almucantar grid; "time_to_sunset" reads the unequal hours
     remaining before sunset from the perturbed hour lines.  Per-trial
-    errors are measured against the unperturbed replay of the same
-    readout, so sigma = 0 reports exactly zero.  Trial i draws from its
+    errors are measured against the unperturbed reading of the same
+    plate, so sigma = 0 reports exactly zero.  Trial i draws from its
     own (seed, i) stream, so the same seed gives bit-equal samples and a
     longer run starts with a shorter run's samples.  Raises
     ScenarioInfeasible when the scene cannot be set (sun below horizon,
@@ -486,15 +354,46 @@ def monte_carlo_readout(
     if n_trials < 1:
         raise ValueError(f"need at least one trial, got {n_trials!r}")
 
-    engine = _ReadoutEngine(cfg, pert, scenario, sun_dec, true_hour_angle)
-    ref = engine.reference()
+    phi, s = cfg.latitude, cfg.scale
+    hour_angle = true_hour_angle % 360.0
+    if abs(sun_dec) > cfg.obliquity + 1e-9:
+        raise ValueError(f"sun declination {sun_dec} exceeds the obliquity {cfg.obliquity}")
+    altitude = _sun_altitude(phi, sun_dec, hour_angle)
+    if altitude <= 0.0:
+        raise ScenarioInfeasible("sun is below the horizon at this hour angle")
 
-    arr = np.array([engine.trial(i) - ref for i in range(n_trials)], dtype=float)
-    return ErrorReport(
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        max_abs=float(np.abs(arr).max()),
-        n_trials=n_trials,
-        classification="ok",
-        samples=tuple(float(v) for v in arr),
-    )
+    # almucantar grid h = 0, step, ..., 90 - step
+    step = cfg.almucantar_step
+    grid = np.array([k * step for k in range(int(round(90.0 / step)))], dtype=float)
+    sols = [almucantar_solution(phi, h, s) for h in grid]
+    if altitude >= float(grid[-1]):
+        raise ScenarioInfeasible(f"sun altitude {altitude:.2f} is above the last "
+                                 f"engraved almucantar ({grid[-1]:.0f})")
+    if scenario == "time_to_sunset":
+        if math.tan(math.radians(phi)) * abs(math.tan(math.radians(sun_dec))) >= 1.0:
+            raise ScenarioInfeasible("the sun never sets at this configuration")
+        if not (0.0 < hour_angle < 180.0):
+            raise ValueError("time_to_sunset expects an afternoon hour angle in (0, 180)")
+
+    # one row of draws per trial, laid out as [alm cx, cy, dr] * n, horizon
+    # cx, cy, dr, graduation angles 3 x 13, hour-circle cx, cy, dr x 11;
+    # row 0 is all zeros and reads the unperturbed plate
+    n = len(grid)
+    draws = np.zeros((n_trials + 1, 3 * n + 3 + 39 + 33))
+    for i in range(n_trials):
+        draws[i + 1] = np.random.default_rng([pert.seed, i]).normal(size=draws.shape[1])
+    sc, sr = pert.center_sigma, pert.radius_sigma
+    cx = sc * draws[:, :n]
+    cy = np.array([m.y_center for m in sols]) + sc * draws[:, n : 2 * n]
+    r = np.array([m.radius for m in sols]) + sr * draws[:, 2 * n : 3 * n]
+    if scenario == "altitude":
+        sun = from_plate_polar(stereographic_radius(sun_dec, s), hour_angle)
+        read = _read_altitude(sun.x, sun.y, grid, cx, cy, r)
+    else:
+        read = _read_sunset_hours(cfg, pert, sun_dec, altitude, grid, cx, cy, r,
+                                  draws[:, 3 * n :])
+
+    arr = read[1:] - read[0]
+    return ErrorReport(mean=float(arr.mean()), std=float(arr.std()),
+                       max_abs=float(np.abs(arr).max()), n_trials=n_trials,
+                       classification="ok", samples=tuple(arr.tolist()))

@@ -41,7 +41,7 @@ from .geometry import (
     circumcircle,
     divide_arc_equal,
 )
-from .projection import stereographic_radius
+from .projection import OBLIQUITY, stereographic_radius
 
 _FULL = "full"
 
@@ -63,7 +63,7 @@ class PlateConfig:
 
     latitude: float
     scale: float
-    obliquity: float = 23.44
+    obliquity: float = OBLIQUITY
     almucantar_step: float = 5.0
     azimuth_step: float = 10.0
     hour_lines: bool = True

@@ -36,6 +36,9 @@ from .geometry import FitResult, PlanePoint, fit_circle
 # a projecting ray closer than this to parallel with the plane is rejected
 DENOM_MIN = 1e-12
 
+# ecliptic obliquity, degrees: the default of every face and of the CLI
+OBLIQUITY = 23.44
+
 
 def _check_dec(dec: float) -> None:
     if not (-90.0 <= dec <= 90.0):

@@ -12,8 +12,9 @@ factors (sx, sy) applied to each coordinate as it is formatted; the
 model geometry itself is emitted unchanged, and an arc's sweep flag is
 inverted when sx*sy < 0.  Rounding is symmetric in sign, so a
 `mirror_ew` document is the exact x-negation of the plain one: every x
-string gains or loses its minus sign (zero stays unsigned) and nothing
-else changes.
+string gains or loses its minus sign (zero stays unsigned), and a label
+anchored at its start or end swaps the two, so that it still runs away
+from its marker.  Nothing else changes.
 """
 
 from __future__ import annotations
@@ -309,10 +310,13 @@ def _group(
     ]
     for el in elements:
         parts.append("  " + _emit(el, p, sx, sy))
+    # a mirrored label runs the other way from its anchor point
+    anchors = {"start": "end", "end": "start"} if sx < 0 else {}
     for lab in labels:
         parts.append(
             f'  <text x="{_fmt(sx * lab.x, p)}" y="{_fmt(sy * lab.y, p)}" '
-            f'font-size="{style.label_font_size:g}" text-anchor="{lab.anchor}" '
+            f'font-size="{style.label_font_size:g}" '
+            f'text-anchor="{anchors.get(lab.anchor, lab.anchor)}" '
             f'fill="#000" stroke="none">{escape(lab.text)}</text>'
         )
     parts.append("</g>")

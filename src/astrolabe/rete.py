@@ -24,7 +24,7 @@ from typing import Iterable, Union
 from .exceptions import DuplicateStarName, OutsidePlate, ParseError
 from .geometry import Circle, PlanePoint
 from .plate import tropic_radii
-from .projection import from_plate_polar, stereographic_radius
+from .projection import OBLIQUITY, from_plate_polar, stereographic_radius
 
 # pointers at or beyond this fraction of the boundary radius are off-plate
 _BOUNDARY_REL = 1.0 - 1e-12
@@ -111,7 +111,7 @@ def star_pointer(star: StarEntry, scale: float, obliquity: float) -> PlanePoint:
 
 
 def build_rete(
-    catalog: Iterable[StarEntry], scale: float, obliquity: float = 23.44
+    catalog: Iterable[StarEntry], scale: float, obliquity: float = OBLIQUITY
 ) -> ReteModel:
     """Assemble the rete: ecliptic ring, 360 one-degree zodiac ticks
     (every 30th major), and one pointer per catalog star.  Stars outside

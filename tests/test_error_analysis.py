@@ -1,13 +1,18 @@
 """Engraving-error propagation: closed-form budgets, band
 misassignment, chord diagnosis, Monte Carlo readout statistics."""
 
+import gc
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import astrolabe
 from astrolabe import (
     Circle,
+    CollinearPoints,
     PlanePoint,
     PlateConfig,
     PerturbationSpec,
@@ -21,7 +26,10 @@ from astrolabe import (
     monte_carlo_readout,
     quadrant_chord_diagnosis,
 )
-from astrolabe.error_analysis import SCENARIOS, _ReadoutEngine
+from astrolabe.error_analysis import SCENARIOS, _read_altitude, _sun_altitude
+from astrolabe.geometry import circle_circle_intersection, circumcircle, divide_arc_equal
+from astrolabe.plate import almucantar_solution, night_arc, tropic_circles
+from astrolabe.projection import from_plate_polar, plate_angle_deg, stereographic_radius
 
 # section-4 style worked configuration: 150 mm plate
 S4 = 49.228324
@@ -149,12 +157,26 @@ def test_monte_carlo_deterministic_across_runs_and_workers():
     assert a.n_trials == 60 and a.classification == "ok"
 
 
-def bisected_altitude(engine, point, draws):
+def perturbed_field(cfg, pert, n_trials):
+    """Grid altitudes and each trial's perturbed almucantar center x,
+    center y and radius, from the draws monte_carlo_readout makes."""
+    step = cfg.almucantar_step
+    grid = np.array([k * step for k in range(int(round(90.0 / step)))])
+    sols = [almucantar_solution(cfg.latitude, h, cfg.scale) for h in grid]
+    n = len(grid)
+    draws = np.array([np.random.default_rng([pert.seed, i]).normal(size=3 * n + 75)
+                      for i in range(n_trials)])
+    sc, sr = pert.center_sigma, pert.radius_sigma
+    cx = sc * draws[:, :n]
+    cy = np.array([m.y_center for m in sols]) + sc * draws[:, n : 2 * n]
+    r = np.array([m.radius for m in sols]) + sr * draws[:, 2 * n : 3 * n]
+    return grid, cx, cy, r
+
+
+def bisected_altitude(point, grid, cx, cy, r):
     """Reference readout: plain bisection on the interpolated
     g(h) = |p - c(h)| - r(h) over the first grid bracket where g rises
     through zero; None when there is no such bracket."""
-    cx, cy, r = engine._field(draws)
-    grid = engine.grid
 
     def g(h):
         x, y = np.interp(h, grid, cx), np.interp(h, grid, cy)
@@ -183,13 +205,200 @@ def test_read_altitude_matches_bisection_reference(scenario, latitude, step):
     cfg = PlateConfig(latitude=latitude, scale=100.0, almucantar_step=step)
     for sigma in (0.0, 0.01, 0.1, 1.0):
         for seed, (dec, hour) in enumerate(((10.0, 40.0), (-15.0, 20.0))):
+            # the scene can be set for this scenario
+            quiet = PerturbationSpec(seed=seed)
+            assert monte_carlo_readout(cfg, quiet, scenario, dec, hour, 1).samples == (0.0,)
             pert = PerturbationSpec(sigma, sigma, sigma, seed=seed)
-            engine = _ReadoutEngine(cfg, pert, scenario, dec, hour)
+            grid, cx, cy, r = perturbed_field(cfg, pert, 20)
+            sun = from_plate_polar(stereographic_radius(dec, cfg.scale), hour)
+            got = _read_altitude(sun.x, sun.y, grid, cx, cy, r)
             for i in range(20):
-                draws = engine._draws(i)
-                want = bisected_altitude(engine, engine.sun_point, draws)
-                got = engine._read_altitude(engine.sun_point, draws)
-                assert want is not None and got == pytest.approx(want, abs=1e-9)
+                want = bisected_altitude(sun, grid, cx[i], cy[i], r[i])
+                assert want is not None and got[i] == pytest.approx(want, abs=1e-9)
+
+
+def line_circle(a, b, radius):
+    """Intersections of the line a-b with the circle |p| = radius."""
+    dx, dy = b.x - a.x, b.y - a.y
+    qa = dx * dx + dy * dy
+    qb = 2.0 * (a.x * dx + a.y * dy)
+    qc = a.x * a.x + a.y * a.y - radius * radius
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        return ()
+    sq = math.sqrt(disc)
+    ts = ((-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa))
+    return tuple(PlanePoint(a.x + t * dx, a.y + t * dy) for t in ts)
+
+
+def sunset_replay(cfg, pert, sun_dec, hour_angle):
+    """Scalar reference for the time_to_sunset readout, one trial at a
+    time with Circle objects, circumcircle, circle_circle_intersection
+    and night_arc.  Returns read(draws), the hours left until sunset on
+    the plate perturbed by one trial's draws, and the draws per trial."""
+    s, sc, sr = cfg.scale, pert.center_sigma, pert.radius_sigma
+    sg = math.radians(pert.graduation_sigma)
+    altitude = _sun_altitude(cfg.latitude, sun_dec, hour_angle)
+    step = cfg.almucantar_step
+    grid = np.array([k * step for k in range(int(round(90.0 / step)))])
+    sols = [almucantar_solution(cfg.latitude, h, s) for h in grid]
+    grid_cy = np.array([m.y_center for m in sols])
+    grid_r = np.array([m.radius for m in sols])
+    n = len(grid)
+    horizon = sols[0].circle
+    tropics = tropic_circles(cfg)
+    division = []
+    for c in tropics:
+        arc = night_arc(c, horizon)
+        division.append([arc.start_angle + arc.sweep * k / 12.0 for k in range(13)])
+    origin = PlanePoint(0.0, 0.0)
+    opp = Circle(origin, stereographic_radius(-sun_dec, s))
+    guide = divide_arc_equal(night_arc(opp, horizon), 12)
+    sun_circle = Circle(origin, stereographic_radius(sun_dec, s))
+
+    def circle(x, y, radius):
+        return Circle(PlanePoint(x, y), float(radius))
+
+    def hour_crossings(draws):
+        base_g, base_c = 3 * n + 3, 3 * n + 42
+        horizon_p = circle(horizon.center.x + sc * draws[3 * n],
+                           horizon.center.y + sc * draws[3 * n + 1],
+                           horizon.radius + sr * draws[3 * n + 2])
+        crossings = [0.0] * 13
+        pts = circle_circle_intersection(opp, horizon_p)
+        if len(pts) < 2:
+            raise ScenarioInfeasible("perturbed horizon misses the sun's circle")
+        crossings[0] = plate_angle_deg(max(pts, key=lambda p: p.x))
+        crossings[12] = plate_angle_deg(min(pts, key=lambda p: p.x))
+        for k in range(1, 12):
+            trio = [c.point_at(division[i][k] + sg * draws[base_g + 13 * i + k])
+                    for i, c in enumerate(tropics)]
+            j = base_c + 3 * (k - 1)
+            try:
+                hc = circumcircle(*trio)
+                hc = circle(hc.center.x + sc * draws[j], hc.center.y + sc * draws[j + 1],
+                            hc.radius + sr * draws[j + 2])
+                pts = circle_circle_intersection(opp, hc)
+            except CollinearPoints:
+                pts = line_circle(trio[0], trio[2], opp.radius)
+            if not pts:
+                raise ScenarioInfeasible(
+                    f"hour boundary {k} misses the sun's circle after perturbation")
+            crossings[k] = plate_angle_deg(min(pts, key=lambda p: p.distance_to(guide[k])))
+        return crossings
+
+    def read(draws):
+        alm = circle(np.interp(altitude, grid, sc * draws[:n]),
+                     np.interp(altitude, grid, grid_cy + sc * draws[n : 2 * n]),
+                     np.interp(altitude, grid, grid_r + sr * draws[2 * n : 3 * n]))
+        pts = circle_circle_intersection(sun_circle, alm)
+        if not pts:
+            raise ScenarioInfeasible("the observed altitude band misses the sun's circle")
+        theta_sun = plate_angle_deg(max(pts, key=lambda p: p.x))
+        crossings = hour_crossings(draws)
+        d = [(c - crossings[0]) % 360.0 for c in crossings]
+        d[0] = 0.0
+        theta = (theta_sun + 180.0 - crossings[0]) % 360.0
+        if any(d[i + 1] <= d[i] for i in range(12)):
+            raise ScenarioInfeasible("perturbed hour boundaries are out of order")
+        if theta >= d[12]:
+            k = 11
+        else:
+            k = max(i for i in range(12) if d[i] <= theta)
+        return 12.0 - (k + (theta - d[k]) / (d[k + 1] - d[k]))
+
+    return read, 3 * n + 75
+
+
+def replayed_sunset_samples(cfg, pert, sun_dec, hour_angle, n_trials):
+    read, n_draws = sunset_replay(cfg, pert, sun_dec, hour_angle)
+    ref = read(np.zeros(n_draws))
+    return [read(np.random.default_rng([pert.seed, i]).normal(size=n_draws)) - ref
+            for i in range(n_trials)]
+
+
+def outcome(run):
+    try:
+        return run()
+    except (ScenarioInfeasible, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def sunset_scenes(rng, count):
+    """(cfg, pert, sun_dec, hour_angle) scenes whose sun stands between
+    the horizon and the top almucantar, under zero, workshop-range, large
+    and destructive engraving noise in turn, and under noise that leaves
+    the graduation exact, so that the midnight boundary stays a line."""
+    for scene in range(count):
+        latitude = float(rng.uniform(10.0, 60.0))
+        step = float(rng.choice((1.0, 2.0, 3.0, 5.0, 6.0, 9.0, 10.0)))
+        while True:
+            dec, hour = float(rng.uniform(-23.44, 23.44)), float(rng.uniform(0.0, 180.0))
+            if 0.0 < _sun_altitude(latitude, dec, hour) < 90.0 - step:
+                break
+        top = ((0.0,) * 3, (0.3,) * 3, (2.0,) * 3, (50.0,) * 3, (0.3, 0.3, 0.0))[scene % 5]
+        pert = PerturbationSpec(*(float(rng.uniform(0.0, t)) for t in top),
+                                seed=int(rng.integers(2**31)))
+        yield PlateConfig(latitude=latitude, scale=100.0, almucantar_step=step), pert, dec, hour
+
+
+# noise that turns a perturbed radius negative before any other check fails
+NEGATIVE_RADIUS_SCENES = [
+    (PlateConfig(latitude=11.22, scale=100.0, almucantar_step=3.0),
+     PerturbationSpec(42.46, 90.14, 34.73, seed=1769376407), -7.31, 51.18),
+    (PlateConfig(latitude=29.14, scale=100.0, almucantar_step=3.0),
+     PerturbationSpec(47.14, 54.61, 38.26, seed=280760823), 9.9, 5.8),
+]
+
+
+def test_batched_sunset_matches_scalar_replay():
+    """The batched time_to_sunset readout gives the scalar replay's
+    samples to 1e-9, and aborts the same runs with the same error."""
+    scenes = [*sunset_scenes(np.random.default_rng(2026), 50), *NEGATIVE_RADIUS_SCENES]
+    kept, aborted = 0, []
+    for cfg, pert, dec, hour in scenes:
+        want = outcome(lambda: replayed_sunset_samples(cfg, pert, dec, hour, 25))
+        got = outcome(lambda: list(
+            monte_carlo_readout(cfg, pert, "time_to_sunset", dec, hour, 25).samples))
+        if isinstance(want, tuple):
+            assert got == want
+            aborted.append(want[0])
+        else:
+            assert got == pytest.approx(want, abs=1e-9)
+            kept += 1
+    assert kept >= 20 and len(aborted) >= 5
+    assert aborted.count(ValueError) == len(NEGATIVE_RADIUS_SCENES)
+
+
+def test_aborted_run_leaves_no_reference_cycle():
+    # a cycle through the raised error's traceback would keep every array
+    # of the aborted run alive until the cycle collector runs
+    pert = PerturbationSpec(50.0, 50.0, 50.0, seed=1)
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            monte_carlo_readout(CFG, pert, "time_to_sunset", -10.0, 45.0, 25)
+        except ScenarioInfeasible:
+            pass
+        else:
+            pytest.fail("the run was expected to abort")
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+
+
+def test_traced_benchmark_patches_resolve():
+    """bench/tracing.py wraps names it looks up in the package, in
+    astrolabe.cli and in astrolabe.error_analysis; each must still exist."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    patches = tracing.install(tracing.Tracer(), astrolabe)
+    patched = {name for _, name, _, _ in patches.items}
+    assert {"circle_circle_intersection", "circumcircle", "monte_carlo_readout"} <= patched
 
 
 def test_monte_carlo_seed_changes_samples():

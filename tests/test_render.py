@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from astrolabe import (
     Circle,
     EmptyModelWarning,
     LAYER_IDS,
+    Locality,
     PlanePoint,
     PlateConfig,
     RenderStyle,
@@ -242,13 +244,17 @@ MIRROR_LATITUDES = [round(24.0 + 0.731 * k, 3) for k in range(58)]
 
 
 def test_mirror_negates_x_only():
-    """The mirror_ew document is the plain one with every x string negated
-    and every arc sweep flag s replaced by 1 - s; nothing else differs."""
-    cases = [(plate_model(), 4), (rete_model(), 4), (back_model(), 4)] + [
+    """The mirror_ew document is the plain one with every x string negated,
+    every arc sweep flag s replaced by 1 - s and every text-anchor start
+    and end swapped; nothing else differs."""
+    localities = [Locality("Damascus", 33.513, 36.292), Locality("Lisbon", 38.72, -9.14)]
+    back = build_back(BackConfig(latitude=40.0, radius=150.0), localities)
+    cases = [(plate_model(), 4), (rete_model(), 4), (back_model(), 4), (back, 4)] + [
         (build_plate(PlateConfig(latitude=lat, scale=100.0, almucantar_step=1.0,
                                  azimuth_step=1.0)), 9)
         for lat in MIRROR_LATITUDES
     ]
+    anchors = Counter()
     for model, precision in cases:
         plain = ET.fromstring(render_svg(model, RenderStyle(precision=precision)))
         mirrored = ET.fromstring(
@@ -265,6 +271,10 @@ def test_mirror_negates_x_only():
                 for key, value in el_p.attrib.items():
                     if key in ("cx", "x1", "x2", "x"):
                         assert el_m.get(key) == negated(value)
+                    elif key == "text-anchor":
+                        swapped = {"start": "end", "end": "start"}.get(value, value)
+                        assert el_m.get(key) == swapped
+                        anchors[value] += 1
                     elif key == "d":
                         x1, y1, radii, sweep, x2, y2 = re.fullmatch(
                             r"M (\S+) (\S+) A (\S+ \S+ 0 [01]) ([01]) (\S+) (\S+)", value
@@ -275,6 +285,8 @@ def test_mirror_negates_x_only():
                         )
                     else:
                         assert el_m.get(key) == value
+    # star labels (rete) and qibla labels (back) are anchored at their start
+    assert anchors["start"] > 0 and anchors["middle"] > 0
 
 
 def test_mirrored_arcs_trace_the_mirrored_geometry():
