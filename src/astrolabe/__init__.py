@@ -8,8 +8,6 @@ propagation of engraving errors to instrument readouts.
 from .back import (
     BackConfig,
     BackModel,
-    DEFAULT_EPOCH,
-    EpochConfig,
     Locality,
     MECCA,
     bearing_oracle,

@@ -6,10 +6,11 @@ The solar model is a two-term equation of center
     lambda_sun(day) = L(day) + 1.915 * sin M + 0.020 * sin 2M   (degrees)
 
 with mean anomaly M = 360*(day - day_perihelion)/365 and mean longitude
-L calibrated so lambda_sun is exactly zero at the March equinox.  Epoch
-day numbers default to the 2025 events (perihelion 4.56, March equinox
-79.38); the resulting longitudes stay within about 0.2 degrees of the
-solstice/equinox dates, well inside the one-degree engraving target.
+L calibrated so lambda_sun is exactly zero at the March equinox.  The
+epoch is 2025: the day numbers are that year's events (perihelion 4.56,
+March equinox 79.38), and the resulting longitudes stay within about
+0.2 degrees of the solstice/equinox dates, well inside the one-degree
+engraving target.
 
 Bearings are computed two ways on purpose: `bearing_oracle` works on 3D
 unit vectors and is the reference; `qibla_eq13` is the closed tangent
@@ -21,9 +22,9 @@ command line prints both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .exceptions import DomainError, NoSolution, UndefinedBearing
 from .geometry import Arc, Circle, PlanePoint, Segment, circumcircle
@@ -58,23 +59,13 @@ class Locality:
 MECCA = Locality("Mecca", 21.4225, 39.8262)
 
 
-@dataclass(frozen=True)
-class EpochConfig:
-    """Calibration of the solar model: event day numbers and the two
-    equation-of-center coefficients (degrees)."""
-
-    perihelion_day: float = 4.56
-    equinox_day: float = 79.38
-    center1: float = 1.915
-    center2: float = 0.020
-    year_days: float = 365.0
-
-    def __post_init__(self):
-        if self.year_days <= 0.0:
-            raise ValueError(f"year length must be positive, got {self.year_days!r}")
-
-
-DEFAULT_EPOCH = EpochConfig()
+# calibration of the solar model: the 2025 event day numbers, the year
+# length in days and the two equation-of-center coefficients (degrees)
+PERIHELION_DAY = 4.56
+EQUINOX_DAY = 79.38
+YEAR_DAYS = 365.0
+CENTER1 = 1.915
+CENTER2 = 0.020
 
 
 @dataclass(frozen=True)
@@ -135,16 +126,12 @@ class MiddayCurve:
 
 @dataclass(frozen=True)
 class BackConfig:
-    """Inputs for the back face.  `midday_latitudes` empty means use the
-    plate latitude alone."""
+    """Inputs for the back face: the plate latitude (which sets the
+    midday curve), the limb radius and the obliquity."""
 
     latitude: float
     radius: float
     obliquity: float = OBLIQUITY
-    epoch: EpochConfig = field(default_factory=EpochConfig)
-    shadow_digits: int = 12
-    sine_divisions: int = 60
-    midday_latitudes: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not (0.0 < self.latitude < 90.0):
@@ -153,12 +140,6 @@ class BackConfig:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
         if not (0.0 < self.obliquity < 30.0):
             raise ValueError(f"obliquity must lie in (0, 30), got {self.obliquity!r}")
-        if self.shadow_digits < 1:
-            raise ValueError(f"shadow digits must be >= 1, got {self.shadow_digits!r}")
-        if self.sine_divisions < 1:
-            raise ValueError(
-                f"sine divisions must be >= 1, got {self.sine_divisions!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -173,25 +154,23 @@ class BackModel:
     qibla_marks: tuple[tuple[Locality, float], ...]
 
 
-def equation_of_center(mean_anomaly: float, epoch: EpochConfig = DEFAULT_EPOCH) -> float:
+def equation_of_center(mean_anomaly: float) -> float:
     """Two-term equation of center, degrees, for a mean anomaly in degrees."""
     m = math.radians(mean_anomaly)
-    return epoch.center1 * math.sin(m) + epoch.center2 * math.sin(2.0 * m)
+    return CENTER1 * math.sin(m) + CENTER2 * math.sin(2.0 * m)
 
 
-def solar_longitude(day: float, epoch: EpochConfig = DEFAULT_EPOCH) -> float:
+def solar_longitude(day: float) -> float:
     """Ecliptic longitude of the sun (degrees in [0, 360)) on a day of
     the year (1-based; values outside [1, year] wrap, so the longitude
     is periodic in exactly one year by construction)."""
     if not math.isfinite(day):
         raise ValueError(f"non-finite day: {day!r}")
-    d = (day - 1.0) % epoch.year_days + 1.0
-    m = 360.0 * (d - epoch.perihelion_day) / epoch.year_days
-    m_eq = 360.0 * (epoch.equinox_day - epoch.perihelion_day) / epoch.year_days
-    mean_lon = 360.0 * (d - epoch.equinox_day) / epoch.year_days - equation_of_center(
-        m_eq, epoch
-    )
-    return (mean_lon + equation_of_center(m, epoch)) % 360.0
+    d = (day - 1.0) % YEAR_DAYS + 1.0
+    m = 360.0 * (d - PERIHELION_DAY) / YEAR_DAYS
+    m_eq = 360.0 * (EQUINOX_DAY - PERIHELION_DAY) / YEAR_DAYS
+    mean_lon = 360.0 * (d - EQUINOX_DAY) / YEAR_DAYS - equation_of_center(m_eq)
+    return (mean_lon + equation_of_center(m)) % 360.0
 
 
 def solar_declination(longitude: float, obliquity: float = OBLIQUITY) -> float:
@@ -200,12 +179,12 @@ def solar_declination(longitude: float, obliquity: float = OBLIQUITY) -> float:
     return math.degrees(math.asin(max(-1.0, min(1.0, s))))
 
 
-def calendar_ring(epoch: EpochConfig = DEFAULT_EPOCH) -> tuple[float, ...]:
+def calendar_ring() -> tuple[float, ...]:
     """365 calendar tick angles (degrees), one per day, anchored so the
     day-1 tick sits at zero and each tick advances by that day's solar
     motion.  Strictly increasing and spanning exactly one turn."""
-    n = int(round(epoch.year_days))
-    lams = [solar_longitude(k + 1, epoch) for k in range(n)]
+    n = int(round(YEAR_DAYS))
+    lams = [solar_longitude(k + 1) for k in range(n)]
     angles = [0.0]
     for k in range(1, n):
         angles.append(angles[-1] + (lams[k] - lams[k - 1]) % 360.0)
@@ -412,17 +391,15 @@ def build_back(cfg: BackConfig, localities: Iterable[Locality] = ()) -> BackMode
     """Assemble the full back face.  Qibla bearings use the 3D oracle;
     UndefinedBearing from a degenerate locality propagates."""
     ticks = tuple(DegreeTick(float(a), a % 10 == 0) for a in range(360))
-    lats = cfg.midday_latitudes if cfg.midday_latitudes else (cfg.latitude,)
-    curves = tuple(midday_curve(phi, cfg.obliquity, cfg.radius) for phi in lats)
     marks = tuple((loc, bearing_oracle(loc, MECCA)) for loc in localities)
     return BackModel(
         config=cfg,
         boundary=Circle(PlanePoint(0.0, 0.0), cfg.radius),
         degree_ticks=ticks,
-        calendar_angles=calendar_ring(cfg.epoch),
-        sine_quadrant=sine_quadrant(cfg.radius, cfg.sine_divisions),
-        shadow_square=shadow_square(0.45 * cfg.radius, cfg.shadow_digits),
-        midday_curves=curves,
+        calendar_angles=calendar_ring(),
+        sine_quadrant=sine_quadrant(cfg.radius),
+        shadow_square=shadow_square(0.45 * cfg.radius),
+        midday_curves=(midday_curve(cfg.latitude, cfg.obliquity, cfg.radius),),
         qibla_marks=marks,
     )
 

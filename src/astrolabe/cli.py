@@ -189,8 +189,12 @@ def _plate_config(args, obliquity: float, scale: float) -> PlateConfig:
 
 
 def _rete(args, obliquity: float, scale: float) -> ReteModel:
+    """The rete; each star it leaves out gets a `note:` line on stderr."""
     catalog = load_star_catalog(args.catalog) if getattr(args, "catalog", None) else []
-    return build_rete(catalog, scale, obliquity)
+    model = build_rete(catalog, scale, obliquity)
+    for _, reason in model.skipped:
+        print(f"note: {reason}", file=sys.stderr)
+    return model
 
 
 def _back(args, obliquity: float, scale: float) -> BackModel:

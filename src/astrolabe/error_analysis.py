@@ -191,13 +191,25 @@ def _read_altitude(px, py, grid, cx, cy, r) -> np.ndarray:
     r(t)^2 is a quadratic.  Radii are positive, so F has the sign of
     |p - c| - r at the nodes; on the first bracket where that sign
     goes from <= 0 to >= 0, F rises through zero exactly once.
+
+    A row reads across the nodes up to its bracket, or across all of
+    them when it finds none; a radius <= 0 among those nodes, or a
+    missing bracket, raises ScenarioInfeasible for the first failing
+    row.  A tiny circle near the zenith that the perturbation drove
+    below zero does not stop a reading made lower down.
     """
     values = np.hypot(px - cx, py - cy) - r
     rising = (values[:, :-1] <= 0.0) & (values[:, 1:] >= 0.0)
-    if not rising.any(axis=1).all():
+    found = rising.any(axis=1)
+    k = rising.argmax(axis=1)
+    last = np.where(found, k + 1, r.shape[1] - 1)
+    bad, error, message = _positive(np.where(np.arange(r.shape[1]) <= last[:, None], r, 1.0))
+    failed = bad.any(axis=1) | ~found
+    if failed.any():
+        if bad[failed.argmax()].any():
+            raise error(message)
         raise ScenarioInfeasible("the sighted point falls outside the readable altitude bands")
     rows = np.arange(len(values))
-    k = rising.argmax(axis=1)
     dx, dy, r0 = px - cx[rows, k], py - cy[rows, k], r[rows, k]
     ddx, ddy = cx[rows, k + 1] - cx[rows, k], cy[rows, k + 1] - cy[rows, k]
     dr = r[rows, k + 1] - r0
@@ -233,10 +245,13 @@ def _plate_angle(first, x1, y1, x2, y2):
 
 
 def _positive(radius):
-    """The check `Circle` makes of each row's perturbed radius."""
+    """The check `Circle` makes of each perturbed radius, as (failing
+    radii, error, message); the message names the first failing radius
+    in row order.  A radius the perturbation drove to <= 0 leaves no
+    scene to read, so it is infeasible, not a usage error."""
     bad = ~(radius > 0.0)
-    value = float(radius[bad.argmax()])
-    return bad, ValueError, f"circle radius must be positive, got {value!r}"
+    value = float(radius.flat[bad.argmax()])
+    return bad, ScenarioInfeasible, f"circle radius must be positive, got {value!r}"
 
 
 def _read_sunset_hours(cfg, pert, sun_dec, altitude, grid, cx, cy, r, draws):
@@ -347,7 +362,7 @@ def monte_carlo_readout(cfg: PlateConfig, pert: PerturbationSpec, scenario: str,
     longer run starts with a shorter run's samples.  Raises
     ScenarioInfeasible when the scene cannot be set (sun below horizon,
     circumpolar sun, or a perturbation so large the readout loses its
-    bracket).
+    bracket or a circle it reads loses its radius).
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")

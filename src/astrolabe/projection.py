@@ -3,12 +3,12 @@ equatorial plane.
 
 The sphere has unit radius with the north celestial pole at +z.  A
 projection in this family looks from the axis point (0, 0, v) onto the
-plane z = w, with v != w.  Presets:
+plane z = 1, with v != 1.  Presets:
 
-* stereographic: v = -1 (south pole), w = +1.  The classical astrolabe
+* stereographic: v = -1 (south pole).  The classical astrolabe
   projection; the only member that maps every circle to a circle.
-* gnomonic: v = 0 (center), w = +1.
-* external(q): v = -q with q > 1, w = +1.
+* gnomonic: v = 0 (center).
+* external(q): v = -q with q > 1.
 * orthographic: viewpoint at infinity, handled analytically.
 
 Coordinates on the sphere are declination (degrees, +90 at the north
@@ -79,39 +79,36 @@ class SphereCircleSpec:
 
 @dataclass(frozen=True)
 class ProjectionKind:
-    """Viewpoint (0, 0, v) projecting onto the plane z = w, v != w.
+    """Viewpoint (0, 0, v) projecting onto the plane z = 1, v != 1.
 
     The orthographic limit is encoded as viewpoint_v = -inf.
     """
 
     viewpoint_v: float
-    plane_w: float = 1.0
 
     def __post_init__(self):
-        if math.isnan(self.viewpoint_v) or math.isnan(self.plane_w):
+        if math.isnan(self.viewpoint_v):
             raise ValueError("projection parameters must not be NaN")
-        if not math.isfinite(self.plane_w):
-            raise ValueError("projection plane must be finite")
-        if self.viewpoint_v == self.plane_w:
+        if self.viewpoint_v == 1.0:
             raise ValueError("viewpoint must not lie on the projection plane")
 
     @classmethod
     def stereographic(cls) -> "ProjectionKind":
-        return cls(viewpoint_v=-1.0, plane_w=1.0)
+        return cls(viewpoint_v=-1.0)
 
     @classmethod
     def gnomonic(cls) -> "ProjectionKind":
-        return cls(viewpoint_v=0.0, plane_w=1.0)
+        return cls(viewpoint_v=0.0)
 
     @classmethod
     def external(cls, q: float) -> "ProjectionKind":
         if not (q > 1.0 and math.isfinite(q)):
             raise ValueError(f"external viewpoint needs q > 1, got {q!r}")
-        return cls(viewpoint_v=-q, plane_w=1.0)
+        return cls(viewpoint_v=-q)
 
     @classmethod
     def orthographic(cls) -> "ProjectionKind":
-        return cls(viewpoint_v=-math.inf, plane_w=1.0)
+        return cls(viewpoint_v=-math.inf)
 
     @property
     def is_orthographic(self) -> bool:

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
 from xml.sax.saxutils import escape
 
 from .back import BackModel
@@ -48,7 +48,7 @@ LAYER_IDS = (
     "qibla",
 )
 
-_DEFAULT_STROKES = {
+_STROKES = {
     "limb": 0.5,
     "tropics": 0.35,
     "horizon": 0.4,
@@ -71,14 +71,17 @@ _ZODIAC = (
 
 _STAR_MARKER_R = 0.8
 
+_LABEL_FONT_SIZE = 3.0
+
 
 @dataclass(frozen=True)
 class RenderStyle:
-    """Presentation knobs.  `precision` is the coordinate decimal count
-    (1..9); `include_layers` of None draws every layer the model has."""
+    """Presentation settings.  `precision` is the coordinate decimal
+    count (1..9); `mirror_ew` negates x for the mirrored engraving
+    convention; `include_layers` of None draws every layer the model
+    has.  Stroke widths (one fixed width per layer) and the 3 mm label
+    font size are not settable."""
 
-    stroke_widths: Mapping[str, float] = field(default_factory=dict)
-    label_font_size: float = 3.0
     precision: int = 4
     mirror_ew: bool = False
     include_layers: Optional[frozenset] = None
@@ -86,19 +89,11 @@ class RenderStyle:
     def __post_init__(self):
         if not (1 <= int(self.precision) <= 9):
             raise ValueError(f"precision must lie in [1, 9], got {self.precision!r}")
-        if self.label_font_size <= 0.0:
-            raise ValueError("label font size must be positive")
-        for k in self.stroke_widths:
-            if k not in LAYER_IDS:
-                raise ValueError(f"unknown layer id {k!r} in stroke_widths")
         if self.include_layers is not None:
             bad = set(self.include_layers) - set(LAYER_IDS)
             if bad:
                 raise ValueError(f"unknown layer ids: {sorted(bad)}")
             object.__setattr__(self, "include_layers", frozenset(self.include_layers))
-
-    def stroke(self, layer: str) -> float:
-        return self.stroke_widths.get(layer, _DEFAULT_STROKES[layer])
 
 
 @dataclass(frozen=True)
@@ -305,7 +300,7 @@ def _group(
     p = style.precision
     parts = [
         f'<g id="{prefix}{name}" fill="none" stroke="#000" '
-        f'stroke-width="{style.stroke(name):g}" '
+        f'stroke-width="{_STROKES[name]:g}" '
         f'stroke-linecap="round">'
     ]
     for el in elements:
@@ -315,7 +310,7 @@ def _group(
     for lab in labels:
         parts.append(
             f'  <text x="{_fmt(sx * lab.x, p)}" y="{_fmt(sy * lab.y, p)}" '
-            f'font-size="{style.label_font_size:g}" '
+            f'font-size="{_LABEL_FONT_SIZE:g}" '
             f'text-anchor="{anchors.get(lab.anchor, lab.anchor)}" '
             f'fill="#000" stroke="none">{escape(lab.text)}</text>'
         )

@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from astrolabe import (
-    DEFAULT_EPOCH,
     DomainError,
-    EpochConfig,
     Locality,
     MECCA,
     NoSolution,
@@ -31,6 +29,7 @@ from astrolabe import (
     solar_longitude,
     solve_altitude_for_azimuth,
 )
+from astrolabe.back import EQUINOX_DAY
 
 DAMASCUS = Locality("Damascus", 33.5130, 36.2920)
 
@@ -73,7 +72,7 @@ def angdiff(a, b):
 
 def test_solar_longitude_calibration():
     # exactly zero at the March equinox by construction
-    assert solar_longitude(DEFAULT_EPOCH.equinox_day) == 0.0
+    assert solar_longitude(EQUINOX_DAY) == 0.0
     for day, lam in EVENTS:
         assert angdiff(solar_longitude(day), lam) < 1.0
 
@@ -301,17 +300,12 @@ def test_build_back_structure():
     assert bearing == pytest.approx(bearing_oracle(DAMASCUS, MECCA))
 
 
-def test_build_back_multiple_midday_latitudes():
-    cfg = BackConfig(latitude=40.0, radius=150.0, midday_latitudes=(30.0, 40.0, 50.0))
-    model = build_back(cfg)
-    assert [c.latitude for c in model.midday_curves] == [30.0, 40.0, 50.0]
-
-
-def test_epoch_config_alternate_year():
-    # a fictitious circular-orbit sun: no equation of center
-    flat = EpochConfig(center1=0.0, center2=0.0)
-    steps = np.diff(np.asarray(calendar_ring(flat) + (360.0,)))
-    assert steps.max() / steps.min() == pytest.approx(1.0, abs=1e-9)
+def test_calendar_ring_steps_are_daily_solar_motion():
+    # each tick advances by that day's solar motion; day 366 wraps to day 1
+    steps = np.diff(np.asarray(calendar_ring() + (360.0,)))
+    for day, step in enumerate(steps, start=1):
+        advance = (solar_longitude(day + 1.0) - solar_longitude(float(day))) % 360.0
+        assert step == pytest.approx(advance, abs=1e-9)
 
 
 def test_load_localities(tmp_path):

@@ -139,6 +139,20 @@ def test_rete_reads_star_catalog(capsys, tmp_path):
     assert "Vega" in out
 
 
+def test_rete_and_full_note_each_skipped_star(capsys):
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    catalog = str(demos / "data" / "bright_stars.csv")
+    for argv in (("rete", "--catalog", catalog, "--scale-mm", "100"),
+                 ("full", "--lat", "40", "--catalog", catalog)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, argv
+        notes = [line for line in err.splitlines() if line.startswith("note: ")]
+        assert len(notes) == 3, argv
+        assert all(any(name in n for n in notes) for name in ("Canopus", "Antares", "Fomalhaut"))
+    code, out, _ = run_cli(capsys, "rete", "--catalog", catalog, "--scale-mm", "100")
+    assert out == (demos / "out" / "rete_bright_stars.svg").read_text(encoding="utf-8")
+
+
 def test_back_reads_localities(capsys, tmp_path):
     places = tmp_path / "places.csv"
     places.write_text(
@@ -569,6 +583,22 @@ def test_analyze_montecarlo_infeasible_scene_exits_two(capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--scenario", "time_to_sunset", "--lat", "29.14", "--scale-mm", "100",
+     "--almucantar-step", "3", "--center-sigma", "47.14", "--radius-sigma", "54.61",
+     "--graduation-sigma", "38.26", "--seed", "280760823", "--sun-dec", "9.9",
+     "--hour-angle", "5.8", "--trials", "25"),
+    ("--scenario", "altitude", "--lat", "40", "--sun-dec", "10", "--hour-angle", "30",
+     "--radius-sigma", "30"),
+], ids=["time_to_sunset", "altitude"])
+def test_analyze_montecarlo_nonpositive_radius_exits_two(capsys, argv):
+    # the perturbation drives a circle the reading crosses to a radius <= 0
+    code, out, err = run_cli(capsys, "analyze", "montecarlo", *argv)
+    assert code == 2
+    assert err.startswith("error: circle radius must be positive")
+    assert out == ""
 
 
 def test_render_style_validation_flows_to_exit_one(capsys):

@@ -342,6 +342,8 @@ def sunset_scenes(rng, count):
         yield PlateConfig(latitude=latitude, scale=100.0, almucantar_step=step), pert, dec, hour
 
 
+RADIUS_ERROR = "circle radius must be positive"
+
 # noise that turns a perturbed radius negative before any other check fails
 NEGATIVE_RADIUS_SCENES = [
     (PlateConfig(latitude=11.22, scale=100.0, almucantar_step=3.0),
@@ -353,7 +355,9 @@ NEGATIVE_RADIUS_SCENES = [
 
 def test_batched_sunset_matches_scalar_replay():
     """The batched time_to_sunset readout gives the scalar replay's
-    samples to 1e-9, and aborts the same runs with the same error."""
+    samples to 1e-9, and aborts the same runs with the same message.  A
+    radius <= 0, which the replay's Circle rejects with ValueError, is an
+    infeasible scene to the readout."""
     scenes = [*sunset_scenes(np.random.default_rng(2026), 50), *NEGATIVE_RADIUS_SCENES]
     kept, aborted = 0, []
     for cfg, pert, dec, hour in scenes:
@@ -361,13 +365,18 @@ def test_batched_sunset_matches_scalar_replay():
         got = outcome(lambda: list(
             monte_carlo_readout(cfg, pert, "time_to_sunset", dec, hour, 25).samples))
         if isinstance(want, tuple):
-            assert got == want
-            aborted.append(want[0])
+            error, message = want
+            if error is ValueError and message.startswith(RADIUS_ERROR):
+                error = ScenarioInfeasible
+            assert got == (error, message)
+            aborted.append(got)
         else:
             assert got == pytest.approx(want, abs=1e-9)
             kept += 1
     assert kept >= 20 and len(aborted) >= 5
-    assert aborted.count(ValueError) == len(NEGATIVE_RADIUS_SCENES)
+    assert {error for error, _ in aborted} == {ScenarioInfeasible}
+    radius_aborts = [m for _, m in aborted if m.startswith(RADIUS_ERROR)]
+    assert len(radius_aborts) == len(NEGATIVE_RADIUS_SCENES)
 
 
 def test_aborted_run_leaves_no_reference_cycle():

@@ -135,10 +135,10 @@ def test_stereographic_radius_monotone_in_declination():
 
 
 def test_projection_kind_validation():
-    with pytest.raises(ValueError):
-        ProjectionKind(0.0, 0.0)  # viewpoint on the plane
-    with pytest.raises(ValueError):
-        ProjectionKind(float("nan"), 0.0)
+    with pytest.raises(ValueError, match="must not lie on the projection plane"):
+        ProjectionKind(1.0)  # viewpoint on the plane z = 1
+    with pytest.raises(ValueError, match="must not be NaN"):
+        ProjectionKind(float("nan"))
     with pytest.raises(ValueError):
         ProjectionKind.external(1.0)  # must be outside the sphere
     with pytest.raises(ValueError):
