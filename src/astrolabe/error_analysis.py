@@ -21,6 +21,10 @@ exactly zero error and the hour-curve approximation itself (negligible
 by construction) never contaminates the statistics.  Trial i draws from
 numpy.random.default_rng([seed, i]), so a longer run starts with the
 trials of a shorter one.
+
+Only the Monte Carlo readout uses numpy, and its functions import it
+themselves, so importing this module (as the CLI does for every command)
+does not load numpy.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .exceptions import ScenarioInfeasible
 from .geometry import COLLINEAR_AREA_REL, Circle, PlanePoint, chord_length
@@ -198,6 +200,7 @@ def _read_altitude(px, py, grid, cx, cy, r) -> np.ndarray:
     row.  A tiny circle near the zenith that the perturbation drove
     below zero does not stop a reading made lower down.
     """
+    import numpy as np
     values = np.hypot(px - cx, py - cy) - r
     rising = (values[:, :-1] <= 0.0) & (values[:, 1:] >= 0.0)
     found = rising.any(axis=1)
@@ -227,6 +230,7 @@ def _read_altitude(px, py, grid, cx, cy, r) -> np.ndarray:
 def _line_meets_circle(nx, ny, e, radius):
     """Where each line nx*x + ny*y = e meets the pole-centered circle
     |p| = radius: arrays x1, y1, x2, y2, NaN where the line misses."""
+    import numpy as np
     n2 = nx * nx + ny * ny
     half = np.sqrt(radius * radius * n2 - e * e) / n2
     fx, fy = e * nx / n2, e * ny / n2
@@ -240,6 +244,7 @@ def _radical_line(cx, cy, r, radius):
 
 def _plate_angle(first, x1, y1, x2, y2):
     """`plate_angle_deg` of point 1 where `first` holds, else of point 2."""
+    import numpy as np
     x, y = np.where(first, x1, x2), np.where(first, y1, y2)
     return np.degrees(np.arctan2(x, y)) % 360.0
 
@@ -265,6 +270,7 @@ def _read_sunset_hours(cfg, pert, sun_dec, altitude, grid, cx, cy, r, draws):
     each is where a line meets that circle.  A failing run raises the
     first failing check of its first failing row, as a replay would.
     """
+    import numpy as np
     s, sc, sr = cfg.scale, pert.center_sigma, pert.radius_sigma
     horizon = almucantar_solution(cfg.latitude, 0.0, s).circle
     tropics = tropic_circles(cfg)
@@ -308,9 +314,19 @@ def _read_sunset_hours(cfg, pert, sun_dec, altitude, grid, cx, cy, r, draws):
         b2, e2 = bx * bx + by * by, ex * ex + ey * ey
         ux, uy = (ey * b2 - by * e2) / (2.0 * area2), (bx * e2 - ex * b2) / (2.0 * area2)
         hc = draws[:, 42:].reshape(-1, 11, 3)
-        cr = np.hypot(ux, uy) + sr * hc[:, :, 2]
-        circle = _radical_line(px[:, 0] + ux + sc * hc[:, :, 0],
-                               py[:, 0] + uy + sc * hc[:, :, 1], cr, r_opp)
+        u, dx, dy = np.hypot(ux, uy), sc * hc[:, :, 0], sc * hc[:, :, 1]
+        cr = u + sr * hc[:, :, 2]
+        # the perturbed circle, centered at C = P0 + w with w = u + (dx, dy),
+        # meets |p| = r_opp where C.p = e = (|C|^2 + r_opp^2 - cr^2) / 2;
+        # expanded about the Capricorn point P0 it passes through, e cancels
+        # no squares of the radius, which grows without bound as the triple
+        # nears a line
+        wx, wy = ux + dx, uy + dy
+        w = np.hypot(wx, wy)
+        gap = (2.0 * (ux * dx + uy * dy) + dx * dx + dy * dy) / (w + u) - sr * hc[:, :, 2]
+        x0, y0 = px[:, 0], py[:, 0]
+        circle = (x0 + wx, y0 + wy, (x0 * x0 + y0 * y0 + r_opp * r_opp) / 2.0
+                  + x0 * wx + y0 * wy + gap * (w + cr) / 2.0)
         # a collinear triple (the midnight boundary) is the line through
         # its Capricorn and Cancer points
         line = np.abs(area2) / 2.0 < COLLINEAR_AREA_REL * dmax * dmax
@@ -364,6 +380,7 @@ def monte_carlo_readout(cfg: PlateConfig, pert: PerturbationSpec, scenario: str,
     circumpolar sun, or a perturbation so large the readout loses its
     bracket or a circle it reads loses its radius).
     """
+    import numpy as np
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     if n_trials < 1:

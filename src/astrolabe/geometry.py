@@ -5,6 +5,9 @@ Everything here is instrument-agnostic plane geometry.  Angles are in
 radians, measured counterclockwise from +x in the usual mathematical
 sense; modules with an astronomical surface convert degrees at their own
 boundary.  Lengths are millimeters throughout the package.
+
+Only `fit_circle` uses numpy, and imports it itself, so importing this
+module does not load numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .exceptions import CoincidentCircles, CollinearPoints, TooFewPoints
 
@@ -191,6 +192,7 @@ def fit_circle(points: Sequence[PlanePoint]) -> FitResult:
     """
     if len(points) < 3:
         raise TooFewPoints(f"circle fit needs at least 3 points, got {len(points)}")
+    import numpy as np
     xs = np.array([p.x for p in points], dtype=float)
     ys = np.array([p.y for p in points], dtype=float)
 

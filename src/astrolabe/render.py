@@ -23,7 +23,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
-from xml.sax.saxutils import escape
 
 from .back import BackModel
 from .exceptions import EmptyModelWarning
@@ -308,11 +307,13 @@ def _group(
     # a mirrored label runs the other way from its anchor point
     anchors = {"start": "end", "end": "start"} if sx < 0 else {}
     for lab in labels:
+        # xml.sax.saxutils.escape, without its import: `&` first
+        text = lab.text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'  <text x="{_fmt(sx * lab.x, p)}" y="{_fmt(sy * lab.y, p)}" '
             f'font-size="{_LABEL_FONT_SIZE:g}" '
             f'text-anchor="{anchors.get(lab.anchor, lab.anchor)}" '
-            f'fill="#000" stroke="none">{escape(lab.text)}</text>'
+            f'fill="#000" stroke="none">{text}</text>'
         )
     parts.append("</g>")
     return "\n".join(parts)

@@ -1,8 +1,9 @@
 """Command line tests: wiring, config files, exit codes, report formats.
 
-Everything runs in-process through ``cli.main`` (fast, capturable); one
-subprocess smoke test runs the console script that pyproject.toml declares,
-the way pip's wrapper runs it, from this tree with no install, then
+Everything runs in-process through ``cli.main`` (fast, capturable), except
+two tests that check which modules a fresh interpreter loads, and one
+subprocess smoke test that runs the console script that pyproject.toml
+declares, the way pip's wrapper runs it, from this tree with no install, then
 ``python -m astrolabe`` and ``python -m astrolabe.cli``, and any
 ``astrolabe`` already on PATH.  The math behind each subcommand is
 oracle-tested in the per-module files, so the assertions here pin the
@@ -632,17 +633,50 @@ def source_env() -> dict:
     return env
 
 
-def test_cli_import_loads_no_scipy():
-    code = (
-        "import sys, astrolabe.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    )
+def run_child(code: str) -> str:
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=60, env=source_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_calls_load_no_numpy_xml_sax_or_scipy():
+    """Only the Monte Carlo readout and fit_circle need numpy, and no call
+    needs xml.sax or scipy: a fresh interpreter that runs every other
+    subcommand has loaded none of them."""
+    calls = [["plate", "--lat", "40"], ["rete"], ["back", "--lat", "33.5"],
+             ["full", "--lat", "40"], ["project", "--dec", "10"],
+             ["qibla", "--lat", "33.5", "--lon", "36.3"],
+             ["analyze", "band", "--lat", "40", "--altitude", "10",
+              "--radius-error-fraction", "0.02"]]
+    code = (
+        "import contextlib, io, sys\n"
+        "from astrolabe.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {calls!r}]\n"
+        "print(codes, sorted(m for m in sys.modules\n"
+        "                    if m.startswith(('numpy', 'scipy', 'xml.sax'))))"
+    )
+    assert run_child(code) == f"{[0] * len(calls)} []"
+
+
+def test_numpy_paths_run_in_a_fresh_interpreter():
+    """The two numpy users import it themselves, so each runs in a process
+    that has not loaded numpy before."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from astrolabe import ProjectionKind, SphereCircleSpec, circle_image_residual\n"
+        "from astrolabe.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    mc = main(['analyze', 'montecarlo', '--lat', '40', '--sun-dec', '10',\n"
+        "               '--hour-angle', '40', '--graduation-sigma', '0.05', '--trials', '5'])\n"
+        "fit = circle_image_residual(SphereCircleSpec(20.0, 30.0, 40.0),\n"
+        "                            ProjectionKind.stereographic(), 36, 100.0)\n"
+        "print(mc, fit.rms_residual < 1e-9, 'numpy' in sys.modules)"
+    )
+    assert run_child(code) == "0 True True"
 
 
 def test_console_script_is_installed():

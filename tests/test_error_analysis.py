@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 import astrolabe
 from astrolabe import (
@@ -377,6 +378,84 @@ def test_batched_sunset_matches_scalar_replay():
     assert {error for error, _ in aborted} == {ScenarioInfeasible}
     radius_aborts = [m for _, m in aborted if m.startswith(RADIUS_ERROR)]
     assert len(radius_aborts) == len(NEGATIVE_RADIUS_SCENES)
+
+
+@mp.workdps(50)
+def exact_sunset_samples(cfg, pert, sun_dec, hour_angle, n_trials):
+    """The time_to_sunset samples replayed in 50-digit arithmetic from the
+    same draws, taking the unperturbed plate's float geometry as exact."""
+    s, sc, sr = cfg.scale, mpf(pert.center_sigma), mpf(pert.radius_sigma)
+    sg = mp.radians(pert.graduation_sigma)
+    altitude = _sun_altitude(cfg.latitude, sun_dec, hour_angle)
+    step = cfg.almucantar_step
+    grid = [k * step for k in range(int(round(90.0 / step)))]
+    sols = [almucantar_solution(cfg.latitude, h, s) for h in grid]
+    n, j = len(grid), int(altitude // step)
+    horizon = sols[0].circle
+    tropics = tropic_circles(cfg)
+    arcs = [night_arc(c, horizon) for c in tropics]
+    r_sun, r_opp = stereographic_radius(sun_dec, s), stereographic_radius(-sun_dec, s)
+    guide = divide_arc_equal(night_arc(Circle(PlanePoint(0.0, 0.0), r_opp), horizon), 12)
+
+    def meet(x, y, rho, radius, pick):
+        # the two points where the circle (x, y, rho) meets |p| = radius
+        e, n2 = (x * x + y * y + radius * radius - rho * rho) / 2, x * x + y * y
+        half, fx, fy = mp.sqrt(radius * radius * n2 - e * e) / n2, e * x / n2, e * y / n2
+        p = pick([(fx - half * y, fy + half * x), (fx + half * y, fy - half * x)])
+        return mp.degrees(mp.atan2(*p)) % 360
+
+    def west(pts):
+        return max(pts, key=lambda p: p[0])
+
+    def read(draws):
+        t = (mpf(altitude) - grid[j]) / step
+        alm = [(1 - t) * f[j] + t * f[j + 1] for f in (
+            [sc * v for v in draws[:n]],
+            [m.y_center + sc * v for m, v in zip(sols, draws[n : 2 * n])],
+            [m.radius + sr * v for m, v in zip(sols, draws[2 * n : 3 * n])])]
+        theta_sun = meet(*alm, r_sun, west)
+        hx, hy, hr = draws[3 * n : 3 * n + 3]
+        hz = (horizon.center.x + sc * hx, horizon.center.y + sc * hy, horizon.radius + sr * hr)
+        crossings = [meet(*hz, r_opp, west)] + [None] * 11 + [
+            meet(*hz, r_opp, lambda pts: min(pts, key=lambda p: p[0]))]
+        for k in range(1, 12):
+            (ax, ay), (bx, by), (ex, ey) = [
+                (c.radius * mp.cos(a), c.radius * mp.sin(a)) for c, a in (
+                    (c, a.start_angle + a.sweep * k / 12.0 + sg * draws[3 * n + 3 + 13 * i + k])
+                    for i, (c, a) in enumerate(zip(tropics, arcs)))]
+            bx, by, ex, ey = bx - ax, by - ay, ex - ax, ey - ay
+            area2, b2, e2 = 2 * (bx * ey - by * ex), bx * bx + by * by, ex * ex + ey * ey
+            ux, uy = (ey * b2 - by * e2) / area2, (bx * e2 - ex * b2) / area2
+            dx, dy, dr = draws[3 * n + 39 + 3 * k : 3 * n + 42 + 3 * k]
+            g = guide[k]
+            crossings[k] = meet(ax + ux + sc * dx, ay + uy + sc * dy,
+                                mp.sqrt(ux * ux + uy * uy) + sr * dr, r_opp,
+                                lambda pts: min(pts, key=lambda p: mp.hypot(p[0] - g.x, p[1] - g.y)))
+        d = [0] + [(c - crossings[0]) % 360 for c in crossings[1:]]
+        theta = (theta_sun + 180 - crossings[0]) % 360
+        k = min(11, max(i for i in range(12) if d[i] <= theta))
+        return 12 - (k + (theta - d[k]) / (d[k + 1] - d[k]))
+
+    ref = read([mpf(0)] * (3 * n + 75))
+    return [read([mpf(v) for v in np.random.default_rng([pert.seed, i]).normal(size=3 * n + 75)])
+            - ref for i in range(n_trials)]
+
+
+@pytest.mark.parametrize("center_radius_sigma", (0.0, 1e-4))
+def test_sunset_samples_match_50_digit_replay(center_radius_sigma):
+    """Near noon the reading falls between the hours beside the midnight
+    boundary, whose three graduation points a 0.001 degree error leaves
+    nearly collinear: a circle of radius of the order of 1e6 mm.  Formed
+    as (|C|^2 + R^2 - r^2)/2, its line cancelled squares of that radius,
+    and samples were up to 4.9e-11 h off the exact replay; expanded about
+    the Capricorn point they are within 4e-14 h."""
+    sigma = center_radius_sigma
+    for latitude, dec, hour in ((40.0, 10.0, 3.0), (25.0, -10.0, 10.0), (40.0, 20.0, 0.5)):
+        cfg = PlateConfig(latitude=latitude, scale=100.0, almucantar_step=3.0)
+        pert = PerturbationSpec(sigma, sigma, 0.001, seed=7)
+        got = monte_carlo_readout(cfg, pert, "time_to_sunset", dec, hour, 20).samples
+        want = exact_sunset_samples(cfg, pert, dec, hour, 20)
+        assert max(abs(g - float(w)) for g, w in zip(got, want)) < 1e-12
 
 
 def test_aborted_run_leaves_no_reference_cycle():

@@ -1,6 +1,7 @@
-"""Property tests of the projection and the ecliptic over their whole
-input domains.  Derandomized and without an example database, so every
-run draws the same examples and writes nothing to disk."""
+"""Property tests of the projection, the ecliptic and the plate's
+almucantars and arcs over their whole input domains.  Derandomized and
+without an example database, so every run draws the same examples and
+writes nothing to disk."""
 
 import math
 
@@ -9,9 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from astrolabe import (
+    Arc,
+    PlateConfig,
     ProjectionKind,
     SpherePoint,
+    almucantar_solution,
     axis_projection_radius,
+    build_plate,
     ecliptic_circle,
     project_point,
     tropic_radii,
@@ -58,3 +63,50 @@ def test_ecliptic_tangent_to_both_tropics(obliquity, scale):
     r_cap, _, r_can = tropic_radii(scale, obliquity)
     assert c.center.y + c.radius == pytest.approx(r_cap, rel=1e-12)
     assert c.center.y - c.radius == pytest.approx(-r_can, rel=1e-12)
+
+
+# below about 1e-6 degrees the horizon's far meridian crossing leaves the
+# float range and build_plate fails outright (ZeroDivisionError, a
+# zero-sweep Arc, or a horizon of None that render_svg cannot emit); the
+# identities are checked where a plate exists
+LATITUDES = st.floats(1e-3, 90.0, exclude_max=True)
+
+
+@REPRODUCIBLE
+@given(
+    latitude=LATITUDES,
+    # almucantar_solution refuses the zenith, h >= 90 - 1e-12
+    altitude=st.floats(0.0, 90.0 - 1e-12, exclude_max=True),
+    azimuth=st.floats(0.0, 360.0),
+)
+def test_altitude_points_lie_on_closed_form_almucantar(latitude, altitude, azimuth):
+    # the point at this altitude and azimuth (from north through east), in
+    # equatorial components: toward the pole, the upper meridian, the east
+    phi, h, a = (math.radians(v) for v in (latitude, altitude, azimuth))
+    pole = math.sin(phi) * math.sin(h) + math.cos(phi) * math.cos(h) * math.cos(a)
+    meridian = math.cos(phi) * math.sin(h) - math.sin(phi) * math.cos(h) * math.cos(a)
+    east = math.cos(h) * math.sin(a)
+    dec = math.degrees(math.atan2(pole, math.hypot(meridian, east)))
+    hour_angle = math.degrees(math.atan2(-east, meridian))
+    p = project_point(SpherePoint(dec, hour_angle), S)
+    circle = almucantar_solution(latitude, altitude, S).circle
+    distance = math.hypot(p.x - circle.center.x, p.y - circle.center.y)
+    assert distance == pytest.approx(circle.radius, rel=1e-9)
+
+
+@REPRODUCIBLE
+@given(
+    latitude=LATITUDES,
+    almucantar_step=st.sampled_from((1.0, 2.0, 3.0, 5.0, 6.0, 10.0, 15.0, 30.0)),
+    azimuth_step=st.sampled_from((1.0, 5.0, 10.0, 15.0, 30.0, 45.0, 90.0)),
+)
+def test_plate_arc_endpoints_lie_on_their_circle(latitude, almucantar_step, azimuth_step):
+    model = build_plate(PlateConfig(latitude, S, almucantar_step=almucantar_step,
+                                    azimuth_step=azimuth_step))
+    elements = [model.horizon, *(c.element for c in model.almucantars),
+                *(c.element for c in model.azimuths), *(h.element for h in model.hour_lines)]
+    for arc in (el for el in elements if isinstance(el, Arc)):
+        c = arc.circle
+        for p in (arc.start_point, arc.end_point):
+            assert math.hypot(p.x - c.center.x, p.y - c.center.y) == pytest.approx(
+                c.radius, rel=1e-9)

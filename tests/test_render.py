@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 import xml.etree.ElementTree as ET
+import xml.sax.saxutils as saxutils
 from collections import Counter
 
 import numpy as np
@@ -327,6 +328,13 @@ def test_label_text_is_escaped():
     root = ET.fromstring(doc)  # must stay well-formed
     texts = root.findall(f".//{SVG}text")
     assert any(t.text == "A & B <c>" for t in texts)
+    # byte for byte as xml.sax.saxutils.escape, which render does without
+    names = ["&amp; <> \"'", "&&<<>>", "Al-Dabarān «α Tau» & 天狼星", "a&lt;b", "'\"'", "é\u0301>"]
+    doc = render_svg(build_rete([StarEntry(n, 100.0 + i, 20.0, 1.0)
+                                 for i, n in enumerate(names)], 100.0, 23.44))
+    for name in names:
+        assert f">{saxutils.escape(name)}</text>" in doc
+    assert [t.text for t in ET.fromstring(doc).findall(f".//{SVG}text")][-len(names):] == names
 
 
 def test_unknown_model_type_rejected():
