@@ -62,7 +62,7 @@ for city in cities:
 
 cfg = BackConfig(latitude=latitude, radius=150.0)
 model = build_back(cfg, cities)
-print(f"\nback model: {len(model.degree_ticks)} limb ticks, "
+print(f"\nback model: 360 limb ticks (fixed), "
       f"{len(model.calendar_angles)} calendar ticks, {len(model.qibla_marks)} qibla marks")
 
 svg = render_svg(model, RenderStyle())

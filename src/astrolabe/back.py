@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from .exceptions import DomainError, NoSolution, UndefinedBearing
-from .geometry import Arc, Circle, PlanePoint, Segment, circumcircle
+from .geometry import Arc, Circle, PlanePoint, Segment, arc_through
 from .projection import OBLIQUITY, from_plate_polar
 from .rete import _load_csv
 
@@ -66,14 +66,6 @@ EQUINOX_DAY = 79.38
 YEAR_DAYS = 365.0
 CENTER1 = 1.915
 CENTER2 = 0.020
-
-
-@dataclass(frozen=True)
-class DegreeTick:
-    """Limb graduation mark: angle in degrees, major every tenth."""
-
-    angle: float
-    major: bool
 
 
 @dataclass(frozen=True)
@@ -144,9 +136,13 @@ class BackConfig:
 
 @dataclass(frozen=True)
 class BackModel:
+    """The back face.  The limb is the boundary circle with a fixed
+    graduation that the renderer draws from the angle alone: 360
+    one-degree ticks, a long one every tenth and a number every 30
+    degrees.  The calendar ring holds one tick angle (degrees) per day."""
+
     config: BackConfig
     boundary: Circle
-    degree_ticks: tuple[DegreeTick, ...]
     calendar_angles: tuple[float, ...]
     sine_quadrant: SineQuadrant
     shadow_square: ShadowSquare
@@ -269,13 +265,7 @@ def midday_curve(latitude: float, obliquity: float, radius: float) -> MiddayCurv
         # degenerate: all three points collapse; not reachable through
         # validated configs but kept as a guard
         raise DomainError("midday curve undefined at the pole")
-    circ = circumcircle(*points)
-    a0 = circ.angle_of(points[0])
-    a1 = circ.angle_of(points[1])
-    a2 = circ.angle_of(points[2])
-    arc = Arc(circ, a0, a2, "ccw")
-    if not arc.contains_angle(a1):
-        arc = Arc(circ, a0, a2, "cw")
+    arc = arc_through(*points)
     return MiddayCurve(latitude=latitude, altitudes=alts, points=points, element=arc)
 
 
@@ -390,12 +380,10 @@ def solve_altitude_for_azimuth(
 def build_back(cfg: BackConfig, localities: Iterable[Locality] = ()) -> BackModel:
     """Assemble the full back face.  Qibla bearings use the 3D oracle;
     UndefinedBearing from a degenerate locality propagates."""
-    ticks = tuple(DegreeTick(float(a), a % 10 == 0) for a in range(360))
     marks = tuple((loc, bearing_oracle(loc, MECCA)) for loc in localities)
     return BackModel(
         config=cfg,
         boundary=Circle(PlanePoint(0.0, 0.0), cfg.radius),
-        degree_ticks=ticks,
         calendar_angles=calendar_ring(),
         sine_quadrant=sine_quadrant(cfg.radius),
         shadow_square=shadow_square(0.45 * cfg.radius),

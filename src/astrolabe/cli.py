@@ -264,15 +264,16 @@ def _cmd_qibla(args) -> int:
     obs = Locality(args.name or "observer", args.lat, args.lon)
     oracle = bearing_oracle(obs, MECCA)
     closed = qibla_eq13(obs, MECCA)
+    diff = abs((oracle - closed + 180.0) % 360.0 - 180.0)
     rows = [
         ("observer_lat_deg", f"{obs.latitude:.6f}"),
         ("observer_lon_deg", f"{obs.longitude:.6f}"),
         ("bearing_oracle_deg", f"{oracle:.6f}"),
         ("qibla_eq13_deg", f"{closed:.6f}"),
-        ("abs_difference_deg", f"{abs((oracle - closed + 180.0) % 360.0 - 180.0):.6f}"),
+        ("abs_difference_deg", f"{diff:.6f}"),
     ]
     _report(args, rows)
-    if abs((oracle - closed + 180.0) % 360.0 - 180.0) > 1e-6:
+    if diff > 1e-6:
         print(
             "note: the closed tangent form disagrees with the great-circle "
             "bearing here; trust the bearing_oracle_deg value",
@@ -614,10 +615,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         _merge_config(args)
         return args.func(args)
-    except (ParseError, UnknownKey) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ParseError, UnknownKey, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AstrolabeError as exc:

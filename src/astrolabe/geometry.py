@@ -182,6 +182,15 @@ def circumcircle(p1: PlanePoint, p2: PlanePoint, p3: PlanePoint) -> Circle:
     return Circle(center, math.hypot(ux, uy))
 
 
+def arc_through(start: PlanePoint, via: PlanePoint, end: PlanePoint) -> Arc:
+    """Arc of the circle through three points, from `start` to `end`
+    and passing `via`.  Raises CollinearPoints as `circumcircle` does."""
+    circ = circumcircle(start, via, end)
+    a0, a1, a2 = circ.angle_of(start), circ.angle_of(via), circ.angle_of(end)
+    arc = Arc(circ, a0, a2, "ccw")
+    return arc if arc.contains_angle(a1) else Arc(circ, a0, a2, "cw")
+
+
 def fit_circle(points: Sequence[PlanePoint]) -> FitResult:
     """Least-squares circle through >= 3 points.
 

@@ -37,13 +37,16 @@ from .geometry import (
     CollinearPoints,
     PlanePoint,
     Segment,
+    arc_through,
     circle_circle_intersection,
-    circumcircle,
     divide_arc_equal,
 )
 from .projection import OBLIQUITY, stereographic_radius
 
 _FULL = "full"
+
+# lowest plate latitude (degrees); below about 3e-6 the horizon cannot be drawn
+MIN_LATITUDE = 0.001
 
 Element = Union[Circle, Arc, Segment, PlanePoint]
 
@@ -69,8 +72,10 @@ class PlateConfig:
     hour_lines: bool = True
 
     def __post_init__(self):
-        if not (0.0 < self.latitude < 90.0):
-            raise ValueError(f"latitude must lie in (0, 90), got {self.latitude!r}")
+        if not (MIN_LATITUDE <= self.latitude < 90.0):
+            raise ValueError(
+                f"latitude must lie in [{MIN_LATITUDE}, 90), got {self.latitude!r}"
+            )
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be positive, got {self.scale!r}")
         if not (0.0 < self.obliquity < 30.0):
@@ -298,17 +303,9 @@ def hour_lines(cfg: PlateConfig) -> tuple[HourLine, ...]:
     for k in range(1, 12):
         p_cap, p_eq, p_can = (night_points[i][k] for i in range(3))
         try:
-            circ = circumcircle(p_cap, p_eq, p_can)
+            out.append(HourLine(k, arc_through(p_cap, p_eq, p_can), degenerate=False))
         except CollinearPoints:
             out.append(HourLine(k, Segment(p_cap, p_can), degenerate=True))
-            continue
-        a_cap = circ.angle_of(p_cap)
-        a_eq = circ.angle_of(p_eq)
-        a_can = circ.angle_of(p_can)
-        arc = Arc(circ, a_cap, a_can, "ccw")
-        if not arc.contains_angle(a_eq):
-            arc = Arc(circ, a_cap, a_can, "cw")
-        out.append(HourLine(k, arc, degenerate=False))
     return tuple(out)
 
 

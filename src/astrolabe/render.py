@@ -5,16 +5,16 @@ with a stable id, elements in construction order, and every coordinate
 rounded to a fixed number of decimals (so the same model and style
 always produce byte-identical documents).
 
-Model coordinates are mathematical (y up); the document negates y so
-the plate reads upright on screen, and `mirror_ew` additionally negates
-x for the mirrored engraving convention.  Both reflections are sign
-factors (sx, sy) applied to each coordinate as it is formatted; the
-model geometry itself is emitted unchanged, and an arc's sweep flag is
-inverted when sx*sy < 0.  Rounding is symmetric in sign, so a
-`mirror_ew` document is the exact x-negation of the plain one: every x
-string gains or loses its minus sign (zero stays unsigned), and a label
-anchored at its start or end swaps the two, so that it still runs away
-from its marker.  Nothing else changes.
+Each layer is an id and a function that writes its elements, with one
+pen per call: the model's own circles, arcs, segments and star markers,
+and the fixed scales (limb and calendar ticks, quadrant and square
+frames, labels) straight from plain numbers.  Model coordinates are
+mathematical (y up); the pen negates y, and x too under `mirror_ew`, as
+it formats each coordinate, and inverts an arc's sweep flag when
+sx*sy < 0.  Rounding is symmetric in sign, so a `mirror_ew` document is
+the exact x-negation of the plain one (zero stays unsigned), except that
+a label anchored at its start or end swaps the two, so that it still
+runs away from its marker.
 """
 
 from __future__ import annotations
@@ -28,25 +28,9 @@ from .back import BackModel
 from .exceptions import EmptyModelWarning
 from .geometry import Arc, Circle, PlanePoint, Segment
 from .plate import PlateModel
-from .projection import from_plate_polar
 from .rete import ReteModel
 
-LAYER_IDS = (
-    "limb",
-    "tropics",
-    "horizon",
-    "almucantars",
-    "azimuths",
-    "hours",
-    "ecliptic",
-    "stars",
-    "calendar",
-    "shadow-square",
-    "sine-quadrant",
-    "midday",
-    "qibla",
-)
-
+# every layer id with its one stroke width (mm), in LAYER_IDS order
 _STROKES = {
     "limb": 0.5,
     "tropics": 0.35,
@@ -62,6 +46,7 @@ _STROKES = {
     "midday": 0.3,
     "qibla": 0.3,
 }
+LAYER_IDS = tuple(_STROKES)
 
 _ZODIAC = (
     "Aries", "Taurus", "Gemini", "Cancer", "Leo", "Virgo",
@@ -86,8 +71,8 @@ class RenderStyle:
     include_layers: Optional[frozenset] = None
 
     def __post_init__(self):
-        if not (1 <= int(self.precision) <= 9):
-            raise ValueError(f"precision must lie in [1, 9], got {self.precision!r}")
+        if type(self.precision) is not int or not 1 <= self.precision <= 9:
+            raise ValueError(f"precision must be an int in [1, 9], got {self.precision!r}")
         if self.include_layers is not None:
             bad = set(self.include_layers) - set(LAYER_IDS)
             if bad:
@@ -95,18 +80,10 @@ class RenderStyle:
             object.__setattr__(self, "include_layers", frozenset(self.include_layers))
 
 
-@dataclass(frozen=True)
-class _Label:
-    x: float
-    y: float
-    text: str
-    anchor: str = "middle"
-
-
 def _fmt(value: float, precision: int) -> str:
     s = f"{value:.{precision}f}"
-    if float(s) == 0.0:
-        s = f"{0.0:.{precision}f}"
+    if s[0] == "-" and not s.strip("-0."):  # rounds to zero: print it unsigned
+        return s[1:]
     return s
 
 
@@ -137,210 +114,200 @@ def arc_to_path(arc: Arc, precision: int = 4) -> str:
     return _arc_path(arc, precision, 1.0, 1.0)
 
 
-def _emit(el, precision: int, sx: float, sy: float) -> str:
-    if isinstance(el, Circle):
+def _polar(radius: float, angle_deg: float) -> tuple[float, float]:
+    a = math.radians(angle_deg)  # plate angle: degrees clockwise from +y
+    return radius * math.sin(a), radius * math.cos(a)
+
+
+class _Pen:
+    """Writes SVG elements from plain model coordinates (y up): each x
+    and y is multiplied by its sign factor and rounded as it is written."""
+
+    def __init__(self, precision: int, sx: float, sy: float):
+        self.p, self.sx, self.sy = precision, sx, sy
+        # a mirrored label runs the other way from its anchor point
+        self.anchors = {"start": "end", "end": "start"} if sx < 0 else {}
+
+    def line(self, x1: float, y1: float, x2: float, y2: float) -> str:
+        p, sx, sy = self.p, self.sx, self.sy
         return (
-            f'<circle cx="{_fmt(sx * el.center.x, precision)}" '
-            f'cy="{_fmt(sy * el.center.y, precision)}" r="{_fmt(el.radius, precision)}"/>'
+            f'<line x1="{_fmt(sx * x1, p)}" y1="{_fmt(sy * y1, p)}" '
+            f'x2="{_fmt(sx * x2, p)}" y2="{_fmt(sy * y2, p)}"/>'
         )
-    if isinstance(el, Arc):
-        return f'<path d="{_arc_path(el, precision, sx, sy)}"/>'
-    if isinstance(el, Segment):
+
+    def circle(self, cx: float, cy: float, r: float, tail: str = "") -> str:
+        p = self.p
         return (
-            f'<line x1="{_fmt(sx * el.a.x, precision)}" y1="{_fmt(sy * el.a.y, precision)}" '
-            f'x2="{_fmt(sx * el.b.x, precision)}" y2="{_fmt(sy * el.b.y, precision)}"/>'
+            f'<circle cx="{_fmt(self.sx * cx, p)}" '
+            f'cy="{_fmt(self.sy * cy, p)}" r="{_fmt(r, p)}"{tail}/>'
         )
-    if isinstance(el, PlanePoint):
+
+    def tick(self, angle_deg: float, r_out: float, r_in: float) -> str:
+        """Radial segment at a plate angle, from r_out in to r_in."""
+        a = math.radians(angle_deg)
+        s, c = math.sin(a), math.cos(a)
+        return self.line(r_out * s, r_out * c, r_in * s, r_in * c)
+
+    def label(self, x: float, y: float, text: str, anchor: str = "middle") -> str:
+        p = self.p
+        # xml.sax.saxutils.escape, without its import: `&` first
+        text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         return (
-            f'<circle cx="{_fmt(sx * el.x, precision)}" cy="{_fmt(sy * el.y, precision)}" '
-            f'r="{_fmt(_STAR_MARKER_R, precision)}" fill="#000" stroke="none"/>'
+            f'<text x="{_fmt(self.sx * x, p)}" y="{_fmt(self.sy * y, p)}" '
+            f'font-size="{_LABEL_FONT_SIZE:g}" '
+            f'text-anchor="{self.anchors.get(anchor, anchor)}" '
+            f'fill="#000" stroke="none">{text}</text>'
         )
-    raise TypeError(f"cannot emit {type(el).__name__}")
+
+    def emit(self, el) -> str:
+        """A model-owned element: Circle, Arc, Segment or star marker."""
+        if isinstance(el, Circle):
+            return self.circle(el.center.x, el.center.y, el.radius)
+        if isinstance(el, Arc):
+            return f'<path d="{_arc_path(el, self.p, self.sx, self.sy)}"/>'
+        if isinstance(el, Segment):
+            return self.line(el.a.x, el.a.y, el.b.x, el.b.y)
+        if isinstance(el, PlanePoint):
+            return self.circle(el.x, el.y, _STAR_MARKER_R, ' fill="#000" stroke="none"')
+        raise TypeError(f"cannot emit {type(el).__name__}")
 
 
-def _radial_tick(angle_deg: float, r_out: float, r_in: float) -> Segment:
-    return Segment(from_plate_polar(r_out, angle_deg), from_plate_polar(r_in, angle_deg))
+# ---- per-model layers: (id, draw), draw(pen) -> element lines -----------
 
 
-# ---- per-model layer assembly -------------------------------------------
-
-
-def _plate_layers(m: PlateModel) -> list[tuple[str, list, list[_Label]]]:
+def _plate_layers(m: PlateModel) -> list:
     layers = [
-        ("limb", [m.boundary], []),
-        ("tropics", list(m.tropics), []),
-        ("horizon", [m.horizon], []),
-        ("almucantars", [c.element for c in m.almucantars], []),
-        ("azimuths", [c.element for c in m.azimuths], []),
+        ("limb", lambda pen: [pen.emit(m.boundary)]),
+        ("tropics", lambda pen: [pen.emit(c) for c in m.tropics]),
+        ("horizon", lambda pen: [pen.emit(m.horizon)]),
+        ("almucantars", lambda pen: [pen.emit(c.element) for c in m.almucantars]),
+        ("azimuths", lambda pen: [pen.emit(c.element) for c in m.azimuths]),
     ]
     if m.hour_lines:
-        layers.append(("hours", [h.element for h in m.hour_lines], []))
+        layers.append(("hours", lambda pen: [pen.emit(h.element) for h in m.hour_lines]))
     return layers
 
 
-def _rete_layers(m: ReteModel) -> list[tuple[str, list, list[_Label]]]:
-    ecl_els: list = [m.ecliptic]
-    labels: list[_Label] = []
-    cx, cy = m.ecliptic.center.x, m.ecliptic.center.y
-    for tick in m.zodiac_ticks:
-        px, py = tick.point.x, tick.point.y
-        dx, dy = cx - px, cy - py
-        norm = math.hypot(dx, dy)
-        ln = 2.8 if tick.major else 1.2
-        ecl_els.append(
-            Segment(tick.point, PlanePoint(px + dx / norm * ln, py + dy / norm * ln))
-        )
-        lam = int(round(tick.longitude))
-        if lam % 30 == 15:
-            lx = px + dx / norm * 7.0
-            ly = py + dy / norm * 7.0
-            labels.append(_Label(lx, ly, _ZODIAC[lam // 30]))
-    star_els: list = []
-    star_labels: list[_Label] = []
-    for entry, pt in m.pointers:
-        star_els.append(pt)
-        star_labels.append(_Label(pt.x + 1.5, pt.y + 1.5, entry.name, anchor="start"))
-    return [
-        ("limb", [m.boundary], []),
-        ("ecliptic", ecl_els, labels),
-        ("stars", star_els, star_labels),
-    ]
+def _rete_layers(m: ReteModel) -> list:
+    def ecliptic(pen):
+        lines, labels = [pen.emit(m.ecliptic)], []
+        cx, cy = m.ecliptic.center.x, m.ecliptic.center.y
+        for tick in m.zodiac_ticks:
+            px, py = tick.point.x, tick.point.y
+            dx, dy = cx - px, cy - py
+            norm = math.hypot(dx, dy)
+            ln = 2.8 if tick.major else 1.2
+            lines.append(pen.line(px, py, px + dx / norm * ln, py + dy / norm * ln))
+            lam = int(round(tick.longitude))
+            if lam % 30 == 15:
+                lx, ly = px + dx / norm * 7.0, py + dy / norm * 7.0
+                labels.append(pen.label(lx, ly, _ZODIAC[lam // 30]))
+        return lines + labels
+
+    def stars(pen):
+        return [pen.emit(pt) for _, pt in m.pointers] + [
+            pen.label(pt.x + 1.5, pt.y + 1.5, star.name, "start") for star, pt in m.pointers
+        ]
+
+    boundary = ("limb", lambda pen: [pen.emit(m.boundary)])
+    return [boundary, ("ecliptic", ecliptic), ("stars", stars)]
 
 
-def _back_layers(m: BackModel) -> list[tuple[str, list, list[_Label]]]:
+def _back_layers(m: BackModel) -> list:
     r = m.boundary.radius
-    limb_els: list = [m.boundary]
-    limb_labels: list[_Label] = []
-    for tick in m.degree_ticks:
-        inner = 0.94 if tick.major else 0.97
-        limb_els.append(_radial_tick(tick.angle, r, r * inner))
-        if tick.major and int(tick.angle) % 30 == 0:
-            pos = from_plate_polar(r * 0.905, tick.angle)
-            limb_labels.append(_Label(pos.x, pos.y, f"{int(tick.angle)}"))
-
-    origin = PlanePoint(0.0, 0.0)
-    cal_els: list = [Circle(origin, r * 0.88), Circle(origin, r * 0.84)]
-    for i, ang in enumerate(m.calendar_angles):
-        inner = 0.84 if i % 10 == 0 else 0.86
-        cal_els.append(_radial_tick(ang, r * 0.88, r * inner))
-
-    sq = m.sine_quadrant
-    quad_els: list = [
-        Arc(Circle(origin, sq.radius), math.pi / 2.0, math.pi, "ccw"),
-        Segment(PlanePoint(-sq.radius, 0.0), origin),
-        Segment(origin, PlanePoint(0.0, sq.radius)),
-    ]
-    quad_els.extend(sq.sine_lines)
-    quad_els.extend(sq.cosine_lines)
-
-    sh = m.shadow_square
+    sq, sh = m.sine_quadrant, m.shadow_square
     side, half = sh.side, sh.side / 2.0
-    shadow_els: list = [
-        Segment(PlanePoint(-half, 0.0), PlanePoint(half, 0.0)),
-        Segment(PlanePoint(-half, 0.0), PlanePoint(-half, -side)),
-        Segment(PlanePoint(half, 0.0), PlanePoint(half, -side)),
-        Segment(PlanePoint(-half, -side), PlanePoint(half, -side)),
-    ]
-    for mark in sh.marks:
-        if mark.scale == "recta":
-            x = -half + mark.fraction * side
-            shadow_els.append(Segment(PlanePoint(x, -side), PlanePoint(x, -side + 1.5)))
-        else:
-            y = -mark.fraction * side
-            shadow_els.append(Segment(PlanePoint(half, y), PlanePoint(half - 1.5, y)))
 
-    midday_els = [c.element for c in m.midday_curves]
-    midday_labels = [
-        _Label(c.points[1].x, c.points[1].y + 2.0, f"{c.latitude:g}")
-        for c in m.midday_curves
-    ]
+    def limb(pen):  # 360 one-degree ticks, long every tenth, numbered every 30
+        return (
+            [pen.emit(m.boundary)]
+            + [pen.tick(a, r, r * (0.94 if a % 10 == 0 else 0.97)) for a in range(360)]
+            + [pen.label(*_polar(r * 0.905, a), f"{a}") for a in range(0, 360, 30)]
+        )
 
-    qibla_els: list = []
-    qibla_labels: list[_Label] = []
-    for loc, bearing in m.qibla_marks:
-        qibla_els.append(_radial_tick(bearing, r * 0.82, 0.0))
-        pos = from_plate_polar(r * 0.6, bearing)
-        qibla_labels.append(_Label(pos.x, pos.y, loc.name, anchor="start"))
+    def calendar(pen):
+        return [pen.circle(0.0, 0.0, r * 0.88), pen.circle(0.0, 0.0, r * 0.84)] + [
+            pen.tick(ang, r * 0.88, r * (0.84 if i % 10 == 0 else 0.86))
+            for i, ang in enumerate(m.calendar_angles)
+        ]
+
+    def sine_quadrant(pen):
+        q = sq.radius
+        frame = Arc(Circle(PlanePoint(0.0, 0.0), q), math.pi / 2.0, math.pi, "ccw")
+        return [pen.emit(frame), pen.line(-q, 0.0, 0.0, 0.0), pen.line(0.0, 0.0, 0.0, q)] + [
+            pen.emit(s) for s in sq.sine_lines + sq.cosine_lines
+        ]
+
+    def shadow_square(pen):
+        lines = [
+            pen.line(-half, 0.0, half, 0.0),
+            pen.line(-half, 0.0, -half, -side),
+            pen.line(half, 0.0, half, -side),
+            pen.line(-half, -side, half, -side),
+        ]
+        for mark in sh.marks:
+            if mark.scale == "recta":
+                x = -half + mark.fraction * side
+                lines.append(pen.line(x, -side, x, -side + 1.5))
+            else:
+                y = -mark.fraction * side
+                lines.append(pen.line(half, y, half - 1.5, y))
+        return lines
+
+    def midday(pen):
+        return [pen.emit(c.element) for c in m.midday_curves] + [
+            pen.label(c.points[1].x, c.points[1].y + 2.0, f"{c.latitude:g}")
+            for c in m.midday_curves
+        ]
+
+    def qibla(pen):
+        return [pen.tick(bearing, r * 0.82, 0.0) for _, bearing in m.qibla_marks] + [
+            pen.label(*_polar(r * 0.6, bearing), loc.name, "start")
+            for loc, bearing in m.qibla_marks
+        ]
 
     layers = [
-        ("limb", limb_els, limb_labels),
-        ("calendar", cal_els, []),
-        ("sine-quadrant", quad_els, []),
-        ("shadow-square", shadow_els, []),
-        ("midday", midday_els, midday_labels),
+        ("limb", limb),
+        ("calendar", calendar),
+        ("sine-quadrant", sine_quadrant),
+        ("shadow-square", shadow_square),
+        ("midday", midday),
     ]
-    if qibla_els:
-        layers.append(("qibla", qibla_els, qibla_labels))
+    if m.qibla_marks:
+        layers.append(("qibla", qibla))
     return layers
 
 
-def _layers_for(model) -> list[tuple[str, list, list[_Label]]]:
-    if isinstance(model, PlateModel):
-        return _plate_layers(model)
-    if isinstance(model, ReteModel):
-        return _rete_layers(model)
-    if isinstance(model, BackModel):
-        return _back_layers(model)
-    raise TypeError(f"cannot render {type(model).__name__}")
+_LAYERS = {PlateModel: _plate_layers, ReteModel: _rete_layers, BackModel: _back_layers}
 
 
 # ---- document assembly ---------------------------------------------------
 
 
-def _group(
-    name: str,
-    elements: list,
-    labels: list[_Label],
-    style: RenderStyle,
-    sx: float,
-    sy: float,
-    prefix: str,
-) -> str:
-    p = style.precision
-    parts = [
-        f'<g id="{prefix}{name}" fill="none" stroke="#000" '
-        f'stroke-width="{_STROKES[name]:g}" '
-        f'stroke-linecap="round">'
-    ]
-    for el in elements:
-        parts.append("  " + _emit(el, p, sx, sy))
-    # a mirrored label runs the other way from its anchor point
-    anchors = {"start": "end", "end": "start"} if sx < 0 else {}
-    for lab in labels:
-        # xml.sax.saxutils.escape, without its import: `&` first
-        text = lab.text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        parts.append(
-            f'  <text x="{_fmt(sx * lab.x, p)}" y="{_fmt(sy * lab.y, p)}" '
-            f'font-size="{_LABEL_FONT_SIZE:g}" '
-            f'text-anchor="{anchors.get(lab.anchor, lab.anchor)}" '
-            f'fill="#000" stroke="none">{text}</text>'
-        )
-    parts.append("</g>")
-    return "\n".join(parts)
-
-
 def _bodies(style: RenderStyle, faces) -> list[str]:
     """The joined layer groups of each (id prefix, model) face.  The
-    document negates y, and x too under `mirror_ew`; an empty layer
-    selection warns (EmptyModelWarning) and draws the boundary alone."""
-    sx = -1.0 if style.mirror_ew else 1.0
-    sy = -1.0
+    document negates y, and x too under `mirror_ew`.  Only the selected
+    layers are drawn; an empty selection warns (EmptyModelWarning) and
+    draws the boundary alone."""
+    pen = _Pen(style.precision, -1.0 if style.mirror_ew else 1.0, -1.0)
     bodies = []
     for prefix, model in faces:
-        layers = _layers_for(model)
+        if type(model) not in _LAYERS:
+            raise TypeError(f"cannot render {type(model).__name__}")
+        layers = _LAYERS[type(model)](model)
         if style.include_layers is not None:
             layers = [l for l in layers if l[0] in style.include_layers]
         if not layers:
-            warnings.warn(
-                "model has no layers to draw; emitting the boundary only",
-                EmptyModelWarning,
-                stacklevel=3,
-            )
-            layers = [("limb", [model.boundary], [])]
+            warnings.warn("model has no layers to draw; emitting the boundary only",
+                          EmptyModelWarning, stacklevel=3)
+            layers = [("limb", lambda pen: [pen.emit(model.boundary)])]
         bodies.append(
             "\n".join(
-                _group(name, els, labels, style, sx, sy, prefix)
-                for name, els, labels in layers
+                f'<g id="{prefix}{name}" fill="none" stroke="#000" '
+                f'stroke-width="{_STROKES[name]:g}" stroke-linecap="round">\n'
+                + "".join(f"  {line}\n" for line in draw(pen))
+                + "</g>"
+                for name, draw in layers
             )
         )
     return bodies

@@ -240,6 +240,14 @@ def test_missing_latitude_is_a_usage_error(capsys):
     assert "--lat" in err
 
 
+@pytest.mark.parametrize("lat", ["5e-324", "1e-10", "1e-6"])
+def test_plate_below_the_lowest_latitude_is_a_usage_error(capsys, lat):
+    code, out, err = run_cli(capsys, "plate", "--lat", lat)
+    assert code == 1
+    assert err == f"error: latitude must lie in [0.001, 90), got {float(lat)!r}\n"
+    assert out == ""
+
+
 def test_argparse_problems_exit_one(capsys):
     assert run_cli(capsys, "plate", "--no-such-flag")[0] == 1
     assert run_cli(capsys, "plate", "--lat", "forty")[0] == 1

@@ -22,6 +22,8 @@ from astrolabe import (
     tropic_radii,
     unproject_point,
 )
+from astrolabe.plate import MIN_LATITUDE
+from astrolabe.render import _fmt
 from test_projection import ray_plane_radius
 
 S = 100.0
@@ -65,11 +67,8 @@ def test_ecliptic_tangent_to_both_tropics(obliquity, scale):
     assert c.center.y - c.radius == pytest.approx(-r_can, rel=1e-12)
 
 
-# below about 1e-6 degrees the horizon's far meridian crossing leaves the
-# float range and build_plate fails outright (ZeroDivisionError, a
-# zero-sweep Arc, or a horizon of None that render_svg cannot emit); the
-# identities are checked where a plate exists
-LATITUDES = st.floats(1e-3, 90.0, exclude_max=True)
+# every latitude a PlateConfig accepts
+LATITUDES = st.floats(MIN_LATITUDE, 90.0, exclude_max=True)
 
 
 @REPRODUCIBLE
@@ -110,3 +109,38 @@ def test_plate_arc_endpoints_lie_on_their_circle(latitude, almucantar_step, azim
         for p in (arc.start_point, arc.end_point):
             assert math.hypot(p.x - c.center.x, p.y - c.center.y) == pytest.approx(
                 c.radius, rel=1e-9)
+
+
+def _fmt_by_round_trip(value, precision):
+    # the rule _fmt replaces: parse the printed string back to test for zero
+    s = f"{value:.{precision}f}"
+    if float(s) == 0.0:
+        s = f"{0.0:.{precision}f}"
+    return s
+
+
+@st.composite
+def values_near_rounding_to_zero(draw):
+    precision = draw(st.integers(1, 9))
+    half = 0.5 * 10.0 ** -precision
+    value = draw(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, -5e-324, half, -half]),
+            st.floats(-1e-300, 0.0),
+            st.builds(
+                lambda sign, k: sign * (half + k * math.ulp(half)),
+                st.sampled_from([1.0, -1.0]),
+                st.integers(-4, 4),
+            ),
+            st.floats(-4.0 * half, 4.0 * half),
+            st.floats(-1e6, 1e6),
+        )
+    )
+    return value, precision
+
+
+@REPRODUCIBLE
+@given(case=values_near_rounding_to_zero())
+def test_fmt_matches_the_round_trip_rule(case):
+    value, precision = case
+    assert _fmt(value, precision) == _fmt_by_round_trip(value, precision)

@@ -171,7 +171,14 @@ def test_rete_and_back_documents():
     root = ET.fromstring(back_doc)
     ids = [g.get("id") for g in root.findall(f"{SVG}g")]
     assert ids == ["limb", "calendar", "sine-quadrant", "shadow-square", "midday"]
-    calendar = root.findall(f"{SVG}g")[1]
+    limb, calendar = root.findall(f"{SVG}g")[:2]
+    # boundary plus 360 one-degree ticks, 36 of them long, and a number every 30
+    ticks = limb.findall(f"{SVG}line")
+    assert len(limb.findall(f"{SVG}circle")) + len(ticks) == 1 + 360
+    r = float(limb.find(f"{SVG}circle").get("r"))
+    inner = [math.hypot(float(t.get("x2")), float(t.get("y2"))) for t in ticks]
+    assert sum(abs(d - 0.94 * r) < 1e-3 for d in inner) == 36
+    assert [t.text for t in limb.findall(f"{SVG}text")] == [str(a) for a in range(0, 360, 30)]
     # two ring circles plus 365 day ticks
     assert len(calendar) == 2 + 365
 
@@ -208,6 +215,13 @@ def test_render_style_validation():
         RenderStyle(precision=10)
     with pytest.raises(ValueError):
         RenderStyle(include_layers=frozenset({"bogus"}))
+
+
+@pytest.mark.parametrize("precision", [4.0, 4.5, True, "4"])
+def test_render_style_precision_must_be_an_int(precision):
+    # int() accepts all four, but only an int that is not a bool is a precision
+    with pytest.raises(ValueError, match="precision must be an int"):
+        RenderStyle(precision=precision)
 
 
 def test_byte_determinism():
