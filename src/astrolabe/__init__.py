@@ -19,8 +19,6 @@ from .back import (
     midday_altitude,
     midday_curve,
     qibla_eq13,
-    shadow_square,
-    sine_quadrant,
     solar_declination,
     solar_longitude,
     solve_altitude_for_azimuth,
@@ -101,7 +99,6 @@ from .render import LAYER_IDS, RenderStyle, arc_to_path, render_full, render_svg
 from .rete import (
     ReteModel,
     StarEntry,
-    ZodiacTick,
     build_rete,
     ecliptic_circle,
     ecliptic_point,

@@ -1,5 +1,6 @@
-"""Back-face scales: limb degree graduation, sine quadrant, shadow
-square, solar calendar ring, midday altitude curves, and qibla bearings.
+"""Back-face scales: the solar calendar ring, midday altitude curves and
+qibla bearings.  The limb graduation, sine quadrant and shadow square
+follow from the limb radius alone, so the renderer draws them from it.
 
 The solar model is a two-term equation of center
 
@@ -27,11 +28,9 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from .exceptions import DomainError, NoSolution, UndefinedBearing
-from .geometry import Arc, Circle, PlanePoint, Segment, arc_through
+from .geometry import Arc, Circle, PlanePoint, arc_through
 from .projection import OBLIQUITY, from_plate_polar
 from .rete import _load_csv
-
-Element = Union[Arc, Segment, PlanePoint]
 
 
 @dataclass(frozen=True)
@@ -69,42 +68,6 @@ CENTER2 = 0.020
 
 
 @dataclass(frozen=True)
-class SineQuadrant:
-    """Sine/cosine grid in a quadrant: n equal radius divisions with
-    spacing radius/n exactly, and the orthogonal chord lines (the k = n
-    lines are zero-length and omitted)."""
-
-    radius: float
-    divisions: int
-    spacing: float
-    sine_lines: tuple[Segment, ...]
-    cosine_lines: tuple[Segment, ...]
-
-
-@dataclass(frozen=True)
-class ShadowMark:
-    """One shadow-square graduation: which scale it belongs to, its
-    digit index, position fraction along the side, and the annotated
-    shadow angle in degrees."""
-
-    scale: str
-    index: int
-    fraction: float
-    angle: float
-
-
-@dataclass(frozen=True)
-class ShadowSquare:
-    """Shadow square of the given side length: an umbra recta scale and
-    an umbra versa scale of `digits` marks each, meeting at the
-    45-degree corner (index = digits on both scales)."""
-
-    side: float
-    digits: int
-    marks: tuple[ShadowMark, ...]
-
-
-@dataclass(frozen=True)
 class MiddayCurve:
     """Noon altitude curve for one latitude: the three control altitudes
     at solar declination -eps, 0, +eps, their back-face points, and the
@@ -113,7 +76,7 @@ class MiddayCurve:
     latitude: float
     altitudes: tuple[float, float, float]
     points: tuple[PlanePoint, PlanePoint, PlanePoint]
-    element: Element
+    element: Arc
 
 
 @dataclass(frozen=True)
@@ -136,16 +99,17 @@ class BackConfig:
 
 @dataclass(frozen=True)
 class BackModel:
-    """The back face.  The limb is the boundary circle with a fixed
-    graduation that the renderer draws from the angle alone: 360
-    one-degree ticks, a long one every tenth and a number every 30
-    degrees.  The calendar ring holds one tick angle (degrees) per day."""
+    """The back face.  Its fixed scales are drawn by the renderer from
+    the boundary radius r alone: on the limb, 360 one-degree ticks, a
+    long one every tenth and a number every 30 degrees; in the upper-left
+    quadrant, a sine quadrant of radius r with 60 equal divisions; below
+    the center, a shadow square of side 0.45*r with 12 digits on each of
+    its two scales.  The calendar ring holds one tick angle (degrees) per
+    day."""
 
     config: BackConfig
     boundary: Circle
     calendar_angles: tuple[float, ...]
-    sine_quadrant: SineQuadrant
-    shadow_square: ShadowSquare
     midday_curves: tuple[MiddayCurve, ...]
     qibla_marks: tuple[tuple[Locality, float], ...]
 
@@ -185,54 +149,6 @@ def calendar_ring() -> tuple[float, ...]:
     for k in range(1, n):
         angles.append(angles[-1] + (lams[k] - lams[k - 1]) % 360.0)
     return tuple(angles)
-
-
-def sine_quadrant(radius: float, divisions: int = 60) -> SineQuadrant:
-    """Sine quadrant occupying the upper-left back quadrant (x <= 0,
-    y >= 0), with `divisions` equal radius steps."""
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
-    if divisions < 1:
-        raise ValueError(f"divisions must be >= 1, got {divisions!r}")
-    spacing = radius / divisions
-    sine_lines = []
-    cosine_lines = []
-    for k in range(1, divisions):
-        d = k * spacing
-        reach = math.sqrt(radius * radius - d * d)
-        sine_lines.append(Segment(PlanePoint(-reach, d), PlanePoint(0.0, d)))
-        cosine_lines.append(Segment(PlanePoint(-d, 0.0), PlanePoint(-d, reach)))
-    return SineQuadrant(
-        radius=radius,
-        divisions=divisions,
-        spacing=spacing,
-        sine_lines=tuple(sine_lines),
-        cosine_lines=tuple(cosine_lines),
-    )
-
-
-def shadow_square(side: float, digits: int = 12) -> ShadowSquare:
-    """Shadow square graduation.  Mark k of the umbra recta scale is
-    annotated arctan(digits/k) (gnomon shadow angle for shadow length
-    k/digits of the gnomon); the versa scale carries the complement
-    arctan(k/digits).  Both scales are strictly monotone in k and meet
-    at 45 degrees on the corner mark k = digits."""
-    if side <= 0.0:
-        raise ValueError(f"side must be positive, got {side!r}")
-    if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits!r}")
-    marks = []
-    for k in range(1, digits + 1):
-        frac = k / digits
-        marks.append(
-            ShadowMark("recta", k, frac, math.degrees(math.atan2(digits, k)))
-        )
-    for k in range(1, digits + 1):
-        frac = k / digits
-        marks.append(
-            ShadowMark("versa", k, frac, math.degrees(math.atan2(k, digits)))
-        )
-    return ShadowSquare(side=side, digits=digits, marks=tuple(marks))
 
 
 def midday_altitude(latitude: float, declination: float) -> float:
@@ -385,8 +301,6 @@ def build_back(cfg: BackConfig, localities: Iterable[Locality] = ()) -> BackMode
         config=cfg,
         boundary=Circle(PlanePoint(0.0, 0.0), cfg.radius),
         calendar_angles=calendar_ring(),
-        sine_quadrant=sine_quadrant(cfg.radius),
-        shadow_square=shadow_square(0.45 * cfg.radius),
         midday_curves=(midday_curve(cfg.latitude, cfg.obliquity, cfg.radius),),
         qibla_marks=marks,
     )

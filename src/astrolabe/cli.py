@@ -14,10 +14,10 @@ A config file (--config) holds `key = value` lines; `#` starts a
 comment at the start of a line or after whitespace, so a `#` inside a
 value (`catalog = data/stars#2.csv`) is kept.  Command line flags
 override file values.  Keys: lat, lon, scale_mm, diameter_mm,
-obliquity, almucantar_step, azimuth_step, hour_lines, catalog,
-localities, seed, out, mirror_ew, precision; a subcommand ignores the
-keys it has no use for (only analyze montecarlo reads seed), but takes
-only the flags it reads.
+obliquity, almucantar_step, azimuth_step, catalog, localities, seed,
+out, mirror_ew, precision; a subcommand ignores the keys it has no use
+for (only analyze montecarlo reads seed), but takes only the flags it
+reads.  Every number, from a flag or the file, must be finite.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ _CONFIG_KEYS = {
     "obliquity": float,
     "almucantar_step": float,
     "azimuth_step": float,
-    "hour_lines": bool,
     "catalog": str,
     "localities": str,
     "seed": int,
@@ -158,8 +157,9 @@ def _geometry(args) -> tuple[float, float]:
 
 
 def _style(args) -> RenderStyle:
+    precision = getattr(args, "precision", None)
     return RenderStyle(
-        precision=getattr(args, "precision", None) or 4,
+        precision=4 if precision is None else precision,
         mirror_ew=bool(getattr(args, "mirror_ew", None)),
     )
 
@@ -182,7 +182,7 @@ def _require(args, *names: str) -> None:
 def _plate_config(args, obliquity: float, scale: float) -> PlateConfig:
     optional = {
         key: getattr(args, key)
-        for key in ("almucantar_step", "azimuth_step", "hour_lines")
+        for key in ("almucantar_step", "azimuth_step")
         if getattr(args, key, None) is not None
     }
     return PlateConfig(latitude=args.lat, scale=scale, obliquity=obliquity, **optional)
@@ -549,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     a_band.add_argument(
         "--band-step", dest="band_step", type=float, default=3.0,
-        help="band spacing in degrees (default 3)",
+        help="band spacing in degrees, at least 1e-9 (default 3)",
     )
     a_band.set_defaults(func=_cmd_analyze_band)
 
@@ -614,6 +614,9 @@ def main(argv: Optional[list] = None) -> int:
         return int(exc.code or 0)
     try:
         _merge_config(args)
+        for key, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{key.replace('_', '-')} must be a finite number, got {value}")
         return args.func(args)
     except (ParseError, UnknownKey, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

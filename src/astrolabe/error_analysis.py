@@ -75,11 +75,21 @@ def arc_displacement_angular(radius: float, dalpha: float, dp: float) -> float:
     return math.hypot(radius * dalpha, dp)
 
 
+# finest band step (degrees), the margin the top band keeps below 90
+MIN_BAND_STEP = 1e-9
+
+
+def _check_band_step(band_step: float) -> None:
+    if not (MIN_BAND_STEP <= band_step < math.inf):
+        raise ValueError(f"band step must be a finite number >= {MIN_BAND_STEP}, got {band_step!r}")
+
+
 def band_spacing(
     latitude: float, scale: float, altitude: float, band_step: float = 3.0
 ) -> float:
     """Meridian gap (mm) between the almucantar at `altitude` and the
     next band up, measured at the northern crossing."""
+    _check_band_step(band_step)
     a = almucantar_solution(latitude, altitude, scale)
     b = almucantar_solution(latitude, altitude + band_step, scale)
     return abs(b.y_lower - a.y_lower)
@@ -96,18 +106,31 @@ def band_misassignment(
     by a relative radius error, and the altitude band the displaced
     crossing is read as.
 
-    Returns (displacement_mm, lands_on_band).  A displacement smaller
-    than one band spacing keeps the reading on its true band.
+    Returns (displacement_mm, lands_on_band).  The reading moves up to
+    the last band h = altitude + m*step below 90 whose crossing lies
+    within the displacement D of the true one.  y_lower rises with h, so
+    that is the last band at or below h* = phi - 2*atan(tan((phi -
+    altitude)/2) - D/scale); the crossing test settles it against rounding.
     """
+    _check_band_step(band_step)
+    if not math.isfinite(radius_error_fraction):
+        raise ValueError(f"radius error fraction must be finite, got {radius_error_fraction!r}")
     sol = almucantar_solution(latitude, altitude, scale)
     displacement = abs(radius_error_fraction) * sol.radius
-    m = 0
-    while altitude + (m + 1) * band_step <= 90.0 - 1e-9:
-        nxt = almucantar_solution(latitude, altitude + (m + 1) * band_step, scale)
-        if abs(nxt.y_lower - sol.y_lower) <= displacement:
-            m += 1
-        else:
-            break
+
+    def within(m: int) -> bool:  # band m lies below 90 and its crossing within reach
+        h = altitude + m * band_step
+        return h <= 90.0 - 1e-9 and (
+            abs(almucantar_solution(latitude, h, scale).y_lower - sol.y_lower) <= displacement)
+
+    half = math.tan(math.radians((latitude - altitude) / 2.0)) - displacement / scale
+    h_star = latitude - 2.0 * math.degrees(math.atan(half))
+    m = math.floor((h_star - altitude) / band_step)
+    m = max(0, min(m, math.floor((90.0 - 1e-9 - altitude) / band_step)))
+    while m > 0 and not within(m):
+        m -= 1
+    while within(m + 1):
+        m += 1
     return displacement, altitude + m * band_step
 
 
@@ -125,8 +148,8 @@ def quadrant_chord_diagnosis(
     """
     if len(marks) != 4:
         raise ValueError(f"need exactly 4 marks, got {len(marks)}")
-    if tol < 0.0:
-        raise ValueError(f"tolerance must be non-negative, got {tol!r}")
+    if not (0.0 <= tol < math.inf):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     angles = sorted(normalize_angle(math.radians(m)) for m in marks)
     chords = [
         chord_length(circle, angles[i], angles[(i + 1) % 4]) for i in range(4)
@@ -158,8 +181,9 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.center_sigma, self.radius_sigma, self.graduation_sigma) < 0.0:
-            raise ValueError("sigmas must be non-negative")
+        sigmas = (self.center_sigma, self.radius_sigma, self.graduation_sigma)
+        if not all(0.0 <= s < math.inf for s in sigmas):
+            raise ValueError(f"sigmas must be finite and non-negative, got {sigmas!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 

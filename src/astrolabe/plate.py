@@ -61,15 +61,13 @@ def _divides(whole: float, step: float) -> bool:
 @dataclass(frozen=True)
 class PlateConfig:
     """Inputs for a plate: geographic latitude (degrees), equator radius
-    `scale` (mm), ecliptic obliquity (degrees), grid steps, and whether
-    to draw the unequal-hour lines."""
+    `scale` (mm), ecliptic obliquity (degrees) and grid steps."""
 
     latitude: float
     scale: float
     obliquity: float = OBLIQUITY
     almucantar_step: float = 5.0
     azimuth_step: float = 10.0
-    hour_lines: bool = True
 
     def __post_init__(self):
         if not (MIN_LATITUDE <= self.latitude < 90.0):
@@ -358,12 +356,10 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
         if element is not None:
             azimuths.append(AzimuthCurve(a, element))
 
-    hours: tuple[HourLine, ...] = ()
-    if cfg.hour_lines:
-        try:
-            hours = hour_lines(cfg)
-        except ArcticLatitude:
-            hours = ()
+    try:
+        hours = hour_lines(cfg)
+    except ArcticLatitude:
+        hours = ()
 
     return PlateModel(
         config=cfg,

@@ -7,14 +7,14 @@ always produce byte-identical documents).
 
 Each layer is an id and a function that writes its elements, with one
 pen per call: the model's own circles, arcs, segments and star markers,
-and the fixed scales (limb and calendar ticks, quadrant and square
-frames, labels) straight from plain numbers.  Model coordinates are
-mathematical (y up); the pen negates y, and x too under `mirror_ew`, as
-it formats each coordinate, and inverts an arc's sweep flag when
-sx*sy < 0.  Rounding is symmetric in sign, so a `mirror_ew` document is
-the exact x-negation of the plain one (zero stays unsigned), except that
-a label anchored at its start or end swaps the two, so that it still
-runs away from its marker.
+and the fixed scales (limb ticks, sine quadrant, shadow square, the
+zodiac's long and short ticks, labels) straight from the boundary radius
+or the degree index.  Model coordinates are mathematical (y up); the pen
+negates y, and x too under `mirror_ew`, as it formats each coordinate,
+and inverts an arc's sweep flag when sx*sy < 0.  Rounding is symmetric
+in sign, so a `mirror_ew` document is the exact x-negation of the plain
+one (zero stays unsigned), except that a label anchored at its start or
+end swaps the two, so that it still runs away from its marker.
 """
 
 from __future__ import annotations
@@ -192,13 +192,12 @@ def _rete_layers(m: ReteModel) -> list:
     def ecliptic(pen):
         lines, labels = [pen.emit(m.ecliptic)], []
         cx, cy = m.ecliptic.center.x, m.ecliptic.center.y
-        for tick in m.zodiac_ticks:
-            px, py = tick.point.x, tick.point.y
+        for lam, pt in enumerate(m.zodiac_points):  # one tick per degree of longitude
+            px, py = pt.x, pt.y
             dx, dy = cx - px, cy - py
             norm = math.hypot(dx, dy)
-            ln = 2.8 if tick.major else 1.2
+            ln = 2.8 if lam % 30 == 0 else 1.2
             lines.append(pen.line(px, py, px + dx / norm * ln, py + dy / norm * ln))
-            lam = int(round(tick.longitude))
             if lam % 30 == 15:
                 lx, ly = px + dx / norm * 7.0, py + dy / norm * 7.0
                 labels.append(pen.label(lx, ly, _ZODIAC[lam // 30]))
@@ -215,8 +214,8 @@ def _rete_layers(m: ReteModel) -> list:
 
 def _back_layers(m: BackModel) -> list:
     r = m.boundary.radius
-    sq, sh = m.sine_quadrant, m.shadow_square
-    side, half = sh.side, sh.side / 2.0
+    side = 0.45 * r
+    half = side / 2.0
 
     def limb(pen):  # 360 one-degree ticks, long every tenth, numbered every 30
         return (
@@ -231,12 +230,15 @@ def _back_layers(m: BackModel) -> list:
             for i, ang in enumerate(m.calendar_angles)
         ]
 
-    def sine_quadrant(pen):
-        q = sq.radius
-        frame = Arc(Circle(PlanePoint(0.0, 0.0), q), math.pi / 2.0, math.pi, "ccw")
-        return [pen.emit(frame), pen.line(-q, 0.0, 0.0, 0.0), pen.line(0.0, 0.0, 0.0, q)] + [
-            pen.emit(s) for s in sq.sine_lines + sq.cosine_lines
-        ]
+    def sine_quadrant(pen):  # 60 radius divisions; the k = 60 chords have no length
+        frame = Arc(Circle(PlanePoint(0.0, 0.0), r), math.pi / 2.0, math.pi, "ccw")
+        d = [k * (r / 60) for k in range(1, 60)]
+        reach = [math.sqrt(r * r - dk * dk) for dk in d]
+        return (
+            [pen.emit(frame), pen.line(-r, 0.0, 0.0, 0.0), pen.line(0.0, 0.0, 0.0, r)]
+            + [pen.line(-w, dk, 0.0, dk) for dk, w in zip(d, reach)]  # sines
+            + [pen.line(-dk, 0.0, -dk, w) for dk, w in zip(d, reach)]  # cosines
+        )
 
     def shadow_square(pen):
         lines = [
@@ -245,13 +247,12 @@ def _back_layers(m: BackModel) -> list:
             pen.line(half, 0.0, half, -side),
             pen.line(-half, -side, half, -side),
         ]
-        for mark in sh.marks:
-            if mark.scale == "recta":
-                x = -half + mark.fraction * side
-                lines.append(pen.line(x, -side, x, -side + 1.5))
-            else:
-                y = -mark.fraction * side
-                lines.append(pen.line(half, y, half - 1.5, y))
+        for k in range(1, 13):  # umbra recta: 12 digits along the bottom
+            x = -half + k / 12 * side
+            lines.append(pen.line(x, -side, x, -side + 1.5))
+        for k in range(1, 13):  # umbra versa: 12 digits down the right side
+            y = -(k / 12) * side
+            lines.append(pen.line(half, y, half - 1.5, y))
         return lines
 
     def midday(pen):

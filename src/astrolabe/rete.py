@@ -51,19 +51,12 @@ class StarEntry:
 
 
 @dataclass(frozen=True)
-class ZodiacTick:
-    """Ecliptic graduation mark: longitude (deg), its plate position,
-    and whether it opens a 30-degree sign."""
-
-    longitude: float
-    point: PlanePoint
-    major: bool
-
-
-@dataclass(frozen=True)
 class ReteModel:
+    """Ecliptic ring, the plate point of each whole degree of ecliptic
+    longitude (index = longitude), star pointers, skipped stars, boundary."""
+
     ecliptic: Circle
-    zodiac_ticks: tuple[ZodiacTick, ...]
+    zodiac_points: tuple[PlanePoint, ...]
     pointers: tuple[tuple[StarEntry, PlanePoint], ...]
     skipped: tuple[tuple[StarEntry, str], ...]
     boundary: Circle
@@ -113,10 +106,10 @@ def star_pointer(star: StarEntry, scale: float, obliquity: float) -> PlanePoint:
 def build_rete(
     catalog: Iterable[StarEntry], scale: float, obliquity: float = OBLIQUITY
 ) -> ReteModel:
-    """Assemble the rete: ecliptic ring, 360 one-degree zodiac ticks
-    (every 30th major), and one pointer per catalog star.  Stars outside
-    the boundary are skipped and reported, not fatal; duplicate names
-    raise DuplicateStarName."""
+    """Assemble the rete: ecliptic ring, the points of the 360 one-degree
+    zodiac ticks, and one pointer per catalog star.  Stars outside the
+    boundary are skipped and reported, not fatal; duplicate names raise
+    DuplicateStarName."""
     stars = list(catalog)
     seen = set()
     for s in stars:
@@ -124,10 +117,7 @@ def build_rete(
             raise DuplicateStarName(f"star {s.name!r} appears more than once")
         seen.add(s.name)
 
-    ticks = tuple(
-        ZodiacTick(float(lam), ecliptic_point(float(lam), scale, obliquity), lam % 30 == 0)
-        for lam in range(360)
-    )
+    points = tuple(ecliptic_point(float(lam), scale, obliquity) for lam in range(360))
 
     pointers = []
     skipped = []
@@ -140,7 +130,7 @@ def build_rete(
     r_cap, _, _ = tropic_radii(scale, obliquity)
     return ReteModel(
         ecliptic=ecliptic_circle(scale, obliquity),
-        zodiac_ticks=ticks,
+        zodiac_points=points,
         pointers=tuple(pointers),
         skipped=tuple(skipped),
         boundary=Circle(PlanePoint(0.0, 0.0), r_cap),

@@ -1,7 +1,10 @@
 """Back face: solar calendar, sine quadrant, shadow square, midday
-curve, and the two qibla routes."""
+curve, and the two qibla routes.  The sine quadrant and the shadow square
+follow from the limb radius alone and exist only in the rendered back,
+so they are checked there."""
 
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -23,8 +26,8 @@ from astrolabe import (
     midday_altitude,
     midday_curve,
     qibla_eq13,
-    shadow_square,
-    sine_quadrant,
+    RenderStyle,
+    render_svg,
     solar_declination,
     solar_longitude,
     solve_altitude_for_azimuth,
@@ -133,40 +136,64 @@ def test_equinox_tick_lands_opposite():
     assert angdiff(angles[idx] + lam_day1, 180.0) < 1.0
 
 
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def back_layer(radius, layer):
+    """The elements of one layer of a back face of the given radius,
+    drawn at 9 decimals, as (tag, attributes) in document order (y down)."""
+    model = build_back(BackConfig(latitude=40.0, radius=radius))
+    doc = render_svg(model, RenderStyle(precision=9, include_layers={layer}))
+    (group,) = ET.fromstring(doc).findall(f"{SVG}g")
+    assert group.get("id") == layer
+    return [(el.tag[len(SVG):], {k: float(v) for k, v in el.attrib.items() if k != "d"})
+            for el in group]
+
+
 def test_sine_quadrant_layout():
-    q = sine_quadrant(100.0, 60)
-    assert q.spacing == pytest.approx(100.0 / 60.0)
-    assert len(q.sine_lines) == 59
-    assert len(q.cosine_lines) == 59
-    for seg in q.sine_lines:
-        assert seg.a.y == seg.b.y  # horizontal
-        assert seg.a.y > 0.0
-        assert seg.b.x == 0.0
-        # chord endpoint on the quadrant rim
-        assert math.hypot(seg.a.x, seg.a.y) == pytest.approx(100.0, rel=1e-12)
-        assert seg.a.x <= 0.0
-    for seg in q.cosine_lines:
-        assert seg.a.x == seg.b.x  # vertical
-        assert math.hypot(seg.b.x, seg.b.y) == pytest.approx(100.0, rel=1e-12)
+    r = 100.0
+    elements = back_layer(r, "sine-quadrant")
+    assert [tag for tag, _ in elements] == ["path"] + ["line"] * (2 + 59 + 59)
+    lines = [a for _, a in elements[1:]]
+    assert lines[:2] == [dict(x1=-r, y1=0.0, x2=0.0, y2=0.0), dict(x1=0.0, y1=0.0, x2=0.0, y2=-r)]
+    sines, cosines = lines[2:61], lines[61:]
+    # sine lines: horizontal chords from the rim to the vertical axis,
+    # r/60 apart, climbing toward the top of the document
+    for k, a in enumerate(sines, start=1):
+        assert a["y1"] == a["y2"] == pytest.approx(-k * r / 60.0, abs=1e-9)
+        assert a["x2"] == 0.0 and a["x1"] <= 0.0
+        assert math.hypot(a["x1"], a["y1"]) == pytest.approx(r, abs=2e-9)
+    # cosine lines: vertical chords from the horizontal axis to the rim
+    for k, a in enumerate(cosines, start=1):
+        assert a["x1"] == a["x2"] == pytest.approx(-k * r / 60.0, abs=1e-9)
+        assert a["y1"] == 0.0
+        assert math.hypot(a["x2"], a["y2"]) == pytest.approx(r, abs=2e-9)
 
 
 def test_shadow_square_marks():
-    sq = shadow_square(45.0, 12)
-    recta = [m for m in sq.marks if m.scale == "recta"]
-    versa = [m for m in sq.marks if m.scale == "versa"]
-    assert len(recta) == len(versa) == 12
-    # both scales strictly monotone in k
-    r_angles = [m.angle for m in recta]
-    v_angles = [m.angle for m in versa]
-    assert all(b < a for a, b in zip(r_angles, r_angles[1:]))
-    assert all(b > a for a, b in zip(v_angles, v_angles[1:]))
-    # the 45-degree diagonal mark is exact on both scales
-    assert recta[-1].angle == 45.0
-    assert versa[-1].angle == 45.0
-    # complementary annotations: recta k + versa k = 90
-    for rm, vm in zip(recta, versa):
-        assert rm.angle + vm.angle == pytest.approx(90.0, abs=1e-12)
-    assert versa[2].angle == pytest.approx(math.degrees(math.atan2(3.0, 12.0)), rel=1e-15)
+    r = 100.0
+    side = 0.45 * r
+    half = side / 2.0
+    elements = back_layer(r, "shadow-square")
+    assert [tag for tag, _ in elements] == ["line"] * (4 + 12 + 12)
+    lines = [a for _, a in elements]
+    assert lines[:4] == [
+        dict(x1=-half, y1=0.0, x2=half, y2=0.0),
+        dict(x1=-half, y1=0.0, x2=-half, y2=side),
+        dict(x1=half, y1=0.0, x2=half, y2=side),
+        dict(x1=-half, y1=side, x2=half, y2=side),
+    ]
+    recta, versa = lines[4:16], lines[16:]
+    # umbra recta: 12 marks up from the bottom edge, side/12 apart, the
+    # last on the corner
+    for k, a in enumerate(recta, start=1):
+        assert a["x1"] == a["x2"] == pytest.approx(-half + k * side / 12.0, abs=1e-9)
+        assert (a["y1"], a["y2"]) == pytest.approx((side, side - 1.5), abs=1e-9)
+    # umbra versa: 12 marks in from the right edge, side/12 apart, the
+    # last on the same corner
+    for k, a in enumerate(versa, start=1):
+        assert a["y1"] == a["y2"] == pytest.approx(k * side / 12.0, abs=1e-9)
+        assert (a["x1"], a["x2"]) == pytest.approx((half, half - 1.5), abs=1e-9)
 
 
 def test_midday_altitude_and_curve():
@@ -290,7 +317,6 @@ def test_build_back_structure():
     model = build_back(cfg, [DAMASCUS])
     assert model.boundary.radius == 150.0
     assert len(model.calendar_angles) == 365
-    assert model.shadow_square.side == pytest.approx(0.45 * 150.0)
     assert len(model.midday_curves) == 1
     assert model.midday_curves[0].latitude == 40.0
     (loc, bearing), = model.qibla_marks

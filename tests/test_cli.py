@@ -289,7 +289,6 @@ def test_config_parses_types_and_comments(tmp_path):
         "# build settings\n"
         "lat = 52.5   # Berlin\n"
         "scale_mm = 80\n"
-        "hour_lines = off\n"
         "mirror_ew = yes\n"
         "seed = 7\n"
         "catalog = stars.csv\n"
@@ -300,7 +299,6 @@ def test_config_parses_types_and_comments(tmp_path):
     assert values == {
         "lat": 52.5,
         "scale_mm": 80.0,
-        "hour_lines": False,
         "mirror_ew": True,
         "seed": 7,
         "catalog": "stars.csv",
@@ -310,6 +308,8 @@ def test_config_parses_types_and_comments(tmp_path):
     # a `#` inside a value is part of it; after whitespace it opens a comment
     cfg.write_text("catalog = data/stars#2.csv   # second catalog\n", encoding="utf-8")
     assert load_config(cfg) == {"catalog": "data/stars#2.csv"}
+    cfg.write_text("mirror_ew = off\n", encoding="utf-8")
+    assert load_config(cfg) == {"mirror_ew": False}
 
 
 def test_config_comment_only_file_is_empty(tmp_path):
@@ -374,6 +374,11 @@ def test_config_unknown_key(capsys, tmp_path):
     code, _, err = run_cli(capsys, "plate", "--config", str(cfg))
     assert code == 1
     assert "latt" in err
+    # the plate always draws its hour lines; the old switch is not a key
+    cfg.write_text("lat = 40\nhour_lines = off\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "plate", "--config", str(cfg))
+    assert code == 1
+    assert "unknown config key 'hour_lines'" in err
 
 
 def test_config_bad_values_carry_position(tmp_path):
@@ -610,10 +615,68 @@ def test_analyze_montecarlo_nonpositive_radius_exits_two(capsys, argv):
     assert out == ""
 
 
-def test_render_style_validation_flows_to_exit_one(capsys):
+def test_render_style_validation_flows_to_exit_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "plate", "--lat", "40", "--precision", "12")
     assert code == 1
     assert "precision" in err
+    # 0 is refused, not taken for the default of 4, from a flag or a file
+    code, out, err = run_cli(capsys, "plate", "--lat", "40", "--precision", "0")
+    assert (code, out) == (1, "")
+    assert "precision" in err
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("lat = 40\nprecision = 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "plate", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert "precision" in err
+
+
+MC_SCENE = ("analyze", "montecarlo", "--lat", "40", "--sun-dec", "-10", "--hour-angle", "45")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("analyze", "band", "--lat", "40", "--altitude", "30",
+      "--radius-error-fraction", "nan"), "--radius-error-fraction"),
+    (("analyze", "arc-displacement", "--ds", "nan", "--dp", "0.4"), "--ds"),
+    (("analyze", "alidade", "--length-mm", "nan", "--offset", "0.02"), "--length-mm"),
+    (("analyze", "quadrant-chords", "--radius", "100", "--marks", "0,88,180,268",
+      "--tol", "nan"), "--tol"),
+    (MC_SCENE + ("--center-sigma", "nan"), "--center-sigma"),
+    (MC_SCENE + ("--radius-sigma", "inf"), "--radius-sigma"),
+    (("project", "--dec", "10", "--hour-angle", "inf"), "--hour-angle"),
+    (("plate", "--lat=-inf"), "--lat"),
+])
+def test_non_finite_numbers_are_usage_errors(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag} must be a finite number, got ")
+
+
+def test_non_finite_config_value_names_its_flag(capsys, tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("lat = 40\nscale_mm = nan\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "plate", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == "error: --scale-mm must be a finite number, got nan\n"
+
+
+def test_band_steps_that_never_advance_exit_one_promptly():
+    """Run in a child interpreter, so that a search that makes no progress
+    fails this test on its timeout instead of hanging the suite."""
+    argvs = [["analyze", "band", "--lat", "40", "--altitude", "30",
+              "--radius-error-fraction", "0.02", "--band-step", step]
+             for step in ("0", "1e-300", "-3")]
+    code = (
+        "import contextlib, io\n"
+        "from astrolabe.cli import main\n"
+        "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        f"    codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(codes, err.getvalue().count('band step must be'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=30, env=source_env(),
+    )
+    assert proc.stdout.strip() == "[1, 1, 1] 3", proc.stderr
 
 
 def console_script_entry(name: str) -> tuple:

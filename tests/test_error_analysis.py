@@ -97,6 +97,34 @@ def test_band_misassignment_scales_with_error():
     assert band_large >= 6.0
 
 
+@pytest.mark.parametrize("step", [0.0, 1e-300, 5e-10, -3.0, math.nan, math.inf])
+def test_band_step_must_be_a_finite_step_of_at_least_1e_9_degrees(step):
+    with pytest.raises(ValueError, match="band step"):
+        band_misassignment(PHI4, S4, 0.0, 0.02, step)
+    with pytest.raises(ValueError, match="band step"):
+        band_spacing(PHI4, S4, 0.0, step)
+
+
+def test_band_misassignment_lands_without_a_search(monkeypatch):
+    # 600,000 bands of 1e-4 degrees lie above 30: the closed form lands on
+    # the band, and the crossing test only confirms it (the true crossing,
+    # then bands m and m + 1)
+    calls = []
+    solve = astrolabe.error_analysis.almucantar_solution
+    monkeypatch.setattr(astrolabe.error_analysis, "almucantar_solution",
+                        lambda *a: calls.append(a) or solve(*a))
+    disp, band = band_misassignment(40.0, 100.0, 30.0, 0.02, 1e-4)
+    assert len(calls) <= 4
+    assert abs(y_lower(40.0, band, 100.0) - y_lower(40.0, 30.0, 100.0)) <= disp
+    assert abs(y_lower(40.0, band + 1e-4, 100.0) - y_lower(40.0, 30.0, 100.0)) > disp
+    # the finest step, one band per 1e-9 degrees, runs as fast
+    _, fine = band_misassignment(40.0, 100.0, 30.0, 0.02, 1e-9)
+    assert fine == pytest.approx(band, abs=1e-4)
+    assert len(calls) <= 8
+    with pytest.raises(ValueError, match="finite"):
+        band_misassignment(40.0, 100.0, 30.0, math.nan, 3.0)
+
+
 def test_quadrant_chord_diagnosis_cases():
     c = Circle(PlanePoint(0.0, 0.0), 75.0)
     ok = [0.0, 90.0, 180.0, 270.0]
@@ -111,6 +139,9 @@ def test_quadrant_chord_diagnosis_cases():
     assert quadrant_chord_diagnosis(c, mixed, 1e-6) == "mixed"
     with pytest.raises(ValueError):
         quadrant_chord_diagnosis(c, [0.0, 90.0, 180.0], 1e-6)
+    for tol in (-1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            quadrant_chord_diagnosis(c, ok, tol)
 
 
 def test_quadrant_chord_diagnosis_rotation_invariant():
@@ -134,6 +165,10 @@ def test_perturbation_spec_validation():
         PerturbationSpec(seed=-1)
     with pytest.raises(ValueError):
         PerturbationSpec(seed=1.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("center_sigma", "radius_sigma", "graduation_sigma"):
+            with pytest.raises(ValueError, match="finite"):
+                PerturbationSpec(**{field: bad})
 
 
 CFG = PlateConfig(latitude=40.0, scale=100.0)

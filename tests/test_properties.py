@@ -16,6 +16,7 @@ from astrolabe import (
     SpherePoint,
     almucantar_solution,
     axis_projection_radius,
+    band_misassignment,
     build_plate,
     ecliptic_circle,
     project_point,
@@ -144,3 +145,56 @@ def values_near_rounding_to_zero(draw):
 def test_fmt_matches_the_round_trip_rule(case):
     value, precision = case
     assert _fmt(value, precision) == _fmt_by_round_trip(value, precision)
+
+
+def band_by_band(latitude, scale, altitude, fraction, band_step):
+    """The band search that band_misassignment's closed form replaced:
+    step up one band at a time while the crossing stays within reach."""
+    sol = almucantar_solution(latitude, altitude, scale)
+    displacement = abs(fraction) * sol.radius
+    m = 0
+    while altitude + (m + 1) * band_step <= 90.0 - 1e-9:
+        nxt = almucantar_solution(latitude, altitude + (m + 1) * band_step, scale)
+        if abs(nxt.y_lower - sol.y_lower) <= displacement:
+            m += 1
+        else:
+            break
+    return displacement, altitude + m * band_step
+
+
+@REPRODUCIBLE
+@given(
+    latitude=st.floats(0.5, 89.5),
+    altitude=st.floats(0.0, 89.9),
+    band_step=st.floats(0.1, 20.0),
+    fraction=st.floats(0.0, 1.0),
+    scale=st.floats(10.0, 200.0),
+)
+def test_band_misassignment_matches_the_band_by_band_search(
+    latitude, altitude, band_step, fraction, scale
+):
+    args = (latitude, scale, altitude, fraction, band_step)
+    assert band_misassignment(*args) == band_by_band(*args)
+
+
+@REPRODUCIBLE
+@given(
+    latitude=st.floats(0.5, 89.5),
+    altitude=st.floats(0.0, 80.0),
+    band_step=st.floats(0.1, 20.0),
+    share=st.floats(0.0, 1.0),
+    scale=st.floats(10.0, 200.0),
+)
+def test_band_misassignment_matches_the_search_when_a_band_is_just_reached(
+    latitude, altitude, band_step, share, scale
+):
+    # the displacement equals the gap to one band, up to the rounding of
+    # fraction * radius: where the closed form's h* meets that band, the
+    # crossing test decides
+    top = math.floor((90.0 - 1e-9 - altitude) / band_step)
+    assume(top >= 1)
+    band = 1 + math.floor(share * (top - 1))
+    sol = almucantar_solution(latitude, altitude, scale)
+    gap = almucantar_solution(latitude, altitude + band * band_step, scale).y_lower - sol.y_lower
+    args = (latitude, scale, altitude, gap / sol.radius, band_step)
+    assert band_misassignment(*args) == band_by_band(*args)

@@ -1,6 +1,7 @@
 """Rete geometry: ecliptic ring, zodiac graduation, star pointers."""
 
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from astrolabe import (
     DuplicateStarName,
     OutsidePlate,
     ParseError,
+    RenderStyle,
     StarEntry,
     build_rete,
     ecliptic_circle,
     ecliptic_point,
     load_star_catalog,
     plate_angle_deg,
+    render_svg,
     star_pointer,
     stereographic_radius,
     tropic_radii,
@@ -23,6 +26,7 @@ from astrolabe import (
 
 S = 100.0
 EPS = 23.44
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def sun_dec(longitude, obliquity=EPS):
@@ -79,19 +83,30 @@ def test_ecliptic_solstice_points_on_the_colure():
 
 def test_zodiac_ticks_on_circle_and_major_flags():
     model = build_rete([], S, EPS)
-    assert len(model.zodiac_ticks) == 360
-    for tick in model.zodiac_ticks:
-        assert abs(model.ecliptic.signed_distance(tick.point)) < 1e-9 * S
-        assert tick.major == (tick.longitude % 30.0 == 0.0)
-    assert sum(t.major for t in model.zodiac_ticks) == 12
+    assert len(model.zodiac_points) == 360
+    for lam, point in enumerate(model.zodiac_points):
+        assert abs(model.ecliptic.signed_distance(point)) < 1e-9 * S
+        assert point == ecliptic_point(float(lam), S, EPS)
+    # each sign opens with a long tick (2.8 mm) in the rendered layer; the
+    # other 348 degrees get short ones (1.2 mm)
+    doc = render_svg(model, RenderStyle(precision=9, include_layers={"ecliptic"}))
+    (group,) = ET.fromstring(doc).findall(f"{SVG}g")
+    lengths = [
+        math.hypot(float(t.get("x2")) - float(t.get("x1")),
+                   float(t.get("y2")) - float(t.get("y1")))
+        for t in group.findall(f"{SVG}line")
+    ]
+    assert len(lengths) == 360
+    long_ticks = [lam for lam, ln in enumerate(lengths) if abs(ln - 2.8) < 1e-8]
+    assert long_ticks == list(range(0, 360, 30))
+    assert sum(abs(ln - 1.2) < 1e-8 for ln in lengths) == 348
 
 
 def test_zodiac_opposition_half_turn_apart():
-    model = build_rete([], S, EPS)
-    by_lam = {t.longitude: t.point for t in model.zodiac_ticks}
+    points = build_rete([], S, EPS).zodiac_points
     for lam in range(180):
-        a = plate_angle_deg(by_lam[float(lam)])
-        b = plate_angle_deg(by_lam[float(lam + 180)])
+        a = plate_angle_deg(points[lam])
+        b = plate_angle_deg(points[lam + 180])
         diff = (b - a) % 360.0
         assert diff == pytest.approx(180.0, abs=math.degrees(1e-9))
 
