@@ -65,9 +65,6 @@ from .geometry import (
     normalize_angle,
 )
 from .plate import (
-    AltitudeCurve,
-    AzimuthCurve,
-    HourLine,
     MeridianSolution,
     PlateConfig,
     PlateModel,

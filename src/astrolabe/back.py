@@ -135,6 +135,8 @@ def solar_longitude(day: float) -> float:
 
 def solar_declination(longitude: float, obliquity: float = OBLIQUITY) -> float:
     """Declination (degrees) of the sun at an ecliptic longitude."""
+    if not (math.isfinite(longitude) and math.isfinite(obliquity)):
+        raise ValueError(f"non-finite longitude or obliquity: {longitude!r}, {obliquity!r}")
     s = math.sin(math.radians(obliquity)) * math.sin(math.radians(longitude))
     return math.degrees(math.asin(max(-1.0, min(1.0, s))))
 
@@ -165,8 +167,8 @@ def midday_curve(latitude: float, obliquity: float, radius: float) -> MiddayCurv
     declination, measured from the noon direction (+y).  Raises
     DomainError when any control altitude leaves (0, 90].
     """
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
+    if not (0.0 < radius < math.inf):
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
     decs = (-obliquity, 0.0, obliquity)
     alts = tuple(midday_altitude(latitude, d) for d in decs)
     for h in alts:

@@ -47,32 +47,34 @@ SCENARIOS = ("time_to_sunset", "altitude")
 def alidade_offset_error(length: float, offset_angle: float) -> float:
     """Limb reading error from a sight-vane offset: length*delta/4 (mm
     when length is mm and delta radians)."""
-    if length <= 0.0:
-        raise ValueError(f"length must be positive, got {length!r}")
-    if offset_angle < 0.0:
-        raise ValueError(f"offset must be non-negative, got {offset_angle!r}")
+    if not (0.0 < length < math.inf):
+        raise ValueError(f"length must be finite and positive, got {length!r}")
+    if not (0.0 <= offset_angle < math.inf):
+        raise ValueError(f"offset must be finite and non-negative, got {offset_angle!r}")
     return length * offset_angle / 4.0
 
 
 def alidade_rotation_error(rotation: float) -> float:
     """Limb reading error from a rotation graduation error: eps/4, in
     the unit eps was given in (pass-through)."""
-    if rotation < 0.0:
-        raise ValueError(f"rotation error must be non-negative, got {rotation!r}")
+    if not (0.0 <= rotation < math.inf):
+        raise ValueError(f"rotation error must be finite and non-negative, got {rotation!r}")
     return rotation / 4.0
 
 
 def arc_displacement(ds: float, dp: float) -> float:
     """Total arc displacement from tangential and radial offsets."""
+    if not (math.isfinite(ds) and math.isfinite(dp)):
+        raise ValueError(f"offsets must be finite, got {ds!r}, {dp!r}")
     return math.hypot(ds, dp)
 
 
 def arc_displacement_angular(radius: float, dalpha: float, dp: float) -> float:
     """Arc displacement when the tangential term is an angular offset
     dalpha (radians) at engraving radius `radius`."""
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
-    return math.hypot(radius * dalpha, dp)
+    if not (0.0 < radius < math.inf):
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
+    return arc_displacement(radius * dalpha, dp)
 
 
 # finest band step (degrees), the margin the top band keeps below 90

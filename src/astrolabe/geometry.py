@@ -158,7 +158,7 @@ class FitResult:
 def circumcircle(p1: PlanePoint, p2: PlanePoint, p3: PlanePoint) -> Circle:
     """Circle through three pairwise-distinct points.
 
-    Raises CollinearPoints when the signed triangle area is below
+    Raises CollinearPoints when the signed triangle area is at most
     COLLINEAR_AREA_REL times the squared max pairwise distance.
     Coordinates are shifted to p1 before solving, which keeps the
     arithmetic well conditioned for circles far from the origin.
@@ -169,7 +169,7 @@ def circumcircle(p1: PlanePoint, p2: PlanePoint, p3: PlanePoint) -> Circle:
     if dmax == 0.0:
         raise ValueError("circumcircle requires pairwise distinct points")
     area2 = bx * cy - by * cx
-    if abs(area2) / 2.0 < COLLINEAR_AREA_REL * dmax * dmax:
+    if abs(area2) / 2.0 <= COLLINEAR_AREA_REL * dmax * dmax:
         raise CollinearPoints(
             f"points are collinear within tolerance (|area| = {abs(area2) / 2.0:.3e})"
         )
@@ -184,9 +184,14 @@ def circumcircle(p1: PlanePoint, p2: PlanePoint, p3: PlanePoint) -> Circle:
 
 def arc_through(start: PlanePoint, via: PlanePoint, end: PlanePoint) -> Arc:
     """Arc of the circle through three points, from `start` to `end`
-    and passing `via`.  Raises CollinearPoints as `circumcircle` does."""
+    and passing `via`.  Raises CollinearPoints as `circumcircle` does,
+    and when `start` and `end` fall on one angle of the circle."""
+    if start == end:
+        raise CollinearPoints("start and end coincide")
     circ = circumcircle(start, via, end)
     a0, a1, a2 = circ.angle_of(start), circ.angle_of(via), circ.angle_of(end)
+    if math.isclose(a0, a2, abs_tol=1e-15):  # Arc's zero-sweep window
+        raise CollinearPoints("start and end fall on one angle of the circumcircle")
     arc = Arc(circ, a0, a2, "ccw")
     return arc if arc.contains_angle(a1) else Arc(circ, a0, a2, "cw")
 
@@ -254,10 +259,11 @@ def divide_arc_equal(arc: Arc, n: int) -> list[PlanePoint]:
 def circle_circle_intersection(a: Circle, b: Circle) -> tuple[PlanePoint, ...]:
     """Intersection points of two circles.
 
-    Returns two points, one point (tangency within tolerance), or an
-    empty tuple.  Raises CoincidentCircles when the circles coincide
-    within COINCIDENT_REL of their size.  Ordering is deterministic:
-    the point on the +90 degree side of the center-to-center axis first.
+    Returns two points, one point (tangency: the center distance lies
+    within COINCIDENT_REL of r1 + r2 or |r1 - r2|), or an empty tuple.
+    Raises CoincidentCircles when the circles coincide within
+    COINCIDENT_REL of their size.  Ordering is deterministic: the point
+    on the +90 degree side of the center-to-center axis first.
     """
     dx = b.center.x - a.center.x
     dy = b.center.y - a.center.y
@@ -266,16 +272,20 @@ def circle_circle_intersection(a: Circle, b: Circle) -> tuple[PlanePoint, ...]:
     tol = COINCIDENT_REL * scale
     if d <= tol and abs(a.radius - b.radius) <= tol:
         raise CoincidentCircles("circles coincide within tolerance")
-    if d - (a.radius + b.radius) > tol or (abs(a.radius - b.radius) - d) > tol:
+    outer = d - (a.radius + b.radius)
+    inner = abs(a.radius - b.radius) - d
+    if outer > tol or inner > tol:
         return ()
     ex, ey = dx / d, dy / d
     along = (d * d + a.radius * a.radius - b.radius * b.radius) / (2.0 * d)
-    h2 = a.radius * a.radius - along * along
-    h = math.sqrt(h2) if h2 > 0.0 else 0.0
     px = a.center.x + along * ex
     py = a.center.y + along * ey
-    if h <= tol:
+    # tangency is judged on the center distance, not on the half chord h:
+    # h is a square root, so rounding of 1e-15 r*r in h*h is 3e-8 r in h
+    if abs(outer) <= tol or abs(inner) <= tol:
         return (PlanePoint(px, py),)
+    h2 = a.radius * a.radius - along * along
+    h = math.sqrt(h2) if h2 > 0.0 else 0.0
     return (
         PlanePoint(px - h * ey, py + h * ex),
         PlanePoint(px + h * ey, py - h * ex),

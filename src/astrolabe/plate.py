@@ -25,7 +25,7 @@ radius p_c / |cos A| with p_c = (y_z - y_n)/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .exceptions import ArcticLatitude, DomainError
@@ -45,8 +45,10 @@ from .projection import OBLIQUITY, stereographic_radius
 
 _FULL = "full"
 
-# lowest plate latitude (degrees); below about 3e-6 the horizon cannot be drawn
+# plate latitudes (degrees): below about 3e-6 the horizon cannot be drawn, and
+# above about 90 - 6e-5 a one-degree azimuth grid has circles too wide to clip
 MIN_LATITUDE = 0.001
+MAX_LATITUDE = 89.999
 
 Element = Union[Circle, Arc, Segment, PlanePoint]
 
@@ -74,6 +76,8 @@ class PlateConfig:
             raise ValueError(
                 f"latitude must lie in [{MIN_LATITUDE}, 90), got {self.latitude!r}"
             )
+        if self.latitude > MAX_LATITUDE:
+            raise ValueError(f"latitude must be at most {MAX_LATITUDE}, got {self.latitude!r}")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be positive, got {self.scale!r}")
         if not (0.0 < self.obliquity < 30.0):
@@ -103,53 +107,34 @@ class MeridianSolution:
 
 
 @dataclass(frozen=True)
-class AltitudeCurve:
-    """One almucantar entry: altitude (deg) and its clipped element.
-    The zenith (h = 90) degenerates to a point marker."""
-
-    altitude: float
-    element: Element
-
-
-@dataclass(frozen=True)
-class AzimuthCurve:
-    """One azimuth entry: azimuth from the prime vertical (deg, in
-    [0, 180); each value also covers its A+180 compass pair) and the
-    above-horizon element, clipped to the plate."""
-
-    azimuth: float
-    element: Element
-
-
-@dataclass(frozen=True)
-class HourLine:
-    """Unequal-hour boundary k (1..11).  Normally a three-point circular
-    arc from its Capricorn point to its Cancer point; `degenerate` marks
-    the collinear fallback (a straight segment)."""
-
-    index: int
-    element: Element
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
 class PlateModel:
-    """All engraved geometry of one plate."""
+    """All engraved geometry of one plate.  Each curve is a plain element
+    (Circle, Arc, Segment, or the zenith PlanePoint), one per grid value:
+
+    - `almucantars[k]` is altitude k * almucantar_step; the last entry
+      (altitude 90) is the zenith point;
+    - `azimuths[j]` is the j-th value A of sorted({k * azimuth_step mod
+      180}), measured from the prime vertical (each also covers its
+      A + 180 pair); the 90-degree entry, if any, is the meridian Segment;
+    - `hour_lines[k - 1]` is unequal-hour boundary k (1..11): an Arc, or
+      a Segment where its three points are collinear (midnight); empty
+      at arctic latitudes (latitude >= 90 - obliquity).
+    """
 
     config: PlateConfig
     boundary: Circle
     tropics: tuple[Circle, Circle, Circle]
     horizon: Element
-    almucantars: tuple[AltitudeCurve, ...]
-    azimuths: tuple[AzimuthCurve, ...]
-    hour_lines: tuple[HourLine, ...] = field(default=())
+    almucantars: tuple[Element, ...]
+    azimuths: tuple[Element, ...]
+    hour_lines: tuple[Element, ...]
 
 
 def tropic_radii(scale: float, obliquity: float) -> tuple[float, float, float]:
     """(capricorn, equator, cancer) radii.  With obliquity 0 the tropics
     collapse onto the equator and all three radii equal `scale`."""
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
+    if not (0.0 < scale < math.inf):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     if not (0.0 <= obliquity < 30.0):
         raise ValueError(f"obliquity must lie in [0, 30), got {obliquity!r}")
     r_cap = stereographic_radius(-obliquity, scale)
@@ -169,8 +154,8 @@ def almucantar_solution(latitude: float, altitude: float, scale: float) -> Merid
     zenith (h = 90), where the circle degenerates to a point."""
     if not (0.0 < latitude < 90.0):
         raise ValueError(f"latitude must lie in (0, 90), got {latitude!r}")
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
+    if not (0.0 < scale < math.inf):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     if not (0.0 <= altitude <= 90.0):
         raise ValueError(f"altitude must lie in [0, 90], got {altitude!r}")
     if altitude >= 90.0 - 1e-12:
@@ -196,8 +181,8 @@ def azimuth_circle(latitude: float, azimuth: float, scale: float) -> Circle:
     for A = 90 mod 180, where the vertical is the straight meridian."""
     if not (0.0 < latitude < 90.0):
         raise ValueError(f"latitude must lie in (0, 90), got {latitude!r}")
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
+    if not (0.0 < scale < math.inf):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     a = azimuth % 360.0
     if abs(math.cos(math.radians(a))) < 1e-11:
         raise DomainError("azimuth 90/270 is the meridian line, not a circle")
@@ -217,8 +202,9 @@ def _inside_interval(subject: Circle, clip: Circle):
         pts = circle_circle_intersection(subject, clip)
     except CoincidentCircles:
         return _FULL
-    if len(pts) < 2:
-        inside = clip.signed_distance(subject.point_at(0.0)) <= 0.0
+    if len(pts) < 2:  # apart or touching: judge away from the touching point
+        away = subject.angle_of(pts[0]) + math.pi if pts else 0.0
+        inside = clip.signed_distance(subject.point_at(away)) <= 0.0
         return _FULL if inside else None
     a1 = subject.angle_of(pts[0])
     a2 = subject.angle_of(pts[1])
@@ -278,14 +264,17 @@ def night_arc(circle: Circle, horizon: Circle) -> Arc:
     return Arc(circle, circle.angle_of(west), circle.angle_of(east), "cw")
 
 
-def hour_lines(cfg: PlateConfig) -> tuple[HourLine, ...]:
+def hour_lines(cfg: PlateConfig) -> tuple[Element, ...]:
     """The eleven unequal-hour boundaries under the horizon.
 
     Each tropic's night arc is divided into 12 equal parts from the
     western end; boundary k is the circle through the three k-th
     division points, kept as the arc from the Capricorn point to the
-    Cancer point that passes the equator point.  Near-collinear triples
-    (the midnight boundary at k = 6) fall back to a flagged segment.
+    Cancer point that passes the equator point; entry k - 1 is boundary
+    k.  Where the three points are collinear (the midnight boundary at
+    k = 6), or the Capricorn and Cancer points fall on one angle of the
+    circle (tropics nearly coincide), the boundary is the Segment from
+    the Capricorn point to the Cancer point.
     Raises ArcticLatitude when latitude >= 90 - obliquity.
     """
     if cfg.latitude >= 90.0 - cfg.obliquity - 1e-12:
@@ -301,9 +290,9 @@ def hour_lines(cfg: PlateConfig) -> tuple[HourLine, ...]:
     for k in range(1, 12):
         p_cap, p_eq, p_can = (night_points[i][k] for i in range(3))
         try:
-            out.append(HourLine(k, arc_through(p_cap, p_eq, p_can), degenerate=False))
+            out.append(arc_through(p_cap, p_eq, p_can))
         except CollinearPoints:
-            out.append(HourLine(k, Segment(p_cap, p_can), degenerate=True))
+            out.append(Segment(p_cap, p_can))
     return tuple(out)
 
 
@@ -314,8 +303,12 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
     zenith point marker); azimuth verticals cover [0, 180) in config
     steps, the 90-degree member being the meridian segment.  Everything
     is clipped to the Capricorn boundary, azimuth arcs additionally to
-    the above-horizon region.  Hour lines are included unless disabled
-    or the latitude is arctic for the configured obliquity.
+    the above-horizon region, as the component that holds the zenith.
+    No curve drops out: an almucantar's northern crossing and every
+    azimuth circle's zenith lie strictly inside the plate.  Hour lines
+    are left out only when the latitude is arctic for the obliquity.
+    Raises DomainError for an azimuth circle too wide to clip (a fine
+    azimuth grid near MAX_LATITUDE).
     """
     phi, s = cfg.latitude, cfg.scale
     cap, eq, can = tropic_circles(cfg)
@@ -326,35 +319,28 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
     horizon = clip_circle_to_disc(horizon_circle, boundary)
 
     almucantars = []
-    n_alm = int(round(90.0 / cfg.almucantar_step))
-    for k in range(n_alm + 1):
+    for k in range(int(round(90.0 / cfg.almucantar_step)) + 1):
         h = k * cfg.almucantar_step
         if h >= 90.0 - 1e-12:
-            almucantars.append(AltitudeCurve(90.0, zen))
-            continue
-        circ = almucantar_solution(phi, h, s).circle
-        element = clip_circle_to_disc(circ, boundary)
-        if element is not None:
-            almucantars.append(AltitudeCurve(h, element))
+            almucantars.append(zen)
+        else:
+            almucantars.append(clip_circle_to_disc(almucantar_solution(phi, h, s).circle, boundary))
 
     azimuths = []
     n_az = int(round(360.0 / cfg.azimuth_step))
-    values = sorted({(k * cfg.azimuth_step) % 180.0 for k in range(n_az)})
-    for a in values:
+    for a in sorted({(k * cfg.azimuth_step) % 180.0 for k in range(n_az)}):
         if abs(math.cos(math.radians(a))) < 1e-11:
+            north_y = horizon_circle.center.y - horizon_circle.radius
             south_y = min(s / math.tan(math.radians(phi / 2.0)), boundary.radius)
-            azimuths.append(
-                AzimuthCurve(a, Segment(PlanePoint(0.0, horizon_circle.center.y - horizon_circle.radius), PlanePoint(0.0, south_y)))
-            )
+            azimuths.append(Segment(PlanePoint(0.0, north_y), PlanePoint(0.0, south_y)))
             continue
         circ = azimuth_circle(phi, a, s)
-        ref = circ.angle_of(zen)
-        component = _component_at(
-            ref, _inside_interval(circ, horizon_circle), _inside_interval(circ, boundary)
-        )
-        element = _as_element(circ, component)
-        if element is not None:
-            azimuths.append(AzimuthCurve(a, element))
+        inside = _inside_interval(circ, horizon_circle), _inside_interval(circ, boundary)
+        component = _component_at(circ.angle_of(zen), *inside)
+        if component is None:  # a circle some 1e7 plates wide loses its crossings
+            raise DomainError(f"the azimuth {a:g} vertical at latitude {phi!r} is a circle of "
+                              f"radius {circ.radius:.3g} mm, too wide to clip in floating point")
+        azimuths.append(_as_element(circ, component))
 
     try:
         hours = hour_lines(cfg)

@@ -125,8 +125,8 @@ def axis_projection_radius(dec: float, kind: ProjectionKind, scale: float) -> fl
     projecting rays run parallel to the plane.
     """
     _check_dec(dec)
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
+    if not (0.0 < scale < math.inf):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     d = math.radians(dec)
     sind, cosd = math.sin(d), math.cos(d)
     if kind.is_orthographic:
@@ -170,8 +170,8 @@ def project_point(p: SpherePoint, scale: float) -> PlanePoint:
 
 def unproject_point(p: PlanePoint, scale: float) -> SpherePoint:
     """Inverse of project_point, back to declination / hour angle."""
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
+    if not (0.0 < scale < math.inf):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     r = math.hypot(p.x, p.y)
     dec = 90.0 - 2.0 * math.degrees(math.atan(r / scale))
     ha = math.degrees(math.atan2(p.x, p.y)) % 360.0

@@ -180,11 +180,11 @@ def _plate_layers(m: PlateModel) -> list:
         ("limb", lambda pen: [pen.emit(m.boundary)]),
         ("tropics", lambda pen: [pen.emit(c) for c in m.tropics]),
         ("horizon", lambda pen: [pen.emit(m.horizon)]),
-        ("almucantars", lambda pen: [pen.emit(c.element) for c in m.almucantars]),
-        ("azimuths", lambda pen: [pen.emit(c.element) for c in m.azimuths]),
+        ("almucantars", lambda pen: [pen.emit(el) for el in m.almucantars]),
+        ("azimuths", lambda pen: [pen.emit(el) for el in m.azimuths]),
     ]
     if m.hour_lines:
-        layers.append(("hours", lambda pen: [pen.emit(h.element) for h in m.hour_lines]))
+        layers.append(("hours", lambda pen: [pen.emit(el) for el in m.hour_lines]))
     return layers
 
 

@@ -65,8 +65,8 @@ class ReteModel:
 def ecliptic_circle(scale: float, obliquity: float) -> Circle:
     """The ecliptic ring: center (0, scale*tan eps), radius scale/cos eps.
     Obliquity 0 degenerates gracefully to the equator circle."""
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
+    if not (0.0 < scale < math.inf):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     if not (0.0 <= obliquity < 30.0):
         raise ValueError(f"obliquity must lie in [0, 30), got {obliquity!r}")
     e = math.radians(obliquity)

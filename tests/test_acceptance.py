@@ -167,10 +167,10 @@ def test_c04_azimuth_circles_pass_through_zenith_and_nadir():
 def test_c05_hour_arcs_hit_their_division_points():
     cfg = PlateConfig(latitude=40.0, scale=SCALE)
     worst = 0.0
-    for line in hour_lines(cfg):
+    for k, line in enumerate(hour_lines(cfg), start=1):
         for dec in (-cfg.obliquity, 0.0, cfg.obliquity):
-            point = night_division_point(cfg.latitude, dec, line.index, SCALE)
-            worst = max(worst, distance_to_element(line.element, point))
+            point = night_division_point(cfg.latitude, dec, k, SCALE)
+            worst = max(worst, distance_to_element(line, point))
     assert worst < 1e-9
 
     # the twelve equator divisions are equally spaced, so their chords agree

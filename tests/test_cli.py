@@ -248,6 +248,54 @@ def test_plate_below_the_lowest_latitude_is_a_usage_error(capsys, lat):
     assert out == ""
 
 
+def test_plate_above_the_highest_latitude_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "plate", "--lat", "89.9995")
+    assert (code, out) == (1, "")
+    assert err == "error: latitude must be at most 89.999, got 89.9995\n"
+
+
+def test_plate_azimuth_circles_too_wide_to_clip_exit_two(capsys):
+    code, out, err = run_cli(capsys, "plate", "--lat", "89.999", "--azimuth-step", "0.05")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the azimuth 89.95 vertical at latitude 89.999 is a circle")
+
+
+@pytest.mark.parametrize(
+    "argv, almucantars, azimuths",
+    [
+        # the prime vertical touches the boundary at the nadir
+        (("plate", "--lat", "23.44"), 19, 18),
+        # the 25 and 30 degree almucantars touch it at the south point
+        (("plate", "--lat", "40", "--obliquity", "25"), 19, 18),
+        (("plate", "--lat", "50", "--obliquity", "10"), 19, 18),
+    ],
+)
+def test_curves_touching_the_boundary_are_drawn(capsys, argv, almucantars, azimuths):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    groups = {g.get("id"): list(g) for g in ET.fromstring(out) if g.get("id")}
+    assert len(groups["almucantars"]) == almucantars
+    assert len(groups["azimuths"]) == azimuths
+    for path in re.findall(r'<path d="M (\S+ \S+) A .* (\S+ \S+)"/>', out):
+        assert path[0] != path[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plate", "--lat", "40", "--obliquity", "1e-6"),
+        ("full", "--lat", "40", "--obliquity", "1e-6"),
+        ("plate", "--lat", "0.001", "--obliquity", "0.05"),
+        ("plate", "--lat", "40", "--obliquity", "1e-300"),
+    ],
+)
+def test_nearly_coincident_tropics_draw(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    groups = {g.get("id"): list(g) for g in ET.fromstring(out).iter() if g.get("id")}
+    assert len(groups["hours" if argv[0] == "plate" else "plate-hours"]) == 11
+
+
 def test_argparse_problems_exit_one(capsys):
     assert run_cli(capsys, "plate", "--no-such-flag")[0] == 1
     assert run_cli(capsys, "plate", "--lat", "forty")[0] == 1

@@ -158,6 +158,30 @@ def test_quadrant_chord_diagnosis_rotation_invariant():
             assert quadrant_chord_diagnosis(c, rotated, 1e-6) == label
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: alidade_offset_error(math.nan, 0.1),
+        lambda: alidade_offset_error(150.0, math.nan),
+        lambda: alidade_offset_error(math.inf, 0.1),
+        lambda: alidade_rotation_error(math.nan),
+        lambda: arc_displacement_angular(math.nan, 0.1, 0.2),
+        lambda: arc_displacement(math.nan, 0.4),
+        lambda: arc_displacement(0.3, math.inf),
+        lambda: band_spacing(40.0, math.nan, 10.0),
+        lambda: almucantar_solution(40.0, 10.0, math.nan),
+        lambda: astrolabe.tropic_radii(math.nan, 23.44),
+        lambda: stereographic_radius(10.0, math.nan),
+        lambda: astrolabe.axis_projection_radius(10.0, astrolabe.STEREOGRAPHIC, math.inf),
+        lambda: astrolabe.solar_declination(math.nan),
+        lambda: astrolabe.solar_declination(10.0, math.inf),
+    ],
+)
+def test_library_guards_refuse_nan_and_inf(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_perturbation_spec_validation():
     with pytest.raises(ValueError):
         PerturbationSpec(center_sigma=-0.1)

@@ -20,6 +20,7 @@ from astrolabe import (
     fit_circle,
     normalize_angle,
 )
+from astrolabe.geometry import arc_through
 
 
 def bisector_circumcenter(p1, p2, p3):
@@ -177,6 +178,19 @@ def test_circumcircle_degenerate_inputs():
         circumcircle(PlanePoint(1.0, 1.0), PlanePoint(1.0, 1.0), PlanePoint(2.0, 0.0))
     with pytest.raises(ValueError):
         circumcircle(PlanePoint(1.0, 1.0), PlanePoint(1.0, 1.0), PlanePoint(1.0, 1.0))
+
+
+def test_circumcircle_of_collinear_points_too_close_to_square_raises():
+    # the squared spread underflows to zero, so the area test must not pass
+    with pytest.raises(CollinearPoints):
+        circumcircle(PlanePoint(0.0, 0.0), PlanePoint(1e-200, 0.0), PlanePoint(2e-200, 0.0))
+
+
+def test_arc_through_refuses_an_arc_that_starts_where_it_ends():
+    p, q = PlanePoint(1.0, 1.0), PlanePoint(2.0, 0.0)
+    for start, via, end in ((p, q, p), (p, p, p)):
+        with pytest.raises(CollinearPoints):
+            arc_through(start, via, end)
 
 
 def test_fit_circle_recovers_exact_circles():

@@ -6,6 +6,7 @@ closed forms under test.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,17 +25,20 @@ from astrolabe import (
     azimuth_circle,
     build_plate,
     chord_length,
+    circle_circle_intersection,
     clip_circle_to_disc,
     fit_circle,
     hour_lines,
     night_arc,
     project_point,
+    render_svg,
     sample_sphere_circle,
     stereographic_radius,
     tropic_circles,
     tropic_radii,
     zenith_point,
 )
+from astrolabe.plate import MAX_LATITUDE, MIN_LATITUDE
 
 S = 100.0
 
@@ -174,32 +178,31 @@ def test_night_arc_arctic_raises():
 def test_hour_lines_pass_through_division_points():
     cfg = PlateConfig(latitude=40.0, scale=S)
     lines = hour_lines(cfg)
-    assert [hl.index for hl in lines] == list(range(1, 12))
+    assert len(lines) == 11  # lines[k - 1] is boundary k
     decs = (-cfg.obliquity, 0.0, cfg.obliquity)
     division = [night_division_points(cfg.latitude, d, S) for d in decs]
-    for hl in lines:
-        pts = [division[i][hl.index] for i in range(3)]
-        if hl.degenerate:
+    for k, hl in enumerate(lines, start=1):
+        pts = [division[i][k] for i in range(3)]
+        if isinstance(hl, Segment):
             continue
-        circ = hl.element.circle
+        circ = hl.circle
         for p in pts:
             assert abs(circ.signed_distance(p)) < 1e-9
-            assert hl.element.contains_angle(circ.angle_of(p))
+            assert hl.contains_angle(circ.angle_of(p))
         # arc runs from the Capricorn point to the Cancer point
-        assert hl.element.start_point.distance_to(pts[0]) < 1e-9
-        assert hl.element.end_point.distance_to(pts[2]) < 1e-9
+        assert hl.start_point.distance_to(pts[0]) < 1e-9
+        assert hl.end_point.distance_to(pts[2]) < 1e-9
 
 
 def test_hour_line_midnight_degenerates_to_segment():
     lines = hour_lines(PlateConfig(latitude=40.0, scale=S))
-    sixth = lines[5]
-    assert sixth.index == 6
-    assert sixth.degenerate
-    assert isinstance(sixth.element, Segment)
+    assert len(lines) == 11
+    sixth = lines[6 - 1]
+    assert isinstance(sixth, Segment)
     # the midnight boundary lies on the meridian
-    assert abs(sixth.element.a.x) < 1e-9
-    assert abs(sixth.element.b.x) < 1e-9
-    assert not any(hl.degenerate for hl in lines if hl.index != 6)
+    assert abs(sixth.a.x) < 1e-9
+    assert abs(sixth.b.x) < 1e-9
+    assert not any(isinstance(hl, Segment) for k, hl in enumerate(lines, 1) if k != 6)
 
 
 def test_equator_night_divisions_have_equal_chords():
@@ -228,20 +231,24 @@ def test_build_plate_structure():
     cfg = PlateConfig(latitude=40.0, scale=S, almucantar_step=10.0, azimuth_step=10.0)
     model = build_plate(cfg)
     assert model.boundary.radius == pytest.approx(stereographic_radius(-cfg.obliquity, S))
-    # ten almucantar entries at step 10, the last being the zenith marker
-    assert [a.altitude for a in model.almucantars] == pytest.approx(
-        [0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0]
-    )
-    assert isinstance(model.almucantars[-1].element, PlanePoint)
+    # ten almucantar entries at step 10: almucantars[k] lies on the
+    # altitude-10k circle, and the last is the zenith marker
+    assert len(model.almucantars) == 10
+    for k, el in enumerate(model.almucantars[:-1]):
+        circle = el.circle if isinstance(el, Arc) else el
+        assert circle == almucantar_solution(cfg.latitude, 10.0 * k, S).circle
+    assert isinstance(model.almucantars[-1], PlanePoint)
     zen = zenith_point(cfg.latitude, S)
-    assert model.almucantars[-1].element.distance_to(zen) < 1e-12
-    # eighteen azimuth verticals covering [0, 180)
-    assert [a.azimuth for a in model.azimuths] == pytest.approx(
-        [float(v) for v in range(0, 180, 10)]
-    )
-    meridian = next(a for a in model.azimuths if a.azimuth == 90.0)
-    assert isinstance(meridian.element, Segment)
-    assert meridian.element.a.x == 0.0 and meridian.element.b.x == 0.0
+    assert model.almucantars[-1].distance_to(zen) < 1e-12
+    # eighteen azimuth verticals covering [0, 180): azimuths[j] lies on
+    # the azimuth-10j circle, and azimuths[9] is the meridian
+    assert len(model.azimuths) == 18
+    for j, el in enumerate(model.azimuths):
+        if j != 9:
+            assert el.circle == azimuth_circle(cfg.latitude, 10.0 * j, S)
+    meridian = model.azimuths[9]
+    assert isinstance(meridian, Segment)
+    assert meridian.a.x == 0.0 and meridian.b.x == 0.0
     assert len(model.hour_lines) == 11
 
 
@@ -250,9 +257,9 @@ def test_build_plate_azimuth_arcs_end_on_horizon_or_boundary():
     model = build_plate(cfg)
     horizon = almucantar_solution(cfg.latitude, 0.0, S).circle
     for az in model.azimuths:
-        if not isinstance(az.element, Arc):
+        if not isinstance(az, Arc):
             continue
-        for p in (az.element.start_point, az.element.end_point):
+        for p in (az.start_point, az.end_point):
             on_horizon = abs(horizon.signed_distance(p)) < 1e-6
             on_boundary = abs(model.boundary.signed_distance(p)) < 1e-6
             assert on_horizon or on_boundary
@@ -262,8 +269,7 @@ def test_build_plate_elements_stay_inside_boundary():
     cfg = PlateConfig(latitude=30.0, scale=S)
     model = build_plate(cfg)
     tol = 1e-6
-    for alt in model.almucantars:
-        el = alt.element
+    for el in model.almucantars:
         if isinstance(el, PlanePoint):
             assert model.boundary.signed_distance(el) <= tol
         elif isinstance(el, Arc):
@@ -286,6 +292,10 @@ def test_clip_circle_to_disc_cases():
     for p in (arc.start_point, arc.end_point):
         assert abs(disc.signed_distance(p)) < 1e-9
     assert disc.signed_distance(arc.point_at_fraction(0.5)) < 0.0
+    # touching the rim at the subject's angle 0: judged away from the touch
+    assert clip_circle_to_disc(Circle(PlanePoint(-15.0, 0.0), 5.0), disc) is None
+    touching = Circle(PlanePoint(5.0, 0.0), 5.0)
+    assert clip_circle_to_disc(touching, disc) is touching
 
 
 def test_plate_config_validation():
@@ -301,3 +311,68 @@ def test_plate_config_validation():
         PlateConfig(latitude=40.0, scale=S, azimuth_step=11.0)
     with pytest.raises(ValueError):
         PlateConfig(latitude=40.0, scale=S, obliquity=0.0)
+
+
+# obliquities for the tangent families below
+OBLIQUITIES = (1.0, 5.0, 10.0, 12.5, 15.0, 20.0, 23.44, 25.0, 27.5, 29.0)
+
+
+def tangent_plates(step=5.0):
+    """(k, plate) at each latitude 90 - obliquity - k * step, where the
+    altitude-(k * step) almucantar touches the Capricorn boundary at the
+    south point from inside."""
+    for obliquity in OBLIQUITIES:
+        for k in range(1, int(round(90.0 / step))):
+            latitude = 90.0 - obliquity - k * step
+            if latitude >= MIN_LATITUDE:
+                cfg = PlateConfig(latitude, S, obliquity, almucantar_step=step)
+                yield k, build_plate(cfg)
+
+
+def test_an_almucantar_touching_the_boundary_is_a_whole_circle():
+    for k, model in tangent_plates():
+        assert isinstance(model.almucantars[k], Circle)
+    # the configuration that printed a 3e-8 rad sliver, touching at one point
+    cfg = PlateConfig(latitude=40.0, scale=S, obliquity=25.0)
+    circle = almucantar_solution(40.0, 25.0, S).circle
+    assert len(circle_circle_intersection(circle, tropic_circles(cfg)[0])) == 1
+    # 0.5 + 77 = 90 - 12.5: the 77-degree almucantar, once a near-full arc
+    model = build_plate(PlateConfig(0.5, S, 12.5, almucantar_step=1.0))
+    assert model.almucantars[77] == almucantar_solution(0.5, 77.0, S).circle
+
+
+def test_prime_vertical_is_drawn_where_the_nadir_is_on_the_boundary():
+    # at latitude = obliquity the nadir lies on the Tropic of Capricorn
+    for obliquity in OBLIQUITIES:
+        model = build_plate(PlateConfig(obliquity, S, obliquity, azimuth_step=10.0))
+        assert len(model.azimuths) == 18
+        prime = model.azimuths[0]
+        assert prime.circle == azimuth_circle(obliquity, 0.0, S)
+        assert prime.contains_angle(prime.circle.angle_of(zenith_point(obliquity, S)))
+
+
+def test_no_plate_path_starts_where_it_ends():
+    for step in (5.0, 1.0):
+        for _, model in tangent_plates(step):
+            for start, end in re.findall(r'<path d="M (\S+ \S+) A .* (\S+ \S+)"/>',
+                                         render_svg(model)):
+                assert start != end
+
+
+@pytest.mark.parametrize("latitude, obliquity", [(40.0, 1e-6), (0.001, 0.05), (40.0, 1e-300)])
+def test_hour_lines_of_nearly_coincident_tropics(latitude, obliquity):
+    # the Capricorn and Cancer points fall on one angle of a huge
+    # circumcircle, or coincide: the boundary is the straight segment
+    lines = hour_lines(PlateConfig(latitude, S, obliquity))
+    assert len(lines) == 11
+    assert any(isinstance(hl, Segment) for hl in lines)
+    assert all(isinstance(hl, (Arc, Segment)) for hl in lines)
+
+
+def test_plate_latitude_ends_below_the_pole():
+    assert len(build_plate(PlateConfig(MAX_LATITUDE, S, azimuth_step=1.0)).azimuths) == 180
+    with pytest.raises(ValueError, match="at most 89.999"):
+        PlateConfig(latitude=89.9995, scale=S)
+    # a finer grid reaches circles too wide to clip below that latitude
+    with pytest.raises(DomainError, match="azimuth 89.95 vertical"):
+        build_plate(PlateConfig(MAX_LATITUDE, S, azimuth_step=0.05))

@@ -13,17 +13,20 @@ from astrolabe import (
     Arc,
     PlateConfig,
     ProjectionKind,
+    Segment,
     SpherePoint,
     almucantar_solution,
     axis_projection_radius,
+    azimuth_circle,
     band_misassignment,
     build_plate,
     ecliptic_circle,
     project_point,
     tropic_radii,
     unproject_point,
+    zenith_point,
 )
-from astrolabe.plate import MIN_LATITUDE
+from astrolabe.plate import MAX_LATITUDE, MIN_LATITUDE
 from astrolabe.render import _fmt
 from test_projection import ray_plane_radius
 
@@ -68,8 +71,9 @@ def test_ecliptic_tangent_to_both_tropics(obliquity, scale):
     assert c.center.y - c.radius == pytest.approx(-r_can, rel=1e-12)
 
 
-# every latitude a PlateConfig accepts
+# every latitude below the pole, and every latitude a PlateConfig accepts
 LATITUDES = st.floats(MIN_LATITUDE, 90.0, exclude_max=True)
+PLATE_LATITUDES = st.floats(MIN_LATITUDE, MAX_LATITUDE)
 
 
 @REPRODUCIBLE
@@ -94,22 +98,62 @@ def test_altitude_points_lie_on_closed_form_almucantar(latitude, altitude, azimu
     assert distance == pytest.approx(circle.radius, rel=1e-9)
 
 
+ALMUCANTAR_STEPS = st.sampled_from((1.0, 2.0, 3.0, 5.0, 6.0, 10.0, 15.0, 30.0))
+AZIMUTH_STEPS = st.sampled_from((1.0, 5.0, 10.0, 15.0, 30.0, 45.0, 90.0))
+
+
 @REPRODUCIBLE
-@given(
-    latitude=LATITUDES,
-    almucantar_step=st.sampled_from((1.0, 2.0, 3.0, 5.0, 6.0, 10.0, 15.0, 30.0)),
-    azimuth_step=st.sampled_from((1.0, 5.0, 10.0, 15.0, 30.0, 45.0, 90.0)),
-)
+@given(latitude=PLATE_LATITUDES, almucantar_step=ALMUCANTAR_STEPS, azimuth_step=AZIMUTH_STEPS)
 def test_plate_arc_endpoints_lie_on_their_circle(latitude, almucantar_step, azimuth_step):
     model = build_plate(PlateConfig(latitude, S, almucantar_step=almucantar_step,
                                     azimuth_step=azimuth_step))
-    elements = [model.horizon, *(c.element for c in model.almucantars),
-                *(c.element for c in model.azimuths), *(h.element for h in model.hour_lines)]
+    elements = [model.horizon, *model.almucantars, *model.azimuths, *model.hour_lines]
     for arc in (el for el in elements if isinstance(el, Arc)):
         c = arc.circle
         for p in (arc.start_point, arc.end_point):
             assert math.hypot(p.x - c.center.x, p.y - c.center.y) == pytest.approx(
                 c.radius, rel=1e-9)
+
+
+@REPRODUCIBLE
+@given(
+    latitude=PLATE_LATITUDES,
+    obliquity=st.floats(0.0, 30.0, exclude_min=True, exclude_max=True),
+    almucantar_step=ALMUCANTAR_STEPS,
+    azimuth_step=AZIMUTH_STEPS,
+)
+def test_plate_has_one_element_per_grid_value(latitude, obliquity, almucantar_step,
+                                              azimuth_step):
+    model = build_plate(PlateConfig(latitude, S, obliquity, almucantar_step, azimuth_step))
+    zenith = zenith_point(latitude, S)
+    # almucantars[k] is altitude k * step; the last is the zenith point
+    assert len(model.almucantars) == round(90.0 / almucantar_step) + 1
+    assert model.almucantars[-1] == zenith
+    for k, el in enumerate(model.almucantars[:-1]):
+        circle = el.circle if isinstance(el, Arc) else el
+        assert circle == almucantar_solution(latitude, k * almucantar_step, S).circle
+    # azimuths[j] is the j-th value of sorted({k * step mod 180}), drawn
+    # as the part of its circle that holds the zenith
+    n = round(360.0 / azimuth_step)
+    values = sorted({(k * azimuth_step) % 180.0 for k in range(n)})
+    assert len(model.azimuths) == len(values)
+    for a, el in zip(values, model.azimuths):
+        if a == 90.0:
+            assert isinstance(el, Segment)
+            continue
+        assert isinstance(el, Arc)
+        assert el.circle == azimuth_circle(latitude, a, S)
+        assert el.contains_angle(el.circle.angle_of(zenith))
+    # eleven hour lines, none at arctic latitudes; within the tangency
+    # window below the limit, the Cancer night arc is a touch and may
+    # count as none
+    limit = 90.0 - obliquity
+    if latitude >= limit:
+        assert model.hour_lines == ()
+    elif latitude < limit - 1e-6:
+        assert len(model.hour_lines) == 11
+    else:
+        assert len(model.hour_lines) in (0, 11)
 
 
 def _fmt_by_round_trip(value, precision):
