@@ -355,7 +355,7 @@ def _read_sunset_hours(cfg, pert, sun_dec, altitude, grid, cx, cy, r, draws):
                   + x0 * wx + y0 * wy + gap * (w + cr) / 2.0)
         # a collinear triple (the midnight boundary) is the line through
         # its Capricorn and Cancer points
-        line = np.abs(area2) / 2.0 < COLLINEAR_AREA_REL * dmax * dmax
+        line = np.abs(area2) / 2.0 <= COLLINEAR_AREA_REL * dmax * dmax
         chord = (ey, -ex, ey * px[:, 0] - ex * py[:, 0])
         x1, y1, x2, y2 = _line_meets_circle(
             *(np.where(line, u, v) for u, v in zip(chord, circle)), r_opp)

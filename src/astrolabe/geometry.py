@@ -272,8 +272,7 @@ def circle_circle_intersection(a: Circle, b: Circle) -> tuple[PlanePoint, ...]:
     tol = COINCIDENT_REL * scale
     if d <= tol and abs(a.radius - b.radius) <= tol:
         raise CoincidentCircles("circles coincide within tolerance")
-    outer = d - (a.radius + b.radius)
-    inner = abs(a.radius - b.radius) - d
+    outer, inner = d - (a.radius + b.radius), abs(a.radius - b.radius) - d
     if outer > tol or inner > tol:
         return ()
     ex, ey = dx / d, dy / d
@@ -282,7 +281,7 @@ def circle_circle_intersection(a: Circle, b: Circle) -> tuple[PlanePoint, ...]:
     py = a.center.y + along * ey
     # tangency is judged on the center distance, not on the half chord h:
     # h is a square root, so rounding of 1e-15 r*r in h*h is 3e-8 r in h
-    if abs(outer) <= tol or abs(inner) <= tol:
+    if outer >= -tol or inner >= -tol:  # both are at most tol here
         return (PlanePoint(px, py),)
     h2 = a.radius * a.radius - along * along
     h = math.sqrt(h2) if h2 > 0.0 else 0.0

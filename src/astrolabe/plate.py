@@ -30,6 +30,7 @@ from typing import Union
 
 from .exceptions import ArcticLatitude, DomainError
 from .geometry import (
+    COINCIDENT_REL,
     TAU,
     Arc,
     Circle,
@@ -45,10 +46,12 @@ from .projection import OBLIQUITY, stereographic_radius
 
 _FULL = "full"
 
-# plate latitudes (degrees): below about 3e-6 the horizon cannot be drawn, and
-# above about 90 - 6e-5 a one-degree azimuth grid has circles too wide to clip
+# lowest plate latitude (degrees); below about 3e-6 the horizon cannot be drawn
 MIN_LATITUDE = 0.001
-MAX_LATITUDE = 89.999
+
+# a vertical whose circle is over this many boundary radii wide is drawn as its tangent at
+# the zenith: it leaves the circle by under 5e-6 radii, about what rounding moves so wide a clip
+STRAIGHT_REL = 1e5
 
 Element = Union[Circle, Arc, Segment, PlanePoint]
 
@@ -76,8 +79,6 @@ class PlateConfig:
             raise ValueError(
                 f"latitude must lie in [{MIN_LATITUDE}, 90), got {self.latitude!r}"
             )
-        if self.latitude > MAX_LATITUDE:
-            raise ValueError(f"latitude must be at most {MAX_LATITUDE}, got {self.latitude!r}")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be positive, got {self.scale!r}")
         if not (0.0 < self.obliquity < 30.0):
@@ -115,7 +116,8 @@ class PlateModel:
       (altitude 90) is the zenith point;
     - `azimuths[j]` is the j-th value A of sorted({k * azimuth_step mod
       180}), measured from the prime vertical (each also covers its
-      A + 180 pair); the 90-degree entry, if any, is the meridian Segment;
+      A + 180 pair); the 90-degree entry, if any, is the meridian Segment,
+      and so is a vertical straight to rounding near the pole;
     - `hour_lines[k - 1]` is unequal-hour boundary k (1..11): an Arc, or
       a Segment where its three points are collinear (midnight); empty
       at arctic latitudes (latitude >= 90 - obliquity).
@@ -206,13 +208,10 @@ def _inside_interval(subject: Circle, clip: Circle):
         away = subject.angle_of(pts[0]) + math.pi if pts else 0.0
         inside = clip.signed_distance(subject.point_at(away)) <= 0.0
         return _FULL if inside else None
-    a1 = subject.angle_of(pts[0])
-    a2 = subject.angle_of(pts[1])
+    a1, a2 = subject.angle_of(pts[0]), subject.angle_of(pts[1])
     ext = (a2 - a1) % TAU
     mid = subject.point_at(a1 + ext / 2.0)
-    if clip.signed_distance(mid) <= 0.0:
-        return (a1, ext)
-    return (a2, (a1 - a2) % TAU)
+    return (a1, ext) if clip.signed_distance(mid) <= 0.0 else (a2, (a1 - a2) % TAU)
 
 
 def _component_at(ref: float, *intervals):
@@ -250,15 +249,36 @@ def clip_circle_to_disc(subject: Circle, disc: Circle):
     return _as_element(subject, _inside_interval(subject, disc))
 
 
+def _line_in_discs(point: PlanePoint, theta: float, *discs: Circle) -> Segment:
+    """The part of the line at angle theta (rad) through `point` inside the discs, which hold
+    `point`."""
+    ux, uy = math.cos(theta), math.sin(theta)
+    lo, hi = -math.inf, math.inf
+    for disc in discs:
+        wx, wy = point.x - disc.center.x, point.y - disc.center.y
+        b = wx * ux + wy * uy
+        half = math.sqrt(b * b - (wx * wx + wy * wy - disc.radius * disc.radius))
+        lo, hi = max(lo, -b - half), min(hi, -b + half)
+    return Segment(PlanePoint(point.x + lo * ux, point.y + lo * uy),
+                   PlanePoint(point.x + hi * ux, point.y + hi * uy))
+
+
 def night_arc(circle: Circle, horizon: Circle) -> Arc:
     """Below-horizon arc of a pole-centered circle, from its western
-    (setting) horizon crossing clockwise to the eastern one."""
+    (setting) horizon crossing clockwise to the eastern one.  A touch in
+    circle_circle_intersection's tangency window may be a short real
+    chord, kept at the touching point's height (the horizon is centered
+    on the meridian).  Raises ArcticLatitude for no chord, or one under
+    COINCIDENT_REL of the radius."""
     pts = circle_circle_intersection(circle, horizon)
+    if len(pts) == 1:
+        y = pts[0].y
+        half = math.sqrt(max(circle.radius * circle.radius - y * y, 0.0))
+        if half > COINCIDENT_REL * circle.radius:
+            pts = (PlanePoint(half, y), PlanePoint(-half, y))
     if len(pts) < 2:
-        raise ArcticLatitude(
-            "a tropic never crosses the horizon at this latitude; "
-            "hour lines are undefined"
-        )
+        raise ArcticLatitude("a tropic does not cross the horizon at this latitude; "
+                             "hour lines are undefined")
     west = max(pts, key=lambda p: p.x)
     east = min(pts, key=lambda p: p.x)
     return Arc(circle, circle.angle_of(west), circle.angle_of(east), "cw")
@@ -275,17 +295,13 @@ def hour_lines(cfg: PlateConfig) -> tuple[Element, ...]:
     k = 6), or the Capricorn and Cancer points fall on one angle of the
     circle (tropics nearly coincide), the boundary is the Segment from
     the Capricorn point to the Cancer point.
-    Raises ArcticLatitude when latitude >= 90 - obliquity.
+    Raises ArcticLatitude from 1e-12 degree below 90 - obliquity.
     """
     if cfg.latitude >= 90.0 - cfg.obliquity - 1e-12:
-        raise ArcticLatitude(
-            f"latitude {cfg.latitude} >= {90.0 - cfg.obliquity}: the Tropic of "
-            "Cancer never sets; hour lines are undefined"
-        )
+        raise ArcticLatitude(f"latitude {cfg.latitude} >= {90.0 - cfg.obliquity}: the Tropic "
+                             "of Cancer never sets; hour lines are undefined")
     horizon = almucantar_solution(cfg.latitude, 0.0, cfg.scale).circle
-    night_points = [
-        divide_arc_equal(night_arc(c, horizon), 12) for c in tropic_circles(cfg)
-    ]
+    night_points = [divide_arc_equal(night_arc(c, horizon), 12) for c in tropic_circles(cfg)]
     out = []
     for k in range(1, 12):
         p_cap, p_eq, p_can = (night_points[i][k] for i in range(3))
@@ -305,26 +321,21 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
     is clipped to the Capricorn boundary, azimuth arcs additionally to
     the above-horizon region, as the component that holds the zenith.
     No curve drops out: an almucantar's northern crossing and every
-    azimuth circle's zenith lie strictly inside the plate.  Hour lines
-    are left out only when the latitude is arctic for the obliquity.
-    Raises DomainError for an azimuth circle too wide to clip (a fine
-    azimuth grid near MAX_LATITUDE).
+    azimuth circle's zenith lie strictly inside the plate.  A vertical
+    whose circle is over STRAIGHT_REL boundary radii wide (near the
+    pole) is the Segment of its tangent at the zenith.  Hour lines are
+    left out only when the latitude is arctic for the obliquity.
     """
     phi, s = cfg.latitude, cfg.scale
-    cap, eq, can = tropic_circles(cfg)
-    boundary = cap
+    boundary, eq, can = tropic_circles(cfg)
     zen = zenith_point(phi, s)
 
     horizon_circle = almucantar_solution(phi, 0.0, s).circle
     horizon = clip_circle_to_disc(horizon_circle, boundary)
 
-    almucantars = []
-    for k in range(int(round(90.0 / cfg.almucantar_step)) + 1):
-        h = k * cfg.almucantar_step
-        if h >= 90.0 - 1e-12:
-            almucantars.append(zen)
-        else:
-            almucantars.append(clip_circle_to_disc(almucantar_solution(phi, h, s).circle, boundary))
+    step = cfg.almucantar_step
+    almucantars = [clip_circle_to_disc(almucantar_solution(phi, k * step, s).circle, boundary)
+                   for k in range(int(round(90.0 / step)))] + [zen]
 
     azimuths = []
     n_az = int(round(360.0 / cfg.azimuth_step))
@@ -335,24 +346,16 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
             azimuths.append(Segment(PlanePoint(0.0, north_y), PlanePoint(0.0, south_y)))
             continue
         circ = azimuth_circle(phi, a, s)
+        if circ.radius > STRAIGHT_REL * boundary.radius:
+            azimuths.append(_line_in_discs(zen, math.radians(a), horizon_circle, boundary))
+            continue
         inside = _inside_interval(circ, horizon_circle), _inside_interval(circ, boundary)
-        component = _component_at(circ.angle_of(zen), *inside)
-        if component is None:  # a circle some 1e7 plates wide loses its crossings
-            raise DomainError(f"the azimuth {a:g} vertical at latitude {phi!r} is a circle of "
-                              f"radius {circ.radius:.3g} mm, too wide to clip in floating point")
-        azimuths.append(_as_element(circ, component))
+        azimuths.append(_as_element(circ, _component_at(circ.angle_of(zen), *inside)))
 
     try:
         hours = hour_lines(cfg)
     except ArcticLatitude:
         hours = ()
 
-    return PlateModel(
-        config=cfg,
-        boundary=boundary,
-        tropics=(cap, eq, can),
-        horizon=horizon,
-        almucantars=tuple(almucantars),
-        azimuths=tuple(azimuths),
-        hour_lines=hours,
-    )
+    return PlateModel(config=cfg, boundary=boundary, tropics=(boundary, eq, can), horizon=horizon,
+                      almucantars=tuple(almucantars), azimuths=tuple(azimuths), hour_lines=hours)

@@ -248,16 +248,18 @@ def test_plate_below_the_lowest_latitude_is_a_usage_error(capsys, lat):
     assert out == ""
 
 
-def test_plate_above_the_highest_latitude_is_a_usage_error(capsys):
-    code, out, err = run_cli(capsys, "plate", "--lat", "89.9995")
-    assert (code, out) == (1, "")
-    assert err == "error: latitude must be at most 89.999, got 89.9995\n"
-
-
-def test_plate_azimuth_circles_too_wide_to_clip_exit_two(capsys):
-    code, out, err = run_cli(capsys, "plate", "--lat", "89.999", "--azimuth-step", "0.05")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: the azimuth 89.95 vertical at latitude 89.999 is a circle")
+@pytest.mark.parametrize(
+    "argv, azimuths",
+    [
+        (("plate", "--lat", "89.9995"), 18),
+        (("plate", "--lat", "89.99999999999999", "--azimuth-step", "1"), 180),
+    ],
+)
+def test_plates_near_the_pole_draw_every_vertical(capsys, argv, azimuths):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    groups = {g.get("id"): list(g) for g in ET.fromstring(out) if g.get("id")}
+    assert len(groups["azimuths"]) == azimuths
 
 
 @pytest.mark.parametrize(

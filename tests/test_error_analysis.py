@@ -418,7 +418,13 @@ def test_batched_sunset_matches_scalar_replay():
     samples to 1e-9, and aborts the same runs with the same message.  A
     radius <= 0, which the replay's Circle rejects with ValueError, is an
     infeasible scene to the readout."""
-    scenes = [*sunset_scenes(np.random.default_rng(2026), 50), *NEGATIVE_RADIUS_SCENES]
+    # tropics 1e-6 degree apart leave each boundary's three graduation
+    # points nearly collinear, where the readout's line test must agree
+    # with circumcircle's
+    nearly_collinear = (PlateConfig(latitude=40.0, scale=100.0, obliquity=1e-6),
+                        PerturbationSpec(0.3, 0.3, 0.0, seed=3), 0.0, 40.0)
+    scenes = [*sunset_scenes(np.random.default_rng(2026), 50), *NEGATIVE_RADIUS_SCENES,
+              nearly_collinear]
     kept, aborted = 0, []
     for cfg, pert, dec, hour in scenes:
         want = outcome(lambda: replayed_sunset_samples(cfg, pert, dec, hour, 25))

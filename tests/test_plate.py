@@ -38,7 +38,7 @@ from astrolabe import (
     tropic_radii,
     zenith_point,
 )
-from astrolabe.plate import MAX_LATITUDE, MIN_LATITUDE
+from astrolabe.plate import MIN_LATITUDE, STRAIGHT_REL
 
 S = 100.0
 
@@ -369,10 +369,39 @@ def test_hour_lines_of_nearly_coincident_tropics(latitude, obliquity):
     assert all(isinstance(hl, (Arc, Segment)) for hl in lines)
 
 
-def test_plate_latitude_ends_below_the_pole():
-    assert len(build_plate(PlateConfig(MAX_LATITUDE, S, azimuth_step=1.0)).azimuths) == 180
-    with pytest.raises(ValueError, match="at most 89.999"):
-        PlateConfig(latitude=89.9995, scale=S)
-    # a finer grid reaches circles too wide to clip below that latitude
-    with pytest.raises(DomainError, match="azimuth 89.95 vertical"):
-        build_plate(PlateConfig(MAX_LATITUDE, S, azimuth_step=0.05))
+def test_verticals_near_the_pole_are_straight_through_the_zenith():
+    # an azimuth circle's radius grows as 1 / (cos(latitude) cos(A)); over
+    # STRAIGHT_REL boundary radii the vertical is its tangent at the zenith
+    for latitude, straight in ((89.99, {88, 89, 90, 91, 92}),
+                               (math.nextafter(90.0, 0.0), set(range(180)))):
+        model = build_plate(PlateConfig(latitude, S, azimuth_step=1.0))
+        assert len(model.azimuths) == 180
+        assert {a for a, el in enumerate(model.azimuths) if isinstance(el, Segment)} == straight
+        horizon = almucantar_solution(latitude, 0.0, S).circle
+        zen = zenith_point(latitude, S)
+        for a in straight - {90}:
+            el = model.azimuths[a]
+            assert azimuth_circle(latitude, a, S).radius > STRAIGHT_REL * model.boundary.radius
+            ux, uy = math.cos(math.radians(a)), math.sin(math.radians(a))
+            for p in (el.a, el.b):
+                # on the clip circles, along the vertical's direction at the zenith
+                assert min(abs(horizon.signed_distance(p)),
+                           abs(model.boundary.signed_distance(p))) < 1e-9
+                assert abs(ux * (p.y - zen.y) - uy * (p.x - zen.x)) < 1e-9
+                if latitude == 89.99:  # within 5e-6 of the radius of the true circle
+                    circle = azimuth_circle(latitude, a, S)
+                    assert abs(circle.signed_distance(p)) < 5e-6 * model.boundary.radius
+
+
+def test_night_arc_keeps_a_chord_inside_the_tangency_window():
+    # 1e-9 degree below the arctic limit the Tropic of Cancer crosses the
+    # horizon in a chord some 1e-3 mm long, inside the tangency window
+    cfg = PlateConfig(latitude=90.0 - 23.44 - 1e-9, scale=S)
+    horizon = almucantar_solution(cfg.latitude, 0.0, S).circle
+    cancer = tropic_circles(cfg)[2]
+    assert len(circle_circle_intersection(cancer, horizon)) == 1
+    arc = night_arc(cancer, horizon)
+    assert 0.0 > arc.sweep > -1e-4
+    for p in (arc.start_point, arc.end_point):
+        assert abs(horizon.signed_distance(p)) < 1e-9
+    assert len(hour_lines(cfg)) == 11

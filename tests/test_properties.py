@@ -6,7 +6,7 @@ writes nothing to disk."""
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from astrolabe import (
@@ -26,7 +26,7 @@ from astrolabe import (
     unproject_point,
     zenith_point,
 )
-from astrolabe.plate import MAX_LATITUDE, MIN_LATITUDE
+from astrolabe.plate import MIN_LATITUDE, STRAIGHT_REL
 from astrolabe.render import _fmt
 from test_projection import ray_plane_radius
 
@@ -71,9 +71,8 @@ def test_ecliptic_tangent_to_both_tropics(obliquity, scale):
     assert c.center.y - c.radius == pytest.approx(-r_can, rel=1e-12)
 
 
-# every latitude below the pole, and every latitude a PlateConfig accepts
+# every latitude a PlateConfig accepts
 LATITUDES = st.floats(MIN_LATITUDE, 90.0, exclude_max=True)
-PLATE_LATITUDES = st.floats(MIN_LATITUDE, MAX_LATITUDE)
 
 
 @REPRODUCIBLE
@@ -103,7 +102,7 @@ AZIMUTH_STEPS = st.sampled_from((1.0, 5.0, 10.0, 15.0, 30.0, 45.0, 90.0))
 
 
 @REPRODUCIBLE
-@given(latitude=PLATE_LATITUDES, almucantar_step=ALMUCANTAR_STEPS, azimuth_step=AZIMUTH_STEPS)
+@given(latitude=LATITUDES, almucantar_step=ALMUCANTAR_STEPS, azimuth_step=AZIMUTH_STEPS)
 def test_plate_arc_endpoints_lie_on_their_circle(latitude, almucantar_step, azimuth_step):
     model = build_plate(PlateConfig(latitude, S, almucantar_step=almucantar_step,
                                     azimuth_step=azimuth_step))
@@ -117,11 +116,17 @@ def test_plate_arc_endpoints_lie_on_their_circle(latitude, almucantar_step, azim
 
 @REPRODUCIBLE
 @given(
-    latitude=PLATE_LATITUDES,
+    latitude=LATITUDES,
     obliquity=st.floats(0.0, 30.0, exclude_min=True, exclude_max=True),
     almucantar_step=ALMUCANTAR_STEPS,
     azimuth_step=AZIMUTH_STEPS,
 )
+# near the pole, where verticals turn straight, and 1e-9 degree below the
+# arctic limit, where the tropics touch the horizon within tolerance
+@example(latitude=89.99, obliquity=23.44, almucantar_step=1.0, azimuth_step=1.0)
+@example(latitude=math.nextafter(90.0, 0.0), obliquity=23.44, almucantar_step=1.0,
+         azimuth_step=1.0)
+@example(latitude=90.0 - 23.44 - 1e-9, obliquity=23.44, almucantar_step=5.0, azimuth_step=10.0)
 def test_plate_has_one_element_per_grid_value(latitude, obliquity, almucantar_step,
                                               azimuth_step):
     model = build_plate(PlateConfig(latitude, S, obliquity, almucantar_step, azimuth_step))
@@ -133,27 +138,29 @@ def test_plate_has_one_element_per_grid_value(latitude, obliquity, almucantar_st
         circle = el.circle if isinstance(el, Arc) else el
         assert circle == almucantar_solution(latitude, k * almucantar_step, S).circle
     # azimuths[j] is the j-th value of sorted({k * step mod 180}), drawn
-    # as the part of its circle that holds the zenith
+    # as the part of its circle that holds the zenith; the meridian, and
+    # near the pole a circle over STRAIGHT_REL boundary radii wide, is a
+    # Segment through the zenith
     n = round(360.0 / azimuth_step)
     values = sorted({(k * azimuth_step) % 180.0 for k in range(n)})
     assert len(model.azimuths) == len(values)
     for a, el in zip(values, model.azimuths):
-        if a == 90.0:
-            assert isinstance(el, Segment)
+        if isinstance(el, Segment):
+            assert a == 90.0 or (azimuth_circle(latitude, a, S).radius
+                                 > STRAIGHT_REL * model.boundary.radius)
+            ux, uy = el.b.x - el.a.x, el.b.y - el.a.y
+            across = ux * (zenith.y - el.a.y) - uy * (zenith.x - el.a.x)
+            assert abs(across) <= 1e-12 * el.length() * S
             continue
         assert isinstance(el, Arc)
         assert el.circle == azimuth_circle(latitude, a, S)
         assert el.contains_angle(el.circle.angle_of(zenith))
-    # eleven hour lines, none at arctic latitudes; within the tangency
-    # window below the limit, the Cancer night arc is a touch and may
-    # count as none
-    limit = 90.0 - obliquity
-    if latitude >= limit:
+    # eleven hour lines, none at arctic latitudes: from 1e-12 degree below
+    # 90 - obliquity, where the Tropic of Cancer no longer sets
+    if latitude >= 90.0 - obliquity - 1e-12:
         assert model.hour_lines == ()
-    elif latitude < limit - 1e-6:
-        assert len(model.hour_lines) == 11
     else:
-        assert len(model.hour_lines) in (0, 11)
+        assert len(model.hour_lines) == 11
 
 
 def _fmt_by_round_trip(value, precision):
