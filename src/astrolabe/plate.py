@@ -114,10 +114,12 @@ class PlateModel:
 
     - `almucantars[k]` is altitude k * almucantar_step; the last entry
       (altitude 90) is the zenith point;
-    - `azimuths[j]` is the j-th value A of sorted({k * azimuth_step mod
-      180}), measured from the prime vertical (each also covers its
-      A + 180 pair); the 90-degree entry, if any, is the meridian Segment,
-      and so is a vertical straight to rounding near the pole;
+    - `azimuths[j]` is vertical j of the m distinct ones (m = n/2 for an
+      even count n = 360 / azimuth_step, n for an odd one), at the first
+      multiple A = k * azimuth_step mod 180 within rounding of j * 180 / m,
+      measured from the prime vertical (each also covers its A + 180
+      pair); the 90-degree entry, if any, is the meridian Segment, and so
+      is a vertical straight to rounding near the pole;
     - `hour_lines[k - 1]` is unequal-hour boundary k (1..11): an Arc, or
       a Segment where its three points are collinear (midnight); empty
       at arctic latitudes (latitude >= 90 - obliquity).
@@ -337,9 +339,17 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
     almucantars = [clip_circle_to_disc(almucantar_solution(phi, k * step, s).circle, boundary)
                    for k in range(int(round(90.0 / step)))] + [zen]
 
-    azimuths = []
+    # vertical j = round(A m / 180) mod m takes the first multiple
+    # A = k * step mod 180 that reaches it: with n steps per turn, m = n/2
+    # if n is even (A and A + 180 pair up), else m = n
     n_az = int(round(360.0 / cfg.azimuth_step))
-    for a in sorted({(k * cfg.azimuth_step) % 180.0 for k in range(n_az)}):
+    m_az = n_az // 2 if n_az % 2 == 0 else n_az
+    first = {}
+    for k in range(n_az):
+        a = (k * cfg.azimuth_step) % 180.0
+        first.setdefault(round(a * m_az / 180.0) % m_az, a)
+    azimuths = []
+    for _, a in sorted(first.items()):
         if abs(math.cos(math.radians(a))) < 1e-11:
             north_y = horizon_circle.center.y - horizon_circle.radius
             south_y = min(s / math.tan(math.radians(phi / 2.0)), boundary.radius)

@@ -5,21 +5,27 @@ with a stable id, elements in construction order, and every coordinate
 rounded to a fixed number of decimals (so the same model and style
 always produce byte-identical documents).
 
-Each layer is an id and a function that writes its elements, with one
-pen per call: the model's own circles, arcs, segments and star markers,
-and the fixed scales (limb ticks, sine quadrant, shadow square, the
-zodiac's long and short ticks, labels) straight from the boundary radius
-or the degree index.  Model coordinates are mathematical (y up); the pen
-negates y, and x too under `mirror_ew`, as it formats each coordinate,
-and inverts an arc's sweep flag when sx*sy < 0.  Rounding is symmetric
-in sign, so a `mirror_ew` document is the exact x-negation of the plain
-one (zero stays unsigned), except that a label anchored at its start or
-end swaps the two, so that it still runs away from its marker.
+Each layer is an id and a function that returns its rows of text: the
+model's own circles, arcs, segments and star markers, and the fixed
+scales (limb ticks, sine quadrant, shadow square, the zodiac's long and
+short ticks, labels) straight from the boundary radius or the degree
+index.  One pen per document holds a printf-style row template for each
+element kind (`<line>`, `<circle>`, arc `<path>`, a label's x and y),
+built once from the precision with the indent and newline in it; a run
+of lines is one `%` format over the repeated line template, and a model
+element is one row.  Model coordinates are mathematical (y up); the pen negates y, and x
+too under `mirror_ew`, and inverts an arc's sweep flag when sx*sy < 0.
+One rule prints a number that rounds to zero unsigned: the regex
+`_NEGATIVE_ZERO`, run on formatted numbers only (never on label text).
+Rounding is symmetric in sign, so a `mirror_ew` document is the exact
+x-negation of the plain one, except that a label anchored at its start
+or end swaps the two, so that it still runs away from its marker.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -80,38 +86,21 @@ class RenderStyle:
             object.__setattr__(self, "include_layers", frozenset(self.include_layers))
 
 
+# a "-" before a number that rounds to zero at the printed precision
+_NEGATIVE_ZERO = re.compile(r"-(?=0\.0+(?![0-9]))")
+
+
+def _unsigned_zero(numbers: str) -> str:
+    """Formatted numbers with each one that rounds to zero unsigned."""
+    return _NEGATIVE_ZERO.sub("", numbers) if "-0." in numbers else numbers
+
+
 def _fmt(value: float, precision: int) -> str:
-    s = f"{value:.{precision}f}"
-    if s[0] == "-" and not s.strip("-0."):  # rounds to zero: print it unsigned
-        return s[1:]
-    return s
+    return _unsigned_zero(f"{value:.{precision}f}")
 
 
-# ---- element emission --------------------------------------------------
-
-
-def _arc_path(arc: Arc, precision: int, sx: float, sy: float) -> str:
-    p0 = arc.start_point
-    p1 = arc.end_point
-    sweep_deg = abs(math.degrees(arc.sweep))
-    large = 1 if sweep_deg > 180.0 + 1e-12 else 0
-    flag = 1 if arc.orientation == "ccw" else 0
-    if sx * sy < 0:  # a reflection in one axis reverses the sense of rotation
-        flag = 1 - flag
-    r = _fmt(arc.circle.radius, precision)
-    return (
-        f"M {_fmt(sx * p0.x, precision)} {_fmt(sy * p0.y, precision)} "
-        f"A {r} {r} 0 {large} {flag} "
-        f"{_fmt(sx * p1.x, precision)} {_fmt(sy * p1.y, precision)}"
-    )
-
-
-def arc_to_path(arc: Arc, precision: int = 4) -> str:
-    """SVG path fragment for an arc: M to the start point, one elliptical
-    arc command to the end point.  The sweep flag follows the arc's
-    orientation in coordinate algebra (ccw = positive-angle = 1); the
-    large-arc flag is set only for sweeps beyond a semicircle."""
-    return _arc_path(arc, precision, 1.0, 1.0)
+# sine and cosine of each whole-degree plate angle
+_WHOLE_DEGREES = tuple((math.sin(math.radians(a)), math.cos(math.radians(a))) for a in range(360))
 
 
 def _polar(radius: float, angle_deg: float) -> tuple[float, float]:
@@ -119,96 +108,119 @@ def _polar(radius: float, angle_deg: float) -> tuple[float, float]:
     return radius * math.sin(a), radius * math.cos(a)
 
 
+# ---- element emission --------------------------------------------------
+
+
 class _Pen:
-    """Writes SVG elements from plain model coordinates (y up): each x
-    and y is multiplied by its sign factor and rounded as it is written."""
+    """Writes indented SVG element rows from plain model coordinates
+    (y up): each x and y is multiplied by its sign factor and formatted
+    through the pen's row templates."""
 
     def __init__(self, precision: int, sx: float, sy: float):
-        self.p, self.sx, self.sy = precision, sx, sy
+        self.sx, self.sy = sx, sy
+        f = f"%.{precision}f"
+        self.line_row = f'  <line x1="{f}" y1="{f}" x2="{f}" y2="{f}"/>\n'
+        self.circle_row = f'  <circle cx="{f}" cy="{f}" r="{f}"%s/>\n'
+        self.arc_row = f'  <path d="M {f} {f} A {f} {f} 0 %d %d {f} {f}"/>\n'
+        self.xy = f'x="{f}" y="{f}"'
         # a mirrored label runs the other way from its anchor point
         self.anchors = {"start": "end", "end": "start"} if sx < 0 else {}
 
-    def line(self, x1: float, y1: float, x2: float, y2: float) -> str:
-        p, sx, sy = self.p, self.sx, self.sy
-        return (
-            f'<line x1="{_fmt(sx * x1, p)}" y1="{_fmt(sy * y1, p)}" '
-            f'x2="{_fmt(sx * x2, p)}" y2="{_fmt(sy * y2, p)}"/>'
-        )
+    def lines(self, rows) -> str:
+        """One <line> row per (x1, y1, x2, y2), in one format call."""
+        sx, sy = self.sx, self.sy
+        return self._line_rows([v for x1, y1, x2, y2 in rows
+                                for v in (sx * x1, sy * y1, sx * x2, sy * y2)])
 
-    def circle(self, cx: float, cy: float, r: float, tail: str = "") -> str:
-        p = self.p
-        return (
-            f'<circle cx="{_fmt(self.sx * cx, p)}" '
-            f'cy="{_fmt(self.sy * cy, p)}" r="{_fmt(r, p)}"{tail}/>'
-        )
+    def ticks(self, rays) -> str:
+        """Radial lines, one per (sin, cos, r_out, r_in) of a plate angle."""
+        sx, sy = self.sx, self.sy
+        return self._line_rows([v for s, c, ro, ri in rays
+                                for v in (sx * ro * s, sy * ro * c, sx * ri * s, sy * ri * c)])
 
-    def tick(self, angle_deg: float, r_out: float, r_in: float) -> str:
-        """Radial segment at a plate angle, from r_out in to r_in."""
-        a = math.radians(angle_deg)
-        s, c = math.sin(a), math.cos(a)
-        return self.line(r_out * s, r_out * c, r_in * s, r_in * c)
+    def _line_rows(self, values: list) -> str:
+        return _unsigned_zero((self.line_row * (len(values) // 4)) % tuple(values))
 
     def label(self, x: float, y: float, text: str, anchor: str = "middle") -> str:
-        p = self.p
         # xml.sax.saxutils.escape, without its import: `&` first
         text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         return (
-            f'<text x="{_fmt(self.sx * x, p)}" y="{_fmt(self.sy * y, p)}" '
+            f"  <text {_unsigned_zero(self.xy % (self.sx * x, self.sy * y))} "
             f'font-size="{_LABEL_FONT_SIZE:g}" '
             f'text-anchor="{self.anchors.get(anchor, anchor)}" '
-            f'fill="#000" stroke="none">{text}</text>'
+            f'fill="#000" stroke="none">{text}</text>\n'
         )
 
     def emit(self, el) -> str:
         """A model-owned element: Circle, Arc, Segment or star marker."""
+        sx, sy = self.sx, self.sy
         if isinstance(el, Circle):
-            return self.circle(el.center.x, el.center.y, el.radius)
-        if isinstance(el, Arc):
-            return f'<path d="{_arc_path(el, self.p, self.sx, self.sy)}"/>'
-        if isinstance(el, Segment):
-            return self.line(el.a.x, el.a.y, el.b.x, el.b.y)
-        if isinstance(el, PlanePoint):
-            return self.circle(el.x, el.y, _STAR_MARKER_R, ' fill="#000" stroke="none"')
-        raise TypeError(f"cannot emit {type(el).__name__}")
+            row = self.circle_row % (sx * el.center.x, sy * el.center.y, el.radius, "")
+        elif isinstance(el, Arc):
+            p0, p1, r = el.start_point, el.end_point, el.circle.radius
+            large = abs(math.degrees(el.sweep)) > 180.0 + 1e-12
+            # a reflection in one axis reverses the sense of rotation
+            flag = (el.orientation == "ccw") != (sx * sy < 0)
+            row = self.arc_row % (sx * p0.x, sy * p0.y, r, r, large, flag,
+                                  sx * p1.x, sy * p1.y)
+        elif isinstance(el, Segment):
+            return self.lines([(el.a.x, el.a.y, el.b.x, el.b.y)])
+        elif isinstance(el, PlanePoint):
+            row = self.circle_row % (sx * el.x, sy * el.y, _STAR_MARKER_R,
+                                     ' fill="#000" stroke="none"')
+        else:
+            raise TypeError(f"cannot emit {type(el).__name__}")
+        return _unsigned_zero(row)
 
 
-# ---- per-model layers: (id, draw), draw(pen) -> element lines -----------
+def arc_to_path(arc: Arc, precision: int = 4) -> str:
+    """SVG path fragment for an arc: M to the start point, one elliptical
+    arc command to the end point.  The sweep flag follows the arc's
+    orientation in coordinate algebra (ccw = positive-angle = 1); the
+    large-arc flag is set only for sweeps beyond a semicircle."""
+    return _Pen(precision, 1.0, 1.0).emit(arc).split('"')[1]
+
+
+# ---- per-model layers: (id, draw), draw(pen) -> element rows -------------
 
 
 def _plate_layers(m: PlateModel) -> list:
+    def rows(elements):
+        return lambda pen: "".join(map(pen.emit, elements))
+
     layers = [
-        ("limb", lambda pen: [pen.emit(m.boundary)]),
-        ("tropics", lambda pen: [pen.emit(c) for c in m.tropics]),
-        ("horizon", lambda pen: [pen.emit(m.horizon)]),
-        ("almucantars", lambda pen: [pen.emit(el) for el in m.almucantars]),
-        ("azimuths", lambda pen: [pen.emit(el) for el in m.azimuths]),
+        ("limb", rows([m.boundary])),
+        ("tropics", rows(m.tropics)),
+        ("horizon", rows([m.horizon])),
+        ("almucantars", rows(m.almucantars)),
+        ("azimuths", rows(m.azimuths)),
     ]
     if m.hour_lines:
-        layers.append(("hours", lambda pen: [pen.emit(el) for el in m.hour_lines]))
+        layers.append(("hours", rows(m.hour_lines)))
     return layers
 
 
 def _rete_layers(m: ReteModel) -> list:
     def ecliptic(pen):
-        lines, labels = [pen.emit(m.ecliptic)], []
+        ticks, labels = [], []
         cx, cy = m.ecliptic.center.x, m.ecliptic.center.y
         for lam, pt in enumerate(m.zodiac_points):  # one tick per degree of longitude
             px, py = pt.x, pt.y
             dx, dy = cx - px, cy - py
             norm = math.hypot(dx, dy)
             ln = 2.8 if lam % 30 == 0 else 1.2
-            lines.append(pen.line(px, py, px + dx / norm * ln, py + dy / norm * ln))
+            ticks.append((px, py, px + dx / norm * ln, py + dy / norm * ln))
             if lam % 30 == 15:
                 lx, ly = px + dx / norm * 7.0, py + dy / norm * 7.0
                 labels.append(pen.label(lx, ly, _ZODIAC[lam // 30]))
-        return lines + labels
+        return pen.emit(m.ecliptic) + pen.lines(ticks) + "".join(labels)
 
     def stars(pen):
-        return [pen.emit(pt) for _, pt in m.pointers] + [
+        return "".join(pen.emit(pt) for _, pt in m.pointers) + "".join(
             pen.label(pt.x + 1.5, pt.y + 1.5, star.name, "start") for star, pt in m.pointers
-        ]
+        )
 
-    boundary = ("limb", lambda pen: [pen.emit(m.boundary)])
+    boundary = ("limb", lambda pen: pen.emit(m.boundary))
     return [boundary, ("ecliptic", ecliptic), ("stars", stars)]
 
 
@@ -219,53 +231,52 @@ def _back_layers(m: BackModel) -> list:
 
     def limb(pen):  # 360 one-degree ticks, long every tenth, numbered every 30
         return (
-            [pen.emit(m.boundary)]
-            + [pen.tick(a, r, r * (0.94 if a % 10 == 0 else 0.97)) for a in range(360)]
-            + [pen.label(*_polar(r * 0.905, a), f"{a}") for a in range(0, 360, 30)]
+            pen.emit(m.boundary)
+            + pen.ticks((s, c, r, r * (0.94 if a % 10 == 0 else 0.97))
+                        for a, (s, c) in enumerate(_WHOLE_DEGREES))
+            + "".join(pen.label(*_polar(r * 0.905, a), f"{a}") for a in range(0, 360, 30))
         )
 
     def calendar(pen):
-        return [pen.circle(0.0, 0.0, r * 0.88), pen.circle(0.0, 0.0, r * 0.84)] + [
-            pen.tick(ang, r * 0.88, r * (0.84 if i % 10 == 0 else 0.86))
-            for i, ang in enumerate(m.calendar_angles)
-        ]
+        return (
+            pen.emit(Circle(PlanePoint(0.0, 0.0), r * 0.88))
+            + pen.emit(Circle(PlanePoint(0.0, 0.0), r * 0.84))
+            + pen.ticks((math.sin(a), math.cos(a), r * 0.88, r * (0.84 if i % 10 == 0 else 0.86))
+                        for i, a in enumerate(map(math.radians, m.calendar_angles)))
+        )
 
     def sine_quadrant(pen):  # 60 radius divisions; the k = 60 chords have no length
         frame = Arc(Circle(PlanePoint(0.0, 0.0), r), math.pi / 2.0, math.pi, "ccw")
         d = [k * (r / 60) for k in range(1, 60)]
         reach = [math.sqrt(r * r - dk * dk) for dk in d]
-        return (
-            [pen.emit(frame), pen.line(-r, 0.0, 0.0, 0.0), pen.line(0.0, 0.0, 0.0, r)]
-            + [pen.line(-w, dk, 0.0, dk) for dk, w in zip(d, reach)]  # sines
-            + [pen.line(-dk, 0.0, -dk, w) for dk, w in zip(d, reach)]  # cosines
+        return pen.emit(frame) + pen.lines(
+            [(-r, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, r)]
+            + [(-w, dk, 0.0, dk) for dk, w in zip(d, reach)]  # sines
+            + [(-dk, 0.0, -dk, w) for dk, w in zip(d, reach)]  # cosines
         )
 
     def shadow_square(pen):
-        lines = [
-            pen.line(-half, 0.0, half, 0.0),
-            pen.line(-half, 0.0, -half, -side),
-            pen.line(half, 0.0, half, -side),
-            pen.line(-half, -side, half, -side),
-        ]
-        for k in range(1, 13):  # umbra recta: 12 digits along the bottom
-            x = -half + k / 12 * side
-            lines.append(pen.line(x, -side, x, -side + 1.5))
-        for k in range(1, 13):  # umbra versa: 12 digits down the right side
-            y = -(k / 12) * side
-            lines.append(pen.line(half, y, half - 1.5, y))
-        return lines
+        digits = [k / 12 for k in range(1, 13)]
+        return pen.lines(
+            [(-half, 0.0, half, 0.0), (-half, 0.0, -half, -side),
+             (half, 0.0, half, -side), (-half, -side, half, -side)]
+            # umbra recta: 12 digits along the bottom
+            + [(-half + f * side, -side, -half + f * side, -side + 1.5) for f in digits]
+            # umbra versa: 12 digits down the right side
+            + [(half, -f * side, half - 1.5, -f * side) for f in digits]
+        )
 
     def midday(pen):
-        return [pen.emit(c.element) for c in m.midday_curves] + [
+        return "".join(pen.emit(c.element) for c in m.midday_curves) + "".join(
             pen.label(c.points[1].x, c.points[1].y + 2.0, f"{c.latitude:g}")
             for c in m.midday_curves
-        ]
+        )
 
     def qibla(pen):
-        return [pen.tick(bearing, r * 0.82, 0.0) for _, bearing in m.qibla_marks] + [
+        return pen.lines((*_polar(r * 0.82, b), 0.0, 0.0) for _, b in m.qibla_marks) + "".join(
             pen.label(*_polar(r * 0.6, bearing), loc.name, "start")
             for loc, bearing in m.qibla_marks
-        ]
+        )
 
     layers = [
         ("limb", limb),
@@ -301,13 +312,11 @@ def _bodies(style: RenderStyle, faces) -> list[str]:
         if not layers:
             warnings.warn("model has no layers to draw; emitting the boundary only",
                           EmptyModelWarning, stacklevel=3)
-            layers = [("limb", lambda pen: [pen.emit(model.boundary)])]
+            layers = [("limb", lambda pen: pen.emit(model.boundary))]
         bodies.append(
             "\n".join(
                 f'<g id="{prefix}{name}" fill="none" stroke="#000" '
-                f'stroke-width="{_STROKES[name]:g}" stroke-linecap="round">\n'
-                + "".join(f"  {line}\n" for line in draw(pen))
-                + "</g>"
+                f'stroke-width="{_STROKES[name]:g}" stroke-linecap="round">\n{draw(pen)}</g>'
                 for name, draw in layers
             )
         )

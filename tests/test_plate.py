@@ -252,6 +252,39 @@ def test_build_plate_structure():
     assert len(model.hour_lines) == 11
 
 
+@pytest.mark.parametrize("step, verticals", [(7.2, 25), (360.0 / 14, 7), (0.05, 3600)])
+def test_one_element_per_distinct_vertical(step, verticals):
+    # multiples of these steps miss 180 by an ulp (25 * 7.2 % 180 is
+    # 7.200000000000017), so a set of the values holds some verticals twice
+    model = build_plate(PlateConfig(latitude=40.0, scale=S, azimuth_step=step))
+    assert len(model.azimuths) == verticals
+
+
+@pytest.mark.parametrize("step", [7.2, 360.0 / 14, 2.4, 360.0 / 7, 1.0, 5.0, 10.0, 15.0])
+def test_each_vertical_keeps_its_value_bit_for_bit(step):
+    # the values sorted({k * step % 180}) drew before duplicates were
+    # dropped; of each run within 1e-9 degree (those near 180 join 0's),
+    # the vertical keeps the one of smallest k
+    n = int(round(360.0 / step))
+    multiples = sorted(((k * step) % 180.0, k) for k in range(n))
+    groups = []
+    for a, k in multiples:
+        if a > 180.0 - 1e-9:
+            continue  # the same vertical as k = 0
+        if groups and a - groups[-1][-1][0] < 1e-9:
+            groups[-1].append((a, k))
+        else:
+            groups.append([(a, k)])
+    kept = [min(g, key=lambda ak: ak[1])[0] for g in groups]
+    model = build_plate(PlateConfig(latitude=40.0, scale=S, azimuth_step=step))
+    assert len(model.azimuths) == len(kept)
+    for a, el in zip(kept, model.azimuths):
+        if isinstance(el, Segment):
+            assert abs(math.cos(math.radians(a))) < 1e-11  # the meridian
+        else:
+            assert el.circle == azimuth_circle(40.0, a, S)
+
+
 def test_build_plate_azimuth_arcs_end_on_horizon_or_boundary():
     cfg = PlateConfig(latitude=40.0, scale=S)
     model = build_plate(cfg)

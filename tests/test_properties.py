@@ -4,6 +4,7 @@ without an example database, so every run draws the same examples and
 writes nothing to disk."""
 
 import math
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from astrolabe import (
     Arc,
+    Circle,
+    PlanePoint,
     PlateConfig,
     ProjectionKind,
     Segment,
@@ -27,7 +30,7 @@ from astrolabe import (
     zenith_point,
 )
 from astrolabe.plate import MIN_LATITUDE, STRAIGHT_REL
-from astrolabe.render import _fmt
+from astrolabe.render import _fmt, _Pen
 from test_projection import ray_plane_radius
 
 S = 100.0
@@ -137,7 +140,8 @@ def test_plate_has_one_element_per_grid_value(latitude, obliquity, almucantar_st
     for k, el in enumerate(model.almucantars[:-1]):
         circle = el.circle if isinstance(el, Arc) else el
         assert circle == almucantar_solution(latitude, k * almucantar_step, S).circle
-    # azimuths[j] is the j-th value of sorted({k * step mod 180}), drawn
+    # azimuths[j] is the j-th value of sorted({k * step mod 180}) (these
+    # steps' multiples land on their verticals exactly), drawn
     # as the part of its circle that holds the zenith; the meridian, and
     # near the pole a circle over STRAIGHT_REL boundary radii wide, is a
     # Segment through the zenith
@@ -196,6 +200,35 @@ def values_near_rounding_to_zero(draw):
 def test_fmt_matches_the_round_trip_rule(case):
     value, precision = case
     assert _fmt(value, precision) == _fmt_by_round_trip(value, precision)
+
+
+@REPRODUCIBLE
+@given(case=values_near_rounding_to_zero(), mirror=st.booleans())
+@example(case=(-0.0, 4), mirror=False)
+@example(case=(-5e-324, 9), mirror=True)
+@example(case=(-0.5e-3, 3), mirror=False)
+@example(case=(0.5e-6, 6), mirror=True)
+@example(case=(-(0.5e-4 + math.ulp(0.5e-4)), 4), mirror=True)
+@example(case=(-(0.5e-4 - math.ulp(0.5e-4)), 4), mirror=False)
+def test_every_element_kind_prints_numbers_by_the_round_trip_rule(case, mirror):
+    # a segment, a circle, an arc and a label at those coordinates: each
+    # printed number is the signed model value printed by the round trip
+    v, precision = case
+    sx, sy = (-1.0 if mirror else 1.0), -1.0
+    pen = _Pen(precision, sx, sy)
+    arc = Arc(Circle(PlanePoint(v, v), 1.0), 0.0, math.pi / 2.0, "ccw")
+    p0, p1 = arc.start_point, arc.end_point
+    cases = [
+        (pen.emit(Segment(PlanePoint(v, -v), PlanePoint(-v, v))),
+         [sx * v, -sy * v, -sx * v, sy * v]),
+        (pen.emit(Circle(PlanePoint(-v, v), 1.0)), [-sx * v, sy * v, 1.0]),
+        (pen.emit(arc), [sx * p0.x, sy * p0.y, 1.0, 1.0, sx * p1.x, sy * p1.y]),
+        (pen.emit(PlanePoint(v, -v)), [sx * v, -sy * v, 0.8]),
+        (pen.label(v, -v, "-0.0"), [sx * v, -sy * v]),
+    ]
+    for row, values in cases:
+        printed = re.findall(r'(?<=[" ])-?[0-9]+\.[0-9]+(?=[" ])', row)
+        assert printed == [_fmt_by_round_trip(x, precision) for x in values], row
 
 
 def band_by_band(latitude, scale, altitude, fraction, band_step):

@@ -351,6 +351,23 @@ def test_label_text_is_escaped():
     assert [t.text for t in ET.fromstring(doc).findall(f".//{SVG}text")][-len(names):] == names
 
 
+@pytest.mark.parametrize("mirror", [False, True])
+def test_label_text_is_never_a_template(mirror):
+    # format fields, a printf field and a negative zero in a name are text:
+    # escaped, otherwise verbatim, with the sign of its -0.000 kept
+    name = "a{0}{} -0.000 %s &<>"
+    want = ">a{0}{} -0.000 %s &amp;&lt;&gt;</text>"
+    style = RenderStyle(mirror_ew=mirror)
+    rete = build_rete([StarEntry(name, 100.0, 20.0, 1.0)], 100.0, 23.44)
+    back = build_back(BackConfig(latitude=40.0, radius=150.0), [Locality(name, 48.85, 2.35)])
+    docs = [render_svg(rete, style), render_svg(back, style),
+            render_full(plate_model(), rete, back, style)]
+    assert [doc.count(want) for doc in docs] == [1, 1, 2]
+    for doc in docs:
+        texts = [t.text for t in ET.fromstring(doc).iter(f"{SVG}text")]
+        assert texts.count(name) == doc.count(want)
+
+
 def test_unknown_model_type_rejected():
     with pytest.raises(TypeError):
         render_svg(object())
