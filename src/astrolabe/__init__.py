@@ -79,6 +79,7 @@ from .plate import (
     zenith_point,
 )
 from .projection import (
+    SCALE_RANGE,
     STEREOGRAPHIC,
     ProjectionKind,
     SphereCircleSpec,

@@ -22,6 +22,7 @@ command line prints both.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +30,7 @@ from typing import Iterable, Union
 
 from .exceptions import DomainError, NoSolution, UndefinedBearing
 from .geometry import Arc, Circle, PlanePoint, arc_through
-from .projection import OBLIQUITY, from_plate_polar
+from .projection import OBLIQUITY, check_scale, from_plate_polar
 from .rete import _load_csv
 
 
@@ -91,8 +92,7 @@ class BackConfig:
     def __post_init__(self):
         if not (0.0 < self.latitude < 90.0):
             raise ValueError(f"latitude must lie in (0, 90), got {self.latitude!r}")
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError(f"radius must be positive, got {self.radius!r}")
+        check_scale(self.radius, "radius")
         if not (0.0 < self.obliquity < 30.0):
             raise ValueError(f"obliquity must lie in (0, 30), got {self.obliquity!r}")
 
@@ -141,10 +141,12 @@ def solar_declination(longitude: float, obliquity: float = OBLIQUITY) -> float:
     return math.degrees(math.asin(max(-1.0, min(1.0, s))))
 
 
+@functools.cache
 def calendar_ring() -> tuple[float, ...]:
     """365 calendar tick angles (degrees), one per day, anchored so the
     day-1 tick sits at zero and each tick advances by that day's solar
-    motion.  Strictly increasing and spanning exactly one turn."""
+    motion.  Strictly increasing and spanning exactly one turn.  Computed
+    once: every call returns the same tuple."""
     n = int(round(YEAR_DAYS))
     lams = [solar_longitude(k + 1) for k in range(n)]
     angles = [0.0]

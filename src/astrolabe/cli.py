@@ -45,7 +45,13 @@ from .back import (
 from .exceptions import AstrolabeError, ParseError, UnknownKey
 from .geometry import Circle, PlanePoint
 from .plate import PlateConfig, build_plate
-from .projection import OBLIQUITY, ProjectionKind, axis_projection_radius, from_plate_polar
+from .projection import (
+    OBLIQUITY,
+    SCALE_RANGE,
+    ProjectionKind,
+    axis_projection_radius,
+    from_plate_polar,
+)
 from .render import RenderStyle, render_full, render_svg
 from .rete import ReteModel, build_rete, load_star_catalog
 
@@ -143,16 +149,18 @@ def _geometry(args) -> tuple[float, float]:
     diameter = getattr(args, "diameter_mm", None)
     if scale is not None and diameter is not None:
         raise ValueError("give either --scale-mm or --diameter-mm, not both")
+    cap = math.tan(math.radians(45.0 + obliquity / 2.0))  # limb radius per unit of scale
     if scale is not None:
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        scale = float(scale)
+        flag, value, scale = "--scale-mm", scale, float(scale)
     elif diameter is not None:
-        if diameter <= 0:
-            raise ValueError(f"diameter must be positive, got {diameter}")
-        scale = (diameter / 2.0) / math.tan(math.radians(45.0 + obliquity / 2.0))
+        flag, value, scale = "--diameter-mm", diameter, (diameter / 2.0) / cap
     else:
-        scale = 100.0
+        return obliquity, 100.0
+    # the back's limb radius, the widest of any face, must fit SCALE_RANGE as the scale does
+    lo, hi = SCALE_RANGE
+    if not (lo <= scale and scale * cap <= hi):
+        raise ValueError(f"{flag} {value:g} gives a scale of {scale:g} mm and a limb radius "
+                         f"of {scale * cap:g} mm; both must lie in [{lo:g}, {hi:g}] mm")
     return obliquity, scale
 
 

@@ -42,7 +42,7 @@ from .geometry import (
     circle_circle_intersection,
     divide_arc_equal,
 )
-from .projection import OBLIQUITY, stereographic_radius
+from .projection import OBLIQUITY, check_scale, stereographic_radius
 
 _FULL = "full"
 
@@ -79,8 +79,7 @@ class PlateConfig:
             raise ValueError(
                 f"latitude must lie in [{MIN_LATITUDE}, 90), got {self.latitude!r}"
             )
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
+        check_scale(self.scale)
         if not (0.0 < self.obliquity < 30.0):
             raise ValueError(f"obliquity must lie in (0, 30), got {self.obliquity!r}")
         if not _divides(90.0, self.almucantar_step):

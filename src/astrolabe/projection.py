@@ -39,6 +39,17 @@ DENOM_MIN = 1e-12
 # ecliptic obliquity, degrees: the default of every face and of the CLI
 OBLIQUITY = 23.44
 
+# the equator radius (mm) of a plate or rete and the limb radius of a back must lie in
+# this range: far below it arcs lose their sweep, far above it squared sizes overflow
+SCALE_RANGE = (1e-6, 1e9)
+
+
+def check_scale(value: float, what: str = "scale") -> None:
+    """Raise ValueError naming `what` unless value lies in SCALE_RANGE."""
+    lo, hi = SCALE_RANGE
+    if not lo <= value <= hi:
+        raise ValueError(f"{what} must lie in [{lo:g}, {hi:g}] mm, got {value!r}")
+
 
 def _check_dec(dec: float) -> None:
     if not (-90.0 <= dec <= 90.0):

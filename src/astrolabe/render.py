@@ -20,6 +20,12 @@ One rule prints a number that rounds to zero unsigned: the regex
 Rounding is symmetric in sign, so a `mirror_ew` document is the exact
 x-negation of the plain one, except that a label anchored at its start
 or end swaps the two, so that it still runs away from its marker.
+
+Renders of the same model object with the same style reuse its layer
+rows: `render_full` after `render_svg` of each face emits nothing anew.
+The memo is keyed by the object's identity and the whole style, and
+holds the last instrument set only (three faces); models are immutable,
+so reused rows are the bytes a fresh emission would print.
 """
 
 from __future__ import annotations
@@ -296,28 +302,48 @@ _LAYERS = {PlateModel: _plate_layers, ReteModel: _rete_layers, BackModel: _back_
 # ---- document assembly ---------------------------------------------------
 
 
+# the (model, warns, layer rows) of the last instrument set's faces, by (id(model), style);
+# each entry holds its model, so the id cannot be reused while the entry lives.  Threads
+# that race here can at worst drop an entry or add one past the bound, never share rows
+_ROWS: dict = {}
+_ROWS_MAX = 3
+
+
+def _layer_rows(model, style: RenderStyle, pen: _Pen) -> list:
+    """The (layer id, rows) of each selected layer of a model; an empty
+    selection warns (EmptyModelWarning) and draws the boundary alone.
+    Reuses the rows of an earlier call on the same object and style."""
+    key = (id(model), style)
+    entry = _ROWS.get(key)
+    if entry is None or entry[0] is not model:
+        layers = _LAYERS[type(model)](model)
+        if style.include_layers is not None:
+            layers = [l for l in layers if l[0] in style.include_layers]
+        warns = not layers
+        if warns:
+            layers = [("limb", lambda pen: pen.emit(model.boundary))]
+        if len(_ROWS) >= _ROWS_MAX:
+            _ROWS.clear()
+        entry = _ROWS[key] = (model, warns, [(name, draw(pen)) for name, draw in layers])
+    if entry[1]:
+        warnings.warn("model has no layers to draw; emitting the boundary only",
+                      EmptyModelWarning, stacklevel=4)
+    return entry[2]
+
+
 def _bodies(style: RenderStyle, faces) -> list[str]:
     """The joined layer groups of each (id prefix, model) face.  The
-    document negates y, and x too under `mirror_ew`.  Only the selected
-    layers are drawn; an empty selection warns (EmptyModelWarning) and
-    draws the boundary alone."""
+    document negates y, and x too under `mirror_ew`."""
     pen = _Pen(style.precision, -1.0 if style.mirror_ew else 1.0, -1.0)
     bodies = []
     for prefix, model in faces:
         if type(model) not in _LAYERS:
             raise TypeError(f"cannot render {type(model).__name__}")
-        layers = _LAYERS[type(model)](model)
-        if style.include_layers is not None:
-            layers = [l for l in layers if l[0] in style.include_layers]
-        if not layers:
-            warnings.warn("model has no layers to draw; emitting the boundary only",
-                          EmptyModelWarning, stacklevel=3)
-            layers = [("limb", lambda pen: pen.emit(model.boundary))]
         bodies.append(
             "\n".join(
                 f'<g id="{prefix}{name}" fill="none" stroke="#000" '
-                f'stroke-width="{_STROKES[name]:g}" stroke-linecap="round">\n{draw(pen)}</g>'
-                for name, draw in layers
+                f'stroke-width="{_STROKES[name]:g}" stroke-linecap="round">\n{rows}</g>'
+                for name, rows in _layer_rows(model, style, pen)
             )
         )
     return bodies

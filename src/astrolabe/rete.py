@@ -16,6 +16,7 @@ Star catalogs are CSV files with header `name,ra_deg,dec_deg,mag`;
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import Iterable, Union
 from .exceptions import DuplicateStarName, OutsidePlate, ParseError
 from .geometry import Circle, PlanePoint
 from .plate import tropic_radii
-from .projection import OBLIQUITY, from_plate_polar, stereographic_radius
+from .projection import OBLIQUITY, check_scale, from_plate_polar, stereographic_radius
 
 # pointers at or beyond this fraction of the boundary radius are off-plate
 _BOUNDARY_REL = 1.0 - 1e-12
@@ -62,15 +63,39 @@ class ReteModel:
     boundary: Circle
 
 
+def _check_obliquity(obliquity: float) -> None:
+    if not (0.0 <= obliquity < 30.0):
+        raise ValueError(f"obliquity must lie in [0, 30), got {obliquity!r}")
+
+
 def ecliptic_circle(scale: float, obliquity: float) -> Circle:
     """The ecliptic ring: center (0, scale*tan eps), radius scale/cos eps.
     Obliquity 0 degenerates gracefully to the equator circle."""
     if not (0.0 < scale < math.inf):
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
-    if not (0.0 <= obliquity < 30.0):
-        raise ValueError(f"obliquity must lie in [0, 30), got {obliquity!r}")
+    _check_obliquity(obliquity)
     e = math.radians(obliquity)
     return Circle(PlanePoint(0.0, scale * math.tan(e)), scale / math.cos(e))
+
+
+def _ecliptic_trig(longitude: float, obliquity: float) -> tuple[float, float, float, float]:
+    """(cos dec, 1 + sin dec, sin a, cos a) of ecliptic longitude lambda
+    (degrees), where dec = asin(sin eps * sin lambda) and the plate angle
+    a = RA + 90 with RA = atan2(sin lambda * cos eps, cos lambda).  The
+    point sits at r * (sin a, cos a) with the stereographic radius
+    r = scale * cos dec / (1 + sin dec)."""
+    lam = math.radians(longitude)
+    e = math.radians(obliquity)
+    dec = math.degrees(math.asin(max(-1.0, min(1.0, math.sin(e) * math.sin(lam)))))
+    ra = math.degrees(math.atan2(math.sin(lam) * math.cos(e), math.cos(lam)))
+    d, a = math.radians(dec), math.radians(ra + 90.0)
+    return math.cos(d), math.sin(d) + 1.0, math.sin(a), math.cos(a)
+
+
+@functools.lru_cache(maxsize=8)
+def _zodiac_trig(obliquity: float) -> tuple[tuple[float, float, float, float], ...]:
+    """_ecliptic_trig of each whole degree of longitude, computed once per obliquity."""
+    return tuple(_ecliptic_trig(float(lam), obliquity) for lam in range(360))
 
 
 def ecliptic_point(longitude: float, scale: float, obliquity: float) -> PlanePoint:
@@ -81,13 +106,12 @@ def ecliptic_point(longitude: float, scale: float, obliquity: float) -> PlanePoi
     cos lambda)); the point lands on the ecliptic circle at plate angle
     RA + 90.
     """
-    if not (0.0 <= obliquity < 30.0):
-        raise ValueError(f"obliquity must lie in [0, 30), got {obliquity!r}")
-    lam = math.radians(longitude)
-    e = math.radians(obliquity)
-    dec = math.degrees(math.asin(max(-1.0, min(1.0, math.sin(e) * math.sin(lam)))))
-    ra = math.degrees(math.atan2(math.sin(lam) * math.cos(e), math.cos(lam)))
-    return from_plate_polar(stereographic_radius(dec, scale), ra + 90.0)
+    _check_obliquity(obliquity)
+    if not (0.0 < scale < math.inf):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    cosd, den, sa, ca = _ecliptic_trig(longitude, obliquity)
+    r = scale * cosd / den
+    return PlanePoint(r * sa, r * ca)
 
 
 def star_pointer(star: StarEntry, scale: float, obliquity: float) -> PlanePoint:
@@ -109,7 +133,9 @@ def build_rete(
     """Assemble the rete: ecliptic ring, the points of the 360 one-degree
     zodiac ticks, and one pointer per catalog star.  Stars outside the
     boundary are skipped and reported, not fatal; duplicate names raise
-    DuplicateStarName."""
+    DuplicateStarName, and a scale outside SCALE_RANGE raises ValueError."""
+    check_scale(scale)
+    _check_obliquity(obliquity)
     stars = list(catalog)
     seen = set()
     for s in stars:
@@ -117,7 +143,8 @@ def build_rete(
             raise DuplicateStarName(f"star {s.name!r} appears more than once")
         seen.add(s.name)
 
-    points = tuple(ecliptic_point(float(lam), scale, obliquity) for lam in range(360))
+    points = tuple(PlanePoint((r := scale * cosd / den) * sa, r * ca)
+                   for cosd, den, sa, ca in _zodiac_trig(obliquity))
 
     pointers = []
     skipped = []

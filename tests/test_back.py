@@ -118,6 +118,13 @@ def test_calendar_ring_count_monotone_and_span():
     assert sum(steps) == pytest.approx(360.0, abs=1e-9)
 
 
+def test_calendar_ring_is_computed_once():
+    ring = calendar_ring()
+    assert calendar_ring() is ring
+    assert build_back(BackConfig(latitude=40.0, radius=150.0)).calendar_angles is ring
+    assert build_back(BackConfig(latitude=52.0, radius=3.0)).calendar_angles is ring
+
+
 def test_calendar_ring_spacing_ratios():
     angles = calendar_ring()
     steps = np.diff(np.asarray(angles + (360.0,)))

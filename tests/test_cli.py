@@ -234,6 +234,31 @@ def test_scale_and_diameter_are_mutually_exclusive(capsys):
     assert "not both" in err
 
 
+LO, HI = astrolabe.SCALE_RANGE
+
+
+@pytest.mark.parametrize("command", ["plate", "rete", "back", "full"])
+@pytest.mark.parametrize("flag, value, ok", [
+    ("--scale-mm", LO, True),
+    ("--diameter-mm", 2.0 * HI, True),  # the limb radius at the top of the range
+    ("--scale-mm", math.nextafter(LO, 0.0), False),
+    ("--diameter-mm", math.nextafter(2.0 * HI, math.inf), False),
+    ("--scale-mm", HI, False),  # a limb radius of 1.52 HI
+    ("--scale-mm", 1e-300, False),
+    ("--scale-mm", 1e250, False),
+    ("--diameter-mm", -300.0, False),
+])
+def test_scales_outside_the_range_exit_one_naming_the_flag(capsys, command, flag, value, ok):
+    lat = () if command == "rete" else ("--lat", "40")
+    code, out, err = run_cli(capsys, command, *lat, flag, repr(value))
+    if ok:
+        assert (code, err) == (0, "")
+        assert out.endswith("</svg>\n")
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {flag} {value:g} ") and "mm" in err
+
+
 def test_missing_latitude_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "plate")
     assert code == 1

@@ -11,19 +11,27 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from astrolabe import (
+    SCALE_RANGE,
     Arc,
+    BackConfig,
     Circle,
+    Locality,
     PlanePoint,
     PlateConfig,
     ProjectionKind,
+    RenderStyle,
     Segment,
     SpherePoint,
+    StarEntry,
     almucantar_solution,
     axis_projection_radius,
     azimuth_circle,
     band_misassignment,
+    build_back,
     build_plate,
+    build_rete,
     ecliptic_circle,
+    render_full,
     project_point,
     tropic_radii,
     unproject_point,
@@ -282,3 +290,34 @@ def test_band_misassignment_matches_the_search_when_a_band_is_just_reached(
     gap = almucantar_solution(latitude, altitude + band * band_step, scale).y_lower - sol.y_lower
     args = (latitude, scale, altitude, gap / sol.radius, band_step)
     assert band_misassignment(*args) == band_by_band(*args)
+
+
+@REPRODUCIBLE
+@given(
+    latitude=LATITUDES,
+    back_latitude=st.floats(23.44, 66.55),
+    scale=st.sampled_from(SCALE_RANGE),
+    almucantar_step=ALMUCANTAR_STEPS,
+    azimuth_step=AZIMUTH_STEPS,
+    precision=st.integers(1, 9),
+    mirror=st.booleans(),
+)
+def test_every_face_draws_at_both_ends_of_the_scale_range(
+    latitude, back_latitude, scale, almucantar_step, azimuth_step, precision, mirror
+):
+    plate = build_plate(PlateConfig(latitude, scale, almucantar_step=almucantar_step,
+                                    azimuth_step=azimuth_step))
+    rete = build_rete([StarEntry("Vega", 279.235, 38.784, 0.03)], scale)
+    back = build_back(BackConfig(back_latitude, scale), [Locality("Damascus", 33.513, 36.292)])
+    doc = render_full(plate, rete, back, RenderStyle(precision, mirror))
+    assert "nan" not in doc and "inf" not in doc
+    # one group per face and per layer: plate limb..azimuths (+ hours), rete 3, back 6
+    assert doc.count("<g id=") == 3 + 5 + bool(plate.hour_lines) + 3 + 6
+    below, above = math.nextafter(SCALE_RANGE[0], 0.0), math.nextafter(SCALE_RANGE[1], math.inf)
+    for outside in (below, above):
+        with pytest.raises(ValueError, match="scale must lie in"):
+            PlateConfig(latitude, outside)
+        with pytest.raises(ValueError, match="scale must lie in"):
+            build_rete([], outside)
+        with pytest.raises(ValueError, match="radius must lie in"):
+            BackConfig(back_latitude, outside)

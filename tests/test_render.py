@@ -7,6 +7,7 @@ import warnings
 import xml.etree.ElementTree as ET
 import xml.sax.saxutils as saxutils
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from astrolabe import (
     render_full,
     render_svg,
 )
+from astrolabe.render import _ROWS
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -371,3 +373,70 @@ def test_label_text_is_never_a_template(mirror):
 def test_unknown_model_type_rejected():
     with pytest.raises(TypeError):
         render_svg(object())
+    plate, back = plate_model(), back_model()
+    render_full(plate, rete_model(), back)  # the memo now holds plate and back
+    with pytest.raises(TypeError, match="cannot render SimpleNamespace"):
+        render_full(plate, SimpleNamespace(boundary=back.boundary), back)
+
+
+# ---- the row memo: renders of one model object and style reuse its rows ----
+
+
+def cold(render, *args):
+    """A render with the memo emptied first: every face misses."""
+    _ROWS.clear()
+    return render(*args)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("layers", [None, frozenset({"limb", "hours", "stars", "calendar"})])
+@pytest.mark.parametrize("precision", range(1, 10))
+def test_memo_hits_print_the_bytes_of_misses(precision, mirror, layers):
+    faces = plate_model(), rete_model(), back_model()
+    style = RenderStyle(precision=precision, mirror_ew=mirror, include_layers=layers)
+    single = [cold(render_svg, m, style) for m in faces]
+    full = cold(render_full, *faces, style)
+    _ROWS.clear()
+    assert [render_svg(m, style) for m in faces] == single  # misses, then
+    assert render_full(*faces, style) == full  # three hits
+    assert [render_svg(m, style) for m in faces] == single  # and three more
+    assert len(_ROWS) == 3
+
+
+def test_memo_keys_on_the_object_and_the_whole_style():
+    a, b = plate_model(), plate_model()
+    assert a == b and a is not b
+    style = RenderStyle(precision=5)
+    _ROWS.clear()
+    doc = render_svg(a, style)
+    assert render_svg(b, style) == doc
+    assert sorted(id(entry[0]) for entry in _ROWS.values()) == sorted((id(a), id(b)))
+    # a style that differs in any field misses
+    render_svg(a, RenderStyle(precision=5, include_layers={"tropics"}))
+    assert len(_ROWS) == 3
+    # an entry whose key holds another object's id is never used
+    _ROWS.clear()
+    _ROWS[(id(b), style)] = (a, False, [("limb", "  <stale/>\n")])
+    assert render_svg(b, style) == doc
+
+
+def test_memo_warns_on_every_call_to_an_empty_selection():
+    m = plate_model()
+    style = RenderStyle(include_layers=frozenset({"qibla"}))  # plate has no qibla
+    _ROWS.clear()
+    with pytest.warns(EmptyModelWarning):
+        first = render_svg(m, style)
+    assert len(_ROWS) == 1
+    for _ in range(2):  # hits
+        with pytest.warns(EmptyModelWarning):
+            assert render_svg(m, style) == first
+    assert len(_ROWS) == 1
+
+
+def test_memo_holds_one_instrument_set():
+    _ROWS.clear()
+    models = [build_plate(PlateConfig(latitude=10.0 + 5.0 * k, scale=100.0)) for k in range(10)]
+    for m in models:
+        render_svg(m)
+        assert len(_ROWS) <= 3
+    assert any(entry[0] is models[9] for entry in _ROWS.values())

@@ -15,6 +15,7 @@ from astrolabe import (
     build_rete,
     ecliptic_circle,
     ecliptic_point,
+    from_plate_polar,
     load_star_catalog,
     plate_angle_deg,
     render_svg,
@@ -100,6 +101,34 @@ def test_zodiac_ticks_on_circle_and_major_flags():
     long_ticks = [lam for lam, ln in enumerate(lengths) if abs(ln - 2.8) < 1e-8]
     assert long_ticks == list(range(0, 360, 30))
     assert sum(abs(ln - 1.2) < 1e-8 for ln in lengths) == 348
+
+
+def parent_ecliptic_point(lam, scale, obliquity):
+    """The plate point of longitude lambda through the projection's own
+    radius and polar placement, as the rete formed it before its table."""
+    lr, e = math.radians(lam), math.radians(obliquity)
+    dec = math.degrees(math.asin(max(-1.0, min(1.0, math.sin(e) * math.sin(lr)))))
+    ra = math.degrees(math.atan2(math.sin(lr) * math.cos(e), math.cos(lr)))
+    return from_plate_polar(stereographic_radius(dec, scale), ra + 90.0)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 100.0, 1e6])
+@pytest.mark.parametrize("obliquity", [0.0, 1e-9, 10.0, 23.44, 29.999])
+def test_zodiac_table_points_are_the_ecliptic_points_bit_for_bit(obliquity, scale):
+    points = build_rete([], scale, obliquity).zodiac_points
+    assert build_rete([], scale, obliquity).zodiac_points == points  # from the cached table
+    for lam, point in enumerate(points):
+        assert point == ecliptic_point(float(lam), scale, obliquity)
+        assert point == parent_ecliptic_point(float(lam), scale, obliquity)
+    for lam in (0.5, 123.456, -30.0, 719.0):
+        assert ecliptic_point(lam, scale, obliquity) == parent_ecliptic_point(lam, scale, obliquity)
+
+
+@pytest.mark.parametrize("args", [(10.0, 0.0, EPS), (10.0, math.inf, EPS), (10.0, S, -1.0),
+                                  (10.0, S, 30.0), (10.0, S, math.nan)])
+def test_ecliptic_point_validates_scale_and_obliquity(args):
+    with pytest.raises(ValueError, match="scale|obliquity"):
+        ecliptic_point(*args)
 
 
 def test_zodiac_opposition_half_turn_apart():
