@@ -24,35 +24,33 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
 
 from .exceptions import DomainError, NoSolution, UndefinedBearing
-from .geometry import Arc, Circle, PlanePoint, arc_through
+from .geometry import Arc, Circle, PlanePoint, _Record, arc_through
 from .projection import OBLIQUITY, check_scale, from_plate_polar
 from .rete import _load_csv
 
 
-@dataclass(frozen=True)
-class Locality:
+class Locality(_Record):
     """A named place: latitude north-positive, longitude east-positive,
     degrees.  Longitude is normalized into (-180, 180]."""
 
-    name: str
-    latitude: float
-    longitude: float
+    __slots__ = ("name", "latitude", "longitude")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, latitude: float, longitude: float):
+        if not name:
             raise ValueError("locality name must be non-empty")
-        if not (-90.0 <= self.latitude <= 90.0):
-            raise ValueError(f"latitude must lie in [-90, 90], got {self.latitude!r}")
-        if not math.isfinite(self.longitude):
-            raise ValueError(f"non-finite longitude: {self.longitude!r}")
-        lon = self.longitude % 360.0
+        if not (-90.0 <= latitude <= 90.0):
+            raise ValueError(f"latitude must lie in [-90, 90], got {latitude!r}")
+        if not math.isfinite(longitude):
+            raise ValueError(f"non-finite longitude: {longitude!r}")
+        lon = longitude % 360.0
         if lon > 180.0:
             lon -= 360.0
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "latitude", latitude)
         object.__setattr__(self, "longitude", lon)
 
 
@@ -68,37 +66,39 @@ CENTER1 = 1.915
 CENTER2 = 0.020
 
 
-@dataclass(frozen=True)
-class MiddayCurve:
+class MiddayCurve(_Record):
     """Noon altitude curve for one latitude: the three control altitudes
     at solar declination -eps, 0, +eps, their back-face points, and the
     arc through them."""
 
-    latitude: float
-    altitudes: tuple[float, float, float]
-    points: tuple[PlanePoint, PlanePoint, PlanePoint]
-    element: Arc
+    __slots__ = ("latitude", "altitudes", "points", "element")
+
+    def __init__(self, latitude: float, altitudes: tuple[float, float, float],
+                 points: tuple[PlanePoint, PlanePoint, PlanePoint], element: Arc):
+        object.__setattr__(self, "latitude", latitude)
+        object.__setattr__(self, "altitudes", altitudes)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "element", element)
 
 
-@dataclass(frozen=True)
-class BackConfig:
+class BackConfig(_Record):
     """Inputs for the back face: the plate latitude (which sets the
     midday curve), the limb radius and the obliquity."""
 
-    latitude: float
-    radius: float
-    obliquity: float = OBLIQUITY
+    __slots__ = ("latitude", "radius", "obliquity")
 
-    def __post_init__(self):
-        if not (0.0 < self.latitude < 90.0):
-            raise ValueError(f"latitude must lie in (0, 90), got {self.latitude!r}")
-        check_scale(self.radius, "radius")
-        if not (0.0 < self.obliquity < 30.0):
-            raise ValueError(f"obliquity must lie in (0, 30), got {self.obliquity!r}")
+    def __init__(self, latitude: float, radius: float, obliquity: float = OBLIQUITY):
+        if not (0.0 < latitude < 90.0):
+            raise ValueError(f"latitude must lie in (0, 90), got {latitude!r}")
+        check_scale(radius, "radius")
+        if not (0.0 < obliquity < 30.0):
+            raise ValueError(f"obliquity must lie in (0, 30), got {obliquity!r}")
+        object.__setattr__(self, "latitude", latitude)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "obliquity", obliquity)
 
 
-@dataclass(frozen=True)
-class BackModel:
+class BackModel(_Record):
     """The back face.  Its fixed scales are drawn by the renderer from
     the boundary radius r alone: on the limb, 360 one-degree ticks, a
     long one every tenth and a number every 30 degrees; in the upper-left
@@ -107,11 +107,16 @@ class BackModel:
     its two scales.  The calendar ring holds one tick angle (degrees) per
     day."""
 
-    config: BackConfig
-    boundary: Circle
-    calendar_angles: tuple[float, ...]
-    midday_curves: tuple[MiddayCurve, ...]
-    qibla_marks: tuple[tuple[Locality, float], ...]
+    __slots__ = ("config", "boundary", "calendar_angles", "midday_curves", "qibla_marks")
+
+    def __init__(self, config: BackConfig, boundary: Circle,
+                 calendar_angles: tuple[float, ...], midday_curves: tuple[MiddayCurve, ...],
+                 qibla_marks: tuple[tuple[Locality, float], ...]):
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "calendar_angles", calendar_angles)
+        object.__setattr__(self, "midday_curves", midday_curves)
+        object.__setattr__(self, "qibla_marks", qibla_marks)
 
 
 def equation_of_center(mean_anomaly: float) -> float:

@@ -145,6 +145,9 @@ def _merge_config(args) -> None:
 def _geometry(args) -> tuple[float, float]:
     """(obliquity, scale) from the flags and config, with their defaults."""
     obliquity = args.obliquity if args.obliquity is not None else OBLIQUITY
+    # tropic_radii's range, the widest any face takes
+    if not 0.0 <= obliquity < 30.0:
+        raise ValueError(f"--obliquity must lie in [0, 30), got {obliquity!r}")
     scale = getattr(args, "scale_mm", None)
     diameter = getattr(args, "diameter_mm", None)
     if scale is not None and diameter is not None:

@@ -30,11 +30,10 @@ does not load numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .exceptions import ScenarioInfeasible
-from .geometry import COLLINEAR_AREA_REL, Circle, PlanePoint, chord_length
+from .geometry import COLLINEAR_AREA_REL, Circle, PlanePoint, _Record, chord_length
 from .geometry import divide_arc_equal, normalize_angle
 # unused here, but bench/tracing.py counts calls to them through this module
 from .geometry import circle_circle_intersection, circumcircle  # noqa: F401
@@ -171,36 +170,40 @@ def quadrant_chord_diagnosis(
     return "mixed"
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
+class PerturbationSpec(_Record):
     """Gaussian engraving-noise magnitudes: circle center offset (mm per
     axis), radius offset (mm), hour graduation offset (degrees along the
     tropic), and the base RNG seed."""
 
-    center_sigma: float = 0.0
-    radius_sigma: float = 0.0
-    graduation_sigma: float = 0.0
-    seed: int = 0
+    __slots__ = ("center_sigma", "radius_sigma", "graduation_sigma", "seed")
 
-    def __post_init__(self):
-        sigmas = (self.center_sigma, self.radius_sigma, self.graduation_sigma)
+    def __init__(self, center_sigma: float = 0.0, radius_sigma: float = 0.0,
+                 graduation_sigma: float = 0.0, seed: int = 0):
+        sigmas = (center_sigma, radius_sigma, graduation_sigma)
         if not all(0.0 <= s < math.inf for s in sigmas):
             raise ValueError(f"sigmas must be finite and non-negative, got {sigmas!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        object.__setattr__(self, "center_sigma", center_sigma)
+        object.__setattr__(self, "radius_sigma", radius_sigma)
+        object.__setattr__(self, "graduation_sigma", graduation_sigma)
+        object.__setattr__(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(_Record):
     """Summary of a Monte Carlo readout-error run.  `samples` holds the
     per-trial signed errors in trial order."""
 
-    mean: float
-    std: float
-    max_abs: float
-    n_trials: int
-    classification: str
-    samples: tuple[float, ...]
+    __slots__ = ("mean", "std", "max_abs", "n_trials", "classification", "samples")
+
+    def __init__(self, mean: float, std: float, max_abs: float, n_trials: int,
+                 classification: str, samples: tuple[float, ...]):
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "std", std)
+        object.__setattr__(self, "max_abs", max_abs)
+        object.__setattr__(self, "n_trials", n_trials)
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "samples", samples)
 
 
 def _sun_altitude(latitude: float, dec: float, hour_angle: float) -> float:

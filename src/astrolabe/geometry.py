@@ -13,7 +13,6 @@ module does not load numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .exceptions import CoincidentCircles, CollinearPoints, TooFewPoints
@@ -43,40 +42,76 @@ def _require_finite(*values: float) -> None:
             raise ValueError(f"non-finite coordinate: {v!r}")
 
 
-@dataclass(frozen=True)
-class PlanePoint:
+class _Record:
+    """Base of the package's immutable value records.  A subclass names
+    its fields in `__slots__`, in order, and sets them in its `__init__`
+    with object.__setattr__.  Equality (same type, equal fields), the
+    hash of the field tuple and the repr are those of a frozen dataclass."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt through __init__, which keeps fields it has normalized as they are
+        return self.__class__, self._fields()
+
+
+class PlanePoint(_Record):
     """A point on the projection plane, coordinates in millimeters."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        _require_finite(self.x, self.y)
+    def __init__(self, x: float, y: float):
+        _require_finite(x, y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def distance_to(self, other: "PlanePoint") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(_Record):
     """A straight segment between two plane points."""
 
-    a: PlanePoint
-    b: PlanePoint
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: PlanePoint, b: PlanePoint):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def length(self) -> float:
         return self.a.distance_to(self.b)
 
 
-@dataclass(frozen=True)
-class Circle:
-    center: PlanePoint
-    radius: float
+class Circle(_Record):
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self):
-        _require_finite(self.radius)
-        if self.radius <= 0.0:
-            raise ValueError(f"circle radius must be positive, got {self.radius!r}")
+    def __init__(self, center: PlanePoint, radius: float):
+        _require_finite(radius)
+        if radius <= 0.0:
+            raise ValueError(f"circle radius must be positive, got {radius!r}")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
 
     def point_at(self, theta: float) -> PlanePoint:
         """Point on the circle at polar angle theta (rad, ccw from +x)."""
@@ -94,26 +129,27 @@ class Circle:
         return self.center.distance_to(p) - self.radius
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(_Record):
     """A circular arc from start_angle to end_angle along the stated
     orientation ("ccw" or "cw").  Angles are stored normalized to
     [0, 2*pi); a zero sweep is rejected, a full circle is not an Arc.
     """
 
-    circle: Circle
-    start_angle: float
-    end_angle: float
-    orientation: str = "ccw"
+    __slots__ = ("circle", "start_angle", "end_angle", "orientation")
 
-    def __post_init__(self):
-        if self.orientation not in ("ccw", "cw"):
-            raise ValueError(f"orientation must be 'ccw' or 'cw', got {self.orientation!r}")
-        _require_finite(self.start_angle, self.end_angle)
-        object.__setattr__(self, "start_angle", normalize_angle(self.start_angle))
-        object.__setattr__(self, "end_angle", normalize_angle(self.end_angle))
-        if math.isclose(self.start_angle, self.end_angle, abs_tol=1e-15):
+    def __init__(self, circle: Circle, start_angle: float, end_angle: float,
+                 orientation: str = "ccw"):
+        if orientation not in ("ccw", "cw"):
+            raise ValueError(f"orientation must be 'ccw' or 'cw', got {orientation!r}")
+        _require_finite(start_angle, end_angle)
+        start_angle = normalize_angle(start_angle)
+        end_angle = normalize_angle(end_angle)
+        if math.isclose(start_angle, end_angle, abs_tol=1e-15):
             raise ValueError("arc has zero sweep; use Circle for a full circle")
+        object.__setattr__(self, "circle", circle)
+        object.__setattr__(self, "start_angle", start_angle)
+        object.__setattr__(self, "end_angle", end_angle)
+        object.__setattr__(self, "orientation", orientation)
 
     @property
     def sweep(self) -> float:
@@ -146,13 +182,15 @@ class Arc:
         return offset <= extent + 1e-12 or offset >= TAU - 1e-12
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(_Record):
     """A fitted circle with its radial residual summary."""
 
-    circle: Circle
-    rms_residual: float
-    max_residual: float
+    __slots__ = ("circle", "rms_residual", "max_residual")
+
+    def __init__(self, circle: Circle, rms_residual: float, max_residual: float):
+        object.__setattr__(self, "circle", circle)
+        object.__setattr__(self, "rms_residual", rms_residual)
+        object.__setattr__(self, "max_residual", max_residual)
 
 
 def circumcircle(p1: PlanePoint, p2: PlanePoint, p3: PlanePoint) -> Circle:

@@ -25,7 +25,6 @@ radius p_c / |cos A| with p_c = (y_z - y_n)/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 from .exceptions import ArcticLatitude, DomainError
@@ -38,6 +37,7 @@ from .geometry import (
     CollinearPoints,
     PlanePoint,
     Segment,
+    _Record,
     arc_through,
     circle_circle_intersection,
     divide_arc_equal,
@@ -63,51 +63,53 @@ def _divides(whole: float, step: float) -> bool:
     return abs(ratio - round(ratio)) < 1e-9
 
 
-@dataclass(frozen=True)
-class PlateConfig:
+class PlateConfig(_Record):
     """Inputs for a plate: geographic latitude (degrees), equator radius
     `scale` (mm), ecliptic obliquity (degrees) and grid steps."""
 
-    latitude: float
-    scale: float
-    obliquity: float = OBLIQUITY
-    almucantar_step: float = 5.0
-    azimuth_step: float = 10.0
+    __slots__ = ("latitude", "scale", "obliquity", "almucantar_step", "azimuth_step")
 
-    def __post_init__(self):
-        if not (MIN_LATITUDE <= self.latitude < 90.0):
+    def __init__(self, latitude: float, scale: float, obliquity: float = OBLIQUITY,
+                 almucantar_step: float = 5.0, azimuth_step: float = 10.0):
+        if not (MIN_LATITUDE <= latitude < 90.0):
             raise ValueError(
-                f"latitude must lie in [{MIN_LATITUDE}, 90), got {self.latitude!r}"
+                f"latitude must lie in [{MIN_LATITUDE}, 90), got {latitude!r}"
             )
-        check_scale(self.scale)
-        if not (0.0 < self.obliquity < 30.0):
-            raise ValueError(f"obliquity must lie in (0, 30), got {self.obliquity!r}")
-        if not _divides(90.0, self.almucantar_step):
+        check_scale(scale)
+        if not (0.0 < obliquity < 30.0):
+            raise ValueError(f"obliquity must lie in (0, 30), got {obliquity!r}")
+        if not _divides(90.0, almucantar_step):
             raise ValueError(
-                f"almucantar step must divide 90, got {self.almucantar_step!r}"
+                f"almucantar step must divide 90, got {almucantar_step!r}"
             )
-        if not _divides(360.0, self.azimuth_step):
+        if not _divides(360.0, azimuth_step):
             raise ValueError(
-                f"azimuth step must divide 360, got {self.azimuth_step!r}"
+                f"azimuth step must divide 360, got {azimuth_step!r}"
             )
+        object.__setattr__(self, "latitude", latitude)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "obliquity", obliquity)
+        object.__setattr__(self, "almucantar_step", almucantar_step)
+        object.__setattr__(self, "azimuth_step", azimuth_step)
 
 
-@dataclass(frozen=True)
-class MeridianSolution:
+class MeridianSolution(_Record):
     """An almucantar's two meridian crossings and the circle they span."""
 
-    y_upper: float
-    y_lower: float
-    y_center: float
-    radius: float
+    __slots__ = ("y_upper", "y_lower", "y_center", "radius")
+
+    def __init__(self, y_upper: float, y_lower: float, y_center: float, radius: float):
+        object.__setattr__(self, "y_upper", y_upper)
+        object.__setattr__(self, "y_lower", y_lower)
+        object.__setattr__(self, "y_center", y_center)
+        object.__setattr__(self, "radius", radius)
 
     @property
     def circle(self) -> Circle:
         return Circle(PlanePoint(0.0, self.y_center), self.radius)
 
 
-@dataclass(frozen=True)
-class PlateModel:
+class PlateModel(_Record):
     """All engraved geometry of one plate.  Each curve is a plain element
     (Circle, Arc, Segment, or the zenith PlanePoint), one per grid value:
 
@@ -124,13 +126,20 @@ class PlateModel:
       at arctic latitudes (latitude >= 90 - obliquity).
     """
 
-    config: PlateConfig
-    boundary: Circle
-    tropics: tuple[Circle, Circle, Circle]
-    horizon: Element
-    almucantars: tuple[Element, ...]
-    azimuths: tuple[Element, ...]
-    hour_lines: tuple[Element, ...]
+    __slots__ = ("config", "boundary", "tropics", "horizon", "almucantars", "azimuths",
+                 "hour_lines")
+
+    def __init__(self, config: PlateConfig, boundary: Circle,
+                 tropics: tuple[Circle, Circle, Circle], horizon: Element,
+                 almucantars: tuple[Element, ...], azimuths: tuple[Element, ...],
+                 hour_lines: tuple[Element, ...]):
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "tropics", tropics)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "almucantars", almucantars)
+        object.__setattr__(self, "azimuths", azimuths)
+        object.__setattr__(self, "hour_lines", hour_lines)
 
 
 def tropic_radii(scale: float, obliquity: float) -> tuple[float, float, float]:

@@ -28,10 +28,9 @@ a negative value marks the antipodal branch of the projecting ray, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .exceptions import DomainError
-from .geometry import FitResult, PlanePoint, fit_circle
+from .geometry import FitResult, PlanePoint, _Record, fit_circle
 
 # a projecting ray closer than this to parallel with the plane is rejected
 DENOM_MIN = 1e-12
@@ -56,52 +55,51 @@ def _check_dec(dec: float) -> None:
         raise ValueError(f"declination must lie in [-90, 90], got {dec!r}")
 
 
-@dataclass(frozen=True)
-class SpherePoint:
+class SpherePoint(_Record):
     """A point on the celestial sphere: declination and hour angle, degrees.
 
     Hour angle is normalized into [0, 360)."""
 
-    dec: float
-    hour_angle: float
+    __slots__ = ("dec", "hour_angle")
 
-    def __post_init__(self):
-        _check_dec(self.dec)
-        if not math.isfinite(self.hour_angle):
-            raise ValueError(f"non-finite hour angle: {self.hour_angle!r}")
-        object.__setattr__(self, "hour_angle", self.hour_angle % 360.0)
+    def __init__(self, dec: float, hour_angle: float):
+        _check_dec(dec)
+        if not math.isfinite(hour_angle):
+            raise ValueError(f"non-finite hour angle: {hour_angle!r}")
+        object.__setattr__(self, "dec", dec)
+        object.__setattr__(self, "hour_angle", hour_angle % 360.0)
 
 
-@dataclass(frozen=True)
-class SphereCircleSpec:
+class SphereCircleSpec(_Record):
     """A circle on the sphere: its pole and angular radius (degrees)."""
 
-    pole_dec: float
-    pole_ha: float
-    angular_radius: float
+    __slots__ = ("pole_dec", "pole_ha", "angular_radius")
 
-    def __post_init__(self):
-        _check_dec(self.pole_dec)
-        if not (0.0 < self.angular_radius <= 90.0):
+    def __init__(self, pole_dec: float, pole_ha: float, angular_radius: float):
+        _check_dec(pole_dec)
+        if not (0.0 < angular_radius <= 90.0):
             raise ValueError(
-                f"angular radius must lie in (0, 90], got {self.angular_radius!r}"
+                f"angular radius must lie in (0, 90], got {angular_radius!r}"
             )
+        object.__setattr__(self, "pole_dec", pole_dec)
+        object.__setattr__(self, "pole_ha", pole_ha)
+        object.__setattr__(self, "angular_radius", angular_radius)
 
 
-@dataclass(frozen=True)
-class ProjectionKind:
+class ProjectionKind(_Record):
     """Viewpoint (0, 0, v) projecting onto the plane z = 1, v != 1.
 
     The orthographic limit is encoded as viewpoint_v = -inf.
     """
 
-    viewpoint_v: float
+    __slots__ = ("viewpoint_v",)
 
-    def __post_init__(self):
-        if math.isnan(self.viewpoint_v):
+    def __init__(self, viewpoint_v: float):
+        if math.isnan(viewpoint_v):
             raise ValueError("projection parameters must not be NaN")
-        if self.viewpoint_v == 1.0:
+        if viewpoint_v == 1.0:
             raise ValueError("viewpoint must not lie on the projection plane")
+        object.__setattr__(self, "viewpoint_v", viewpoint_v)
 
     @classmethod
     def stereographic(cls) -> "ProjectionKind":

@@ -33,12 +33,11 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 from .back import BackModel
 from .exceptions import EmptyModelWarning
-from .geometry import Arc, Circle, PlanePoint, Segment
+from .geometry import Arc, Circle, PlanePoint, Segment, _Record
 from .plate import PlateModel
 from .rete import ReteModel
 
@@ -70,26 +69,27 @@ _STAR_MARKER_R = 0.8
 _LABEL_FONT_SIZE = 3.0
 
 
-@dataclass(frozen=True)
-class RenderStyle:
+class RenderStyle(_Record):
     """Presentation settings.  `precision` is the coordinate decimal
     count (1..9); `mirror_ew` negates x for the mirrored engraving
     convention; `include_layers` of None draws every layer the model
     has.  Stroke widths (one fixed width per layer) and the 3 mm label
     font size are not settable."""
 
-    precision: int = 4
-    mirror_ew: bool = False
-    include_layers: Optional[frozenset] = None
+    __slots__ = ("precision", "mirror_ew", "include_layers")
 
-    def __post_init__(self):
-        if type(self.precision) is not int or not 1 <= self.precision <= 9:
-            raise ValueError(f"precision must be an int in [1, 9], got {self.precision!r}")
-        if self.include_layers is not None:
-            bad = set(self.include_layers) - set(LAYER_IDS)
+    def __init__(self, precision: int = 4, mirror_ew: bool = False,
+                 include_layers: Optional[frozenset] = None):
+        if type(precision) is not int or not 1 <= precision <= 9:
+            raise ValueError(f"precision must be an int in [1, 9], got {precision!r}")
+        if include_layers is not None:
+            bad = set(include_layers) - set(LAYER_IDS)
             if bad:
                 raise ValueError(f"unknown layer ids: {sorted(bad)}")
-            object.__setattr__(self, "include_layers", frozenset(self.include_layers))
+            include_layers = frozenset(include_layers)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "mirror_ew", mirror_ew)
+        object.__setattr__(self, "include_layers", include_layers)
 
 
 # a "-" before a number that rounds to zero at the printed precision

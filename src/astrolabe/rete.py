@@ -18,12 +18,11 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
 
 from .exceptions import DuplicateStarName, OutsidePlate, ParseError
-from .geometry import Circle, PlanePoint
+from .geometry import Circle, PlanePoint, _Record
 from .plate import tropic_radii
 from .projection import OBLIQUITY, check_scale, from_plate_polar, stereographic_radius
 
@@ -31,36 +30,39 @@ from .projection import OBLIQUITY, check_scale, from_plate_polar, stereographic_
 _BOUNDARY_REL = 1.0 - 1e-12
 
 
-@dataclass(frozen=True)
-class StarEntry:
+class StarEntry(_Record):
     """Catalog row: name, right ascension and declination (degrees),
     visual magnitude.  RA is normalized into [0, 360)."""
 
-    name: str
-    ra: float
-    dec: float
-    magnitude: float
+    __slots__ = ("name", "ra", "dec", "magnitude")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, ra: float, dec: float, magnitude: float):
+        if not name:
             raise ValueError("star name must be non-empty")
-        if not (-90.0 <= self.dec <= 90.0):
-            raise ValueError(f"declination must lie in [-90, 90], got {self.dec!r}")
-        if not math.isfinite(self.ra):
-            raise ValueError(f"non-finite right ascension: {self.ra!r}")
-        object.__setattr__(self, "ra", self.ra % 360.0)
+        if not (-90.0 <= dec <= 90.0):
+            raise ValueError(f"declination must lie in [-90, 90], got {dec!r}")
+        if not math.isfinite(ra):
+            raise ValueError(f"non-finite right ascension: {ra!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ra", ra % 360.0)
+        object.__setattr__(self, "dec", dec)
+        object.__setattr__(self, "magnitude", magnitude)
 
 
-@dataclass(frozen=True)
-class ReteModel:
+class ReteModel(_Record):
     """Ecliptic ring, the plate point of each whole degree of ecliptic
     longitude (index = longitude), star pointers, skipped stars, boundary."""
 
-    ecliptic: Circle
-    zodiac_points: tuple[PlanePoint, ...]
-    pointers: tuple[tuple[StarEntry, PlanePoint], ...]
-    skipped: tuple[tuple[StarEntry, str], ...]
-    boundary: Circle
+    __slots__ = ("ecliptic", "zodiac_points", "pointers", "skipped", "boundary")
+
+    def __init__(self, ecliptic: Circle, zodiac_points: tuple[PlanePoint, ...],
+                 pointers: tuple[tuple[StarEntry, PlanePoint], ...],
+                 skipped: tuple[tuple[StarEntry, str], ...], boundary: Circle):
+        object.__setattr__(self, "ecliptic", ecliptic)
+        object.__setattr__(self, "zodiac_points", zodiac_points)
+        object.__setattr__(self, "pointers", pointers)
+        object.__setattr__(self, "skipped", skipped)
+        object.__setattr__(self, "boundary", boundary)
 
 
 def _check_obliquity(obliquity: float) -> None:

@@ -259,6 +259,22 @@ def test_scales_outside_the_range_exit_one_naming_the_flag(capsys, command, flag
         assert err.startswith(f"error: {flag} {value:g} ") and "mm" in err
 
 
+@pytest.mark.parametrize("command", ["plate", "rete", "back", "full"])
+@pytest.mark.parametrize("obliquity", [-90.0, -1e-300, 30.0, 179.99, 1e300])
+def test_obliquities_outside_the_range_exit_one_naming_the_flag(capsys, command, obliquity):
+    lat = () if command == "rete" else ("--lat", "40")
+    argv = (command, *lat, "--diameter-mm", "100", f"--obliquity={obliquity!r}")
+    assert run_cli(capsys, *argv) == (
+        1, "", f"error: --obliquity must lie in [0, 30), got {obliquity!r}\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [("rete",), ("project", "--dec", "10")])
+def test_a_zero_obliquity_draws_the_rete_and_projects(capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--obliquity", "0")
+    assert (code, err) == (0, "")
+
+
 def test_missing_latitude_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "plate")
     assert code == 1
@@ -790,8 +806,8 @@ def run_child(code: str) -> str:
 
 def test_cli_calls_load_no_numpy_xml_sax_or_scipy():
     """Only the Monte Carlo readout and fit_circle need numpy, and no call
-    needs xml.sax or scipy: a fresh interpreter that runs every other
-    subcommand has loaded none of them."""
+    needs xml.sax, scipy, dataclasses or inspect: a fresh interpreter that
+    runs every other subcommand has loaded none of them."""
     calls = [["plate", "--lat", "40"], ["rete"], ["back", "--lat", "33.5"],
              ["full", "--lat", "40"], ["project", "--dec", "10"],
              ["qibla", "--lat", "33.5", "--lon", "36.3"],
@@ -803,7 +819,8 @@ def test_cli_calls_load_no_numpy_xml_sax_or_scipy():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [main(argv) for argv in {calls!r}]\n"
         "print(codes, sorted(m for m in sys.modules\n"
-        "                    if m.startswith(('numpy', 'scipy', 'xml.sax'))))"
+        "                    if m.startswith(('numpy', 'scipy', 'xml.sax'))\n"
+        "                    or m in ('dataclasses', 'inspect')))"
     )
     assert run_child(code) == f"{[0] * len(calls)} []"
 
