@@ -10,25 +10,26 @@ config-file parse errors); 2 mathematical domain errors (arctic
 latitude, undefined projection, undefined bearing, infeasible
 scenario); 3 input/output failure.  Diagnostics go to stderr.
 
-A config file (--config) holds `key = value` lines; `#` starts a
-comment at the start of a line or after whitespace, so a `#` inside a
-value (`catalog = data/stars#2.csv`) is kept.  Command line flags
-override file values.  Keys: lat, lon, scale_mm, diameter_mm,
-obliquity, almucantar_step, azimuth_step, catalog, localities, seed,
-out, mirror_ew, precision; a subcommand ignores the keys it has no use
-for (only analyze montecarlo reads seed), but takes only the flags it
-reads.  Every number, from a flag or the file, must be finite.
+A config file (--config) holds `key = value` lines; `#` starts a comment at
+the start of a line or after whitespace, so a `#` inside a value
+(`catalog = data/stars#2.csv`) is kept.  Command line flags override file
+values.  Flags are long only, `--flag value` or `--flag=value` with the
+exact name; a repeated flag keeps its last value.  Keys: lat, lon, scale_mm,
+diameter_mm, obliquity, almucantar_step, azimuth_step, catalog, localities,
+seed, out, mirror_ew, precision; a subcommand ignores the keys it has no use
+for (only analyze montecarlo reads seed), but takes only the flags it reads.
+Every number, from a flag or the file, must be finite.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import math
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 from . import error_analysis as ea
@@ -44,7 +45,7 @@ from .back import (
 )
 from .exceptions import AstrolabeError, ParseError, UnknownKey
 from .geometry import Circle, PlanePoint
-from .plate import PlateConfig, build_plate
+from .plate import PlateConfig, build_plate, tropic_radii
 from .projection import (
     OBLIQUITY,
     SCALE_RANGE,
@@ -77,14 +78,7 @@ _FALSE = {"false", "no", "0", "off"}
 
 
 class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; this tool reserves 2 for
-    # math domain errors, so usage problems are rerouted to exit 1
-    def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+    """A command line that names no command, or a flag it lacks or misuses."""
 
 
 def load_config(path) -> dict:
@@ -132,24 +126,35 @@ def load_config(path) -> dict:
     return out
 
 
-def _merge_config(args) -> None:
-    """Fill unset flag values (None) from the config file, if any."""
-    if not getattr(args, "config", None):
-        return
-    cfg = load_config(args.config)
-    for key, value in cfg.items():
+def _merge_config(args, defaults: dict) -> None:
+    """Fill unset flag values (None) from the config file, if any, then
+    from the flags' defaults."""
+    cfg = load_config(args.config) if args.config else {}
+    for key, value in (*cfg.items(), *defaults.items()):
         if getattr(args, key, None) is None:
             setattr(args, key, value)
 
 
+# the library's words for the values that flags set
+_FLAG_OF = {"latitude": "--lat", "obliquity": "--obliquity"}
+
+
+def _named(make, *args, **kwargs):
+    """make(*args, **kwargs); a latitude or obliquity that it refuses is
+    reported under its flag, with the range that make itself checks."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        word, _, rest = str(exc).partition(" ")
+        if word in _FLAG_OF:
+            raise ValueError(f"{_FLAG_OF[word]} {rest}") from None
+        raise
+
+
 def _geometry(args) -> tuple[float, float]:
     """(obliquity, scale) from the flags and config, with their defaults."""
-    obliquity = args.obliquity if args.obliquity is not None else OBLIQUITY
-    # tropic_radii's range, the widest any face takes
-    if not 0.0 <= obliquity < 30.0:
-        raise ValueError(f"--obliquity must lie in [0, 30), got {obliquity!r}")
-    scale = getattr(args, "scale_mm", None)
-    diameter = getattr(args, "diameter_mm", None)
+    obliquity, scale, diameter = args.obliquity, args.scale_mm, args.diameter_mm
+    _named(tropic_radii, 1.0, obliquity)  # its range is the widest any face takes
     if scale is not None and diameter is not None:
         raise ValueError("give either --scale-mm or --diameter-mm, not both")
     cap = math.tan(math.radians(45.0 + obliquity / 2.0))  # limb radius per unit of scale
@@ -158,7 +163,7 @@ def _geometry(args) -> tuple[float, float]:
     elif diameter is not None:
         flag, value, scale = "--diameter-mm", diameter, (diameter / 2.0) / cap
     else:
-        return obliquity, 100.0
+        return obliquity, _SCALE
     # the back's limb radius, the widest of any face, must fit SCALE_RANGE as the scale does
     lo, hi = SCALE_RANGE
     if not (lo <= scale and scale * cap <= hi):
@@ -168,11 +173,7 @@ def _geometry(args) -> tuple[float, float]:
 
 
 def _style(args) -> RenderStyle:
-    precision = getattr(args, "precision", None)
-    return RenderStyle(
-        precision=4 if precision is None else precision,
-        mirror_ew=bool(getattr(args, "mirror_ew", None)),
-    )
+    return RenderStyle(precision=args.precision, mirror_ew=bool(args.mirror_ew))
 
 
 def _write_text(args, text: str) -> None:
@@ -191,12 +192,8 @@ def _require(args, *names: str) -> None:
 
 
 def _plate_config(args, obliquity: float, scale: float) -> PlateConfig:
-    optional = {
-        key: getattr(args, key)
-        for key in ("almucantar_step", "azimuth_step")
-        if getattr(args, key, None) is not None
-    }
-    return PlateConfig(latitude=args.lat, scale=scale, obliquity=obliquity, **optional)
+    optional = {key: getattr(args, key) for key in _STEPS if getattr(args, key, None) is not None}
+    return _named(PlateConfig, latitude=args.lat, scale=scale, obliquity=obliquity, **optional)
 
 
 def _rete(args, obliquity: float, scale: float) -> ReteModel:
@@ -210,10 +207,8 @@ def _rete(args, obliquity: float, scale: float) -> ReteModel:
 
 def _back(args, obliquity: float, scale: float) -> BackModel:
     radius = scale * math.tan(math.radians(45.0 + obliquity / 2.0))
-    cfg = BackConfig(latitude=args.lat, radius=radius, obliquity=obliquity)
-    locs = (
-        load_localities(args.localities) if getattr(args, "localities", None) else []
-    )
+    cfg = _named(BackConfig, latitude=args.lat, radius=radius, obliquity=obliquity)
+    locs = load_localities(args.localities) if getattr(args, "localities", None) else []
     return build_back(cfg, locs)
 
 
@@ -272,7 +267,7 @@ def _cmd_project(args) -> int:
 
 def _cmd_qibla(args) -> int:
     _require(args, "lat", "lon")
-    obs = Locality(args.name or "observer", args.lat, args.lon)
+    obs = _named(Locality, args.name or "observer", args.lat, args.lon)
     oracle = bearing_oracle(obs, MECCA)
     closed = qibla_eq13(obs, MECCA)
     diff = abs((oracle - closed + 180.0) % 360.0 - 180.0)
@@ -348,9 +343,8 @@ def _cmd_analyze_chords(args) -> int:
 def _cmd_analyze_band(args) -> int:
     _require(args, "lat")
     _, scale = _geometry(args)
-    displacement, band = ea.band_misassignment(
-        args.lat, scale, args.altitude, args.radius_error_fraction, args.band_step
-    )
+    displacement, band = _named(ea.band_misassignment, args.lat, scale, args.altitude,
+                                args.radius_error_fraction, args.band_step)
     spacing = ea.band_spacing(args.lat, scale, args.altitude, args.band_step)
     rows = [
         ("latitude_deg", f"{args.lat:.6f}"),
@@ -402,16 +396,10 @@ def _cmd_analyze_mc(args) -> int:
         center_sigma=args.center_sigma,
         radius_sigma=args.radius_sigma,
         graduation_sigma=args.graduation_sigma,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
-    report = ea.monte_carlo_readout(
-        cfg,
-        pert,
-        args.scenario,
-        args.sun_dec,
-        args.hour_angle,
-        args.trials,
-    )
+    report = ea.monte_carlo_readout(cfg, pert, args.scenario, args.sun_dec, args.hour_angle,
+                                    args.trials)
     unit = "deg" if args.scenario == "altitude" else "hours"
     rows = [
         ("scenario", args.scenario),
@@ -425,206 +413,217 @@ def _cmd_analyze_mc(args) -> int:
     return 0
 
 
-# every flag shared by several subcommands, declared once; the option
-# string is the dest with dashes ("almucantar_step" -> --almucantar-step)
+class _Flag:
+    """One meaning of a flag: `kind` is its type (bool: a switch that takes
+    no value) or its tuple of choices, and `default` fills it when neither
+    the command line nor the config file sets it."""
+
+    __slots__ = ("kind", "help", "default", "required", "dest", "option")
+
+    def __init__(self, kind, help, default=None, required=False):
+        self.kind, self.help, self.default, self.required = kind, help, default, required
+
+
+_SCALE = 100.0  # the equator radius, mm, when neither --scale-mm nor --diameter-mm is set
+
+# every flag, declared once under its dest ("almucantar_step" is --almucantar-step);
+# a flag that means different things in different commands has one entry for each
+# meaning, keyed "dest:meaning"
 _FLAGS = {
-    "lat": dict(type=float, help="geographic latitude, degrees north"),
-    "scale_mm": dict(
-        type=float, help="equator radius in mm (default 100 when no --diameter-mm)"
-    ),
-    "diameter_mm": dict(
-        type=float, help="overall plate diameter in mm (alternative to --scale-mm)"
-    ),
-    "obliquity": dict(
-        type=float, help=f"ecliptic obliquity, degrees (default {OBLIQUITY})"
-    ),
-    "mirror_ew": dict(
-        action="store_const", const=True,
-        help="mirror east-west (negates document x coordinates)",
-    ),
-    "precision": dict(type=int, help="coordinate decimals in the SVG (1-9, default 4)"),
-    "almucantar_step": dict(
-        type=float, help="altitude circle step in degrees, divides 90 (default 5)"
-    ),
-    "azimuth_step": dict(
-        type=float, help="azimuth arc step in degrees, divides 360 (default 10)"
-    ),
-    "catalog": dict(help="star catalog CSV (name,ra_deg,dec_deg,mag)"),
-    "localities": dict(help="locality CSV (name,lat_deg,lon_deg) for qibla marks"),
+    "config": _Flag(str, "config file with key = value lines"),
+    "out": _Flag(str, "output file (default: stdout)"),
+    "lat": _Flag(float, "geographic latitude, degrees north"),
+    "scale_mm": _Flag(float, f"equator radius in mm (default {_SCALE:g} when no --diameter-mm)"),
+    "diameter_mm": _Flag(float, "overall plate diameter in mm (alternative to --scale-mm)"),
+    "obliquity": _Flag(float, "ecliptic obliquity, degrees", OBLIQUITY),
+    "mirror_ew": _Flag(bool, "mirror east-west (negates document x coordinates)"),
+    "precision": _Flag(int, "coordinate decimals in the SVG, 1-9", 4),
+    "almucantar_step": _Flag(float, "altitude circle step in degrees, divides 90", 5.0),
+    "azimuth_step": _Flag(float, "azimuth arc step in degrees, divides 360", 10.0),
+    "catalog": _Flag(str, "star catalog CSV (name,ra_deg,dec_deg,mag)"),
+    "localities": _Flag(str, "locality CSV (name,lat_deg,lon_deg) for qibla marks"),
+    "dec": _Flag(float, "declination, degrees", required=True),
+    "hour_angle:project": _Flag(float, "hour angle, degrees", 0.0),
+    "kind": _Flag(_KINDS, "projection member", "stereographic"),
+    "q": _Flag(float, "external viewpoint distance (required for --kind external)"),
+    "lon": _Flag(float, "longitude, degrees east"),
+    "name": _Flag(str, "observer name for the report"),
+    "ds": _Flag(float, "tangential offset, mm"),
+    "dp": _Flag(float, "radial offset, mm"),
+    "radius:arc": _Flag(float, "engraving radius, mm (angular form)"),
+    "dalpha": _Flag(float, "angular offset, radians (angular form)"),
+    "radius:chords": _Flag(float, "circle radius, mm", required=True),
+    "marks": _Flag(str, "four mark angles in degrees, comma separated (e.g. 0,90,180,270)",
+                   required=True),
+    "tol": _Flag(float, "chord equality tolerance, mm", required=True),
+    "altitude": _Flag(float, "true altitude band, degrees", required=True),
+    "radius_error_fraction": _Flag(float, "relative radius error (e.g. 0.02 for 2%)",
+                                   required=True),
+    "band_step": _Flag(float, f"band spacing in degrees, at least {ea.MIN_BAND_STEP:g}", 3.0),
+    "length_mm": _Flag(float, "alidade length, mm"),
+    "offset": _Flag(float, "sight-vane angular offset"),
+    "offset_unit": _Flag(("rad", "deg"), "unit of --offset", "rad"),
+    "rotation": _Flag(float, "rotation graduation error"),
+    "rotation_unit": _Flag(("mm", "deg", "rad"),
+                           "unit of --rotation (required with --rotation; the error keeps it)"),
+    "scenario": _Flag(ea.SCENARIOS, "readout scenario", "time_to_sunset"),
+    "sun_dec": _Flag(float, "sun declination, degrees"),
+    "hour_angle:mc": _Flag(float, "true hour angle, degrees"),
+    "trials": _Flag(int, "number of trials", 200),
+    "center_sigma": _Flag(float, "circle center noise per axis, mm", 0.0),
+    "radius_sigma": _Flag(float, "circle radius noise, mm", 0.0),
+    "graduation_sigma": _Flag(float, "hour graduation noise along the tropics, degrees", 0.0),
+    "seed": _Flag(int, "random seed for the trials", 0),
 }
+for _key, _flag in _FLAGS.items():
+    _flag.dest = _key.partition(":")[0]
+    _flag.option = "--" + _flag.dest.replace("_", "-")
 _GEOMETRY = ("scale_mm", "diameter_mm", "obliquity")
 _RENDER = ("mirror_ew", "precision")
+_STEPS = ("almucantar_step", "azimuth_step")
+
+# command path -> (handler, one-line help, flags beyond --config and --out);
+# a path without a handler groups the commands one word below it
+_COMMANDS = {
+    (): (None, "Design a planispheric astrolabe: plate, rete, and back geometry as SVG, "
+         "plus projection and engraving-error analysis.", ()),
+    ("plate",): (_cmd_plate, "plate (tympan) SVG for a latitude",
+                 ("lat", *_GEOMETRY, *_RENDER, *_STEPS)),
+    ("rete",): (_cmd_rete, "rete (star map) SVG", (*_GEOMETRY, *_RENDER, "catalog")),
+    ("back",): (_cmd_back, "back face SVG (scales and calendar)",
+                ("lat", *_GEOMETRY, *_RENDER, "localities")),
+    ("full",): (_cmd_full, "plate + rete + back in one SVG",
+                ("lat", *_GEOMETRY, *_RENDER, *_STEPS, "catalog", "localities")),
+    ("project",): (_cmd_project, "project one sphere point under a projection family member",
+                   (*_GEOMETRY, "dec", "hour_angle:project", "kind", "q")),
+    ("qibla",): (_cmd_qibla, "bearing to Mecca: 3D great-circle oracle and the closed form",
+                 ("lat", "lon", "name")),
+    ("analyze",): (None, "error propagation analyses", ()),
+    ("analyze", "arc-displacement"): (_cmd_analyze_arc, "arc displacement from tangential/"
+                                      "radial offsets", ("ds", "dp", "radius:arc", "dalpha")),
+    ("analyze", "quadrant-chords"): (_cmd_analyze_chords, "diagnose quadrant graduation from "
+                                     "four chords", ("radius:chords", "marks", "tol")),
+    ("analyze", "band"): (_cmd_analyze_band, "altitude band misassignment from a radius error",
+                          ("lat", *_GEOMETRY, "altitude", "radius_error_fraction", "band_step")),
+    ("analyze", "alidade"): (_cmd_analyze_alidade, "alidade sighting error budget", (
+        "length_mm", "offset", "offset_unit", "rotation", "rotation_unit")),
+    ("analyze", "montecarlo"): (
+        _cmd_analyze_mc, "Monte Carlo readout error under engraving noise",
+        ("lat", *_GEOMETRY, "almucantar_step", "scenario", "sun_dec", "hour_angle:mc",
+         "trials", "center_sigma", "radius_sigma", "graduation_sigma", "seed")),
+}
+_HELP = ("-h", "--help")
 
 
-def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
-    """--config, --out, and the named shared flags: a subcommand gets only
-    the flags it reads."""
-    p.add_argument("--config", help="config file with key = value lines")
-    p.add_argument("--out", help="output file (default: stdout)")
-    for name in names:
-        p.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
+def _children(path: tuple) -> list:
+    return [p[-1] for p in _COMMANDS if p and p[:-1] == path]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="astrolabe",
-        description="Design a planispheric astrolabe: plate, rete, and back "
-        "geometry as SVG, plus projection and engraving-error analysis.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _value(flag: _Flag, text: str, where: str):
+    if isinstance(flag.kind, tuple):
+        if text in flag.kind:
+            return text
+        choices = ", ".join(map(repr, flag.kind))
+        raise _UsageError(f"{where}: invalid choice: {text!r} (choose from {choices})")
+    try:
+        return flag.kind(text)
+    except ValueError:
+        raise _UsageError(f"{where}: invalid {flag.kind.__name__} value: {text!r}") from None
 
-    p_plate = sub.add_parser("plate", help="plate (tympan) SVG for a latitude")
-    _add_flags(p_plate, "lat", *_GEOMETRY, *_RENDER, "almucantar_step", "azimuth_step")
-    p_plate.set_defaults(func=_cmd_plate)
 
-    p_rete = sub.add_parser("rete", help="rete (star map) SVG")
-    _add_flags(p_rete, *_GEOMETRY, *_RENDER, "catalog")
-    p_rete.set_defaults(func=_cmd_rete)
+def _parse(argv: list):
+    """(namespace, defaults) for argv, or None once a help text is printed.
 
-    p_back = sub.add_parser("back", help="back face SVG (scales and calendar)")
-    _add_flags(p_back, "lat", *_GEOMETRY, *_RENDER, "localities")
-    p_back.set_defaults(func=_cmd_back)
+    Long options only, `--flag value` or `--flag=value` with exact names; a
+    value may start with one `-`, a repeated flag keeps its last value, and
+    -h or --help anywhere asks for the help text.  The namespace holds the handler as `func` and every flag of the command,
+    None where unset; `defaults` maps dests to the values that fill them
+    after the config file."""
+    path, extras, rest = (), [], list(argv)
+    while _COMMANDS[path][0] is None:
+        prog, dest = " ".join(("astrolabe", *path)), "mode" if path else "command"
+        if not rest:
+            raise _UsageError(f"{prog}: the following arguments are required: {dest}")
+        token = rest.pop(0)
+        if token in _HELP:
+            return _help(path)
+        if token.startswith("-"):
+            extras.append(token)
+        elif token in _children(path):
+            path += (token,)
+        else:
+            choices = ", ".join(map(repr, _children(path)))
+            raise _UsageError(
+                f"{prog}: argument {dest}: invalid choice: {token!r} (choose from {choices})")
+    if any(token in _HELP for token in rest):
+        return _help(path)
+    func, _, keys = _COMMANDS[path]
+    prog, flags = " ".join(("astrolabe", *path)), [_FLAGS[k] for k in ("config", "out", *keys)]
+    by_option = {flag.option: flag for flag in flags}
+    args = SimpleNamespace(func=func, **{flag.dest: None for flag in flags})
+    while rest:
+        token = rest.pop(0)
+        option, eq, text = token.partition("=")
+        if option not in by_option:
+            extras.append(token)
+            continue
+        flag, where = by_option[option], f"{prog}: argument {option}"
+        if flag.kind is bool:
+            if eq:
+                raise _UsageError(f"{where}: ignored explicit argument {text!r}")
+            value = True
+        else:
+            if not eq:
+                if not rest or rest[0].startswith("--"):
+                    raise _UsageError(f"{where}: expected one argument")
+                text = rest.pop(0)
+            value = _value(flag, text, where)
+        setattr(args, flag.dest, value)
+    missing = [f.option for f in flags if f.required and getattr(args, f.dest) is None]
+    if missing:
+        raise _UsageError(f"{prog}: the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"astrolabe: unrecognized arguments: {' '.join(extras)}")
+    return args, {f.dest: f.default for f in flags if f.default is not None}
 
-    p_full = sub.add_parser("full", help="plate + rete + back in one SVG")
-    _add_flags(
-        p_full, "lat", *_GEOMETRY, *_RENDER, "almucantar_step", "azimuth_step",
-        "catalog", "localities",
-    )
-    p_full.set_defaults(func=_cmd_full)
 
-    p_proj = sub.add_parser(
-        "project", help="project one sphere point under a projection family member"
-    )
-    _add_flags(p_proj, *_GEOMETRY)
-    p_proj.add_argument("--dec", type=float, required=True, help="declination, degrees")
-    p_proj.add_argument(
-        "--hour-angle", dest="hour_angle", type=float, default=0.0,
-        help="hour angle, degrees (default 0)",
-    )
-    p_proj.add_argument(
-        "--kind", choices=_KINDS, default="stereographic",
-        help="projection member (default stereographic)",
-    )
-    p_proj.add_argument(
-        "--q", type=float, help="external viewpoint distance (required for --kind external)"
-    )
-    p_proj.set_defaults(func=_cmd_project)
-
-    p_qibla = sub.add_parser(
-        "qibla", help="bearing to Mecca: 3D great-circle oracle and the closed form"
-    )
-    _add_flags(p_qibla, "lat")
-    p_qibla.add_argument("--lon", type=float, help="longitude, degrees east")
-    p_qibla.add_argument("--name", help="observer name for the report")
-    p_qibla.set_defaults(func=_cmd_qibla)
-
-    p_an = sub.add_parser("analyze", help="error propagation analyses")
-    an_sub = p_an.add_subparsers(dest="mode", required=True)
-
-    a_arc = an_sub.add_parser(
-        "arc-displacement", help="arc displacement from tangential/radial offsets"
-    )
-    _add_flags(a_arc)
-    a_arc.add_argument("--ds", type=float, help="tangential offset, mm")
-    a_arc.add_argument("--dp", type=float, help="radial offset, mm")
-    a_arc.add_argument("--radius", type=float, help="engraving radius, mm (angular form)")
-    a_arc.add_argument(
-        "--dalpha", type=float, help="angular offset, radians (angular form)"
-    )
-    a_arc.set_defaults(func=_cmd_analyze_arc)
-
-    a_ch = an_sub.add_parser(
-        "quadrant-chords", help="diagnose quadrant graduation from four chords"
-    )
-    _add_flags(a_ch)
-    a_ch.add_argument("--radius", type=float, required=True, help="circle radius, mm")
-    a_ch.add_argument(
-        "--marks", required=True,
-        help="four mark angles in degrees, comma separated (e.g. 0,90,180,270)",
-    )
-    a_ch.add_argument(
-        "--tol", type=float, required=True, help="chord equality tolerance, mm"
-    )
-    a_ch.set_defaults(func=_cmd_analyze_chords)
-
-    a_band = an_sub.add_parser(
-        "band", help="altitude band misassignment from a radius error"
-    )
-    _add_flags(a_band, "lat", *_GEOMETRY)
-    a_band.add_argument(
-        "--altitude", type=float, required=True, help="true altitude band, degrees"
-    )
-    a_band.add_argument(
-        "--radius-error-fraction", dest="radius_error_fraction", type=float,
-        required=True, help="relative radius error (e.g. 0.02 for 2%%)",
-    )
-    a_band.add_argument(
-        "--band-step", dest="band_step", type=float, default=3.0,
-        help="band spacing in degrees, at least 1e-9 (default 3)",
-    )
-    a_band.set_defaults(func=_cmd_analyze_band)
-
-    a_al = an_sub.add_parser("alidade", help="alidade sighting error budget")
-    _add_flags(a_al)
-    a_al.add_argument("--length-mm", dest="length_mm", type=float, help="alidade length, mm")
-    a_al.add_argument("--offset", type=float, help="sight-vane angular offset")
-    a_al.add_argument(
-        "--offset-unit", dest="offset_unit", choices=("rad", "deg"), default="rad",
-        help="unit of --offset (default rad)",
-    )
-    a_al.add_argument("--rotation", type=float, help="rotation graduation error")
-    a_al.add_argument(
-        "--rotation-unit", dest="rotation_unit", choices=("mm", "deg", "rad"),
-        help="unit of --rotation (required with --rotation; the error keeps it)",
-    )
-    a_al.set_defaults(func=_cmd_analyze_alidade)
-
-    a_mc = an_sub.add_parser(
-        "montecarlo", help="Monte Carlo readout error under engraving noise"
-    )
-    _add_flags(a_mc, "lat", *_GEOMETRY, "almucantar_step")
-    a_mc.add_argument(
-        "--scenario", choices=ea.SCENARIOS, default="time_to_sunset",
-        help="readout scenario (default time_to_sunset)",
-    )
-    a_mc.add_argument("--sun-dec", dest="sun_dec", type=float, help="sun declination, degrees")
-    a_mc.add_argument(
-        "--hour-angle", dest="hour_angle", type=float, help="true hour angle, degrees"
-    )
-    a_mc.add_argument(
-        "--trials", type=int, default=200, help="number of trials (default 200)"
-    )
-    a_mc.add_argument(
-        "--center-sigma", dest="center_sigma", type=float, default=0.0,
-        help="circle center noise per axis, mm",
-    )
-    a_mc.add_argument(
-        "--radius-sigma", dest="radius_sigma", type=float, default=0.0,
-        help="circle radius noise, mm",
-    )
-    a_mc.add_argument(
-        "--graduation-sigma", dest="graduation_sigma", type=float, default=0.0,
-        help="hour graduation noise along the tropics, degrees",
-    )
-    a_mc.add_argument(
-        "--seed", type=int, help="random seed for the trials (default 0)"
-    )
-    a_mc.set_defaults(func=_cmd_analyze_mc)
-
-    return parser
+def _help(path: tuple) -> None:
+    """Print the help text of a command, or of a group and its commands."""
+    func, about, keys = _COMMANDS[path]
+    prog = " ".join(("astrolabe", *path))
+    if func is None:
+        usage, heading = f"{prog} {{{','.join(_children(path))}}} ...", "commands:"
+        rows = [(name, _COMMANDS[(*path, name)][1]) for name in _children(path)]
+    else:
+        usage, heading, rows = f"{prog} [options]", "options:", []
+        for flag in (_FLAGS[k] for k in ("config", "out", *keys)):
+            shown = flag.option
+            if isinstance(flag.kind, tuple):
+                shown += " {" + ",".join(flag.kind) + "}"
+            elif flag.kind is not bool:
+                shown += " " + flag.dest.upper()
+            text = flag.help + (" (required)" if flag.required else "")
+            if flag.default is not None:
+                text += f" (default {flag.default})"
+            rows.append((shown, text))
+    rows.append(("-h, --help", "show this help message and exit"))
+    lines = [f"usage: {usage}", "", about, "", heading]
+    for left, text in rows:
+        lines.append(f"  {left:<24}{text}" if len(left) < 23 else f"  {left}\n  {'':<24}{text}")
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+    if parsed is None:  # a help text was printed
+        return 0
+    args, defaults = parsed
     try:
-        _merge_config(args)
+        _merge_config(args, defaults)
         for key, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{key.replace('_', '-')} must be a finite number, got {value}")

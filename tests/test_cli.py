@@ -13,7 +13,6 @@ the documented exit code map.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import math
 import os
@@ -28,7 +27,9 @@ import pytest
 
 import astrolabe
 import astrolabe.error_analysis as ea
-from astrolabe.cli import build_parser, load_config, main
+from astrolabe.plate import MIN_LATITUDE
+from astrolabe import cli
+from astrolabe.cli import load_config, main
 
 
 def run_cli(capsys, *argv):
@@ -49,23 +50,26 @@ def report_rows(text: str) -> dict:
 # ---------------------------------------------------------------- help text
 
 
-def iter_all_parsers(parser):
-    yield parser
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                yield from iter_all_parsers(sub)
-
-
-def test_every_flag_is_documented():
-    """Each option of each (sub)command has help text shown by --help."""
-    for parser in iter_all_parsers(build_parser()):
-        rendered = parser.format_help()
-        for action in parser._actions:
-            if not action.option_strings:
-                continue
-            assert action.help, f"{parser.prog}: {action.option_strings} lacks help"
-            assert action.option_strings[0] in rendered
+def test_every_flag_is_documented(capsys):
+    """Each flag of each command, and each command of each group, appears
+    with its non-empty help text in that command's or group's --help."""
+    for path, (func, about, keys) in cli._COMMANDS.items():
+        code, out, err = run_cli(capsys, *path, "--help")
+        assert (code, err) == (0, ""), path
+        assert about and about in out, path
+        if func is None:
+            children = [p for p in cli._COMMANDS if p[:-1] == path and p != path]
+            assert children, path
+            for child in children:
+                assert re.search(rf"^  {child[-1]} +{re.escape(cli._COMMANDS[child][1])}$",
+                                 out, re.M), child
+            continue
+        for key in ("config", "out", *keys):
+            flag = cli._FLAGS[key]
+            assert flag.help, (path, key)
+            # the help follows on the flag's row, or on the next row when the flag is long
+            assert re.search(rf"^  {flag.option}(?= |$).*(\n {{20,}})?{re.escape(flag.help)}",
+                             out, re.M), (path, key)
 
 
 def test_help_exits_zero_and_lists_flags(capsys):
@@ -91,6 +95,85 @@ def test_top_level_help_lists_subcommands(capsys):
     assert code == 0
     for name in ("plate", "rete", "back", "full", "project", "qibla", "analyze"):
         assert name in out
+
+
+# ----------------------------------------------------------------- grammar
+
+CFG = "<config>"  # stands for a config file holding `lat = 10` and `precision = 2`
+COMMANDS = "'plate', 'rete', 'back', 'full', 'project', 'qibla', 'analyze'"
+PLATE_40 = ("plate", "--lat", "40")
+
+GRAMMAR = [
+    # argv, exit code, stderr, and the argv whose stdout it must match (None: no
+    # stdout; a string: the start of the help text it prints)
+    pytest.param(("project", "--dec=30", "--hour-angle=90"), 0, "",
+                 ("project", "--dec", "30", "--hour-angle", "90"), id="equals-and-space"),
+    pytest.param(("project", "--dec", "-1e1", "--hour-angle", "-30"), 0, "",
+                 ("project", "--dec=-10", "--hour-angle=-30"), id="negative-values"),
+    pytest.param(("plate", "--lat", "10", "--precision", "9", "--lat=40", "--precision", "4"),
+                 0, "", PLATE_40, id="last-wins"),
+    pytest.param(("plate", "--lat"), 1,
+                 "error: astrolabe plate: argument --lat: expected one argument\n", None,
+                 id="missing-value-at-end"),
+    pytest.param(("plate", "--lat", "--precision", "3"), 1,
+                 "error: astrolabe plate: argument --lat: expected one argument\n", None,
+                 id="missing-value-before-flag"),
+    pytest.param(("plate", "--no-such-flag"), 1,
+                 "error: astrolabe: unrecognized arguments: --no-such-flag\n", None,
+                 id="unknown-flag"),
+    pytest.param((*PLATE_40, "--alm", "5"), 1,
+                 "error: astrolabe: unrecognized arguments: --alm 5\n", None, id="no-prefixes"),
+    pytest.param(("qibla", "--lat", "10", "--lon", "10", "--obliquity", "9"), 1,
+                 "error: astrolabe: unrecognized arguments: --obliquity 9\n", None,
+                 id="flag-of-another-command"),
+    pytest.param(("no-such-command",), 1,
+                 "error: astrolabe: argument command: invalid choice: 'no-such-command' "
+                 f"(choose from {COMMANDS})\n", None, id="unknown-command"),
+    pytest.param(("analyze", "nosuch"), 1,
+                 "error: astrolabe analyze: argument mode: invalid choice: 'nosuch' (choose from "
+                 "'arc-displacement', 'quadrant-chords', 'band', 'alidade', 'montecarlo')\n",
+                 None, id="unknown-mode"),
+    pytest.param((), 1, "error: astrolabe: the following arguments are required: command\n",
+                 None, id="no-command"),
+    pytest.param(("plate", "--lat", "forty"), 1,
+                 "error: astrolabe plate: argument --lat: invalid float value: 'forty'\n", None,
+                 id="bad-float"),
+    pytest.param((*PLATE_40, "--precision=4.0"), 1,
+                 "error: astrolabe plate: argument --precision: invalid int value: '4.0'\n", None,
+                 id="bad-int"),
+    pytest.param(("project", "--dec", "1", "--kind", "polar"), 1,
+                 "error: astrolabe project: argument --kind: invalid choice: 'polar' (choose from "
+                 "'stereographic', 'gnomonic', 'external', 'orthographic')\n", None,
+                 id="bad-choice"),
+    pytest.param((*PLATE_40, "--mirror-ew=yes"), 1,
+                 "error: astrolabe plate: argument --mirror-ew: ignored explicit argument 'yes'\n",
+                 None, id="switch-with-value"),
+    pytest.param(("analyze", "quadrant-chords", "--tol", "1"), 1,
+                 "error: astrolabe analyze quadrant-chords: the following arguments are "
+                 "required: --radius, --marks\n", None, id="missing-required"),
+    pytest.param(("plate", "--config", CFG, "--lat", "40"), 0, "",
+                 ("plate", "--lat", "40", "--precision", "2"), id="flag-overrides-config"),
+    pytest.param(("--help", "plate"), 0, "", "usage: astrolabe {plate,rete,", id="help-top"),
+    pytest.param(("analyze", "-h"), 0, "", "usage: astrolabe analyze {arc-displacement,",
+                 id="help-group"),
+    pytest.param(("plate", "--lat", "forty", "-h"), 0, "", "usage: astrolabe plate [options]\n",
+                 id="help-command"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err, out", GRAMMAR)
+def test_command_line_grammar(capsys, tmp_path, argv, code, err, out):
+    cfg = tmp_path / "grammar.cfg"
+    cfg.write_text("lat = 10\nprecision = 2\n", encoding="utf-8")
+    got_code, got_out, got_err = run_cli(capsys, *(str(cfg) if a == CFG else a for a in argv))
+    assert (got_code, got_err) == (code, err)
+    if out is None:
+        assert got_out == ""
+    elif isinstance(out, str):
+        assert got_out.startswith(out)
+    else:
+        expected = run_cli(capsys, *out)
+        assert expected[0] == 0 and expected[1] and got_out == expected[1]
 
 
 # ------------------------------------------------------------- svg commands
@@ -285,8 +368,33 @@ def test_missing_latitude_is_a_usage_error(capsys):
 def test_plate_below_the_lowest_latitude_is_a_usage_error(capsys, lat):
     code, out, err = run_cli(capsys, "plate", "--lat", lat)
     assert code == 1
-    assert err == f"error: latitude must lie in [0.001, 90), got {float(lat)!r}\n"
+    assert err == f"error: --lat must lie in [{MIN_LATITUDE}, 90), got {float(lat)!r}\n"
     assert out == ""
+
+
+MC_AT = ("--sun-dec", "10", "--hour-angle", "40")
+BAND_AT = ("--altitude", "10", "--radius-error-fraction", "0.02")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("plate", "--lat", "40", "--obliquity", "0"), "--obliquity must lie in (0, 30), got 0.0"),
+    (("back", "--lat", "40", "--obliquity", "0"), "--obliquity must lie in (0, 30), got 0.0"),
+    (("full", "--lat", "40", "--obliquity", "0"), "--obliquity must lie in (0, 30), got 0.0"),
+    (("analyze", "montecarlo", "--lat", "40", "--obliquity", "0", *MC_AT),
+     "--obliquity must lie in (0, 30), got 0.0"),
+    (("plate", "--lat", "95"), f"--lat must lie in [{MIN_LATITUDE}, 90), got 95.0"),
+    (("back", "--lat", "95"), "--lat must lie in (0, 90), got 95.0"),
+    (("full", "--lat", "95"), f"--lat must lie in [{MIN_LATITUDE}, 90), got 95.0"),
+    (("analyze", "montecarlo", "--lat", "95", *MC_AT),
+     f"--lat must lie in [{MIN_LATITUDE}, 90), got 95.0"),
+    (("analyze", "band", "--lat", "95", *BAND_AT), "--lat must lie in (0, 90), got 95.0"),
+    (("analyze", "band", "--lat", "0", *BAND_AT), "--lat must lie in (0, 90), got 0.0"),
+    (("qibla", "--lat", "95", "--lon", "10"), "--lat must lie in [-90, 90], got 95.0"),
+], ids=["plate-obliquity", "back-obliquity", "full-obliquity", "montecarlo-obliquity",
+        "plate-lat", "back-lat", "full-lat", "montecarlo-lat", "band-lat", "band-lat-0",
+        "qibla-lat"])
+def test_range_errors_name_the_flag_and_the_commands_range(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -337,12 +445,6 @@ def test_nearly_coincident_tropics_draw(capsys, argv):
     assert (code, err) == (0, "")
     groups = {g.get("id"): list(g) for g in ET.fromstring(out).iter() if g.get("id")}
     assert len(groups["hours" if argv[0] == "plate" else "plate-hours"]) == 11
-
-
-def test_argparse_problems_exit_one(capsys):
-    assert run_cli(capsys, "plate", "--no-such-flag")[0] == 1
-    assert run_cli(capsys, "plate", "--lat", "forty")[0] == 1
-    assert run_cli(capsys, "no-such-command")[0] == 1
 
 
 @pytest.mark.parametrize(
@@ -806,23 +908,26 @@ def run_child(code: str) -> str:
 
 def test_cli_calls_load_no_numpy_xml_sax_or_scipy():
     """Only the Monte Carlo readout and fit_circle need numpy, and no call
-    needs xml.sax, scipy, dataclasses or inspect: a fresh interpreter that
-    runs every other subcommand has loaded none of them."""
+    needs xml.sax, scipy, dataclasses, inspect, argparse, gettext or locale:
+    a fresh interpreter that runs every other subcommand, two help texts and
+    a usage error has loaded none of them."""
     calls = [["plate", "--lat", "40"], ["rete"], ["back", "--lat", "33.5"],
              ["full", "--lat", "40"], ["project", "--dec", "10"],
              ["qibla", "--lat", "33.5", "--lon", "36.3"],
              ["analyze", "band", "--lat", "40", "--altitude", "10",
-              "--radius-error-fraction", "0.02"]]
+              "--radius-error-fraction", "0.02"],
+             ["--help"], ["plate", "--help"], ["plate", "--lat", "forty"]]
     code = (
         "import contextlib, io, sys\n"
         "from astrolabe.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
         f"    codes = [main(argv) for argv in {calls!r}]\n"
         "print(codes, sorted(m for m in sys.modules\n"
         "                    if m.startswith(('numpy', 'scipy', 'xml.sax'))\n"
-        "                    or m in ('dataclasses', 'inspect')))"
+        "                    or m in ('dataclasses', 'inspect', 'argparse', 'gettext', 'locale')))"
     )
-    assert run_child(code) == f"{[0] * len(calls)} []"
+    assert run_child(code) == f"{[0] * (len(calls) - 1) + [1]} []"
 
 
 def test_numpy_paths_run_in_a_fresh_interpreter():
@@ -867,6 +972,16 @@ def test_console_script_is_installed():
     undefined = project(entry, "-90")
     assert undefined.returncode == 2, undefined.stderr
     assert undefined.stderr.startswith("error:")
+    # with argparse gone nothing raises SystemExit inside main: help and
+    # usage errors reach the process exit status through run() alone
+    for argv, code, out, err in (
+        (["--help"], 0, "usage: astrolabe ", ""),
+        (["plate", "--lat", "forty"], 1, "", "error: astrolabe plate: argument --lat: invalid"),
+    ):
+        proc = subprocess.run([*entry, *argv], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.startswith(out) and proc.stderr.startswith(err)
+        assert bool(proc.stdout) == bool(out) and bool(proc.stderr) == bool(err)
 
     for target in ("astrolabe", "astrolabe.cli"):
         proc = project([sys.executable, "-m", target], "45")
