@@ -71,9 +71,7 @@ from .plate import (
     almucantar_solution,
     azimuth_circle,
     build_plate,
-    clip_circle_to_disc,
     hour_lines,
-    night_arc,
     tropic_circles,
     tropic_radii,
     zenith_point,

@@ -128,10 +128,11 @@ def load_config(path) -> dict:
 
 def _merge_config(args, defaults: dict) -> None:
     """Fill unset flag values (None) from the config file, if any, then
-    from the flags' defaults."""
+    from the flags' defaults.  A config key the command has no flag for
+    is left out."""
     cfg = load_config(args.config) if args.config else {}
     for key, value in (*cfg.items(), *defaults.items()):
-        if getattr(args, key, None) is None:
+        if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
 
 

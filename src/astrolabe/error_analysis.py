@@ -33,11 +33,10 @@ import math
 from typing import Sequence
 
 from .exceptions import ScenarioInfeasible
-from .geometry import COLLINEAR_AREA_REL, Circle, PlanePoint, _Record, chord_length
-from .geometry import divide_arc_equal, normalize_angle
+from .geometry import COLLINEAR_AREA_REL, Circle, _Record, chord_length, normalize_angle
 # unused here, but bench/tracing.py counts calls to them through this module
 from .geometry import circle_circle_intersection, circumcircle  # noqa: F401
-from .plate import PlateConfig, almucantar_solution, night_arc, tropic_circles
+from .plate import PlateConfig, almucantar_solution, night_hours, tropic_circles
 from .projection import from_plate_polar, stereographic_radius
 
 SCENARIOS = ("time_to_sunset", "altitude")
@@ -303,13 +302,13 @@ def _read_sunset_hours(cfg, pert, sun_dec, altitude, grid, cx, cy, r, draws):
     s, sc, sr = cfg.scale, pert.center_sigma, pert.radius_sigma
     horizon = almucantar_solution(cfg.latitude, 0.0, s).circle
     tropics = tropic_circles(cfg)
-    arcs = [night_arc(c, horizon) for c in tropics]
-    division = np.array([[a.start_angle + a.sweep * k / 12.0 for k in range(13)]
-                         for a in arcs])
+    # each tropic's graduation: the hour angles dividing its night arc
+    division = np.radians([night_hours(cfg.latitude, dec)
+                           for dec in (-cfg.obliquity, 0.0, cfg.obliquity)])
     r_sun, r_opp = stereographic_radius(sun_dec, s), stereographic_radius(-sun_dec, s)
     # expected boundary crossings guide the intersection pick
-    guide = divide_arc_equal(night_arc(Circle(PlanePoint(0.0, 0.0), r_opp), horizon), 12)
-    gx, gy = np.array([p.x for p in guide[1:12]]), np.array([p.y for p in guide[1:12]])
+    guide = np.radians(night_hours(cfg.latitude, -sun_dec)[1:12])
+    gx, gy = r_opp * np.sin(guide), r_opp * np.cos(guide)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # place the rete: the sun's date circle meets the almucantar of the
@@ -333,9 +332,10 @@ def _read_sunset_hours(cfg, pert, sun_dec, altitude, grid, cx, cy, r, draws):
         # boundaries 1-11: the circle through the perturbed division points
         # on the three tropics, in closed form as geometry.circumcircle
         grad = draws[:, 3:42].reshape(-1, 3, 13)[:, :, 1:12]
-        ang = division[:, 1:12] + math.radians(pert.graduation_sigma) * grad
+        # a positive draw moves a point counterclockwise, toward smaller hour angles
+        ang = division[:, 1:12] - math.radians(pert.graduation_sigma) * grad
         radii = np.array([c.radius for c in tropics])[:, None]
-        px, py = radii * np.cos(ang), radii * np.sin(ang)
+        px, py = radii * np.sin(ang), radii * np.cos(ang)
         bx, by = px[:, 1] - px[:, 0], py[:, 1] - py[:, 0]
         ex, ey = px[:, 2] - px[:, 0], py[:, 2] - py[:, 0]
         dmax = np.max([np.hypot(bx, by), np.hypot(ex, ey), np.hypot(ex - bx, ey - by)], axis=0)

@@ -4,7 +4,21 @@ horizon, almucantars, azimuth arcs, and unequal-hour lines.
 Plate coordinates: origin at the celestial pole's projection, +y toward
 the projection of the zenith's meridian (south up, as engraved), hour
 angle measured clockwise from +y.  The plate boundary is the Tropic of
-Capricorn circle; everything else is clipped against it.
+Capricorn circle, declination -obliquity.
+
+Every end of an engraved curve is a sky point of known declination and
+hour angle, projected in closed form; no two plane circles are
+intersected.  The altitude-h circle meets the declination-dec circle at
+hour angles -H and +H, from the half-angle sunrise equation
+
+    sin^2(H/2) = sin((90 - h + phi - dec)/2) sin((90 - h - phi + dec)/2) / (cos phi cos dec)
+
+whose sign also tells a crossing from a touch or a miss.  At dec =
+-obliquity it ends the horizon and the almucantars on the boundary; at
+h = 0 it gives each tropic's setting point, from which its night arc is
+divided into the unequal hours.  A vertical ends at altitude 0 on its
+azimuth, or where that azimuth meets the boundary, whichever comes first
+from the zenith.
 
 Closed forms for the meridian crossings: an almucantar at altitude h
 seen from latitude phi crosses the meridian at
@@ -28,29 +42,14 @@ import math
 from typing import Union
 
 from .exceptions import ArcticLatitude, DomainError
-from .geometry import (
-    COINCIDENT_REL,
-    TAU,
-    Arc,
-    Circle,
-    CoincidentCircles,
-    CollinearPoints,
-    PlanePoint,
-    Segment,
-    _Record,
-    arc_through,
-    circle_circle_intersection,
-    divide_arc_equal,
-)
-from .projection import OBLIQUITY, check_scale, stereographic_radius
-
-_FULL = "full"
+from .geometry import TAU, Arc, Circle, CollinearPoints, PlanePoint, Segment, _Record, arc_through
+from .projection import OBLIQUITY, SpherePoint, check_scale, project_point, stereographic_radius
 
 # lowest plate latitude (degrees); below about 3e-6 the horizon cannot be drawn
 MIN_LATITUDE = 0.001
 
-# a vertical whose circle is over this many boundary radii wide is drawn as its tangent at
-# the zenith: it leaves the circle by under 5e-6 radii, about what rounding moves so wide a clip
+# a vertical whose circle is over this many boundary radii wide is drawn as the straight
+# segment between its two ends, which leaves the circle by under 5e-6 boundary radii
 STRAIGHT_REL = 1e5
 
 Element = Union[Circle, Arc, Segment, PlanePoint]
@@ -120,7 +119,8 @@ class PlateModel(_Record):
       multiple A = k * azimuth_step mod 180 within rounding of j * 180 / m,
       measured from the prime vertical (each also covers its A + 180
       pair); the 90-degree entry, if any, is the meridian Segment, and so
-      is a vertical straight to rounding near the pole;
+      is a vertical whose circle is over STRAIGHT_REL boundary radii wide
+      (near the pole), from one of its ends to the other;
     - `hour_lines[k - 1]` is unequal-hour boundary k (1..11): an Arc, or
       a Segment where its three points are collinear (midnight); empty
       at arctic latitudes (latitude >= 90 - obliquity).
@@ -206,112 +206,94 @@ def azimuth_circle(latitude: float, azimuth: float, scale: float) -> Circle:
     return Circle(PlanePoint(p_c * math.tan(ar), y_c), p_c / abs(math.cos(ar)))
 
 
-def _inside_interval(subject: Circle, clip: Circle):
-    """Angular interval (start, extent), ccw, of the part of the subject
-    circle inside the clip disc; _FULL if entirely inside, None if
-    entirely outside."""
-    try:
-        pts = circle_circle_intersection(subject, clip)
-    except CoincidentCircles:
-        return _FULL
-    if len(pts) < 2:  # apart or touching: judge away from the touching point
-        away = subject.angle_of(pts[0]) + math.pi if pts else 0.0
-        inside = clip.signed_distance(subject.point_at(away)) <= 0.0
-        return _FULL if inside else None
-    a1, a2 = subject.angle_of(pts[0]), subject.angle_of(pts[1])
-    ext = (a2 - a1) % TAU
-    mid = subject.point_at(a1 + ext / 2.0)
-    return (a1, ext) if clip.signed_distance(mid) <= 0.0 else (a2, (a1 - a2) % TAU)
+def crossing_hour_angle(latitude: float, declination: float, altitude: float = 0.0):
+    """Hour angle H (degrees, in (0, 180)) at which the declination
+    circle crosses the altitude-h almucantar, at -H (east) and +H (west);
+    None where they touch at a meridian or miss (a product below is <= 0).
+    H/2 is the atan2 of the roots of the module's half-angle equation and
+    its twin, well conditioned at both ends:
 
+        cos^2(H/2) = cos((90 - h + phi + dec)/2) cos((90 - h - phi - dec)/2) / (cos phi cos dec)
 
-def _component_at(ref: float, *intervals):
-    """Intersection of angular intervals, restricted to the connected
-    component containing the reference angle."""
-    if any(i is None for i in intervals):
+    90 - h - phi + dec is summed as ((90 + dec) - h) - phi, the order of
+    phi = 90 - eps - h, so a tangent configuration comes out exactly 0.
+    """
+    phi, dec, h = latitude, declination, altitude
+    half = math.radians(0.5)
+    sin2 = math.sin(half * (90.0 - h + phi - dec)) * math.sin(half * ((90.0 + dec - h) - phi))
+    cos2 = math.cos(half * (90.0 - h + phi + dec)) * math.cos(half * (90.0 - h - phi - dec))
+    if not (sin2 > 0.0 and cos2 > 0.0):
         return None
-    real = [i for i in intervals if i is not _FULL]
-    if not real:
-        return _FULL
-    back = fwd = TAU
-    for start, ext in real:
-        offset = (ref - start) % TAU
-        if offset > ext + 1e-12:
-            return None
-        back = min(back, offset)
-        fwd = min(fwd, ext - offset)
-    if back + fwd <= 1e-12:
-        return None
-    return ((ref - back) % TAU, back + fwd)
+    return math.degrees(2.0 * math.atan2(math.sqrt(sin2), math.sqrt(cos2)))
 
 
-def _as_element(subject: Circle, interval):
-    if interval is None:
-        return None
-    if interval is _FULL:
-        return subject
-    start, ext = interval
-    return Arc(subject, start, start + ext, "ccw")
+def _sky_point(latitude: float, altitude: float, azimuth: float) -> SpherePoint:
+    """The sphere point at this altitude and compass azimuth (degrees from
+    north through east), from its components toward the pole, the upper
+    meridian and the east."""
+    phi, h, a = math.radians(latitude), math.radians(altitude), math.radians(azimuth)
+    sin_phi, cos_phi, sin_h, cos_h = math.sin(phi), math.cos(phi), math.sin(h), math.cos(h)
+    pole = sin_phi * sin_h + cos_phi * cos_h * math.cos(a)
+    meridian = cos_phi * sin_h - sin_phi * cos_h * math.cos(a)
+    east = cos_h * math.sin(a)
+    return SpherePoint(math.degrees(math.atan2(pole, math.hypot(meridian, east))),
+                       math.degrees(math.atan2(-east, meridian)))
 
 
-def clip_circle_to_disc(subject: Circle, disc: Circle):
-    """Subject circle clipped to the inside of a disc: the full Circle,
-    an Arc, or None when no part lies inside."""
-    return _as_element(subject, _inside_interval(subject, disc))
+def _inside_boundary(circle: Circle, cfg: PlateConfig, altitude: float) -> Element:
+    """The altitude circle's part inside the boundary: the whole circle
+    where the two touch or miss, else the arc from the eastern crossing
+    counterclockwise (through the north point) to the western one."""
+    hc = crossing_hour_angle(cfg.latitude, -cfg.obliquity, altitude)
+    if hc is None:
+        return circle
+    east, west = (project_point(SpherePoint(-cfg.obliquity, h), cfg.scale) for h in (-hc, hc))
+    return Arc(circle, circle.angle_of(east), circle.angle_of(west), "ccw")
 
 
-def _line_in_discs(point: PlanePoint, theta: float, *discs: Circle) -> Segment:
-    """The part of the line at angle theta (rad) through `point` inside the discs, which hold
-    `point`."""
-    ux, uy = math.cos(theta), math.sin(theta)
-    lo, hi = -math.inf, math.inf
-    for disc in discs:
-        wx, wy = point.x - disc.center.x, point.y - disc.center.y
-        b = wx * ux + wy * uy
-        half = math.sqrt(b * b - (wx * wx + wy * wy - disc.radius * disc.radius))
-        lo, hi = max(lo, -b - half), min(hi, -b + half)
-    return Segment(PlanePoint(point.x + lo * ux, point.y + lo * uy),
-                   PlanePoint(point.x + hi * ux, point.y + hi * uy))
+def _vertical_end(cfg: PlateConfig, azimuth: float) -> PlanePoint:
+    """Where the vertical of this compass azimuth, walked down from the
+    zenith, leaves the plate: at altitude 0, or on the boundary above it."""
+    from .back import solve_altitude_for_azimuth  # back imports plate, through rete
+
+    p = _sky_point(cfg.latitude, 0.0, azimuth)
+    if p.dec < -cfg.obliquity:
+        h = solve_altitude_for_azimuth(cfg.latitude, -cfg.obliquity, azimuth)
+        p = SpherePoint(-cfg.obliquity, _sky_point(cfg.latitude, h, azimuth).hour_angle)
+    return project_point(p, cfg.scale)
 
 
-def night_arc(circle: Circle, horizon: Circle) -> Arc:
-    """Below-horizon arc of a pole-centered circle, from its western
-    (setting) horizon crossing clockwise to the eastern one.  A touch in
-    circle_circle_intersection's tangency window may be a short real
-    chord, kept at the touching point's height (the horizon is centered
-    on the meridian).  Raises ArcticLatitude for no chord, or one under
-    COINCIDENT_REL of the radius."""
-    pts = circle_circle_intersection(circle, horizon)
-    if len(pts) == 1:
-        y = pts[0].y
-        half = math.sqrt(max(circle.radius * circle.radius - y * y, 0.0))
-        if half > COINCIDENT_REL * circle.radius:
-            pts = (PlanePoint(half, y), PlanePoint(-half, y))
-    if len(pts) < 2:
-        raise ArcticLatitude("a tropic does not cross the horizon at this latitude; "
-                             "hour lines are undefined")
-    west = max(pts, key=lambda p: p.x)
-    east = min(pts, key=lambda p: p.x)
-    return Arc(circle, circle.angle_of(west), circle.angle_of(east), "cw")
+def night_hours(latitude: float, declination: float) -> list[float]:
+    """The 13 hour angles (degrees) that divide the declination circle's
+    below-horizon arc into 12 equal parts, H_k = H_0 + k (360 - 2 H_0) / 12
+    from its setting point H_0 westward.  Raises ArcticLatitude where the
+    circle does not both rise and set."""
+    h0 = crossing_hour_angle(latitude, declination)
+    if h0 is None:
+        raise ArcticLatitude(f"declination {declination} does not cross the horizon at "
+                             f"latitude {latitude}; hour lines are undefined")
+    return [h0 + k * (360.0 - 2.0 * h0) / 12.0 for k in range(13)]
 
 
 def hour_lines(cfg: PlateConfig) -> tuple[Element, ...]:
     """The eleven unequal-hour boundaries under the horizon.
 
-    Each tropic's night arc is divided into 12 equal parts from the
-    western end; boundary k is the circle through the three k-th
-    division points, kept as the arc from the Capricorn point to the
-    Cancer point that passes the equator point; entry k - 1 is boundary
-    k.  Where the three points are collinear (the midnight boundary at
-    k = 6), or the Capricorn and Cancer points fall on one angle of the
-    circle (tropics nearly coincide), the boundary is the Segment from
-    the Capricorn point to the Cancer point.
+    Each tropic's night arc is divided into 12 equal parts of hour angle
+    from its setting point (`night_hours`); boundary k is the circle
+    through the three k-th division points, kept as the arc from the
+    Capricorn point to the Cancer point that passes the equator point;
+    entry k - 1 is boundary k.  Where the three points are collinear
+    (the midnight boundary at k = 6), or the Capricorn and Cancer points
+    fall on one angle of the circle (tropics nearly coincide), the
+    boundary is the Segment from the Capricorn point to the Cancer point.
     Raises ArcticLatitude from 1e-12 degree below 90 - obliquity.
     """
     if cfg.latitude >= 90.0 - cfg.obliquity - 1e-12:
         raise ArcticLatitude(f"latitude {cfg.latitude} >= {90.0 - cfg.obliquity}: the Tropic "
                              "of Cancer never sets; hour lines are undefined")
-    horizon = almucantar_solution(cfg.latitude, 0.0, cfg.scale).circle
-    night_points = [divide_arc_equal(night_arc(c, horizon), 12) for c in tropic_circles(cfg)]
+    night_points = [[project_point(SpherePoint(dec, h), cfg.scale)
+                     for h in night_hours(cfg.latitude, dec)]
+                    for dec in (-cfg.obliquity, 0.0, cfg.obliquity)]
     out = []
     for k in range(1, 12):
         p_cap, p_eq, p_can = (night_points[i][k] for i in range(3))
@@ -327,25 +309,26 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
 
     Almucantars run h = 0 .. 90 inclusive in config steps (h = 90 is the
     zenith point marker); azimuth verticals cover [0, 180) in config
-    steps, the 90-degree member being the meridian segment.  Everything
-    is clipped to the Capricorn boundary, azimuth arcs additionally to
-    the above-horizon region, as the component that holds the zenith.
-    No curve drops out: an almucantar's northern crossing and every
-    azimuth circle's zenith lie strictly inside the plate.  A vertical
-    whose circle is over STRAIGHT_REL boundary radii wide (near the
-    pole) is the Segment of its tangent at the zenith.  Hour lines are
-    left out only when the latitude is arctic for the obliquity.
+    steps, the 90-degree member being the meridian segment.  An
+    almucantar that crosses the Capricorn boundary is the Arc between its
+    two crossings that holds its northern meridian point; one that
+    touches or misses the boundary is its whole Circle.  A vertical is
+    the Arc through the zenith between its two ends, each at altitude 0
+    or on the boundary, whichever its azimuth reaches first from the
+    zenith.  No curve drops out: an almucantar's northern crossing and
+    every azimuth circle's zenith lie strictly inside the plate.  A
+    vertical whose circle is over STRAIGHT_REL boundary radii wide (near
+    the pole) is the Segment between its two ends.  Hour lines are left
+    out only when the latitude is arctic for the obliquity.
     """
     phi, s = cfg.latitude, cfg.scale
     boundary, eq, can = tropic_circles(cfg)
     zen = zenith_point(phi, s)
 
-    horizon_circle = almucantar_solution(phi, 0.0, s).circle
-    horizon = clip_circle_to_disc(horizon_circle, boundary)
-
     step = cfg.almucantar_step
-    almucantars = [clip_circle_to_disc(almucantar_solution(phi, k * step, s).circle, boundary)
+    almucantars = [_inside_boundary(almucantar_solution(phi, k * step, s).circle, cfg, k * step)
                    for k in range(int(round(90.0 / step)))] + [zen]
+    horizon = almucantars[0]
 
     # vertical j = round(A m / 180) mod m takes the first multiple
     # A = k * step mod 180 that reaches it: with n steps per turn, m = n/2
@@ -359,16 +342,22 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
     azimuths = []
     for _, a in sorted(first.items()):
         if abs(math.cos(math.radians(a))) < 1e-11:
+            horizon_circle = almucantar_solution(phi, 0.0, s).circle
             north_y = horizon_circle.center.y - horizon_circle.radius
             south_y = min(s / math.tan(math.radians(phi / 2.0)), boundary.radius)
             azimuths.append(Segment(PlanePoint(0.0, north_y), PlanePoint(0.0, south_y)))
             continue
+        # from the zenith the vertical heads along (cos A, sin A) on the
+        # plate toward compass azimuth 270 - A, and back toward 90 - A
+        ahead, behind = _vertical_end(cfg, 270.0 - a), _vertical_end(cfg, 90.0 - a)
         circ = azimuth_circle(phi, a, s)
         if circ.radius > STRAIGHT_REL * boundary.radius:
-            azimuths.append(_line_in_discs(zen, math.radians(a), horizon_circle, boundary))
+            azimuths.append(Segment(behind, ahead))
             continue
-        inside = _inside_interval(circ, horizon_circle), _inside_interval(circ, boundary)
-        azimuths.append(_as_element(circ, _component_at(circ.angle_of(zen), *inside)))
+        t1, t2 = circ.angle_of(ahead), circ.angle_of(behind)
+        if (circ.angle_of(zen) - t1) % TAU > (t2 - t1) % TAU:  # the zenith lies ccw of t2
+            t1, t2 = t2, t1
+        azimuths.append(Arc(circ, t1, t2, "ccw"))
 
     try:
         hours = hour_lines(cfg)

@@ -781,6 +781,21 @@ def test_analyze_band_and_montecarlo_read_config(capsys, tmp_path):
     assert run_cli(capsys, *mc, "--lat", "40", "--scale-mm", "80")[1] != from_config
 
 
+def test_config_keys_a_command_has_no_flag_for_are_ignored(capsys, tmp_path):
+    # the Monte Carlo draws no verticals, so a step that plate refuses
+    # does not reach it; plate still names the step
+    cfg = tmp_path / "site.cfg"
+    cfg.write_text("lat = 40\nazimuth_step = 7\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", "montecarlo", "--config", str(cfg),
+                             "--sun-dec", "10", "--hour-angle", "40", "--scenario", "altitude",
+                             "--trials", "5")
+    assert code == 0, err
+    assert report_rows(out)["n_trials"] == "5"
+    code, _, err = run_cli(capsys, "plate", "--config", str(cfg))
+    assert code == 1
+    assert "azimuth step must divide 360, got 7.0" in err
+
+
 def test_analyze_montecarlo_infeasible_scene_exits_two(capsys):
     # hour angle past sunset for a winter sun: nothing to read off the plate
     code, _, err = run_cli(

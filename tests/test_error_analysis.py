@@ -12,6 +12,8 @@ from mpmath import mp, mpf
 
 import astrolabe
 from astrolabe import (
+    Arc,
+    ArcticLatitude,
     Circle,
     CollinearPoints,
     PlanePoint,
@@ -28,8 +30,13 @@ from astrolabe import (
     quadrant_chord_diagnosis,
 )
 from astrolabe.error_analysis import SCENARIOS, _read_altitude, _sun_altitude
-from astrolabe.geometry import circle_circle_intersection, circumcircle, divide_arc_equal
-from astrolabe.plate import almucantar_solution, night_arc, tropic_circles
+from astrolabe.geometry import (
+    COLLINEAR_AREA_REL,
+    circle_circle_intersection,
+    circumcircle,
+    divide_arc_equal,
+)
+from astrolabe.plate import almucantar_solution, night_hours, tropic_circles
 from astrolabe.projection import from_plate_polar, plate_angle_deg, stereographic_radius
 
 # section-4 style worked configuration: 150 mm plate
@@ -291,11 +298,28 @@ def line_circle(a, b, radius):
     return tuple(PlanePoint(a.x + t * dx, a.y + t * dy) for t in ts)
 
 
+def night_arc(circle, horizon):
+    """Below-horizon arc of a pole-centered circle, from its western
+    (setting) horizon crossing clockwise to the eastern one, found by
+    intersecting the two plane circles: a route to the graduation
+    independent of the sunrise equation the readout uses.  Raises
+    ArcticLatitude where they do not cross at two points."""
+    pts = circle_circle_intersection(circle, horizon)
+    if len(pts) < 2:
+        raise ArcticLatitude("a tropic does not cross the horizon at this latitude; "
+                             "hour lines are undefined")
+    west = max(pts, key=lambda p: p.x)
+    east = min(pts, key=lambda p: p.x)
+    return Arc(circle, circle.angle_of(west), circle.angle_of(east), "cw")
+
+
 def sunset_replay(cfg, pert, sun_dec, hour_angle):
     """Scalar reference for the time_to_sunset readout, one trial at a
-    time with Circle objects, circumcircle, circle_circle_intersection
-    and night_arc.  Returns read(draws), the hours left until sunset on
-    the plate perturbed by one trial's draws, and the draws per trial."""
+    time with Circle objects, circumcircle and circle_circle_intersection,
+    from the readout's own graduation (`night_hours`, which
+    test_readout_graduation_matches_night_arc checks).  Returns
+    read(draws), the hours left until sunset on the plate perturbed by
+    one trial's draws, and the draws per trial."""
     s, sc, sr = cfg.scale, pert.center_sigma, pert.radius_sigma
     sg = math.radians(pert.graduation_sigma)
     altitude = _sun_altitude(cfg.latitude, sun_dec, hour_angle)
@@ -307,13 +331,10 @@ def sunset_replay(cfg, pert, sun_dec, hour_angle):
     n = len(grid)
     horizon = sols[0].circle
     tropics = tropic_circles(cfg)
-    division = []
-    for c in tropics:
-        arc = night_arc(c, horizon)
-        division.append([arc.start_angle + arc.sweep * k / 12.0 for k in range(13)])
+    hours = [night_hours(cfg.latitude, dec) for dec in (-cfg.obliquity, 0.0, cfg.obliquity)]
     origin = PlanePoint(0.0, 0.0)
     opp = Circle(origin, stereographic_radius(-sun_dec, s))
-    guide = divide_arc_equal(night_arc(opp, horizon), 12)
+    guide = [from_plate_polar(opp.radius, h) for h in night_hours(cfg.latitude, -sun_dec)]
     sun_circle = Circle(origin, stereographic_radius(sun_dec, s))
 
     def circle(x, y, radius):
@@ -331,8 +352,11 @@ def sunset_replay(cfg, pert, sun_dec, hour_angle):
         crossings[0] = plate_angle_deg(max(pts, key=lambda p: p.x))
         crossings[12] = plate_angle_deg(min(pts, key=lambda p: p.x))
         for k in range(1, 12):
-            trio = [c.point_at(division[i][k] + sg * draws[base_g + 13 * i + k])
-                    for i, c in enumerate(tropics)]
+            # a positive graduation draw turns a point counterclockwise
+            angles = [math.radians(hours[i][k]) - sg * draws[base_g + 13 * i + k]
+                      for i in range(3)]
+            trio = [PlanePoint(c.radius * math.sin(a), c.radius * math.cos(a))
+                    for c, a in zip(tropics, angles)]
             j = base_c + 3 * (k - 1)
             try:
                 hc = circumcircle(*trio)
@@ -413,6 +437,21 @@ NEGATIVE_RADIUS_SCENES = [
 ]
 
 
+def test_readout_graduation_matches_night_arc():
+    """The readout divides each tropic's night arc, and the opposite
+    circle that guides its pick, at the hour angles of the sunrise
+    equation; dividing the arc between the plane crossings of the circle
+    and the horizon puts the points within 1e-9 mm of them."""
+    origin = PlanePoint(0.0, 0.0)
+    for cfg, _, dec, _ in sunset_scenes(np.random.default_rng(2026), 50):
+        horizon = almucantar_solution(cfg.latitude, 0.0, cfg.scale).circle
+        for d in (-cfg.obliquity, 0.0, cfg.obliquity, -dec):
+            circle = Circle(origin, stereographic_radius(d, cfg.scale))
+            want = divide_arc_equal(night_arc(circle, horizon), 12)
+            got = [from_plate_polar(circle.radius, h) for h in night_hours(cfg.latitude, d)]
+            assert max(p.distance_to(q) for p, q in zip(got, want)) < 1e-9
+
+
 def test_batched_sunset_matches_scalar_replay():
     """The batched time_to_sunset readout gives the scalar replay's
     samples to 1e-9, and aborts the same runs with the same message.  A
@@ -458,16 +497,20 @@ def exact_sunset_samples(cfg, pert, sun_dec, hour_angle, n_trials):
     n, j = len(grid), int(altitude // step)
     horizon = sols[0].circle
     tropics = tropic_circles(cfg)
-    arcs = [night_arc(c, horizon) for c in tropics]
+    hours = [night_hours(cfg.latitude, dec) for dec in (-cfg.obliquity, 0.0, cfg.obliquity)]
     r_sun, r_opp = stereographic_radius(sun_dec, s), stereographic_radius(-sun_dec, s)
-    guide = divide_arc_equal(night_arc(Circle(PlanePoint(0.0, 0.0), r_opp), horizon), 12)
+    guide = [from_plate_polar(r_opp, h) for h in night_hours(cfg.latitude, -sun_dec)]
+
+    def cross(nx, ny, e, radius, pick):
+        # the two points where the line nx*x + ny*y = e meets |p| = radius
+        n2 = nx * nx + ny * ny
+        half, fx, fy = mp.sqrt(radius * radius * n2 - e * e) / n2, e * nx / n2, e * ny / n2
+        p = pick([(fx - half * ny, fy + half * nx), (fx + half * ny, fy - half * nx)])
+        return mp.degrees(mp.atan2(*p)) % 360
 
     def meet(x, y, rho, radius, pick):
         # the two points where the circle (x, y, rho) meets |p| = radius
-        e, n2 = (x * x + y * y + radius * radius - rho * rho) / 2, x * x + y * y
-        half, fx, fy = mp.sqrt(radius * radius * n2 - e * e) / n2, e * x / n2, e * y / n2
-        p = pick([(fx - half * y, fy + half * x), (fx + half * y, fy - half * x)])
-        return mp.degrees(mp.atan2(*p)) % 360
+        return cross(x, y, (x * x + y * y + radius * radius - rho * rho) / 2, radius, pick)
 
     def west(pts):
         return max(pts, key=lambda p: p[0])
@@ -484,18 +527,27 @@ def exact_sunset_samples(cfg, pert, sun_dec, hour_angle, n_trials):
         crossings = [meet(*hz, r_opp, west)] + [None] * 11 + [
             meet(*hz, r_opp, lambda pts: min(pts, key=lambda p: p[0]))]
         for k in range(1, 12):
+            # a positive graduation draw turns a point counterclockwise
             (ax, ay), (bx, by), (ex, ey) = [
-                (c.radius * mp.cos(a), c.radius * mp.sin(a)) for c, a in (
-                    (c, a.start_angle + a.sweep * k / 12.0 + sg * draws[3 * n + 3 + 13 * i + k])
-                    for i, (c, a) in enumerate(zip(tropics, arcs)))]
+                (c.radius * mp.sin(a), c.radius * mp.cos(a)) for c, a in (
+                    (c, math.radians(h[k]) - sg * draws[3 * n + 3 + 13 * i + k])
+                    for i, (c, h) in enumerate(zip(tropics, hours)))]
             bx, by, ex, ey = bx - ax, by - ay, ex - ax, ey - ay
             area2, b2, e2 = 2 * (bx * ey - by * ex), bx * bx + by * by, ex * ex + ey * ey
+            g = guide[k]
+
+            def near(pts):
+                return min(pts, key=lambda p: mp.hypot(p[0] - g.x, p[1] - g.y))
+
+            dmax = max(mp.sqrt(b2), mp.sqrt(e2), mp.hypot(ex - bx, ey - by))
+            if abs(area2) / 4 <= COLLINEAR_AREA_REL * dmax * dmax:
+                # the unperturbed midnight boundary: its points lie on one ray
+                crossings[k] = cross(ey, -ex, ey * ax - ex * ay, r_opp, near)
+                continue
             ux, uy = (ey * b2 - by * e2) / area2, (bx * e2 - ex * b2) / area2
             dx, dy, dr = draws[3 * n + 39 + 3 * k : 3 * n + 42 + 3 * k]
-            g = guide[k]
             crossings[k] = meet(ax + ux + sc * dx, ay + uy + sc * dy,
-                                mp.sqrt(ux * ux + uy * uy) + sr * dr, r_opp,
-                                lambda pts: min(pts, key=lambda p: mp.hypot(p[0] - g.x, p[1] - g.y)))
+                                mp.sqrt(ux * ux + uy * uy) + sr * dr, r_opp, near)
         d = [0] + [(c - crossings[0]) % 360 for c in crossings[1:]]
         theta = (theta_sun + 180 - crossings[0]) % 360
         k = min(11, max(i for i in range(12) if d[i] <= theta))

@@ -26,10 +26,8 @@ from astrolabe import (
     build_plate,
     chord_length,
     circle_circle_intersection,
-    clip_circle_to_disc,
     fit_circle,
     hour_lines,
-    night_arc,
     project_point,
     render_svg,
     sample_sphere_circle,
@@ -38,7 +36,7 @@ from astrolabe import (
     tropic_radii,
     zenith_point,
 )
-from astrolabe.plate import MIN_LATITUDE, STRAIGHT_REL
+from astrolabe.plate import MIN_LATITUDE, STRAIGHT_REL, night_hours
 
 S = 100.0
 
@@ -150,29 +148,26 @@ def test_azimuth_meridian_raises():
             azimuth_circle(40.0, a, S)
 
 
-def test_night_arc_spans_below_horizon():
+def test_night_hours_span_below_horizon():
     phi = 40.0
     horizon = almucantar_solution(phi, 0.0, S).circle
-    eq = Circle(PlanePoint(0.0, 0.0), S)
-    arc = night_arc(eq, horizon)
-    assert arc.orientation == "cw"
-    # endpoints on the horizon
-    for p in (arc.start_point, arc.end_point):
-        assert abs(horizon.signed_distance(p)) < 1e-9
-    assert arc.start_point.x > 0.0 > arc.end_point.x
-    # midnight point (plate bottom) lies on the arc
-    assert arc.contains_angle(eq.angle_of(PlanePoint(0.0, -S)))
-    # matches the sunset hour angle from the sphere
+    hours = night_hours(phi, 0.0)
+    # from the sunset hour angle off the sphere westward to sunrise, through midnight
     h_set = sunset_hour_angle(phi, 0.0)
-    west = project_point(SpherePoint(0.0, h_set), S)
-    assert arc.start_point.distance_to(west) < 1e-9
+    assert hours[0] == pytest.approx(h_set, abs=1e-12)
+    assert hours[12] == pytest.approx(360.0 - h_set, abs=1e-12)
+    assert hours[6] == pytest.approx(180.0, abs=1e-12)
+    west, east = (project_point(SpherePoint(0.0, h), S) for h in (hours[0], hours[12]))
+    for p in (west, east):
+        assert abs(horizon.signed_distance(p)) < 1e-9
+    assert west.x > 0.0 > east.x
 
 
-def test_night_arc_arctic_raises():
-    horizon = almucantar_solution(75.0, 0.0, S).circle
-    cancer = Circle(PlanePoint(0.0, 0.0), stereographic_radius(23.44, S))
+def test_night_hours_arctic_raises():
     with pytest.raises(ArcticLatitude):
-        night_arc(cancer, horizon)
+        night_hours(75.0, 23.44)
+    with pytest.raises(ArcticLatitude):
+        hour_lines(PlateConfig(latitude=75.0, scale=S))
 
 
 def test_hour_lines_pass_through_division_points():
@@ -206,11 +201,9 @@ def test_hour_line_midnight_degenerates_to_segment():
 
 
 def test_equator_night_divisions_have_equal_chords():
-    cfg = PlateConfig(latitude=40.0, scale=S)
-    horizon = almucantar_solution(cfg.latitude, 0.0, cfg.scale).circle
     eq = Circle(PlanePoint(0.0, 0.0), S)
-    arc = night_arc(eq, horizon)
-    angles = [arc.start_angle + arc.sweep * k / 12.0 for k in range(13)]
+    # plate angles, counterclockwise from +x, of the hour angles
+    angles = [math.radians(90.0 - h) for h in night_hours(40.0, 0.0)]
     chords = [chord_length(eq, a, b) for a, b in zip(angles, angles[1:])]
     for c in chords:
         assert c == pytest.approx(chords[0], abs=1e-9)
@@ -313,22 +306,23 @@ def test_build_plate_elements_stay_inside_boundary():
             assert d <= model.boundary.radius + tol
 
 
-def test_clip_circle_to_disc_cases():
-    disc = Circle(PlanePoint(0.0, 0.0), 10.0)
-    inside = Circle(PlanePoint(1.0, 1.0), 2.0)
-    assert clip_circle_to_disc(inside, disc) is inside
-    outside = Circle(PlanePoint(50.0, 0.0), 2.0)
-    assert clip_circle_to_disc(outside, disc) is None
-    crossing = Circle(PlanePoint(9.0, 0.0), 3.0)
-    arc = clip_circle_to_disc(crossing, disc)
-    assert isinstance(arc, Arc)
-    for p in (arc.start_point, arc.end_point):
-        assert abs(disc.signed_distance(p)) < 1e-9
-    assert disc.signed_distance(arc.point_at_fraction(0.5)) < 0.0
-    # touching the rim at the subject's angle 0: judged away from the touch
-    assert clip_circle_to_disc(Circle(PlanePoint(-15.0, 0.0), 5.0), disc) is None
-    touching = Circle(PlanePoint(5.0, 0.0), 5.0)
-    assert clip_circle_to_disc(touching, disc) is touching
+def test_almucantars_end_at_their_boundary_crossings():
+    # lat 40: the horizon and the almucantars up to 90 - 40 - 23.44 = 26.56
+    # degrees cross the boundary, the higher ones lie inside it
+    model = build_plate(PlateConfig(latitude=40.0, scale=S, almucantar_step=5.0))
+    boundary = model.boundary
+    for k, el in enumerate(model.almucantars[:-1]):
+        circle = almucantar_solution(40.0, 5.0 * k, S).circle
+        if 5.0 * k > 90.0 - 40.0 - 23.44:
+            assert el == circle
+            continue
+        assert isinstance(el, Arc) and el.circle == circle
+        for p in (el.start_point, el.end_point):
+            assert abs(boundary.signed_distance(p)) < 1e-9
+        # from the eastern crossing counterclockwise through the north point
+        assert el.start_point.x < 0.0 < el.end_point.x
+        assert el.contains_angle(1.5 * math.pi)
+        assert boundary.signed_distance(el.point_at_fraction(0.5)) < 0.0
 
 
 def test_plate_config_validation():
@@ -402,9 +396,19 @@ def test_hour_lines_of_nearly_coincident_tropics(latitude, obliquity):
     assert all(isinstance(hl, (Arc, Segment)) for hl in lines)
 
 
+def horizon_point(latitude, azimuth, scale):
+    """The plate point at altitude 0 and compass azimuth (from north
+    through east), from its equatorial components."""
+    phi, a = math.radians(latitude), math.radians(azimuth)
+    pole, meridian, east = math.cos(phi) * math.cos(a), -math.sin(phi) * math.cos(a), math.sin(a)
+    dec = math.degrees(math.atan2(pole, math.hypot(meridian, east)))
+    return project_point(SpherePoint(dec, math.degrees(math.atan2(-east, meridian))), scale)
+
+
 def test_verticals_near_the_pole_are_straight_through_the_zenith():
     # an azimuth circle's radius grows as 1 / (cos(latitude) cos(A)); over
-    # STRAIGHT_REL boundary radii the vertical is its tangent at the zenith
+    # STRAIGHT_REL boundary radii the vertical is the segment between its
+    # ends, which near the pole lie on the horizon
     for latitude, straight in ((89.99, {88, 89, 90, 91, 92}),
                                (math.nextafter(90.0, 0.0), set(range(180)))):
         model = build_plate(PlateConfig(latitude, S, azimuth_step=1.0))
@@ -415,26 +419,27 @@ def test_verticals_near_the_pole_are_straight_through_the_zenith():
         for a in straight - {90}:
             el = model.azimuths[a]
             assert azimuth_circle(latitude, a, S).radius > STRAIGHT_REL * model.boundary.radius
+            # the closed-form crossings of compass azimuths 90 - A and 270 - A
+            assert el.a.distance_to(horizon_point(latitude, 90.0 - a, S)) < 1e-9
+            assert el.b.distance_to(horizon_point(latitude, 270.0 - a, S)) < 1e-9
             ux, uy = math.cos(math.radians(a)), math.sin(math.radians(a))
             for p in (el.a, el.b):
-                # on the clip circles, along the vertical's direction at the zenith
-                assert min(abs(horizon.signed_distance(p)),
-                           abs(model.boundary.signed_distance(p))) < 1e-9
-                assert abs(ux * (p.y - zen.y) - uy * (p.x - zen.x)) < 1e-9
-                if latitude == 89.99:  # within 5e-6 of the radius of the true circle
+                assert abs(horizon.signed_distance(p)) < 1e-9
+                # within 5e-6 radii of the vertical's tangent at the zenith
+                assert abs(ux * (p.y - zen.y) - uy * (p.x - zen.x)) < 5e-6 * model.boundary.radius
+                if latitude == 89.99:  # on the circle, to the rounding of its radius
                     circle = azimuth_circle(latitude, a, S)
-                    assert abs(circle.signed_distance(p)) < 5e-6 * model.boundary.radius
+                    assert abs(circle.signed_distance(p)) < 1e-14 * circle.radius
 
 
-def test_night_arc_keeps_a_chord_inside_the_tangency_window():
-    # 1e-9 degree below the arctic limit the Tropic of Cancer crosses the
-    # horizon in a chord some 1e-3 mm long, inside the tangency window
+def test_hour_lines_reach_the_arctic_limit():
+    # 1e-9 degree below the arctic limit the Tropic of Cancer sets for a
+    # night arc some 1e-3 mm long, which still divides into hours
     cfg = PlateConfig(latitude=90.0 - 23.44 - 1e-9, scale=S)
     horizon = almucantar_solution(cfg.latitude, 0.0, S).circle
-    cancer = tropic_circles(cfg)[2]
-    assert len(circle_circle_intersection(cancer, horizon)) == 1
-    arc = night_arc(cancer, horizon)
-    assert 0.0 > arc.sweep > -1e-4
-    for p in (arc.start_point, arc.end_point):
-        assert abs(horizon.signed_distance(p)) < 1e-9
+    hours = night_hours(cfg.latitude, cfg.obliquity)
+    assert 0.0 < hours[12] - hours[0] < 1e-2
+    for h in (hours[0], hours[12]):
+        assert abs(horizon.signed_distance(project_point(SpherePoint(cfg.obliquity, h), S))) < 1e-9
     assert len(hour_lines(cfg)) == 11
+    assert len(build_plate(cfg).hour_lines) == 11

@@ -9,6 +9,7 @@ import re
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from astrolabe import (
     SCALE_RANGE,
@@ -150,9 +151,10 @@ def test_plate_has_one_element_per_grid_value(latitude, obliquity, almucantar_st
         assert circle == almucantar_solution(latitude, k * almucantar_step, S).circle
     # azimuths[j] is the j-th value of sorted({k * step mod 180}) (these
     # steps' multiples land on their verticals exactly), drawn
-    # as the part of its circle that holds the zenith; the meridian, and
-    # near the pole a circle over STRAIGHT_REL boundary radii wide, is a
-    # Segment through the zenith
+    # as the part of its circle that holds the zenith; the meridian is a
+    # Segment through the zenith, and so, near the pole, is a circle over
+    # STRAIGHT_REL boundary radii wide, to the 5e-6 radii that its arc
+    # bows from the segment between its ends
     n = round(360.0 / azimuth_step)
     values = sorted({(k * azimuth_step) % 180.0 for k in range(n)})
     assert len(model.azimuths) == len(values)
@@ -162,7 +164,8 @@ def test_plate_has_one_element_per_grid_value(latitude, obliquity, almucantar_st
                                  > STRAIGHT_REL * model.boundary.radius)
             ux, uy = el.b.x - el.a.x, el.b.y - el.a.y
             across = ux * (zenith.y - el.a.y) - uy * (zenith.x - el.a.x)
-            assert abs(across) <= 1e-12 * el.length() * S
+            bow = 1e-12 * S if a == 90.0 else 5e-6 * model.boundary.radius
+            assert abs(across) <= bow * el.length()
             continue
         assert isinstance(el, Arc)
         assert el.circle == azimuth_circle(latitude, a, S)
@@ -174,6 +177,75 @@ def test_plate_has_one_element_per_grid_value(latitude, obliquity, almucantar_st
     else:
         assert len(model.hour_lines) == 11
 
+
+
+@mp.workdps(50)
+def exact_ends(cfg, model, verticals):
+    """(element, its two exact end points) for every curve of a plate
+    that ends: the almucantars (the horizon first), the verticals, at
+    these values from the prime vertical, and the hour lines, each end
+    replayed from the sky in 50 digits.  An almucantar whose exact circle
+    does not cross the boundary comes with None."""
+    phi, eps = mp.radians(cfg.latitude), mp.radians(cfg.obliquity)
+    s, sphi, cphi = mpf(cfg.scale), mp.sin(phi), mp.cos(phi)
+
+    def project(dec, hour):
+        r = s * mp.tan(mp.pi / 4 - dec / 2)
+        return r * mp.sin(hour), r * mp.cos(hour)
+
+    def meets(dec, h):  # hour angle where declination dec stands at altitude h
+        c = (mp.sin(h) - sphi * mp.sin(dec)) / (cphi * mp.cos(dec))
+        return mp.acos(c) if abs(c) < 1 else None
+
+    def vertical_end(azimuth):  # compass azimuth, from north through east
+        a = mp.radians(azimuth)
+        dec = mp.asin(cphi * mp.cos(a))
+        if dec >= -eps:  # on the horizon
+            return project(dec, mp.atan2(-mp.sin(a), -sphi * mp.cos(a)))
+        # sin(-eps) = sin(phi) sin(h) + cos(phi) cos(h) cos(a) = amp sin(h + psi)
+        amp, psi = mp.hypot(sphi, cphi * mp.cos(a)), mp.atan2(cphi * mp.cos(a), sphi)
+        h = mp.asin(-mp.sin(eps) / amp) - psi
+        east, up = mp.cos(h) * mp.sin(a), cphi * mp.sin(h) - sphi * mp.cos(h) * mp.cos(a)
+        return project(-eps, mp.atan2(-east, up))
+
+    out = []
+    for k, el in enumerate(model.almucantars[:-1]):
+        hc = meets(-eps, mp.radians(k * mpf(cfg.almucantar_step)))
+        out.append((el, None if hc is None else (project(-eps, -hc), project(-eps, hc))))
+    for a, el in zip(verticals, model.azimuths):
+        out.append((el, (vertical_end(270 - mpf(a)), vertical_end(90 - mpf(a)))))
+    if model.hour_lines:
+        division = []
+        for dec in (-eps, eps):
+            h0 = meets(dec, 0)
+            division.append([project(dec, h0 + k * (2 * mp.pi - 2 * h0) / 12) for k in range(13)])
+        for k, el in enumerate(model.hour_lines, start=1):
+            out.append((el, (division[0][k], division[1][k])))
+    return out
+
+
+@REPRODUCIBLE
+@given(latitude=LATITUDES, almucantar_step=ALMUCANTAR_STEPS, azimuth_step=AZIMUTH_STEPS)
+# near the pole, where intersecting the projected circles lost up to 3e-4 mm
+@example(latitude=89.99, almucantar_step=1.0, azimuth_step=1.0)
+@example(latitude=89.9, almucantar_step=5.0, azimuth_step=5.0)
+def test_plate_end_points_match_a_50_digit_replay(latitude, almucantar_step, azimuth_step):
+    # each printed end is Circle.point_at of an angle, which rounds at
+    # 1e-14 of the circle's radius; a Segment's ends are the points themselves
+    cfg = PlateConfig(latitude, S, almucantar_step=almucantar_step, azimuth_step=azimuth_step)
+    model = build_plate(cfg)
+    verticals = sorted({(k * azimuth_step) % 180.0 for k in range(round(360.0 / azimuth_step))})
+    for el, exact in exact_ends(cfg, model, verticals):
+        if exact is None:
+            assert isinstance(el, Circle)
+            continue
+        if isinstance(el, Arc):
+            ends, bound = (el.start_point, el.end_point), 1e-9 + 1e-14 * el.circle.radius
+        else:
+            assert isinstance(el, Segment)
+            ends, bound = (el.a, el.b), 1e-9
+        off = [[float(mp.hypot(p.x - x, p.y - y)) for x, y in exact] for p in ends]
+        assert min(max(off[0][0], off[1][1]), max(off[0][1], off[1][0])) <= bound, el
 
 def _fmt_by_round_trip(value, precision):
     # the rule _fmt replaces: parse the printed string back to test for zero
