@@ -21,7 +21,6 @@ from .back import (
     qibla_eq13,
     solar_declination,
     solar_longitude,
-    solve_altitude_for_azimuth,
 )
 from .error_analysis import (
     ErrorReport,
@@ -88,6 +87,7 @@ from .projection import (
     plate_angle_deg,
     project_point,
     sample_sphere_circle,
+    solve_altitude_for_azimuth,
     stereographic_radius,
     unproject_point,
 )

@@ -27,9 +27,9 @@ import math
 from pathlib import Path
 from typing import Iterable, Union
 
-from .exceptions import DomainError, NoSolution, UndefinedBearing
+from .exceptions import DomainError, UndefinedBearing
 from .geometry import Arc, Circle, PlanePoint, _Record, arc_through
-from .projection import OBLIQUITY, check_scale, from_plate_polar
+from .projection import OBLIQUITY, check_scale, from_plate_polar, horizon_to_sphere
 from .rete import _load_csv
 
 
@@ -250,7 +250,7 @@ def qibla_eq13(observer: Locality, mecca: Locality = MECCA) -> float:
 
 def declination_from_alt_az(latitude: float, altitude: float, azimuth: float) -> float:
     """Solar declination (degrees) from an observed altitude and compass
-    azimuth (degrees clockwise from north):
+    azimuth (degrees clockwise from north), by `horizon_to_sphere`:
 
         sin(delta) = sin(phi) sin(h) + cos(phi) cos(h) cos(A)
     """
@@ -258,48 +258,7 @@ def declination_from_alt_az(latitude: float, altitude: float, azimuth: float) ->
         raise ValueError(f"latitude must lie in (0, 90), got {latitude!r}")
     if not (0.0 <= altitude <= 90.0):
         raise ValueError(f"altitude must lie in [0, 90], got {altitude!r}")
-    la, h, a = (math.radians(v) for v in (latitude, altitude, azimuth))
-    s = math.sin(la) * math.sin(h) + math.cos(la) * math.cos(h) * math.cos(a)
-    if abs(s) > 1.0 + 1e-12:
-        raise DomainError(f"sin(declination) = {s!r} outside [-1, 1]")
-    return math.degrees(math.asin(max(-1.0, min(1.0, s))))
-
-
-def solve_altitude_for_azimuth(
-    latitude: float, declination: float, azimuth: float
-) -> float:
-    """Altitude (degrees in [0, 90]) at which a body of the given
-    declination crosses the given compass azimuth; inverse of
-    `declination_from_alt_az` in its valid range.  Where two crossings
-    exist the lower one is returned.  Raises NoSolution when the azimuth
-    is never reached at that declination."""
-    if not (0.0 < latitude < 90.0):
-        raise ValueError(f"latitude must lie in (0, 90), got {latitude!r}")
-    if not (-90.0 <= declination <= 90.0):
-        raise ValueError(f"declination must lie in [-90, 90], got {declination!r}")
-    la, a = math.radians(latitude), math.radians(azimuth)
-    ca = math.sin(la)
-    cb = math.cos(la) * math.cos(a)
-    amp = math.hypot(ca, cb)
-    sd = math.sin(math.radians(declination))
-    if abs(sd) > amp + 1e-12:
-        raise NoSolution(
-            f"declination {declination} never crosses azimuth {azimuth} "
-            f"at latitude {latitude}"
-        )
-    psi = math.atan2(cb, ca)
-    base = math.asin(max(-1.0, min(1.0, sd / amp)))
-    candidates = []
-    for h in (math.degrees(base - psi), math.degrees(math.pi - base - psi)):
-        h = (h + 180.0) % 360.0 - 180.0
-        if -1e-9 <= h <= 90.0 + 1e-9:
-            candidates.append(min(max(h, 0.0), 90.0))
-    if not candidates:
-        raise NoSolution(
-            f"no altitude in [0, 90] at azimuth {azimuth} for declination "
-            f"{declination} at latitude {latitude}"
-        )
-    return min(candidates)
+    return horizon_to_sphere(latitude, altitude, azimuth).dec
 
 
 def build_back(cfg: BackConfig, localities: Iterable[Locality] = ()) -> BackModel:

@@ -13,7 +13,8 @@ hour angles -H and +H, from the half-angle sunrise equation
 
     sin^2(H/2) = sin((90 - h + phi - dec)/2) sin((90 - h - phi + dec)/2) / (cos phi cos dec)
 
-whose sign also tells a crossing from a touch or a miss.  At dec =
+whose sign tells a crossing from a touch or a miss (a difference within
+TOUCH_DEG of a touch, the rounding of typed inputs, is a touch).  At dec =
 -obliquity it ends the horizon and the almucantars on the boundary; at
 h = 0 it gives each tropic's setting point, from which its night arc is
 divided into the unequal hours.  A vertical ends at altitude 0 on its
@@ -43,7 +44,8 @@ from typing import Union
 
 from .exceptions import ArcticLatitude, DomainError
 from .geometry import TAU, Arc, Circle, CollinearPoints, PlanePoint, Segment, _Record, arc_through
-from .projection import OBLIQUITY, SpherePoint, check_scale, project_point, stereographic_radius
+from .projection import (OBLIQUITY, SpherePoint, check_scale, horizon_to_sphere, project_point,
+                         solve_altitude_for_azimuth, stereographic_radius)
 
 # lowest plate latitude (degrees); below about 3e-6 the horizon cannot be drawn
 MIN_LATITUDE = 0.001
@@ -51,6 +53,10 @@ MIN_LATITUDE = 0.001
 # a vertical whose circle is over this many boundary radii wide is drawn as the straight
 # segment between its two ends, which leaves the circle by under 5e-6 boundary radii
 STRAIGHT_REL = 1e5
+
+# a crossing within this many degrees of a touch is a touch: it covers the rounding of inputs
+# typed as decimals, and a curve drawn whole there leaves the boundary by ~2e-14 of its radius
+TOUCH_DEG = 1e-12
 
 Element = Union[Circle, Arc, Segment, PlanePoint]
 
@@ -209,35 +215,24 @@ def azimuth_circle(latitude: float, azimuth: float, scale: float) -> Circle:
 def crossing_hour_angle(latitude: float, declination: float, altitude: float = 0.0):
     """Hour angle H (degrees, in (0, 180)) at which the declination
     circle crosses the altitude-h almucantar, at -H (east) and +H (west);
-    None where they touch at a meridian or miss (a product below is <= 0).
-    H/2 is the atan2 of the roots of the module's half-angle equation and
-    its twin, well conditioned at both ends:
+    None where they touch at a meridian or miss.  H/2 is the atan2 of the
+    roots of the module's half-angle equation and its twin, well
+    conditioned at both ends:
 
         cos^2(H/2) = cos((90 - h + phi + dec)/2) cos((90 - h - phi - dec)/2) / (cos phi cos dec)
 
-    90 - h - phi + dec is summed as ((90 + dec) - h) - phi, the order of
-    phi = 90 - eps - h, so a tangent configuration comes out exactly 0.
+    They touch at the upper meridian where a sine's difference is 0, at
+    the lower one where a cosine's is +-180, or within TOUCH_DEG of that.
     """
     phi, dec, h = latitude, declination, altitude
-    half = math.radians(0.5)
-    sin2 = math.sin(half * (90.0 - h + phi - dec)) * math.sin(half * ((90.0 + dec - h) - phi))
-    cos2 = math.cos(half * (90.0 - h + phi + dec)) * math.cos(half * (90.0 - h - phi - dec))
-    if not (sin2 > 0.0 and cos2 > 0.0):
+    sin_a, sin_b = 90.0 - h + phi - dec, (90.0 + dec - h) - phi
+    cos_a, cos_b = 90.0 - h + phi + dec, 90.0 - h - phi - dec
+    if min(sin_a, sin_b, 180.0 - abs(cos_a), 180.0 - abs(cos_b)) <= TOUCH_DEG:
         return None
+    half = math.radians(0.5)
+    sin2 = math.sin(half * sin_a) * math.sin(half * sin_b)
+    cos2 = math.cos(half * cos_a) * math.cos(half * cos_b)
     return math.degrees(2.0 * math.atan2(math.sqrt(sin2), math.sqrt(cos2)))
-
-
-def _sky_point(latitude: float, altitude: float, azimuth: float) -> SpherePoint:
-    """The sphere point at this altitude and compass azimuth (degrees from
-    north through east), from its components toward the pole, the upper
-    meridian and the east."""
-    phi, h, a = math.radians(latitude), math.radians(altitude), math.radians(azimuth)
-    sin_phi, cos_phi, sin_h, cos_h = math.sin(phi), math.cos(phi), math.sin(h), math.cos(h)
-    pole = sin_phi * sin_h + cos_phi * cos_h * math.cos(a)
-    meridian = cos_phi * sin_h - sin_phi * cos_h * math.cos(a)
-    east = cos_h * math.sin(a)
-    return SpherePoint(math.degrees(math.atan2(pole, math.hypot(meridian, east))),
-                       math.degrees(math.atan2(-east, meridian)))
 
 
 def _inside_boundary(circle: Circle, cfg: PlateConfig, altitude: float) -> Element:
@@ -254,12 +249,10 @@ def _inside_boundary(circle: Circle, cfg: PlateConfig, altitude: float) -> Eleme
 def _vertical_end(cfg: PlateConfig, azimuth: float) -> PlanePoint:
     """Where the vertical of this compass azimuth, walked down from the
     zenith, leaves the plate: at altitude 0, or on the boundary above it."""
-    from .back import solve_altitude_for_azimuth  # back imports plate, through rete
-
-    p = _sky_point(cfg.latitude, 0.0, azimuth)
+    p = horizon_to_sphere(cfg.latitude, 0.0, azimuth)
     if p.dec < -cfg.obliquity:
         h = solve_altitude_for_azimuth(cfg.latitude, -cfg.obliquity, azimuth)
-        p = SpherePoint(-cfg.obliquity, _sky_point(cfg.latitude, h, azimuth).hour_angle)
+        p = SpherePoint(-cfg.obliquity, horizon_to_sphere(cfg.latitude, h, azimuth).hour_angle)
     return project_point(p, cfg.scale)
 
 
@@ -286,11 +279,9 @@ def hour_lines(cfg: PlateConfig) -> tuple[Element, ...]:
     (the midnight boundary at k = 6), or the Capricorn and Cancer points
     fall on one angle of the circle (tropics nearly coincide), the
     boundary is the Segment from the Capricorn point to the Cancer point.
-    Raises ArcticLatitude from 1e-12 degree below 90 - obliquity.
+    Raises ArcticLatitude (from `night_hours`) where the tropics do not
+    set, from TOUCH_DEG below 90 - obliquity.
     """
-    if cfg.latitude >= 90.0 - cfg.obliquity - 1e-12:
-        raise ArcticLatitude(f"latitude {cfg.latitude} >= {90.0 - cfg.obliquity}: the Tropic "
-                             "of Cancer never sets; hour lines are undefined")
     night_points = [[project_point(SpherePoint(dec, h), cfg.scale)
                      for h in night_hours(cfg.latitude, dec)]
                     for dec in (-cfg.obliquity, 0.0, cfg.obliquity)]

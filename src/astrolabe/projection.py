@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 
-from .exceptions import DomainError
+from .exceptions import DomainError, NoSolution
 from .geometry import FitResult, PlanePoint, _Record, fit_circle
 
 # a projecting ray closer than this to parallel with the plane is rejected
@@ -175,6 +175,57 @@ def plate_angle_deg(p: PlanePoint) -> float:
 def project_point(p: SpherePoint, scale: float) -> PlanePoint:
     """Stereographic image of a sphere point in plate coordinates."""
     return from_plate_polar(stereographic_radius(p.dec, scale), p.hour_angle)
+
+
+def horizon_to_sphere(latitude: float, altitude: float, azimuth: float) -> SpherePoint:
+    """The sphere point seen from latitude phi at altitude h and compass
+    azimuth A (degrees from north through east), from its components
+    toward the pole, the upper meridian and the east:
+
+        sin(dec) = sin(phi) sin(h) + cos(phi) cos(h) cos(A)
+    """
+    phi, h, a = math.radians(latitude), math.radians(altitude), math.radians(azimuth)
+    sin_phi, cos_phi, sin_h, cos_h = math.sin(phi), math.cos(phi), math.sin(h), math.cos(h)
+    pole = sin_phi * sin_h + cos_phi * cos_h * math.cos(a)
+    meridian = cos_phi * sin_h - sin_phi * cos_h * math.cos(a)
+    east = cos_h * math.sin(a)
+    return SpherePoint(math.degrees(math.atan2(pole, math.hypot(meridian, east))),
+                       math.degrees(math.atan2(-east, meridian)))
+
+
+def solve_altitude_for_azimuth(latitude: float, declination: float, azimuth: float) -> float:
+    """Altitude (degrees in [0, 90]) at which a body of the given
+    declination crosses the given compass azimuth; inverse of
+    `horizon_to_sphere` in its valid range.  Where two crossings exist
+    the lower one is returned.  Raises NoSolution when the azimuth is
+    never reached at that declination."""
+    if not (0.0 < latitude < 90.0):
+        raise ValueError(f"latitude must lie in (0, 90), got {latitude!r}")
+    if not (-90.0 <= declination <= 90.0):
+        raise ValueError(f"declination must lie in [-90, 90], got {declination!r}")
+    la, a = math.radians(latitude), math.radians(azimuth)
+    ca = math.sin(la)
+    cb = math.cos(la) * math.cos(a)
+    amp = math.hypot(ca, cb)
+    sd = math.sin(math.radians(declination))
+    if abs(sd) > amp + 1e-12:
+        raise NoSolution(
+            f"declination {declination} never crosses azimuth {azimuth} "
+            f"at latitude {latitude}"
+        )
+    psi = math.atan2(cb, ca)
+    base = math.asin(max(-1.0, min(1.0, sd / amp)))
+    candidates = []
+    for h in (math.degrees(base - psi), math.degrees(math.pi - base - psi)):
+        h = (h + 180.0) % 360.0 - 180.0
+        if -1e-9 <= h <= 90.0 + 1e-9:
+            candidates.append(min(max(h, 0.0), 90.0))
+    if not candidates:
+        raise NoSolution(
+            f"no altitude in [0, 90] at azimuth {azimuth} for declination "
+            f"{declination} at latitude {latitude}"
+        )
+    return min(candidates)
 
 
 def unproject_point(p: PlanePoint, scale: float) -> SpherePoint:

@@ -129,6 +129,7 @@ class _Pen:
         self.circle_row = f'  <circle cx="{f}" cy="{f}" r="{f}"%s/>\n'
         self.arc_row = f'  <path d="M {f} {f} A {f} {f} 0 %d %d {f} {f}"/>\n'
         self.xy = f'x="{f}" y="{f}"'
+        self.point = f"{f} {f}"
         # a mirrored label runs the other way from its anchor point
         self.anchors = {"start": "end", "end": "start"} if sx < 0 else {}
 
@@ -165,6 +166,10 @@ class _Pen:
         elif isinstance(el, Arc):
             p0, p1, r = el.start_point, el.end_point, el.circle.radius
             large = abs(math.degrees(el.sweep)) > 180.0 + 1e-12
+            if large and (_unsigned_zero(self.point % (sx * p0.x, sy * p0.y))
+                          == _unsigned_zero(self.point % (sx * p1.x, sy * p1.y))):
+                # SVG draws no arc between equal points: this one is its circle to the precision
+                return self.emit(el.circle)
             # a reflection in one axis reverses the sense of rotation
             flag = (el.orientation == "ccw") != (sx * sy < 0)
             row = self.arc_row % (sx * p0.x, sy * p0.y, r, r, large, flag,

@@ -419,6 +419,13 @@ def test_plates_near_the_pole_draw_every_vertical(capsys, argv, azimuths):
         # the 25 and 30 degree almucantars touch it at the south point
         (("plate", "--lat", "40", "--obliquity", "25"), 19, 18),
         (("plate", "--lat", "50", "--obliquity", "10"), 19, 18),
+        # typed as decimals these miss the touch of the 40 and 45 degree
+        # almucantars by the rounding of 26.56, 21.56 and 23.44
+        (("plate", "--lat", "26.56"), 19, 18),
+        (("plate", "--lat", "21.56", "--precision", "2"), 19, 18),
+        # 1e-10 degree short of the touch the 40-degree almucantar crosses
+        # the boundary, at two points that print as one at precision 2
+        (("plate", "--lat", "26.5599999999", "--precision", "2"), 19, 18),
     ],
 )
 def test_curves_touching_the_boundary_are_drawn(capsys, argv, almucantars, azimuths):

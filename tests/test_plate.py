@@ -36,7 +36,13 @@ from astrolabe import (
     tropic_radii,
     zenith_point,
 )
-from astrolabe.plate import MIN_LATITUDE, STRAIGHT_REL, night_hours
+from astrolabe.plate import (
+    MIN_LATITUDE,
+    STRAIGHT_REL,
+    TOUCH_DEG,
+    crossing_hour_angle,
+    night_hours,
+)
 
 S = 100.0
 
@@ -347,13 +353,16 @@ OBLIQUITIES = (1.0, 5.0, 10.0, 12.5, 15.0, 20.0, 23.44, 25.0, 27.5, 29.0)
 def tangent_plates(step=5.0):
     """(k, plate) at each latitude 90 - obliquity - k * step, where the
     altitude-(k * step) almucantar touches the Capricorn boundary at the
-    south point from inside."""
+    south point from inside: the latitude as that float difference, and
+    as the decimal a user types (26.56 for obliquity 23.44 and altitude
+    40), which misses the touch by the rounding of the decimals."""
     for obliquity in OBLIQUITIES:
         for k in range(1, int(round(90.0 / step))):
-            latitude = 90.0 - obliquity - k * step
-            if latitude >= MIN_LATITUDE:
-                cfg = PlateConfig(latitude, S, obliquity, almucantar_step=step)
-                yield k, build_plate(cfg)
+            difference = 90.0 - obliquity - k * step
+            for latitude in sorted({difference, round(difference, 9)}):
+                if latitude >= MIN_LATITUDE:
+                    cfg = PlateConfig(latitude, S, obliquity, almucantar_step=step)
+                    yield k, build_plate(cfg)
 
 
 def test_an_almucantar_touching_the_boundary_is_a_whole_circle():
@@ -366,6 +375,22 @@ def test_an_almucantar_touching_the_boundary_is_a_whole_circle():
     # 0.5 + 77 = 90 - 12.5: the 77-degree almucantar, once a near-full arc
     model = build_plate(PlateConfig(0.5, S, 12.5, almucantar_step=1.0))
     assert model.almucantars[77] == almucantar_solution(0.5, 77.0, S).circle
+
+
+def test_a_crossing_within_rounding_of_a_touch_is_a_touch():
+    # typed as decimals, 26.56 + 23.44 + 40 is 90 - 2^-48: the 40-degree
+    # almucantar is drawn whole, not as an arc whose ends print as one point
+    assert ((90.0 - 23.44) - 40.0) - 26.56 == 2.0**-48
+    model = build_plate(PlateConfig(26.56, S))
+    assert model.almucantars[8] == almucantar_solution(26.56, 40.0, S).circle
+    # TOUCH_DEG is the edge: closer is a touch, farther a crossing
+    assert crossing_hour_angle(26.56 - TOUCH_DEG / 2, -23.44, 40.0) is None
+    assert 0.0 < crossing_hour_angle(26.56 - 1e-10, -23.44, 40.0) < 1e-3
+    assert isinstance(build_plate(PlateConfig(26.56 - 1e-10, S)).almucantars[8], Arc)
+    # the Tropic of Cancer touches the horizon at the lower meridian at
+    # the arctic limit, where the cosine's difference reaches 180
+    assert crossing_hour_angle(90.0 - 23.44 - TOUCH_DEG / 2, 23.44) is None
+    assert 179.99 < crossing_hour_angle(90.0 - 23.44 - 1e-10, 23.44) < 180.0
 
 
 def test_prime_vertical_is_drawn_where_the_nadir_is_on_the_boundary():

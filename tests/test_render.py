@@ -30,7 +30,7 @@ from astrolabe import (
     render_full,
     render_svg,
 )
-from astrolabe.render import _ROWS
+from astrolabe.render import _ROWS, _Pen
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -104,6 +104,18 @@ def test_arc_path_flags():
     assert " 1 0 " in major_cw
     semi = arc_to_path(Arc(c, 0.0, math.pi, "ccw"))
     assert " 0 1 " in semi  # exactly half a turn is not "large"
+
+
+def test_an_arc_whose_ends_print_as_one_point_is_its_circle():
+    # SVG draws no arc between two equal points; over half a turn, the
+    # arc is its circle to the printed precision
+    c = Circle(PlanePoint(1.0, 2.0), 10.0)
+    for pen in (_Pen(4, 1.0, 1.0), _Pen(4, -1.0, 1.0)):
+        assert pen.emit(Arc(c, 0.0, 2.0 * math.pi - 1e-6, "ccw")) == pen.emit(c)
+        assert pen.emit(Arc(c, 0.0, 1e-6, "cw")) == pen.emit(c)
+        assert pen.emit(Arc(c, 0.0, 2.0 * math.pi - 1e-3, "ccw")).startswith("  <path")
+        assert pen.emit(Arc(c, 0.0, 1e-6, "ccw")).startswith("  <path")
+    assert _Pen(9, 1.0, 1.0).emit(Arc(c, 0.0, 2.0 * math.pi - 1e-6, "ccw")).startswith("  <path")
 
 
 def test_negative_zero_never_printed():
