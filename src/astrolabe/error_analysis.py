@@ -14,30 +14,26 @@ Closed forms:
 
 The Monte Carlo readout perturbs an engraved plate (almucantar centers
 and radii, horizon, hour-line graduation) with independent Gaussian
-errors and reads every trial in one batched pass: one row of draws per
-trial, below a row of zeros that reads the unperturbed plate.  A trial's
-error is its row's reading minus row 0's, so a zero-sigma run reports
-exactly zero error and the hour-curve approximation itself (negligible
-by construction) never contaminates the statistics.  Trial i draws from
-numpy.random.default_rng([seed, i]), so a longer run starts with the
-trials of a shorter one.
-
-Only the Monte Carlo readout uses numpy, and its functions import it
-themselves, so importing this module (as the CLI does for every command)
-does not load numpy.
+errors.  Each scenario's reader is built once from the unperturbed plate
+and reads, in plain floats with the closed forms the plate is drawn
+with, a row of zeros (the plate as drawn) and then each trial's draws.
+A trial's error is its reading minus the zero row's, so the hour-curve
+approximation itself (negligible by construction) never contaminates
+the statistics.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from typing import Sequence
 
 from .exceptions import ScenarioInfeasible
-from .geometry import COLLINEAR_AREA_REL, Circle, _Record, chord_length, normalize_angle
+from .geometry import COLLINEAR_AREA_REL, Circle, PlanePoint, _Record, chord_length, normalize_angle
 # unused here, but bench/tracing.py counts calls to them through this module
 from .geometry import circle_circle_intersection, circumcircle  # noqa: F401
 from .plate import PlateConfig, almucantar_solution, night_hours, tropic_circles
-from .projection import from_plate_polar, stereographic_radius
+from .projection import from_plate_polar, plate_angle_deg, stereographic_radius
 
 SCENARIOS = ("time_to_sunset", "altitude")
 
@@ -211,10 +207,30 @@ def _sun_altitude(latitude: float, dec: float, hour_angle: float) -> float:
     return math.degrees(math.asin(max(-1.0, min(1.0, s))))
 
 
-def _read_altitude(px, py, grid, cx, cy, r) -> np.ndarray:
-    """Altitude read at the point (px, py) from each row of a perturbed
-    almucantar field: center x, center y and radius, one column per grid
-    altitude.
+def trial_draws(seed: int, trial: int, count: int) -> list[float]:
+    """The first `count` standard normals of trial `trial`, from its own
+    stream random.Random((seed << 64) | trial).  Box-Muller turns each pair
+    u1, u2 of random() into sqrt(-2 ln(1 - u1)) times cos and sin of 2 pi u2:
+    Python keeps random()'s sequence across versions, and not gauss()'s."""
+    rand = random.Random((seed << 64) | trial).random
+    out = []
+    for _ in range((count + 1) // 2):
+        rho = math.sqrt(-2.0 * math.log(1.0 - rand()))
+        theta = math.tau * rand()
+        out += (rho * math.cos(theta), rho * math.sin(theta))
+    return out[:count]
+
+
+def _check_radius(radius: float) -> None:
+    """The check `Circle` makes of a perturbed radius; a radius <= 0 leaves
+    no scene to read, so it is infeasible, not a usage error."""
+    if not radius > 0.0:
+        raise ScenarioInfeasible(f"circle radius must be positive, got {radius!r}")
+
+
+def _read_altitude(px, py, grid, cx, cy, r) -> float:
+    """Altitude read at the point (px, py) from one perturbed almucantar
+    field: center x, center y and radius at each grid altitude.
 
     Between grid nodes k and k+1 the interpolated center c(t) and
     radius r(t) are linear in t in [0, 1], so F(t) = |p - c(t)|^2 -
@@ -222,175 +238,134 @@ def _read_altitude(px, py, grid, cx, cy, r) -> np.ndarray:
     |p - c| - r at the nodes; on the first bracket where that sign
     goes from <= 0 to >= 0, F rises through zero exactly once.
 
-    A row reads across the nodes up to its bracket, or across all of
-    them when it finds none; a radius <= 0 among those nodes, or a
-    missing bracket, raises ScenarioInfeasible for the first failing
-    row.  A tiny circle near the zenith that the perturbation drove
-    below zero does not stop a reading made lower down.
+    The reading crosses the nodes up to its bracket, or all of them when
+    it finds none; a radius <= 0 among those nodes, or a missing bracket,
+    raises ScenarioInfeasible.  A tiny circle near the zenith that the
+    perturbation drove below zero does not stop a reading made lower down.
     """
-    import numpy as np
-    values = np.hypot(px - cx, py - cy) - r
-    rising = (values[:, :-1] <= 0.0) & (values[:, 1:] >= 0.0)
-    found = rising.any(axis=1)
-    k = rising.argmax(axis=1)
-    last = np.where(found, k + 1, r.shape[1] - 1)
-    bad, error, message = _positive(np.where(np.arange(r.shape[1]) <= last[:, None], r, 1.0))
-    failed = bad.any(axis=1) | ~found
-    if failed.any():
-        if bad[failed.argmax()].any():
-            raise error(message)
+    value = None
+    for k, (x, y, rk) in enumerate(zip(cx, cy, r)):
+        _check_radius(rk)
+        below, value = value, math.hypot(px - x, py - y) - rk
+        if k and below <= 0.0 <= value:
+            break
+    else:
         raise ScenarioInfeasible("the sighted point falls outside the readable altitude bands")
-    rows = np.arange(len(values))
-    dx, dy, r0 = px - cx[rows, k], py - cy[rows, k], r[rows, k]
-    ddx, ddy = cx[rows, k + 1] - cx[rows, k], cy[rows, k + 1] - cy[rows, k]
-    dr = r[rows, k + 1] - r0
+    k -= 1
+    if below == 0.0:
+        return grid[k]
+    dx, dy, r0 = px - cx[k], py - cy[k], r[k]
+    ddx, ddy, dr = cx[k + 1] - cx[k], cy[k + 1] - cy[k], r[k + 1] - r0
     a = ddx * ddx + ddy * ddy - dr * dr
     b = -2.0 * (dx * ddx + dy * ddy + r0 * dr)
     c = dx * dx + dy * dy - r0 * r0
-    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
-    # F rises through zero at (-b + sqrt(disc)) / 2a: q/a when q > 0, else c/q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(q > 0.0, q / a, c / q)
-    t = np.where(values[rows, k] == 0.0, 0.0, np.clip(t, 0.0, 1.0))
-    return grid[k] + t * (grid[k + 1] - grid[k])
+    q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+    # F rises through zero at (-b + sqrt(disc)) / 2a: q/a when q > 0, else c/q;
+    # q = 0 leaves the root t = 0 alone
+    t = q / a if q > 0.0 else (c / q if q < 0.0 else 0.0)
+    return grid[k] + min(max(t, 0.0), 1.0) * (grid[k + 1] - grid[k])
 
 
-def _line_meets_circle(nx, ny, e, radius):
-    """Where each line nx*x + ny*y = e meets the pole-centered circle
-    |p| = radius: arrays x1, y1, x2, y2, NaN where the line misses."""
-    import numpy as np
+def _meet(nx: float, ny: float, e: float, radius: float):
+    """Where the line nx*x + ny*y = e meets the pole-centered circle
+    |p| = radius: two PlanePoints, or None where it misses or, its normal
+    underflowing to 0 (tropics 1e-300 degrees apart), names no line."""
     n2 = nx * nx + ny * ny
-    half = np.sqrt(radius * radius * n2 - e * e) / n2
-    fx, fy = e * nx / n2, e * ny / n2
-    return fx - half * ny, fy + half * nx, fx + half * ny, fy - half * nx
+    disc = radius * radius * n2 - e * e
+    if not (disc >= 0.0 and n2 > 0.0):
+        return None
+    half, fx, fy = math.sqrt(disc) / n2, e * nx / n2, e * ny / n2
+    return PlanePoint(fx - half * ny, fy + half * nx), PlanePoint(fx + half * ny, fy - half * nx)
 
 
-def _radical_line(cx, cy, r, radius):
-    """(nx, ny, e): circles (cx, cy, r) meet |p| = radius where n.p = e."""
-    return cx, cy, (cx * cx + cy * cy + radius * radius - r * r) / 2.0
-
-
-def _plate_angle(first, x1, y1, x2, y2):
-    """`plate_angle_deg` of point 1 where `first` holds, else of point 2."""
-    import numpy as np
-    x, y = np.where(first, x1, x2), np.where(first, y1, y2)
-    return np.degrees(np.arctan2(x, y)) % 360.0
-
-
-def _positive(radius):
-    """The check `Circle` makes of each perturbed radius, as (failing
-    radii, error, message); the message names the first failing radius
-    in row order.  A radius the perturbation drove to <= 0 leaves no
-    scene to read, so it is infeasible, not a usage error."""
-    bad = ~(radius > 0.0)
-    value = float(radius.flat[bad.argmax()])
-    return bad, ScenarioInfeasible, f"circle radius must be positive, got {value!r}"
-
-
-def _read_sunset_hours(cfg, pert, sun_dec, altitude, grid, cx, cy, r, draws):
-    """Unequal hours remaining until sunset, read off each row of a
-    perturbed plate.  `draws` holds each row's horizon (center x, y,
-    radius), graduation (13 per tropic) and hour-circle (center x, y,
-    radius per boundary) draws.
-
-    Every intersection here is with a circle centered on the pole (the
-    sun's date circle, or the opposite circle the hours are read on), so
-    each is where a line meets that circle.  A failing run raises the
-    first failing check of its first failing row, as a replay would.
-    """
-    import numpy as np
-    s, sc, sr = cfg.scale, pert.center_sigma, pert.radius_sigma
-    horizon = almucantar_solution(cfg.latitude, 0.0, s).circle
-    tropics = tropic_circles(cfg)
-    # each tropic's graduation: the hour angles dividing its night arc
-    division = np.radians([night_hours(cfg.latitude, dec)
-                           for dec in (-cfg.obliquity, 0.0, cfg.obliquity)])
-    r_sun, r_opp = stereographic_radius(sun_dec, s), stereographic_radius(-sun_dec, s)
+def _sunset_reader(cfg, pert, sun_dec, altitude, grid, sols):
+    """read(d): the unequal hours remaining until sunset on the plate
+    perturbed by one trial's draws d.  Every intersection here is with a
+    circle centered on the pole (the sun's date circle, or the opposite
+    circle the hours are read on), so each is where a line meets that
+    circle.  A failing check raises ScenarioInfeasible."""
+    sc, sr, sg = pert.center_sigma, pert.radius_sigma, math.radians(pert.graduation_sigma)
+    n, g = len(grid), 3 * len(grid)
+    horizon = sols[0].circle
+    # each tropic's radius and graduation: the hour angles dividing its night arc
+    tropics = [(c.radius, [math.radians(h) for h in night_hours(cfg.latitude, dec)])
+               for c, dec in zip(tropic_circles(cfg), (-cfg.obliquity, 0.0, cfg.obliquity))]
+    r_sun, r_opp = (stereographic_radius(dec, cfg.scale) for dec in (sun_dec, -sun_dec))
     # expected boundary crossings guide the intersection pick
-    guide = np.radians(night_hours(cfg.latitude, -sun_dec)[1:12])
-    gx, gy = r_opp * np.sin(guide), r_opp * np.cos(guide)
+    guide = [from_plate_polar(r_opp, h) for h in night_hours(cfg.latitude, -sun_dec)]
+    # the observed altitude's almucantar, interpolated between grid nodes j and j + 1
+    j = sum(h <= altitude for h in grid) - 1
+    lo, hi = sols[j], sols[j + 1]
+    span, offset = grid[j + 1] - grid[j], altitude - grid[j]
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    def read(d):
         # place the rete: the sun's date circle meets the almucantar of the
-        # observed altitude (interpolated as np.interp does); the western
-        # branch is the afternoon side
-        j = int(np.searchsorted(grid, altitude, side="right")) - 1
-        alm = [(f[:, j + 1] - f[:, j]) / (grid[j + 1] - grid[j]) * (altitude - grid[j])
-               + f[:, j] for f in (cx, cy, r)]
-        x1, y1, x2, y2 = _line_meets_circle(*_radical_line(*alm, r_sun), r_sun)
-        theta_sun = _plate_angle(x1 >= x2, x1, y1, x2, y2)
+        # observed altitude; the western branch is the afternoon side
+        ax, ay, ar = ((f1 - f0) / span * offset + f0 for f0, f1 in (
+            (sc * d[j], sc * d[j + 1]),
+            (lo.y_center + sc * d[n + j], hi.y_center + sc * d[n + j + 1]),
+            (lo.radius + sr * d[2 * n + j], hi.radius + sr * d[2 * n + j + 1])))
+        _check_radius(ar)
+        pts = _meet(ax, ay, (ax * ax + ay * ay + r_sun * r_sun - ar * ar) / 2.0, r_sun)
+        if pts is None:
+            raise ScenarioInfeasible("the observed altitude band misses the sun's circle")
+        theta_sun = plate_angle_deg(max(pts, key=lambda p: p.x))
 
-        # boundaries 0 and 12: the perturbed horizon's western and eastern
-        # crossings of the opposite circle
-        hr = horizon.radius + sr * draws[:, 2]
-        hx, hy = horizon.center.x + sc * draws[:, 0], horizon.center.y + sc * draws[:, 1]
-        x1, y1, x2, y2 = _line_meets_circle(*_radical_line(hx, hy, hr, r_opp), r_opp)
-        crossings = np.empty((len(draws), 13))
-        crossings[:, 0] = _plate_angle(x1 >= x2, x1, y1, x2, y2)
-        crossings[:, 12] = _plate_angle(x1 <= x2, x1, y1, x2, y2)
+        # boundaries 0 and 12: the perturbed horizon's crossings of the opposite circle
+        hx, hy = horizon.center.x + sc * d[g], horizon.center.y + sc * d[g + 1]
+        hr = horizon.radius + sr * d[g + 2]
+        _check_radius(hr)
+        pts = _meet(hx, hy, (hx * hx + hy * hy + r_opp * r_opp - hr * hr) / 2.0, r_opp)
+        if pts is None:
+            raise ScenarioInfeasible("perturbed horizon misses the sun's circle")
+        east, west = sorted(pts, key=lambda p: p.x)
+        crossings = [plate_angle_deg(west)] + [0.0] * 11 + [plate_angle_deg(east)]
 
         # boundaries 1-11: the circle through the perturbed division points
         # on the three tropics, in closed form as geometry.circumcircle
-        grad = draws[:, 3:42].reshape(-1, 3, 13)[:, :, 1:12]
-        # a positive draw moves a point counterclockwise, toward smaller hour angles
-        ang = division[:, 1:12] - math.radians(pert.graduation_sigma) * grad
-        radii = np.array([c.radius for c in tropics])[:, None]
-        px, py = radii * np.sin(ang), radii * np.cos(ang)
-        bx, by = px[:, 1] - px[:, 0], py[:, 1] - py[:, 0]
-        ex, ey = px[:, 2] - px[:, 0], py[:, 2] - py[:, 0]
-        dmax = np.max([np.hypot(bx, by), np.hypot(ex, ey), np.hypot(ex - bx, ey - by)], axis=0)
-        area2 = bx * ey - by * ex
-        b2, e2 = bx * bx + by * by, ex * ex + ey * ey
-        ux, uy = (ey * b2 - by * e2) / (2.0 * area2), (bx * e2 - ex * b2) / (2.0 * area2)
-        hc = draws[:, 42:].reshape(-1, 11, 3)
-        u, dx, dy = np.hypot(ux, uy), sc * hc[:, :, 0], sc * hc[:, :, 1]
-        cr = u + sr * hc[:, :, 2]
-        # the perturbed circle, centered at C = P0 + w with w = u + (dx, dy),
-        # meets |p| = r_opp where C.p = e = (|C|^2 + r_opp^2 - cr^2) / 2;
-        # expanded about the Capricorn point P0 it passes through, e cancels
-        # no squares of the radius, which grows without bound as the triple
-        # nears a line
-        wx, wy = ux + dx, uy + dy
-        w = np.hypot(wx, wy)
-        gap = (2.0 * (ux * dx + uy * dy) + dx * dx + dy * dy) / (w + u) - sr * hc[:, :, 2]
-        x0, y0 = px[:, 0], py[:, 0]
-        circle = (x0 + wx, y0 + wy, (x0 * x0 + y0 * y0 + r_opp * r_opp) / 2.0
-                  + x0 * wx + y0 * wy + gap * (w + cr) / 2.0)
-        # a collinear triple (the midnight boundary) is the line through
-        # its Capricorn and Cancer points
-        line = np.abs(area2) / 2.0 <= COLLINEAR_AREA_REL * dmax * dmax
-        chord = (ey, -ex, ey * px[:, 0] - ex * py[:, 0])
-        x1, y1, x2, y2 = _line_meets_circle(
-            *(np.where(line, u, v) for u, v in zip(chord, circle)), r_opp)
-        first = np.hypot(x1 - gx, y1 - gy) <= np.hypot(x2 - gx, y2 - gy)
-        crossings[:, 1:12] = _plate_angle(first, x1, y1, x2, y2)
+        for k in range(1, 12):
+            # a positive draw turns a point counterclockwise, toward smaller hour angles
+            angles = [hours[k] - sg * d[g + 3 + 13 * i + k]
+                      for i, (_, hours) in enumerate(tropics)]
+            (x0, y0), (bx, by), (ex, ey) = [(radius * math.sin(a), radius * math.cos(a))
+                                            for (radius, _), a in zip(tropics, angles)]
+            bx, by, ex, ey = bx - x0, by - y0, ex - x0, ey - y0
+            dmax = max(math.hypot(bx, by), math.hypot(ex, ey), math.hypot(ex - bx, ey - by))
+            area2 = bx * ey - by * ex
+            if abs(area2) / 2.0 <= COLLINEAR_AREA_REL * dmax * dmax:
+                # a collinear triple (the midnight boundary): the line through its ends
+                pts = _meet(ey, -ex, ey * x0 - ex * y0, r_opp)
+            else:
+                b2, e2 = bx * bx + by * by, ex * ex + ey * ey
+                ux, uy = (ey * b2 - by * e2) / (2.0 * area2), (bx * e2 - ex * b2) / (2.0 * area2)
+                h = g + 42 + 3 * (k - 1)
+                u, dx, dy = math.hypot(ux, uy), sc * d[h], sc * d[h + 1]
+                cr = u + sr * d[h + 2]
+                _check_radius(cr)
+                # the perturbed circle, centered at C = P0 + w with w = u + (dx, dy), meets
+                # |p| = r_opp where C.p = e = (|C|^2 + r_opp^2 - cr^2) / 2; expanded about
+                # the Capricorn point P0 it passes through, e cancels no squares of the
+                # radius, which grows without bound as the triple nears a line
+                wx, wy = ux + dx, uy + dy
+                w = math.hypot(wx, wy)
+                gap = (2.0 * (ux * dx + uy * dy) + dx * dx + dy * dy) / (w + u) - sr * d[h + 2]
+                pts = _meet(x0 + wx, y0 + wy, (x0 * x0 + y0 * y0 + r_opp * r_opp) / 2.0
+                            + x0 * wx + y0 * wy + gap * (w + cr) / 2.0, r_opp)
+            if pts is None:
+                raise ScenarioInfeasible(
+                    f"hour boundary {k} misses the sun's circle after perturbation")
+            crossings[k] = plate_angle_deg(min(pts, key=guide[k].distance_to))
 
-    d = (crossings - crossings[:, :1]) % 360.0
-    d[:, 0] = 0.0
-    theta = (theta_sun + 180.0 - crossings[:, 0]) % 360.0
-    miss = "misses the sun's circle"
-    # (failing rows, error, message) in the order one trial meets them
-    checks = [_positive(alm[2]),
-              (np.isnan(theta_sun), ScenarioInfeasible, f"the observed altitude band {miss}"),
-              _positive(hr),
-              (np.isnan(crossings[:, 0]), ScenarioInfeasible, f"perturbed horizon {miss}")]
-    for k in range(11):
-        checks.append(_positive(np.where(line[:, k], 1.0, cr[:, k])))
-        checks.append((np.isnan(crossings[:, k + 1]), ScenarioInfeasible,
-                       f"hour boundary {k + 1} {miss} after perturbation"))
-    # monotone repair is not attempted: perturbations small enough to
-    # keep the boundaries ordered are the model's domain
-    checks.append(((d[:, 1:] <= d[:, :-1]).any(axis=1), ScenarioInfeasible,
-                   "perturbed hour boundaries are out of order"))
-    bad = np.array([check[0] for check in checks])
-    failed = np.flatnonzero(bad.any(axis=0))
-    if failed.size:
-        _, error, message = checks[int(bad[:, failed[0]].argmax())]
-        raise error(message)
+        dd = [0.0] + [(c - crossings[0]) % 360.0 for c in crossings[1:]]
+        # monotone repair is not attempted: perturbations small enough to
+        # keep the boundaries ordered are the model's domain
+        if any(dd[i + 1] <= dd[i] for i in range(12)):
+            raise ScenarioInfeasible("perturbed hour boundaries are out of order")
+        theta = (theta_sun + 180.0 - crossings[0]) % 360.0
+        k = min(11, max(i for i in range(12) if dd[i] <= theta))
+        return 12.0 - (k + (theta - dd[k]) / (dd[k + 1] - dd[k]))
 
-    rows = np.arange(len(d))
-    k = np.clip((d[:, :12] <= theta[:, None]).sum(axis=1) - 1, 0, 11)
-    return 12.0 - (k + (theta - d[rows, k]) / (d[rows, k + 1] - d[rows, k]))
+    return read
 
 
 def monte_carlo_readout(cfg: PlateConfig, pert: PerturbationSpec, scenario: str,
@@ -403,13 +378,13 @@ def monte_carlo_readout(cfg: PlateConfig, pert: PerturbationSpec, scenario: str,
     remaining before sunset from the perturbed hour lines.  Per-trial
     errors are measured against the unperturbed reading of the same
     plate, so sigma = 0 reports exactly zero.  Trial i draws from its
-    own (seed, i) stream, so the same seed gives bit-equal samples and a
-    longer run starts with a shorter run's samples.  Raises
+    own (seed, i) stream (`trial_draws`), so the same seed gives bit-equal
+    samples and a longer run starts with a shorter run's samples.  Raises
     ScenarioInfeasible when the scene cannot be set (sun below horizon,
-    circumpolar sun, or a perturbation so large the readout loses its
-    bracket or a circle it reads loses its radius).
+    circumpolar sun, an unperturbed plate that cannot be read, or a
+    perturbation so large the readout loses its bracket or a circle it
+    reads loses its radius).
     """
-    import numpy as np
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     if n_trials < 1:
@@ -425,9 +400,9 @@ def monte_carlo_readout(cfg: PlateConfig, pert: PerturbationSpec, scenario: str,
 
     # almucantar grid h = 0, step, ..., 90 - step
     step = cfg.almucantar_step
-    grid = np.array([k * step for k in range(int(round(90.0 / step)))], dtype=float)
+    grid = [k * step for k in range(int(round(90.0 / step)))]
     sols = [almucantar_solution(phi, h, s) for h in grid]
-    if altitude >= float(grid[-1]):
+    if altitude >= grid[-1]:
         raise ScenarioInfeasible(f"sun altitude {altitude:.2f} is above the last "
                                  f"engraved almucantar ({grid[-1]:.0f})")
     if scenario == "time_to_sunset":
@@ -436,25 +411,30 @@ def monte_carlo_readout(cfg: PlateConfig, pert: PerturbationSpec, scenario: str,
         if not (0.0 < hour_angle < 180.0):
             raise ValueError("time_to_sunset expects an afternoon hour angle in (0, 180)")
 
-    # one row of draws per trial, laid out as [alm cx, cy, dr] * n, horizon
-    # cx, cy, dr, graduation angles 3 x 13, hour-circle cx, cy, dr x 11;
-    # row 0 is all zeros and reads the unperturbed plate
+    # a trial's draws: [alm cx, cy, dr] * n, horizon cx, cy, dr, graduation angles
+    # 3 x 13, hour-circle cx, cy, dr x 11; the altitude reading needs only the first 3n
     n = len(grid)
-    draws = np.zeros((n_trials + 1, 3 * n + 3 + 39 + 33))
-    for i in range(n_trials):
-        draws[i + 1] = np.random.default_rng([pert.seed, i]).normal(size=draws.shape[1])
     sc, sr = pert.center_sigma, pert.radius_sigma
-    cx = sc * draws[:, :n]
-    cy = np.array([m.y_center for m in sols]) + sc * draws[:, n : 2 * n]
-    r = np.array([m.radius for m in sols]) + sr * draws[:, 2 * n : 3 * n]
     if scenario == "altitude":
+        n_draws = 3 * n
         sun = from_plate_polar(stereographic_radius(sun_dec, s), hour_angle)
-        read = _read_altitude(sun.x, sun.y, grid, cx, cy, r)
-    else:
-        read = _read_sunset_hours(cfg, pert, sun_dec, altitude, grid, cx, cy, r,
-                                  draws[:, 3 * n :])
 
-    arr = read[1:] - read[0]
-    return ErrorReport(mean=float(arr.mean()), std=float(arr.std()),
-                       max_abs=float(np.abs(arr).max()), n_trials=n_trials,
-                       classification="ok", samples=tuple(arr.tolist()))
+        def read(d):
+            return _read_altitude(sun.x, sun.y, grid, [sc * v for v in d[:n]],
+                                  [m.y_center + sc * v for m, v in zip(sols, d[n : 2 * n])],
+                                  [m.radius + sr * v for m, v in zip(sols, d[2 * n :])])
+    else:
+        n_draws = 3 * n + 3 + 39 + 33
+        read = _sunset_reader(cfg, pert, sun_dec, altitude, grid, sols)
+
+    # the unperturbed plate, read from draws that are all zero
+    try:
+        ref = read([0.0] * n_draws)
+    except ScenarioInfeasible as exc:
+        cause = str(exc).replace("perturbed ", "").replace(" after perturbation", "")
+        raise ScenarioInfeasible(f"the unperturbed plate cannot be read: {cause}") from None
+    samples = tuple(read(trial_draws(pert.seed, i, n_draws)) - ref for i in range(n_trials))
+    mean = math.fsum(samples) / n_trials
+    std = math.sqrt(math.fsum((x - mean) ** 2 for x in samples) / n_trials)
+    return ErrorReport(mean=mean, std=std, max_abs=max(map(abs, samples)), n_trials=n_trials,
+                       classification="ok", samples=samples)

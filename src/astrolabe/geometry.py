@@ -5,9 +5,6 @@ Everything here is instrument-agnostic plane geometry.  Angles are in
 radians, measured counterclockwise from +x in the usual mathematical
 sense; modules with an astronomical surface convert degrees at their own
 boundary.  Lengths are millimeters throughout the package.
-
-Only `fit_circle` uses numpy, and imports it itself, so importing this
-module does not load numpy.
 """
 
 from __future__ import annotations
@@ -234,54 +231,74 @@ def arc_through(start: PlanePoint, via: PlanePoint, end: PlanePoint) -> Arc:
     return arc if arc.contains_angle(a1) else Arc(circ, a0, a2, "cw")
 
 
+def _det3(m) -> float:
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _least_squares3(rows: list, rhs: list):
+    """The x minimizing |A x - rhs| for A given by its rows of 3: the normal
+    system A^T A x = A^T rhs by Cramer's rule, all NaN when it is singular."""
+    a = [[math.fsum(r[i] * r[j] for r in rows) for j in range(3)] for i in range(3)]
+    b = [math.fsum(r[i] * v for r, v in zip(rows, rhs)) for i in range(3)]
+    det = _det3(a)
+    if det == 0.0:
+        return [math.nan] * 3
+    return [_det3([row[:k] + [v] + row[k + 1:] for row, v in zip(a, b)]) / det for k in range(3)]
+
+
 def fit_circle(points: Sequence[PlanePoint]) -> FitResult:
     """Least-squares circle through >= 3 points.
 
-    Algebraic (Kasa) solve for the initial estimate, then one
-    Gauss-Newton step on the geometric radial residuals.  Raises
+    Algebraic (Kasa) solve for the initial estimate, then one Gauss-Newton
+    step on the geometric radial residuals, both centered on the points'
+    mean, which keeps them well conditioned far from the origin.  Raises
     TooFewPoints for n < 3 and CollinearPoints when the points carry no
     curvature to fit.
     """
-    if len(points) < 3:
-        raise TooFewPoints(f"circle fit needs at least 3 points, got {len(points)}")
-    import numpy as np
-    xs = np.array([p.x for p in points], dtype=float)
-    ys = np.array([p.y for p in points], dtype=float)
-
-    diag = math.hypot(float(xs.max() - xs.min()), float(ys.max() - ys.min()))
+    n = len(points)
+    if n < 3:
+        raise TooFewPoints(f"circle fit needs at least 3 points, got {n}")
+    xs, ys = [p.x for p in points], [p.y for p in points]
+    diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
     if diag == 0.0:
         raise CollinearPoints("all points coincide")
-    # collinearity screen: smallest singular value of the centered cloud
-    centered = np.column_stack((xs - xs.mean(), ys - ys.mean()))
-    smin = float(np.linalg.svd(centered, compute_uv=False)[-1])
-    if smin / math.sqrt(len(points)) < 1e-12 * diag:
+    mx, my = math.fsum(xs) / n, math.fsum(ys) / n
+    us, vs = [x - mx for x in xs], [y - my for y in ys]
+
+    # collinearity screen: the smaller singular value of the centered cloud, the
+    # root of the sum of squared offsets along the scatter matrix's eigenvector
+    # for its smaller eigenvalue (its quadratic formula would cancel for a line)
+    suu, svv = math.fsum(u * u for u in us), math.fsum(v * v for v in vs)
+    half = 0.5 * math.atan2(2.0 * math.fsum(u * v for u, v in zip(us, vs)), suu - svv)
+    nx, ny = -math.sin(half), math.cos(half)
+    smin = math.sqrt(math.fsum((nx * u + ny * v) ** 2 for u, v in zip(us, vs)))
+    if smin / math.sqrt(n) < 1e-12 * diag:
         raise CollinearPoints("points are collinear within tolerance")
 
-    a = np.column_stack((xs, ys, np.ones_like(xs)))
-    rhs = -(xs * xs + ys * ys)
-    (dd, ee, ff), *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    cx, cy = -dd / 2.0, -ee / 2.0
-    r2 = cx * cx + cy * cy - ff
+    # Kasa: u^2 + v^2 + D u + E v + F = 0 in the least-squares sense
+    sol = _least_squares3([(u, v, 1.0) for u, v in zip(us, vs)],
+                          [-(u * u + v * v) for u, v in zip(us, vs)])
+    cx, cy = -sol[0] / 2.0, -sol[1] / 2.0
+    r2 = cx * cx + cy * cy - sol[2]
     if not (r2 > 0.0 and math.isfinite(r2)):
         raise CollinearPoints("degenerate algebraic fit")
     r = math.sqrt(r2)
 
     # one Gauss-Newton step on f_i = |p_i - c| - r
-    dx, dy = xs - cx, ys - cy
-    dist = np.hypot(dx, dy)
-    if float(dist.min()) > 1e-12 * diag:
-        jac = np.column_stack((-dx / dist, -dy / dist, -np.ones_like(dist)))
-        step, *_ = np.linalg.lstsq(jac, -(dist - r), rcond=None)
-        if np.all(np.isfinite(step)) and r + step[2] > 0.0:
-            cx += float(step[0])
-            cy += float(step[1])
-            r += float(step[2])
+    dist = [math.hypot(u - cx, v - cy) for u, v in zip(us, vs)]
+    if min(dist) > 1e-12 * diag:
+        step = _least_squares3([(-(u - cx) / d, -(v - cy) / d, -1.0)
+                                for u, v, d in zip(us, vs, dist)], [r - d for d in dist])
+        if all(map(math.isfinite, step)) and r + step[2] > 0.0:
+            cx, cy, r = cx + step[0], cy + step[1], r + step[2]
 
-    res = np.abs(np.hypot(xs - cx, ys - cy) - r)
+    res = [abs(math.hypot(u - cx, v - cy) - r) for u, v in zip(us, vs)]
     return FitResult(
-        circle=Circle(PlanePoint(cx, cy), r),
-        rms_residual=float(np.sqrt(np.mean(res * res))),
-        max_residual=float(res.max()),
+        circle=Circle(PlanePoint(mx + cx, my + cy), r),
+        rms_residual=math.sqrt(math.fsum(e * e for e in res) / n),
+        max_residual=max(res),
     )
 
 

@@ -167,11 +167,11 @@ def tropic_circles(cfg: PlateConfig) -> tuple[Circle, Circle, Circle]:
 
 
 def almucantar_solution(latitude: float, altitude: float, scale: float) -> MeridianSolution:
-    """Meridian-crossing solution for the altitude-h circle at the given
-    latitude.  altitude = 0 is the horizon.  Raises DomainError at the
-    zenith (h = 90), where the circle degenerates to a point."""
-    if not (0.0 < latitude < 90.0):
-        raise ValueError(f"latitude must lie in (0, 90), got {latitude!r}")
+    """Meridian-crossing solution for the altitude-h circle at a latitude
+    in [MIN_LATITUDE, 90), the plate's range.  altitude = 0 is the horizon.
+    Raises DomainError at the zenith (h = 90), where the circle is a point."""
+    if not (MIN_LATITUDE <= latitude < 90.0):
+        raise ValueError(f"latitude must lie in [{MIN_LATITUDE}, 90), got {latitude!r}")
     if not (0.0 < scale < math.inf):
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
     if not (0.0 <= altitude <= 90.0):

@@ -86,7 +86,8 @@ class RenderStyle(_Record):
             bad = set(include_layers) - set(LAYER_IDS)
             if bad:
                 raise ValueError(f"unknown layer ids: {sorted(bad)}")
-            include_layers = frozenset(include_layers)
+            # sorted, so that equal sets iterate (and print) alike once a copy rebuilt one
+            include_layers = frozenset(sorted(include_layers))
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "mirror_ew", mirror_ew)
         object.__setattr__(self, "include_layers", include_layers)

@@ -374,6 +374,7 @@ def test_plate_below_the_lowest_latitude_is_a_usage_error(capsys, lat):
 
 MC_AT = ("--sun-dec", "10", "--hour-angle", "40")
 BAND_AT = ("--altitude", "10", "--radius-error-fraction", "0.02")
+BAND_AT_HORIZON = ("--altitude", "0", "--radius-error-fraction", "0.01")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -387,12 +388,20 @@ BAND_AT = ("--altitude", "10", "--radius-error-fraction", "0.02")
     (("full", "--lat", "95"), f"--lat must lie in [{MIN_LATITUDE}, 90), got 95.0"),
     (("analyze", "montecarlo", "--lat", "95", *MC_AT),
      f"--lat must lie in [{MIN_LATITUDE}, 90), got 95.0"),
-    (("analyze", "band", "--lat", "95", *BAND_AT), "--lat must lie in (0, 90), got 95.0"),
-    (("analyze", "band", "--lat", "0", *BAND_AT), "--lat must lie in (0, 90), got 0.0"),
+    (("analyze", "band", "--lat", "95", *BAND_AT),
+     f"--lat must lie in [{MIN_LATITUDE}, 90), got 95.0"),
+    (("analyze", "band", "--lat", "0", *BAND_AT),
+     f"--lat must lie in [{MIN_LATITUDE}, 90), got 0.0"),
+    # below the plate's floor the band's displacement divided by zero (5e-324)
+    # or printed 300 digits (1e-300)
+    (("analyze", "band", "--lat", "5e-324", *BAND_AT_HORIZON),
+     f"--lat must lie in [{MIN_LATITUDE}, 90), got 5e-324"),
+    (("analyze", "band", "--lat", "1e-300", *BAND_AT_HORIZON),
+     f"--lat must lie in [{MIN_LATITUDE}, 90), got 1e-300"),
     (("qibla", "--lat", "95", "--lon", "10"), "--lat must lie in [-90, 90], got 95.0"),
 ], ids=["plate-obliquity", "back-obliquity", "full-obliquity", "montecarlo-obliquity",
         "plate-lat", "back-lat", "full-lat", "montecarlo-lat", "band-lat", "band-lat-0",
-        "qibla-lat"])
+        "band-lat-5e-324", "band-lat-1e-300", "qibla-lat"])
 def test_range_errors_name_the_flag_and_the_commands_range(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
@@ -929,44 +938,32 @@ def run_child(code: str) -> str:
 
 
 def test_cli_calls_load_no_numpy_xml_sax_or_scipy():
-    """Only the Monte Carlo readout and fit_circle need numpy, and no call
-    needs xml.sax, scipy, dataclasses, inspect, argparse, gettext or locale:
-    a fresh interpreter that runs every other subcommand, two help texts and
-    a usage error has loaded none of them."""
+    """No call needs numpy, xml.sax, scipy, dataclasses, inspect, argparse,
+    gettext or locale: a fresh interpreter that runs each face, the reports
+    (the Monte Carlo readout among them), a circle fit, two help texts and a
+    usage error has loaded none of them."""
     calls = [["plate", "--lat", "40"], ["rete"], ["back", "--lat", "33.5"],
              ["full", "--lat", "40"], ["project", "--dec", "10"],
              ["qibla", "--lat", "33.5", "--lon", "36.3"],
              ["analyze", "band", "--lat", "40", "--altitude", "10",
               "--radius-error-fraction", "0.02"],
+             ["analyze", "montecarlo", "--lat", "40", "--sun-dec", "10", "--hour-angle", "40",
+              "--graduation-sigma", "0.05", "--trials", "5"],
              ["--help"], ["plate", "--help"], ["plate", "--lat", "forty"]]
-    code = (
-        "import contextlib, io, sys\n"
-        "from astrolabe.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
-        "        contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    codes = [main(argv) for argv in {calls!r}]\n"
-        "print(codes, sorted(m for m in sys.modules\n"
-        "                    if m.startswith(('numpy', 'scipy', 'xml.sax'))\n"
-        "                    or m in ('dataclasses', 'inspect', 'argparse', 'gettext', 'locale')))"
-    )
-    assert run_child(code) == f"{[0] * (len(calls) - 1) + [1]} []"
-
-
-def test_numpy_paths_run_in_a_fresh_interpreter():
-    """The two numpy users import it themselves, so each runs in a process
-    that has not loaded numpy before."""
     code = (
         "import contextlib, io, sys\n"
         "from astrolabe import ProjectionKind, SphereCircleSpec, circle_image_residual\n"
         "from astrolabe.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    mc = main(['analyze', 'montecarlo', '--lat', '40', '--sun-dec', '10',\n"
-        "               '--hour-angle', '40', '--graduation-sigma', '0.05', '--trials', '5'])\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {calls!r}]\n"
         "fit = circle_image_residual(SphereCircleSpec(20.0, 30.0, 40.0),\n"
         "                            ProjectionKind.stereographic(), 36, 100.0)\n"
-        "print(mc, fit.rms_residual < 1e-9, 'numpy' in sys.modules)"
+        "print(codes, fit.rms_residual < 1e-9, sorted(m for m in sys.modules\n"
+        "                    if m.startswith(('numpy', 'scipy', 'xml.sax'))\n"
+        "                    or m in ('dataclasses', 'inspect', 'argparse', 'gettext', 'locale')))"
     )
-    assert run_child(code) == "0 True True"
+    assert run_child(code) == f"{[0] * (len(calls) - 1) + [1]} True []"
 
 
 def test_console_script_is_installed():
