@@ -59,7 +59,6 @@ from .geometry import (
     chord_length,
     circle_circle_intersection,
     circumcircle,
-    divide_arc_equal,
     fit_circle,
     normalize_angle,
 )

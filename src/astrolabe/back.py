@@ -27,7 +27,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Union
 
-from .exceptions import DomainError, UndefinedBearing
+from .exceptions import CollinearPoints, DomainError, UndefinedBearing
 from .geometry import Arc, Circle, PlanePoint, _Record, arc_through
 from .projection import OBLIQUITY, check_scale, from_plate_polar, horizon_to_sphere
 from .rete import _load_csv
@@ -66,21 +66,6 @@ CENTER1 = 1.915
 CENTER2 = 0.020
 
 
-class MiddayCurve(_Record):
-    """Noon altitude curve for one latitude: the three control altitudes
-    at solar declination -eps, 0, +eps, their back-face points, and the
-    arc through them."""
-
-    __slots__ = ("latitude", "altitudes", "points", "element")
-
-    def __init__(self, latitude: float, altitudes: tuple[float, float, float],
-                 points: tuple[PlanePoint, PlanePoint, PlanePoint], element: Arc):
-        object.__setattr__(self, "latitude", latitude)
-        object.__setattr__(self, "altitudes", altitudes)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "element", element)
-
-
 class BackConfig(_Record):
     """Inputs for the back face: the plate latitude (which sets the
     midday curve), the limb radius and the obliquity."""
@@ -105,17 +90,17 @@ class BackModel(_Record):
     quadrant, a sine quadrant of radius r with 60 equal divisions; below
     the center, a shadow square of side 0.45*r with 12 digits on each of
     its two scales.  The calendar ring holds one tick angle (degrees) per
-    day."""
+    day; `midday` is the config latitude's midday curve (`midday_curve`)."""
 
-    __slots__ = ("config", "boundary", "calendar_angles", "midday_curves", "qibla_marks")
+    __slots__ = ("config", "boundary", "calendar_angles", "midday", "qibla_marks")
 
     def __init__(self, config: BackConfig, boundary: Circle,
-                 calendar_angles: tuple[float, ...], midday_curves: tuple[MiddayCurve, ...],
+                 calendar_angles: tuple[float, ...], midday: Arc,
                  qibla_marks: tuple[tuple[Locality, float], ...]):
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "calendar_angles", calendar_angles)
-        object.__setattr__(self, "midday_curves", midday_curves)
+        object.__setattr__(self, "midday", midday)
         object.__setattr__(self, "qibla_marks", qibla_marks)
 
 
@@ -165,14 +150,15 @@ def midday_altitude(latitude: float, declination: float) -> float:
     return 90.0 - latitude + declination
 
 
-def midday_curve(latitude: float, obliquity: float, radius: float) -> MiddayCurve:
-    """Noon altitude curve through the three control declinations
-    -obliquity, 0, +obliquity.
+def midday_curve(latitude: float, obliquity: float, radius: float) -> Arc:
+    """Noon altitude curve: the arc through the back-face points of the
+    three control declinations -obliquity, 0, +obliquity.
 
     Back-face polar mapping: altitude is linear in radius (0 degrees on
     the limb, 90 at the center) and the polar angle equals the control
     declination, measured from the noon direction (+y).  Raises
-    DomainError when any control altitude leaves (0, 90].
+    DomainError when any control altitude leaves (0, 90], and when the
+    obliquity is so small that the three points coincide or are collinear.
     """
     if not (0.0 < radius < math.inf):
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
@@ -186,12 +172,11 @@ def midday_curve(latitude: float, obliquity: float, radius: float) -> MiddayCurv
     points = tuple(
         from_plate_polar(radius * (1.0 - h / 90.0), d) for h, d in zip(alts, decs)
     )
-    if latitude >= 90.0 - 1e-12:
-        # degenerate: all three points collapse; not reachable through
-        # validated configs but kept as a guard
-        raise DomainError("midday curve undefined at the pole")
-    arc = arc_through(*points)
-    return MiddayCurve(latitude=latitude, altitudes=alts, points=points, element=arc)
+    try:
+        return arc_through(*points)
+    except CollinearPoints:
+        raise DomainError(f"obliquity {obliquity!r} is too small for the midday curve: "
+                          "its three control points coincide or are collinear") from None
 
 
 def _unit(latitude: float, longitude: float) -> tuple[float, float, float]:
@@ -269,7 +254,7 @@ def build_back(cfg: BackConfig, localities: Iterable[Locality] = ()) -> BackMode
         config=cfg,
         boundary=Circle(PlanePoint(0.0, 0.0), cfg.radius),
         calendar_angles=calendar_ring(),
-        midday_curves=(midday_curve(cfg.latitude, cfg.obliquity, cfg.radius),),
+        midday=midday_curve(cfg.latitude, cfg.obliquity, cfg.radius),
         qibla_marks=marks,
     )
 

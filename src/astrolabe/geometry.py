@@ -1,5 +1,5 @@
-"""Planar circle primitives: circumcircles, least-squares fits, arc
-division, and circle intersections.
+"""Planar circle primitives: circumcircles, arcs through three points,
+least-squares fits, and circle intersections.
 
 Everything here is instrument-agnostic plane geometry.  Angles are in
 radians, measured counterclockwise from +x in the usual mathematical
@@ -110,13 +110,6 @@ class Circle(_Record):
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
 
-    def point_at(self, theta: float) -> PlanePoint:
-        """Point on the circle at polar angle theta (rad, ccw from +x)."""
-        return PlanePoint(
-            self.center.x + self.radius * math.cos(theta),
-            self.center.y + self.radius * math.sin(theta),
-        )
-
     def angle_of(self, p: PlanePoint) -> float:
         """Polar angle of p as seen from the center, in [0, 2*pi)."""
         return normalize_angle(math.atan2(p.y - self.center.y, p.x - self.center.x))
@@ -127,56 +120,31 @@ class Circle(_Record):
 
 
 class Arc(_Record):
-    """A circular arc from start_angle to end_angle along the stated
-    orientation ("ccw" or "cw").  Angles are stored normalized to
-    [0, 2*pi); a zero sweep is rejected, a full circle is not an Arc.
+    """A circular arc of `circle` from `start_point` to `end_point` along
+    the stated orientation ("ccw" or "cw").  The ends are held as the
+    caller computed them, on the circle to its rounding, and are printed
+    as they are.  Equal ends are rejected: a full circle is not an Arc.
     """
 
-    __slots__ = ("circle", "start_angle", "end_angle", "orientation")
+    __slots__ = ("circle", "start_point", "end_point", "orientation")
 
-    def __init__(self, circle: Circle, start_angle: float, end_angle: float,
+    def __init__(self, circle: Circle, start_point: PlanePoint, end_point: PlanePoint,
                  orientation: str = "ccw"):
         if orientation not in ("ccw", "cw"):
             raise ValueError(f"orientation must be 'ccw' or 'cw', got {orientation!r}")
-        _require_finite(start_angle, end_angle)
-        start_angle = normalize_angle(start_angle)
-        end_angle = normalize_angle(end_angle)
-        if math.isclose(start_angle, end_angle, abs_tol=1e-15):
+        if start_point == end_point:
             raise ValueError("arc has zero sweep; use Circle for a full circle")
         object.__setattr__(self, "circle", circle)
-        object.__setattr__(self, "start_angle", start_angle)
-        object.__setattr__(self, "end_angle", end_angle)
+        object.__setattr__(self, "start_point", start_point)
+        object.__setattr__(self, "end_point", end_point)
         object.__setattr__(self, "orientation", orientation)
 
     @property
     def sweep(self) -> float:
-        """Signed angular extent in radians: positive for ccw, negative for cw."""
-        if self.orientation == "ccw":
-            return (self.end_angle - self.start_angle) % TAU
-        return -((self.start_angle - self.end_angle) % TAU)
-
-    def point_at_fraction(self, t: float) -> PlanePoint:
-        """Point at parameter t in [0, 1] along the arc."""
-        return self.circle.point_at(self.start_angle + t * self.sweep)
-
-    @property
-    def start_point(self) -> PlanePoint:
-        return self.circle.point_at(self.start_angle)
-
-    @property
-    def end_point(self) -> PlanePoint:
-        return self.circle.point_at(self.end_angle)
-
-    def contains_angle(self, theta: float) -> bool:
-        """True if polar angle theta lies on the arc (inclusive ends,
-        with wrap-safe slack so endpoint queries survive 1-ulp wobble)."""
-        if self.orientation == "ccw":
-            offset = (theta - self.start_angle) % TAU
-            extent = self.sweep
-        else:
-            offset = (self.start_angle - theta) % TAU
-            extent = -self.sweep
-        return offset <= extent + 1e-12 or offset >= TAU - 1e-12
+        """Signed angular extent in radians between the polar angles of
+        the two ends: positive for ccw, negative for cw."""
+        turn = self.circle.angle_of(self.end_point) - self.circle.angle_of(self.start_point)
+        return turn % TAU if self.orientation == "ccw" else -(-turn % TAU)
 
 
 class FitResult(_Record):
@@ -217,18 +185,21 @@ def circumcircle(p1: PlanePoint, p2: PlanePoint, p3: PlanePoint) -> Circle:
     return Circle(center, math.hypot(ux, uy))
 
 
+def turns_ccw(a: PlanePoint, b: PlanePoint, c: PlanePoint) -> bool:
+    """True when a, b, c turn counterclockwise: the doubled signed area
+    of the triangle is positive.  Three points of a circle turn that way
+    exactly when b lies on the ccw arc from a to c."""
+    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x) > 0.0
+
+
 def arc_through(start: PlanePoint, via: PlanePoint, end: PlanePoint) -> Arc:
     """Arc of the circle through three points, from `start` to `end`
-    and passing `via`.  Raises CollinearPoints as `circumcircle` does,
-    and when `start` and `end` fall on one angle of the circle."""
+    and passing `via`, with those ends.  Raises CollinearPoints as
+    `circumcircle` does, which leaves the area's sign clear of rounding."""
     if start == end:
         raise CollinearPoints("start and end coincide")
-    circ = circumcircle(start, via, end)
-    a0, a1, a2 = circ.angle_of(start), circ.angle_of(via), circ.angle_of(end)
-    if math.isclose(a0, a2, abs_tol=1e-15):  # Arc's zero-sweep window
-        raise CollinearPoints("start and end fall on one angle of the circumcircle")
-    arc = Arc(circ, a0, a2, "ccw")
-    return arc if arc.contains_angle(a1) else Arc(circ, a0, a2, "cw")
+    return Arc(circumcircle(start, via, end), start, end,
+               "ccw" if turns_ccw(start, via, end) else "cw")
 
 
 def _det3(m) -> float:
@@ -300,15 +271,6 @@ def fit_circle(points: Sequence[PlanePoint]) -> FitResult:
         rms_residual=math.sqrt(math.fsum(e * e for e in res) / n),
         max_residual=max(res),
     )
-
-
-def divide_arc_equal(arc: Arc, n: int) -> list[PlanePoint]:
-    """n+1 points dividing the arc into n equal angular parts, endpoints
-    included, ordered from the arc's start to its end."""
-    if n < 1:
-        raise ValueError(f"division count must be >= 1, got {n}")
-    sweep = arc.sweep
-    return [arc.circle.point_at(arc.start_angle + sweep * k / n) for k in range(n + 1)]
 
 
 def circle_circle_intersection(a: Circle, b: Circle) -> tuple[PlanePoint, ...]:

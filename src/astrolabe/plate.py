@@ -43,7 +43,8 @@ import math
 from typing import Union
 
 from .exceptions import ArcticLatitude, DomainError
-from .geometry import TAU, Arc, Circle, CollinearPoints, PlanePoint, Segment, _Record, arc_through
+from .geometry import (Arc, Circle, CollinearPoints, PlanePoint, Segment, _Record, arc_through,
+                       turns_ccw)
 from .projection import (OBLIQUITY, SpherePoint, check_scale, horizon_to_sphere, project_point,
                          solve_altitude_for_azimuth, stereographic_radius)
 
@@ -225,13 +226,17 @@ def crossing_hour_angle(latitude: float, declination: float, altitude: float = 0
     the lower one where a cosine's is +-180, or within TOUCH_DEG of that.
     """
     phi, dec, h = latitude, declination, altitude
-    sin_a, sin_b = 90.0 - h + phi - dec, (90.0 + dec - h) - phi
-    cos_a, cos_b = 90.0 - h + phi + dec, 90.0 - h - phi - dec
-    if min(sin_a, sin_b, 180.0 - abs(cos_a), 180.0 - abs(cos_b)) <= TOUCH_DEG:
+    # each difference as the exact sum of its terms, rounded once, so a tiny
+    # one keeps its relative precision; a cosine's is taken as the sine of
+    # its distance from 180, cos(x/2) = sin((180 - |x|)/2), for the same reason
+    sin_a, sin_b = math.fsum((90.0, -h, phi, -dec)), math.fsum((90.0, -h, -phi, dec))
+    cos_a, cos_b = math.fsum((90.0, h, -phi, -dec)), math.fsum((90.0, h, phi, dec))
+    cos_a, cos_b = (c if c <= 180.0 else 360.0 - c for c in (cos_a, cos_b))
+    if min(sin_a, sin_b, cos_a, cos_b) <= TOUCH_DEG:
         return None
     half = math.radians(0.5)
     sin2 = math.sin(half * sin_a) * math.sin(half * sin_b)
-    cos2 = math.cos(half * cos_a) * math.cos(half * cos_b)
+    cos2 = math.sin(half * cos_a) * math.sin(half * cos_b)
     return math.degrees(2.0 * math.atan2(math.sqrt(sin2), math.sqrt(cos2)))
 
 
@@ -243,7 +248,7 @@ def _inside_boundary(circle: Circle, cfg: PlateConfig, altitude: float) -> Eleme
     if hc is None:
         return circle
     east, west = (project_point(SpherePoint(-cfg.obliquity, h), cfg.scale) for h in (-hc, hc))
-    return Arc(circle, circle.angle_of(east), circle.angle_of(west), "ccw")
+    return Arc(circle, east, west, "ccw")
 
 
 def _vertical_end(cfg: PlateConfig, azimuth: float) -> PlanePoint:
@@ -276,9 +281,9 @@ def hour_lines(cfg: PlateConfig) -> tuple[Element, ...]:
     through the three k-th division points, kept as the arc from the
     Capricorn point to the Cancer point that passes the equator point;
     entry k - 1 is boundary k.  Where the three points are collinear
-    (the midnight boundary at k = 6), or the Capricorn and Cancer points
-    fall on one angle of the circle (tropics nearly coincide), the
-    boundary is the Segment from the Capricorn point to the Cancer point.
+    (the midnight boundary at k = 6) or coincide (tropics closer than
+    rounding), the boundary is the Segment from the Capricorn point to
+    the Cancer point.
     Raises ArcticLatitude (from `night_hours`) where the tropics do not
     set, from TOUCH_DEG below 90 - obliquity.
     """
@@ -345,10 +350,9 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
         if circ.radius > STRAIGHT_REL * boundary.radius:
             azimuths.append(Segment(behind, ahead))
             continue
-        t1, t2 = circ.angle_of(ahead), circ.angle_of(behind)
-        if (circ.angle_of(zen) - t1) % TAU > (t2 - t1) % TAU:  # the zenith lies ccw of t2
-            t1, t2 = t2, t1
-        azimuths.append(Arc(circ, t1, t2, "ccw"))
+        if not turns_ccw(ahead, zen, behind):  # so that the ccw arc holds the zenith
+            ahead, behind = behind, ahead
+        azimuths.append(Arc(circ, ahead, behind, "ccw"))
 
     try:
         hours = hour_lines(cfg)

@@ -177,6 +177,15 @@ def project_point(p: SpherePoint, scale: float) -> PlanePoint:
     return from_plate_polar(stereographic_radius(p.dec, scale), p.hour_angle)
 
 
+def _cos_sin_deg(angle: float) -> tuple[float, float]:
+    """cos and sin of an angle in degrees, reduced by whole quarter turns
+    first (exactly), so that each is exactly 0 at a multiple of 90."""
+    quarter = round(angle / 90.0)
+    rest = math.radians(angle - 90.0 * quarter)
+    c, s = math.cos(rest), math.sin(rest)
+    return ((c, s), (-s, c), (-c, -s), (s, -c))[quarter % 4]
+
+
 def horizon_to_sphere(latitude: float, altitude: float, azimuth: float) -> SpherePoint:
     """The sphere point seen from latitude phi at altitude h and compass
     azimuth A (degrees from north through east), from its components
@@ -184,11 +193,12 @@ def horizon_to_sphere(latitude: float, altitude: float, azimuth: float) -> Spher
 
         sin(dec) = sin(phi) sin(h) + cos(phi) cos(h) cos(A)
     """
-    phi, h, a = math.radians(latitude), math.radians(altitude), math.radians(azimuth)
+    phi, h = math.radians(latitude), math.radians(altitude)
     sin_phi, cos_phi, sin_h, cos_h = math.sin(phi), math.cos(phi), math.sin(h), math.cos(h)
-    pole = sin_phi * sin_h + cos_phi * cos_h * math.cos(a)
-    meridian = cos_phi * sin_h - sin_phi * cos_h * math.cos(a)
-    east = cos_h * math.sin(a)
+    cos_a, sin_a = _cos_sin_deg(azimuth)
+    pole = sin_phi * sin_h + cos_phi * cos_h * cos_a
+    meridian = cos_phi * sin_h - sin_phi * cos_h * cos_a
+    east = cos_h * sin_a
     return SpherePoint(math.degrees(math.atan2(pole, math.hypot(meridian, east))),
                        math.degrees(math.atan2(-east, meridian)))
 
@@ -203,9 +213,9 @@ def solve_altitude_for_azimuth(latitude: float, declination: float, azimuth: flo
         raise ValueError(f"latitude must lie in (0, 90), got {latitude!r}")
     if not (-90.0 <= declination <= 90.0):
         raise ValueError(f"declination must lie in [-90, 90], got {declination!r}")
-    la, a = math.radians(latitude), math.radians(azimuth)
+    la = math.radians(latitude)
     ca = math.sin(la)
-    cb = math.cos(la) * math.cos(a)
+    cb = math.cos(la) * _cos_sin_deg(azimuth)[0]
     amp = math.hypot(ca, cb)
     sd = math.sin(math.radians(declination))
     if abs(sd) > amp + 1e-12:

@@ -35,10 +35,11 @@ import re
 import warnings
 from typing import Optional
 
-from .back import BackModel
+from .back import BackModel, midday_altitude
 from .exceptions import EmptyModelWarning
 from .geometry import Arc, Circle, PlanePoint, Segment, _Record
 from .plate import PlateModel
+from .projection import from_plate_polar
 from .rete import ReteModel
 
 # every layer id with its one stroke width (mm), in LAYER_IDS order
@@ -258,7 +259,7 @@ def _back_layers(m: BackModel) -> list:
         )
 
     def sine_quadrant(pen):  # 60 radius divisions; the k = 60 chords have no length
-        frame = Arc(Circle(PlanePoint(0.0, 0.0), r), math.pi / 2.0, math.pi, "ccw")
+        frame = Arc(Circle(PlanePoint(0.0, 0.0), r), PlanePoint(0.0, r), PlanePoint(-r, 0.0), "ccw")
         d = [k * (r / 60) for k in range(1, 60)]
         reach = [math.sqrt(r * r - dk * dk) for dk in d]
         return pen.emit(frame) + pen.lines(
@@ -278,11 +279,10 @@ def _back_layers(m: BackModel) -> list:
             + [(half, -f * side, half - 1.5, -f * side) for f in digits]
         )
 
-    def midday(pen):
-        return "".join(pen.emit(c.element) for c in m.midday_curves) + "".join(
-            pen.label(c.points[1].x, c.points[1].y + 2.0, f"{c.latitude:g}")
-            for c in m.midday_curves
-        )
+    def midday(pen):  # labelled with the latitude 2 mm above its equinox point
+        lat = m.config.latitude
+        equinox = from_plate_polar(r * (1.0 - midday_altitude(lat, 0.0) / 90.0), 0.0)
+        return pen.emit(m.midday) + pen.label(equinox.x, equinox.y + 2.0, f"{lat:g}")
 
     def qibla(pen):
         return pen.lines((*_polar(r * 0.82, b), 0.0, 0.0) for _, b in m.qibla_marks) + "".join(

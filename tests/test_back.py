@@ -33,6 +33,7 @@ from astrolabe import (
     solve_altitude_for_azimuth,
 )
 from astrolabe.back import EQUINOX_DAY
+from test_geometry import arc_holds
 
 DAMASCUS = Locality("Damascus", 33.5130, 36.2920)
 
@@ -205,18 +206,18 @@ def test_shadow_square_marks():
 
 def test_midday_altitude_and_curve():
     assert midday_altitude(40.0, 0.0) == 50.0
-    curve = midday_curve(40.0, 23.44, 100.0)
-    assert curve.altitudes == pytest.approx((26.56, 50.0, 73.44))
-    # control points: altitude linear in radius, polar angle = declination
-    for h, d, p in zip(curve.altitudes, (-23.44, 0.0, 23.44), curve.points):
+    arc = midday_curve(40.0, 23.44, 100.0)
+    # control points: altitude linear in radius, polar angle = declination;
+    # the arc runs from the winter point through the equinox point on the
+    # noon line to the summer point, and interpolates all three
+    equinox = PlanePoint(0.0, 100.0 * (1.0 - 50.0 / 90.0))
+    points = (arc.start_point, equinox, arc.end_point)
+    for h, d, p in zip((26.56, 50.0, 73.44), (-23.44, 0.0, 23.44), points):
         r = 100.0 * (1.0 - h / 90.0)
         assert math.hypot(p.x, p.y) == pytest.approx(r, rel=1e-12)
         assert math.degrees(math.atan2(p.x, p.y)) == pytest.approx(d, abs=1e-9)
-    # the arc interpolates its three control points
-    circ = curve.element.circle
-    for p in curve.points:
-        assert abs(circ.signed_distance(p)) < 1e-9
-        assert curve.element.contains_angle(circ.angle_of(p))
+        assert abs(arc.circle.signed_distance(p)) < 1e-9
+    assert arc_holds(arc, equinox)
 
 
 def test_midday_curve_domain_errors():
@@ -224,6 +225,10 @@ def test_midday_curve_domain_errors():
         midday_curve(85.0, 23.44, 100.0)  # winter noon below the horizon
     with pytest.raises(DomainError):
         midday_curve(5.0, 23.44, 100.0)  # summer noon past the zenith
+    # the three control points coincide, or lie on a line
+    for obliquity in (5e-324, 1e-300, 1e-13):
+        with pytest.raises(DomainError, match=f"^obliquity {obliquity!r} is too small"):
+            midday_curve(40.0, obliquity, 100.0)
 
 
 def test_bearing_oracle_matches_enu_route():
@@ -324,8 +329,7 @@ def test_build_back_structure():
     model = build_back(cfg, [DAMASCUS])
     assert model.boundary.radius == 150.0
     assert len(model.calendar_angles) == 365
-    assert len(model.midday_curves) == 1
-    assert model.midday_curves[0].latitude == 40.0
+    assert model.midday == midday_curve(40.0, cfg.obliquity, 150.0)
     (loc, bearing), = model.qibla_marks
     assert loc.name == "Damascus"
     assert bearing == pytest.approx(bearing_oracle(DAMASCUS, MECCA))

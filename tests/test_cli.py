@@ -823,6 +823,17 @@ def test_analyze_montecarlo_infeasible_scene_exits_two(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["back", "full"])
+@pytest.mark.parametrize("obliquity", ["5e-324", "1e-300"])
+def test_an_obliquity_too_small_for_the_back_exits_two_naming_it(capsys, command, obliquity):
+    # the midday curve's three control points coincide (5e-324) or lie on
+    # a line (1e-300)
+    code, out, err = run_cli(capsys, command, "--lat", "40", "--obliquity", obliquity)
+    assert (code, out) == (2, "")
+    assert err == (f"error: obliquity {float(obliquity)!r} is too small for the midday curve: "
+                   "its three control points coincide or are collinear\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("--scenario", "time_to_sunset", "--lat", "29.14", "--scale-mm", "100",
      "--almucantar-step", "3", "--center-sigma", "47.14", "--radius-sigma", "54.61",

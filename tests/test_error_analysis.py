@@ -31,14 +31,10 @@ from astrolabe import (
     quadrant_chord_diagnosis,
 )
 from astrolabe.error_analysis import SCENARIOS, _read_altitude, _sun_altitude, trial_draws
-from astrolabe.geometry import (
-    COLLINEAR_AREA_REL,
-    circle_circle_intersection,
-    circumcircle,
-    divide_arc_equal,
-)
+from astrolabe.geometry import COLLINEAR_AREA_REL, circle_circle_intersection, circumcircle
 from astrolabe.plate import almucantar_solution, night_hours, tropic_circles
 from astrolabe.projection import from_plate_polar, plate_angle_deg, stereographic_radius
+from test_geometry import point_at
 
 # section-4 style worked configuration: 150 mm plate
 S4 = 49.228324
@@ -311,7 +307,15 @@ def night_arc(circle, horizon):
                              "hour lines are undefined")
     west = max(pts, key=lambda p: p.x)
     east = min(pts, key=lambda p: p.x)
-    return Arc(circle, circle.angle_of(west), circle.angle_of(east), "cw")
+    return Arc(circle, west, east, "cw")
+
+
+def divide_arc_equal(arc, n):
+    """The n + 1 points that divide an arc into n equal angular parts,
+    from its start point to its end point, both as stored."""
+    start = arc.circle.angle_of(arc.start_point)
+    inner = [point_at(arc.circle, start + arc.sweep * k / n) for k in range(1, n)]
+    return [arc.start_point, *inner, arc.end_point]
 
 
 def night_arc_hours(cfg, dec):
@@ -320,7 +324,8 @@ def night_arc_hours(cfg, dec):
     arc between the plane crossings of the circle and the horizon."""
     circle = Circle(PlanePoint(0.0, 0.0), stereographic_radius(dec, cfg.scale))
     arc = night_arc(circle, almucantar_solution(cfg.latitude, 0.0, cfg.scale).circle)
-    return [90.0 - math.degrees(arc.start_angle + arc.sweep * k / 12.0) for k in range(13)]
+    start = arc.circle.angle_of(arc.start_point)
+    return [90.0 - math.degrees(start + arc.sweep * k / 12.0) for k in range(13)]
 
 
 def sunset_replay(cfg, pert, sun_dec, hour_angle, graduation=night_arc_hours):

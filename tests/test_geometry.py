@@ -16,11 +16,29 @@ from astrolabe import (
     chord_length,
     circle_circle_intersection,
     circumcircle,
-    divide_arc_equal,
     fit_circle,
     normalize_angle,
 )
 from astrolabe.geometry import arc_through
+
+
+def point_at(circle, theta):
+    """The circle's point at polar angle theta (rad, ccw from +x)."""
+    return PlanePoint(circle.center.x + circle.radius * math.cos(theta),
+                      circle.center.y + circle.radius * math.sin(theta))
+
+
+def arc_point(arc, t):
+    """The point at fraction t of an arc's sweep from its start."""
+    return point_at(arc.circle, arc.circle.angle_of(arc.start_point) + t * arc.sweep)
+
+
+def arc_holds(arc, p):
+    """True when the polar angle of p lies on the arc, ends included,
+    with 1e-12 rad of slack at each end."""
+    start, theta = arc.circle.angle_of(arc.start_point), arc.circle.angle_of(p)
+    offset = (theta - start if arc.orientation == "ccw" else start - theta) % math.tau
+    return offset <= abs(arc.sweep) + 1e-12 or offset >= math.tau - 1e-12
 
 
 def bisector_circumcenter(p1, p2, p3):
@@ -93,7 +111,7 @@ def test_circle_point_angle_round_trip():
     c = Circle(PlanePoint(3.0, -2.0), 7.5)
     rng = np.random.default_rng(11)
     for theta in rng.uniform(0.0, math.tau, size=50):
-        p = c.point_at(float(theta))
+        p = point_at(c, float(theta))
         assert c.angle_of(p) == pytest.approx(theta, abs=1e-9)
         assert c.signed_distance(p) == pytest.approx(0.0, abs=1e-12)
 
@@ -107,39 +125,35 @@ def test_circle_rejects_bad_radius():
 
 def test_arc_sweep_and_orientation():
     c = Circle(PlanePoint(0.0, 0.0), 10.0)
-    t0, t1 = math.radians(10.0), math.radians(100.0)
-    ccw = Arc(c, t0, t1, "ccw")
-    cw = Arc(c, t1, t0, "cw")
+    p0, p1 = point_at(c, math.radians(10.0)), point_at(c, math.radians(100.0))
+    ccw = Arc(c, p0, p1, "ccw")
+    cw = Arc(c, p1, p0, "cw")
     assert ccw.sweep == pytest.approx(math.pi / 2)
     assert cw.sweep == pytest.approx(-math.pi / 2)
     # both cover the same angular set
-    for theta in (t0, math.radians(55.0), t1):
-        assert ccw.contains_angle(theta)
-        assert cw.contains_angle(theta)
-    assert not ccw.contains_angle(math.radians(200.0))
-    assert not cw.contains_angle(math.radians(200.0))
+    for p in (p0, point_at(c, math.radians(55.0)), p1):
+        assert arc_holds(ccw, p)
+        assert arc_holds(cw, p)
+    assert not arc_holds(ccw, point_at(c, math.radians(200.0)))
+    assert not arc_holds(cw, point_at(c, math.radians(200.0)))
 
 
-def test_arc_point_at_fraction_endpoints_and_midpoint():
+def test_arc_keeps_its_end_points_as_given():
     c = Circle(PlanePoint(1.0, 1.0), 2.0)
-    arc = Arc(c, math.radians(350.0), math.radians(30.0), "ccw")  # crosses the wrap
+    p0, p1 = point_at(c, math.radians(350.0)), point_at(c, math.radians(30.0))
+    arc = Arc(c, p0, p1, "ccw")  # crosses the wrap
+    assert arc.start_point is p0 and arc.end_point is p1
     assert arc.sweep == pytest.approx(math.radians(40.0))
-    p0 = arc.point_at_fraction(0.0)
-    p1 = arc.point_at_fraction(1.0)
-    pm = arc.point_at_fraction(0.5)
-    assert p0.distance_to(c.point_at(math.radians(350.0))) < 1e-12
-    assert p1.distance_to(c.point_at(math.radians(30.0))) < 1e-12
-    assert pm.distance_to(c.point_at(math.radians(10.0))) < 1e-12
-    assert arc.start_point.distance_to(p0) < 1e-15
-    assert arc.end_point.distance_to(p1) < 1e-15
+    assert Arc(c, p0, p1, "cw").sweep == pytest.approx(math.radians(40.0) - math.tau)
+    assert arc_point(arc, 0.5).distance_to(point_at(c, math.radians(10.0))) < 1e-12
 
 
 def test_arc_rejects_zero_sweep_and_bad_orientation():
     c = Circle(PlanePoint(0.0, 0.0), 1.0)
     with pytest.raises(ValueError):
-        Arc(c, 1.0, 1.0, "ccw")
+        Arc(c, PlanePoint(1.0, 0.0), PlanePoint(1.0, 0.0), "ccw")
     with pytest.raises(ValueError):
-        Arc(c, 0.0, 1.0, "clockwise")
+        Arc(c, PlanePoint(1.0, 0.0), PlanePoint(0.0, 1.0), "clockwise")
 
 
 def test_circumcircle_matches_bisector_solution():
@@ -151,7 +165,7 @@ def test_circumcircle_matches_bisector_solution():
         if min(t2 - t1, t3 - t2) < 0.1:
             continue  # keep the triple well separated
         truth = Circle(PlanePoint(float(cx), float(cy)), float(r))
-        pts = [truth.point_at(float(t)) for t in (t1, t2, t3)]
+        pts = [point_at(truth, float(t)) for t in (t1, t2, t3)]
         got = circumcircle(*pts)
         ex, ey, er = bisector_circumcenter(*pts)
         assert got.center.x == pytest.approx(ex, abs=1e-7)
@@ -204,7 +218,7 @@ def test_fit_circle_recovers_exact_circles():
         # guard against near-degenerate angular clustering
         if np.ptp(np.sort(thetas)) < 0.5:
             continue
-        fit = fit_circle([truth.point_at(float(t)) for t in thetas])
+        fit = fit_circle([point_at(truth, float(t)) for t in thetas])
         assert fit.circle.center.distance_to(truth.center) < 1e-8 * max(1.0, r)
         assert fit.circle.radius == pytest.approx(r, rel=1e-9)
         assert fit.rms_residual < 1e-9 * max(1.0, r)
@@ -217,7 +231,7 @@ def test_fit_circle_matches_geometric_fit_on_noisy_data():
     thetas = np.linspace(0.0, math.tau, 240, endpoint=False)
     noise = rng.normal(0.0, 0.05, size=(240, 2))
     pts = [
-        PlanePoint(truth.point_at(float(t)).x + float(nx), truth.point_at(float(t)).y + float(ny))
+        PlanePoint(point_at(truth, float(t)).x + float(nx), point_at(truth, float(t)).y + float(ny))
         for t, (nx, ny) in zip(thetas, noise)
     ]
     fit = fit_circle(pts)
@@ -274,18 +288,6 @@ def test_fit_circle_too_few_and_collinear():
     line = [PlanePoint(float(x), 2.0 * float(x) - 1.0) for x in np.linspace(0.0, 9.0, 12)]
     with pytest.raises(CollinearPoints):
         fit_circle(line)
-
-
-def test_divide_arc_equal_spacing():
-    c = Circle(PlanePoint(0.0, 0.0), 5.0)
-    arc = Arc(c, 0.0, math.pi, "ccw")
-    pts = divide_arc_equal(arc, 6)
-    assert len(pts) == 7
-    gaps = [pts[i].distance_to(pts[i + 1]) for i in range(6)]
-    for g in gaps:
-        assert g == pytest.approx(gaps[0], rel=1e-12)
-    assert pts[0].distance_to(c.point_at(0.0)) < 1e-12
-    assert pts[-1].distance_to(c.point_at(math.pi)) < 1e-12
 
 
 def test_circle_intersection_two_points():

@@ -43,6 +43,7 @@ from astrolabe.plate import (
     crossing_hour_angle,
     night_hours,
 )
+from test_geometry import arc_holds, arc_point
 
 S = 100.0
 
@@ -189,7 +190,7 @@ def test_hour_lines_pass_through_division_points():
         circ = hl.circle
         for p in pts:
             assert abs(circ.signed_distance(p)) < 1e-9
-            assert hl.contains_angle(circ.angle_of(p))
+            assert arc_holds(hl, p)
         # arc runs from the Capricorn point to the Cancer point
         assert hl.start_point.distance_to(pts[0]) < 1e-9
         assert hl.end_point.distance_to(pts[2]) < 1e-9
@@ -306,7 +307,7 @@ def test_build_plate_elements_stay_inside_boundary():
             assert model.boundary.signed_distance(el) <= tol
         elif isinstance(el, Arc):
             for t in np.linspace(0.0, 1.0, 33):
-                assert model.boundary.signed_distance(el.point_at_fraction(float(t))) <= tol
+                assert model.boundary.signed_distance(arc_point(el, float(t))) <= tol
         elif isinstance(el, Circle):
             d = el.center.distance_to(model.boundary.center) + el.radius
             assert d <= model.boundary.radius + tol
@@ -327,8 +328,8 @@ def test_almucantars_end_at_their_boundary_crossings():
             assert abs(boundary.signed_distance(p)) < 1e-9
         # from the eastern crossing counterclockwise through the north point
         assert el.start_point.x < 0.0 < el.end_point.x
-        assert el.contains_angle(1.5 * math.pi)
-        assert boundary.signed_distance(el.point_at_fraction(0.5)) < 0.0
+        assert arc_holds(el, PlanePoint(circle.center.x, circle.center.y - circle.radius))
+        assert boundary.signed_distance(arc_point(el, 0.5)) < 0.0
 
 
 def test_plate_config_validation():
@@ -400,7 +401,7 @@ def test_prime_vertical_is_drawn_where_the_nadir_is_on_the_boundary():
         assert len(model.azimuths) == 18
         prime = model.azimuths[0]
         assert prime.circle == azimuth_circle(obliquity, 0.0, S)
-        assert prime.contains_angle(prime.circle.angle_of(zenith_point(obliquity, S)))
+        assert arc_holds(prime, zenith_point(obliquity, S))
 
 
 def test_no_plate_path_starts_where_it_ends():
@@ -413,8 +414,8 @@ def test_no_plate_path_starts_where_it_ends():
 
 @pytest.mark.parametrize("latitude, obliquity", [(40.0, 1e-6), (0.001, 0.05), (40.0, 1e-300)])
 def test_hour_lines_of_nearly_coincident_tropics(latitude, obliquity):
-    # the Capricorn and Cancer points fall on one angle of a huge
-    # circumcircle, or coincide: the boundary is the straight segment
+    # the three points of a boundary lie on a line (midnight), or all
+    # coincide: the boundary is the straight segment
     lines = hour_lines(PlateConfig(latitude, S, obliquity))
     assert len(lines) == 11
     assert any(isinstance(hl, Segment) for hl in lines)

@@ -38,8 +38,10 @@ from astrolabe import (
     unproject_point,
     zenith_point,
 )
+from astrolabe.geometry import arc_through, circumcircle
 from astrolabe.plate import MIN_LATITUDE, STRAIGHT_REL
 from astrolabe.render import _fmt, _Pen
+from test_geometry import arc_holds, point_at
 from test_projection import ray_plane_radius
 
 S = 100.0
@@ -169,7 +171,7 @@ def test_plate_has_one_element_per_grid_value(latitude, obliquity, almucantar_st
             continue
         assert isinstance(el, Arc)
         assert el.circle == azimuth_circle(latitude, a, S)
-        assert el.contains_angle(el.circle.angle_of(zenith))
+        assert arc_holds(el, zenith)
     # eleven hour lines, none at arctic latitudes: from 1e-12 degree below
     # 90 - obliquity, where the Tropic of Cancer no longer sets
     if latitude >= 90.0 - obliquity - 1e-12:
@@ -225,27 +227,72 @@ def exact_ends(cfg, model, verticals):
 
 
 @REPRODUCIBLE
-@given(latitude=LATITUDES, almucantar_step=ALMUCANTAR_STEPS, azimuth_step=AZIMUTH_STEPS)
+@given(
+    latitude=LATITUDES,
+    obliquity=st.floats(0.0, 30.0, exclude_min=True, exclude_max=True),
+    almucantar_step=ALMUCANTAR_STEPS,
+    azimuth_step=AZIMUTH_STEPS,
+)
 # near the pole, where intersecting the projected circles lost up to 3e-4 mm
-@example(latitude=89.99, almucantar_step=1.0, azimuth_step=1.0)
-@example(latitude=89.9, almucantar_step=5.0, azimuth_step=5.0)
-def test_plate_end_points_match_a_50_digit_replay(latitude, almucantar_step, azimuth_step):
-    # each printed end is Circle.point_at of an angle, which rounds at
-    # 1e-14 of the circle's radius; a Segment's ends are the points themselves
-    cfg = PlateConfig(latitude, S, almucantar_step=almucantar_step, azimuth_step=azimuth_step)
+@example(latitude=89.99, obliquity=23.44, almucantar_step=1.0, azimuth_step=1.0)
+@example(latitude=89.9, obliquity=23.44, almucantar_step=5.0, azimuth_step=5.0)
+# hour lines whose sunrise-equation differences are 5e-5 degree, not a touch
+@example(latitude=89.99995, obliquity=1e-6, almucantar_step=5.0, azimuth_step=10.0)
+def test_plate_end_points_match_a_50_digit_replay(latitude, obliquity, almucantar_step,
+                                                  azimuth_step):
+    # every end, an Arc's or a Segment's, is a point as computed
+    cfg = PlateConfig(latitude, S, obliquity, almucantar_step, azimuth_step)
     model = build_plate(cfg)
     verticals = sorted({(k * azimuth_step) % 180.0 for k in range(round(360.0 / azimuth_step))})
+    boundary = model.boundary
     for el, exact in exact_ends(cfg, model, verticals):
-        if exact is None:
+        if exact is None or isinstance(el, Circle):
+            # drawn whole where it misses the boundary, or touches it
+            # within TOUCH_DEG: then it leaves the plate by under 1e-9 mm
             assert isinstance(el, Circle)
+            assert el.center.distance_to(boundary.center) + el.radius <= boundary.radius + 1e-9
             continue
-        if isinstance(el, Arc):
-            ends, bound = (el.start_point, el.end_point), 1e-9 + 1e-14 * el.circle.radius
-        else:
-            assert isinstance(el, Segment)
-            ends, bound = (el.a, el.b), 1e-9
+        ends = (el.start_point, el.end_point) if isinstance(el, Arc) else (el.a, el.b)
         off = [[float(mp.hypot(p.x - x, p.y - y)) for x, y in exact] for p in ends]
-        assert min(max(off[0][0], off[1][1]), max(off[0][1], off[1][0])) <= bound, el
+        assert min(max(off[0][0], off[1][1]), max(off[0][1], off[1][0])) <= 1e-9, el
+
+
+def orientation_by_angles(start, via, end):
+    """The orientation of the arc from start through via to end, from
+    the polar angles of the three points about their circumcircle's
+    center: ccw when via lies within the ccw sweep from start to end,
+    with 1e-12 rad of slack."""
+    circle = circumcircle(start, via, end)
+    a0, a1, a2 = (circle.angle_of(p) for p in (start, via, end))
+    offset, extent = (a1 - a0) % math.tau, (a2 - a0) % math.tau
+    return "ccw" if offset <= extent + 1e-12 or offset >= math.tau - 1e-12 else "cw"
+
+
+@REPRODUCIBLE
+@given(
+    center=st.one_of(st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+                     st.tuples(st.floats(1e6 - 1.0, 1e6 + 1.0), st.floats(1e6 - 1.0, 1e6 + 1.0))),
+    radius=st.floats(1.0, 1000.0),
+    start=st.floats(0.0, math.tau),
+    # a sweep up to almost a full turn, or within 1e-9 rad of half a turn
+    sweep=st.one_of(st.floats(0.01, math.tau - 0.01), st.floats(math.pi - 1e-9, math.pi + 1e-9)),
+    via=st.floats(0.01, 0.99),
+    ccw=st.booleans(),
+)
+@example(center=(1e6, 1e6), radius=1.0, start=0.0, sweep=math.pi, via=0.5, ccw=False)
+def test_arc_through_orients_by_area_as_by_angles(center, radius, start, sweep, via, ccw):
+    # three distinct points of a circle, via between start and end along
+    # the drawn direction; the area's sign picks the arc that the polar
+    # angles pick, and that arc holds via
+    sign, circle = (1.0 if ccw else -1.0), Circle(PlanePoint(*center), radius)
+    start, via, end = (point_at(circle, t)
+                       for t in (start, start + sign * via * sweep, start + sign * sweep))
+    arc = arc_through(start, via, end)
+    assert arc.orientation == orientation_by_angles(start, via, end) == ("ccw" if ccw else "cw")
+    assert (arc.start_point, arc.end_point) == (start, end)
+    assert arc_holds(arc, via)
+    assert abs(arc.sweep) == pytest.approx(sweep, abs=1e-6)
+
 
 def _fmt_by_round_trip(value, precision):
     # the rule _fmt replaces: parse the printed string back to test for zero
@@ -296,7 +343,7 @@ def test_every_element_kind_prints_numbers_by_the_round_trip_rule(case, mirror):
     v, precision = case
     sx, sy = (-1.0 if mirror else 1.0), -1.0
     pen = _Pen(precision, sx, sy)
-    arc = Arc(Circle(PlanePoint(v, v), 1.0), 0.0, math.pi / 2.0, "ccw")
+    arc = Arc(Circle(PlanePoint(v, v), 1.0), PlanePoint(v + 1.0, v), PlanePoint(v, v + 1.0))
     p0, p1 = arc.start_point, arc.end_point
     cases = [
         (pen.emit(Segment(PlanePoint(v, -v), PlanePoint(-v, v))),

@@ -34,13 +34,12 @@ from astrolabe import (
     SpherePoint,
     StarEntry,
 )
-from astrolabe.back import MiddayCurve
 from astrolabe.projection import OBLIQUITY
 
 P = PlanePoint(1.0, 2.0)
 Q = PlanePoint(-4.0, 6.5)
 C = Circle(P, 3.0)
-ARC = Arc(C, 0.5, 1.5)
+ARC = Arc(C, PlanePoint(4.0, 2.0), PlanePoint(1.0, 5.0))
 CFG = PlateConfig(40.0, 100.0)
 BACK = BackConfig(40.0, 150.0)
 STAR = StarEntry("Vega", 279.23, 38.78, 0.03)
@@ -51,7 +50,7 @@ RECORDS = [
     (PlanePoint, {"x": 1.0, "y": -2.5}, {}),
     (Segment, {"a": P, "b": Q}, {}),
     (Circle, {"center": Q, "radius": 7.25}, {}),
-    (Arc, {"circle": C, "start_angle": 0.5, "end_angle": 6.0, "orientation": "cw"},
+    (Arc, {"circle": C, "start_point": PlanePoint(4.0, 2.0), "end_point": P, "orientation": "cw"},
      {"orientation": "ccw"}),
     (FitResult, {"circle": C, "rms_residual": 1e-12, "max_residual": 3e-12}, {}),
     (SpherePoint, {"dec": -12.5, "hour_angle": 300.0}, {}),
@@ -69,12 +68,10 @@ RECORDS = [
     (ReteModel, {"ecliptic": C, "zodiac_points": (P, Q), "pointers": ((STAR, P),),
                  "skipped": ((STAR, "off the plate"),), "boundary": C}, {}),
     (Locality, {"name": "Berlin", "latitude": 52.52, "longitude": -13.5}, {}),
-    (MiddayCurve, {"latitude": 40.0, "altitudes": (26.56, 50.0, 73.44),
-                   "points": (P, Q, P), "element": ARC}, {}),
     (BackConfig, {"latitude": 33.5, "radius": 120.0, "obliquity": 23.5},
      {"obliquity": OBLIQUITY}),
     (BackModel, {"config": BACK, "boundary": C, "calendar_angles": (0.5, 1.5),
-                 "midday_curves": (), "qibla_marks": ((MECCA, 12.5),)}, {}),
+                 "midday": ARC, "qibla_marks": ((MECCA, 12.5),)}, {}),
     (PerturbationSpec, {"center_sigma": 0.01, "radius_sigma": 0.02,
                         "graduation_sigma": 0.05, "seed": 7},
      {"center_sigma": 0.0, "radius_sigma": 0.0, "graduation_sigma": 0.0, "seed": 0}),

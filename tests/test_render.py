@@ -30,9 +30,16 @@ from astrolabe import (
     render_full,
     render_svg,
 )
-from astrolabe.render import _ROWS, _Pen
+from astrolabe.plate import STRAIGHT_REL, _vertical_end
+from astrolabe.render import _ROWS, _Pen, _fmt
+from test_geometry import arc_point, point_at
 
 SVG = "{http://www.w3.org/2000/svg}"
+
+
+def angle_arc(circle, a0, a1, orientation):
+    """The arc of a circle between its points at polar angles a0 and a1."""
+    return Arc(circle, point_at(circle, a0), point_at(circle, a1), orientation)
 
 
 def parse_arc_path(d):
@@ -84,25 +91,25 @@ def test_arc_path_matches_svg_evaluator():
         sweep = float(rng.uniform(0.05, 2.0 * math.pi - 0.05))
         orient = "ccw" if rng.integers(2) else "cw"
         a1 = a0 + sweep if orient == "ccw" else a0 - sweep
-        arc = Arc(Circle(PlanePoint(float(cx), float(cy)), r), a0, a1, orient)
+        arc = angle_arc(Circle(PlanePoint(float(cx), float(cy)), r), a0, a1, orient)
         d = arc_to_path(arc, precision=8)
         rendered = svg_arc_points(*parse_arc_path(d), ts=ts)
         for (gx, gy), t in zip(rendered, ts):
-            want = arc.point_at_fraction(float(t))
+            want = arc_point(arc, float(t))
             assert math.hypot(gx - want.x, gy - want.y) < 5e-6
 
 
 def test_arc_path_flags():
     c = Circle(PlanePoint(0.0, 0.0), 10.0)
-    quarter_ccw = arc_to_path(Arc(c, 0.0, math.pi / 2.0, "ccw"))
+    quarter_ccw = arc_to_path(angle_arc(c, 0.0, math.pi / 2.0, "ccw"))
     assert " 0 1 " in quarter_ccw  # small arc, positive-angle sweep
-    quarter_cw = arc_to_path(Arc(c, math.pi / 2.0, 0.0, "cw"))
+    quarter_cw = arc_to_path(angle_arc(c, math.pi / 2.0, 0.0, "cw"))
     assert " 0 0 " in quarter_cw
-    major_ccw = arc_to_path(Arc(c, 0.0, 3.0 * math.pi / 2.0, "ccw"))
+    major_ccw = arc_to_path(angle_arc(c, 0.0, 3.0 * math.pi / 2.0, "ccw"))
     assert " 1 1 " in major_ccw  # three-quarter turn sets the large flag
-    major_cw = arc_to_path(Arc(c, 0.0, math.pi / 2.0, "cw"))
+    major_cw = arc_to_path(angle_arc(c, 0.0, math.pi / 2.0, "cw"))
     assert " 1 0 " in major_cw
-    semi = arc_to_path(Arc(c, 0.0, math.pi, "ccw"))
+    semi = arc_to_path(angle_arc(c, 0.0, math.pi, "ccw"))
     assert " 0 1 " in semi  # exactly half a turn is not "large"
 
 
@@ -111,15 +118,36 @@ def test_an_arc_whose_ends_print_as_one_point_is_its_circle():
     # arc is its circle to the printed precision
     c = Circle(PlanePoint(1.0, 2.0), 10.0)
     for pen in (_Pen(4, 1.0, 1.0), _Pen(4, -1.0, 1.0)):
-        assert pen.emit(Arc(c, 0.0, 2.0 * math.pi - 1e-6, "ccw")) == pen.emit(c)
-        assert pen.emit(Arc(c, 0.0, 1e-6, "cw")) == pen.emit(c)
-        assert pen.emit(Arc(c, 0.0, 2.0 * math.pi - 1e-3, "ccw")).startswith("  <path")
-        assert pen.emit(Arc(c, 0.0, 1e-6, "ccw")).startswith("  <path")
-    assert _Pen(9, 1.0, 1.0).emit(Arc(c, 0.0, 2.0 * math.pi - 1e-6, "ccw")).startswith("  <path")
+        assert pen.emit(angle_arc(c, 0.0, 2.0 * math.pi - 1e-6, "ccw")) == pen.emit(c)
+        assert pen.emit(angle_arc(c, 0.0, 1e-6, "cw")) == pen.emit(c)
+        assert pen.emit(angle_arc(c, 0.0, 2.0 * math.pi - 1e-3, "ccw")).startswith("  <path")
+        assert pen.emit(angle_arc(c, 0.0, 1e-6, "ccw")).startswith("  <path")
+    assert _Pen(9, 1.0, 1.0).emit(angle_arc(c, 0.0, 2.0 * math.pi - 1e-6, "ccw")).startswith("  <path")
+
+
+def test_a_near_pole_vertical_prints_its_computed_ends():
+    # at lat 89.999 the verticals' circles are 6e6 to 1.3e7 mm wide; at
+    # precision 9 the path's M and end numbers are the two points that
+    # _vertical_end computed, formatted as they are
+    cfg = PlateConfig(latitude=89.999, scale=100.0, azimuth_step=5.0)
+    model = build_plate(cfg)
+    pen = _Pen(9, 1.0, -1.0)
+    arcs = 0
+    for a, el in zip(range(0, 180, 5), model.azimuths):
+        if not isinstance(el, Arc):
+            continue
+        assert el.circle.radius > 5e6
+        arcs += 1
+        m = re.fullmatch(r'  <path d="M (\S+) (\S+) A \S+ \S+ 0 [01] [01] (\S+) (\S+)"/>\n',
+                         pen.emit(el))
+        ends = {(_fmt(p.x, 9), _fmt(-p.y, 9))
+                for p in (_vertical_end(cfg, 270.0 - a), _vertical_end(cfg, 90.0 - a))}
+        assert {m.group(1, 2), m.group(3, 4)} == ends
+    assert arcs > 10 and model.boundary.radius * STRAIGHT_REL > 1.2e7
 
 
 def test_negative_zero_never_printed():
-    arc = Arc(Circle(PlanePoint(-10.0 - 1e-9, 0.0), 10.0), 0.0, math.pi / 2.0, "ccw")
+    arc = angle_arc(Circle(PlanePoint(-10.0 - 1e-9, 0.0), 10.0), 0.0, math.pi / 2.0, "ccw")
     d = arc_to_path(arc, precision=4)
     assert d.startswith("M 0.0000 ")
     assert "-0.0000" not in d
