@@ -56,21 +56,9 @@ from .projection import (
 from .render import RenderStyle, render_full, render_svg
 from .rete import ReteModel, build_rete, load_star_catalog
 
-_CONFIG_KEYS = {
-    "lat": float,
-    "lon": float,
-    "scale_mm": float,
-    "diameter_mm": float,
-    "obliquity": float,
-    "almucantar_step": float,
-    "azimuth_step": float,
-    "catalog": str,
-    "localities": str,
-    "seed": int,
-    "out": str,
-    "mirror_ew": bool,
-    "precision": int,
-}
+# the keys a config file may set; each takes the type of its flag in _FLAGS
+_CONFIG_KEYS = ("lat", "lon", "scale_mm", "diameter_mm", "obliquity", "almucantar_step",
+                "azimuth_step", "catalog", "localities", "seed", "out", "mirror_ew", "precision")
 
 _COMMENT = re.compile(r"(^|\s)#.*")
 _TRUE = {"true", "yes", "1", "on"}
@@ -107,9 +95,9 @@ def load_config(path) -> dict:
                 raise UnknownKey(f"unknown config key {key!r} (line {lineno})")
             if key in out:
                 raise ParseError(f"duplicate key {key!r}", line=lineno, column=col)
-            typ = _CONFIG_KEYS[key]
+            kind = _FLAGS[key].kind
             try:
-                if typ is bool:
+                if kind is bool:
                     low = value.lower()
                     if low in _TRUE:
                         out[key] = True
@@ -118,7 +106,7 @@ def load_config(path) -> dict:
                     else:
                         raise ValueError(f"bad boolean {value!r}")
                 else:
-                    out[key] = typ(value)
+                    out[key] = kind(value)
             except ValueError as exc:
                 raise ParseError(
                     str(exc), line=lineno, column=len(left) + 2
@@ -126,14 +114,18 @@ def load_config(path) -> dict:
     return out
 
 
-def _merge_config(args, defaults: dict) -> None:
+def _merge_config(args, prog: str, flags: list) -> None:
     """Fill unset flag values (None) from the config file, if any, then
-    from the flags' defaults.  A config key the command has no flag for
-    is left out."""
+    from the flags' defaults, and check that each required flag is set.
+    A config key the command has no flag for is left out."""
     cfg = load_config(args.config) if args.config else {}
+    defaults = {f.dest: f.default for f in flags if f.default is not None}
     for key, value in (*cfg.items(), *defaults.items()):
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
+    missing = [f.option for f in flags if f.required and getattr(args, f.dest) is None]
+    if missing:
+        raise ValueError(f"{prog}: the following arguments are required: {', '.join(missing)}")
 
 
 # the library's words for the values that flags set
@@ -185,13 +177,6 @@ def _write_text(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _require(args, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n, None) is None]
-    if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise ValueError(f"missing required value(s): {flags}")
-
-
 def _plate_config(args, obliquity: float, scale: float) -> PlateConfig:
     optional = {key: getattr(args, key) for key in _STEPS if getattr(args, key, None) is not None}
     return _named(PlateConfig, latitude=args.lat, scale=scale, obliquity=obliquity, **optional)
@@ -214,7 +199,6 @@ def _back(args, obliquity: float, scale: float) -> BackModel:
 
 
 def _cmd_plate(args) -> int:
-    _require(args, "lat")
     model = build_plate(_plate_config(args, *_geometry(args)))
     _write_text(args, render_svg(model, _style(args)))
     return 0
@@ -226,13 +210,11 @@ def _cmd_rete(args) -> int:
 
 
 def _cmd_back(args) -> int:
-    _require(args, "lat")
     _write_text(args, render_svg(_back(args, *_geometry(args)), _style(args)))
     return 0
 
 
 def _cmd_full(args) -> int:
-    _require(args, "lat")
     geometry = _geometry(args)
     plate_model = build_plate(_plate_config(args, *geometry))
     rete_model = _rete(args, *geometry)
@@ -267,7 +249,6 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_qibla(args) -> int:
-    _require(args, "lat", "lon")
     obs = _named(Locality, args.name or "observer", args.lat, args.lon)
     oracle = bearing_oracle(obs, MECCA)
     closed = qibla_eq13(obs, MECCA)
@@ -308,8 +289,6 @@ def _cmd_analyze_arc(args) -> int:
     has_angular = args.dalpha is not None or args.radius is not None
     if has_ds == has_angular:
         raise ValueError("give either --ds, or --radius with --dalpha")
-    if args.dp is None:
-        raise ValueError("missing required value(s): --dp")
     if has_ds:
         d = ea.arc_displacement(args.ds, args.dp)
         rows = [("ds_mm", f"{args.ds:.6f}")]
@@ -342,7 +321,6 @@ def _cmd_analyze_chords(args) -> int:
 
 
 def _cmd_analyze_band(args) -> int:
-    _require(args, "lat")
     _, scale = _geometry(args)
     displacement, band = _named(ea.band_misassignment, args.lat, scale, args.altitude,
                                 args.radius_error_fraction, args.band_step)
@@ -363,7 +341,8 @@ def _cmd_analyze_band(args) -> int:
 def _cmd_analyze_alidade(args) -> int:
     rows = []
     if args.offset is not None:
-        _require(args, "length_mm")
+        if args.length_mm is None:
+            raise ValueError("--offset needs --length-mm")
         offset = args.offset
         if args.offset_unit == "deg":
             offset = math.radians(offset)
@@ -391,7 +370,6 @@ def _cmd_analyze_alidade(args) -> int:
 
 
 def _cmd_analyze_mc(args) -> int:
-    _require(args, "lat", "sun_dec", "hour_angle")
     cfg = _plate_config(args, *_geometry(args))
     pert = ea.PerturbationSpec(
         center_sigma=args.center_sigma,
@@ -433,7 +411,7 @@ _SCALE = 100.0  # the equator radius, mm, when neither --scale-mm nor --diameter
 _FLAGS = {
     "config": _Flag(str, "config file with key = value lines"),
     "out": _Flag(str, "output file (default: stdout)"),
-    "lat": _Flag(float, "geographic latitude, degrees north"),
+    "lat": _Flag(float, "geographic latitude, degrees north", required=True),
     "scale_mm": _Flag(float, f"equator radius in mm (default {_SCALE:g} when no --diameter-mm)"),
     "diameter_mm": _Flag(float, "overall plate diameter in mm (alternative to --scale-mm)"),
     "obliquity": _Flag(float, "ecliptic obliquity, degrees", OBLIQUITY),
@@ -447,10 +425,10 @@ _FLAGS = {
     "hour_angle:project": _Flag(float, "hour angle, degrees", 0.0),
     "kind": _Flag(_KINDS, "projection member", "stereographic"),
     "q": _Flag(float, "external viewpoint distance (required for --kind external)"),
-    "lon": _Flag(float, "longitude, degrees east"),
+    "lon": _Flag(float, "longitude, degrees east", required=True),
     "name": _Flag(str, "observer name for the report"),
     "ds": _Flag(float, "tangential offset, mm"),
-    "dp": _Flag(float, "radial offset, mm"),
+    "dp": _Flag(float, "radial offset, mm", required=True),
     "radius:arc": _Flag(float, "engraving radius, mm (angular form)"),
     "dalpha": _Flag(float, "angular offset, radians (angular form)"),
     "radius:chords": _Flag(float, "circle radius, mm", required=True),
@@ -468,8 +446,8 @@ _FLAGS = {
     "rotation_unit": _Flag(("mm", "deg", "rad"),
                            "unit of --rotation (required with --rotation; the error keeps it)"),
     "scenario": _Flag(ea.SCENARIOS, "readout scenario", "time_to_sunset"),
-    "sun_dec": _Flag(float, "sun declination, degrees"),
-    "hour_angle:mc": _Flag(float, "true hour angle, degrees"),
+    "sun_dec": _Flag(float, "sun declination, degrees", required=True),
+    "hour_angle:mc": _Flag(float, "true hour angle, degrees", required=True),
     "trials": _Flag(int, "number of trials", 200),
     "center_sigma": _Flag(float, "circle center noise per axis, mm", 0.0),
     "radius_sigma": _Flag(float, "circle radius noise, mm", 0.0),
@@ -533,13 +511,13 @@ def _value(flag: _Flag, text: str, where: str):
 
 
 def _parse(argv: list):
-    """(namespace, defaults) for argv, or None once a help text is printed.
+    """(namespace, prog, flags) for argv, or None once a help text is printed.
 
     Long options only, `--flag value` or `--flag=value` with exact names; a
     value may start with one `-`, a repeated flag keeps its last value, and
-    -h or --help anywhere asks for the help text.  The namespace holds the handler as `func` and every flag of the command,
-    None where unset; `defaults` maps dests to the values that fill them
-    after the config file."""
+    -h or --help anywhere asks for the help text.  The namespace holds the
+    handler as `func` and every flag of the command, None where unset;
+    `prog` names the command and `flags` are its _Flag entries."""
     path, extras, rest = (), [], list(argv)
     while _COMMANDS[path][0] is None:
         prog, dest = " ".join(("astrolabe", *path)), "mode" if path else "command"
@@ -580,12 +558,9 @@ def _parse(argv: list):
                 text = rest.pop(0)
             value = _value(flag, text, where)
         setattr(args, flag.dest, value)
-    missing = [f.option for f in flags if f.required and getattr(args, f.dest) is None]
-    if missing:
-        raise _UsageError(f"{prog}: the following arguments are required: {', '.join(missing)}")
     if extras:
         raise _UsageError(f"astrolabe: unrecognized arguments: {' '.join(extras)}")
-    return args, {f.dest: f.default for f in flags if f.default is not None}
+    return args, prog, flags
 
 
 def _help(path: tuple) -> None:
@@ -622,9 +597,9 @@ def main(argv: Optional[list] = None) -> int:
         return 1
     if parsed is None:  # a help text was printed
         return 0
-    args, defaults = parsed
+    args, prog, flags = parsed
     try:
-        _merge_config(args, defaults)
+        _merge_config(args, prog, flags)
         for key, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{key.replace('_', '-')} must be a finite number, got {value}")

@@ -29,7 +29,7 @@ import random
 from typing import Sequence
 
 from .exceptions import ScenarioInfeasible
-from .geometry import COLLINEAR_AREA_REL, Circle, PlanePoint, _Record, chord_length, normalize_angle
+from .geometry import Circle, PlanePoint, _Record, _center_offset, chord_length, normalize_angle
 # unused here, but bench/tracing.py counts calls to them through this module
 from .geometry import circle_circle_intersection, circumcircle  # noqa: F401
 from .plate import PlateConfig, almucantar_solution, night_hours, tropic_circles
@@ -322,7 +322,7 @@ def _sunset_reader(cfg, pert, sun_dec, altitude, grid, sols):
         crossings = [plate_angle_deg(west)] + [0.0] * 11 + [plate_angle_deg(east)]
 
         # boundaries 1-11: the circle through the perturbed division points
-        # on the three tropics, in closed form as geometry.circumcircle
+        # on the three tropics
         for k in range(1, 12):
             # a positive draw turns a point counterclockwise, toward smaller hour angles
             angles = [hours[k] - sg * d[g + 3 + 13 * i + k]
@@ -330,14 +330,12 @@ def _sunset_reader(cfg, pert, sun_dec, altitude, grid, sols):
             (x0, y0), (bx, by), (ex, ey) = [(radius * math.sin(a), radius * math.cos(a))
                                             for (radius, _), a in zip(tropics, angles)]
             bx, by, ex, ey = bx - x0, by - y0, ex - x0, ey - y0
-            dmax = max(math.hypot(bx, by), math.hypot(ex, ey), math.hypot(ex - bx, ey - by))
-            area2 = bx * ey - by * ex
-            if abs(area2) / 2.0 <= COLLINEAR_AREA_REL * dmax * dmax:
+            to_center = _center_offset(bx, by, ex, ey)
+            if to_center is None:
                 # a collinear triple (the midnight boundary): the line through its ends
                 pts = _meet(ey, -ex, ey * x0 - ex * y0, r_opp)
             else:
-                b2, e2 = bx * bx + by * by, ex * ex + ey * ey
-                ux, uy = (ey * b2 - by * e2) / (2.0 * area2), (bx * e2 - ex * b2) / (2.0 * area2)
+                ux, uy = to_center
                 h = g + 42 + 3 * (k - 1)
                 u, dx, dy = math.hypot(ux, uy), sc * d[h], sc * d[h + 1]
                 cr = u + sr * d[h + 2]

@@ -16,7 +16,7 @@ from .exceptions import CoincidentCircles, CollinearPoints, TooFewPoints
 
 TAU = 2.0 * math.pi
 
-# circumcircle rejects inputs when |signed area| < this times (max pairwise distance)^2
+# three points are collinear when |signed area| <= this times (max pairwise distance)^2
 COLLINEAR_AREA_REL = 1e-12
 
 # coincidence / tangency window for circle-circle intersection, relative to scale
@@ -158,31 +158,31 @@ class FitResult(_Record):
         object.__setattr__(self, "max_residual", max_residual)
 
 
-def circumcircle(p1: PlanePoint, p2: PlanePoint, p3: PlanePoint) -> Circle:
-    """Circle through three pairwise-distinct points.
-
-    Raises CollinearPoints when the signed triangle area is at most
-    COLLINEAR_AREA_REL times the squared max pairwise distance.
-    Coordinates are shifted to p1 before solving, which keeps the
-    arithmetic well conditioned for circles far from the origin.
-    """
-    bx, by = p2.x - p1.x, p2.y - p1.y
-    cx, cy = p3.x - p1.x, p3.y - p1.y
+def _center_offset(bx: float, by: float, cx: float, cy: float):
+    """Offset (ux, uy) from p of the center of the circle through p,
+    p + (bx, by) and p + (cx, cy); None where the three are collinear:
+    the signed triangle area is at most COLLINEAR_AREA_REL times the
+    squared max pairwise distance, as it is where two of them coincide.
+    Solving from p keeps the arithmetic well conditioned for circles far
+    from the origin."""
     dmax = max(math.hypot(bx, by), math.hypot(cx, cy), math.hypot(cx - bx, cy - by))
-    if dmax == 0.0:
-        raise ValueError("circumcircle requires pairwise distinct points")
     area2 = bx * cy - by * cx
     if abs(area2) / 2.0 <= COLLINEAR_AREA_REL * dmax * dmax:
-        raise CollinearPoints(
-            f"points are collinear within tolerance (|area| = {abs(area2) / 2.0:.3e})"
-        )
-    b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
-    d = 2.0 * area2
-    ux = (cy * b2 - by * c2) / d
-    uy = (bx * c2 - cx * b2) / d
-    center = PlanePoint(p1.x + ux, p1.y + uy)
-    return Circle(center, math.hypot(ux, uy))
+        return None
+    b2, c2, d = bx * bx + by * by, cx * cx + cy * cy, 2.0 * area2
+    return (cy * b2 - by * c2) / d, (bx * c2 - cx * b2) / d
+
+
+def circumcircle(p1: PlanePoint, p2: PlanePoint, p3: PlanePoint) -> Circle:
+    """Circle through three pairwise-distinct points.  Raises
+    CollinearPoints where `_center_offset` finds them collinear."""
+    if p1 == p2 == p3:
+        raise ValueError("circumcircle requires pairwise distinct points")
+    offset = _center_offset(p2.x - p1.x, p2.y - p1.y, p3.x - p1.x, p3.y - p1.y)
+    if offset is None:
+        raise CollinearPoints("points are collinear within tolerance")
+    ux, uy = offset
+    return Circle(PlanePoint(p1.x + ux, p1.y + uy), math.hypot(ux, uy))
 
 
 def turns_ccw(a: PlanePoint, b: PlanePoint, c: PlanePoint) -> bool:

@@ -205,7 +205,7 @@ def azimuth_circle(latitude: float, azimuth: float, scale: float) -> Circle:
     a = azimuth % 360.0
     if abs(math.cos(math.radians(a))) < 1e-11:
         raise DomainError("azimuth 90/270 is the meridian line, not a circle")
-    y_z = scale * math.tan(math.radians(45.0 - latitude / 2.0))
+    y_z = zenith_point(latitude, scale).y
     y_n = -scale * math.tan(math.radians(45.0 + latitude / 2.0))
     y_c = (y_z + y_n) / 2.0
     p_c = (y_z - y_n) / 2.0

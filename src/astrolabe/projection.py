@@ -244,8 +244,7 @@ def unproject_point(p: PlanePoint, scale: float) -> SpherePoint:
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
     r = math.hypot(p.x, p.y)
     dec = 90.0 - 2.0 * math.degrees(math.atan(r / scale))
-    ha = math.degrees(math.atan2(p.x, p.y)) % 360.0
-    return SpherePoint(dec, ha)
+    return SpherePoint(dec, plate_angle_deg(p))
 
 
 def _unit_vector(dec_rad: float, ha_rad: float) -> tuple[float, float, float]:
@@ -298,10 +297,5 @@ def circle_image_residual(
     circle preservation and the residual is the measure of that failure.
     Raises DomainError if any sample is outside the projection's domain.
     """
-    pts = sample_sphere_circle(spec, n)
-    plane = []
-    for sp in pts:
-        r = axis_projection_radius(sp.dec, kind, scale)
-        h = math.radians(sp.hour_angle)
-        plane.append(PlanePoint(r * math.sin(h), r * math.cos(h)))
-    return fit_circle(plane)
+    return fit_circle([from_plate_polar(axis_projection_radius(sp.dec, kind, scale), sp.hour_angle)
+                       for sp in sample_sphere_circle(spec, n)])

@@ -111,11 +111,6 @@ def _fmt(value: float, precision: int) -> str:
 _WHOLE_DEGREES = tuple((math.sin(math.radians(a)), math.cos(math.radians(a))) for a in range(360))
 
 
-def _polar(radius: float, angle_deg: float) -> tuple[float, float]:
-    a = math.radians(angle_deg)  # plate angle: degrees clockwise from +y
-    return radius * math.sin(a), radius * math.cos(a)
-
-
 # ---- element emission --------------------------------------------------
 
 
@@ -247,7 +242,8 @@ def _back_layers(m: BackModel) -> list:
             pen.emit(m.boundary)
             + pen.ticks((s, c, r, r * (0.94 if a % 10 == 0 else 0.97))
                         for a, (s, c) in enumerate(_WHOLE_DEGREES))
-            + "".join(pen.label(*_polar(r * 0.905, a), f"{a}") for a in range(0, 360, 30))
+            + "".join(pen.label(p.x, p.y, f"{a}") for a, p in
+                      ((a, from_plate_polar(r * 0.905, a)) for a in range(0, 360, 30)))
         )
 
     def calendar(pen):
@@ -284,11 +280,11 @@ def _back_layers(m: BackModel) -> list:
         equinox = from_plate_polar(r * (1.0 - midday_altitude(lat, 0.0) / 90.0), 0.0)
         return pen.emit(m.midday) + pen.label(equinox.x, equinox.y + 2.0, f"{lat:g}")
 
-    def qibla(pen):
-        return pen.lines((*_polar(r * 0.82, b), 0.0, 0.0) for _, b in m.qibla_marks) + "".join(
-            pen.label(*_polar(r * 0.6, bearing), loc.name, "start")
-            for loc, bearing in m.qibla_marks
-        )
+    def qibla(pen):  # a ray from the center toward each bearing, labelled along it
+        marks = [(loc, from_plate_polar(r * 0.82, b), from_plate_polar(r * 0.6, b))
+                 for loc, b in m.qibla_marks]
+        return pen.lines((p.x, p.y, 0.0, 0.0) for _, p, _ in marks) + "".join(
+            pen.label(q.x, q.y, loc.name, "start") for loc, _, q in marks)
 
     layers = [
         ("limb", limb),
