@@ -27,8 +27,8 @@ import math
 from pathlib import Path
 from typing import Iterable, Union
 
-from .exceptions import CollinearPoints, DomainError, UndefinedBearing
-from .geometry import Arc, Circle, PlanePoint, _Record, arc_through
+from .exceptions import DomainError, UndefinedBearing
+from .geometry import Arc, Circle, PlanePoint, Segment, _Record, arc_through
 from .projection import OBLIQUITY, check_scale, from_plate_polar, horizon_to_sphere
 from .rete import _load_csv
 
@@ -90,12 +90,13 @@ class BackModel(_Record):
     quadrant, a sine quadrant of radius r with 60 equal divisions; below
     the center, a shadow square of side 0.45*r with 12 digits on each of
     its two scales.  The calendar ring holds one tick angle (degrees) per
-    day; `midday` is the config latitude's midday curve (`midday_curve`)."""
+    day; `midday` is the config latitude's midday curve (`midday_curve`),
+    an Arc, or a Segment at an obliquity too small to bend it."""
 
     __slots__ = ("config", "boundary", "calendar_angles", "midday", "qibla_marks")
 
     def __init__(self, config: BackConfig, boundary: Circle,
-                 calendar_angles: tuple[float, ...], midday: Arc,
+                 calendar_angles: tuple[float, ...], midday: Union[Arc, Segment],
                  qibla_marks: tuple[tuple[Locality, float], ...]):
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "boundary", boundary)
@@ -150,15 +151,16 @@ def midday_altitude(latitude: float, declination: float) -> float:
     return 90.0 - latitude + declination
 
 
-def midday_curve(latitude: float, obliquity: float, radius: float) -> Arc:
+def midday_curve(latitude: float, obliquity: float, radius: float) -> Union[Arc, Segment]:
     """Noon altitude curve: the arc through the back-face points of the
     three control declinations -obliquity, 0, +obliquity.
 
     Back-face polar mapping: altitude is linear in radius (0 degrees on
     the limb, 90 at the center) and the polar angle equals the control
-    declination, measured from the noon direction (+y).  Raises
-    DomainError when any control altitude leaves (0, 90], and when the
-    obliquity is so small that the three points coincide or are collinear.
+    declination, measured from the noon direction (+y).  At an obliquity
+    so small that the three points coincide or are collinear, the curve
+    is the Segment between its ends (`arc_through`).  Raises DomainError
+    when any control altitude leaves (0, 90].
     """
     if not (0.0 < radius < math.inf):
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
@@ -169,14 +171,8 @@ def midday_curve(latitude: float, obliquity: float, radius: float) -> Arc:
             raise DomainError(
                 f"midday altitude {h:.3f} outside (0, 90] at latitude {latitude}"
             )
-    points = tuple(
-        from_plate_polar(radius * (1.0 - h / 90.0), d) for h, d in zip(alts, decs)
-    )
-    try:
-        return arc_through(*points)
-    except CollinearPoints:
-        raise DomainError(f"obliquity {obliquity!r} is too small for the midday curve: "
-                          "its three control points coincide or are collinear") from None
+    return arc_through(*(from_plate_polar(radius * (1.0 - h / 90.0), d)
+                         for h, d in zip(alts, decs)))
 
 
 def _unit(latitude: float, longitude: float) -> tuple[float, float, float]:

@@ -16,9 +16,13 @@ the start of a line or after whitespace, so a `#` inside a value
 values.  Flags are long only, `--flag value` or `--flag=value` with the
 exact name; a repeated flag keeps its last value.  Keys: lat, lon, scale_mm,
 diameter_mm, obliquity, almucantar_step, azimuth_step, catalog, localities,
-seed, out, mirror_ew, precision; a subcommand ignores the keys it has no use
-for (only analyze montecarlo reads seed), but takes only the flags it reads.
-Every number, from a flag or the file, must be finite.
+seed, out, mirror_ew, precision, each of its flag's type; a subcommand ignores
+the keys it has no use for (only analyze montecarlo reads seed), but takes
+only the flags it reads.  Every number, from a flag or the file, must be
+finite.  A flag that --help marks (required) may be set by the file; it is
+checked once the file is read.  Grid steps are at least one arcminute and
+--trials at most 10^6; a back whose obliquity is too small to bend the
+midday curve draws it as a segment.
 """
 
 from __future__ import annotations
@@ -129,7 +133,8 @@ def _merge_config(args, prog: str, flags: list) -> None:
 
 
 # the library's words for the values that flags set
-_FLAG_OF = {"latitude": "--lat", "obliquity": "--obliquity"}
+_FLAG_OF = {"latitude": "--lat", "obliquity": "--obliquity", "almucantar_step": "--almucantar-step",
+            "azimuth_step": "--azimuth-step", "n_trials": "--trials"}
 
 
 def _named(make, *args, **kwargs):
@@ -377,8 +382,8 @@ def _cmd_analyze_mc(args) -> int:
         graduation_sigma=args.graduation_sigma,
         seed=args.seed,
     )
-    report = ea.monte_carlo_readout(cfg, pert, args.scenario, args.sun_dec, args.hour_angle,
-                                    args.trials)
+    report = _named(ea.monte_carlo_readout, cfg, pert, args.scenario, args.sun_dec,
+                    args.hour_angle, args.trials)
     unit = "deg" if args.scenario == "altitude" else "hours"
     rows = [
         ("scenario", args.scenario),
@@ -448,7 +453,7 @@ _FLAGS = {
     "scenario": _Flag(ea.SCENARIOS, "readout scenario", "time_to_sunset"),
     "sun_dec": _Flag(float, "sun declination, degrees", required=True),
     "hour_angle:mc": _Flag(float, "true hour angle, degrees", required=True),
-    "trials": _Flag(int, "number of trials", 200),
+    "trials": _Flag(int, f"number of trials, at most {ea.MAX_TRIALS}", 200),
     "center_sigma": _Flag(float, "circle center noise per axis, mm", 0.0),
     "radius_sigma": _Flag(float, "circle radius noise, mm", 0.0),
     "graduation_sigma": _Flag(float, "hour graduation noise along the tropics, degrees", 0.0),

@@ -37,6 +37,10 @@ from .projection import from_plate_polar, plate_angle_deg, stereographic_radius
 
 SCENARIOS = ("time_to_sunset", "altitude")
 
+# most trials one Monte Carlo run takes: 10^6 time_to_sunset trials at lat 40 run for
+# about 200 s (Python 3.11, one core of a 2-vCPU host) and keep 10^6 samples
+MAX_TRIALS = 10**6
+
 
 def alidade_offset_error(length: float, offset_angle: float) -> float:
     """Limb reading error from a sight-vane offset: length*delta/4 (mm
@@ -381,12 +385,13 @@ def monte_carlo_readout(cfg: PlateConfig, pert: PerturbationSpec, scenario: str,
     ScenarioInfeasible when the scene cannot be set (sun below horizon,
     circumpolar sun, an unperturbed plate that cannot be read, or a
     perturbation so large the readout loses its bracket or a circle it
-    reads loses its radius).
+    reads loses its radius), and ValueError, before any trial, when
+    n_trials lies outside [1, MAX_TRIALS].
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    if n_trials < 1:
-        raise ValueError(f"need at least one trial, got {n_trials!r}")
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials!r}")
 
     phi, s = cfg.latitude, cfg.scale
     hour_angle = true_hour_angle % 360.0

@@ -10,7 +10,7 @@ boundary.  Lengths are millimeters throughout the package.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Sequence, Union
 
 from .exceptions import CoincidentCircles, CollinearPoints, TooFewPoints
 
@@ -192,13 +192,19 @@ def turns_ccw(a: PlanePoint, b: PlanePoint, c: PlanePoint) -> bool:
     return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x) > 0.0
 
 
-def arc_through(start: PlanePoint, via: PlanePoint, end: PlanePoint) -> Arc:
+def arc_through(start: PlanePoint, via: PlanePoint, end: PlanePoint) -> Union[Arc, Segment]:
     """Arc of the circle through three points, from `start` to `end`
-    and passing `via`, with those ends.  Raises CollinearPoints as
-    `circumcircle` does, which leaves the area's sign clear of rounding."""
-    if start == end:
-        raise CollinearPoints("start and end coincide")
-    return Arc(circumcircle(start, via, end), start, end,
+    and passing `via`, with those ends.  Where `_center_offset` finds
+    the points collinear, which leaves the area's sign clear of rounding
+    elsewhere, or all three coincide, it is the Segment from start to
+    end.  Raises CollinearPoints where start and end alone coincide."""
+    offset = _center_offset(via.x - start.x, via.y - start.y, end.x - start.x, end.y - start.y)
+    if offset is None:
+        if start == end != via:
+            raise CollinearPoints("start and end coincide")
+        return Segment(start, end)
+    ux, uy = offset
+    return Arc(Circle(PlanePoint(start.x + ux, start.y + uy), math.hypot(ux, uy)), start, end,
                "ccw" if turns_ccw(start, via, end) else "cw")
 
 

@@ -43,13 +43,16 @@ import math
 from typing import Union
 
 from .exceptions import ArcticLatitude, DomainError
-from .geometry import (Arc, Circle, CollinearPoints, PlanePoint, Segment, _Record, arc_through,
-                       turns_ccw)
+from .geometry import Arc, Circle, PlanePoint, Segment, _Record, arc_through, turns_ccw
 from .projection import (OBLIQUITY, SpherePoint, check_scale, horizon_to_sphere, project_point,
                          solve_altitude_for_azimuth, stereographic_radius)
 
 # lowest plate latitude (degrees); below about 3e-6 the horizon cannot be drawn
 MIN_LATITUDE = 0.001
+
+# finest almucantar or azimuth step (degrees), one arcminute: the work grows as 1/step, and
+# at lat 40 that plate (5,400 almucantars, 10,800 verticals) is drawn in about 0.4 s, 26 MB
+MIN_STEP = 1.0 / 60.0
 
 # a vertical whose circle is over this many boundary radii wide is drawn as the straight
 # segment between its two ends, which leaves the circle by under 5e-6 boundary radii
@@ -84,14 +87,13 @@ class PlateConfig(_Record):
         check_scale(scale)
         if not (0.0 < obliquity < 30.0):
             raise ValueError(f"obliquity must lie in (0, 30), got {obliquity!r}")
-        if not _divides(90.0, almucantar_step):
-            raise ValueError(
-                f"almucantar step must divide 90, got {almucantar_step!r}"
-            )
-        if not _divides(360.0, azimuth_step):
-            raise ValueError(
-                f"azimuth step must divide 360, got {azimuth_step!r}"
-            )
+        for name, step, whole in (("almucantar", almucantar_step, 90.0),
+                                  ("azimuth", azimuth_step, 360.0)):
+            if step < MIN_STEP:
+                raise ValueError(f"{name}_step must be at least 1/60 degree (one arcminute), "
+                                 f"got {step!r}")
+            if not _divides(whole, step):
+                raise ValueError(f"{name} step must divide {whole:g}, got {step!r}")
         object.__setattr__(self, "latitude", latitude)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "obliquity", obliquity)
@@ -290,14 +292,7 @@ def hour_lines(cfg: PlateConfig) -> tuple[Element, ...]:
     night_points = [[project_point(SpherePoint(dec, h), cfg.scale)
                      for h in night_hours(cfg.latitude, dec)]
                     for dec in (-cfg.obliquity, 0.0, cfg.obliquity)]
-    out = []
-    for k in range(1, 12):
-        p_cap, p_eq, p_can = (night_points[i][k] for i in range(3))
-        try:
-            out.append(arc_through(p_cap, p_eq, p_can))
-        except CollinearPoints:
-            out.append(Segment(p_cap, p_can))
-    return tuple(out)
+    return tuple(arc_through(*(points[k] for points in night_points)) for k in range(1, 12))
 
 
 def build_plate(cfg: PlateConfig) -> PlateModel:
@@ -338,8 +333,7 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
     azimuths = []
     for _, a in sorted(first.items()):
         if abs(math.cos(math.radians(a))) < 1e-11:
-            horizon_circle = almucantar_solution(phi, 0.0, s).circle
-            north_y = horizon_circle.center.y - horizon_circle.radius
+            north_y = almucantar_solution(phi, 0.0, s).y_lower
             south_y = min(s / math.tan(math.radians(phi / 2.0)), boundary.radius)
             azimuths.append(Segment(PlanePoint(0.0, north_y), PlanePoint(0.0, south_y)))
             continue

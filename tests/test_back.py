@@ -17,6 +17,7 @@ from astrolabe import (
     ParseError,
     PlanePoint,
     BackConfig,
+    Segment,
     UndefinedBearing,
     bearing_oracle,
     build_back,
@@ -225,10 +226,17 @@ def test_midday_curve_domain_errors():
         midday_curve(85.0, 23.44, 100.0)  # winter noon below the horizon
     with pytest.raises(DomainError):
         midday_curve(5.0, 23.44, 100.0)  # summer noon past the zenith
-    # the three control points coincide, or lie on a line
+
+
+def test_a_midday_curve_too_flat_to_bend_is_the_segment_between_its_ends():
+    # the three control points coincide (5e-324), or lie on a line
     for obliquity in (5e-324, 1e-300, 1e-13):
-        with pytest.raises(DomainError, match=f"^obliquity {obliquity!r} is too small"):
-            midday_curve(40.0, obliquity, 100.0)
+        winter, summer = (PlanePoint(100.0 * (1.0 - midday_altitude(40.0, d) / 90.0)
+                                     * math.sin(math.radians(d)),
+                                     100.0 * (1.0 - midday_altitude(40.0, d) / 90.0)
+                                     * math.cos(math.radians(d)))
+                          for d in (-obliquity, obliquity))
+        assert midday_curve(40.0, obliquity, 100.0) == Segment(winter, summer)
 
 
 def test_bearing_oracle_matches_enu_route():

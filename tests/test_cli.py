@@ -13,23 +13,31 @@ the documented exit code map.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+import itertools
 import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import astrolabe
 import astrolabe.error_analysis as ea
-from astrolabe.plate import MIN_LATITUDE
+from astrolabe.plate import MIN_LATITUDE, MIN_STEP
+from astrolabe.projection import SCALE_RANGE
 from astrolabe import cli
 from astrolabe.cli import load_config, main
+from test_properties import REPRODUCIBLE
 
 
 def run_cli(capsys, *argv):
@@ -403,6 +411,27 @@ BAND_AT_HORIZON = ("--altitude", "0", "--radius-error-fraction", "0.01")
         "plate-lat", "back-lat", "full-lat", "montecarlo-lat", "band-lat", "band-lat-0",
         "band-lat-5e-324", "band-lat-1e-300", "qibla-lat"])
 def test_range_errors_name_the_flag_and_the_commands_range(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+FLOOR = "must be at least 1/60 degree (one arcminute)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("plate", "--lat", "40", "--almucantar-step", "5e-324"),
+     f"--almucantar-step {FLOOR}, got 5e-324"),
+    (("full", "--lat", "40", "--azimuth-step", "5e-324"), f"--azimuth-step {FLOOR}, got 5e-324"),
+    (("plate", "--lat", "40", "--azimuth-step", repr(math.nextafter(MIN_STEP, 0.0))),
+     f"--azimuth-step {FLOOR}, got {math.nextafter(MIN_STEP, 0.0)!r}"),
+    (("analyze", "montecarlo", "--lat", "40", *MC_AT, "--trials", str(ea.MAX_TRIALS + 1)),
+     f"--trials must lie in [1, {ea.MAX_TRIALS}], got {ea.MAX_TRIALS + 1}"),
+    (("analyze", "montecarlo", "--lat", "40", *MC_AT, "--trials", "0"),
+     f"--trials must lie in [1, {ea.MAX_TRIALS}], got 0"),
+], ids=["almucantar-step", "azimuth-step", "azimuth-step-below-floor", "trials-over", "trials-0"])
+def test_the_grid_floor_and_the_trial_ceiling_name_their_flags(capsys, monkeypatch, argv,
+                                                               message):
+    # each limit is read before any work: no trial is drawn
+    monkeypatch.setattr(ea, "trial_draws", lambda *a: pytest.fail("a trial was drawn"))
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
@@ -825,13 +854,15 @@ def test_analyze_montecarlo_infeasible_scene_exits_two(capsys):
 
 @pytest.mark.parametrize("command", ["back", "full"])
 @pytest.mark.parametrize("obliquity", ["5e-324", "1e-300"])
-def test_an_obliquity_too_small_for_the_back_exits_two_naming_it(capsys, command, obliquity):
+def test_an_obliquity_too_small_to_bend_the_midday_curve_draws_it_straight(
+        capsys, command, obliquity):
     # the midday curve's three control points coincide (5e-324) or lie on
-    # a line (1e-300)
+    # a line (1e-300): the curve is the one <line> of its group
     code, out, err = run_cli(capsys, command, "--lat", "40", "--obliquity", obliquity)
-    assert (code, out) == (2, "")
-    assert err == (f"error: obliquity {float(obliquity)!r} is too small for the midday curve: "
-                   "its three control points coincide or are collinear\n")
+    assert (code, err) == (0, "")
+    groups = {g.get("id"): list(g) for g in ET.fromstring(out).iter() if g.get("id")}
+    midday = groups["midday" if command == "back" else "back-midday"]
+    assert [el.tag.split("}")[1] for el in midday] == ["line", "text"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -1023,3 +1054,72 @@ def test_console_script_is_installed():
         proc = project([exe], "45")
         assert proc.returncode == 0
         assert "radius_mm" in proc.stdout
+
+
+# ------------------------------------------------------------ the contract
+
+DEMO_DATA = tuple(str(p) for p in
+                  sorted((Path(__file__).resolve().parents[1] / "demos" / "data").glob("*.csv")))
+# each range end the CLI checks, and the floats one ulp to either side of it
+_ENDS = (MIN_LATITUDE, 90.0, -90.0, 30.0, *SCALE_RANGE, ea.MIN_BAND_STEP, MIN_STEP, 360.0)
+# plain values first: hypothesis draws the first ones most
+FLOATS = (40.0, -10.0, 0.5, 1.0, 5.0, 10.0, 45.0, 100.0,
+          0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 66.56, 26.56, *_ENDS, *(math.nextafter(end, to) for end in _ENDS for to in (-math.inf, math.inf)))
+# steps that the plate accepts are drawn no finer than 0.5, so that each call stays quick
+STEPS = tuple(v for v in FLOATS if not MIN_STEP <= v < 0.5)
+INTS = (4, 1, 9, 50, 0, -1, 10)  # at most 50 trials
+
+
+def _flag_values(key: str, flag):
+    """One flag of a command, as [] (left out) or [token] with a value
+    that fits its kind; a required flag is left out one time in four, any
+    other three times in four."""
+    if flag.kind is bool:
+        return st.sampled_from(([], [flag.option]))
+    if isinstance(flag.kind, tuple):
+        values = st.sampled_from(flag.kind)
+    elif flag.kind is int:
+        values = st.sampled_from(INTS).map(str)
+    elif flag.kind is float:
+        values = st.sampled_from(STEPS if key.endswith("_step") else FLOATS).map(repr)
+    else:
+        values = st.sampled_from((CFG, *DEMO_DATA) if key == "config"
+                                 else (*DEMO_DATA, "0,90,180,270"))
+    given = values.map(lambda v: [f"{flag.option}={v}"])
+    return st.integers(0, 3).flatmap(lambda k: given if (k == 3) != flag.required else st.just([]))
+
+
+def _command_line(path: tuple):
+    keys = ("config", *cli._COMMANDS[path][2])
+    return st.tuples(*(_flag_values(k, cli._FLAGS[k]) for k in keys)).map(
+        lambda tokens: [*path, *itertools.chain(*tokens)])
+
+
+COMMAND_LINES = st.sampled_from([p for p, (func, _, _) in cli._COMMANDS.items() if func]).flatmap(
+    _command_line)
+
+
+@settings(REPRODUCIBLE, max_examples=200)
+@given(argv=COMMAND_LINES)
+@example(argv=["plate", "--lat=40", "--almucantar-step=5e-324"])
+def test_every_command_line_ends_in_a_document_a_report_or_a_named_error(argv):
+    """A command drawn from the CLI's own tables, each flag left out or
+    given a value of its kind, ends in a drawing or a report (exit 0) or in
+    an exit code of 1-3 whose last stderr line names the error; no
+    exception escapes main."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp, "site.cfg"), Path(tmp, "out")
+        cfg.write_text("lat = 40\nprecision = 2\n", encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([a.replace(CFG, str(cfg)) for a in argv] + ["--out", str(out)])
+        if code == 0:
+            text = out.read_text(encoding="utf-8")
+            if text.startswith("<?xml"):
+                ET.fromstring(text)
+            else:
+                head, *rows = csv.reader(io.StringIO(text))
+                assert head == ["stat", "value"] and rows and all(len(r) == 2 for r in rows)
+        else:
+            assert code in (1, 2, 3)
+            assert stderr.getvalue().splitlines()[-1].startswith("error: "), stderr.getvalue()

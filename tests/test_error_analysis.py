@@ -12,6 +12,7 @@ import pytest
 from mpmath import mp, mpf
 
 import astrolabe
+import astrolabe.error_analysis as ea
 from astrolabe import (
     Arc,
     ArcticLatitude,
@@ -200,6 +201,15 @@ def test_perturbation_spec_validation():
 
 
 CFG = PlateConfig(latitude=40.0, scale=100.0)
+
+
+def test_monte_carlo_trial_count_has_a_floor_and_a_ceiling(monkeypatch):
+    # the count is read before any work: no trial is drawn
+    monkeypatch.setattr(ea, "trial_draws", lambda *a: pytest.fail("a trial was drawn"))
+    for n_trials in (0, -1, ea.MAX_TRIALS + 1):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_trials must lie in [1, {ea.MAX_TRIALS}], got {n_trials}")):
+            monte_carlo_readout(CFG, PerturbationSpec(), "altitude", 10.0, 40.0, n_trials)
 
 
 def test_monte_carlo_zero_sigma_is_exactly_zero():

@@ -202,9 +202,17 @@ def test_circumcircle_of_collinear_points_too_close_to_square_raises():
 
 def test_arc_through_refuses_an_arc_that_starts_where_it_ends():
     p, q = PlanePoint(1.0, 1.0), PlanePoint(2.0, 0.0)
-    for start, via, end in ((p, q, p), (p, p, p)):
-        with pytest.raises(CollinearPoints):
-            arc_through(start, via, end)
+    with pytest.raises(CollinearPoints):
+        arc_through(p, q, p)
+    # three equal points are the segment that has no length
+    assert arc_through(p, p, p) == Segment(p, p)
+
+
+def test_arc_through_collinear_points_is_the_segment_between_the_ends():
+    a, b, c = PlanePoint(0.0, 0.0), PlanePoint(1.0, 1.0), PlanePoint(2.0, 2.0)
+    assert arc_through(a, b, c) == Segment(a, c)
+    # a bend of 1e-13 relative to the span is rounding: within COLLINEAR_AREA_REL
+    assert arc_through(a, PlanePoint(1.0, 1.0 + 1e-13), c) == Segment(a, c)
 
 
 def test_fit_circle_recovers_exact_circles():

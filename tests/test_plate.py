@@ -10,6 +10,7 @@ import re
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from astrolabe import (
     Arc,
@@ -38,6 +39,7 @@ from astrolabe import (
 )
 from astrolabe.plate import (
     MIN_LATITUDE,
+    MIN_STEP,
     STRAIGHT_REL,
     TOUCH_DEG,
     crossing_hour_angle,
@@ -250,6 +252,28 @@ def test_build_plate_structure():
     assert isinstance(meridian, Segment)
     assert meridian.a.x == 0.0 and meridian.b.x == 0.0
     assert len(model.hour_lines) == 11
+
+
+@pytest.mark.parametrize("field", ["almucantar_step", "azimuth_step"])
+def test_grid_steps_below_one_arcminute_are_refused(field):
+    # refused by the config, before any grid is built: 5e-324 once overflowed
+    # a round(), and 1e-9 would draw 9e10 almucantars
+    for step in (5e-324, 1e-300, 1e-9, math.nextafter(MIN_STEP, 0.0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must be at least 1/60 degree (one arcminute), got {step!r}")):
+            PlateConfig(latitude=40.0, scale=S, **{field: step})
+    assert getattr(PlateConfig(latitude=40.0, scale=S, **{field: MIN_STEP}), field) == MIN_STEP
+
+
+@pytest.mark.parametrize("latitude", [0.001, 0.01, 0.1])
+def test_the_meridian_ends_in_the_north_at_the_horizons_closed_form(latitude):
+    # the horizon's center minus its radius cancels at its size (5.7e6 mm at
+    # lat 0.001); y_lower = -s tan(phi / 2) does not
+    meridian = build_plate(PlateConfig(latitude=latitude, scale=S)).azimuths[9]
+    north = almucantar_solution(latitude, 0.0, S).y_lower
+    assert meridian.a == PlanePoint(0.0, north)
+    with mp.workdps(50):
+        assert abs(mpf(north) + S * mp.tan(mp.radians(mpf(latitude)) / 2)) <= 1e-12
 
 
 @pytest.mark.parametrize("step, verticals", [(7.2, 25), (360.0 / 14, 7), (0.05, 3600)])
