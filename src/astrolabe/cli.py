@@ -55,6 +55,7 @@ from .projection import (
     SCALE_RANGE,
     ProjectionKind,
     axis_projection_radius,
+    check_scale,
     from_plate_polar,
 )
 from .render import RenderStyle, render_full, render_svg
@@ -312,6 +313,8 @@ def _cmd_analyze_arc(args) -> int:
 
 
 def _cmd_analyze_chords(args) -> int:
+    # as the faces' scales are: near the float range the chords overflow to inf
+    check_scale(args.radius, "--radius")
     marks = [float(v) for v in args.marks.split(",")]
     circle = Circle(PlanePoint(0.0, 0.0), args.radius)
     verdict = ea.quadrant_chord_diagnosis(circle, marks, args.tol)

@@ -10,6 +10,7 @@ boundary.  Lengths are millimeters throughout the package.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence, Union
 
 from .exceptions import CoincidentCircles, CollinearPoints, TooFewPoints
@@ -42,21 +43,28 @@ def _require_finite(*values: float) -> None:
 class _Record:
     """Base of the package's immutable value records.  A subclass names
     its fields in `__slots__`, in order, and sets them in its `__init__`
-    with object.__setattr__.  Equality (same type, equal fields), the
-    hash of the field tuple and the repr are those of a frozen dataclass."""
+    with object.__setattr__ (PlanePoint with its slots' setters).  Equality (same type, equal fields), the
+    hash of the field tuple and the repr are those of a frozen dataclass.
+    The field tuple is read by one `operator.attrgetter` per class, made
+    from `__slots__` when the class is defined; a one-field record wraps
+    its value in a 1-tuple."""
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = operator.attrgetter(*cls.__slots__)
+        # an attrgetter is no descriptor: the class calls it as _fields(record)
+        cls._fields = get if len(cls.__slots__) > 1 else staticmethod(lambda r: (get(r),))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        fields = self._fields
+        return fields(self) == fields(other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -70,7 +78,7 @@ class _Record:
 
     def __reduce__(self):
         # rebuilt through __init__, which keeps fields it has normalized as they are
-        return self.__class__, self._fields()
+        return self.__class__, self._fields(self)
 
 
 class PlanePoint(_Record):
@@ -79,12 +87,18 @@ class PlanePoint(_Record):
     __slots__ = ("x", "y")
 
     def __init__(self, x: float, y: float):
-        _require_finite(x, y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            _require_finite(x, y)
+        _set_x(self, x)
+        _set_y(self, y)
 
     def distance_to(self, other: "PlanePoint") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
+
+
+# the slots' own setters: an instrument set builds hundreds of points, and these
+# skip the lookup that object.__setattr__ makes for each field
+_set_x, _set_y = PlanePoint.x.__set__, PlanePoint.y.__set__
 
 
 class Segment(_Record):
@@ -104,8 +118,8 @@ class Circle(_Record):
     __slots__ = ("center", "radius")
 
     def __init__(self, center: PlanePoint, radius: float):
-        _require_finite(radius)
-        if radius <= 0.0:
+        if not (0.0 < radius < math.inf):
+            _require_finite(radius)
             raise ValueError(f"circle radius must be positive, got {radius!r}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)

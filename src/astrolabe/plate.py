@@ -44,7 +44,7 @@ from typing import Union
 
 from .exceptions import ArcticLatitude, DomainError
 from .geometry import Arc, Circle, PlanePoint, Segment, _Record, arc_through, turns_ccw
-from .projection import (OBLIQUITY, SpherePoint, check_scale, horizon_to_sphere, project_point,
+from .projection import (OBLIQUITY, _horizon_angles, check_scale, from_plate_polar,
                          solve_altitude_for_azimuth, stereographic_radius)
 
 # lowest plate latitude (degrees); below about 3e-6 the horizon cannot be drawn
@@ -242,25 +242,27 @@ def crossing_hour_angle(latitude: float, declination: float, altitude: float = 0
     return math.degrees(2.0 * math.atan2(math.sqrt(sin2), math.sqrt(cos2)))
 
 
-def _inside_boundary(circle: Circle, cfg: PlateConfig, altitude: float) -> Element:
-    """The altitude circle's part inside the boundary: the whole circle
-    where the two touch or miss, else the arc from the eastern crossing
-    counterclockwise (through the north point) to the western one."""
+def _inside_boundary(circle: Circle, cfg: PlateConfig, altitude: float,
+                     boundary_radius: float) -> Element:
+    """The altitude circle's part inside the boundary, the declination
+    -obliquity circle of the given radius: the whole circle where the two
+    touch or miss, else the arc from the eastern crossing counterclockwise
+    (through the north point) to the western one."""
     hc = crossing_hour_angle(cfg.latitude, -cfg.obliquity, altitude)
     if hc is None:
         return circle
-    east, west = (project_point(SpherePoint(-cfg.obliquity, h), cfg.scale) for h in (-hc, hc))
-    return Arc(circle, east, west, "ccw")
+    return Arc(circle, from_plate_polar(boundary_radius, -hc % 360.0),
+               from_plate_polar(boundary_radius, hc % 360.0), "ccw")
 
 
 def _vertical_end(cfg: PlateConfig, azimuth: float) -> PlanePoint:
     """Where the vertical of this compass azimuth, walked down from the
     zenith, leaves the plate: at altitude 0, or on the boundary above it."""
-    p = horizon_to_sphere(cfg.latitude, 0.0, azimuth)
-    if p.dec < -cfg.obliquity:
+    dec, ha = _horizon_angles(cfg.latitude, 0.0, azimuth)
+    if dec < -cfg.obliquity:
         h = solve_altitude_for_azimuth(cfg.latitude, -cfg.obliquity, azimuth)
-        p = SpherePoint(-cfg.obliquity, horizon_to_sphere(cfg.latitude, h, azimuth).hour_angle)
-    return project_point(p, cfg.scale)
+        dec, ha = -cfg.obliquity, _horizon_angles(cfg.latitude, h, azimuth)[1]
+    return from_plate_polar(stereographic_radius(dec, cfg.scale), ha % 360.0)
 
 
 def night_hours(latitude: float, declination: float) -> list[float]:
@@ -289,10 +291,10 @@ def hour_lines(cfg: PlateConfig) -> tuple[Element, ...]:
     Raises ArcticLatitude (from `night_hours`) where the tropics do not
     set, from TOUCH_DEG below 90 - obliquity.
     """
-    night_points = [[project_point(SpherePoint(dec, h), cfg.scale)
-                     for h in night_hours(cfg.latitude, dec)]
-                    for dec in (-cfg.obliquity, 0.0, cfg.obliquity)]
-    return tuple(arc_through(*(points[k] for points in night_points)) for k in range(1, 12))
+    decs = (-cfg.obliquity, 0.0, cfg.obliquity)
+    knots = [[from_plate_polar(r, h % 360.0) for h in night_hours(cfg.latitude, dec)[1:12]]
+             for dec, r in zip(decs, tropic_radii(cfg.scale, cfg.obliquity))]
+    return tuple(arc_through(*points) for points in zip(*knots))
 
 
 def build_plate(cfg: PlateConfig) -> PlateModel:
@@ -317,7 +319,8 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
     zen = zenith_point(phi, s)
 
     step = cfg.almucantar_step
-    almucantars = [_inside_boundary(almucantar_solution(phi, k * step, s).circle, cfg, k * step)
+    almucantars = [_inside_boundary(almucantar_solution(phi, k * step, s).circle, cfg, k * step,
+                                    boundary.radius)
                    for k in range(int(round(90.0 / step)))] + [zen]
     horizon = almucantars[0]
 

@@ -186,10 +186,11 @@ def _cos_sin_deg(angle: float) -> tuple[float, float]:
     return ((c, s), (-s, c), (-c, -s), (s, -c))[quarter % 4]
 
 
-def horizon_to_sphere(latitude: float, altitude: float, azimuth: float) -> SpherePoint:
-    """The sphere point seen from latitude phi at altitude h and compass
-    azimuth A (degrees from north through east), from its components
-    toward the pole, the upper meridian and the east:
+def _horizon_angles(latitude: float, altitude: float, azimuth: float) -> tuple[float, float]:
+    """Declination and hour angle (degrees, the hour angle as atan2 gives
+    it, in [-180, 180]) of the sphere point seen from latitude phi at
+    altitude h and compass azimuth A (degrees from north through east),
+    from its components toward the pole, the upper meridian and the east:
 
         sin(dec) = sin(phi) sin(h) + cos(phi) cos(h) cos(A)
     """
@@ -199,8 +200,14 @@ def horizon_to_sphere(latitude: float, altitude: float, azimuth: float) -> Spher
     pole = sin_phi * sin_h + cos_phi * cos_h * cos_a
     meridian = cos_phi * sin_h - sin_phi * cos_h * cos_a
     east = cos_h * sin_a
-    return SpherePoint(math.degrees(math.atan2(pole, math.hypot(meridian, east))),
-                       math.degrees(math.atan2(-east, meridian)))
+    return (math.degrees(math.atan2(pole, math.hypot(meridian, east))),
+            math.degrees(math.atan2(-east, meridian)))
+
+
+def horizon_to_sphere(latitude: float, altitude: float, azimuth: float) -> SpherePoint:
+    """The sphere point seen from latitude phi at altitude h and compass
+    azimuth A (degrees from north through east); see `_horizon_angles`."""
+    return SpherePoint(*_horizon_angles(latitude, altitude, azimuth))
 
 
 def solve_altitude_for_azimuth(latitude: float, declination: float, azimuth: float) -> float:

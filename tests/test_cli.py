@@ -733,6 +733,16 @@ def test_analyze_quadrant_chords(capsys):
     )
 
 
+def test_analyze_quadrant_chords_checks_the_radius_range(capsys):
+    # at 1e308 every chord overflows to inf and the verdict came from NaN comparisons
+    argv = ("analyze", "quadrant-chords", "--marks", "0,90,180,270", "--tol", "1")
+    assert run_cli(capsys, *argv, "--radius", "1e308") == (
+        1, "", "error: --radius must lie in [1e-06, 1e+09] mm, got 1e+308\n")
+    code, out, err = run_cli(capsys, *argv, "--radius", "1e9")
+    assert (code, err) == (0, "")
+    assert report_rows(out)["classification"] == "ok"
+
+
 def test_analyze_band_matches_library(capsys):
     code, out, _ = run_cli(
         capsys,

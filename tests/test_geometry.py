@@ -123,6 +123,24 @@ def test_circle_rejects_bad_radius():
         Circle(PlanePoint(0.0, 0.0), -1.0)
 
 
+@pytest.mark.parametrize("make, message", [
+    *((lambda v=v: PlanePoint(v, 0.0), f"non-finite coordinate: {v!r}")
+      for v in (math.nan, math.inf, -math.inf)),
+    *((lambda v=v: PlanePoint(1.0, v), f"non-finite coordinate: {v!r}")
+      for v in (math.nan, math.inf, -math.inf)),
+    # the first of two non-finite coordinates is the one named
+    (lambda: PlanePoint(-math.inf, math.nan), "non-finite coordinate: -inf"),
+    *((lambda v=v: Circle(PlanePoint(0.0, 0.0), v), f"non-finite coordinate: {v!r}")
+      for v in (math.nan, math.inf, -math.inf)),
+    *((lambda v=v: Circle(PlanePoint(0.0, 0.0), v), f"circle radius must be positive, got {v!r}")
+      for v in (0.0, -0.0, -1.0, -5e-324)),
+])
+def test_constructors_name_what_they_refuse(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_arc_sweep_and_orientation():
     c = Circle(PlanePoint(0.0, 0.0), 10.0)
     p0, p1 = point_at(c, math.radians(10.0)), point_at(c, math.radians(100.0))

@@ -14,6 +14,7 @@ from mpmath import mp, mpf
 from astrolabe import (
     SCALE_RANGE,
     Arc,
+    ArcticLatitude,
     BackConfig,
     Circle,
     Locality,
@@ -34,12 +35,14 @@ from astrolabe import (
     ecliptic_circle,
     render_full,
     project_point,
+    solve_altitude_for_azimuth,
     tropic_radii,
     unproject_point,
     zenith_point,
 )
 from astrolabe.geometry import arc_through, circumcircle
-from astrolabe.plate import MIN_LATITUDE, STRAIGHT_REL
+from astrolabe.plate import MIN_LATITUDE, STRAIGHT_REL, crossing_hour_angle, night_hours
+from astrolabe.projection import horizon_to_sphere
 from astrolabe.render import _fmt, _Pen
 from test_geometry import arc_holds, point_at
 from test_projection import ray_plane_radius
@@ -440,3 +443,69 @@ def test_every_face_draws_at_both_ends_of_the_scale_range(
             build_rete([], outside)
         with pytest.raises(ValueError, match="radius must lie in"):
             BackConfig(back_latitude, outside)
+
+
+def vertical_end_by_sphere_points(cfg, azimuth):
+    """Where the vertical of a compass azimuth leaves the plate, composed
+    from sphere points: its horizon point, or the boundary point at the
+    altitude where it reaches declination -obliquity, projected."""
+    p = horizon_to_sphere(cfg.latitude, 0.0, azimuth)
+    if p.dec < -cfg.obliquity:
+        h = solve_altitude_for_azimuth(cfg.latitude, -cfg.obliquity, azimuth)
+        p = SpherePoint(-cfg.obliquity, horizon_to_sphere(cfg.latitude, h, azimuth).hour_angle)
+    return project_point(p, cfg.scale)
+
+
+def vertical_azimuths(step):
+    """The azimuth A (from the prime vertical) of each entry of
+    PlateModel.azimuths, as its docstring states them."""
+    n = round(360.0 / step)
+    m = n // 2 if n % 2 == 0 else n
+    first = {}
+    for k in range(n):
+        a = (k * step) % 180.0
+        first.setdefault(round(a * m / 180.0) % m, a)
+    return [a for _, a in sorted(first.items())]
+
+
+@REPRODUCIBLE
+@given(
+    latitude=LATITUDES,
+    scale=st.floats(10.0, 200.0),
+    almucantar_step=st.sampled_from((1.0, 2.0, 3.0, 5.0, 7.5, 9.0, 10.0, 18.0, 45.0)),
+    # 7.2 and 40 leave verticals off the whole degrees, 40 and 72 an odd count of steps
+    azimuth_step=st.sampled_from((1.0, 4.0, 7.2, 10.0, 15.0, 40.0, 72.0, 90.0)),
+)
+def test_plate_curve_ends_are_the_projected_sphere_points(
+    latitude, scale, almucantar_step, azimuth_step
+):
+    # each end the plate prints is the point project_point gives its sphere
+    # point, float for float: not merely close, the same number
+    cfg = PlateConfig(latitude, scale, almucantar_step=almucantar_step,
+                      azimuth_step=azimuth_step)
+    model = build_plate(cfg)
+    obl = cfg.obliquity
+
+    for k, el in enumerate(model.almucantars[:-1]):
+        hc = crossing_hour_angle(latitude, -obl, k * almucantar_step)
+        assert isinstance(el, Arc) == (hc is not None)
+        if hc is not None:
+            assert el.start_point == project_point(SpherePoint(-obl, -hc), scale)
+            assert el.end_point == project_point(SpherePoint(-obl, hc), scale)
+
+    for a, el in zip(vertical_azimuths(azimuth_step), model.azimuths, strict=True):
+        if abs(math.cos(math.radians(a))) < 1e-11:
+            continue  # the meridian, whose ends are closed-form y values
+        ends = (el.start_point, el.end_point) if isinstance(el, Arc) else (el.a, el.b)
+        want = (vertical_end_by_sphere_points(cfg, 270.0 - a),
+                vertical_end_by_sphere_points(cfg, 90.0 - a))
+        assert ends in (want, want[::-1])
+
+    if not model.hour_lines:
+        with pytest.raises(ArcticLatitude):
+            for dec in (-obl, 0.0, obl):
+                night_hours(latitude, dec)
+    for k, el in enumerate(model.hour_lines, start=1):
+        knots = [project_point(SpherePoint(dec, night_hours(latitude, dec)[k]), scale)
+                 for dec in (-obl, 0.0, obl)]
+        assert el == arc_through(*knots)
