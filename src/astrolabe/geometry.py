@@ -43,11 +43,11 @@ def _require_finite(*values: float) -> None:
 class _Record:
     """Base of the package's immutable value records.  A subclass names
     its fields in `__slots__`, in order, and sets them in its `__init__`
-    with object.__setattr__ (PlanePoint with its slots' setters).  Equality (same type, equal fields), the
-    hash of the field tuple and the repr are those of a frozen dataclass.
-    The field tuple is read by one `operator.attrgetter` per class, made
-    from `__slots__` when the class is defined; a one-field record wraps
-    its value in a 1-tuple."""
+    with object.__setattr__ (PlanePoint with its slots' own setters).
+    Equality (same type, equal fields), the hash of the field tuple and
+    the repr are those of a frozen dataclass.  The field tuple is read by
+    one `operator.attrgetter` per class, made from `__slots__` when the
+    class is defined; a one-field record wraps its value in a 1-tuple."""
 
     __slots__ = ()
 
