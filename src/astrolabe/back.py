@@ -29,7 +29,8 @@ from typing import Iterable, Union
 
 from .exceptions import DomainError, UndefinedBearing
 from .geometry import Arc, Circle, PlanePoint, Segment, _Record, arc_through
-from .projection import OBLIQUITY, check_scale, from_plate_polar, horizon_to_sphere
+from .projection import (ALTITUDE, DECLINATION, LATITUDE, OBLIQUITIES, OBLIQUITY, OPEN_LATITUDE,
+                         POSITIVE, SCALE, from_plate_polar, horizon_to_sphere)
 from .rete import _load_csv
 
 
@@ -42,8 +43,7 @@ class Locality(_Record):
     def __init__(self, name: str, latitude: float, longitude: float):
         if not name:
             raise ValueError("locality name must be non-empty")
-        if not (-90.0 <= latitude <= 90.0):
-            raise ValueError(f"latitude must lie in [-90, 90], got {latitude!r}")
+        DECLINATION.check(latitude, "latitude")
         if not math.isfinite(longitude):
             raise ValueError(f"non-finite longitude: {longitude!r}")
         lon = longitude % 360.0
@@ -73,11 +73,9 @@ class BackConfig(_Record):
     __slots__ = ("latitude", "radius", "obliquity")
 
     def __init__(self, latitude: float, radius: float, obliquity: float = OBLIQUITY):
-        if not (0.0 < latitude < 90.0):
-            raise ValueError(f"latitude must lie in (0, 90), got {latitude!r}")
-        check_scale(radius, "radius")
-        if not (0.0 < obliquity < 30.0):
-            raise ValueError(f"obliquity must lie in (0, 30), got {obliquity!r}")
+        LATITUDE.check(latitude, "latitude")
+        SCALE.check(radius, "radius")
+        OBLIQUITIES.check(obliquity, "obliquity")
         object.__setattr__(self, "latitude", latitude)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "obliquity", obliquity)
@@ -162,8 +160,7 @@ def midday_curve(latitude: float, obliquity: float, radius: float) -> Union[Arc,
     is the Segment between its ends (`arc_through`).  Raises DomainError
     when any control altitude leaves (0, 90].
     """
-    if not (0.0 < radius < math.inf):
-        raise ValueError(f"radius must be finite and positive, got {radius!r}")
+    POSITIVE.check(radius, "radius")
     decs = (-obliquity, 0.0, obliquity)
     alts = tuple(midday_altitude(latitude, d) for d in decs)
     for h in alts:
@@ -235,10 +232,8 @@ def declination_from_alt_az(latitude: float, altitude: float, azimuth: float) ->
 
         sin(delta) = sin(phi) sin(h) + cos(phi) cos(h) cos(A)
     """
-    if not (0.0 < latitude < 90.0):
-        raise ValueError(f"latitude must lie in (0, 90), got {latitude!r}")
-    if not (0.0 <= altitude <= 90.0):
-        raise ValueError(f"altitude must lie in [0, 90], got {altitude!r}")
+    OPEN_LATITUDE.check(latitude, "latitude")
+    ALTITUDE.check(altitude, "altitude")
     return horizon_to_sphere(latitude, altitude, azimuth).dec
 
 

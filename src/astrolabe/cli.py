@@ -19,10 +19,9 @@ diameter_mm, obliquity, almucantar_step, azimuth_step, catalog, localities,
 seed, out, mirror_ew, precision, each of its flag's type; a subcommand ignores
 the keys it has no use for (only analyze montecarlo reads seed), but takes
 only the flags it reads.  Every number, from a flag or the file, must be
-finite.  A flag that --help marks (required) may be set by the file; it is
-checked once the file is read.  Grid steps are at least one arcminute and
---trials at most 10^6; a back whose obliquity is too small to bend the
-midday curve draws it as a segment.
+finite and lie in the range that --help prints, from the library's range
+table.  A flag that --help marks (required) may be set by the file; it is
+checked once the file is read.
 """
 
 from __future__ import annotations
@@ -49,15 +48,12 @@ from .back import (
 )
 from .exceptions import AstrolabeError, ParseError, UnknownKey
 from .geometry import Circle, PlanePoint
-from .plate import PlateConfig, build_plate, tropic_radii
-from .projection import (
-    OBLIQUITY,
-    SCALE_RANGE,
-    ProjectionKind,
-    axis_projection_radius,
-    check_scale,
-    from_plate_polar,
-)
+from .plate import PlateConfig, build_plate
+from .projection import (ALTITUDE, BAND_STEP, DECLINATION, DEGREES, FINITE, FRACTION, LATITUDE,
+                         LENGTH, LENGTH_OR_0, NON_NEGATIVE, OBLIQUITIES, OBLIQUITY, PRECISION,
+                         RADIANS, RETE_OBLIQUITIES, SCALE, SEED, SIGNED_DEGREES, SIGNED_LENGTH,
+                         SIGNED_RADIANS, STEP, TRIALS, VIEWPOINT, ProjectionKind,
+                         axis_projection_radius, from_plate_polar)
 from .render import RenderStyle, render_full, render_svg
 from .rete import ReteModel, build_rete, load_star_catalog
 
@@ -133,27 +129,9 @@ def _merge_config(args, prog: str, flags: list) -> None:
         raise ValueError(f"{prog}: the following arguments are required: {', '.join(missing)}")
 
 
-# the library's words for the values that flags set
-_FLAG_OF = {"latitude": "--lat", "obliquity": "--obliquity", "almucantar_step": "--almucantar-step",
-            "azimuth_step": "--azimuth-step", "n_trials": "--trials"}
-
-
-def _named(make, *args, **kwargs):
-    """make(*args, **kwargs); a latitude or obliquity that it refuses is
-    reported under its flag, with the range that make itself checks."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        word, _, rest = str(exc).partition(" ")
-        if word in _FLAG_OF:
-            raise ValueError(f"{_FLAG_OF[word]} {rest}") from None
-        raise
-
-
 def _geometry(args) -> tuple[float, float]:
     """(obliquity, scale) from the flags and config, with their defaults."""
     obliquity, scale, diameter = args.obliquity, args.scale_mm, args.diameter_mm
-    _named(tropic_radii, 1.0, obliquity)  # its range is the widest any face takes
     if scale is not None and diameter is not None:
         raise ValueError("give either --scale-mm or --diameter-mm, not both")
     cap = math.tan(math.radians(45.0 + obliquity / 2.0))  # limb radius per unit of scale
@@ -163,11 +141,10 @@ def _geometry(args) -> tuple[float, float]:
         flag, value, scale = "--diameter-mm", diameter, (diameter / 2.0) / cap
     else:
         return obliquity, _SCALE
-    # the back's limb radius, the widest of any face, must fit SCALE_RANGE as the scale does
-    lo, hi = SCALE_RANGE
-    if not (lo <= scale and scale * cap <= hi):
+    # the back's limb radius, the widest of any face, must fit SCALE as the scale does
+    if not (SCALE.lo <= scale and scale * cap <= SCALE.hi):
         raise ValueError(f"{flag} {value:g} gives a scale of {scale:g} mm and a limb radius "
-                         f"of {scale * cap:g} mm; both must lie in [{lo:g}, {hi:g}] mm")
+                         f"of {scale * cap:g} mm; both {SCALE.text}")
     return obliquity, scale
 
 
@@ -185,7 +162,7 @@ def _write_text(args, text: str) -> None:
 
 def _plate_config(args, obliquity: float, scale: float) -> PlateConfig:
     optional = {key: getattr(args, key) for key in _STEPS if getattr(args, key, None) is not None}
-    return _named(PlateConfig, latitude=args.lat, scale=scale, obliquity=obliquity, **optional)
+    return PlateConfig(latitude=args.lat, scale=scale, obliquity=obliquity, **optional)
 
 
 def _rete(args, obliquity: float, scale: float) -> ReteModel:
@@ -199,7 +176,7 @@ def _rete(args, obliquity: float, scale: float) -> ReteModel:
 
 def _back(args, obliquity: float, scale: float) -> BackModel:
     radius = scale * math.tan(math.radians(45.0 + obliquity / 2.0))
-    cfg = _named(BackConfig, latitude=args.lat, radius=radius, obliquity=obliquity)
+    cfg = BackConfig(latitude=args.lat, radius=radius, obliquity=obliquity)
     locs = load_localities(args.localities) if getattr(args, "localities", None) else []
     return build_back(cfg, locs)
 
@@ -235,7 +212,7 @@ _KINDS = ("stereographic", "gnomonic", "external", "orthographic")
 def _cmd_project(args) -> int:
     if args.kind == "external":
         if args.q is None:
-            raise ValueError("--kind external needs --q > 1")
+            raise ValueError(f"--kind external needs --q, which {VIEWPOINT.text}")
         kind = ProjectionKind.external(args.q)
     else:
         kind = getattr(ProjectionKind, args.kind)()
@@ -255,7 +232,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_qibla(args) -> int:
-    obs = _named(Locality, args.name or "observer", args.lat, args.lon)
+    obs = Locality(args.name or "observer", args.lat, args.lon)
     oracle = bearing_oracle(obs, MECCA)
     closed = qibla_eq13(obs, MECCA)
     diff = abs((oracle - closed + 180.0) % 360.0 - 180.0)
@@ -313,8 +290,6 @@ def _cmd_analyze_arc(args) -> int:
 
 
 def _cmd_analyze_chords(args) -> int:
-    # as the faces' scales are: near the float range the chords overflow to inf
-    check_scale(args.radius, "--radius")
     marks = [float(v) for v in args.marks.split(",")]
     circle = Circle(PlanePoint(0.0, 0.0), args.radius)
     verdict = ea.quadrant_chord_diagnosis(circle, marks, args.tol)
@@ -330,8 +305,8 @@ def _cmd_analyze_chords(args) -> int:
 
 def _cmd_analyze_band(args) -> int:
     _, scale = _geometry(args)
-    displacement, band = _named(ea.band_misassignment, args.lat, scale, args.altitude,
-                                args.radius_error_fraction, args.band_step)
+    displacement, band = ea.band_misassignment(args.lat, scale, args.altitude,
+                                               args.radius_error_fraction, args.band_step)
     spacing = ea.band_spacing(args.lat, scale, args.altitude, args.band_step)
     rows = [
         ("latitude_deg", f"{args.lat:.6f}"),
@@ -385,8 +360,8 @@ def _cmd_analyze_mc(args) -> int:
         graduation_sigma=args.graduation_sigma,
         seed=args.seed,
     )
-    report = _named(ea.monte_carlo_readout, cfg, pert, args.scenario, args.sun_dec,
-                    args.hour_angle, args.trials)
+    report = ea.monte_carlo_readout(cfg, pert, args.scenario, args.sun_dec, args.hour_angle,
+                                    args.trials)
     unit = "deg" if args.scenario == "altitude" else "hours"
     rows = [
         ("scenario", args.scenario),
@@ -402,13 +377,16 @@ def _cmd_analyze_mc(args) -> int:
 
 class _Flag:
     """One meaning of a flag: `kind` is its type (bool: a switch that takes
-    no value) or its tuple of choices, and `default` fills it when neither
-    the command line nor the config file sets it."""
+    no value) or its tuple of choices, `default` fills it when neither the
+    command line nor the config file sets it, and a number's `domain` is its
+    entry in the range table, or a dict of entries keyed by the value of its
+    unit flag (`dest`_unit)."""
 
-    __slots__ = ("kind", "help", "default", "required", "dest", "option")
+    __slots__ = ("kind", "help", "default", "required", "domain", "dest", "option")
 
-    def __init__(self, kind, help, default=None, required=False):
-        self.kind, self.help, self.default, self.required = kind, help, default, required
+    def __init__(self, kind, help, domain=None, default=None, required=False):
+        self.kind, self.help, self.domain, self.default = kind, help, domain, default
+        self.required = required
 
 
 _SCALE = 100.0  # the equator radius, mm, when neither --scale-mm nor --diameter-mm is set
@@ -419,53 +397,61 @@ _SCALE = 100.0  # the equator radius, mm, when neither --scale-mm nor --diameter
 _FLAGS = {
     "config": _Flag(str, "config file with key = value lines"),
     "out": _Flag(str, "output file (default: stdout)"),
-    "lat": _Flag(float, "geographic latitude, degrees north", required=True),
-    "scale_mm": _Flag(float, f"equator radius in mm (default {_SCALE:g} when no --diameter-mm)"),
-    "diameter_mm": _Flag(float, "overall plate diameter in mm (alternative to --scale-mm)"),
-    "obliquity": _Flag(float, "ecliptic obliquity, degrees", OBLIQUITY),
+    "lat": _Flag(float, "geographic latitude, degrees north", LATITUDE, required=True),
+    "lat:qibla": _Flag(float, "geographic latitude, degrees north", DECLINATION, required=True),
+    # _geometry checks the scale these two set, and the back's limb radius, against SCALE
+    "scale_mm": _Flag(float, f"equator radius in mm (default {_SCALE:g} when no --diameter-mm); "
+                      f"it and the back's limb radius {SCALE.text}", FINITE),
+    "diameter_mm": _Flag(float, "overall plate diameter in mm (alternative to --scale-mm)",
+                         FINITE),
+    "obliquity": _Flag(float, "ecliptic obliquity, degrees", OBLIQUITIES, OBLIQUITY),
+    "obliquity:rete": _Flag(float, "ecliptic obliquity, degrees", RETE_OBLIQUITIES, OBLIQUITY),
     "mirror_ew": _Flag(bool, "mirror east-west (negates document x coordinates)"),
-    "precision": _Flag(int, "coordinate decimals in the SVG, 1-9", 4),
-    "almucantar_step": _Flag(float, "altitude circle step in degrees, divides 90", 5.0),
-    "azimuth_step": _Flag(float, "azimuth arc step in degrees, divides 360", 10.0),
+    "precision": _Flag(int, "coordinate decimals in the SVG", PRECISION, 4),
+    "almucantar_step": _Flag(float, "altitude circle step in degrees, divides 90", STEP, 5.0),
+    "azimuth_step": _Flag(float, "azimuth arc step in degrees, divides 360", STEP, 10.0),
     "catalog": _Flag(str, "star catalog CSV (name,ra_deg,dec_deg,mag)"),
     "localities": _Flag(str, "locality CSV (name,lat_deg,lon_deg) for qibla marks"),
-    "dec": _Flag(float, "declination, degrees", required=True),
-    "hour_angle:project": _Flag(float, "hour angle, degrees", 0.0),
-    "kind": _Flag(_KINDS, "projection member", "stereographic"),
-    "q": _Flag(float, "external viewpoint distance (required for --kind external)"),
-    "lon": _Flag(float, "longitude, degrees east", required=True),
+    "dec": _Flag(float, "declination, degrees", DECLINATION, required=True),
+    "hour_angle:project": _Flag(float, "hour angle, degrees", SIGNED_DEGREES, 0.0),
+    "kind": _Flag(_KINDS, "projection member", default="stereographic"),
+    "q": _Flag(float, "external viewpoint distance (required for --kind external)", VIEWPOINT),
+    "lon": _Flag(float, "longitude, degrees east", FINITE, required=True),
     "name": _Flag(str, "observer name for the report"),
-    "ds": _Flag(float, "tangential offset, mm"),
-    "dp": _Flag(float, "radial offset, mm", required=True),
-    "radius:arc": _Flag(float, "engraving radius, mm (angular form)"),
-    "dalpha": _Flag(float, "angular offset, radians (angular form)"),
-    "radius:chords": _Flag(float, "circle radius, mm", required=True),
+    "ds": _Flag(float, "tangential offset, mm", SIGNED_LENGTH),
+    "dp": _Flag(float, "radial offset, mm", SIGNED_LENGTH, required=True),
+    "radius:arc": _Flag(float, "engraving radius, mm (angular form)", LENGTH),
+    "dalpha": _Flag(float, "angular offset, radians (angular form)", SIGNED_RADIANS),
+    "radius:chords": _Flag(float, "circle radius, mm", SCALE, required=True),
     "marks": _Flag(str, "four mark angles in degrees, comma separated (e.g. 0,90,180,270)",
                    required=True),
-    "tol": _Flag(float, "chord equality tolerance, mm", required=True),
-    "altitude": _Flag(float, "true altitude band, degrees", required=True),
-    "radius_error_fraction": _Flag(float, "relative radius error (e.g. 0.02 for 2%)",
+    "tol": _Flag(float, "chord equality tolerance, mm", LENGTH_OR_0, required=True),
+    "altitude": _Flag(float, "true altitude band, degrees", ALTITUDE, required=True),
+    "radius_error_fraction": _Flag(float, "relative radius error (e.g. 0.02 for 2%)", FRACTION,
                                    required=True),
-    "band_step": _Flag(float, f"band spacing in degrees, at least {ea.MIN_BAND_STEP:g}", 3.0),
-    "length_mm": _Flag(float, "alidade length, mm"),
-    "offset": _Flag(float, "sight-vane angular offset"),
-    "offset_unit": _Flag(("rad", "deg"), "unit of --offset", "rad"),
-    "rotation": _Flag(float, "rotation graduation error"),
+    "band_step": _Flag(float, "band spacing in degrees", BAND_STEP, 3.0),
+    "length_mm": _Flag(float, "alidade length, mm", LENGTH),
+    "offset": _Flag(float, "sight-vane angular offset", {"rad": RADIANS, "deg": DEGREES}),
+    "offset_unit": _Flag(("rad", "deg"), "unit of --offset", default="rad"),
+    "rotation": _Flag(float, "rotation graduation error",
+                      {"mm": LENGTH_OR_0, "deg": DEGREES, "rad": RADIANS}),
     "rotation_unit": _Flag(("mm", "deg", "rad"),
                            "unit of --rotation (required with --rotation; the error keeps it)"),
-    "scenario": _Flag(ea.SCENARIOS, "readout scenario", "time_to_sunset"),
-    "sun_dec": _Flag(float, "sun declination, degrees", required=True),
-    "hour_angle:mc": _Flag(float, "true hour angle, degrees", required=True),
-    "trials": _Flag(int, f"number of trials, at most {ea.MAX_TRIALS}", 200),
-    "center_sigma": _Flag(float, "circle center noise per axis, mm", 0.0),
-    "radius_sigma": _Flag(float, "circle radius noise, mm", 0.0),
-    "graduation_sigma": _Flag(float, "hour graduation noise along the tropics, degrees", 0.0),
-    "seed": _Flag(int, "random seed for the trials", 0),
+    "scenario": _Flag(ea.SCENARIOS, "readout scenario", default="time_to_sunset"),
+    "sun_dec": _Flag(float, "sun declination, degrees", DECLINATION, required=True),
+    "hour_angle:mc": _Flag(float, "true hour angle, degrees", FINITE, required=True),
+    "trials": _Flag(int, "number of trials", TRIALS, 200),
+    "center_sigma": _Flag(float, "circle center noise per axis, mm", NON_NEGATIVE, 0.0),
+    "radius_sigma": _Flag(float, "circle radius noise, mm", NON_NEGATIVE, 0.0),
+    "graduation_sigma": _Flag(float, "hour graduation noise along the tropics, degrees",
+                              NON_NEGATIVE, 0.0),
+    "seed": _Flag(int, "random seed for the trials", SEED, 0),
 }
 for _key, _flag in _FLAGS.items():
     _flag.dest = _key.partition(":")[0]
     _flag.option = "--" + _flag.dest.replace("_", "-")
 _GEOMETRY = ("scale_mm", "diameter_mm", "obliquity")
+_FLAT = ("scale_mm", "diameter_mm", "obliquity:rete")  # geometry that takes obliquity 0
 _RENDER = ("mirror_ew", "precision")
 _STEPS = ("almucantar_step", "azimuth_step")
 
@@ -476,22 +462,22 @@ _COMMANDS = {
          "plus projection and engraving-error analysis.", ()),
     ("plate",): (_cmd_plate, "plate (tympan) SVG for a latitude",
                  ("lat", *_GEOMETRY, *_RENDER, *_STEPS)),
-    ("rete",): (_cmd_rete, "rete (star map) SVG", (*_GEOMETRY, *_RENDER, "catalog")),
+    ("rete",): (_cmd_rete, "rete (star map) SVG", (*_FLAT, *_RENDER, "catalog")),
     ("back",): (_cmd_back, "back face SVG (scales and calendar)",
                 ("lat", *_GEOMETRY, *_RENDER, "localities")),
     ("full",): (_cmd_full, "plate + rete + back in one SVG",
                 ("lat", *_GEOMETRY, *_RENDER, *_STEPS, "catalog", "localities")),
     ("project",): (_cmd_project, "project one sphere point under a projection family member",
-                   (*_GEOMETRY, "dec", "hour_angle:project", "kind", "q")),
+                   (*_FLAT, "dec", "hour_angle:project", "kind", "q")),
     ("qibla",): (_cmd_qibla, "bearing to Mecca: 3D great-circle oracle and the closed form",
-                 ("lat", "lon", "name")),
+                 ("lat:qibla", "lon", "name")),
     ("analyze",): (None, "error propagation analyses", ()),
     ("analyze", "arc-displacement"): (_cmd_analyze_arc, "arc displacement from tangential/"
                                       "radial offsets", ("ds", "dp", "radius:arc", "dalpha")),
     ("analyze", "quadrant-chords"): (_cmd_analyze_chords, "diagnose quadrant graduation from "
                                      "four chords", ("radius:chords", "marks", "tol")),
     ("analyze", "band"): (_cmd_analyze_band, "altitude band misassignment from a radius error",
-                          ("lat", *_GEOMETRY, "altitude", "radius_error_fraction", "band_step")),
+                          ("lat", *_FLAT, "altitude", "radius_error_fraction", "band_step")),
     ("analyze", "alidade"): (_cmd_analyze_alidade, "alidade sighting error budget", (
         "length_mm", "offset", "offset_unit", "rotation", "rotation_unit")),
     ("analyze", "montecarlo"): (
@@ -586,7 +572,12 @@ def _help(path: tuple) -> None:
                 shown += " {" + ",".join(flag.kind) + "}"
             elif flag.kind is not bool:
                 shown += " " + flag.dest.upper()
-            text = flag.help + (" (required)" if flag.required else "")
+            text = flag.help
+            if isinstance(flag.domain, dict):
+                text += "".join(f"; in {unit} {d.text}" for unit, d in flag.domain.items())
+            elif flag.domain:
+                text += f"; {flag.domain.text}"
+            text += " (required)" if flag.required else ""
             if flag.default is not None:
                 text += f" (default {flag.default})"
             rows.append((shown, text))
@@ -608,9 +599,13 @@ def main(argv: Optional[list] = None) -> int:
     args, prog, flags = parsed
     try:
         _merge_config(args, prog, flags)
-        for key, value in vars(args).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"--{key.replace('_', '-')} must be a finite number, got {value}")
+        for flag in flags:  # a number first must be finite, then lie in its range
+            value, domain = getattr(args, flag.dest), flag.domain
+            if isinstance(domain, dict):  # the range of its unit, once that is set
+                domain = domain.get(getattr(args, flag.dest + "_unit"), FINITE)
+            if value is not None and domain is not None:
+                FINITE.check(value, flag.option)
+                domain.check(value, flag.option)
         return args.func(args)
     except (ParseError, UnknownKey, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,30 +33,25 @@ from .geometry import Circle, PlanePoint, _Record, _center_offset, chord_length,
 # unused here, but bench/tracing.py counts calls to them through this module
 from .geometry import circle_circle_intersection, circumcircle  # noqa: F401
 from .plate import PlateConfig, almucantar_solution, night_hours, tropic_circles
-from .projection import from_plate_polar, plate_angle_deg, stereographic_radius
+from .projection import (BAND_STEP, NON_NEGATIVE, POSITIVE, SEED, TRIALS,
+                         from_plate_polar, plate_angle_deg, stereographic_radius)
+from .projection import MAX_TRIALS, MIN_BAND_STEP  # noqa: F401  (the reports' limits)
 
 SCENARIOS = ("time_to_sunset", "altitude")
-
-# most trials one Monte Carlo run takes: 10^6 time_to_sunset trials at lat 40 run for
-# about 200 s (Python 3.11, one core of a 2-vCPU host) and keep 10^6 samples
-MAX_TRIALS = 10**6
 
 
 def alidade_offset_error(length: float, offset_angle: float) -> float:
     """Limb reading error from a sight-vane offset: length*delta/4 (mm
     when length is mm and delta radians)."""
-    if not (0.0 < length < math.inf):
-        raise ValueError(f"length must be finite and positive, got {length!r}")
-    if not (0.0 <= offset_angle < math.inf):
-        raise ValueError(f"offset must be finite and non-negative, got {offset_angle!r}")
+    POSITIVE.check(length, "length")
+    NON_NEGATIVE.check(offset_angle, "offset")
     return length * offset_angle / 4.0
 
 
 def alidade_rotation_error(rotation: float) -> float:
     """Limb reading error from a rotation graduation error: eps/4, in
     the unit eps was given in (pass-through)."""
-    if not (0.0 <= rotation < math.inf):
-        raise ValueError(f"rotation error must be finite and non-negative, got {rotation!r}")
+    NON_NEGATIVE.check(rotation, "rotation error")
     return rotation / 4.0
 
 
@@ -70,28 +65,19 @@ def arc_displacement(ds: float, dp: float) -> float:
 def arc_displacement_angular(radius: float, dalpha: float, dp: float) -> float:
     """Arc displacement when the tangential term is an angular offset
     dalpha (radians) at engraving radius `radius`."""
-    if not (0.0 < radius < math.inf):
-        raise ValueError(f"radius must be finite and positive, got {radius!r}")
+    POSITIVE.check(radius, "radius")
     return arc_displacement(radius * dalpha, dp)
-
-
-# finest band step (degrees), the margin the top band keeps below 90
-MIN_BAND_STEP = 1e-9
-
-
-def _check_band_step(band_step: float) -> None:
-    if not (MIN_BAND_STEP <= band_step < math.inf):
-        raise ValueError(f"band step must be a finite number >= {MIN_BAND_STEP}, got {band_step!r}")
 
 
 def band_spacing(
     latitude: float, scale: float, altitude: float, band_step: float = 3.0
 ) -> float:
     """Meridian gap (mm) between the almucantar at `altitude` and the
-    next band up, measured at the northern crossing."""
-    _check_band_step(band_step)
+    next band up, measured at the northern crossing.  Raises DomainError
+    where that band reaches the zenith, as almucantar_solution does."""
+    BAND_STEP.check(band_step, "band step")
     a = almucantar_solution(latitude, altitude, scale)
-    b = almucantar_solution(latitude, altitude + band_step, scale)
+    b = almucantar_solution(latitude, min(altitude + band_step, 90.0), scale)
     return abs(b.y_lower - a.y_lower)
 
 
@@ -112,7 +98,7 @@ def band_misassignment(
     that is the last band at or below h* = phi - 2*atan(tan((phi -
     altitude)/2) - D/scale); the crossing test settles it against rounding.
     """
-    _check_band_step(band_step)
+    BAND_STEP.check(band_step, "band step")
     if not math.isfinite(radius_error_fraction):
         raise ValueError(f"radius error fraction must be finite, got {radius_error_fraction!r}")
     sol = almucantar_solution(latitude, altitude, scale)
@@ -148,8 +134,7 @@ def quadrant_chord_diagnosis(
     """
     if len(marks) != 4:
         raise ValueError(f"need exactly 4 marks, got {len(marks)}")
-    if not (0.0 <= tol < math.inf):
-        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+    NON_NEGATIVE.check(tol, "tolerance")
     angles = sorted(normalize_angle(math.radians(m)) for m in marks)
     chords = [
         chord_length(circle, angles[i], angles[(i + 1) % 4]) for i in range(4)
@@ -178,11 +163,12 @@ class PerturbationSpec(_Record):
 
     def __init__(self, center_sigma: float = 0.0, radius_sigma: float = 0.0,
                  graduation_sigma: float = 0.0, seed: int = 0):
-        sigmas = (center_sigma, radius_sigma, graduation_sigma)
-        if not all(0.0 <= s < math.inf for s in sigmas):
-            raise ValueError(f"sigmas must be finite and non-negative, got {sigmas!r}")
-        if not isinstance(seed, int) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        for what, sigma in zip(("center_sigma", "radius_sigma", "graduation_sigma"),
+                               (center_sigma, radius_sigma, graduation_sigma)):
+            NON_NEGATIVE.check(sigma, what)
+        if not isinstance(seed, int):
+            raise ValueError(f"seed {SEED.text}, got {seed!r}")
+        SEED.check(seed, "seed")
         object.__setattr__(self, "center_sigma", center_sigma)
         object.__setattr__(self, "radius_sigma", radius_sigma)
         object.__setattr__(self, "graduation_sigma", graduation_sigma)
@@ -390,8 +376,7 @@ def monte_carlo_readout(cfg: PlateConfig, pert: PerturbationSpec, scenario: str,
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    if not 1 <= n_trials <= MAX_TRIALS:
-        raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials!r}")
+    TRIALS.check(n_trials, "n_trials")
 
     phi, s = cfg.latitude, cfg.scale
     hour_angle = true_hour_angle % 360.0

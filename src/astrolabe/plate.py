@@ -44,15 +44,10 @@ from typing import Union
 
 from .exceptions import ArcticLatitude, DomainError
 from .geometry import Arc, Circle, PlanePoint, Segment, _Record, arc_through, turns_ccw
-from .projection import (OBLIQUITY, _horizon_angles, check_scale, from_plate_polar,
+from .projection import (ALTITUDE, LATITUDE, OBLIQUITIES, OBLIQUITY, OPEN_LATITUDE, POSITIVE,
+                         RETE_OBLIQUITIES, SCALE, STEP, _horizon_angles, from_plate_polar,
                          solve_altitude_for_azimuth, stereographic_radius)
-
-# lowest plate latitude (degrees); below about 3e-6 the horizon cannot be drawn
-MIN_LATITUDE = 0.001
-
-# finest almucantar or azimuth step (degrees), one arcminute: the work grows as 1/step, and
-# at lat 40 that plate (5,400 almucantars, 10,800 verticals) is drawn in about 0.4 s, 26 MB
-MIN_STEP = 1.0 / 60.0
+from .projection import MIN_LATITUDE, MIN_STEP  # noqa: F401  (the plate's floors)
 
 # a vertical whose circle is over this many boundary radii wide is drawn as the straight
 # segment between its two ends, which leaves the circle by under 5e-6 boundary radii
@@ -65,13 +60,6 @@ TOUCH_DEG = 1e-12
 Element = Union[Circle, Arc, Segment, PlanePoint]
 
 
-def _divides(whole: float, step: float) -> bool:
-    if not (0.0 < step <= whole):
-        return False
-    ratio = whole / step
-    return abs(ratio - round(ratio)) < 1e-9
-
-
 class PlateConfig(_Record):
     """Inputs for a plate: geographic latitude (degrees), equator radius
     `scale` (mm), ecliptic obliquity (degrees) and grid steps."""
@@ -80,19 +68,14 @@ class PlateConfig(_Record):
 
     def __init__(self, latitude: float, scale: float, obliquity: float = OBLIQUITY,
                  almucantar_step: float = 5.0, azimuth_step: float = 10.0):
-        if not (MIN_LATITUDE <= latitude < 90.0):
-            raise ValueError(
-                f"latitude must lie in [{MIN_LATITUDE}, 90), got {latitude!r}"
-            )
-        check_scale(scale)
-        if not (0.0 < obliquity < 30.0):
-            raise ValueError(f"obliquity must lie in (0, 30), got {obliquity!r}")
+        LATITUDE.check(latitude, "latitude")
+        SCALE.check(scale, "scale")
+        OBLIQUITIES.check(obliquity, "obliquity")
         for name, step, whole in (("almucantar", almucantar_step, 90.0),
                                   ("azimuth", azimuth_step, 360.0)):
-            if step < MIN_STEP:
-                raise ValueError(f"{name}_step must be at least 1/60 degree (one arcminute), "
-                                 f"got {step!r}")
-            if not _divides(whole, step):
+            STEP.check(step, f"{name}_step")
+            ratio = whole / step  # a step of at least MIN_STEP keeps it finite
+            if not (step <= whole and abs(ratio - round(ratio)) < 1e-9):
                 raise ValueError(f"{name} step must divide {whole:g}, got {step!r}")
         object.__setattr__(self, "latitude", latitude)
         object.__setattr__(self, "scale", scale)
@@ -154,10 +137,8 @@ class PlateModel(_Record):
 def tropic_radii(scale: float, obliquity: float) -> tuple[float, float, float]:
     """(capricorn, equator, cancer) radii.  With obliquity 0 the tropics
     collapse onto the equator and all three radii equal `scale`."""
-    if not (0.0 < scale < math.inf):
-        raise ValueError(f"scale must be finite and positive, got {scale!r}")
-    if not (0.0 <= obliquity < 30.0):
-        raise ValueError(f"obliquity must lie in [0, 30), got {obliquity!r}")
+    POSITIVE.check(scale, "scale")
+    RETE_OBLIQUITIES.check(obliquity, "obliquity")
     r_cap = stereographic_radius(-obliquity, scale)
     r_can = stereographic_radius(+obliquity, scale)
     return (r_cap, scale, r_can)
@@ -173,12 +154,9 @@ def almucantar_solution(latitude: float, altitude: float, scale: float) -> Merid
     """Meridian-crossing solution for the altitude-h circle at a latitude
     in [MIN_LATITUDE, 90), the plate's range.  altitude = 0 is the horizon.
     Raises DomainError at the zenith (h = 90), where the circle is a point."""
-    if not (MIN_LATITUDE <= latitude < 90.0):
-        raise ValueError(f"latitude must lie in [{MIN_LATITUDE}, 90), got {latitude!r}")
-    if not (0.0 < scale < math.inf):
-        raise ValueError(f"scale must be finite and positive, got {scale!r}")
-    if not (0.0 <= altitude <= 90.0):
-        raise ValueError(f"altitude must lie in [0, 90], got {altitude!r}")
+    LATITUDE.check(latitude, "latitude")
+    POSITIVE.check(scale, "scale")
+    ALTITUDE.check(altitude, "altitude")
     if altitude >= 90.0 - 1e-12:
         raise DomainError("the zenith almucantar is a point, not a circle")
     y_upper = scale / math.tan(math.radians((latitude + altitude) / 2.0))
@@ -200,14 +178,12 @@ def azimuth_circle(latitude: float, azimuth: float, scale: float) -> Circle:
     """Full circle carrying the azimuth-A vertical (A in degrees from
     the prime vertical; A and A+180 share a circle).  Raises DomainError
     for A = 90 mod 180, where the vertical is the straight meridian."""
-    if not (0.0 < latitude < 90.0):
-        raise ValueError(f"latitude must lie in (0, 90), got {latitude!r}")
-    if not (0.0 < scale < math.inf):
-        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    OPEN_LATITUDE.check(latitude, "latitude")
+    POSITIVE.check(scale, "scale")
     a = azimuth % 360.0
     if abs(math.cos(math.radians(a))) < 1e-11:
         raise DomainError("azimuth 90/270 is the meridian line, not a circle")
-    y_z = zenith_point(latitude, scale).y
+    y_z = scale * math.tan(math.radians(45.0 - latitude / 2.0))
     y_n = -scale * math.tan(math.radians(45.0 + latitude / 2.0))
     y_c = (y_z + y_n) / 2.0
     p_c = (y_z - y_n) / 2.0

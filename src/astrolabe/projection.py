@@ -42,17 +42,69 @@ OBLIQUITY = 23.44
 # this range: far below it arcs lose their sweep, far above it squared sizes overflow
 SCALE_RANGE = (1e-6, 1e9)
 
+# lowest plate latitude (degrees); below about 3e-6 the horizon cannot be drawn
+MIN_LATITUDE = 0.001
 
-def check_scale(value: float, what: str = "scale") -> None:
-    """Raise ValueError naming `what` unless value lies in SCALE_RANGE."""
-    lo, hi = SCALE_RANGE
-    if not lo <= value <= hi:
-        raise ValueError(f"{what} must lie in [{lo:g}, {hi:g}] mm, got {value!r}")
+# finest almucantar or azimuth step (degrees), one arcminute: the work grows as 1/step, and
+# at lat 40 that plate (5,400 almucantars, 10,800 verticals) is drawn in about 0.4 s, 26 MB
+MIN_STEP = 1.0 / 60.0
+
+# finest band step (degrees), the margin the top band keeps below 90
+MIN_BAND_STEP = 1e-9
+
+# most trials one Monte Carlo run takes: 10^6 time_to_sunset trials at lat 40 run for
+# about 200 s (Python 3.11, one core of a 2-vCPU host) and keep 10^6 samples
+MAX_TRIALS = 10**6
 
 
-def _check_dec(dec: float) -> None:
-    if not (-90.0 <= dec <= 90.0):
-        raise ValueError(f"declination must lie in [-90, 90], got {dec!r}")
+class Range:
+    """The domain of one input: its ends, whether each end is open, and the
+    text that refuses a value outside it, by default "must lie in" the
+    interval (`unit` follows it)."""
+
+    __slots__ = ("lo", "hi", "lo_open", "hi_open", "text")
+
+    def __init__(self, lo, hi, lo_open=False, hi_open=False, text=None, unit=""):
+        self.lo, self.hi, self.lo_open, self.hi_open = lo, hi, lo_open, hi_open
+        ends = ", ".join(str(v) if isinstance(v, int) else f"{v:g}" for v in (lo, hi))
+        shown = f"{'(' if lo_open else '['}{ends}{')' if hi_open else ']'}"
+        self.text = text or f"must lie in {shown}{unit}"
+
+    def check(self, value, what: str) -> None:
+        """Raise ValueError, "<what> <text>, got <value>", unless value lies in the range."""
+        lo, hi = self.lo, self.hi
+        if not ((lo < value if self.lo_open else lo <= value)
+                and (value < hi if self.hi_open else value <= hi)):
+            raise ValueError(f"{what} {self.text}, got {value!r}")
+
+
+# the range table: each input's domain, written once, for the library and the CLI
+FINITE = Range(-math.inf, math.inf, True, True, "must be a finite number")
+POSITIVE = Range(0.0, math.inf, True, True, "must be finite and positive")
+NON_NEGATIVE = Range(0.0, math.inf, hi_open=True, text="must be finite and non-negative")
+SCALE = Range(*SCALE_RANGE, unit=" mm")
+LENGTH = Range(0.0, SCALE_RANGE[1], lo_open=True, unit=" mm")
+LENGTH_OR_0 = Range(0.0, SCALE_RANGE[1], unit=" mm")
+SIGNED_LENGTH = Range(-SCALE_RANGE[1], SCALE_RANGE[1], unit=" mm")
+LATITUDE = Range(MIN_LATITUDE, 90.0, hi_open=True)  # a plate's, a back's
+OPEN_LATITUDE = Range(0.0, 90.0, True, True)  # the horizon's free functions'
+DECLINATION = Range(-90.0, 90.0)  # also a latitude on the globe
+ALTITUDE = Range(0.0, 90.0)
+ANGULAR_RADIUS = Range(0.0, 90.0, lo_open=True)
+OBLIQUITIES = Range(0.0, 30.0, True, True)  # a plate's, a back's: the tropics apart
+RETE_OBLIQUITIES = Range(0.0, 30.0, hi_open=True)  # 0 puts the tropics on the equator
+DEGREES = Range(0.0, 360.0)  # at most one turn
+SIGNED_DEGREES = Range(-360.0, 360.0)
+RADIANS = Range(0.0, math.tau, text="must lie in [0, 2 pi]")
+SIGNED_RADIANS = Range(-math.tau, math.tau, text="must lie in [-2 pi, 2 pi]")
+FRACTION = Range(-1.0, 1.0)
+VIEWPOINT = Range(1.0, 1e9, lo_open=True)  # an external viewpoint's q
+STEP = Range(MIN_STEP, math.inf, text="must be at least 1/60 degree (one arcminute)")
+BAND_STEP = Range(MIN_BAND_STEP, math.inf, hi_open=True,
+                  text=f"must be a finite number >= {MIN_BAND_STEP}")
+TRIALS = Range(1, MAX_TRIALS)
+PRECISION = Range(1, 9, text="must be an int in [1, 9]")
+SEED = Range(0, math.inf, text="must be a non-negative integer")
 
 
 class SpherePoint(_Record):
@@ -63,7 +115,7 @@ class SpherePoint(_Record):
     __slots__ = ("dec", "hour_angle")
 
     def __init__(self, dec: float, hour_angle: float):
-        _check_dec(dec)
+        DECLINATION.check(dec, "declination")
         if not math.isfinite(hour_angle):
             raise ValueError(f"non-finite hour angle: {hour_angle!r}")
         object.__setattr__(self, "dec", dec)
@@ -76,11 +128,8 @@ class SphereCircleSpec(_Record):
     __slots__ = ("pole_dec", "pole_ha", "angular_radius")
 
     def __init__(self, pole_dec: float, pole_ha: float, angular_radius: float):
-        _check_dec(pole_dec)
-        if not (0.0 < angular_radius <= 90.0):
-            raise ValueError(
-                f"angular radius must lie in (0, 90], got {angular_radius!r}"
-            )
+        DECLINATION.check(pole_dec, "declination")
+        ANGULAR_RADIUS.check(angular_radius, "angular radius")
         object.__setattr__(self, "pole_dec", pole_dec)
         object.__setattr__(self, "pole_ha", pole_ha)
         object.__setattr__(self, "angular_radius", angular_radius)
@@ -111,8 +160,7 @@ class ProjectionKind(_Record):
 
     @classmethod
     def external(cls, q: float) -> "ProjectionKind":
-        if not (q > 1.0 and math.isfinite(q)):
-            raise ValueError(f"external viewpoint needs q > 1, got {q!r}")
+        VIEWPOINT.check(q, "external viewpoint q")
         return cls(viewpoint_v=-q)
 
     @classmethod
@@ -133,9 +181,8 @@ def axis_projection_radius(dec: float, kind: ProjectionKind, scale: float) -> fl
     for the gnomonic exception).  Raises DomainError when the parallel's
     projecting rays run parallel to the plane.
     """
-    _check_dec(dec)
-    if not (0.0 < scale < math.inf):
-        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    DECLINATION.check(dec, "declination")
+    POSITIVE.check(scale, "scale")
     d = math.radians(dec)
     sind, cosd = math.sin(d), math.cos(d)
     if kind.is_orthographic:
@@ -216,10 +263,8 @@ def solve_altitude_for_azimuth(latitude: float, declination: float, azimuth: flo
     `horizon_to_sphere` in its valid range.  Where two crossings exist
     the lower one is returned.  Raises NoSolution when the azimuth is
     never reached at that declination."""
-    if not (0.0 < latitude < 90.0):
-        raise ValueError(f"latitude must lie in (0, 90), got {latitude!r}")
-    if not (-90.0 <= declination <= 90.0):
-        raise ValueError(f"declination must lie in [-90, 90], got {declination!r}")
+    OPEN_LATITUDE.check(latitude, "latitude")
+    DECLINATION.check(declination, "declination")
     la = math.radians(latitude)
     ca = math.sin(la)
     cb = math.cos(la) * _cos_sin_deg(azimuth)[0]
@@ -247,8 +292,7 @@ def solve_altitude_for_azimuth(latitude: float, declination: float, azimuth: flo
 
 def unproject_point(p: PlanePoint, scale: float) -> SpherePoint:
     """Inverse of project_point, back to declination / hour angle."""
-    if not (0.0 < scale < math.inf):
-        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    POSITIVE.check(scale, "scale")
     r = math.hypot(p.x, p.y)
     dec = 90.0 - 2.0 * math.degrees(math.atan(r / scale))
     return SpherePoint(dec, plate_angle_deg(p))

@@ -39,7 +39,7 @@ from .back import BackModel, midday_altitude
 from .exceptions import EmptyModelWarning
 from .geometry import Arc, Circle, PlanePoint, Segment, _Record
 from .plate import PlateModel
-from .projection import from_plate_polar
+from .projection import PRECISION, from_plate_polar
 from .rete import ReteModel
 
 # every layer id with its one stroke width (mm), in LAYER_IDS order
@@ -81,8 +81,9 @@ class RenderStyle(_Record):
 
     def __init__(self, precision: int = 4, mirror_ew: bool = False,
                  include_layers: Optional[frozenset] = None):
-        if type(precision) is not int or not 1 <= precision <= 9:
-            raise ValueError(f"precision must be an int in [1, 9], got {precision!r}")
+        if type(precision) is not int:
+            raise ValueError(f"precision {PRECISION.text}, got {precision!r}")
+        PRECISION.check(precision, "precision")
         if include_layers is not None:
             bad = set(include_layers) - set(LAYER_IDS)
             if bad:

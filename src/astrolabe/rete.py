@@ -23,8 +23,8 @@ from typing import Iterable, Union
 
 from .exceptions import DuplicateStarName, OutsidePlate, ParseError
 from .geometry import Circle, PlanePoint, _Record
-from .plate import tropic_radii
-from .projection import OBLIQUITY, check_scale, from_plate_polar, stereographic_radius
+from .projection import (DECLINATION, OBLIQUITY, POSITIVE, RETE_OBLIQUITIES, SCALE,
+                         from_plate_polar, stereographic_radius)
 
 # pointers at or beyond this fraction of the boundary radius are off-plate
 _BOUNDARY_REL = 1.0 - 1e-12
@@ -39,8 +39,7 @@ class StarEntry(_Record):
     def __init__(self, name: str, ra: float, dec: float, magnitude: float):
         if not name:
             raise ValueError("star name must be non-empty")
-        if not (-90.0 <= dec <= 90.0):
-            raise ValueError(f"declination must lie in [-90, 90], got {dec!r}")
+        DECLINATION.check(dec, "declination")
         if not math.isfinite(ra):
             raise ValueError(f"non-finite right ascension: {ra!r}")
         object.__setattr__(self, "name", name)
@@ -65,17 +64,11 @@ class ReteModel(_Record):
         object.__setattr__(self, "boundary", boundary)
 
 
-def _check_obliquity(obliquity: float) -> None:
-    if not (0.0 <= obliquity < 30.0):
-        raise ValueError(f"obliquity must lie in [0, 30), got {obliquity!r}")
-
-
 def ecliptic_circle(scale: float, obliquity: float) -> Circle:
     """The ecliptic ring: center (0, scale*tan eps), radius scale/cos eps.
     Obliquity 0 degenerates gracefully to the equator circle."""
-    if not (0.0 < scale < math.inf):
-        raise ValueError(f"scale must be finite and positive, got {scale!r}")
-    _check_obliquity(obliquity)
+    POSITIVE.check(scale, "scale")
+    RETE_OBLIQUITIES.check(obliquity, "obliquity")
     e = math.radians(obliquity)
     return Circle(PlanePoint(0.0, scale * math.tan(e)), scale / math.cos(e))
 
@@ -108,9 +101,8 @@ def ecliptic_point(longitude: float, scale: float, obliquity: float) -> PlanePoi
     cos lambda)); the point lands on the ecliptic circle at plate angle
     RA + 90.
     """
-    _check_obliquity(obliquity)
-    if not (0.0 < scale < math.inf):
-        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    RETE_OBLIQUITIES.check(obliquity, "obliquity")
+    POSITIVE.check(scale, "scale")
     cosd, den, sa, ca = _ecliptic_trig(longitude, obliquity)
     r = scale * cosd / den
     return PlanePoint(r * sa, r * ca)
@@ -119,8 +111,13 @@ def ecliptic_point(longitude: float, scale: float, obliquity: float) -> PlanePoi
 def star_pointer(star: StarEntry, scale: float, obliquity: float) -> PlanePoint:
     """Pointer position for a star; raises OutsidePlate when its radius
     reaches the Capricorn boundary (dec <= -obliquity)."""
+    RETE_OBLIQUITIES.check(obliquity, "obliquity")
+    return _pointer(star, scale, stereographic_radius(-obliquity, scale))
+
+
+def _pointer(star: StarEntry, scale: float, r_cap: float) -> PlanePoint:
+    """star_pointer, given the Capricorn radius r_cap."""
     r = stereographic_radius(star.dec, scale)
-    r_cap, _, _ = tropic_radii(scale, obliquity)
     if r >= r_cap * _BOUNDARY_REL:
         raise OutsidePlate(
             f"star {star.name!r} at dec {star.dec} projects outside the "
@@ -136,8 +133,9 @@ def build_rete(
     zodiac ticks, and one pointer per catalog star.  Stars outside the
     boundary are skipped and reported, not fatal; duplicate names raise
     DuplicateStarName, and a scale outside SCALE_RANGE raises ValueError."""
-    check_scale(scale)
-    _check_obliquity(obliquity)
+    SCALE.check(scale, "scale")
+    RETE_OBLIQUITIES.check(obliquity, "obliquity")
+    r_cap = stereographic_radius(-obliquity, scale)
     stars = list(catalog)
     seen = set()
     for s in stars:
@@ -152,11 +150,10 @@ def build_rete(
     skipped = []
     for s in stars:
         try:
-            pointers.append((s, star_pointer(s, scale, obliquity)))
+            pointers.append((s, _pointer(s, scale, r_cap)))
         except OutsidePlate as exc:
             skipped.append((s, str(exc)))
 
-    r_cap, _, _ = tropic_radii(scale, obliquity)
     return ReteModel(
         ecliptic=ecliptic_circle(scale, obliquity),
         zodiac_points=points,

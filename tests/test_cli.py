@@ -34,8 +34,7 @@ from hypothesis import strategies as st
 import astrolabe
 import astrolabe.error_analysis as ea
 from astrolabe.plate import MIN_LATITUDE, MIN_STEP
-from astrolabe.projection import SCALE_RANGE
-from astrolabe import cli
+from astrolabe import cli, projection
 from astrolabe.cli import load_config, main
 from test_properties import REPRODUCIBLE
 
@@ -355,8 +354,10 @@ def test_scales_outside_the_range_exit_one_naming_the_flag(capsys, command, flag
 def test_obliquities_outside_the_range_exit_one_naming_the_flag(capsys, command, obliquity):
     lat = () if command == "rete" else ("--lat", "40")
     argv = (command, *lat, "--diameter-mm", "100", f"--obliquity={obliquity!r}")
+    # the rete takes obliquity 0, which puts the tropics on the equator; the other faces do not
+    shown = "[0, 30)" if command == "rete" else "(0, 30)"
     assert run_cli(capsys, *argv) == (
-        1, "", f"error: --obliquity must lie in [0, 30), got {obliquity!r}\n"
+        1, "", f"error: --obliquity must lie in {shown}, got {obliquity!r}\n"
     )
 
 
@@ -392,7 +393,7 @@ BAND_AT_HORIZON = ("--altitude", "0", "--radius-error-fraction", "0.01")
     (("analyze", "montecarlo", "--lat", "40", "--obliquity", "0", *MC_AT),
      "--obliquity must lie in (0, 30), got 0.0"),
     (("plate", "--lat", "95"), f"--lat must lie in [{MIN_LATITUDE}, 90), got 95.0"),
-    (("back", "--lat", "95"), "--lat must lie in (0, 90), got 95.0"),
+    (("back", "--lat", "95"), f"--lat must lie in [{MIN_LATITUDE}, 90), got 95.0"),
     (("full", "--lat", "95"), f"--lat must lie in [{MIN_LATITUDE}, 90), got 95.0"),
     (("analyze", "montecarlo", "--lat", "95", *MC_AT),
      f"--lat must lie in [{MIN_LATITUDE}, 90), got 95.0"),
@@ -412,6 +413,67 @@ BAND_AT_HORIZON = ("--altitude", "0", "--radius-error-fraction", "0.01")
         "band-lat-5e-324", "band-lat-1e-300", "qibla-lat"])
 def test_range_errors_name_the_flag_and_the_commands_range(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+# report numbers that near the float range printed inf, 309 digits, or an error naming no flag
+@pytest.mark.parametrize("argv, message", [
+    (("analyze", "alidade", "--length-mm", "1e308", "--offset", "1e308"),
+     "--length-mm must lie in (0, 1e+09] mm, got 1e+308"),
+    (("analyze", "alidade", "--length-mm", "150", "--offset", "1e308"),
+     "--offset must lie in [0, 2 pi], got 1e+308"),
+    (("analyze", "alidade", "--length-mm", "150", "--offset", "361", "--offset-unit", "deg"),
+     "--offset must lie in [0, 360], got 361.0"),
+    (("analyze", "alidade", "--rotation", "1e308", "--rotation-unit", "deg"),
+     "--rotation must lie in [0, 360], got 1e+308"),
+    (("analyze", "alidade", "--rotation", "1e308", "--rotation-unit", "mm"),
+     "--rotation must lie in [0, 1e+09] mm, got 1e+308"),
+    (("analyze", "arc-displacement", "--ds", "1e308", "--dp", "1e308"),
+     "--ds must lie in [-1e+09, 1e+09] mm, got 1e+308"),
+    (("analyze", "arc-displacement", "--ds", "1", "--dp=-1e308"),
+     "--dp must lie in [-1e+09, 1e+09] mm, got -1e+308"),
+    (("analyze", "arc-displacement", "--radius", "1e9", "--dalpha", "1e308", "--dp", "1"),
+     "--dalpha must lie in [-2 pi, 2 pi], got 1e+308"),
+    (("analyze", "arc-displacement", "--radius", "1e308", "--dalpha", "1", "--dp", "1"),
+     "--radius must lie in (0, 1e+09] mm, got 1e+308"),
+    (("analyze", "quadrant-chords", "--radius", "100", "--marks", "0,90,180,270",
+      "--tol", "1e308"), "--tol must lie in [0, 1e+09] mm, got 1e+308"),
+    (("analyze", "band", "--lat", "40", "--altitude", "10", "--radius-error-fraction", "1e308"),
+     "--radius-error-fraction must lie in [-1, 1], got 1e+308"),
+    (("project", "--dec", "10", "--hour-angle", "1e308"),
+     "--hour-angle must lie in [-360, 360], got 1e+308"),
+    (("project", "--dec", "10", "--kind", "external", "--q", "1e308"),
+     "--q must lie in (1, 1e+09], got 1e+308"),
+], ids=["alidade-length", "alidade-offset-rad", "alidade-offset-deg", "alidade-rotation-deg",
+        "alidade-rotation-mm", "arc-ds", "arc-dp", "arc-dalpha", "arc-radius", "chords-tol",
+        "band-fraction", "project-hour-angle", "project-q"])
+def test_report_numbers_outside_their_range_exit_one_naming_the_flag(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+LATITUDE_EDGES = [(MIN_LATITUDE, True), (math.nextafter(90.0, 0.0), True),
+                  (math.nextafter(MIN_LATITUDE, 0.0), False), (90.0, False)]
+
+
+@pytest.mark.parametrize("latitude, ok", LATITUDE_EDGES)
+def test_every_face_and_report_takes_the_plates_latitudes(capsys, latitude, ok):
+    makes = (lambda: astrolabe.PlateConfig(latitude, 100.0),
+             lambda: astrolabe.BackConfig(latitude, 100.0))
+    for make in makes:
+        if ok:
+            assert make().latitude == latitude
+        else:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"latitude must lie in [{MIN_LATITUDE}, 90), got {latitude!r}")):
+                make()
+    reports = (("analyze", "band", "--altitude", "10", "--radius-error-fraction", "0.02"),
+               ("analyze", "montecarlo", "--scenario", "altitude", *MC_AT, "--trials", "5"))
+    for argv in reports:
+        code, out, err = run_cli(capsys, *argv, f"--lat={latitude!r}")
+        if ok:
+            assert (code, err) == (0, "") and out
+        else:
+            assert (code, out, err) == (
+                1, "", f"error: --lat must lie in [{MIN_LATITUDE}, 90), got {latitude!r}\n")
 
 
 FLOOR = "must be at least 1/60 degree (one arcminute)"
@@ -946,7 +1008,7 @@ def test_band_steps_that_never_advance_exit_one_promptly():
         "from astrolabe.cli import main\n"
         "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
         f"    codes = [main(argv) for argv in {argvs!r}]\n"
-        "print(codes, err.getvalue().count('band step must be'))"
+        "print(codes, err.getvalue().count('--band-step must be'))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -1070,8 +1132,11 @@ def test_console_script_is_installed():
 
 DEMO_DATA = tuple(str(p) for p in
                   sorted((Path(__file__).resolve().parents[1] / "demos" / "data").glob("*.csv")))
-# each range end the CLI checks, and the floats one ulp to either side of it
-_ENDS = (MIN_LATITUDE, 90.0, -90.0, 30.0, *SCALE_RANGE, ea.MIN_BAND_STEP, MIN_STEP, 360.0)
+# the range table's entries
+_TABLE = [v for v in vars(projection).values() if isinstance(v, projection.Range)]
+# each finite end of a range the CLI checks, and the floats one ulp to either side of it
+_ENDS = tuple(sorted({float(end) for d in _TABLE for end in (d.lo, d.hi) if math.isfinite(end)}))
+_RANGE_ERROR = re.compile(r"error: (\S+) (.*), got \S+$")
 # plain values first: hypothesis draws the first ones most
 FLOATS = (40.0, -10.0, 0.5, 1.0, 5.0, 10.0, 45.0, 100.0,
           0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 66.56, 26.56, *_ENDS, *(math.nextafter(end, to) for end in _ENDS for to in (-math.inf, math.inf)))
@@ -1116,7 +1181,10 @@ def test_every_command_line_ends_in_a_document_a_report_or_a_named_error(argv):
     """A command drawn from the CLI's own tables, each flag left out or
     given a value of its kind, ends in a drawing or a report (exit 0) or in
     an exit code of 1-3 whose last stderr line names the error; no
-    exception escapes main."""
+    exception escapes main.  Every number in a report is finite and below
+    1e22 (the largest, a gnomonic radius at DENOM_MIN with scale 1e9, is
+    1e21 mm), and a value outside a range of the table is named by an
+    option on the command line."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp, "site.cfg"), Path(tmp, "out")
         cfg.write_text("lat = 40\nprecision = 2\n", encoding="utf-8")
@@ -1130,6 +1198,16 @@ def test_every_command_line_ends_in_a_document_a_report_or_a_named_error(argv):
             else:
                 head, *rows = csv.reader(io.StringIO(text))
                 assert head == ["stat", "value"] and rows and all(len(r) == 2 for r in rows)
+                for _, value in rows:
+                    try:
+                        number = float(value)
+                    except ValueError:  # a name, a classification or a list of marks
+                        continue
+                    assert math.isfinite(number) and abs(number) < 1e22, (argv, rows)
         else:
             assert code in (1, 2, 3)
-            assert stderr.getvalue().splitlines()[-1].startswith("error: "), stderr.getvalue()
+            last = stderr.getvalue().splitlines()[-1]
+            assert last.startswith("error: "), stderr.getvalue()
+            refused = _RANGE_ERROR.match(last)
+            if code == 1 and refused and refused[2] in {d.text for d in _TABLE}:
+                assert refused[1] in {a.partition("=")[0] for a in argv}, (argv, last)
