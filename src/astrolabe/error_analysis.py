@@ -32,7 +32,7 @@ from .exceptions import ScenarioInfeasible
 from .geometry import Circle, PlanePoint, _Record, _center_offset, chord_length, normalize_angle
 # unused here, but bench/tracing.py counts calls to them through this module
 from .geometry import circle_circle_intersection, circumcircle  # noqa: F401
-from .plate import PlateConfig, almucantar_solution, night_hours, tropic_circles
+from .plate import PlateConfig, _y_lower, almucantar_solution, night_hours, tropic_circles
 from .projection import (BAND_STEP, NON_NEGATIVE, POSITIVE, SEED, TRIALS,
                          from_plate_polar, plate_angle_deg, stereographic_radius)
 from .projection import MAX_TRIALS, MIN_BAND_STEP  # noqa: F401  (the reports' limits)
@@ -73,12 +73,12 @@ def band_spacing(
     latitude: float, scale: float, altitude: float, band_step: float = 3.0
 ) -> float:
     """Meridian gap (mm) between the almucantar at `altitude` and the
-    next band up, measured at the northern crossing.  Raises DomainError
-    where that band reaches the zenith, as almucantar_solution does."""
+    next band up, measured at the northern crossing; a band that reaches
+    the zenith ends there, on the zenith point.  Raises DomainError where
+    `altitude` itself is the zenith, as almucantar_solution does."""
     BAND_STEP.check(band_step, "band step")
     a = almucantar_solution(latitude, altitude, scale)
-    b = almucantar_solution(latitude, min(altitude + band_step, 90.0), scale)
-    return abs(b.y_lower - a.y_lower)
+    return abs(_y_lower(latitude, min(altitude + band_step, 90.0), scale) - a.y_lower)
 
 
 def band_misassignment(

@@ -43,7 +43,8 @@ def _require_finite(*values: float) -> None:
 class _Record:
     """Base of the package's immutable value records.  A subclass names
     its fields in `__slots__`, in order, and sets them in its `__init__`
-    with object.__setattr__ (PlanePoint with its slots' own setters).
+    with object.__setattr__ (the plane records PlanePoint, Segment, Circle
+    and Arc with their slots' own setters).
     Equality (same type, equal fields), the hash of the field tuple and
     the repr are those of a frozen dataclass.  The field tuple is read by
     one `operator.attrgetter` per class, made from `__slots__` when the
@@ -96,8 +97,8 @@ class PlanePoint(_Record):
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-# the slots' own setters: an instrument set builds hundreds of points, and these
-# skip the lookup that object.__setattr__ makes for each field
+# the slots' own setters: an instrument set builds hundreds of plane records, and
+# these skip the lookup that object.__setattr__ makes for each field
 _set_x, _set_y = PlanePoint.x.__set__, PlanePoint.y.__set__
 
 
@@ -107,11 +108,14 @@ class Segment(_Record):
     __slots__ = ("a", "b")
 
     def __init__(self, a: PlanePoint, b: PlanePoint):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_a(self, a)
+        _set_b(self, b)
 
     def length(self) -> float:
         return self.a.distance_to(self.b)
+
+
+_set_a, _set_b = Segment.a.__set__, Segment.b.__set__
 
 
 class Circle(_Record):
@@ -121,8 +125,8 @@ class Circle(_Record):
         if not (0.0 < radius < math.inf):
             _require_finite(radius)
             raise ValueError(f"circle radius must be positive, got {radius!r}")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", radius)
+        _set_center(self, center)
+        _set_radius(self, radius)
 
     def angle_of(self, p: PlanePoint) -> float:
         """Polar angle of p as seen from the center, in [0, 2*pi)."""
@@ -131,6 +135,9 @@ class Circle(_Record):
     def signed_distance(self, p: PlanePoint) -> float:
         """Distance from the rim: negative inside the disc, positive outside."""
         return self.center.distance_to(p) - self.radius
+
+
+_set_center, _set_radius = Circle.center.__set__, Circle.radius.__set__
 
 
 class Arc(_Record):
@@ -148,10 +155,10 @@ class Arc(_Record):
             raise ValueError(f"orientation must be 'ccw' or 'cw', got {orientation!r}")
         if start_point == end_point:
             raise ValueError("arc has zero sweep; use Circle for a full circle")
-        object.__setattr__(self, "circle", circle)
-        object.__setattr__(self, "start_point", start_point)
-        object.__setattr__(self, "end_point", end_point)
-        object.__setattr__(self, "orientation", orientation)
+        _set_circle(self, circle)
+        _set_start_point(self, start_point)
+        _set_end_point(self, end_point)
+        _set_orientation(self, orientation)
 
     @property
     def sweep(self) -> float:
@@ -159,6 +166,10 @@ class Arc(_Record):
         the two ends: positive for ccw, negative for cw."""
         turn = self.circle.angle_of(self.end_point) - self.circle.angle_of(self.start_point)
         return turn % TAU if self.orientation == "ccw" else -(-turn % TAU)
+
+
+_set_circle, _set_start_point, _set_end_point, _set_orientation = (
+    Arc.circle.__set__, Arc.start_point.__set__, Arc.end_point.__set__, Arc.orientation.__set__)
 
 
 class FitResult(_Record):

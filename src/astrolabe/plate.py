@@ -35,6 +35,14 @@ the zenith point (0, y_z) and its nadir counterpart (0, y_n) with
 so their centers share y_c = (y_z + y_n)/2; the circle for azimuth A
 (measured from the prime vertical) has center (p_c * tan A, y_c) and
 radius p_c / |cos A| with p_c = (y_z - y_n)/2.
+
+Checks run once per plate: `PlateConfig` checks its inputs when it is
+built, and `build_plate` checks the latitude, scale and obliquity once,
+then draws every curve through unchecked private kernels from values it
+computes once per plate (sin and cos of phi, the boundary radius, y_c
+and p_c).  The public helpers (`almucantar_solution`, `azimuth_circle`,
+...) run their checks and then the same kernels, so each prints the same
+floats as the plate.
 """
 
 from __future__ import annotations
@@ -45,8 +53,8 @@ from typing import Union
 from .exceptions import ArcticLatitude, DomainError
 from .geometry import Arc, Circle, PlanePoint, Segment, _Record, arc_through, turns_ccw
 from .projection import (ALTITUDE, LATITUDE, OBLIQUITIES, OBLIQUITY, OPEN_LATITUDE, POSITIVE,
-                         RETE_OBLIQUITIES, SCALE, STEP, _horizon_angles, from_plate_polar,
-                         solve_altitude_for_azimuth, stereographic_radius)
+                         RETE_OBLIQUITIES, SCALE, STEP, _altitude_for_azimuth, _cos_sin_deg,
+                         _sky_angles, _stereographic, from_plate_polar, stereographic_radius)
 from .projection import MIN_LATITUDE, MIN_STEP  # noqa: F401  (the plate's floors)
 
 # a vertical whose circle is over this many boundary radii wide is drawn as the straight
@@ -159,14 +167,26 @@ def almucantar_solution(latitude: float, altitude: float, scale: float) -> Merid
     ALTITUDE.check(altitude, "altitude")
     if altitude >= 90.0 - 1e-12:
         raise DomainError("the zenith almucantar is a point, not a circle")
+    return MeridianSolution(*_meridian(latitude, altitude, scale))
+
+
+def _meridian(latitude: float, altitude: float, scale: float) -> tuple[float, float, float, float]:
+    """`almucantar_solution`'s y_upper, y_lower, y_center and radius, unchecked."""
     y_upper = scale / math.tan(math.radians((latitude + altitude) / 2.0))
-    y_lower = -scale * math.tan(math.radians((latitude - altitude) / 2.0))
-    return MeridianSolution(
-        y_upper=y_upper,
-        y_lower=y_lower,
-        y_center=(y_upper + y_lower) / 2.0,
-        radius=(y_upper - y_lower) / 2.0,
-    )
+    y_lower = _y_lower(latitude, altitude, scale)
+    return y_upper, y_lower, (y_upper + y_lower) / 2.0, (y_upper - y_lower) / 2.0
+
+
+def _y_lower(latitude: float, altitude: float, scale: float) -> float:
+    """The altitude-h circle's northern meridian crossing, unchecked; at
+    h = 90 it is the zenith point's y."""
+    return -scale * math.tan(math.radians((latitude - altitude) / 2.0))
+
+
+def _almucantar_circle(latitude: float, altitude: float, scale: float) -> Circle:
+    """`almucantar_solution(...).circle`, unchecked."""
+    _, _, y_center, radius = _meridian(latitude, altitude, scale)
+    return Circle(PlanePoint(0.0, y_center), radius)
 
 
 def zenith_point(latitude: float, scale: float) -> PlanePoint:
@@ -183,11 +203,19 @@ def azimuth_circle(latitude: float, azimuth: float, scale: float) -> Circle:
     a = azimuth % 360.0
     if abs(math.cos(math.radians(a))) < 1e-11:
         raise DomainError("azimuth 90/270 is the meridian line, not a circle")
+    return _azimuth_circle(*_azimuth_axis(latitude, scale), a)
+
+
+def _azimuth_axis(latitude: float, scale: float) -> tuple[float, float]:
+    """The y_c and p_c that every azimuth circle of the latitude shares, unchecked."""
     y_z = scale * math.tan(math.radians(45.0 - latitude / 2.0))
     y_n = -scale * math.tan(math.radians(45.0 + latitude / 2.0))
-    y_c = (y_z + y_n) / 2.0
-    p_c = (y_z - y_n) / 2.0
-    ar = math.radians(a)
+    return (y_z + y_n) / 2.0, (y_z - y_n) / 2.0
+
+
+def _azimuth_circle(y_c: float, p_c: float, azimuth: float) -> Circle:
+    """`azimuth_circle` from its latitude's y_c and p_c, unchecked."""
+    ar = math.radians(azimuth)
     return Circle(PlanePoint(p_c * math.tan(ar), y_c), p_c / abs(math.cos(ar)))
 
 
@@ -234,11 +262,26 @@ def _inside_boundary(circle: Circle, cfg: PlateConfig, altitude: float,
 def _vertical_end(cfg: PlateConfig, azimuth: float) -> PlanePoint:
     """Where the vertical of this compass azimuth, walked down from the
     zenith, leaves the plate: at altitude 0, or on the boundary above it."""
-    dec, ha = _horizon_angles(cfg.latitude, 0.0, azimuth)
+    la = math.radians(cfg.latitude)
+    return _vertical_end_from(cfg, math.sin(la), math.cos(la),
+                              stereographic_radius(-cfg.obliquity, cfg.scale), azimuth)
+
+
+def _vertical_end_from(cfg: PlateConfig, sin_phi: float, cos_phi: float,
+                       boundary_radius: float, azimuth: float) -> PlanePoint:
+    """`_vertical_end` from the sine and cosine of the latitude and the
+    boundary's radius, unchecked."""
+    cos_a, sin_a = _cos_sin_deg(azimuth)
+    # altitude 0 enters as its sine and cosine, 0.0 and 1.0, not folded into the
+    # terms: the sign of a zero term reaches atan2
+    dec, ha = _sky_angles(sin_phi, cos_phi, 0.0, 1.0, cos_a, sin_a)
     if dec < -cfg.obliquity:
-        h = solve_altitude_for_azimuth(cfg.latitude, -cfg.obliquity, azimuth)
-        dec, ha = -cfg.obliquity, _horizon_angles(cfg.latitude, h, azimuth)[1]
-    return from_plate_polar(stereographic_radius(dec, cfg.scale), ha % 360.0)
+        h = math.radians(_altitude_for_azimuth(cfg.latitude, -cfg.obliquity, azimuth,
+                                               sin_phi, cos_phi, cos_a))
+        ha = _sky_angles(sin_phi, cos_phi, math.sin(h), math.cos(h), cos_a, sin_a)[1]
+        return from_plate_polar(boundary_radius, ha % 360.0)
+    d = math.radians(dec)
+    return from_plate_polar(_stereographic(math.sin(d), math.cos(d), cfg.scale), ha % 360.0)
 
 
 def night_hours(latitude: float, declination: float) -> list[float]:
@@ -291,12 +334,13 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
     out only when the latitude is arctic for the obliquity.
     """
     phi, s = cfg.latitude, cfg.scale
-    boundary, eq, can = tropic_circles(cfg)
+    boundary, eq, can = tropic_circles(cfg)  # checks the scale and the obliquity
+    LATITUDE.check(phi, "latitude")
+    r_b = boundary.radius
     zen = zenith_point(phi, s)
 
     step = cfg.almucantar_step
-    almucantars = [_inside_boundary(almucantar_solution(phi, k * step, s).circle, cfg, k * step,
-                                    boundary.radius)
+    almucantars = [_inside_boundary(_almucantar_circle(phi, k * step, s), cfg, k * step, r_b)
                    for k in range(int(round(90.0 / step)))] + [zen]
     horizon = almucantars[0]
 
@@ -309,18 +353,22 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
     for k in range(n_az):
         a = (k * cfg.azimuth_step) % 180.0
         first.setdefault(round(a * m_az / 180.0) % m_az, a)
+    la = math.radians(phi)
+    sin_phi, cos_phi = math.sin(la), math.cos(la)
+    y_c, p_c = _azimuth_axis(phi, s)
     azimuths = []
     for _, a in sorted(first.items()):
         if abs(math.cos(math.radians(a))) < 1e-11:
-            north_y = almucantar_solution(phi, 0.0, s).y_lower
-            south_y = min(s / math.tan(math.radians(phi / 2.0)), boundary.radius)
+            north_y = _y_lower(phi, 0.0, s)
+            south_y = min(s / math.tan(math.radians(phi / 2.0)), r_b)
             azimuths.append(Segment(PlanePoint(0.0, north_y), PlanePoint(0.0, south_y)))
             continue
         # from the zenith the vertical heads along (cos A, sin A) on the
         # plate toward compass azimuth 270 - A, and back toward 90 - A
-        ahead, behind = _vertical_end(cfg, 270.0 - a), _vertical_end(cfg, 90.0 - a)
-        circ = azimuth_circle(phi, a, s)
-        if circ.radius > STRAIGHT_REL * boundary.radius:
+        ahead = _vertical_end_from(cfg, sin_phi, cos_phi, r_b, 270.0 - a)
+        behind = _vertical_end_from(cfg, sin_phi, cos_phi, r_b, 90.0 - a)
+        circ = _azimuth_circle(y_c, p_c, a)
+        if circ.radius > STRAIGHT_REL * r_b:
             azimuths.append(Segment(behind, ahead))
             continue
         if not turns_ccw(ahead, zen, behind):  # so that the ccw arc holds the zenith

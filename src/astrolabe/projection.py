@@ -199,7 +199,15 @@ def axis_projection_radius(dec: float, kind: ProjectionKind, scale: float) -> fl
         raise DomainError(
             f"projection undefined at dec = {dec}: ray parallel to the plane"
         )
+    if v == -1.0:
+        return _stereographic(sind, cosd, scale)
     return scale * (-v) * cosd / den
+
+
+def _stereographic(sind: float, cosd: float, scale: float) -> float:
+    """The stereographic radius from the declination's sine and cosine,
+    unchecked: scale * (-v) * cosd / (sind - v) at v = -1, bit for bit."""
+    return scale * cosd / (sind + 1.0)
 
 
 def stereographic_radius(dec: float, scale: float) -> float:
@@ -236,14 +244,20 @@ def _cos_sin_deg(angle: float) -> tuple[float, float]:
 def _horizon_angles(latitude: float, altitude: float, azimuth: float) -> tuple[float, float]:
     """Declination and hour angle (degrees, the hour angle as atan2 gives
     it, in [-180, 180]) of the sphere point seen from latitude phi at
-    altitude h and compass azimuth A (degrees from north through east),
-    from its components toward the pole, the upper meridian and the east:
+    altitude h and compass azimuth A (degrees from north through east);
+    see `_sky_angles`."""
+    phi, h = math.radians(latitude), math.radians(altitude)
+    return _sky_angles(math.sin(phi), math.cos(phi), math.sin(h), math.cos(h),
+                       *_cos_sin_deg(azimuth))
+
+
+def _sky_angles(sin_phi: float, cos_phi: float, sin_h: float, cos_h: float,
+                cos_a: float, sin_a: float) -> tuple[float, float]:
+    """`_horizon_angles` from the sines and cosines of phi, h and A, from
+    the point's components toward the pole, the upper meridian and the east:
 
         sin(dec) = sin(phi) sin(h) + cos(phi) cos(h) cos(A)
     """
-    phi, h = math.radians(latitude), math.radians(altitude)
-    sin_phi, cos_phi, sin_h, cos_h = math.sin(phi), math.cos(phi), math.sin(h), math.cos(h)
-    cos_a, sin_a = _cos_sin_deg(azimuth)
     pole = sin_phi * sin_h + cos_phi * cos_h * cos_a
     meridian = cos_phi * sin_h - sin_phi * cos_h * cos_a
     east = cos_h * sin_a
@@ -266,16 +280,23 @@ def solve_altitude_for_azimuth(latitude: float, declination: float, azimuth: flo
     OPEN_LATITUDE.check(latitude, "latitude")
     DECLINATION.check(declination, "declination")
     la = math.radians(latitude)
-    ca = math.sin(la)
-    cb = math.cos(la) * _cos_sin_deg(azimuth)[0]
-    amp = math.hypot(ca, cb)
+    return _altitude_for_azimuth(latitude, declination, azimuth, math.sin(la), math.cos(la),
+                                 _cos_sin_deg(azimuth)[0])
+
+
+def _altitude_for_azimuth(latitude: float, declination: float, azimuth: float,
+                          sin_phi: float, cos_phi: float, cos_a: float) -> float:
+    """`solve_altitude_for_azimuth` unchecked, from the sine and cosine of
+    the latitude and the cosine of the azimuth."""
+    cb = cos_phi * cos_a
+    amp = math.hypot(sin_phi, cb)
     sd = math.sin(math.radians(declination))
     if abs(sd) > amp + 1e-12:
         raise NoSolution(
             f"declination {declination} never crosses azimuth {azimuth} "
             f"at latitude {latitude}"
         )
-    psi = math.atan2(cb, ca)
+    psi = math.atan2(cb, sin_phi)
     base = math.asin(max(-1.0, min(1.0, sd / amp)))
     candidates = []
     for h in (math.degrees(base - psi), math.degrees(math.pi - base - psi)):

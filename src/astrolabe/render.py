@@ -15,8 +15,11 @@ built once from the precision with the indent and newline in it; a run
 of lines is one `%` format over the repeated line template, and a model
 element is one row.  Model coordinates are mathematical (y up); the pen negates y, and x
 too under `mirror_ew`, and inverts an arc's sweep flag when sx*sy < 0.
-One rule prints a number that rounds to zero unsigned: the regex
-`_NEGATIVE_ZERO`, run on formatted numbers only (never on label text).
+One rule prints a number that rounds to zero unsigned: at precision p
+such a number prints as exactly "-0." and p zeros, followed by a
+non-digit, so one exact `str.replace` of that text by its unsigned form
+(`_zeros`), run on formatted numbers only (never on label text), drops
+the sign.
 Rounding is symmetric in sign, so a `mirror_ew` document is the exact
 x-negation of the plain one, except that a label anchored at its start
 or end swaps the two, so that it still runs away from its marker.
@@ -31,7 +34,6 @@ so reused rows are the bytes a fresh emission would print.
 from __future__ import annotations
 
 import math
-import re
 import warnings
 from typing import Optional
 
@@ -95,17 +97,15 @@ class RenderStyle(_Record):
         object.__setattr__(self, "include_layers", include_layers)
 
 
-# a "-" before a number that rounds to zero at the printed precision
-_NEGATIVE_ZERO = re.compile(r"-(?=0\.0+(?![0-9]))")
-
-
-def _unsigned_zero(numbers: str) -> str:
-    """Formatted numbers with each one that rounds to zero unsigned."""
-    return _NEGATIVE_ZERO.sub("", numbers) if "-0." in numbers else numbers
+def _zeros(precision: int) -> tuple[str, str]:
+    """A number that rounds to zero at the precision, as printed signed and unsigned:
+    in text of numbers printed at that precision, `.replace(*zeros)` unsigns each one."""
+    zero = "0." + "0" * precision
+    return "-" + zero, zero
 
 
 def _fmt(value: float, precision: int) -> str:
-    return _unsigned_zero(f"{value:.{precision}f}")
+    return f"{value:.{precision}f}".replace(*_zeros(precision))
 
 
 # sine and cosine of each whole-degree plate angle
@@ -123,6 +123,7 @@ class _Pen:
     def __init__(self, precision: int, sx: float, sy: float):
         self.sx, self.sy = sx, sy
         f = f"%.{precision}f"
+        self.zeros = _zeros(precision)
         self.line_row = f'  <line x1="{f}" y1="{f}" x2="{f}" y2="{f}"/>\n'
         self.circle_row = f'  <circle cx="{f}" cy="{f}" r="{f}"%s/>\n'
         self.arc_row = f'  <path d="M {f} {f} A {f} {f} 0 %d %d {f} {f}"/>\n'
@@ -144,13 +145,13 @@ class _Pen:
                                 for v in (sx * ro * s, sy * ro * c, sx * ri * s, sy * ri * c)])
 
     def _line_rows(self, values: list) -> str:
-        return _unsigned_zero((self.line_row * (len(values) // 4)) % tuple(values))
+        return ((self.line_row * (len(values) // 4)) % tuple(values)).replace(*self.zeros)
 
     def label(self, x: float, y: float, text: str, anchor: str = "middle") -> str:
         # xml.sax.saxutils.escape, without its import: `&` first
         text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         return (
-            f"  <text {_unsigned_zero(self.xy % (self.sx * x, self.sy * y))} "
+            f"  <text {(self.xy % (self.sx * x, self.sy * y)).replace(*self.zeros)} "
             f'font-size="{_LABEL_FONT_SIZE:g}" '
             f'text-anchor="{self.anchors.get(anchor, anchor)}" '
             f'fill="#000" stroke="none">{text}</text>\n'
@@ -164,8 +165,8 @@ class _Pen:
         elif isinstance(el, Arc):
             p0, p1, r = el.start_point, el.end_point, el.circle.radius
             large = abs(math.degrees(el.sweep)) > 180.0 + 1e-12
-            if large and (_unsigned_zero(self.point % (sx * p0.x, sy * p0.y))
-                          == _unsigned_zero(self.point % (sx * p1.x, sy * p1.y))):
+            if large and ((self.point % (sx * p0.x, sy * p0.y)).replace(*self.zeros)
+                          == (self.point % (sx * p1.x, sy * p1.y)).replace(*self.zeros)):
                 # SVG draws no arc between equal points: this one is its circle to the precision
                 return self.emit(el.circle)
             # a reflection in one axis reverses the sense of rotation
@@ -179,7 +180,7 @@ class _Pen:
                                      ' fill="#000" stroke="none"')
         else:
             raise TypeError(f"cannot emit {type(el).__name__}")
-        return _unsigned_zero(row)
+        return row.replace(*self.zeros)
 
 
 def arc_to_path(arc: Arc, precision: int = 4) -> str:

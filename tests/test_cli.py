@@ -821,6 +821,19 @@ def test_analyze_band_matches_library(capsys):
     )
 
 
+def test_analyze_band_reports_the_top_band(capsys):
+    argv = ("analyze", "band", "--lat", "40", "--radius-error-fraction", "0.01")
+    code, out, err = run_cli(capsys, *argv, "--altitude", "87")
+    assert (code, err) == (0, "")
+    rows = report_rows(out)
+    assert float(rows["band_spacing_mm"]) == pytest.approx(
+        ea.band_spacing(40.0, 100.0, 87.0, 3.0), abs=1e-6)
+    assert rows["lands_on_band_deg"] == "87.000000"
+    code, out, err = run_cli(capsys, *argv, "--altitude", "90")
+    assert (code, out) == (2, "")
+    assert "zenith" in err
+
+
 def test_analyze_alidade_terms_and_units(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", "alidade", "--length-mm", "150", "--offset", "0.02"

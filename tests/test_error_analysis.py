@@ -18,6 +18,7 @@ from astrolabe import (
     ArcticLatitude,
     Circle,
     CollinearPoints,
+    DomainError,
     PlanePoint,
     PlateConfig,
     PerturbationSpec,
@@ -33,7 +34,7 @@ from astrolabe import (
 )
 from astrolabe.error_analysis import SCENARIOS, _read_altitude, _sun_altitude, trial_draws
 from astrolabe.geometry import COLLINEAR_AREA_REL, circle_circle_intersection, circumcircle
-from astrolabe.plate import almucantar_solution, night_hours, tropic_circles
+from astrolabe.plate import almucantar_solution, night_hours, tropic_circles, zenith_point
 from astrolabe.projection import from_plate_polar, plate_angle_deg, stereographic_radius
 from test_geometry import point_at
 
@@ -76,6 +77,13 @@ def test_band_spacing_matches_meridian_crossings():
         for step in (3.0, 6.0):
             want = abs(y_lower(PHI4, h + step, S4) - y_lower(PHI4, h, S4))
             assert band_spacing(PHI4, S4, h, step) == pytest.approx(want, rel=1e-12)
+
+
+def test_band_spacing_ends_the_top_band_on_the_zenith():
+    want = abs(zenith_point(40.0, 100.0).y - almucantar_solution(40.0, 87.0, 100.0).y_lower)
+    assert band_spacing(40.0, 100.0, 87.0, 3.0) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(DomainError, match="zenith"):
+        band_spacing(40.0, 100.0, 90.0, 3.0)
 
 
 def test_band_spacing_reference_values():

@@ -41,8 +41,9 @@ from astrolabe import (
     zenith_point,
 )
 from astrolabe.geometry import arc_through, circumcircle
-from astrolabe.plate import MIN_LATITUDE, STRAIGHT_REL, crossing_hour_angle, night_hours
-from astrolabe.projection import horizon_to_sphere
+from astrolabe.plate import (MIN_LATITUDE, STRAIGHT_REL, _vertical_end, crossing_hour_angle,
+                             night_hours)
+from astrolabe.projection import from_plate_polar, horizon_to_sphere
 from astrolabe.render import _fmt, _Pen
 from test_geometry import arc_holds, point_at
 from test_projection import ray_plane_radius
@@ -509,3 +510,44 @@ def test_plate_curve_ends_are_the_projected_sphere_points(
         knots = [project_point(SpherePoint(dec, night_hours(latitude, dec)[k]), scale)
                  for dec in (-obl, 0.0, obl)]
         assert el == arc_through(*knots)
+
+
+@REPRODUCIBLE
+@given(
+    latitude=LATITUDES,
+    scale=st.floats(*map(math.log, SCALE_RANGE)).map(
+        lambda t: min(max(math.exp(t), SCALE_RANGE[0]), SCALE_RANGE[1])),
+    obliquity=st.floats(0.0, 30.0, exclude_min=True, exclude_max=True),
+    # 0.25, 0.75 and 1.2 divide the quarter and the whole turn, but not into whole degrees
+    almucantar_step=st.sampled_from((0.25, 0.75, 1.2, 5.0, 10.0)),
+    azimuth_step=st.sampled_from((0.25, 0.75, 1.2, 7.2, 10.0, 40.0)),
+)
+def test_plate_kernels_equal_the_public_helpers(latitude, scale, obliquity, almucantar_step,
+                                                azimuth_step):
+    # build_plate draws each curve from values it computes once per plate, with
+    # no checks; every element is the one the checked helpers give, bit for bit
+    cfg = PlateConfig(latitude, scale, obliquity, almucantar_step, azimuth_step)
+    model = build_plate(cfg)
+    r_b = tropic_radii(scale, obliquity)[0]
+
+    for k, el in enumerate(model.almucantars[:-1]):
+        h = k * almucantar_step
+        circle = almucantar_solution(latitude, h, scale).circle
+        hc = crossing_hour_angle(latitude, -obliquity, h)
+        assert el == (circle if hc is None else Arc(
+            circle, from_plate_polar(r_b, -hc % 360.0), from_plate_polar(r_b, hc % 360.0), "ccw"))
+
+    for a, el in zip(vertical_azimuths(azimuth_step), model.azimuths, strict=True):
+        if abs(math.cos(math.radians(a))) < 1e-11:
+            north_y = almucantar_solution(latitude, 0.0, scale).y_lower
+            south_y = min(scale / math.tan(math.radians(latitude / 2.0)), r_b)
+            assert el == Segment(PlanePoint(0.0, north_y), PlanePoint(0.0, south_y))
+            continue
+        ahead, behind = _vertical_end(cfg, 270.0 - a), _vertical_end(cfg, 90.0 - a)
+        assert ahead == vertical_end_by_sphere_points(cfg, 270.0 - a)
+        assert behind == vertical_end_by_sphere_points(cfg, 90.0 - a)
+        if isinstance(el, Segment):
+            assert el == Segment(behind, ahead)
+        else:
+            assert el.circle == azimuth_circle(latitude, a, scale)
+            assert (el.start_point, el.end_point) in ((ahead, behind), (behind, ahead))

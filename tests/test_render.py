@@ -153,6 +153,12 @@ def test_negative_zero_never_printed():
     assert "-0.0000" not in d
 
 
+@pytest.mark.parametrize("precision", range(1, 10))
+def test_fmt_unsigns_exactly_the_numbers_that_round_to_zero(precision):
+    assert _fmt(-1e-300, precision) == _fmt(-0.0, precision) == "0." + "0" * precision
+    assert _fmt(-10.0 ** -precision, precision) == "-0." + "0" * (precision - 1) + "1"
+
+
 def plate_model():
     return build_plate(PlateConfig(latitude=40.0, scale=100.0, almucantar_step=10.0))
 
