@@ -98,8 +98,9 @@ class RenderStyle(_Record):
 
 
 def _zeros(precision: int) -> tuple[str, str]:
-    """A number that rounds to zero at the precision, as printed signed and unsigned:
-    in text of numbers printed at that precision, `.replace(*zeros)` unsigns each one."""
+    """The text of a number that rounds to zero at the precision, signed and
+    unsigned: in numbers printed at that precision, `.replace(*_zeros(p))`
+    unsigns each such number and touches no other."""
     zero = "0." + "0" * precision
     return "-" + zero, zero
 
