@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import functools
 import math
-from pathlib import Path
-from typing import Iterable, Union
+import os
+from collections.abc import Iterable
 
 from .exceptions import DomainError, UndefinedBearing
 from .geometry import Arc, Circle, PlanePoint, Segment, _Record, arc_through
@@ -49,9 +49,7 @@ class Locality(_Record):
         lon = longitude % 360.0
         if lon > 180.0:
             lon -= 360.0
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "latitude", latitude)
-        object.__setattr__(self, "longitude", lon)
+        super().__init__(name, latitude, lon)
 
 
 MECCA = Locality("Mecca", 21.4225, 39.8262)
@@ -76,31 +74,22 @@ class BackConfig(_Record):
         LATITUDE.check(latitude, "latitude")
         SCALE.check(radius, "radius")
         OBLIQUITIES.check(obliquity, "obliquity")
-        object.__setattr__(self, "latitude", latitude)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "obliquity", obliquity)
+        super().__init__(latitude, radius, obliquity)
 
 
 class BackModel(_Record):
-    """The back face.  Its fixed scales are drawn by the renderer from
-    the boundary radius r alone: on the limb, 360 one-degree ticks, a
-    long one every tenth and a number every 30 degrees; in the upper-left
-    quadrant, a sine quadrant of radius r with 60 equal divisions; below
-    the center, a shadow square of side 0.45*r with 12 digits on each of
-    its two scales.  The calendar ring holds one tick angle (degrees) per
-    day; `midday` is the config latitude's midday curve (`midday_curve`),
-    an Arc, or a Segment at an obliquity too small to bend it."""
+    """The back face: `config`, the limb `boundary`, `calendar_angles`,
+    `midday` and `qibla_marks`, (Locality, bearing in degrees) pairs.  Its
+    fixed scales are drawn by the renderer from the boundary radius r
+    alone: on the limb, 360 one-degree ticks, a long one every tenth and a
+    number every 30 degrees; in the upper-left quadrant, a sine quadrant of
+    radius r with 60 equal divisions; below the center, a shadow square of
+    side 0.45*r with 12 digits on each of its two scales.  The calendar
+    ring holds one tick angle (degrees) per day; `midday` is the config
+    latitude's midday curve (`midday_curve`), an Arc, or a Segment at an
+    obliquity too small to bend it."""
 
     __slots__ = ("config", "boundary", "calendar_angles", "midday", "qibla_marks")
-
-    def __init__(self, config: BackConfig, boundary: Circle,
-                 calendar_angles: tuple[float, ...], midday: Union[Arc, Segment],
-                 qibla_marks: tuple[tuple[Locality, float], ...]):
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "calendar_angles", calendar_angles)
-        object.__setattr__(self, "midday", midday)
-        object.__setattr__(self, "qibla_marks", qibla_marks)
 
 
 def equation_of_center(mean_anomaly: float) -> float:
@@ -149,7 +138,7 @@ def midday_altitude(latitude: float, declination: float) -> float:
     return 90.0 - latitude + declination
 
 
-def midday_curve(latitude: float, obliquity: float, radius: float) -> Union[Arc, Segment]:
+def midday_curve(latitude: float, obliquity: float, radius: float) -> Arc | Segment:
     """Noon altitude curve: the arc through the back-face points of the
     three control declinations -obliquity, 0, +obliquity.
 
@@ -250,7 +239,7 @@ def build_back(cfg: BackConfig, localities: Iterable[Locality] = ()) -> BackMode
     )
 
 
-def load_localities(path: Union[str, Path]) -> list[Locality]:
+def load_localities(path: str | os.PathLike) -> list[Locality]:
     """Read a locality CSV (`name,lat_deg,lon_deg`); format rules as for
     star catalogs."""
     return _load_csv(path, ("name", "lat_deg", "lon_deg"), "locality file", Locality)

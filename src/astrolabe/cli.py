@@ -27,13 +27,10 @@ checked once the file is read.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 import sys
-from pathlib import Path
 from types import SimpleNamespace
-from typing import Optional
 
 from . import error_analysis as ea
 from .back import (
@@ -155,7 +152,8 @@ def _style(args) -> RenderStyle:
 def _write_text(args, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -260,11 +258,8 @@ def _report(args, rows) -> None:
     sys.stdout.write(text)
     out = getattr(args, "out", None)
     if out:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["stat", "value"])
-        writer.writerows(rows)
-        Path(out).write_text(buf.getvalue(), encoding="utf-8")
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([("stat", "value"), *rows])
 
 
 def _cmd_analyze_arc(args) -> int:
@@ -588,7 +583,7 @@ def _help(path: tuple) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def main(argv: Optional[list] = None) -> int:
+def main(argv: list | None = None) -> int:
     try:
         parsed = _parse(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:

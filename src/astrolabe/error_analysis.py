@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
+from collections.abc import Sequence
 
 from .exceptions import ScenarioInfeasible
 from .geometry import Circle, PlanePoint, _Record, _center_offset, chord_length, normalize_angle
@@ -169,26 +169,15 @@ class PerturbationSpec(_Record):
         if not isinstance(seed, int):
             raise ValueError(f"seed {SEED.text}, got {seed!r}")
         SEED.check(seed, "seed")
-        object.__setattr__(self, "center_sigma", center_sigma)
-        object.__setattr__(self, "radius_sigma", radius_sigma)
-        object.__setattr__(self, "graduation_sigma", graduation_sigma)
-        object.__setattr__(self, "seed", seed)
+        super().__init__(center_sigma, radius_sigma, graduation_sigma, seed)
 
 
 class ErrorReport(_Record):
-    """Summary of a Monte Carlo readout-error run.  `samples` holds the
-    per-trial signed errors in trial order."""
+    """Summary of a Monte Carlo readout-error run: the `mean`, `std` and
+    `max_abs` of the signed errors, `n_trials`, the `classification`, and
+    `samples`, the per-trial signed errors in trial order."""
 
     __slots__ = ("mean", "std", "max_abs", "n_trials", "classification", "samples")
-
-    def __init__(self, mean: float, std: float, max_abs: float, n_trials: int,
-                 classification: str, samples: tuple[float, ...]):
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
-        object.__setattr__(self, "max_abs", max_abs)
-        object.__setattr__(self, "n_trials", n_trials)
-        object.__setattr__(self, "classification", classification)
-        object.__setattr__(self, "samples", samples)
 
 
 def _sun_altitude(latitude: float, dec: float, hour_angle: float) -> float:

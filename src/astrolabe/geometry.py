@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Sequence, Union
+from collections.abc import Sequence
 
 from .exceptions import CoincidentCircles, CollinearPoints, TooFewPoints
 
@@ -41,22 +41,42 @@ def _require_finite(*values: float) -> None:
 
 
 class _Record:
-    """Base of the package's immutable value records.  A subclass names
-    its fields in `__slots__`, in order, and sets them in its `__init__`
-    with object.__setattr__ (the plane records PlanePoint, Segment, Circle
-    and Arc with their slots' own setters).
-    Equality (same type, equal fields), the hash of the field tuple and
-    the repr are those of a frozen dataclass.  The field tuple is read by
-    one `operator.attrgetter` per class, made from `__slots__` when the
-    class is defined; a one-field record wraps its value in a 1-tuple."""
+    """Base of the package's immutable value records.  A subclass names its
+    fields in `__slots__`, in order; `Name(*values, **named)` binds values to
+    them in order, then by name, and raises TypeError naming the class on a
+    missing, extra or unknown field.  A record that checks or normalizes its
+    inputs has its own `__init__`, with its defaults, ending in one positional
+    `super().__init__(...)`.  Each class gets one `operator.attrgetter` for its
+    field tuple (a 1-tuple for one field) and `_setters`, its slots' setters
+    in order, which PlanePoint, Segment, Circle and Arc call directly: an
+    instrument set builds hundreds of them.  Equality (same type, equal
+    fields), the hash of the field tuple and the repr are those of a frozen
+    dataclass."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        get = operator.attrgetter(*cls.__slots__)
+        names = cls.__slots__
+        get = operator.attrgetter(*names)
         # an attrgetter is no descriptor: the class calls it as _fields(record)
-        cls._fields = get if len(cls.__slots__) > 1 else staticmethod(lambda r: (get(r),))
+        cls._fields = get if len(names) > 1 else staticmethod(lambda r: (get(r),))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in names)
+
+    def __init__(self, *values, **named):
+        names, name = self.__slots__, self.__class__.__qualname__
+        if named:
+            try:
+                values += tuple(map(named.pop, names[len(values):]))
+            except KeyError as exc:
+                raise TypeError(f"{name} is missing field {exc.args[0]!r}") from None
+            if named:  # no field's name, or a field's already bound by position
+                raise TypeError(f"{name} got an unexpected field {[*named][0]!r}")
+        if len(values) != len(names):
+            raise TypeError(f"{name} takes the {len(names)} fields {', '.join(names)}, "
+                            f"got {len(values)}")
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -97,9 +117,7 @@ class PlanePoint(_Record):
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-# the slots' own setters: an instrument set builds hundreds of plane records, and
-# these skip the lookup that object.__setattr__ makes for each field
-_set_x, _set_y = PlanePoint.x.__set__, PlanePoint.y.__set__
+_set_x, _set_y = PlanePoint._setters
 
 
 class Segment(_Record):
@@ -115,7 +133,7 @@ class Segment(_Record):
         return self.a.distance_to(self.b)
 
 
-_set_a, _set_b = Segment.a.__set__, Segment.b.__set__
+_set_a, _set_b = Segment._setters
 
 
 class Circle(_Record):
@@ -137,7 +155,7 @@ class Circle(_Record):
         return self.center.distance_to(p) - self.radius
 
 
-_set_center, _set_radius = Circle.center.__set__, Circle.radius.__set__
+_set_center, _set_radius = Circle._setters
 
 
 class Arc(_Record):
@@ -168,19 +186,14 @@ class Arc(_Record):
         return turn % TAU if self.orientation == "ccw" else -(-turn % TAU)
 
 
-_set_circle, _set_start_point, _set_end_point, _set_orientation = (
-    Arc.circle.__set__, Arc.start_point.__set__, Arc.end_point.__set__, Arc.orientation.__set__)
+_set_circle, _set_start_point, _set_end_point, _set_orientation = Arc._setters
 
 
 class FitResult(_Record):
-    """A fitted circle with its radial residual summary."""
+    """A fitted circle (`circle`) with its radial residual summary:
+    `rms_residual` and `max_residual`, mm."""
 
     __slots__ = ("circle", "rms_residual", "max_residual")
-
-    def __init__(self, circle: Circle, rms_residual: float, max_residual: float):
-        object.__setattr__(self, "circle", circle)
-        object.__setattr__(self, "rms_residual", rms_residual)
-        object.__setattr__(self, "max_residual", max_residual)
 
 
 def _center_offset(bx: float, by: float, cx: float, cy: float):
@@ -217,7 +230,7 @@ def turns_ccw(a: PlanePoint, b: PlanePoint, c: PlanePoint) -> bool:
     return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x) > 0.0
 
 
-def arc_through(start: PlanePoint, via: PlanePoint, end: PlanePoint) -> Union[Arc, Segment]:
+def arc_through(start: PlanePoint, via: PlanePoint, end: PlanePoint) -> Arc | Segment:
     """Arc of the circle through three points, from `start` to `end`
     and passing `via`, with those ends.  Where `_center_offset` finds
     the points collinear, which leaves the area's sign clear of rounding

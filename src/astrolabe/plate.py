@@ -39,16 +39,15 @@ radius p_c / |cos A| with p_c = (y_z - y_n)/2.
 Checks run once per plate: `PlateConfig` checks its inputs when it is
 built, and `build_plate` checks the latitude, scale and obliquity once,
 then draws every curve through unchecked private kernels from values it
-computes once per plate (sin and cos of phi, the boundary radius, y_c
-and p_c).  The public helpers (`almucantar_solution`, `azimuth_circle`,
-...) run their checks and then the same kernels, so each prints the same
-floats as the plate.
+computes once per plate (sin and cos of phi, the tropic radii, y_c and
+p_c).  The public helpers (`almucantar_solution`, `azimuth_circle`,
+`hour_lines`, ...) run their checks and then the same kernels, so each
+prints the same floats as the plate.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Union
 
 from .exceptions import ArcticLatitude, DomainError
 from .geometry import Arc, Circle, PlanePoint, Segment, _Record, arc_through, turns_ccw
@@ -65,7 +64,7 @@ STRAIGHT_REL = 1e5
 # typed as decimals, and a curve drawn whole there leaves the boundary by ~2e-14 of its radius
 TOUCH_DEG = 1e-12
 
-Element = Union[Circle, Arc, Segment, PlanePoint]
+Element = Circle | Arc | Segment | PlanePoint
 
 
 class PlateConfig(_Record):
@@ -85,23 +84,14 @@ class PlateConfig(_Record):
             ratio = whole / step  # a step of at least MIN_STEP keeps it finite
             if not (step <= whole and abs(ratio - round(ratio)) < 1e-9):
                 raise ValueError(f"{name} step must divide {whole:g}, got {step!r}")
-        object.__setattr__(self, "latitude", latitude)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "obliquity", obliquity)
-        object.__setattr__(self, "almucantar_step", almucantar_step)
-        object.__setattr__(self, "azimuth_step", azimuth_step)
+        super().__init__(latitude, scale, obliquity, almucantar_step, azimuth_step)
 
 
 class MeridianSolution(_Record):
-    """An almucantar's two meridian crossings and the circle they span."""
+    """An almucantar's two meridian crossings, `y_upper` and `y_lower`,
+    and the circle they span, of center (0, `y_center`) and `radius`."""
 
     __slots__ = ("y_upper", "y_lower", "y_center", "radius")
-
-    def __init__(self, y_upper: float, y_lower: float, y_center: float, radius: float):
-        object.__setattr__(self, "y_upper", y_upper)
-        object.__setattr__(self, "y_lower", y_lower)
-        object.__setattr__(self, "y_center", y_center)
-        object.__setattr__(self, "radius", radius)
 
     @property
     def circle(self) -> Circle:
@@ -109,8 +99,10 @@ class MeridianSolution(_Record):
 
 
 class PlateModel(_Record):
-    """All engraved geometry of one plate.  Each curve is a plain element
-    (Circle, Arc, Segment, or the zenith PlanePoint), one per grid value:
+    """All engraved geometry of one plate: `config`, the `boundary`, the
+    `tropics` (Capricorn, equator, Cancer), the `horizon` and the curves
+    below.  Each is a plain element (Circle, Arc, Segment, or the zenith
+    PlanePoint), one per grid value:
 
     - `almucantars[k]` is altitude k * almucantar_step; the last entry
       (altitude 90) is the zenith point;
@@ -128,18 +120,6 @@ class PlateModel(_Record):
 
     __slots__ = ("config", "boundary", "tropics", "horizon", "almucantars", "azimuths",
                  "hour_lines")
-
-    def __init__(self, config: PlateConfig, boundary: Circle,
-                 tropics: tuple[Circle, Circle, Circle], horizon: Element,
-                 almucantars: tuple[Element, ...], azimuths: tuple[Element, ...],
-                 hour_lines: tuple[Element, ...]):
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "tropics", tropics)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "almucantars", almucantars)
-        object.__setattr__(self, "azimuths", azimuths)
-        object.__setattr__(self, "hour_lines", hour_lines)
 
 
 def tropic_radii(scale: float, obliquity: float) -> tuple[float, float, float]:
@@ -310,9 +290,14 @@ def hour_lines(cfg: PlateConfig) -> tuple[Element, ...]:
     Raises ArcticLatitude (from `night_hours`) where the tropics do not
     set, from TOUCH_DEG below 90 - obliquity.
     """
+    return _hour_lines(cfg, tropic_radii(cfg.scale, cfg.obliquity))
+
+
+def _hour_lines(cfg: PlateConfig, radii: tuple[float, float, float]) -> tuple[Element, ...]:
+    """`hour_lines` from the (capricorn, equator, cancer) tropic radii, unchecked."""
     decs = (-cfg.obliquity, 0.0, cfg.obliquity)
     knots = [[from_plate_polar(r, h % 360.0) for h in night_hours(cfg.latitude, dec)[1:12]]
-             for dec, r in zip(decs, tropic_radii(cfg.scale, cfg.obliquity))]
+             for dec, r in zip(decs, radii)]
     return tuple(arc_through(*points) for points in zip(*knots))
 
 
@@ -376,7 +361,7 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
         azimuths.append(Arc(circ, ahead, behind, "ccw"))
 
     try:
-        hours = hour_lines(cfg)
+        hours = _hour_lines(cfg, (r_b, eq.radius, can.radius))
     except ArcticLatitude:
         hours = ()
 

@@ -118,8 +118,7 @@ class SpherePoint(_Record):
         DECLINATION.check(dec, "declination")
         if not math.isfinite(hour_angle):
             raise ValueError(f"non-finite hour angle: {hour_angle!r}")
-        object.__setattr__(self, "dec", dec)
-        object.__setattr__(self, "hour_angle", hour_angle % 360.0)
+        super().__init__(dec, hour_angle % 360.0)
 
 
 class SphereCircleSpec(_Record):
@@ -130,9 +129,7 @@ class SphereCircleSpec(_Record):
     def __init__(self, pole_dec: float, pole_ha: float, angular_radius: float):
         DECLINATION.check(pole_dec, "declination")
         ANGULAR_RADIUS.check(angular_radius, "angular radius")
-        object.__setattr__(self, "pole_dec", pole_dec)
-        object.__setattr__(self, "pole_ha", pole_ha)
-        object.__setattr__(self, "angular_radius", angular_radius)
+        super().__init__(pole_dec, pole_ha, angular_radius)
 
 
 class ProjectionKind(_Record):
@@ -148,7 +145,7 @@ class ProjectionKind(_Record):
             raise ValueError("projection parameters must not be NaN")
         if viewpoint_v == 1.0:
             raise ValueError("viewpoint must not lie on the projection plane")
-        object.__setattr__(self, "viewpoint_v", viewpoint_v)
+        super().__init__(viewpoint_v)
 
     @classmethod
     def stereographic(cls) -> "ProjectionKind":

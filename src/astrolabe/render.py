@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Optional
 
 from .back import BackModel, midday_altitude
 from .exceptions import EmptyModelWarning
@@ -82,7 +81,7 @@ class RenderStyle(_Record):
     __slots__ = ("precision", "mirror_ew", "include_layers")
 
     def __init__(self, precision: int = 4, mirror_ew: bool = False,
-                 include_layers: Optional[frozenset] = None):
+                 include_layers: frozenset | None = None):
         if type(precision) is not int:
             raise ValueError(f"precision {PRECISION.text}, got {precision!r}")
         PRECISION.check(precision, "precision")
@@ -92,9 +91,7 @@ class RenderStyle(_Record):
                 raise ValueError(f"unknown layer ids: {sorted(bad)}")
             # sorted, so that equal sets iterate (and print) alike once a copy rebuilt one
             include_layers = frozenset(sorted(include_layers))
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "mirror_ew", mirror_ew)
-        object.__setattr__(self, "include_layers", include_layers)
+        super().__init__(precision, mirror_ew, include_layers)
 
 
 def _zeros(precision: int) -> tuple[str, str]:
@@ -371,7 +368,7 @@ def _document(body: str, half_extent: float, style: RenderStyle, width: float = 
     )
 
 
-def render_svg(model, style: Optional[RenderStyle] = None) -> str:
+def render_svg(model, style: RenderStyle | None = None) -> str:
     """Render one model (plate, rete, or back) to a complete SVG
     document.  Layer selection via style.include_layers; an empty
     selection warns (EmptyModelWarning) and draws the boundary alone."""
@@ -384,7 +381,7 @@ def render_full(
     plate_model: PlateModel,
     rete_model: ReteModel,
     back_model: BackModel,
-    style: Optional[RenderStyle] = None,
+    style: RenderStyle | None = None,
 ) -> str:
     """Render all three faces side by side in one document: top-level
     groups `plate`, `rete`, `back`, inner layer ids prefixed (e.g.

@@ -18,8 +18,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from pathlib import Path
-from typing import Iterable, Union
+import os
+from collections.abc import Iterable
 
 from .exceptions import DuplicateStarName, OutsidePlate, ParseError
 from .geometry import Circle, PlanePoint, _Record
@@ -42,26 +42,15 @@ class StarEntry(_Record):
         DECLINATION.check(dec, "declination")
         if not math.isfinite(ra):
             raise ValueError(f"non-finite right ascension: {ra!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ra", ra % 360.0)
-        object.__setattr__(self, "dec", dec)
-        object.__setattr__(self, "magnitude", magnitude)
+        super().__init__(name, ra % 360.0, dec, magnitude)
 
 
 class ReteModel(_Record):
-    """Ecliptic ring, the plate point of each whole degree of ecliptic
-    longitude (index = longitude), star pointers, skipped stars, boundary."""
+    """The `ecliptic` ring; `zodiac_points`, the plate point of each whole
+    degree of ecliptic longitude (index = longitude); `pointers` and
+    `skipped`, (StarEntry, PlanePoint or reason) pairs; the `boundary`."""
 
     __slots__ = ("ecliptic", "zodiac_points", "pointers", "skipped", "boundary")
-
-    def __init__(self, ecliptic: Circle, zodiac_points: tuple[PlanePoint, ...],
-                 pointers: tuple[tuple[StarEntry, PlanePoint], ...],
-                 skipped: tuple[tuple[StarEntry, str], ...], boundary: Circle):
-        object.__setattr__(self, "ecliptic", ecliptic)
-        object.__setattr__(self, "zodiac_points", zodiac_points)
-        object.__setattr__(self, "pointers", pointers)
-        object.__setattr__(self, "skipped", skipped)
-        object.__setattr__(self, "boundary", boundary)
 
 
 def ecliptic_circle(scale: float, obliquity: float) -> Circle:
@@ -163,7 +152,7 @@ def build_rete(
     )
 
 
-def load_star_catalog(path: Union[str, Path]) -> list[StarEntry]:
+def load_star_catalog(path: str | os.PathLike) -> list[StarEntry]:
     """Read a star catalog CSV (`name,ra_deg,dec_deg,mag`).
 
     Raises ParseError (with the offending 1-based line) on a bad header,
@@ -174,7 +163,7 @@ def load_star_catalog(path: Union[str, Path]) -> list[StarEntry]:
     )
 
 
-def _load_csv(path: Union[str, Path], header: tuple, what: str, make) -> list:
+def _load_csv(path: str | os.PathLike, header: tuple, what: str, make) -> list:
     """Rows of a CSV file with the given header, each built as
     make(name, *numbers).  `#` lines and blank lines are skipped.
 

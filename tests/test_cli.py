@@ -1224,3 +1224,116 @@ def test_every_command_line_ends_in_a_document_a_report_or_a_named_error(argv):
             refused = _RANGE_ERROR.match(last)
             if code == 1 and refused and refused[2] in {d.text for d in _TABLE}:
                 assert refused[1] in {a.partition("=")[0] for a in argv}, (argv, last)
+
+
+def test_the_package_loads_neither_typing_nor_pathlib():
+    """Annotations use builtins and files are opened with open(): under
+    `python -S`, where no site hook has imported them first, importing the
+    package and the CLI and writing a plate and a report to files loads
+    neither `typing` nor `pathlib`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        plate, report = os.path.join(tmp, "plate.svg"), os.path.join(tmp, "report.csv")
+        code = (
+            "import sys, astrolabe, astrolabe.cli\n"
+            f"codes = [astrolabe.cli.main(['plate', '--lat', '40', '--out', {plate!r}]),\n"
+            f"         astrolabe.cli.main(['project', '--dec', '10', '--out', {report!r}])]\n"
+            "print(codes, sorted({'typing', 'pathlib'} & set(sys.modules)))"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, timeout=60, env=source_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+        with open(plate, encoding="utf-8") as fh:
+            assert fh.read().endswith("</svg>\n")
+        with open(report, newline="", encoding="utf-8") as fh:
+            assert fh.readline() == "stat,value\r\n"
+
+
+# ------------------------------------------------ every range end, one flag at a time
+
+# a command line per command that exits 0; each case below adds one flag to it
+SWEEP_BASES = {
+    ("plate",): ["--lat", "40"],
+    ("rete",): [],
+    ("back",): ["--lat", "40"],
+    ("full",): ["--lat", "40"],
+    ("project",): ["--dec", "10"],
+    ("qibla",): ["--lat", "33.5", "--lon", "36.3"],
+    ("analyze", "arc-displacement"): ["--ds", "1", "--dp", "1"],
+    ("analyze", "quadrant-chords"): ["--radius", "100", "--marks", "0,90,180,270",
+                                     "--tol", "0.1"],
+    ("analyze", "band"): ["--lat", "40", "--altitude", "10", "--radius-error-fraction", "0.02"],
+    ("analyze", "alidade"): ["--length-mm", "150", "--offset", "0.01"],
+    ("analyze", "montecarlo"): ["--lat", "40", "--sun-dec", "10", "--hour-angle", "40",
+                                "--trials", "5"],
+}
+# _geometry checks the scale that these two set, and the back's limb radius (half the
+# diameter), against SCALE
+SIZE_DOMAINS = {"scale_mm": projection.SCALE,
+                "diameter_mm": projection.Range(projection.SCALE.lo, 2 * projection.SCALE.hi)}
+# the numeric flags whose range has an infinite end: a longitude and a true hour angle
+# are read modulo a turn, a step must divide 90 or 360, and a band step, the noise
+# magnitudes and the seed need no ceiling
+OPEN_ENDED = {"lon", "hour_angle:mc", "almucantar_step", "azimuth_step", "band_step",
+              "center_sigma", "radius_sigma", "graduation_sigma", "seed"}
+
+
+def _numeric_flags():
+    """(key, flag, {unit: domain}) for each number a command reads; a domain
+    not keyed by a unit is keyed by None."""
+    for key, flag in cli._FLAGS.items():
+        if flag.kind in (int, float):
+            domain = SIZE_DOMAINS.get(key, flag.domain)
+            yield key, flag, domain if isinstance(domain, dict) else {None: domain}
+
+
+def _just_outside(domain, kind) -> list:
+    """The value of the kind nearest outside each finite end of the
+    domain: the end itself where the end is open."""
+    values = []
+    for end, is_open, away in ((domain.lo, domain.lo_open, -1), (domain.hi, domain.hi_open, 1)):
+        if not math.isfinite(end):
+            continue
+        if kind is int:
+            values.append(int(end) if is_open else int(end) + away)
+        else:
+            values.append(float(end) if is_open else math.nextafter(float(end), away * math.inf))
+    return values
+
+
+def _sweep_cases() -> list:
+    flags = {key: (flag, domains) for key, flag, domains in _numeric_flags()}
+    cases = []
+    for path, base in SWEEP_BASES.items():
+        for key in cli._COMMANDS[path][2]:
+            if key not in flags:
+                continue
+            flag, domains = flags[key]
+            for unit, domain in domains.items():
+                given = [] if unit is None else [cli._FLAGS[key + "_unit"].option, unit]
+                for value in _just_outside(domain, flag.kind):
+                    argv = [*path, *base, *given, f"{flag.option}={value!r}"]
+                    cases.append(pytest.param(argv, flag.option, id=" ".join(argv)))
+    return cases
+
+
+def test_the_sweep_covers_every_command_and_every_open_ended_flag_is_listed():
+    assert set(SWEEP_BASES) == {p for p, (func, _, _) in cli._COMMANDS.items() if func}
+    open_ended = {key for key, _, domains in _numeric_flags()
+                  if not all(math.isfinite(end) for d in domains.values() for end in (d.lo, d.hi))}
+    assert open_ended == OPEN_ENDED
+
+
+@pytest.mark.parametrize("path", list(SWEEP_BASES), ids=" ".join)
+def test_each_sweep_base_exits_zero(capsys, tmp_path, path):
+    code, _, err = run_cli(capsys, *path, *SWEEP_BASES[path], "--out", str(tmp_path / "out"))
+    assert code == 0 and "error" not in err, err
+
+
+@pytest.mark.parametrize("argv, option", _sweep_cases())
+def test_each_number_just_outside_its_range_exits_one_naming_its_flag(capsys, argv, option):
+    """Unlike the drawn contract test above, every end of every numeric
+    flag of every command is tried, one flag at a time."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith(f"error: {option} "), err

@@ -493,3 +493,12 @@ def test_hour_lines_reach_the_arctic_limit():
         assert abs(horizon.signed_distance(project_point(SpherePoint(cfg.obliquity, h), S))) < 1e-9
     assert len(hour_lines(cfg)) == 11
     assert len(build_plate(cfg).hour_lines) == 11
+
+
+@pytest.mark.parametrize("latitude, obliquity", [
+    (MIN_LATITUDE, 23.44), (40.0, 23.44), (40.0, 1e-300), (90.0 - 23.44 - 1e-9, 23.44),
+    (52.5, 29.9), (89.0, 0.5)])
+def test_the_plates_hour_lines_are_hour_lines_from_its_own_tropics(latitude, obliquity):
+    # build_plate hands the radii of its tropic circles to the hour-line kernel
+    cfg = PlateConfig(latitude, 37.5, obliquity)
+    assert build_plate(cfg).hour_lines == hour_lines(cfg)

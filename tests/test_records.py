@@ -13,6 +13,7 @@ import pickle
 
 import pytest
 
+import astrolabe.geometry
 from astrolabe import (
     Arc,
     BackConfig,
@@ -115,3 +116,40 @@ def test_records_are_immutable_slotted_values(cls, fields, defaults):
     assert list(required) == list(fields)[: len(required)]
     for short in (cls(**required), cls(*required.values())):
         assert {name: getattr(short, name) for name in defaults} == defaults
+
+
+def _package_records() -> set:
+    """Every subclass of the records' base defined in the package."""
+    found, todo = set(), [astrolabe.geometry._Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("astrolabe.") and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return found
+
+
+def test_the_table_holds_every_record_of_the_package():
+    """So the value test above builds each record by position and by
+    keyword, compares the two, and round-trips it through pickle."""
+    assert _package_records() == {cls for cls, _, _ in RECORDS}
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_a_missing_extra_or_unknown_field_raises_type_error_naming_the_class(cls, fields,
+                                                                            defaults):
+    values = tuple(fields.values())
+    first, *rest = fields
+    wrong = [
+        lambda: cls(*values, 0),  # extra
+        lambda: cls(*values, unknown=0),
+        lambda: cls(**fields, unknown=0),
+        lambda: cls(*values, **{first: values[0]}),  # the first field twice
+    ]
+    if first not in defaults:  # the first field missing
+        wrong.append(lambda: cls(**{name: fields[name] for name in rest}))
+    if not defaults:  # the last field missing
+        wrong.append(lambda: cls(*values[:-1]))
+    for build in wrong:
+        with pytest.raises(TypeError, match=rf"\b{cls.__name__}\b"):
+            build()
