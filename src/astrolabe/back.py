@@ -29,8 +29,8 @@ from collections.abc import Iterable
 
 from .exceptions import DomainError, UndefinedBearing
 from .geometry import Arc, Circle, PlanePoint, Segment, _Record, arc_through
-from .projection import (ALTITUDE, DECLINATION, LATITUDE, OBLIQUITIES, OBLIQUITY, OPEN_LATITUDE,
-                         POSITIVE, SCALE, from_plate_polar, horizon_to_sphere)
+from .projection import (ALTITUDE, DECLINATION, FINITE, LATITUDE, OBLIQUITIES, OBLIQUITY,
+                         OPEN_LATITUDE, POSITIVE, SCALE, from_plate_polar, horizon_to_sphere)
 from .rete import _load_csv
 
 
@@ -44,8 +44,7 @@ class Locality(_Record):
         if not name:
             raise ValueError("locality name must be non-empty")
         DECLINATION.check(latitude, "latitude")
-        if not math.isfinite(longitude):
-            raise ValueError(f"non-finite longitude: {longitude!r}")
+        FINITE.check(longitude, "longitude")
         lon = longitude % 360.0
         if lon > 180.0:
             lon -= 360.0
@@ -102,8 +101,7 @@ def solar_longitude(day: float) -> float:
     """Ecliptic longitude of the sun (degrees in [0, 360)) on a day of
     the year (1-based; values outside [1, year] wrap, so the longitude
     is periodic in exactly one year by construction)."""
-    if not math.isfinite(day):
-        raise ValueError(f"non-finite day: {day!r}")
+    FINITE.check(day, "day")
     d = (day - 1.0) % YEAR_DAYS + 1.0
     m = 360.0 * (d - PERIHELION_DAY) / YEAR_DAYS
     m_eq = 360.0 * (EQUINOX_DAY - PERIHELION_DAY) / YEAR_DAYS
@@ -113,8 +111,8 @@ def solar_longitude(day: float) -> float:
 
 def solar_declination(longitude: float, obliquity: float = OBLIQUITY) -> float:
     """Declination (degrees) of the sun at an ecliptic longitude."""
-    if not (math.isfinite(longitude) and math.isfinite(obliquity)):
-        raise ValueError(f"non-finite longitude or obliquity: {longitude!r}, {obliquity!r}")
+    FINITE.check(longitude, "longitude")
+    FINITE.check(obliquity, "obliquity")
     s = math.sin(math.radians(obliquity)) * math.sin(math.radians(longitude))
     return math.degrees(math.asin(max(-1.0, min(1.0, s))))
 

@@ -5,10 +5,13 @@ Subcommands: plate / rete / back / full (SVG emission), project
 (bearing to Mecca, both routes), and analyze (error propagation:
 arc-displacement, quadrant-chords, band, alidade, montecarlo).
 
-Exit codes: 0 success; 1 invalid usage or configuration (including
-config-file parse errors); 2 mathematical domain errors (arctic
-latitude, undefined projection, undefined bearing, infeasible
-scenario); 3 input/output failure.  Diagnostics go to stderr.
+A command's handler returns what it made, an SVG document or (stat, value)
+rows, and `main` writes it: a document to --out or stdout, rows as a table
+to stdout and as CSV to --out.  Every exit code is decided in `main`'s one
+`try`: 0 success; 1 invalid usage or configuration (including config-file
+parse errors); 2 mathematical domain errors (arctic latitude, undefined
+projection, undefined bearing, infeasible scenario); 3 input/output
+failure, the help text's too.  Diagnostics go to stderr.
 
 A config file (--config) holds `key = value` lines; `#` starts a comment at
 the start of a line or after whitespace, so a `#` inside a value
@@ -45,7 +48,7 @@ from .back import (
 )
 from .exceptions import AstrolabeError, ParseError, UnknownKey
 from .geometry import Circle, PlanePoint
-from .plate import PlateConfig, build_plate
+from .plate import PlateConfig, PlateModel, build_plate
 from .projection import (ALTITUDE, BAND_STEP, DECLINATION, DEGREES, FINITE, FRACTION, LATITUDE,
                          LENGTH, LENGTH_OR_0, NON_NEGATIVE, OBLIQUITIES, OBLIQUITY, PRECISION,
                          RADIANS, RETE_OBLIQUITIES, SCALE, SEED, SIGNED_DEGREES, SIGNED_LENGTH,
@@ -59,12 +62,8 @@ _CONFIG_KEYS = ("lat", "lon", "scale_mm", "diameter_mm", "obliquity", "almucanta
                 "azimuth_step", "catalog", "localities", "seed", "out", "mirror_ew", "precision")
 
 _COMMENT = re.compile(r"(^|\s)#.*")
-_TRUE = {"true", "yes", "1", "on"}
-_FALSE = {"false", "no", "0", "off"}
-
-
-class _UsageError(Exception):
-    """A command line that names no command, or a flag it lacks or misuses."""
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
+          "false": False, "no": False, "0": False, "off": False}
 
 
 def load_config(path) -> dict:
@@ -95,16 +94,9 @@ def load_config(path) -> dict:
                 raise ParseError(f"duplicate key {key!r}", line=lineno, column=col)
             kind = _FLAGS[key].kind
             try:
-                if kind is bool:
-                    low = value.lower()
-                    if low in _TRUE:
-                        out[key] = True
-                    elif low in _FALSE:
-                        out[key] = False
-                    else:
-                        raise ValueError(f"bad boolean {value!r}")
-                else:
-                    out[key] = kind(value)
+                if kind is bool and value.lower() not in _BOOLS:
+                    raise ValueError(f"bad boolean {value!r}")
+                out[key] = _BOOLS[value.lower()] if kind is bool else kind(value)
             except ValueError as exc:
                 raise ParseError(
                     str(exc), line=lineno, column=len(left) + 2
@@ -145,27 +137,18 @@ def _geometry(args) -> tuple[float, float]:
     return obliquity, scale
 
 
-def _style(args) -> RenderStyle:
-    return RenderStyle(precision=args.precision, mirror_ew=bool(args.mirror_ew))
-
-
-def _write_text(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _plate_config(args, obliquity: float, scale: float) -> PlateConfig:
     optional = {key: getattr(args, key) for key in _STEPS if getattr(args, key, None) is not None}
     return PlateConfig(latitude=args.lat, scale=scale, obliquity=obliquity, **optional)
 
 
+def _plate(args, obliquity: float, scale: float) -> PlateModel:
+    return build_plate(_plate_config(args, obliquity, scale))
+
+
 def _rete(args, obliquity: float, scale: float) -> ReteModel:
     """The rete; each star it leaves out gets a `note:` line on stderr."""
-    catalog = load_star_catalog(args.catalog) if getattr(args, "catalog", None) else []
+    catalog = load_star_catalog(args.catalog) if args.catalog else []
     model = build_rete(catalog, scale, obliquity)
     for _, reason in model.skipped:
         print(f"note: {reason}", file=sys.stderr)
@@ -175,39 +158,28 @@ def _rete(args, obliquity: float, scale: float) -> ReteModel:
 def _back(args, obliquity: float, scale: float) -> BackModel:
     radius = scale * math.tan(math.radians(45.0 + obliquity / 2.0))
     cfg = BackConfig(latitude=args.lat, radius=radius, obliquity=obliquity)
-    locs = load_localities(args.localities) if getattr(args, "localities", None) else []
+    locs = load_localities(args.localities) if args.localities else []
     return build_back(cfg, locs)
 
 
-def _cmd_plate(args) -> int:
-    model = build_plate(_plate_config(args, *_geometry(args)))
-    _write_text(args, render_svg(model, _style(args)))
-    return 0
+def _svg(*faces):
+    """The handler that builds each face, in order, from one geometry and
+    renders one face as its own document or three as the full instrument.
+    The builders and renderers are looked up when it runs, not bound here."""
 
+    def handler(args) -> str:
+        geometry = _geometry(args)
+        models = [face(args, *geometry) for face in faces]
+        style = RenderStyle(precision=args.precision, mirror_ew=bool(args.mirror_ew))
+        return render_svg(*models, style) if len(models) == 1 else render_full(*models, style)
 
-def _cmd_rete(args) -> int:
-    _write_text(args, render_svg(_rete(args, *_geometry(args)), _style(args)))
-    return 0
-
-
-def _cmd_back(args) -> int:
-    _write_text(args, render_svg(_back(args, *_geometry(args)), _style(args)))
-    return 0
-
-
-def _cmd_full(args) -> int:
-    geometry = _geometry(args)
-    plate_model = build_plate(_plate_config(args, *geometry))
-    rete_model = _rete(args, *geometry)
-    back_model = _back(args, *geometry)
-    _write_text(args, render_full(plate_model, rete_model, back_model, _style(args)))
-    return 0
+    return handler
 
 
 _KINDS = ("stereographic", "gnomonic", "external", "orthographic")
 
 
-def _cmd_project(args) -> int:
+def _cmd_project(args) -> list:
     if args.kind == "external":
         if args.q is None:
             raise ValueError(f"--kind external needs --q, which {VIEWPOINT.text}")
@@ -217,7 +189,7 @@ def _cmd_project(args) -> int:
     _, scale = _geometry(args)
     r = axis_projection_radius(args.dec, kind, scale)
     p = from_plate_polar(r, args.hour_angle)
-    rows = [
+    return [
         ("kind", args.kind),
         ("dec_deg", f"{args.dec:.6f}"),
         ("hour_angle_deg", f"{args.hour_angle:.6f}"),
@@ -225,44 +197,29 @@ def _cmd_project(args) -> int:
         ("x_mm", f"{p.x:.6f}"),
         ("y_mm", f"{p.y:.6f}"),
     ]
-    _report(args, rows)
-    return 0
 
 
-def _cmd_qibla(args) -> int:
+def _cmd_qibla(args) -> list:
     obs = Locality(args.name or "observer", args.lat, args.lon)
     oracle = bearing_oracle(obs, MECCA)
     closed = qibla_eq13(obs, MECCA)
     diff = abs((oracle - closed + 180.0) % 360.0 - 180.0)
-    rows = [
-        ("observer_lat_deg", f"{obs.latitude:.6f}"),
-        ("observer_lon_deg", f"{obs.longitude:.6f}"),
-        ("bearing_oracle_deg", f"{oracle:.6f}"),
-        ("qibla_eq13_deg", f"{closed:.6f}"),
-        ("abs_difference_deg", f"{diff:.6f}"),
-    ]
-    _report(args, rows)
     if diff > 1e-6:
         print(
             "note: the closed tangent form disagrees with the great-circle "
             "bearing here; trust the bearing_oracle_deg value",
             file=sys.stderr,
         )
-    return 0
+    return [
+        ("observer_lat_deg", f"{obs.latitude:.6f}"),
+        ("observer_lon_deg", f"{obs.longitude:.6f}"),
+        ("bearing_oracle_deg", f"{oracle:.6f}"),
+        ("qibla_eq13_deg", f"{closed:.6f}"),
+        ("abs_difference_deg", f"{diff:.6f}"),
+    ]
 
 
-def _report(args, rows) -> None:
-    """Plain-text table to stdout; CSV (stat,value) to --out if given."""
-    width = max(len(k) for k, _ in rows)
-    text = "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows) + "\n"
-    sys.stdout.write(text)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows([("stat", "value"), *rows])
-
-
-def _cmd_analyze_arc(args) -> int:
+def _cmd_analyze_arc(args) -> list:
     has_ds = args.ds is not None
     has_angular = args.dalpha is not None or args.radius is not None
     if has_ds == has_angular:
@@ -280,30 +237,27 @@ def _cmd_analyze_arc(args) -> int:
             ("ds_mm", f"{args.radius * args.dalpha:.6f}"),
         ]
     rows += [("dp_mm", f"{args.dp:.6f}"), ("displacement_mm", f"{d:.6f}")]
-    _report(args, rows)
-    return 0
+    return rows
 
 
-def _cmd_analyze_chords(args) -> int:
+def _cmd_analyze_chords(args) -> list:
     marks = [float(v) for v in args.marks.split(",")]
     circle = Circle(PlanePoint(0.0, 0.0), args.radius)
     verdict = ea.quadrant_chord_diagnosis(circle, marks, args.tol)
-    rows = [
+    return [
         ("radius_mm", f"{args.radius:.6f}"),
         ("marks_deg", ";".join(f"{m:g}" for m in marks)),
         ("tol_mm", f"{args.tol:.6f}"),
         ("classification", verdict),
     ]
-    _report(args, rows)
-    return 0
 
 
-def _cmd_analyze_band(args) -> int:
+def _cmd_analyze_band(args) -> list:
     _, scale = _geometry(args)
     displacement, band = ea.band_misassignment(args.lat, scale, args.altitude,
                                                args.radius_error_fraction, args.band_step)
     spacing = ea.band_spacing(args.lat, scale, args.altitude, args.band_step)
-    rows = [
+    return [
         ("latitude_deg", f"{args.lat:.6f}"),
         ("scale_mm", f"{scale:.6f}"),
         ("altitude_deg", f"{args.altitude:.6f}"),
@@ -312,11 +266,9 @@ def _cmd_analyze_band(args) -> int:
         ("band_spacing_mm", f"{spacing:.6f}"),
         ("lands_on_band_deg", f"{band:.6f}"),
     ]
-    _report(args, rows)
-    return 0
 
 
-def _cmd_analyze_alidade(args) -> int:
+def _cmd_analyze_alidade(args) -> list:
     rows = []
     if args.offset is not None:
         if args.length_mm is None:
@@ -343,11 +295,10 @@ def _cmd_analyze_alidade(args) -> int:
         ]
     if not rows:
         raise ValueError("give --offset and/or --rotation")
-    _report(args, rows)
-    return 0
+    return rows
 
 
-def _cmd_analyze_mc(args) -> int:
+def _cmd_analyze_mc(args) -> list:
     cfg = _plate_config(args, *_geometry(args))
     pert = ea.PerturbationSpec(
         center_sigma=args.center_sigma,
@@ -358,7 +309,7 @@ def _cmd_analyze_mc(args) -> int:
     report = ea.monte_carlo_readout(cfg, pert, args.scenario, args.sun_dec, args.hour_angle,
                                     args.trials)
     unit = "deg" if args.scenario == "altitude" else "hours"
-    rows = [
+    return [
         ("scenario", args.scenario),
         ("n_trials", str(report.n_trials)),
         (f"mean_{unit}", f"{report.mean:.6f}"),
@@ -366,8 +317,6 @@ def _cmd_analyze_mc(args) -> int:
         (f"max_abs_{unit}", f"{report.max_abs:.6f}"),
         ("classification", report.classification),
     ]
-    _report(args, rows)
-    return 0
 
 
 class _Flag:
@@ -455,12 +404,12 @@ _STEPS = ("almucantar_step", "azimuth_step")
 _COMMANDS = {
     (): (None, "Design a planispheric astrolabe: plate, rete, and back geometry as SVG, "
          "plus projection and engraving-error analysis.", ()),
-    ("plate",): (_cmd_plate, "plate (tympan) SVG for a latitude",
+    ("plate",): (_svg(_plate), "plate (tympan) SVG for a latitude",
                  ("lat", *_GEOMETRY, *_RENDER, *_STEPS)),
-    ("rete",): (_cmd_rete, "rete (star map) SVG", (*_FLAT, *_RENDER, "catalog")),
-    ("back",): (_cmd_back, "back face SVG (scales and calendar)",
+    ("rete",): (_svg(_rete), "rete (star map) SVG", (*_FLAT, *_RENDER, "catalog")),
+    ("back",): (_svg(_back), "back face SVG (scales and calendar)",
                 ("lat", *_GEOMETRY, *_RENDER, "localities")),
-    ("full",): (_cmd_full, "plate + rete + back in one SVG",
+    ("full",): (_svg(_plate, _rete, _back), "plate + rete + back in one SVG",
                 ("lat", *_GEOMETRY, *_RENDER, *_STEPS, "catalog", "localities")),
     ("project",): (_cmd_project, "project one sphere point under a projection family member",
                    (*_FLAT, "dec", "hour_angle:project", "kind", "q")),
@@ -492,11 +441,11 @@ def _value(flag: _Flag, text: str, where: str):
         if text in flag.kind:
             return text
         choices = ", ".join(map(repr, flag.kind))
-        raise _UsageError(f"{where}: invalid choice: {text!r} (choose from {choices})")
+        raise ValueError(f"{where}: invalid choice: {text!r} (choose from {choices})")
     try:
         return flag.kind(text)
     except ValueError:
-        raise _UsageError(f"{where}: invalid {flag.kind.__name__} value: {text!r}") from None
+        raise ValueError(f"{where}: invalid {flag.kind.__name__} value: {text!r}") from None
 
 
 def _parse(argv: list):
@@ -511,7 +460,7 @@ def _parse(argv: list):
     while _COMMANDS[path][0] is None:
         prog, dest = " ".join(("astrolabe", *path)), "mode" if path else "command"
         if not rest:
-            raise _UsageError(f"{prog}: the following arguments are required: {dest}")
+            raise ValueError(f"{prog}: the following arguments are required: {dest}")
         token = rest.pop(0)
         if token in _HELP:
             return _help(path)
@@ -521,7 +470,7 @@ def _parse(argv: list):
             path += (token,)
         else:
             choices = ", ".join(map(repr, _children(path)))
-            raise _UsageError(
+            raise ValueError(
                 f"{prog}: argument {dest}: invalid choice: {token!r} (choose from {choices})")
     if any(token in _HELP for token in rest):
         return _help(path)
@@ -538,17 +487,17 @@ def _parse(argv: list):
         flag, where = by_option[option], f"{prog}: argument {option}"
         if flag.kind is bool:
             if eq:
-                raise _UsageError(f"{where}: ignored explicit argument {text!r}")
+                raise ValueError(f"{where}: ignored explicit argument {text!r}")
             value = True
         else:
             if not eq:
                 if not rest or rest[0].startswith("--"):
-                    raise _UsageError(f"{where}: expected one argument")
+                    raise ValueError(f"{where}: expected one argument")
                 text = rest.pop(0)
             value = _value(flag, text, where)
         setattr(args, flag.dest, value)
     if extras:
-        raise _UsageError(f"astrolabe: unrecognized arguments: {' '.join(extras)}")
+        raise ValueError(f"astrolabe: unrecognized arguments: {' '.join(extras)}")
     return args, prog, flags
 
 
@@ -583,16 +532,30 @@ def _help(path: tuple) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
+def _write_text(args, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _report(args, rows) -> None:
+    """Plain-text table to stdout; CSV (stat,value) to --out if given."""
+    width = max(len(k) for k, _ in rows)
+    text = "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows) + "\n"
+    sys.stdout.write(text)
+    if args.out:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([("stat", "value"), *rows])
+
+
 def main(argv: list | None = None) -> int:
     try:
         parsed = _parse(sys.argv[1:] if argv is None else argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if parsed is None:  # a help text was printed
-        return 0
-    args, prog, flags = parsed
-    try:
+        if parsed is None:  # a help text was printed
+            return 0
+        args, prog, flags = parsed
         _merge_config(args, prog, flags)
         for flag in flags:  # a number first must be finite, then lie in its range
             value, domain = getattr(args, flag.dest), flag.domain
@@ -601,7 +564,12 @@ def main(argv: list | None = None) -> int:
             if value is not None and domain is not None:
                 FINITE.check(value, flag.option)
                 domain.check(value, flag.option)
-        return args.func(args)
+        out = args.func(args)
+        if isinstance(out, str):
+            _write_text(args, out)
+        else:
+            _report(args, out)
+        return 0
     except (ParseError, UnknownKey, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,7 +33,7 @@ from .geometry import Circle, PlanePoint, _Record, _center_offset, chord_length,
 # unused here, but bench/tracing.py counts calls to them through this module
 from .geometry import circle_circle_intersection, circumcircle  # noqa: F401
 from .plate import PlateConfig, _y_lower, almucantar_solution, night_hours, tropic_circles
-from .projection import (BAND_STEP, NON_NEGATIVE, POSITIVE, SEED, TRIALS,
+from .projection import (BAND_STEP, FINITE, NON_NEGATIVE, POSITIVE, SEED, TRIALS,
                          from_plate_polar, plate_angle_deg, stereographic_radius)
 from .projection import MAX_TRIALS, MIN_BAND_STEP  # noqa: F401  (the reports' limits)
 
@@ -57,8 +57,8 @@ def alidade_rotation_error(rotation: float) -> float:
 
 def arc_displacement(ds: float, dp: float) -> float:
     """Total arc displacement from tangential and radial offsets."""
-    if not (math.isfinite(ds) and math.isfinite(dp)):
-        raise ValueError(f"offsets must be finite, got {ds!r}, {dp!r}")
+    FINITE.check(ds, "ds")
+    FINITE.check(dp, "dp")
     return math.hypot(ds, dp)
 
 
@@ -99,15 +99,13 @@ def band_misassignment(
     altitude)/2) - D/scale); the crossing test settles it against rounding.
     """
     BAND_STEP.check(band_step, "band step")
-    if not math.isfinite(radius_error_fraction):
-        raise ValueError(f"radius error fraction must be finite, got {radius_error_fraction!r}")
+    FINITE.check(radius_error_fraction, "radius error fraction")
     sol = almucantar_solution(latitude, altitude, scale)
     displacement = abs(radius_error_fraction) * sol.radius
 
     def within(m: int) -> bool:  # band m lies below 90 and its crossing within reach
         h = altitude + m * band_step
-        return h <= 90.0 - 1e-9 and (
-            abs(almucantar_solution(latitude, h, scale).y_lower - sol.y_lower) <= displacement)
+        return h <= 90.0 - 1e-9 and abs(_y_lower(latitude, h, scale) - sol.y_lower) <= displacement
 
     half = math.tan(math.radians((latitude - altitude) / 2.0)) - displacement / scale
     h_star = latitude - 2.0 * math.degrees(math.atan(half))

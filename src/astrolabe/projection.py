@@ -116,8 +116,7 @@ class SpherePoint(_Record):
 
     def __init__(self, dec: float, hour_angle: float):
         DECLINATION.check(dec, "declination")
-        if not math.isfinite(hour_angle):
-            raise ValueError(f"non-finite hour angle: {hour_angle!r}")
+        FINITE.check(hour_angle, "hour angle")
         super().__init__(dec, hour_angle % 360.0)
 
 
@@ -196,8 +195,6 @@ def axis_projection_radius(dec: float, kind: ProjectionKind, scale: float) -> fl
         raise DomainError(
             f"projection undefined at dec = {dec}: ray parallel to the plane"
         )
-    if v == -1.0:
-        return _stereographic(sind, cosd, scale)
     return scale * (-v) * cosd / den
 
 
@@ -238,20 +235,13 @@ def _cos_sin_deg(angle: float) -> tuple[float, float]:
     return ((c, s), (-s, c), (-c, -s), (s, -c))[quarter % 4]
 
 
-def _horizon_angles(latitude: float, altitude: float, azimuth: float) -> tuple[float, float]:
-    """Declination and hour angle (degrees, the hour angle as atan2 gives
-    it, in [-180, 180]) of the sphere point seen from latitude phi at
-    altitude h and compass azimuth A (degrees from north through east);
-    see `_sky_angles`."""
-    phi, h = math.radians(latitude), math.radians(altitude)
-    return _sky_angles(math.sin(phi), math.cos(phi), math.sin(h), math.cos(h),
-                       *_cos_sin_deg(azimuth))
-
-
 def _sky_angles(sin_phi: float, cos_phi: float, sin_h: float, cos_h: float,
                 cos_a: float, sin_a: float) -> tuple[float, float]:
-    """`_horizon_angles` from the sines and cosines of phi, h and A, from
-    the point's components toward the pole, the upper meridian and the east:
+    """Declination and hour angle (degrees, the hour angle as atan2 gives
+    it, in [-180, 180]) of the sphere point seen from latitude phi at
+    altitude h and compass azimuth A, from the sines and cosines of phi, h
+    and A and the point's components toward the pole, the upper meridian
+    and the east:
 
         sin(dec) = sin(phi) sin(h) + cos(phi) cos(h) cos(A)
     """
@@ -264,8 +254,10 @@ def _sky_angles(sin_phi: float, cos_phi: float, sin_h: float, cos_h: float,
 
 def horizon_to_sphere(latitude: float, altitude: float, azimuth: float) -> SpherePoint:
     """The sphere point seen from latitude phi at altitude h and compass
-    azimuth A (degrees from north through east); see `_horizon_angles`."""
-    return SpherePoint(*_horizon_angles(latitude, altitude, azimuth))
+    azimuth A (degrees from north through east); see `_sky_angles`."""
+    phi, h = math.radians(latitude), math.radians(altitude)
+    return SpherePoint(*_sky_angles(math.sin(phi), math.cos(phi), math.sin(h), math.cos(h),
+                                    *_cos_sin_deg(azimuth)))
 
 
 def solve_altitude_for_azimuth(latitude: float, declination: float, azimuth: float) -> float:

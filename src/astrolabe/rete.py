@@ -23,7 +23,7 @@ from collections.abc import Iterable
 
 from .exceptions import DuplicateStarName, OutsidePlate, ParseError
 from .geometry import Circle, PlanePoint, _Record
-from .projection import (DECLINATION, OBLIQUITY, POSITIVE, RETE_OBLIQUITIES, SCALE,
+from .projection import (DECLINATION, FINITE, OBLIQUITY, POSITIVE, RETE_OBLIQUITIES, SCALE,
                          from_plate_polar, stereographic_radius)
 
 # pointers at or beyond this fraction of the boundary radius are off-plate
@@ -40,8 +40,7 @@ class StarEntry(_Record):
         if not name:
             raise ValueError("star name must be non-empty")
         DECLINATION.check(dec, "declination")
-        if not math.isfinite(ra):
-            raise ValueError(f"non-finite right ascension: {ra!r}")
+        FINITE.check(ra, "right ascension")
         super().__init__(name, ra % 360.0, dec, magnitude)
 
 

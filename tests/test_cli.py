@@ -575,6 +575,23 @@ def test_unwritable_output_exits_three(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+class _Unwritable:
+    """A stream whose every write fails, as a full disk's does."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "-h"]])
+def test_a_help_text_that_cannot_be_written_exits_three(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _Unwritable())
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
 def test_missing_config_file_exits_three(capsys):
     code, _, _ = run_cli(capsys, "plate", "--lat", "40", "--config", "/no/such.cfg")
     assert code == 3
@@ -1326,8 +1343,20 @@ def test_the_sweep_covers_every_command_and_every_open_ended_flag_is_listed():
 
 @pytest.mark.parametrize("path", list(SWEEP_BASES), ids=" ".join)
 def test_each_sweep_base_exits_zero(capsys, tmp_path, path):
-    code, _, err = run_cli(capsys, *path, *SWEEP_BASES[path], "--out", str(tmp_path / "out"))
+    code, out, err = run_cli(capsys, *path, *SWEEP_BASES[path], "--out", str(tmp_path / "out"))
     assert code == 0 and "error" not in err, err
+    # with --out a document goes to the file alone, and rows go to stdout as the table and
+    # to the file as CSV; either way the result is the one the same command prints
+    code, printed, _ = run_cli(capsys, *path, *SWEEP_BASES[path])
+    assert code == 0
+    with open(tmp_path / "out", newline="", encoding="utf-8") as fh:
+        written = fh.read()
+    if written.startswith("<?xml"):
+        assert (out, written) == ("", printed)
+    else:
+        head, *rows = csv.reader(io.StringIO(written))
+        assert out == printed and head == ["stat", "value"]
+        assert [tuple(r) for r in rows] == list(report_rows(printed).items())
 
 
 @pytest.mark.parametrize("argv, option", _sweep_cases())
@@ -1337,3 +1366,29 @@ def test_each_number_just_outside_its_range_exits_one_naming_its_flag(capsys, ar
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.splitlines()[-1].startswith(f"error: {option} "), err
+
+
+def test_commands_call_the_names_the_benchmark_traces(capsys, monkeypatch, tmp_path):
+    """bench/tracing.py traces a command by replacing these attributes of
+    astrolabe.cli: each must be looked up when the command runs, not bound
+    into a table when the module loads."""
+    names = ("build_plate", "build_rete", "load_star_catalog", "build_back", "load_localities",
+             "render_svg", "render_full", "axis_projection_radius", "load_config")
+    ran = set()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            ran.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    data = Path(__file__).resolve().parents[1] / "demos" / "data"
+    cfg = tmp_path / "site.cfg"
+    cfg.write_text(f"lat = 40\ncatalog = {data / 'bright_stars.csv'}\n"
+                   f"localities = {data / 'cities.csv'}\n", encoding="utf-8")
+    for argv in (["plate"], ["rete"], ["back"], ["full"]):
+        assert run_cli(capsys, *argv, "--config", str(cfg))[0] == 0
+    assert run_cli(capsys, "project", "--dec", "10")[0] == 0
+    assert set(names) - ran == set()

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import astrolabe
 from astrolabe import (
     STEREOGRAPHIC,
     CollinearPoints,
@@ -258,3 +259,30 @@ def test_circle_image_residual_projects_with_requested_kind():
     for kind in (STEREOGRAPHIC, ProjectionKind.external(3.0), ProjectionKind.orthographic()):
         fit = circle_image_residual(spec, kind, 72, S)
         assert fit.rms_residual < 1e-9 * S
+
+
+# each input the library reads modulo a turn, or takes in any finite size, with the
+# name its refusal gives it
+_FINITE_INPUTS = {
+    "SpherePoint hour angle": (lambda x: SpherePoint(10.0, x), "hour angle"),
+    "StarEntry right ascension": (lambda x: astrolabe.StarEntry("Vega", x, 38.8, 0.0),
+                                  "right ascension"),
+    "Locality longitude": (lambda x: astrolabe.Locality("Damascus", 33.5, x), "longitude"),
+    "solar_longitude day": (astrolabe.solar_longitude, "day"),
+    "solar_declination longitude": (astrolabe.solar_declination, "longitude"),
+    "solar_declination obliquity": (lambda x: astrolabe.solar_declination(90.0, x),
+                                    "obliquity"),
+    "arc_displacement ds": (lambda x: astrolabe.arc_displacement(x, 1.0), "ds"),
+    "arc_displacement dp": (lambda x: astrolabe.arc_displacement(1.0, x), "dp"),
+    "band_misassignment radius error fraction": (
+        lambda x: astrolabe.band_misassignment(40.0, 100.0, 10.0, x), "radius error fraction"),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("site", list(_FINITE_INPUTS))
+def test_non_finite_inputs_are_refused_by_the_range_tables_finite_entry(site, value):
+    call, what = _FINITE_INPUTS[site]
+    with pytest.raises(ValueError) as refused:
+        call(value)
+    assert str(refused.value) == f"{what} must be a finite number, got {value!r}"

@@ -13,6 +13,7 @@ from mpmath import mp, mpf
 
 from astrolabe import (
     SCALE_RANGE,
+    STEREOGRAPHIC,
     Arc,
     ArcticLatitude,
     BackConfig,
@@ -43,7 +44,7 @@ from astrolabe import (
 from astrolabe.geometry import arc_through, circumcircle
 from astrolabe.plate import (MIN_LATITUDE, STRAIGHT_REL, _vertical_end, crossing_hour_angle,
                              night_hours)
-from astrolabe.projection import from_plate_polar, horizon_to_sphere
+from astrolabe.projection import _stereographic, from_plate_polar, horizon_to_sphere
 from astrolabe.render import _fmt, _Pen
 from test_geometry import arc_holds, point_at
 from test_projection import ray_plane_radius
@@ -551,3 +552,9 @@ def test_plate_kernels_equal_the_public_helpers(latitude, scale, obliquity, almu
         else:
             assert el.circle == azimuth_circle(latitude, a, scale)
             assert (el.start_point, el.end_point) in ((ahead, behind), (behind, ahead))
+
+    # the family's formula at v = -1 is the plates' stereographic kernel, bit for bit
+    for dec in (-obliquity, 0.0, obliquity, latitude, 90.0):
+        d = math.radians(dec)
+        assert repr(axis_projection_radius(dec, STEREOGRAPHIC, scale)) == repr(
+            _stereographic(math.sin(d), math.cos(d), scale))
