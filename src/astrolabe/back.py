@@ -29,8 +29,8 @@ from collections.abc import Iterable
 
 from .exceptions import DomainError, UndefinedBearing
 from .geometry import Arc, Circle, PlanePoint, Segment, _Record, arc_through
-from .projection import (ALTITUDE, DECLINATION, FINITE, LATITUDE, OBLIQUITIES, OBLIQUITY,
-                         OPEN_LATITUDE, POSITIVE, SCALE, from_plate_polar, horizon_to_sphere)
+from .projection import (ALTITUDE, DECLINATION, FINITE, LATITUDE, OBLIQUITIES, OBLIQUITY, SCALE,
+                         from_plate_polar, horizon_to_sphere)
 from .rete import _load_csv
 
 
@@ -112,7 +112,7 @@ def solar_longitude(day: float) -> float:
 def solar_declination(longitude: float, obliquity: float = OBLIQUITY) -> float:
     """Declination (degrees) of the sun at an ecliptic longitude."""
     FINITE.check(longitude, "longitude")
-    FINITE.check(obliquity, "obliquity")
+    OBLIQUITIES.check(obliquity, "obliquity")
     s = math.sin(math.radians(obliquity)) * math.sin(math.radians(longitude))
     return math.degrees(math.asin(max(-1.0, min(1.0, s))))
 
@@ -147,7 +147,7 @@ def midday_curve(latitude: float, obliquity: float, radius: float) -> Arc | Segm
     is the Segment between its ends (`arc_through`).  Raises DomainError
     when any control altitude leaves (0, 90].
     """
-    POSITIVE.check(radius, "radius")
+    SCALE.check(radius, "radius")
     decs = (-obliquity, 0.0, obliquity)
     alts = tuple(midday_altitude(latitude, d) for d in decs)
     for h in alts:
@@ -219,7 +219,7 @@ def declination_from_alt_az(latitude: float, altitude: float, azimuth: float) ->
 
         sin(delta) = sin(phi) sin(h) + cos(phi) cos(h) cos(A)
     """
-    OPEN_LATITUDE.check(latitude, "latitude")
+    LATITUDE.check(latitude, "latitude")
     ALTITUDE.check(altitude, "altitude")
     return horizon_to_sphere(latitude, altitude, azimuth).dec
 

@@ -9,9 +9,10 @@ A command's handler returns what it made, an SVG document or (stat, value)
 rows, and `main` writes it: a document to --out or stdout, rows as a table
 to stdout and as CSV to --out.  Every exit code is decided in `main`'s one
 `try`: 0 success; 1 invalid usage or configuration (including config-file
-parse errors); 2 mathematical domain errors (arctic latitude, undefined
-projection, undefined bearing, infeasible scenario); 3 input/output
-failure, the help text's too.  Diagnostics go to stderr.
+and catalog parse errors and a duplicate star name); 2 mathematical domain
+errors (arctic latitude, undefined projection, undefined bearing,
+infeasible scenario); 3 input/output failure, the help text's too.
+Diagnostics go to stderr.
 
 A config file (--config) holds `key = value` lines; `#` starts a comment at
 the start of a line or after whitespace, so a `#` inside a value
@@ -46,14 +47,14 @@ from .back import (
     load_localities,
     qibla_eq13,
 )
-from .exceptions import AstrolabeError, ParseError, UnknownKey
+from .exceptions import AstrolabeError, DuplicateStarName, ParseError, UnknownKey
 from .geometry import Circle, PlanePoint
 from .plate import PlateConfig, PlateModel, build_plate
 from .projection import (ALTITUDE, BAND_STEP, DECLINATION, DEGREES, FINITE, FRACTION, LATITUDE,
                          LENGTH, LENGTH_OR_0, NON_NEGATIVE, OBLIQUITIES, OBLIQUITY, PRECISION,
-                         RADIANS, RETE_OBLIQUITIES, SCALE, SEED, SIGNED_DEGREES, SIGNED_LENGTH,
-                         SIGNED_RADIANS, STEP, TRIALS, VIEWPOINT, ProjectionKind,
-                         axis_projection_radius, from_plate_polar)
+                         RADIANS, SCALE, SEED, SIGNED_DEGREES, SIGNED_LENGTH, SIGNED_RADIANS, STEP,
+                         TRIALS, VIEWPOINT, ProjectionKind, axis_projection_radius,
+                         from_plate_polar)
 from .render import RenderStyle, render_full, render_svg
 from .rete import ReteModel, build_rete, load_star_catalog
 
@@ -349,7 +350,6 @@ _FLAGS = {
     "diameter_mm": _Flag(float, "overall plate diameter in mm (alternative to --scale-mm)",
                          FINITE),
     "obliquity": _Flag(float, "ecliptic obliquity, degrees", OBLIQUITIES, OBLIQUITY),
-    "obliquity:rete": _Flag(float, "ecliptic obliquity, degrees", RETE_OBLIQUITIES, OBLIQUITY),
     "mirror_ew": _Flag(bool, "mirror east-west (negates document x coordinates)"),
     "precision": _Flag(int, "coordinate decimals in the SVG", PRECISION, 4),
     "almucantar_step": _Flag(float, "altitude circle step in degrees, divides 90", STEP, 5.0),
@@ -395,7 +395,6 @@ for _key, _flag in _FLAGS.items():
     _flag.dest = _key.partition(":")[0]
     _flag.option = "--" + _flag.dest.replace("_", "-")
 _GEOMETRY = ("scale_mm", "diameter_mm", "obliquity")
-_FLAT = ("scale_mm", "diameter_mm", "obliquity:rete")  # geometry that takes obliquity 0
 _RENDER = ("mirror_ew", "precision")
 _STEPS = ("almucantar_step", "azimuth_step")
 
@@ -406,13 +405,13 @@ _COMMANDS = {
          "plus projection and engraving-error analysis.", ()),
     ("plate",): (_svg(_plate), "plate (tympan) SVG for a latitude",
                  ("lat", *_GEOMETRY, *_RENDER, *_STEPS)),
-    ("rete",): (_svg(_rete), "rete (star map) SVG", (*_FLAT, *_RENDER, "catalog")),
+    ("rete",): (_svg(_rete), "rete (star map) SVG", (*_GEOMETRY, *_RENDER, "catalog")),
     ("back",): (_svg(_back), "back face SVG (scales and calendar)",
                 ("lat", *_GEOMETRY, *_RENDER, "localities")),
     ("full",): (_svg(_plate, _rete, _back), "plate + rete + back in one SVG",
                 ("lat", *_GEOMETRY, *_RENDER, *_STEPS, "catalog", "localities")),
     ("project",): (_cmd_project, "project one sphere point under a projection family member",
-                   (*_FLAT, "dec", "hour_angle:project", "kind", "q")),
+                   (*_GEOMETRY, "dec", "hour_angle:project", "kind", "q")),
     ("qibla",): (_cmd_qibla, "bearing to Mecca: 3D great-circle oracle and the closed form",
                  ("lat:qibla", "lon", "name")),
     ("analyze",): (None, "error propagation analyses", ()),
@@ -421,7 +420,7 @@ _COMMANDS = {
     ("analyze", "quadrant-chords"): (_cmd_analyze_chords, "diagnose quadrant graduation from "
                                      "four chords", ("radius:chords", "marks", "tol")),
     ("analyze", "band"): (_cmd_analyze_band, "altitude band misassignment from a radius error",
-                          ("lat", *_FLAT, "altitude", "radius_error_fraction", "band_step")),
+                          ("lat", *_GEOMETRY, "altitude", "radius_error_fraction", "band_step")),
     ("analyze", "alidade"): (_cmd_analyze_alidade, "alidade sighting error budget", (
         "length_mm", "offset", "offset_unit", "rotation", "rotation_unit")),
     ("analyze", "montecarlo"): (
@@ -570,7 +569,7 @@ def main(argv: list | None = None) -> int:
         else:
             _report(args, out)
         return 0
-    except (ParseError, UnknownKey, ValueError) as exc:
+    except (ParseError, UnknownKey, DuplicateStarName, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AstrolabeError as exc:

@@ -33,8 +33,9 @@ from .geometry import Circle, PlanePoint, _Record, _center_offset, chord_length,
 # unused here, but bench/tracing.py counts calls to them through this module
 from .geometry import circle_circle_intersection, circumcircle  # noqa: F401
 from .plate import PlateConfig, _y_lower, almucantar_solution, night_hours, tropic_circles
-from .projection import (BAND_STEP, FINITE, NON_NEGATIVE, POSITIVE, SEED, TRIALS,
-                         from_plate_polar, plate_angle_deg, stereographic_radius)
+from .projection import (BAND_STEP, FRACTION, LENGTH, LENGTH_OR_0, NON_NEGATIVE, RADIANS, SEED,
+                         SIGNED_LENGTH, SIGNED_RADIANS, TRIALS, from_plate_polar, plate_angle_deg,
+                         stereographic_radius)
 from .projection import MAX_TRIALS, MIN_BAND_STEP  # noqa: F401  (the reports' limits)
 
 SCENARIOS = ("time_to_sunset", "altitude")
@@ -43,8 +44,8 @@ SCENARIOS = ("time_to_sunset", "altitude")
 def alidade_offset_error(length: float, offset_angle: float) -> float:
     """Limb reading error from a sight-vane offset: length*delta/4 (mm
     when length is mm and delta radians)."""
-    POSITIVE.check(length, "length")
-    NON_NEGATIVE.check(offset_angle, "offset")
+    LENGTH.check(length, "length")
+    RADIANS.check(offset_angle, "offset")
     return length * offset_angle / 4.0
 
 
@@ -57,16 +58,18 @@ def alidade_rotation_error(rotation: float) -> float:
 
 def arc_displacement(ds: float, dp: float) -> float:
     """Total arc displacement from tangential and radial offsets."""
-    FINITE.check(ds, "ds")
-    FINITE.check(dp, "dp")
+    SIGNED_LENGTH.check(ds, "ds")
+    SIGNED_LENGTH.check(dp, "dp")
     return math.hypot(ds, dp)
 
 
 def arc_displacement_angular(radius: float, dalpha: float, dp: float) -> float:
     """Arc displacement when the tangential term is an angular offset
     dalpha (radians) at engraving radius `radius`."""
-    POSITIVE.check(radius, "radius")
-    return arc_displacement(radius * dalpha, dp)
+    LENGTH.check(radius, "radius")
+    SIGNED_RADIANS.check(dalpha, "dalpha")
+    SIGNED_LENGTH.check(dp, "dp")
+    return math.hypot(radius * dalpha, dp)
 
 
 def band_spacing(
@@ -99,7 +102,7 @@ def band_misassignment(
     altitude)/2) - D/scale); the crossing test settles it against rounding.
     """
     BAND_STEP.check(band_step, "band step")
-    FINITE.check(radius_error_fraction, "radius error fraction")
+    FRACTION.check(radius_error_fraction, "radius error fraction")
     sol = almucantar_solution(latitude, altitude, scale)
     displacement = abs(radius_error_fraction) * sol.radius
 
@@ -132,7 +135,7 @@ def quadrant_chord_diagnosis(
     """
     if len(marks) != 4:
         raise ValueError(f"need exactly 4 marks, got {len(marks)}")
-    NON_NEGATIVE.check(tol, "tolerance")
+    LENGTH_OR_0.check(tol, "tolerance")
     angles = sorted(normalize_angle(math.radians(m)) for m in marks)
     chords = [
         chord_length(circle, angles[i], angles[(i + 1) % 4]) for i in range(4)

@@ -51,9 +51,9 @@ import math
 
 from .exceptions import ArcticLatitude, DomainError
 from .geometry import Arc, Circle, PlanePoint, Segment, _Record, arc_through, turns_ccw
-from .projection import (ALTITUDE, LATITUDE, OBLIQUITIES, OBLIQUITY, OPEN_LATITUDE, POSITIVE,
-                         RETE_OBLIQUITIES, SCALE, STEP, _altitude_for_azimuth, _cos_sin_deg,
-                         _sky_angles, _stereographic, from_plate_polar, stereographic_radius)
+from .projection import (ALTITUDE, LATITUDE, OBLIQUITIES, OBLIQUITY, SCALE, STEP,
+                         _altitude_for_azimuth, _cos_sin_deg, _sky_angles, _stereographic,
+                         from_plate_polar, stereographic_radius)
 from .projection import MIN_LATITUDE, MIN_STEP  # noqa: F401  (the plate's floors)
 
 # a vertical whose circle is over this many boundary radii wide is drawn as the straight
@@ -123,10 +123,9 @@ class PlateModel(_Record):
 
 
 def tropic_radii(scale: float, obliquity: float) -> tuple[float, float, float]:
-    """(capricorn, equator, cancer) radii.  With obliquity 0 the tropics
-    collapse onto the equator and all three radii equal `scale`."""
-    POSITIVE.check(scale, "scale")
-    RETE_OBLIQUITIES.check(obliquity, "obliquity")
+    """(capricorn, equator, cancer) radii."""
+    SCALE.check(scale, "scale")
+    OBLIQUITIES.check(obliquity, "obliquity")
     r_cap = stereographic_radius(-obliquity, scale)
     r_can = stereographic_radius(+obliquity, scale)
     return (r_cap, scale, r_can)
@@ -143,7 +142,7 @@ def almucantar_solution(latitude: float, altitude: float, scale: float) -> Merid
     in [MIN_LATITUDE, 90), the plate's range.  altitude = 0 is the horizon.
     Raises DomainError at the zenith (h = 90), where the circle is a point."""
     LATITUDE.check(latitude, "latitude")
-    POSITIVE.check(scale, "scale")
+    SCALE.check(scale, "scale")
     ALTITUDE.check(altitude, "altitude")
     if altitude >= 90.0 - 1e-12:
         raise DomainError("the zenith almucantar is a point, not a circle")
@@ -178,8 +177,8 @@ def azimuth_circle(latitude: float, azimuth: float, scale: float) -> Circle:
     """Full circle carrying the azimuth-A vertical (A in degrees from
     the prime vertical; A and A+180 share a circle).  Raises DomainError
     for A = 90 mod 180, where the vertical is the straight meridian."""
-    OPEN_LATITUDE.check(latitude, "latitude")
-    POSITIVE.check(scale, "scale")
+    LATITUDE.check(latitude, "latitude")
+    SCALE.check(scale, "scale")
     a = azimuth % 360.0
     if abs(math.cos(math.radians(a))) < 1e-11:
         raise DomainError("azimuth 90/270 is the meridian line, not a circle")

@@ -80,19 +80,16 @@ class Range:
 
 # the range table: each input's domain, written once, for the library and the CLI
 FINITE = Range(-math.inf, math.inf, True, True, "must be a finite number")
-POSITIVE = Range(0.0, math.inf, True, True, "must be finite and positive")
 NON_NEGATIVE = Range(0.0, math.inf, hi_open=True, text="must be finite and non-negative")
 SCALE = Range(*SCALE_RANGE, unit=" mm")
 LENGTH = Range(0.0, SCALE_RANGE[1], lo_open=True, unit=" mm")
 LENGTH_OR_0 = Range(0.0, SCALE_RANGE[1], unit=" mm")
 SIGNED_LENGTH = Range(-SCALE_RANGE[1], SCALE_RANGE[1], unit=" mm")
-LATITUDE = Range(MIN_LATITUDE, 90.0, hi_open=True)  # a plate's, a back's
-OPEN_LATITUDE = Range(0.0, 90.0, True, True)  # the horizon's free functions'
+LATITUDE = Range(MIN_LATITUDE, 90.0, hi_open=True)  # a plate's, a back's, a horizon's
 DECLINATION = Range(-90.0, 90.0)  # also a latitude on the globe
 ALTITUDE = Range(0.0, 90.0)
 ANGULAR_RADIUS = Range(0.0, 90.0, lo_open=True)
-OBLIQUITIES = Range(0.0, 30.0, True, True)  # a plate's, a back's: the tropics apart
-RETE_OBLIQUITIES = Range(0.0, 30.0, hi_open=True)  # 0 puts the tropics on the equator
+OBLIQUITIES = Range(0.0, 30.0, True, True)  # the tropics apart
 DEGREES = Range(0.0, 360.0)  # at most one turn
 SIGNED_DEGREES = Range(-360.0, 360.0)
 RADIANS = Range(0.0, math.tau, text="must lie in [0, 2 pi]")
@@ -178,7 +175,7 @@ def axis_projection_radius(dec: float, kind: ProjectionKind, scale: float) -> fl
     projecting rays run parallel to the plane.
     """
     DECLINATION.check(dec, "declination")
-    POSITIVE.check(scale, "scale")
+    SCALE.check(scale, "scale")
     d = math.radians(dec)
     sind, cosd = math.sin(d), math.cos(d)
     if kind.is_orthographic:
@@ -266,7 +263,7 @@ def solve_altitude_for_azimuth(latitude: float, declination: float, azimuth: flo
     `horizon_to_sphere` in its valid range.  Where two crossings exist
     the lower one is returned.  Raises NoSolution when the azimuth is
     never reached at that declination."""
-    OPEN_LATITUDE.check(latitude, "latitude")
+    LATITUDE.check(latitude, "latitude")
     DECLINATION.check(declination, "declination")
     la = math.radians(latitude)
     return _altitude_for_azimuth(latitude, declination, azimuth, math.sin(la), math.cos(la),
@@ -302,7 +299,7 @@ def _altitude_for_azimuth(latitude: float, declination: float, azimuth: float,
 
 def unproject_point(p: PlanePoint, scale: float) -> SpherePoint:
     """Inverse of project_point, back to declination / hour angle."""
-    POSITIVE.check(scale, "scale")
+    SCALE.check(scale, "scale")
     r = math.hypot(p.x, p.y)
     dec = 90.0 - 2.0 * math.degrees(math.atan(r / scale))
     return SpherePoint(dec, plate_angle_deg(p))

@@ -23,8 +23,8 @@ from collections.abc import Iterable
 
 from .exceptions import DuplicateStarName, OutsidePlate, ParseError
 from .geometry import Circle, PlanePoint, _Record
-from .projection import (DECLINATION, FINITE, OBLIQUITY, POSITIVE, RETE_OBLIQUITIES, SCALE,
-                         from_plate_polar, stereographic_radius)
+from .projection import (DECLINATION, FINITE, OBLIQUITIES, OBLIQUITY, SCALE, from_plate_polar,
+                         stereographic_radius)
 
 # pointers at or beyond this fraction of the boundary radius are off-plate
 _BOUNDARY_REL = 1.0 - 1e-12
@@ -53,10 +53,9 @@ class ReteModel(_Record):
 
 
 def ecliptic_circle(scale: float, obliquity: float) -> Circle:
-    """The ecliptic ring: center (0, scale*tan eps), radius scale/cos eps.
-    Obliquity 0 degenerates gracefully to the equator circle."""
-    POSITIVE.check(scale, "scale")
-    RETE_OBLIQUITIES.check(obliquity, "obliquity")
+    """The ecliptic ring: center (0, scale*tan eps), radius scale/cos eps."""
+    SCALE.check(scale, "scale")
+    OBLIQUITIES.check(obliquity, "obliquity")
     e = math.radians(obliquity)
     return Circle(PlanePoint(0.0, scale * math.tan(e)), scale / math.cos(e))
 
@@ -89,8 +88,8 @@ def ecliptic_point(longitude: float, scale: float, obliquity: float) -> PlanePoi
     cos lambda)); the point lands on the ecliptic circle at plate angle
     RA + 90.
     """
-    RETE_OBLIQUITIES.check(obliquity, "obliquity")
-    POSITIVE.check(scale, "scale")
+    OBLIQUITIES.check(obliquity, "obliquity")
+    SCALE.check(scale, "scale")
     cosd, den, sa, ca = _ecliptic_trig(longitude, obliquity)
     r = scale * cosd / den
     return PlanePoint(r * sa, r * ca)
@@ -99,7 +98,7 @@ def ecliptic_point(longitude: float, scale: float, obliquity: float) -> PlanePoi
 def star_pointer(star: StarEntry, scale: float, obliquity: float) -> PlanePoint:
     """Pointer position for a star; raises OutsidePlate when its radius
     reaches the Capricorn boundary (dec <= -obliquity)."""
-    RETE_OBLIQUITIES.check(obliquity, "obliquity")
+    OBLIQUITIES.check(obliquity, "obliquity")
     return _pointer(star, scale, stereographic_radius(-obliquity, scale))
 
 
@@ -122,7 +121,7 @@ def build_rete(
     boundary are skipped and reported, not fatal; duplicate names raise
     DuplicateStarName, and a scale outside SCALE_RANGE raises ValueError."""
     SCALE.check(scale, "scale")
-    RETE_OBLIQUITIES.check(obliquity, "obliquity")
+    OBLIQUITIES.check(obliquity, "obliquity")
     r_cap = stereographic_radius(-obliquity, scale)
     stars = list(catalog)
     seen = set()

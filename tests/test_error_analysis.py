@@ -35,7 +35,7 @@ from astrolabe import (
 from astrolabe.error_analysis import SCENARIOS, _read_altitude, _sun_altitude, trial_draws
 from astrolabe.geometry import COLLINEAR_AREA_REL, circle_circle_intersection, circumcircle
 from astrolabe.plate import almucantar_solution, night_hours, tropic_circles, zenith_point
-from astrolabe.projection import from_plate_polar, plate_angle_deg, stereographic_radius
+from astrolabe.projection import FRACTION, from_plate_polar, plate_angle_deg, stereographic_radius
 from test_geometry import point_at
 
 # section-4 style worked configuration: 150 mm plate
@@ -119,22 +119,22 @@ def test_band_step_must_be_a_finite_step_of_at_least_1e_9_degrees(step):
 
 
 def test_band_misassignment_lands_without_a_search(monkeypatch):
-    # 600,000 bands of 1e-4 degrees lie above 30: the closed form lands on
-    # the band, and the crossing test only confirms it (the true crossing,
-    # then bands m and m + 1)
+    # 600,000 bands of 1e-4 degrees lie above 30, 17,257 of them below the
+    # band read: the closed form lands on it, and the crossing test only
+    # confirms it (bands m and m + 1, a rounding step aside)
     calls = []
-    solve = astrolabe.error_analysis.almucantar_solution
-    monkeypatch.setattr(astrolabe.error_analysis, "almucantar_solution",
-                        lambda *a: calls.append(a) or solve(*a))
+    crossing = ea._y_lower
+    monkeypatch.setattr(ea, "_y_lower", lambda *a: calls.append(a) or crossing(*a))
     disp, band = band_misassignment(40.0, 100.0, 30.0, 0.02, 1e-4)
-    assert len(calls) <= 4
+    assert len(calls) <= 3
     assert abs(y_lower(40.0, band, 100.0) - y_lower(40.0, 30.0, 100.0)) <= disp
     assert abs(y_lower(40.0, band + 1e-4, 100.0) - y_lower(40.0, 30.0, 100.0)) > disp
     # the finest step, one band per 1e-9 degrees, runs as fast
     _, fine = band_misassignment(40.0, 100.0, 30.0, 0.02, 1e-9)
     assert fine == pytest.approx(band, abs=1e-4)
-    assert len(calls) <= 8
-    with pytest.raises(ValueError, match="finite"):
+    assert len(calls) <= 6
+    with pytest.raises(ValueError, match=re.escape(
+            f"radius error fraction {FRACTION.text}, got nan")):
         band_misassignment(40.0, 100.0, 30.0, math.nan, 3.0)
 
 

@@ -82,8 +82,6 @@ def test_tropic_radii_closed_form():
     assert cap == pytest.approx(S * math.tan(math.radians(45.0 + eps / 2.0)), rel=1e-15)
     assert can == pytest.approx(S * math.tan(math.radians(45.0 - eps / 2.0)), rel=1e-15)
     assert can < eq < cap
-    # zero obliquity collapses the tropics onto the equator
-    assert tropic_radii(S, 0.0) == pytest.approx((S, S, S))
     with pytest.raises(ValueError):
         tropic_radii(0.0, eps)
     with pytest.raises(ValueError):

@@ -26,6 +26,8 @@ from astrolabe import (
     stereographic_radius,
     unproject_point,
 )
+from astrolabe.projection import (FRACTION, LATITUDE, LENGTH, LENGTH_OR_0, OBLIQUITIES, RADIANS,
+                                  SCALE, SIGNED_LENGTH, SIGNED_RADIANS)
 
 S = 100.0
 
@@ -270,12 +272,6 @@ _FINITE_INPUTS = {
     "Locality longitude": (lambda x: astrolabe.Locality("Damascus", 33.5, x), "longitude"),
     "solar_longitude day": (astrolabe.solar_longitude, "day"),
     "solar_declination longitude": (astrolabe.solar_declination, "longitude"),
-    "solar_declination obliquity": (lambda x: astrolabe.solar_declination(90.0, x),
-                                    "obliquity"),
-    "arc_displacement ds": (lambda x: astrolabe.arc_displacement(x, 1.0), "ds"),
-    "arc_displacement dp": (lambda x: astrolabe.arc_displacement(1.0, x), "dp"),
-    "band_misassignment radius error fraction": (
-        lambda x: astrolabe.band_misassignment(40.0, 100.0, 10.0, x), "radius error fraction"),
 }
 
 
@@ -286,3 +282,82 @@ def test_non_finite_inputs_are_refused_by_the_range_tables_finite_entry(site, va
     with pytest.raises(ValueError) as refused:
         call(value)
     assert str(refused.value) == f"{what} must be a finite number, got {value!r}"
+
+
+_EPS, _STAR = 23.44, astrolabe.StarEntry("Vega", 279.235, 38.784, 0.03)
+_QUARTERS = astrolabe.Circle(PlanePoint(0.0, 0.0), 75.0)
+# each public input that a quantity's range entry bounds: the entry, the name its
+# refusal gives the input, and a call that passes the value there
+_RANGED_INPUTS = {
+    "PlateConfig latitude": (LATITUDE, "latitude", lambda x: astrolabe.PlateConfig(x, S)),
+    "BackConfig latitude": (LATITUDE, "latitude", lambda x: astrolabe.BackConfig(x, S)),
+    "almucantar_solution latitude": (
+        LATITUDE, "latitude", lambda x: astrolabe.almucantar_solution(x, 10.0, S)),
+    "azimuth_circle latitude": (
+        LATITUDE, "latitude", lambda x: astrolabe.azimuth_circle(x, 30.0, S)),
+    "solve_altitude_for_azimuth latitude": (
+        LATITUDE, "latitude", lambda x: astrolabe.solve_altitude_for_azimuth(x, 0.0, 90.0)),
+    "declination_from_alt_az latitude": (
+        LATITUDE, "latitude", lambda x: astrolabe.declination_from_alt_az(x, 10.0, 180.0)),
+    "PlateConfig obliquity": (OBLIQUITIES, "obliquity",
+                              lambda x: astrolabe.PlateConfig(40.0, S, x)),
+    "BackConfig obliquity": (OBLIQUITIES, "obliquity", lambda x: astrolabe.BackConfig(40.0, S, x)),
+    "tropic_radii obliquity": (OBLIQUITIES, "obliquity", lambda x: astrolabe.tropic_radii(S, x)),
+    "ecliptic_circle obliquity": (
+        OBLIQUITIES, "obliquity", lambda x: astrolabe.ecliptic_circle(S, x)),
+    "ecliptic_point obliquity": (
+        OBLIQUITIES, "obliquity", lambda x: astrolabe.ecliptic_point(45.0, S, x)),
+    "star_pointer obliquity": (
+        OBLIQUITIES, "obliquity", lambda x: astrolabe.star_pointer(_STAR, S, x)),
+    "build_rete obliquity": (OBLIQUITIES, "obliquity", lambda x: astrolabe.build_rete([], S, x)),
+    "solar_declination obliquity": (
+        OBLIQUITIES, "obliquity", lambda x: astrolabe.solar_declination(90.0, x)),
+    "PlateConfig scale": (SCALE, "scale", lambda x: astrolabe.PlateConfig(40.0, x)),
+    "BackConfig radius": (SCALE, "radius", lambda x: astrolabe.BackConfig(40.0, x)),
+    "tropic_radii scale": (SCALE, "scale", lambda x: astrolabe.tropic_radii(x, _EPS)),
+    "almucantar_solution scale": (
+        SCALE, "scale", lambda x: astrolabe.almucantar_solution(40.0, 10.0, x)),
+    "azimuth_circle scale": (SCALE, "scale", lambda x: astrolabe.azimuth_circle(40.0, 30.0, x)),
+    "axis_projection_radius scale": (
+        SCALE, "scale", lambda x: axis_projection_radius(10.0, STEREOGRAPHIC, x)),
+    "unproject_point scale": (SCALE, "scale", lambda x: unproject_point(PlanePoint(3.0, 4.0), x)),
+    "ecliptic_circle scale": (SCALE, "scale", lambda x: astrolabe.ecliptic_circle(x, _EPS)),
+    "ecliptic_point scale": (SCALE, "scale", lambda x: astrolabe.ecliptic_point(45.0, x, _EPS)),
+    "build_rete scale": (SCALE, "scale", lambda x: astrolabe.build_rete([], x, _EPS)),
+    "midday_curve radius": (SCALE, "radius", lambda x: astrolabe.midday_curve(40.0, _EPS, x)),
+    "alidade_offset_error length": (
+        LENGTH, "length", lambda x: astrolabe.alidade_offset_error(x, 0.01)),
+    "alidade_offset_error offset": (
+        RADIANS, "offset", lambda x: astrolabe.alidade_offset_error(150.0, x)),
+    "arc_displacement ds": (SIGNED_LENGTH, "ds", lambda x: astrolabe.arc_displacement(x, 1.0)),
+    "arc_displacement dp": (SIGNED_LENGTH, "dp", lambda x: astrolabe.arc_displacement(1.0, x)),
+    "arc_displacement_angular radius": (
+        LENGTH, "radius", lambda x: astrolabe.arc_displacement_angular(x, 0.01, 1.0)),
+    "arc_displacement_angular dalpha": (
+        SIGNED_RADIANS, "dalpha", lambda x: astrolabe.arc_displacement_angular(100.0, x, 1.0)),
+    "arc_displacement_angular dp": (
+        SIGNED_LENGTH, "dp", lambda x: astrolabe.arc_displacement_angular(100.0, 0.01, x)),
+    "quadrant_chord_diagnosis tol": (
+        LENGTH_OR_0, "tolerance",
+        lambda x: astrolabe.quadrant_chord_diagnosis(_QUARTERS, [0.0, 90.0, 180.0, 270.0], x)),
+    "band_misassignment radius error fraction": (
+        FRACTION, "radius error fraction",
+        lambda x: astrolabe.band_misassignment(40.0, 100.0, 10.0, x)),
+}
+
+
+@pytest.mark.parametrize("site", list(_RANGED_INPUTS))
+def test_each_quantity_has_one_range_and_every_function_checks_it(site):
+    # each finite end, or the float just inside an open one, is taken; the float one ulp
+    # outside a closed end, an open end itself, nan and each infinity are refused, with
+    # the text of the same entry that the input's command line flag names
+    domain, what, call = _RANGED_INPUTS[site]
+    refused = [math.nan, -math.inf, math.inf]
+    for end, is_open, away in ((domain.lo, domain.lo_open, -math.inf),
+                               (domain.hi, domain.hi_open, math.inf)):
+        call(math.nextafter(end, -away) if is_open else end)
+        refused.append(end if is_open else math.nextafter(end, away))
+    for value in refused:
+        with pytest.raises(ValueError) as refusal:
+            call(value)
+        assert str(refusal.value) == f"{what} {domain.text}, got {value!r}"

@@ -45,9 +45,6 @@ def test_ecliptic_circle_closed_form():
     assert c.radius == pytest.approx(S / math.cos(e), rel=1e-15)
     assert c.center.y == pytest.approx(43.3568, abs=1e-4)
     assert c.radius == pytest.approx(108.9945, abs=1e-4)
-    # zero obliquity collapses onto the equator
-    c0 = ecliptic_circle(S, 0.0)
-    assert (c0.center.x, c0.center.y, c0.radius) == (0.0, 0.0, S)
 
 
 def test_ecliptic_tangent_to_both_tropics():
@@ -113,7 +110,7 @@ def parent_ecliptic_point(lam, scale, obliquity):
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 100.0, 1e6])
-@pytest.mark.parametrize("obliquity", [0.0, 1e-9, 10.0, 23.44, 29.999])
+@pytest.mark.parametrize("obliquity", [1e-9, 10.0, 23.44, 29.999])
 def test_zodiac_table_points_are_the_ecliptic_points_bit_for_bit(obliquity, scale):
     points = build_rete([], scale, obliquity).zodiac_points
     assert build_rete([], scale, obliquity).zodiac_points == points  # from the cached table
