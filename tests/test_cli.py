@@ -364,7 +364,7 @@ def test_scales_outside_the_range_exit_one_naming_the_flag(capsys, command, flag
     ("project", "--dec", "10"),
     ("analyze", "band", "--lat", "40", "--altitude", "10", "--radius-error-fraction", "0.02"),
     ("analyze", "montecarlo", "--lat", "40", "--sun-dec", "10", "--hour-angle", "40"),
-], ids=lambda argv: argv[-1] if argv[0] == "analyze" else argv[0])
+], ids=lambda argv: argv[1] if argv[0] == "analyze" else argv[0])
 @pytest.mark.parametrize("obliquity", [-90.0, -1e-300, 0.0, 30.0, 179.99, 1e300])
 def test_obliquities_outside_the_range_exit_one_naming_the_flag(capsys, command, obliquity):
     # every command that takes the flag refuses the same values: obliquity 0 too, which
