@@ -30,9 +30,7 @@ checked once the file is read.
 
 from __future__ import annotations
 
-import csv
 import math
-import re
 import sys
 from types import SimpleNamespace
 
@@ -62,7 +60,6 @@ from .rete import ReteModel, build_rete, load_star_catalog
 _CONFIG_KEYS = ("lat", "lon", "scale_mm", "diameter_mm", "obliquity", "almucantar_step",
                 "azimuth_step", "catalog", "localities", "seed", "out", "mirror_ew", "precision")
 
-_COMMENT = re.compile(r"(^|\s)#.*")
 _BOOLS = {"true": True, "yes": True, "1": True, "on": True,
           "false": False, "no": False, "0": False, "off": False}
 
@@ -76,7 +73,13 @@ def load_config(path) -> dict:
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = _COMMENT.sub("", raw.rstrip("\n"), count=1)
+            line = raw.rstrip("\n")
+            # the first `#` at the line start or after whitespace starts a comment
+            hash_at = line.find("#")
+            while hash_at > 0 and not line[hash_at - 1].isspace():
+                hash_at = line.find("#", hash_at + 1)
+            if hash_at >= 0:
+                line = line[:hash_at]
             if not line.strip():
                 continue
             if "=" not in line:
@@ -545,6 +548,8 @@ def _report(args, rows) -> None:
     text = "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows) + "\n"
     sys.stdout.write(text)
     if args.out:
+        import csv
+
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([("stat", "value"), *rows])
 

@@ -25,7 +25,6 @@ the statistics.
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Sequence
 
 from .exceptions import ScenarioInfeasible
@@ -192,6 +191,8 @@ def trial_draws(seed: int, trial: int, count: int) -> list[float]:
     stream random.Random((seed << 64) | trial).  Box-Muller turns each pair
     u1, u2 of random() into sqrt(-2 ln(1 - u1)) times cos and sin of 2 pi u2:
     Python keeps random()'s sequence across versions, and not gauss()'s."""
+    import random
+
     rand = random.Random((seed << 64) | trial).random
     out = []
     for _ in range((count + 1) // 2):

@@ -34,7 +34,6 @@ so reused rows are the bytes a fresh emission would print.
 from __future__ import annotations
 
 import math
-import warnings
 
 from .back import BackModel, midday_altitude
 from .exceptions import EmptyModelWarning
@@ -328,6 +327,8 @@ def _layer_rows(model, style: RenderStyle, pen: _Pen) -> list:
             _ROWS.clear()
         entry = _ROWS[key] = (model, warns, [(name, draw(pen)) for name, draw in layers])
     if entry[1]:
+        import warnings
+
         warnings.warn("model has no layers to draw; emitting the boundary only",
                       EmptyModelWarning, stacklevel=4)
     return entry[2]

@@ -15,7 +15,6 @@ Star catalogs are CSV files with header `name,ra_deg,dec_deg,mag`;
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import os
@@ -169,6 +168,8 @@ def _load_csv(path: str | os.PathLike, header: tuple, what: str, make) -> list:
     a bad header, a wrong field count, a non-numeric value, or a row that
     `make` rejects with ValueError.
     """
+    import csv
+
     with open(path, newline="", encoding="utf-8") as fh:
         lines = [
             (i + 1, line)

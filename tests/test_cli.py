@@ -637,6 +637,32 @@ def test_config_parses_types_and_comments(tmp_path):
     assert load_config(cfg) == {"mirror_ew": False}
 
 
+# every code point that the old comment regex's `\s` or `str.isspace` takes as whitespace
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1))
+              if c.isspace() or re.fullmatch(r"\s", c)]
+
+
+@pytest.mark.parametrize("space", WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+def test_config_comments_are_cut_as_the_old_regex_cut_them(space, tmp_path):
+    # reference: each line as the file yields it, cut by the regex that load_config used
+    def parsed(path):
+        try:
+            return load_config(path)
+        except (ValueError, astrolabe.AstrolabeError) as exc:
+            return type(exc), str(exc)
+
+    raw, cut = tmp_path / "raw.cfg", tmp_path / "cut.cfg"
+    for text in (f"{space}# note\nlat = 40\n", f"#{space}note\nlat = 40\n",
+                 f"lat = 40{space}# note\n", f"lat = 40{space}#\n", f"lat = 4{space}#0\n",
+                 f"catalog = a#{space}b.csv\n", f"catalog = a{space}#b.csv # note\n",
+                 f"catalog = a#b{space}{space}#{space}note\nlat = 40 #{space}\n"):
+        raw.write_text(text, encoding="utf-8", newline="")
+        with open(raw, encoding="utf-8") as fh:
+            lines = [re.sub(r"(^|\s)#.*", "", line.rstrip("\n"), count=1) for line in fh]
+        cut.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert parsed(raw) == parsed(cut), repr(text)
+
+
 def test_config_comment_only_file_is_empty(tmp_path):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("# nothing\n   \n# more nothing\n", encoding="utf-8")
@@ -1255,19 +1281,26 @@ def test_the_package_loads_neither_typing_nor_pathlib():
     """Annotations use builtins and files are opened with open(): under
     `python -S`, where no site hook has imported them first, importing the
     package and the CLI and writing a plate and a report to files loads
-    neither `typing` nor `pathlib`."""
+    neither `typing` nor `pathlib`.  A drawing loads only what it calls:
+    after a plate and a full instrument with no catalog and no localities,
+    neither `re` (nor its `enum`), `csv`, `random` nor `warnings` is loaded;
+    the report's CSV then loads `csv`."""
     with tempfile.TemporaryDirectory() as tmp:
-        plate, report = os.path.join(tmp, "plate.svg"), os.path.join(tmp, "report.csv")
+        plate, full = os.path.join(tmp, "plate.svg"), os.path.join(tmp, "full.svg")
+        report = os.path.join(tmp, "report.csv")
         code = (
             "import sys, astrolabe, astrolabe.cli\n"
             f"codes = [astrolabe.cli.main(['plate', '--lat', '40', '--out', {plate!r}]),\n"
-            f"         astrolabe.cli.main(['project', '--dec', '10', '--out', {report!r}])]\n"
-            "print(codes, sorted({'typing', 'pathlib'} & set(sys.modules)))"
+            f"         astrolabe.cli.main(['full', '--lat', '40', '--out', {full!r}])]\n"
+            "unused = {'typing', 'pathlib', 're', 'enum', 'csv', 'random', 'warnings'}\n"
+            "drawn = sorted(unused & set(sys.modules))\n"
+            f"codes.append(astrolabe.cli.main(['project', '--dec', '10', '--out', {report!r}]))\n"
+            "print(codes, drawn, sorted({'typing', 'pathlib'} & set(sys.modules)))"
         )
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                               text=True, timeout=60, env=source_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] [] []"
         with open(plate, encoding="utf-8") as fh:
             assert fh.read().endswith("</svg>\n")
         with open(report, newline="", encoding="utf-8") as fh:
