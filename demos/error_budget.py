@@ -43,7 +43,7 @@ for fraction in (0.005, 0.02, 0.05):
 # slip shifts the read angle; both divide by four in the final reading.
 print("\nalidade terms:")
 print(f"  150 mm alidade, 0.02 rad vane offset -> {alidade_offset_error(150.0, 0.02):.3f} mm")
-print(f"  0.4 degree graduation slip           -> {alidade_rotation_error(0.4):.3f} degrees")
+print(f"  0.4 degree graduation slip           -> {alidade_rotation_error(0.4, 'deg'):.3f} degrees")
 
 # Monte Carlo: perturb circle centers, radii, and hour graduations, and
 # read the time to sunset off the perturbed plate.  Noise in, hours out.

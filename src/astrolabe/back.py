@@ -148,6 +148,8 @@ def midday_curve(latitude: float, obliquity: float, radius: float) -> Arc | Segm
     when any control altitude leaves (0, 90].
     """
     SCALE.check(radius, "radius")
+    LATITUDE.check(latitude, "latitude")
+    OBLIQUITIES.check(obliquity, "obliquity")
     decs = (-obliquity, 0.0, obliquity)
     alts = tuple(midday_altitude(latitude, d) for d in decs)
     for h in alts:

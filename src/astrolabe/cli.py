@@ -292,7 +292,7 @@ def _cmd_analyze_alidade(args) -> list:
                 "--rotation needs an explicit --rotation-unit (its error "
                 "passes through in the same unit)"
             )
-        d2 = ea.alidade_rotation_error(args.rotation)
+        d2 = ea.alidade_rotation_error(args.rotation, args.rotation_unit)
         rows += [
             (f"rotation_{args.rotation_unit}", f"{args.rotation:.6f}"),
             (f"rotation_error_{args.rotation_unit}", f"{d2:.6f}"),
@@ -380,9 +380,8 @@ _FLAGS = {
     "length_mm": _Flag(float, "alidade length, mm", LENGTH),
     "offset": _Flag(float, "sight-vane angular offset", {"rad": RADIANS, "deg": DEGREES}),
     "offset_unit": _Flag(("rad", "deg"), "unit of --offset", default="rad"),
-    "rotation": _Flag(float, "rotation graduation error",
-                      {"mm": LENGTH_OR_0, "deg": DEGREES, "rad": RADIANS}),
-    "rotation_unit": _Flag(("mm", "deg", "rad"),
+    "rotation": _Flag(float, "rotation graduation error", ea.ROTATION),
+    "rotation_unit": _Flag(tuple(ea.ROTATION),
                            "unit of --rotation (required with --rotation; the error keeps it)"),
     "scenario": _Flag(ea.SCENARIOS, "readout scenario", default="time_to_sunset"),
     "sun_dec": _Flag(float, "sun declination, degrees", DECLINATION, required=True),

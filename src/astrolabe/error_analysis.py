@@ -32,12 +32,14 @@ from .geometry import Circle, PlanePoint, _Record, _center_offset, chord_length,
 # unused here, but bench/tracing.py counts calls to them through this module
 from .geometry import circle_circle_intersection, circumcircle  # noqa: F401
 from .plate import PlateConfig, _y_lower, almucantar_solution, night_hours, tropic_circles
-from .projection import (BAND_STEP, FRACTION, LENGTH, LENGTH_OR_0, NON_NEGATIVE, RADIANS, SEED,
-                         SIGNED_LENGTH, SIGNED_RADIANS, TRIALS, from_plate_polar, plate_angle_deg,
-                         stereographic_radius)
+from .projection import (BAND_STEP, DEGREES, FRACTION, LENGTH, LENGTH_OR_0, NON_NEGATIVE, RADIANS,
+                         SEED, SIGNED_LENGTH, SIGNED_RADIANS, TRIALS, from_plate_polar,
+                         plate_angle_deg, stereographic_radius)
 from .projection import MAX_TRIALS, MIN_BAND_STEP  # noqa: F401  (the reports' limits)
 
 SCENARIOS = ("time_to_sunset", "altitude")
+# the range of a rotation graduation error in each unit it may be given in
+ROTATION = {"mm": LENGTH_OR_0, "deg": DEGREES, "rad": RADIANS}
 
 
 def alidade_offset_error(length: float, offset_angle: float) -> float:
@@ -48,10 +50,13 @@ def alidade_offset_error(length: float, offset_angle: float) -> float:
     return length * offset_angle / 4.0
 
 
-def alidade_rotation_error(rotation: float) -> float:
+def alidade_rotation_error(rotation: float, unit: str) -> float:
     """Limb reading error from a rotation graduation error: eps/4, in
-    the unit eps was given in (pass-through)."""
-    NON_NEGATIVE.check(rotation, "rotation error")
+    the unit eps was given in (pass-through), one of `ROTATION`'s keys,
+    "mm", "deg" or "rad"; the error must lie in that unit's range."""
+    if unit not in ROTATION:
+        raise ValueError(f"unit must be one of {', '.join(map(repr, ROTATION))}, got {unit!r}")
+    ROTATION[unit].check(rotation, "rotation error")
     return rotation / 4.0
 
 

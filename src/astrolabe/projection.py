@@ -252,6 +252,7 @@ def _sky_angles(sin_phi: float, cos_phi: float, sin_h: float, cos_h: float,
 def horizon_to_sphere(latitude: float, altitude: float, azimuth: float) -> SpherePoint:
     """The sphere point seen from latitude phi at altitude h and compass
     azimuth A (degrees from north through east); see `_sky_angles`."""
+    FINITE.check(azimuth, "azimuth")
     phi, h = math.radians(latitude), math.radians(altitude)
     return SpherePoint(*_sky_angles(math.sin(phi), math.cos(phi), math.sin(h), math.cos(h),
                                     *_cos_sin_deg(azimuth)))
@@ -265,6 +266,7 @@ def solve_altitude_for_azimuth(latitude: float, declination: float, azimuth: flo
     never reached at that declination."""
     LATITUDE.check(latitude, "latitude")
     DECLINATION.check(declination, "declination")
+    FINITE.check(azimuth, "azimuth")
     la = math.radians(latitude)
     return _altitude_for_azimuth(latitude, declination, azimuth, math.sin(la), math.cos(la),
                                  _cos_sin_deg(azimuth)[0])

@@ -51,13 +51,15 @@ def y_lower(latitude, altitude, scale):
 
 def test_alidade_budget_terms():
     assert alidade_offset_error(150.0, 0.02) == pytest.approx(0.75)
-    assert alidade_rotation_error(0.4) == pytest.approx(0.1)
+    assert alidade_rotation_error(0.4, "deg") == pytest.approx(0.1)
     with pytest.raises(ValueError):
         alidade_offset_error(-1.0, 0.1)
     with pytest.raises(ValueError):
         alidade_offset_error(150.0, -0.1)
     with pytest.raises(ValueError):
-        alidade_rotation_error(-0.4)
+        alidade_rotation_error(-0.4, "deg")
+    with pytest.raises(ValueError, match="unit must be one of 'mm', 'deg', 'rad', got 'grad'"):
+        alidade_rotation_error(0.4, "grad")
 
 
 def test_arc_displacement_quadrature():
@@ -177,7 +179,7 @@ def test_quadrant_chord_diagnosis_rotation_invariant():
         lambda: alidade_offset_error(math.nan, 0.1),
         lambda: alidade_offset_error(150.0, math.nan),
         lambda: alidade_offset_error(math.inf, 0.1),
-        lambda: alidade_rotation_error(math.nan),
+        lambda: alidade_rotation_error(math.nan, "mm"),
         lambda: arc_displacement_angular(math.nan, 0.1, 0.2),
         lambda: arc_displacement(math.nan, 0.4),
         lambda: arc_displacement(0.3, math.inf),

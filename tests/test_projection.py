@@ -26,8 +26,9 @@ from astrolabe import (
     stereographic_radius,
     unproject_point,
 )
-from astrolabe.projection import (FRACTION, LATITUDE, LENGTH, LENGTH_OR_0, OBLIQUITIES, RADIANS,
-                                  SCALE, SIGNED_LENGTH, SIGNED_RADIANS)
+from astrolabe.projection import (DEGREES, FINITE, FRACTION, LATITUDE, LENGTH, LENGTH_OR_0,
+                                  OBLIQUITIES, RADIANS, SCALE, SIGNED_LENGTH, SIGNED_RADIANS,
+                                  horizon_to_sphere)
 
 S = 100.0
 
@@ -299,6 +300,8 @@ _RANGED_INPUTS = {
         LATITUDE, "latitude", lambda x: astrolabe.solve_altitude_for_azimuth(x, 0.0, 90.0)),
     "declination_from_alt_az latitude": (
         LATITUDE, "latitude", lambda x: astrolabe.declination_from_alt_az(x, 10.0, 180.0)),
+    # at a hair above 0 the three noon altitudes stay in (0, 90] at every plate latitude
+    "midday_curve latitude": (LATITUDE, "latitude", lambda x: astrolabe.midday_curve(x, 1e-15, S)),
     "PlateConfig obliquity": (OBLIQUITIES, "obliquity",
                               lambda x: astrolabe.PlateConfig(40.0, S, x)),
     "BackConfig obliquity": (OBLIQUITIES, "obliquity", lambda x: astrolabe.BackConfig(40.0, S, x)),
@@ -312,6 +315,8 @@ _RANGED_INPUTS = {
     "build_rete obliquity": (OBLIQUITIES, "obliquity", lambda x: astrolabe.build_rete([], S, x)),
     "solar_declination obliquity": (
         OBLIQUITIES, "obliquity", lambda x: astrolabe.solar_declination(90.0, x)),
+    "midday_curve obliquity": (
+        OBLIQUITIES, "obliquity", lambda x: astrolabe.midday_curve(45.0, x, S)),
     "PlateConfig scale": (SCALE, "scale", lambda x: astrolabe.PlateConfig(40.0, x)),
     "BackConfig radius": (SCALE, "radius", lambda x: astrolabe.BackConfig(40.0, x)),
     "tropic_radii scale": (SCALE, "scale", lambda x: astrolabe.tropic_radii(x, _EPS)),
@@ -329,6 +334,12 @@ _RANGED_INPUTS = {
         LENGTH, "length", lambda x: astrolabe.alidade_offset_error(x, 0.01)),
     "alidade_offset_error offset": (
         RADIANS, "offset", lambda x: astrolabe.alidade_offset_error(150.0, x)),
+    "alidade_rotation_error rotation in mm": (
+        LENGTH_OR_0, "rotation error", lambda x: astrolabe.alidade_rotation_error(x, "mm")),
+    "alidade_rotation_error rotation in deg": (
+        DEGREES, "rotation error", lambda x: astrolabe.alidade_rotation_error(x, "deg")),
+    "alidade_rotation_error rotation in rad": (
+        RADIANS, "rotation error", lambda x: astrolabe.alidade_rotation_error(x, "rad")),
     "arc_displacement ds": (SIGNED_LENGTH, "ds", lambda x: astrolabe.arc_displacement(x, 1.0)),
     "arc_displacement dp": (SIGNED_LENGTH, "dp", lambda x: astrolabe.arc_displacement(1.0, x)),
     "arc_displacement_angular radius": (
@@ -343,6 +354,12 @@ _RANGED_INPUTS = {
     "band_misassignment radius error fraction": (
         FRACTION, "radius error fraction",
         lambda x: astrolabe.band_misassignment(40.0, 100.0, 10.0, x)),
+    # an azimuth is read modulo a turn; at latitude 80 declination 45 crosses every one
+    "horizon_to_sphere azimuth": (FINITE, "azimuth", lambda x: horizon_to_sphere(40.0, 10.0, x)),
+    "solve_altitude_for_azimuth azimuth": (
+        FINITE, "azimuth", lambda x: astrolabe.solve_altitude_for_azimuth(80.0, 45.0, x)),
+    "declination_from_alt_az azimuth": (
+        FINITE, "azimuth", lambda x: astrolabe.declination_from_alt_az(40.0, 10.0, x)),
 }
 
 
