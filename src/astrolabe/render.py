@@ -24,11 +24,11 @@ Rounding is symmetric in sign, so a `mirror_ew` document is the exact
 x-negation of the plain one, except that a label anchored at its start
 or end swaps the two, so that it still runs away from its marker.
 
-Renders of the same model object with the same style reuse its layer
-rows: `render_full` after `render_svg` of each face emits nothing anew.
-The memo is keyed by the object's identity and the whole style, and
-holds the last instrument set only (three faces); models are immutable,
-so reused rows are the bytes a fresh emission would print.
+The last model drawn of each kind (plate, rete, back) keeps its layer
+rows with its style: a render of that same object with an equal style
+reuses them, so `render_full` after `render_svg` of each face emits
+nothing anew.  Models are immutable, so reused rows are the bytes a
+fresh emission would print.  An empty layer selection is not kept.
 """
 
 from __future__ import annotations
@@ -123,25 +123,15 @@ class _Pen:
         self.zeros = _zeros(precision)
         self.line_row = f'  <line x1="{f}" y1="{f}" x2="{f}" y2="{f}"/>\n'
         self.circle_row = f'  <circle cx="{f}" cy="{f}" r="{f}"%s/>\n'
-        self.arc_row = f'  <path d="M {f} {f} A {f} {f} 0 %d %d {f} {f}"/>\n'
+        self.path = f"M {f} {f} A {f} {f} 0 %d %d {f} {f}"
         self.xy = f'x="{f}" y="{f}"'
-        self.point = f"{f} {f}"
         # a mirrored label runs the other way from its anchor point
         self.anchors = {"start": "end", "end": "start"} if sx < 0 else {}
 
     def lines(self, rows) -> str:
         """One <line> row per (x1, y1, x2, y2), in one format call."""
         sx, sy = self.sx, self.sy
-        return self._line_rows([v for x1, y1, x2, y2 in rows
-                                for v in (sx * x1, sy * y1, sx * x2, sy * y2)])
-
-    def ticks(self, rays) -> str:
-        """Radial lines, one per (sin, cos, r_out, r_in) of a plate angle."""
-        sx, sy = self.sx, self.sy
-        return self._line_rows([v for s, c, ro, ri in rays
-                                for v in (sx * ro * s, sy * ro * c, sx * ri * s, sy * ri * c)])
-
-    def _line_rows(self, values: list) -> str:
+        values = [v for x1, y1, x2, y2 in rows for v in (sx * x1, sy * y1, sx * x2, sy * y2)]
         return ((self.line_row * (len(values) // 4)) % tuple(values)).replace(*self.zeros)
 
     def label(self, x: float, y: float, text: str, anchor: str = "middle") -> str:
@@ -154,22 +144,30 @@ class _Pen:
             f'fill="#000" stroke="none">{text}</text>\n'
         )
 
+    def arc(self, el: Arc) -> tuple[str, bool]:
+        """An arc's path text, M to its start and one A command to its end,
+        and its large-arc flag, set only for sweeps beyond a semicircle.
+        `emit` prints a large arc whose ends print as one point as its circle."""
+        sx, sy = self.sx, self.sy
+        p0, p1, r = el.start_point, el.end_point, el.circle.radius
+        large = abs(math.degrees(el.sweep)) > 180.0 + 1e-12
+        # a reflection in one axis reverses the sense of rotation
+        flag = (el.orientation == "ccw") != (sx * sy < 0)
+        d = self.path % (sx * p0.x, sy * p0.y, r, r, large, flag, sx * p1.x, sy * p1.y)
+        return d.replace(*self.zeros), large
+
     def emit(self, el) -> str:
         """A model-owned element: Circle, Arc, Segment or star marker."""
         sx, sy = self.sx, self.sy
         if isinstance(el, Circle):
             row = self.circle_row % (sx * el.center.x, sy * el.center.y, el.radius, "")
         elif isinstance(el, Arc):
-            p0, p1, r = el.start_point, el.end_point, el.circle.radius
-            large = abs(math.degrees(el.sweep)) > 180.0 + 1e-12
-            if large and ((self.point % (sx * p0.x, sy * p0.y)).replace(*self.zeros)
-                          == (self.point % (sx * p1.x, sy * p1.y)).replace(*self.zeros)):
+            d, large = self.arc(el)
+            words = d.split(" ")
+            if large and words[1:3] == words[-2:]:
                 # SVG draws no arc between equal points: this one is its circle to the precision
                 return self.emit(el.circle)
-            # a reflection in one axis reverses the sense of rotation
-            flag = (el.orientation == "ccw") != (sx * sy < 0)
-            row = self.arc_row % (sx * p0.x, sy * p0.y, r, r, large, flag,
-                                  sx * p1.x, sy * p1.y)
+            return f'  <path d="{d}"/>\n'
         elif isinstance(el, Segment):
             return self.lines([(el.a.x, el.a.y, el.b.x, el.b.y)])
         elif isinstance(el, PlanePoint):
@@ -181,14 +179,18 @@ class _Pen:
 
 
 def arc_to_path(arc: Arc, precision: int = 4) -> str:
-    """SVG path fragment for an arc: M to the start point, one elliptical
-    arc command to the end point.  The sweep flag follows the arc's
-    orientation in coordinate algebra (ccw = positive-angle = 1); the
-    large-arc flag is set only for sweeps beyond a semicircle."""
-    return _Pen(precision, 1.0, 1.0).emit(arc).split('"')[1]
+    """SVG path fragment for any arc (`_Pen.arc`): M to the start point, one
+    elliptical arc command to the end point.  The sweep flag follows the
+    arc's orientation in coordinate algebra (ccw = positive-angle = 1)."""
+    return _Pen(precision, 1.0, 1.0).arc(arc)[0]
 
 
 # ---- per-model layers: (id, draw), draw(pen) -> element rows -------------
+
+
+def _rays(rays):
+    """The (x1, y1, x2, y2) of radial lines, one per (sin, cos, r_out, r_in) of a plate angle."""
+    return ((ro * s, ro * c, ri * s, ri * c) for s, c, ro, ri in rays)
 
 
 def _plate_layers(m: PlateModel) -> list:
@@ -239,8 +241,8 @@ def _back_layers(m: BackModel) -> list:
     def limb(pen):  # 360 one-degree ticks, long every tenth, numbered every 30
         return (
             pen.emit(m.boundary)
-            + pen.ticks((s, c, r, r * (0.94 if a % 10 == 0 else 0.97))
-                        for a, (s, c) in enumerate(_WHOLE_DEGREES))
+            + pen.lines(_rays((s, c, r, r * (0.94 if a % 10 == 0 else 0.97))
+                              for a, (s, c) in enumerate(_WHOLE_DEGREES)))
             + "".join(pen.label(p.x, p.y, f"{a}") for a, p in
                       ((a, from_plate_polar(r * 0.905, a)) for a in range(0, 360, 30)))
         )
@@ -249,8 +251,8 @@ def _back_layers(m: BackModel) -> list:
         return (
             pen.emit(Circle(PlanePoint(0.0, 0.0), r * 0.88))
             + pen.emit(Circle(PlanePoint(0.0, 0.0), r * 0.84))
-            + pen.ticks((math.sin(a), math.cos(a), r * 0.88, r * (0.84 if i % 10 == 0 else 0.86))
-                        for i, a in enumerate(map(math.radians, m.calendar_angles)))
+            + pen.lines(_rays((math.sin(a), math.cos(a), r * 0.88, r * (0.84 if i % 10 == 0 else 0.86))
+                              for i, a in enumerate(map(math.radians, m.calendar_angles))))
         )
 
     def sine_quadrant(pen):  # 60 radius divisions; the k = 60 chords have no length
@@ -303,35 +305,30 @@ _LAYERS = {PlateModel: _plate_layers, ReteModel: _rete_layers, BackModel: _back_
 # ---- document assembly ---------------------------------------------------
 
 
-# the (model, warns, layer rows) of the last instrument set's faces, by (id(model), style);
-# each entry holds its model, so the id cannot be reused while the entry lives.  Threads
-# that race here can at worst drop an entry or add one past the bound, never share rows
-_ROWS: dict = {}
-_ROWS_MAX = 3
+# the (model, style, layer rows) last drawn of each model type; an entry is one tuple,
+# replaced whole, so a thread that races another reads one entry or the other
+_LAST: dict = {}
 
 
 def _layer_rows(model, style: RenderStyle, pen: _Pen) -> list:
     """The (layer id, rows) of each selected layer of a model; an empty
     selection warns (EmptyModelWarning) and draws the boundary alone.
-    Reuses the rows of an earlier call on the same object and style."""
-    key = (id(model), style)
-    entry = _ROWS.get(key)
-    if entry is None or entry[0] is not model:
-        layers = _LAYERS[type(model)](model)
-        if style.include_layers is not None:
-            layers = [l for l in layers if l[0] in style.include_layers]
-        warns = not layers
-        if warns:
-            layers = [("limb", lambda pen: pen.emit(model.boundary))]
-        if len(_ROWS) >= _ROWS_MAX:
-            _ROWS.clear()
-        entry = _ROWS[key] = (model, warns, [(name, draw(pen)) for name, draw in layers])
-    if entry[1]:
+    Reuses the rows of the last call on the same object with an equal style."""
+    last = _LAST.get(type(model))
+    if last is not None and last[0] is model and last[1] == style:
+        return last[2]
+    layers = _LAYERS[type(model)](model)
+    if style.include_layers is not None:
+        layers = [l for l in layers if l[0] in style.include_layers]
+    if not layers:
         import warnings
 
         warnings.warn("model has no layers to draw; emitting the boundary only",
                       EmptyModelWarning, stacklevel=4)
-    return entry[2]
+        return [("limb", pen.emit(model.boundary))]
+    rows = [(name, draw(pen)) for name, draw in layers]
+    _LAST[type(model)] = (model, style, rows)
+    return rows
 
 
 def _bodies(style: RenderStyle, faces) -> list[str]:

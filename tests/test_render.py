@@ -31,7 +31,8 @@ from astrolabe import (
     render_svg,
 )
 from astrolabe.plate import STRAIGHT_REL, _vertical_end
-from astrolabe.render import _ROWS, _Pen, _fmt
+from astrolabe import render
+from astrolabe.render import _Pen, _fmt
 from test_geometry import arc_point, point_at
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -123,6 +124,16 @@ def test_an_arc_whose_ends_print_as_one_point_is_its_circle():
         assert pen.emit(angle_arc(c, 0.0, 2.0 * math.pi - 1e-3, "ccw")).startswith("  <path")
         assert pen.emit(angle_arc(c, 0.0, 1e-6, "ccw")).startswith("  <path")
     assert _Pen(9, 1.0, 1.0).emit(angle_arc(c, 0.0, 2.0 * math.pi - 1e-6, "ccw")).startswith("  <path")
+
+
+def test_arc_to_path_is_an_arc_command_for_every_arc():
+    # a document prints this near-full arc as its circle; its path is still M ... A ...
+    c = Circle(PlanePoint(0.0, 0.0), 10.0)
+    arc = Arc(c, PlanePoint(10.0, 0.0),
+              PlanePoint(10.0 * math.cos(1e-7), -10.0 * math.sin(1e-7)), "ccw")
+    assert _Pen(4, 1.0, 1.0).emit(arc) == _Pen(4, 1.0, 1.0).emit(c)
+    assert arc_to_path(arc) == "M 10.0000 0.0000 A 10.0000 10.0000 0 1 1 10.0000 0.0000"
+    assert parse_arc_path(arc_to_path(arc, precision=9))[3:5] == (1, 1)
 
 
 def test_a_near_pole_vertical_prints_its_computed_ends():
@@ -428,61 +439,79 @@ def test_unknown_model_type_rejected():
 # ---- the row memo: renders of one model object and style reuse its rows ----
 
 
-def cold(render, *args):
-    """A render with the memo emptied first: every face misses."""
-    _ROWS.clear()
-    return render(*args)
+@pytest.fixture
+def emitted(monkeypatch):
+    """A list that counts each element the pen emits from here on: a render
+    whose faces all reuse their rows adds nothing to it."""
+    count, emit = [], render._Pen.emit
+    monkeypatch.setattr(render._Pen, "emit", lambda pen, el: count.append(1) or emit(pen, el))
+    return count
+
+
+def faces():
+    """A fresh plate, rete and back, each a new object."""
+    return plate_model(), rete_model(), back_model()
 
 
 @pytest.mark.parametrize("mirror", [False, True])
 @pytest.mark.parametrize("layers", [None, frozenset({"limb", "hours", "stars", "calendar"})])
 @pytest.mark.parametrize("precision", range(1, 10))
-def test_memo_hits_print_the_bytes_of_misses(precision, mirror, layers):
-    faces = plate_model(), rete_model(), back_model()
+def test_memo_hits_print_the_bytes_of_misses(precision, mirror, layers, emitted):
     style = RenderStyle(precision=precision, mirror_ew=mirror, include_layers=layers)
-    single = [cold(render_svg, m, style) for m in faces]
-    full = cold(render_full, *faces, style)
-    _ROWS.clear()
-    assert [render_svg(m, style) for m in faces] == single  # misses, then
-    assert render_full(*faces, style) == full  # three hits
-    assert [render_svg(m, style) for m in faces] == single  # and three more
-    assert len(_ROWS) == 3
+    single = [render_svg(m, style) for m in faces()]  # new objects: misses
+    full = render_full(*faces(), style)
+    models = faces()
+    assert [render_svg(m, style) for m in models] == single  # misses, then
+    before = len(emitted)
+    assert render_full(*models, style) == full  # three hits
+    assert [render_svg(m, style) for m in models] == single  # and three more
+    assert len(emitted) == before
 
 
-def test_memo_keys_on_the_object_and_the_whole_style():
+def test_memo_keys_on_the_object_and_the_whole_style(emitted):
     a, b = plate_model(), plate_model()
     assert a == b and a is not b
     style = RenderStyle(precision=5)
-    _ROWS.clear()
     doc = render_svg(a, style)
-    assert render_svg(b, style) == doc
-    assert sorted(id(entry[0]) for entry in _ROWS.values()) == sorted((id(a), id(b)))
-    # a style that differs in any field misses
-    render_svg(a, RenderStyle(precision=5, include_layers={"tropics"}))
-    assert len(_ROWS) == 3
-    # an entry whose key holds another object's id is never used
-    _ROWS.clear()
-    _ROWS[(id(b), style)] = (a, False, [("limb", "  <stale/>\n")])
-    assert render_svg(b, style) == doc
+    before = len(emitted)
+    assert render_svg(b, style) == doc  # an equal model that is another object misses
+    assert len(emitted) > before
+    # a style that differs in any field misses and prints what a fresh model prints
+    for other in (RenderStyle(precision=6), RenderStyle(precision=5, mirror_ew=True),
+                  RenderStyle(precision=5, include_layers={"tropics", "hours"})):
+        render_svg(a, style)
+        before = len(emitted)
+        assert render_svg(a, other) == render_svg(plate_model(), other)
+        assert len(emitted) > before
+    doc = render_svg(a, RenderStyle(precision=5, include_layers={"hours", "tropics"}))
+    before = len(emitted)
+    assert render_svg(a, RenderStyle(precision=5, include_layers={"tropics", "hours"})) == doc
+    assert len(emitted) == before  # an equal style, built anew, hits
 
 
-def test_memo_warns_on_every_call_to_an_empty_selection():
+def test_memo_warns_on_every_call_to_an_empty_selection(emitted):
     m = plate_model()
+    drawn = render_svg(m)
     style = RenderStyle(include_layers=frozenset({"qibla"}))  # plate has no qibla
-    _ROWS.clear()
     with pytest.warns(EmptyModelWarning):
         first = render_svg(m, style)
-    assert len(_ROWS) == 1
-    for _ in range(2):  # hits
+    for _ in range(2):  # drawn anew, with a warning, on every call
+        before = len(emitted)
         with pytest.warns(EmptyModelWarning):
             assert render_svg(m, style) == first
-    assert len(_ROWS) == 1
+        assert len(emitted) == before + 1
+    before = len(emitted)
+    assert render_svg(m) == drawn  # the plate drawn before is still kept
+    assert len(emitted) == before
 
 
-def test_memo_holds_one_instrument_set():
-    _ROWS.clear()
+def test_memo_holds_one_instrument_set(emitted):
+    rete, back = rete_model(), back_model()
+    kept = [render_svg(rete), render_svg(back)]
     models = [build_plate(PlateConfig(latitude=10.0 + 5.0 * k, scale=100.0)) for k in range(10)]
-    for m in models:
-        render_svg(m)
-        assert len(_ROWS) <= 3
-    assert any(entry[0] is models[9] for entry in _ROWS.values())
+    docs = [render_svg(m) for m in models]
+    before = len(emitted)
+    assert [render_svg(models[9]), render_svg(rete), render_svg(back)] == docs[9:] + kept
+    assert len(emitted) == before  # the last plate and the other kinds' faces hit
+    assert render_svg(models[8]) == docs[8]
+    assert len(emitted) > before  # an earlier plate was let go
