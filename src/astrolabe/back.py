@@ -29,7 +29,7 @@ from collections.abc import Iterable
 
 from .exceptions import DomainError, UndefinedBearing
 from .geometry import Arc, Circle, PlanePoint, Segment, _Record, arc_through
-from .projection import (ALTITUDE, DECLINATION, FINITE, LATITUDE, OBLIQUITIES, OBLIQUITY, SCALE,
+from .projection import (DECLINATION, FINITE, LATITUDE, OBLIQUITIES, OBLIQUITY, SCALE,
                          from_plate_polar, horizon_to_sphere)
 from .rete import _load_csv
 
@@ -92,7 +92,8 @@ class BackModel(_Record):
 
 
 def equation_of_center(mean_anomaly: float) -> float:
-    """Two-term equation of center, degrees, for a mean anomaly in degrees."""
+    """Two-term equation of center, degrees, for a finite mean anomaly in degrees."""
+    FINITE.check(mean_anomaly, "mean anomaly")
     m = math.radians(mean_anomaly)
     return CENTER1 * math.sin(m) + CENTER2 * math.sin(2.0 * m)
 
@@ -132,7 +133,10 @@ def calendar_ring() -> tuple[float, ...]:
 
 
 def midday_altitude(latitude: float, declination: float) -> float:
-    """Noon solar altitude: h = 90 - phi + delta (degrees)."""
+    """Noon solar altitude: h = 90 - phi + delta (degrees), for a finite
+    latitude and declination."""
+    FINITE.check(latitude, "latitude")
+    FINITE.check(declination, "declination")
     return 90.0 - latitude + declination
 
 
@@ -221,8 +225,6 @@ def declination_from_alt_az(latitude: float, altitude: float, azimuth: float) ->
 
         sin(delta) = sin(phi) sin(h) + cos(phi) cos(h) cos(A)
     """
-    LATITUDE.check(latitude, "latitude")
-    ALTITUDE.check(altitude, "altitude")
     return horizon_to_sphere(latitude, altitude, azimuth).dec
 
 

@@ -25,7 +25,11 @@ COINCIDENT_REL = 1e-9
 
 
 def normalize_angle(theta: float) -> float:
-    """Map an angle in radians into [0, 2*pi)."""
+    """Map a finite angle in radians into [0, 2*pi); ValueError for nan or inf."""
+    if not math.isfinite(theta):
+        from .projection import FINITE  # projection imports this module
+
+        FINITE.check(theta, "angle")
     r = math.fmod(theta, TAU)
     if r < 0.0:
         r += TAU

@@ -170,6 +170,8 @@ def _almucantar_circle(latitude: float, altitude: float, scale: float) -> Circle
 
 def zenith_point(latitude: float, scale: float) -> PlanePoint:
     """Projection of the zenith: (0, scale * tan(45 - phi/2))."""
+    LATITUDE.check(latitude, "latitude")
+    SCALE.check(scale, "scale")
     return PlanePoint(0.0, scale * math.tan(math.radians(45.0 - latitude / 2.0)))
 
 

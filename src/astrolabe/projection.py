@@ -252,6 +252,8 @@ def _sky_angles(sin_phi: float, cos_phi: float, sin_h: float, cos_h: float,
 def horizon_to_sphere(latitude: float, altitude: float, azimuth: float) -> SpherePoint:
     """The sphere point seen from latitude phi at altitude h and compass
     azimuth A (degrees from north through east); see `_sky_angles`."""
+    LATITUDE.check(latitude, "latitude")
+    ALTITUDE.check(altitude, "altitude")
     FINITE.check(azimuth, "azimuth")
     phi, h = math.radians(latitude), math.radians(altitude)
     return SpherePoint(*_sky_angles(math.sin(phi), math.cos(phi), math.sin(h), math.cos(h),

@@ -251,7 +251,8 @@ def _back_layers(m: BackModel) -> list:
         return (
             pen.emit(Circle(PlanePoint(0.0, 0.0), r * 0.88))
             + pen.emit(Circle(PlanePoint(0.0, 0.0), r * 0.84))
-            + pen.lines(_rays((math.sin(a), math.cos(a), r * 0.88, r * (0.84 if i % 10 == 0 else 0.86))
+            + pen.lines(_rays((math.sin(a), math.cos(a), r * 0.88,
+                               r * (0.84 if i % 10 == 0 else 0.86))
                               for i, a in enumerate(map(math.radians, m.calendar_angles))))
         )
 
