@@ -13,6 +13,10 @@ criterion in the terminal summary.
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -291,3 +295,23 @@ def test_c11_svg_golden_run_reproducibility(capsys):
         assert cli_main(argv) == 0
         rendered = capsys.readouterr().out
         assert rendered == (DEMOS / "out" / name).read_text(encoding="utf-8"), name
+
+
+def test_demo_scripts_run_and_rewrite_their_documents(tmp_path):
+    # each demo runs from a copy, in a child process on the package's source; the
+    # copies of demos/out/ that three of them write are the committed bytes
+    copy = tmp_path / "demos"
+    shutil.copytree(DEMOS, copy, ignore=shutil.ignore_patterns("out", "__pycache__"))
+    src = str(DEMOS.parent / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    scripts = sorted(copy.glob("*.py"))
+    assert len(scripts) == 5
+    for script in scripts:
+        done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (script.name, done.stderr)
+    written = sorted(p.name for p in (copy / "out").iterdir())
+    assert written == sorted(p.name for p in (DEMOS / "out").iterdir())
+    for name in written:
+        assert (copy / "out" / name).read_bytes() == (DEMOS / "out" / name).read_bytes(), name

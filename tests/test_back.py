@@ -265,6 +265,8 @@ def test_bearing_oracle_degenerate_raises():
         bearing_oracle(a, Locality("anti", -33.5130, 36.2920 - 180.0))
     with pytest.raises(UndefinedBearing):
         bearing_oracle(Locality("np", 90.0, 0.0), MECCA)
+    with pytest.raises(UndefinedBearing, match="observer at Mecca"):
+        qibla_eq13(MECCA)
 
 
 def test_damascus_to_mecca_bearing():
@@ -321,6 +323,9 @@ def test_solve_altitude_no_solution():
     # a deep-south body never reaches the northern azimuth
     with pytest.raises(NoSolution):
         solve_altitude_for_azimuth(45.0, -60.0, 0.0)
+    # nor does a body 80 degrees north reach the east point, seen from latitude 40
+    with pytest.raises(NoSolution, match="declination 80 never crosses azimuth 90"):
+        solve_altitude_for_azimuth(40, 80, 90)
 
 
 def test_locality_normalizes_longitude():

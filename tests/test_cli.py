@@ -133,6 +133,9 @@ GRAMMAR = [
     pytest.param(("qibla", "--lat", "10", "--lon", "10", "--obliquity", "9"), 1,
                  "error: astrolabe: unrecognized arguments: --obliquity 9\n", None,
                  id="flag-of-another-command"),
+    pytest.param(("--verbose", *PLATE_40), 1,
+                 "error: astrolabe: unrecognized arguments: --verbose\n", None,
+                 id="flag-before-command"),
     pytest.param(("no-such-command",), 1,
                  "error: astrolabe: argument command: invalid choice: 'no-such-command' "
                  f"(choose from {COMMANDS})\n", None, id="unknown-command"),
@@ -252,6 +255,14 @@ def test_a_duplicate_star_name_is_a_usage_error(capsys, tmp_path):
     for argv in (("rete",), ("full", "--lat", "40")):
         assert run_cli(capsys, *argv, "--catalog", str(catalog)) == (
             1, "", "error: star 'Vega' appears more than once\n")
+
+
+def test_a_catalog_row_out_of_range_exits_one_naming_its_line(capsys, tmp_path):
+    catalog = tmp_path / "far.csv"
+    catalog.write_text("name,ra_deg,dec_deg,mag\nVega,279.235,38.784,0.03\nNowhere,10,95,1\n",
+                       encoding="utf-8")
+    assert run_cli(capsys, "rete", "--catalog", str(catalog)) == (
+        1, "", "error: declination must lie in [-90, 90], got 95.0 (line 3)\n")
 
 
 def test_back_reads_localities(capsys, tmp_path):
@@ -913,6 +924,8 @@ def test_analyze_alidade_validation(capsys):
     code, _, err = run_cli(capsys, "analyze", "alidade")
     assert code == 1
     assert "--offset" in err
+    assert run_cli(capsys, "analyze", "alidade", "--offset", "0.01") == (
+        1, "", "error: --offset needs --length-mm\n")
 
 
 def test_analyze_montecarlo_matches_library_and_workers(capsys):

@@ -701,6 +701,19 @@ def test_monte_carlo_infeasible_scenes():
     # morning hour angle is not a sunset scene
     with pytest.raises(ValueError):
         monte_carlo_readout(CFG, pert, "time_to_sunset", 10.0, 300.0, n_trials=5)
+    # a noon sun above the last almucantar of a coarse grid
+    coarse = PlateConfig(latitude=40.0, scale=100.0, almucantar_step=30.0)
+    with pytest.raises(ScenarioInfeasible) as exc:
+        monte_carlo_readout(coarse, PerturbationSpec(), "altitude", 20.0, 0.0, 5)
+    assert str(exc.value) == "sun altitude 70.00 is above the last engraved almucantar (60)"
+
+
+def test_read_altitude_on_a_node_and_outside_every_band():
+    # circles of radius 3, 2 and 1 about the origin, at altitudes 0, 10 and 20
+    field = ([0.0, 10.0, 20.0], [0.0] * 3, [0.0] * 3, [3.0, 2.0, 1.0])
+    assert _read_altitude(3.0, 0.0, *field) == 0.0  # on the altitude-0 circle itself
+    with pytest.raises(ScenarioInfeasible, match="falls outside the readable altitude bands"):
+        _read_altitude(30.0, 0.0, *field)
 
 
 def test_trial_draws_are_pinned():

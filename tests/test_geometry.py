@@ -314,6 +314,8 @@ def test_fit_circle_too_few_and_collinear():
     line = [PlanePoint(float(x), 2.0 * float(x) - 1.0) for x in np.linspace(0.0, 9.0, 12)]
     with pytest.raises(CollinearPoints):
         fit_circle(line)
+    with pytest.raises(CollinearPoints, match="all points coincide"):
+        fit_circle([PlanePoint(3.0, -4.0)] * 3)
 
 
 def test_circle_intersection_two_points():

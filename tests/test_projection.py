@@ -194,6 +194,8 @@ def test_sample_polar_circle_lands_on_cardinal_hours():
     pts = sample_sphere_circle(spec, 4)
     assert [p.dec for p in pts] == pytest.approx([0.0, 0.0, 0.0, 0.0], abs=1e-12)
     assert [p.hour_angle for p in pts] == pytest.approx([0.0, 90.0, 180.0, 270.0], abs=1e-9)
+    with pytest.raises(ValueError, match="need at least 3 samples, got 2"):
+        sample_sphere_circle(spec, 2)
 
 
 def test_samples_lie_on_the_spherical_circle():

@@ -30,7 +30,7 @@ from astrolabe import (
     render_full,
     render_svg,
 )
-from astrolabe.plate import STRAIGHT_REL, _vertical_end
+from astrolabe.plate import STRAIGHT_REL, PlateModel, _vertical_end
 from astrolabe import render
 from astrolabe.render import _Pen, _fmt
 from test_geometry import arc_point, point_at
@@ -434,6 +434,10 @@ def test_unknown_model_type_rejected():
     render_full(plate, rete_model(), back)  # the memo now holds plate and back
     with pytest.raises(TypeError, match="cannot render SimpleNamespace"):
         render_full(plate, SimpleNamespace(boundary=back.boundary), back)
+    # a plate built by hand that holds something other than an element
+    fields = {name: getattr(plate, name) for name in PlateModel.__slots__}
+    with pytest.raises(TypeError, match="cannot emit str"):
+        render_svg(PlateModel(**dict(fields, tropics=("the equator",))))
 
 
 # ---- the row memo: renders of one model object and style reuse its rows ----

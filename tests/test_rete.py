@@ -221,6 +221,12 @@ def test_load_star_catalog_errors(tmp_path):
         load_star_catalog(bad_value)
     assert exc.value.line == 3
 
+    out_of_range = tmp_path / "d.csv"
+    out_of_range.write_text("name,ra_deg,dec_deg,mag\nVega,279.235,38.784,0.03\nNowhere,10,95,1\n")
+    with pytest.raises(ParseError) as exc:
+        load_star_catalog(out_of_range)
+    assert str(exc.value) == "declination must lie in [-90, 90], got 95.0 (line 3)"
+
     empty = tmp_path / "e.csv"
     empty.write_text("# nothing here\n")
     with pytest.raises(ParseError):
