@@ -78,7 +78,8 @@ def contract_hashes() -> dict:
 def test_documents_keep_the_committed_output_contract():
     want = json.loads(CONTRACT.read_text(encoding="utf-8"))["sha256"]
     got = contract_hashes()
-    assert {g for g in want if want[g] != got.get(g)} == set()
+    changed = sorted(g for g in want if want[g] != got.get(g))
+    assert not changed, f"groups whose documents changed: {changed}"
     assert got.keys() == want.keys()
 
 
