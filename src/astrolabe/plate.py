@@ -321,9 +321,8 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
     """
     phi, s = cfg.latitude, cfg.scale
     boundary, eq, can = tropic_circles(cfg)  # checks the scale and the obliquity
-    LATITUDE.check(phi, "latitude")
+    zen = zenith_point(phi, s)  # checks the latitude
     r_b = boundary.radius
-    zen = zenith_point(phi, s)
 
     step = cfg.almucantar_step
     almucantars = [_inside_boundary(_almucantar_circle(phi, k * step, s), cfg, k * step, r_b)
