@@ -10,7 +10,7 @@ model's own circles, arcs, segments and star markers, and the fixed
 scales (limb ticks, sine quadrant, shadow square, the zodiac's long and
 short ticks, labels) straight from the boundary radius or the degree
 index.  One pen per document holds a printf-style row template for each
-element kind (`<line>`, `<circle>`, arc `<path>`, a label's x and y),
+element kind (`<line>`, `<circle>`, an arc's path text, a label's x and y),
 built once from the precision with the indent and newline in it; a run
 of lines is one `%` format over the repeated line template, and a model
 element is one row.  Model coordinates are mathematical (y up); the pen negates y, and x
@@ -163,8 +163,7 @@ class _Pen:
             row = self.circle_row % (sx * el.center.x, sy * el.center.y, el.radius, "")
         elif isinstance(el, Arc):
             d, large = self.arc(el)
-            words = d.split(" ")
-            if large and words[1:3] == words[-2:]:
+            if large and d.split(" ")[1:3] == d.split(" ")[-2:]:
                 # SVG draws no arc between equal points: this one is its circle to the precision
                 return self.emit(el.circle)
             return f'  <path d="{d}"/>\n'
@@ -188,9 +187,13 @@ def arc_to_path(arc: Arc, precision: int = 4) -> str:
 # ---- per-model layers: (id, draw), draw(pen) -> element rows -------------
 
 
-def _rays(rays):
-    """The (x1, y1, x2, y2) of radial lines, one per (sin, cos, r_out, r_in) of a plate angle."""
-    return ((ro * s, ro * c, ri * s, ri * c) for s, c, ro, ri in rays)
+def _ticks(sin_cos, r_out, r_long, r_short) -> list:
+    """Ticks in from r_out, one per (sin, cos): every tenth to r_long, the rest to r_short."""
+    ticks = []
+    for k, (s, c) in enumerate(sin_cos):
+        ri = r_long if k % 10 == 0 else r_short
+        ticks.append((r_out * s, r_out * c, ri * s, ri * c))
+    return ticks
 
 
 def _plate_layers(m: PlateModel) -> list:
@@ -241,19 +244,17 @@ def _back_layers(m: BackModel) -> list:
     def limb(pen):  # 360 one-degree ticks, long every tenth, numbered every 30
         return (
             pen.emit(m.boundary)
-            + pen.lines(_rays((s, c, r, r * (0.94 if a % 10 == 0 else 0.97))
-                              for a, (s, c) in enumerate(_WHOLE_DEGREES)))
+            + pen.lines(_ticks(_WHOLE_DEGREES, r, r * 0.94, r * 0.97))
             + "".join(pen.label(p.x, p.y, f"{a}") for a, p in
                       ((a, from_plate_polar(r * 0.905, a)) for a in range(0, 360, 30)))
         )
 
     def calendar(pen):
+        sin_cos = [(math.sin(a), math.cos(a)) for a in map(math.radians, m.calendar_angles)]
         return (
             pen.emit(Circle(PlanePoint(0.0, 0.0), r * 0.88))
             + pen.emit(Circle(PlanePoint(0.0, 0.0), r * 0.84))
-            + pen.lines(_rays((math.sin(a), math.cos(a), r * 0.88,
-                               r * (0.84 if i % 10 == 0 else 0.86))
-                              for i, a in enumerate(map(math.radians, m.calendar_angles))))
+            + pen.lines(_ticks(sin_cos, r * 0.88, r * 0.84, r * 0.86))
         )
 
     def sine_quadrant(pen):  # 60 radius divisions; the k = 60 chords have no length
