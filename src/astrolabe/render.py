@@ -11,9 +11,15 @@ scales (limb ticks, sine quadrant, shadow square, the zodiac's long and
 short ticks, labels) straight from the boundary radius or the degree
 index.  One pen per document holds a printf-style row template for each
 element kind (`<line>`, `<circle>`, an arc's path text, a label's x and y),
-built once from the precision with the indent and newline in it; a run
-of lines is one `%` format over the repeated line template, and a model
-element is one row.  Model coordinates are mathematical (y up); the pen negates y, and x
+built once from the precision with the indent and newline in it; a model
+element is one row, and a run of lines is one `%` format of the repeated
+line template over one flat tuple of signed values (x1, y1, x2, y2, ...).
+`_Pen.lines` signs a flat sequence of model values in one `map` pass;
+the zodiac's ticks are signed as they are computed; the limb's and the
+calendar's come from `_Pen.ticks`, which multiplies a flat unit table
+(sin, cos, sin, cos per tick: `_WHOLE_DEGREES` for the limb, one cached
+per calendar's angles) by radii with the signs folded in.
+Model coordinates are mathematical (y up); the pen negates y, and x
 too under `mirror_ew`, and inverts an arc's sweep flag when sx*sy < 0.
 One rule prints a number that rounds to zero unsigned: at precision p
 such a number prints as exactly "-0." and p zeros, followed by a
@@ -33,7 +39,9 @@ fresh emission would print.  An empty layer selection is not kept.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 from .back import BackModel, midday_altitude
 from .exceptions import EmptyModelWarning
@@ -105,8 +113,17 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}f}".replace(*_zeros(precision))
 
 
-# sine and cosine of each whole-degree plate angle
-_WHOLE_DEGREES = tuple((math.sin(math.radians(a)), math.cos(math.radians(a))) for a in range(360))
+def _unit_table(degrees) -> tuple:
+    """A scale's unit table for `_Pen.ticks`: (sin, cos, sin, cos) of each
+    angle in degrees, flat, one run of four per tick."""
+    return tuple(v for a in map(math.radians, degrees) for v in (math.sin(a), math.cos(a)) * 2)
+
+
+# the limb's unit table: one tick per whole-degree plate angle, sin, cos, sin, cos each
+_WHOLE_DEGREES = _unit_table(range(360))
+# the calendar's, from a back model's own angles; kept for the last angles drawn,
+# since every built back holds calendar_ring()'s one tuple
+_calendar_table = functools.lru_cache(maxsize=1)(_unit_table)
 
 
 # ---- element emission --------------------------------------------------
@@ -119,6 +136,7 @@ class _Pen:
 
     def __init__(self, precision: int, sx: float, sy: float):
         self.sx, self.sy = sx, sy
+        self.signs = (sx, sy, sx, sy)
         f = f"%.{precision}f"
         self.zeros = _zeros(precision)
         self.line_row = f'  <line x1="{f}" y1="{f}" x2="{f}" y2="{f}"/>\n'
@@ -128,11 +146,25 @@ class _Pen:
         # a mirrored label runs the other way from its anchor point
         self.anchors = {"start": "end", "end": "start"} if sx < 0 else {}
 
-    def lines(self, rows) -> str:
-        """One <line> row per (x1, y1, x2, y2), in one format call."""
+    def lines(self, values) -> str:
+        """One <line> row per four model values x1, y1, x2, y2 of a flat
+        sequence, signed in one pass."""
+        return self.signed_lines(tuple(map(operator.mul, self.signs * (len(values) // 4), values)))
+
+    def signed_lines(self, signed) -> str:
+        """One <line> row per four values already signed, in one format call."""
+        return ((self.line_row * (len(signed) // 4)) % tuple(signed)).replace(*self.zeros)
+
+    def ticks(self, unit, r_out, r_long, r_short) -> str:
+        """One tick per run of four in a unit table (`_unit_table`), in from
+        r_out: the first of every ten to r_long, the rest to r_short.  The
+        signs are folded into the radii; since they are exactly +-1, each
+        (sx * r) * s is the bits of sx * (r * s)."""
         sx, sy = self.sx, self.sy
-        values = [v for x1, y1, x2, y2 in rows for v in (sx * x1, sy * y1, sx * x2, sy * y2)]
-        return ((self.line_row * (len(values) // 4)) % tuple(values)).replace(*self.zeros)
+        long = (sx * r_out, sy * r_out, sx * r_long, sy * r_long)
+        short = (sx * r_out, sy * r_out, sx * r_short, sy * r_short)
+        pattern = (long + short * 9) * -(-len(unit) // 40)
+        return self.signed_lines(tuple(map(operator.mul, pattern, unit)))
 
     def label(self, x: float, y: float, text: str, anchor: str = "middle") -> str:
         # xml.sax.saxutils.escape, without its import: `&` first
@@ -168,7 +200,7 @@ class _Pen:
                 return self.emit(el.circle)
             return f'  <path d="{d}"/>\n'
         elif isinstance(el, Segment):
-            return self.lines([(el.a.x, el.a.y, el.b.x, el.b.y)])
+            return self.lines((el.a.x, el.a.y, el.b.x, el.b.y))
         elif isinstance(el, PlanePoint):
             row = self.circle_row % (sx * el.x, sy * el.y, _STAR_MARKER_R,
                                      ' fill="#000" stroke="none"')
@@ -185,15 +217,6 @@ def arc_to_path(arc: Arc, precision: int = 4) -> str:
 
 
 # ---- per-model layers: (id, draw), draw(pen) -> element rows -------------
-
-
-def _ticks(sin_cos, r_out, r_long, r_short) -> list:
-    """Ticks in from r_out, one per (sin, cos): every tenth to r_long, the rest to r_short."""
-    ticks = []
-    for k, (s, c) in enumerate(sin_cos):
-        ri = r_long if k % 10 == 0 else r_short
-        ticks.append((r_out * s, r_out * c, ri * s, ri * c))
-    return ticks
 
 
 def _plate_layers(m: PlateModel) -> list:
@@ -215,17 +238,18 @@ def _plate_layers(m: PlateModel) -> list:
 def _rete_layers(m: ReteModel) -> list:
     def ecliptic(pen):
         ticks, labels = [], []
+        sx, sy = pen.sx, pen.sy
         cx, cy = m.ecliptic.center.x, m.ecliptic.center.y
         for lam, pt in enumerate(m.zodiac_points):  # one tick per degree of longitude
             px, py = pt.x, pt.y
             dx, dy = cx - px, cy - py
             norm = math.hypot(dx, dy)
             ln = 2.8 if lam % 30 == 0 else 1.2
-            ticks.append((px, py, px + dx / norm * ln, py + dy / norm * ln))
+            ticks += (sx * px, sy * py, sx * (px + dx / norm * ln), sy * (py + dy / norm * ln))
             if lam % 30 == 15:
                 lx, ly = px + dx / norm * 7.0, py + dy / norm * 7.0
                 labels.append(pen.label(lx, ly, _ZODIAC[lam // 30]))
-        return pen.emit(m.ecliptic) + pen.lines(ticks) + "".join(labels)
+        return pen.emit(m.ecliptic) + pen.signed_lines(ticks) + "".join(labels)
 
     def stars(pen):
         return "".join(pen.emit(pt) for _, pt in m.pointers) + "".join(
@@ -244,39 +268,38 @@ def _back_layers(m: BackModel) -> list:
     def limb(pen):  # 360 one-degree ticks, long every tenth, numbered every 30
         return (
             pen.emit(m.boundary)
-            + pen.lines(_ticks(_WHOLE_DEGREES, r, r * 0.94, r * 0.97))
+            + pen.ticks(_WHOLE_DEGREES, r, r * 0.94, r * 0.97)
             + "".join(pen.label(p.x, p.y, f"{a}") for a, p in
                       ((a, from_plate_polar(r * 0.905, a)) for a in range(0, 360, 30)))
         )
 
     def calendar(pen):
-        sin_cos = [(math.sin(a), math.cos(a)) for a in map(math.radians, m.calendar_angles)]
         return (
             pen.emit(Circle(PlanePoint(0.0, 0.0), r * 0.88))
             + pen.emit(Circle(PlanePoint(0.0, 0.0), r * 0.84))
-            + pen.lines(_ticks(sin_cos, r * 0.88, r * 0.84, r * 0.86))
+            + pen.ticks(_calendar_table(tuple(m.calendar_angles)), r * 0.88, r * 0.84, r * 0.86)
         )
 
     def sine_quadrant(pen):  # 60 radius divisions; the k = 60 chords have no length
         frame = Arc(Circle(PlanePoint(0.0, 0.0), r), PlanePoint(0.0, r), PlanePoint(-r, 0.0), "ccw")
         d = [k * (r / 60) for k in range(1, 60)]
         reach = [math.sqrt(r * r - dk * dk) for dk in d]
-        return pen.emit(frame) + pen.lines(
-            [(-r, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, r)]
-            + [(-w, dk, 0.0, dk) for dk, w in zip(d, reach)]  # sines
-            + [(-dk, 0.0, -dk, w) for dk, w in zip(d, reach)]  # cosines
-        )
+        chords = [-r, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, r]
+        for dk, w in zip(d, reach):  # sines
+            chords += (-w, dk, 0.0, dk)
+        for dk, w in zip(d, reach):  # cosines
+            chords += (-dk, 0.0, -dk, w)
+        return pen.emit(frame) + pen.lines(chords)
 
     def shadow_square(pen):
         digits = [k / 12 for k in range(1, 13)]
-        return pen.lines(
-            [(-half, 0.0, half, 0.0), (-half, 0.0, -half, -side),
-             (half, 0.0, half, -side), (-half, -side, half, -side)]
-            # umbra recta: 12 digits along the bottom
-            + [(-half + f * side, -side, -half + f * side, -side + 1.5) for f in digits]
-            # umbra versa: 12 digits down the right side
-            + [(half, -f * side, half - 1.5, -f * side) for f in digits]
-        )
+        lines = [-half, 0.0, half, 0.0, -half, 0.0, -half, -side,
+                 half, 0.0, half, -side, -half, -side, half, -side]
+        for f in digits:  # umbra recta: 12 digits along the bottom
+            lines += (-half + f * side, -side, -half + f * side, -side + 1.5)
+        for f in digits:  # umbra versa: 12 digits down the right side
+            lines += (half, -f * side, half - 1.5, -f * side)
+        return pen.lines(lines)
 
     def midday(pen):  # labelled with the latitude 2 mm above its equinox point
         lat = m.config.latitude
@@ -286,7 +309,7 @@ def _back_layers(m: BackModel) -> list:
     def qibla(pen):  # a ray from the center toward each bearing, labelled along it
         marks = [(loc, from_plate_polar(r * 0.82, b), from_plate_polar(r * 0.6, b))
                  for loc, b in m.qibla_marks]
-        return pen.lines((p.x, p.y, 0.0, 0.0) for _, p, _ in marks) + "".join(
+        return pen.lines([v for _, p, _ in marks for v in (p.x, p.y, 0.0, 0.0)]) + "".join(
             pen.label(q.x, q.y, loc.name, "start") for loc, _, q in marks)
 
     layers = [
