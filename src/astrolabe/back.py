@@ -133,10 +133,10 @@ def calendar_ring() -> tuple[float, ...]:
 
 
 def midday_altitude(latitude: float, declination: float) -> float:
-    """Noon solar altitude: h = 90 - phi + delta (degrees), for a finite
-    latitude and declination."""
-    FINITE.check(latitude, "latitude")
-    FINITE.check(declination, "declination")
+    """Noon solar altitude: h = 90 - phi + delta (degrees), for a latitude
+    and a declination on the globe, each in [-90, 90]."""
+    DECLINATION.check(latitude, "latitude")
+    DECLINATION.check(declination, "declination")
     return 90.0 - latitude + declination
 
 

@@ -104,6 +104,7 @@ def band_misassignment(
     within the displacement D of the true one.  y_lower rises with h, so
     that is the last band at or below h* = phi - 2*atan(tan((phi -
     altitude)/2) - D/scale); the crossing test settles it against rounding.
+    Raises DomainError where `altitude` is the zenith, as almucantar_solution does.
     """
     BAND_STEP.check(band_step, "band step")
     FRACTION.check(radius_error_fraction, "radius error fraction")

@@ -202,7 +202,9 @@ def _stereographic(sind: float, cosd: float, scale: float) -> float:
 
 
 def stereographic_radius(dec: float, scale: float) -> float:
-    """Stereographic plate radius: scale * tan(45 deg - dec/2)."""
+    """Stereographic plate radius: scale * tan(45 deg - dec/2).  Raises
+    DomainError at the south pole (dec = -90, or within rounding of it),
+    whose projecting ray runs parallel to the plane."""
     return axis_projection_radius(dec, STEREOGRAPHIC, scale)
 
 

@@ -17,8 +17,9 @@ line template over one flat tuple of signed values (x1, y1, x2, y2, ...).
 `_Pen.lines` signs a flat sequence of model values in one `map` pass;
 the zodiac's ticks are signed as they are computed; the limb's and the
 calendar's come from `_Pen.ticks`, which multiplies a flat unit table
-(sin, cos, sin, cos per tick: `_WHOLE_DEGREES` for the limb, one cached
-per calendar's angles) by radii with the signs folded in.
+(sin, cos, sin, cos per tick: `_WHOLE_DEGREES` for the limb, and for the
+calendar one cached from its model's own angles) by radii with the signs
+folded in.
 Model coordinates are mathematical (y up); the pen negates y, and x
 too under `mirror_ew`, and inverts an arc's sweep flag when sx*sy < 0.
 One rule prints a number that rounds to zero unsigned: at precision p

@@ -14,7 +14,13 @@ A change that alters document bytes on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_output_contract.py --write
 
-and lists the groups that changed.
+and lists the groups that changed.  To compare two trees at any precision,
+the precision-2 and precision-9 documents included, run
+
+    PYTHONPATH=src python tests/test_output_contract.py --print 9
+
+in each: it prints the group hashes of the grid drawn at that precision
+and writes nothing.
 """
 
 import hashlib
@@ -46,14 +52,14 @@ OBLIQUITY = 23.44
 PRECISION = 4
 
 
-def contract_hashes() -> dict:
+def contract_hashes(precision: int = PRECISION) -> dict:
     """{"<group> mirror <off|on>": sha256 of the group's documents}."""
     catalog = load_star_catalog(ROOT / "demos" / "data" / "bright_stars.csv")
     cities = load_localities(ROOT / "demos" / "data" / "cities.csv")
     cap = math.tan(math.radians(45.0 + OBLIQUITY / 2.0))  # limb radius per unit of scale
     hashes = {}
     for mirror in (False, True):
-        style = RenderStyle(precision=PRECISION, mirror_ew=mirror)
+        style = RenderStyle(precision=precision, mirror_ew=mirror)
         groups = {face: hashlib.sha256() for face in ("plate", "rete", "back", "full")}
         for scale in SCALES:
             rete = build_rete(catalog, scale, OBLIQUITY)
@@ -84,8 +90,13 @@ def test_documents_keep_the_committed_output_contract():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_output_contract.py --write")
+    args = sys.argv[1:]
+    if len(args) == 2 and args[0] == "--print" and args[1] in map(str, range(1, 10)):
+        for group, digest in contract_hashes(int(args[1])).items():
+            print(f"{digest}  {group} precision {args[1]}")
+        sys.exit()
+    if args != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_output_contract.py --write | --print 1..9")
     CONTRACT.parent.mkdir(exist_ok=True)
     CONTRACT.write_text(json.dumps({
         "written_by": "PYTHONPATH=src python tests/test_output_contract.py --write",

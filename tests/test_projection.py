@@ -26,9 +26,9 @@ from astrolabe import (
     stereographic_radius,
     unproject_point,
 )
-from astrolabe.projection import (ALTITUDE, DEGREES, FINITE, FRACTION, LATITUDE, LENGTH,
-                                  LENGTH_OR_0, OBLIQUITIES, RADIANS, SCALE, SIGNED_LENGTH,
-                                  SIGNED_RADIANS, horizon_to_sphere)
+from astrolabe.projection import (ALTITUDE, DECLINATION, DEGREES, FINITE, FRACTION, LATITUDE,
+                                  LENGTH, LENGTH_OR_0, OBLIQUITIES, RADIANS, SCALE,
+                                  SIGNED_LENGTH, SIGNED_RADIANS, horizon_to_sphere)
 
 S = 100.0
 
@@ -369,9 +369,10 @@ _RANGED_INPUTS = {
     "zenith_point latitude": (LATITUDE, "latitude", lambda x: astrolabe.zenith_point(x, S)),
     "zenith_point scale": (SCALE, "scale", lambda x: astrolabe.zenith_point(40.0, x)),
     "equation_of_center mean anomaly": (FINITE, "mean anomaly", astrolabe.equation_of_center),
-    "midday_altitude latitude": (FINITE, "latitude", lambda x: astrolabe.midday_altitude(x, 0.0)),
+    "midday_altitude latitude": (
+        DECLINATION, "latitude", lambda x: astrolabe.midday_altitude(x, 0.0)),
     "midday_altitude declination": (
-        FINITE, "declination", lambda x: astrolabe.midday_altitude(40.0, x)),
+        DECLINATION, "declination", lambda x: astrolabe.midday_altitude(40.0, x)),
     "normalize_angle angle": (FINITE, "angle", astrolabe.normalize_angle),
 }
 

@@ -3,6 +3,7 @@ almucantars and arcs over their whole input domains.  Derandomized and
 without an example database, so every run draws the same examples and
 writes nothing to disk."""
 
+import inspect
 import math
 import re
 
@@ -11,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import astrolabe
 from astrolabe import (
     SCALE_RANGE,
     STEREOGRAPHIC,
@@ -41,10 +43,14 @@ from astrolabe import (
     unproject_point,
     zenith_point,
 )
-from astrolabe.geometry import arc_through, circumcircle
+from astrolabe.exceptions import AstrolabeError
+from astrolabe.geometry import _Record, arc_through, circumcircle
 from astrolabe.plate import (MIN_LATITUDE, STRAIGHT_REL, _vertical_end, crossing_hour_angle,
                              night_hours)
-from astrolabe.projection import _stereographic, from_plate_polar, horizon_to_sphere
+from astrolabe.projection import (ALTITUDE, BAND_STEP, DECLINATION, FINITE, FRACTION, LATITUDE,
+                                  LENGTH, OBLIQUITIES, RADIANS, SCALE, SIGNED_LENGTH,
+                                  SIGNED_RADIANS, _stereographic, from_plate_polar,
+                                  horizon_to_sphere)
 from astrolabe.render import _fmt, _Pen
 from test_geometry import arc_holds, point_at
 from test_projection import ray_plane_radius
@@ -558,3 +564,89 @@ def test_plate_kernels_equal_the_public_helpers(latitude, scale, obliquity, almu
         d = math.radians(dec)
         assert repr(axis_projection_radius(dec, STEREOGRAPHIC, scale)) == repr(
             _stereographic(math.sin(d), math.cos(d), scale))
+
+
+# ---- the library's contract: finite numbers or a documented error ----
+
+# every public function whose required arguments are all floats, with the range entry
+# of each of its float arguments in order (the optional ones too); an argument that no
+# entry checks (a plate angle, an ecliptic longitude, a polar radius) is drawn from FINITE
+FLOAT_FUNCTIONS = {
+    "alidade_offset_error": (LENGTH, RADIANS),
+    "almucantar_solution": (LATITUDE, ALTITUDE, SCALE),
+    "arc_displacement": (SIGNED_LENGTH, SIGNED_LENGTH),
+    "arc_displacement_angular": (LENGTH, SIGNED_RADIANS, SIGNED_LENGTH),
+    "azimuth_circle": (LATITUDE, FINITE, SCALE),
+    "band_misassignment": (LATITUDE, SCALE, ALTITUDE, FRACTION, BAND_STEP),
+    "band_spacing": (LATITUDE, SCALE, ALTITUDE, BAND_STEP),
+    "declination_from_alt_az": (LATITUDE, ALTITUDE, FINITE),
+    "ecliptic_circle": (SCALE, OBLIQUITIES),
+    "ecliptic_point": (FINITE, SCALE, OBLIQUITIES),
+    "equation_of_center": (FINITE,),
+    "from_plate_polar": (FINITE, FINITE),
+    "midday_altitude": (DECLINATION, DECLINATION),
+    "midday_curve": (LATITUDE, OBLIQUITIES, SCALE),
+    "normalize_angle": (FINITE,),
+    "solar_declination": (FINITE, OBLIQUITIES),
+    "solar_longitude": (FINITE,),
+    "solve_altitude_for_azimuth": (LATITUDE, DECLINATION, FINITE),
+    "stereographic_radius": (DECLINATION, SCALE),
+    "tropic_radii": (SCALE, OBLIQUITIES),
+    "zenith_point": (LATITUDE, SCALE),
+}
+
+
+def edge_values(domain) -> list[float]:
+    """Each end of a range entry with the floats one ulp either side of it,
+    and the values that every float input must survive."""
+    values = [0.0, -0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
+    for end in (float(domain.lo), float(domain.hi)):
+        values += [math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)]
+    return values
+
+
+def returned_floats(value):
+    """Every float in a returned number, tuple or record, nested ones too."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, _Record):
+        yield from returned_floats(value._fields(value))
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from returned_floats(v)
+    else:
+        assert isinstance(value, str), f"unexpected {type(value).__name__} {value!r}"
+
+
+def test_the_float_table_holds_every_public_float_function():
+    public = set()
+    for name in dir(astrolabe):
+        function = getattr(astrolabe, name)
+        if name.startswith("_") or not inspect.isfunction(function):
+            continue
+        params = inspect.signature(function).parameters.values()
+        required = [p for p in params if p.default is p.empty]
+        if required and all(p.annotation in ("float", float) for p in required):
+            public.add(name)
+            floats = [p for p in params if p.annotation in ("float", float)]
+            assert len(FLOAT_FUNCTIONS.get(name, ())) == len(floats), name
+    assert public == set(FLOAT_FUNCTIONS)
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_FUNCTIONS))
+@settings(REPRODUCIBLE, max_examples=150)
+@given(data=st.data())
+def test_every_float_function_returns_finite_numbers_or_a_documented_error(name, data):
+    # never OverflowError, ZeroDivisionError, TypeError or a nan: those fall through
+    function = getattr(astrolabe, name)
+    args = data.draw(st.tuples(*(st.sampled_from(edge_values(d)) for d in FLOAT_FUNCTIONS[name])))
+    try:
+        result = function(*args)
+    except ValueError:
+        return
+    except AstrolabeError as exc:
+        named = [c.__name__ for c in type(exc).__mro__
+                 if issubclass(c, AstrolabeError) and c is not AstrolabeError]
+        assert any(n in function.__doc__ for n in named), f"{name}{args}: {exc!r} is not documented"
+        return
+    assert all(map(math.isfinite, returned_floats(result))), f"{name}{args} = {result!r}"

@@ -2,6 +2,7 @@
 parameterization evaluator, layer structure, mirroring, determinism."""
 
 import math
+import random
 import re
 import warnings
 import xml.etree.ElementTree as ET
@@ -15,6 +16,7 @@ import pytest
 from astrolabe import (
     Arc,
     BackConfig,
+    BackModel,
     Circle,
     EmptyModelWarning,
     LAYER_IDS,
@@ -27,6 +29,7 @@ from astrolabe import (
     build_back,
     build_plate,
     build_rete,
+    calendar_ring,
     render_full,
     render_svg,
 )
@@ -519,3 +522,115 @@ def test_memo_holds_one_instrument_set(emitted):
     assert len(emitted) == before  # the last plate and the other kinds' faces hit
     assert render_svg(models[8]) == docs[8]
     assert len(emitted) > before  # an earlier plate was let go
+
+
+# ---- the flat emitter: every value prints as a per-row emission printed it ----
+
+
+def printed(value, precision):
+    """A number as a document prints it: fixed point, unsigned where it reads as zero."""
+    text = f"{value:.{precision}f}"
+    return text.lstrip("-") if float(text) == 0.0 else text
+
+
+def reference_lines(rows, precision, sx, sy):
+    """One <line> per (x1, y1, x2, y2) model row, formatted row by row, each
+    value signed as sx * x or sy * y."""
+    return "".join(
+        f'  <line x1="{printed(sx * x1, precision)}" y1="{printed(sy * y1, precision)}" '
+        f'x2="{printed(sx * x2, precision)}" y2="{printed(sy * y2, precision)}"/>\n'
+        for x1, y1, x2, y2 in rows)
+
+
+def reference_ticks(degrees, r_out, r_long, r_short):
+    """A scale's rows as r * sin and r * cos of each angle in degrees, in from
+    r_out: the first of every ten to r_long, the rest to r_short."""
+    rows = []
+    for k, a in enumerate(degrees):
+        s, c = math.sin(math.radians(a)), math.cos(math.radians(a))
+        ri = r_long if k % 10 == 0 else r_short
+        rows.append((r_out * s, r_out * c, ri * s, ri * c))
+    return rows
+
+
+def reference_zodiac(m):
+    """The rete's one-degree ticks as rows: in from each zodiac point toward
+    the ecliptic's center, 2.8 mm at each sign's start and 1.2 mm elsewhere."""
+    rows = []
+    cx, cy = m.ecliptic.center.x, m.ecliptic.center.y
+    for lam, pt in enumerate(m.zodiac_points):
+        dx, dy = cx - pt.x, cy - pt.y
+        norm = math.hypot(dx, dy)
+        ln = 2.8 if lam % 30 == 0 else 1.2
+        rows.append((pt.x, pt.y, pt.x + dx / norm * ln, pt.y + dy / norm * ln))
+    return rows
+
+
+def line_rows(text):
+    return "".join(row for row in text.splitlines(keepends=True) if row.startswith("  <line"))
+
+
+def draw(layers, name, pen):
+    return line_rows(dict(layers)[name](pen))
+
+
+# SCALE's two ends and four radii spread over it, log-uniform
+RADII = (1e-6, 1e9) + tuple(10.0 ** random.Random(29).uniform(-6.0, 9.0) for _ in range(4))
+
+
+@pytest.mark.parametrize("radius", RADII)
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("precision", range(1, 10))
+def test_every_scale_tick_prints_the_per_row_reference(precision, mirror, radius):
+    sx, sy = (-1.0 if mirror else 1.0), -1.0
+    pen = _Pen(precision, sx, sy)
+    back, rete = build_back(BackConfig(40.0, radius)), build_rete([], radius)
+    r = radius
+    want = {
+        "limb": reference_ticks(range(360), r, r * 0.94, r * 0.97),
+        "calendar": reference_ticks(calendar_ring(), r * 0.88, r * 0.84, r * 0.86),
+    }
+    for name, rows in want.items():
+        assert len(rows) in (360, 365)
+        assert draw(render._back_layers(back), name, pen) == reference_lines(rows, precision, sx, sy)
+    zodiac = reference_zodiac(rete)
+    assert len(zodiac) == 360
+    assert draw(render._rete_layers(rete), "ecliptic", pen) == reference_lines(
+        zodiac, precision, sx, sy)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("precision", range(1, 10))
+def test_lines_prints_each_run_of_four_values_as_one_reference_row(precision, mirror):
+    sx, sy = (-1.0 if mirror else 1.0), -1.0
+    rng = random.Random(precision)
+    half_unit = 0.5 * 10.0 ** -precision  # the numbers either side of it round apart
+    values = [0.0, -0.0, 5e-324, -5e-324, half_unit, -half_unit, math.nextafter(half_unit, 1.0),
+              -math.nextafter(half_unit, 1.0), 1e9, -1e9, 1e-6, -1e-6]
+    values += [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 9.0) for _ in range(388)]
+    rows = list(zip(*[iter(values)] * 4))
+    want = reference_lines(rows, precision, sx, sy)
+    pen = _Pen(precision, sx, sy)
+    assert pen.lines(values) == pen.lines(tuple(values)) == want
+    assert pen.signed_lines([v * s for v, s in zip(values, pen.signs * 100)]) == want
+    assert pen.ticks(render._WHOLE_DEGREES, 1.0, 1.0, 1.0) == reference_lines(
+        reference_ticks(range(360), 1.0, 1.0, 1.0), precision, sx, sy)
+
+
+def test_the_calendar_ticks_follow_the_model_angles():
+    back = build_back(BackConfig(40.0, 100.0))
+    fields = {name: getattr(back, name) for name in BackModel.__slots__}
+    ring = back.calendar_angles
+    assert ring is calendar_ring()
+    # a hand-built model with its own 37 angles, as a list, draws its own ticks
+    angles = [a + 0.5 for a in ring[:37]]
+    own = BackModel(**dict(fields, calendar_angles=angles))
+    pen = _Pen(6, -1.0, -1.0)
+    r = 100.0
+    for model, degrees in ((own, angles), (back, ring), (own, angles)):  # no table is reused
+        assert draw(render._back_layers(model), "calendar", pen) == reference_lines(
+            reference_ticks(degrees, r * 0.88, r * 0.84, r * 0.86), 6, -1.0, -1.0)
+    doc = render_svg(own, RenderStyle(precision=6, mirror_ew=True,
+                                      include_layers=frozenset({"calendar"})))
+    assert doc.count("<line ") == 37
+    assert line_rows(doc) == draw(render._back_layers(own), "calendar", pen)
