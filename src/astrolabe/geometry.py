@@ -357,5 +357,17 @@ def circle_circle_intersection(a: Circle, b: Circle) -> tuple[PlanePoint, ...]:
 
 
 def chord_length(circle: Circle, theta1: float, theta2: float) -> float:
-    """Chord between the rim points at polar angles theta1, theta2 (rad)."""
-    return 2.0 * circle.radius * abs(math.sin((theta2 - theta1) / 2.0))
+    """Chord between the rim points at polar angles theta1, theta2 (rad).
+    Raises ValueError naming an angle that is not finite, or the radius
+    of a circle whose chord is beyond the float range."""
+    if not (math.isfinite(theta1) and math.isfinite(theta2)):
+        from .projection import FINITE  # projection imports this module
+
+        FINITE.check(theta1, "theta1")
+        FINITE.check(theta2, "theta2")
+    # the halves' difference, which no two finite angles overflow, and the radius
+    # times the sine doubled last, the bits of 2 r |sin| short of overflow
+    chord = 2.0 * (circle.radius * abs(math.sin(theta2 / 2.0 - theta1 / 2.0)))
+    if chord == math.inf:
+        raise ValueError(f"circle radius is too large for a finite chord, got {circle.radius!r}")
+    return chord

@@ -47,11 +47,12 @@ prints the same floats as the plate.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .exceptions import ArcticLatitude, DomainError
 from .geometry import Arc, Circle, PlanePoint, Segment, _Record, arc_through, turns_ccw
-from .projection import (ALTITUDE, LATITUDE, OBLIQUITIES, OBLIQUITY, SCALE, STEP,
+from .projection import (ALTITUDE, FINITE, LATITUDE, OBLIQUITIES, OBLIQUITY, SCALE, STEP,
                          _altitude_for_azimuth, _cos_sin_deg, _sky_angles, _stereographic,
                          from_plate_polar, stereographic_radius)
 from .projection import MIN_LATITUDE, MIN_STEP  # noqa: F401  (the plate's floors)
@@ -181,10 +182,12 @@ def azimuth_circle(latitude: float, azimuth: float, scale: float) -> Circle:
     for A = 90 mod 180, where the vertical is the straight meridian."""
     LATITUDE.check(latitude, "latitude")
     SCALE.check(scale, "scale")
-    a = azimuth % 360.0
-    if abs(math.cos(math.radians(a))) < 1e-11:
+    FINITE.check(azimuth, "azimuth")
+    ar = math.radians(azimuth % 360.0)
+    cos_a = math.cos(ar)
+    if abs(cos_a) < 1e-11:
         raise DomainError("azimuth 90/270 is the meridian line, not a circle")
-    return _azimuth_circle(*_azimuth_axis(latitude, scale), a)
+    return _azimuth_circle(*_azimuth_axis(latitude, scale), ar, cos_a)
 
 
 def _azimuth_axis(latitude: float, scale: float) -> tuple[float, float]:
@@ -194,10 +197,27 @@ def _azimuth_axis(latitude: float, scale: float) -> tuple[float, float]:
     return (y_z + y_n) / 2.0, (y_z - y_n) / 2.0
 
 
-def _azimuth_circle(y_c: float, p_c: float, azimuth: float) -> Circle:
-    """`azimuth_circle` from its latitude's y_c and p_c, unchecked."""
-    ar = math.radians(azimuth)
-    return Circle(PlanePoint(p_c * math.tan(ar), y_c), p_c / abs(math.cos(ar)))
+def _azimuth_circle(y_c: float, p_c: float, ar: float, cos_a: float) -> Circle:
+    """`azimuth_circle` from its latitude's y_c and p_c and the azimuth in
+    radians with its cosine, unchecked."""
+    return Circle(PlanePoint(p_c * math.tan(ar), y_c), p_c / abs(cos_a))
+
+
+@functools.lru_cache(maxsize=8)
+def _vertical_azimuths(step: float) -> tuple[tuple[float, float, float], ...]:
+    """Each distinct vertical's azimuth A (degrees from the prime vertical),
+    in vertical order, with A in radians and its cosine, computed once per
+    step.  Vertical j = round(A m / 180) mod m takes the first multiple
+    A = k * step mod 180 that reaches it: with n steps per turn, m = n/2
+    if n is even (A and A + 180 pair up), else m = n."""
+    n_az = int(round(360.0 / step))
+    m_az = n_az // 2 if n_az % 2 == 0 else n_az
+    first = {}
+    for k in range(n_az):
+        a = (k * step) % 180.0
+        first.setdefault(round(a * m_az / 180.0) % m_az, a)
+    return tuple((a, math.radians(a), math.cos(math.radians(a)))
+                 for _, a in sorted(first.items()))
 
 
 def crossing_hour_angle(latitude: float, declination: float, altitude: float = 0.0):
@@ -218,7 +238,10 @@ def crossing_hour_angle(latitude: float, declination: float, altitude: float = 0
     # its distance from 180, cos(x/2) = sin((180 - |x|)/2), for the same reason
     sin_a, sin_b = math.fsum((90.0, -h, phi, -dec)), math.fsum((90.0, -h, -phi, dec))
     cos_a, cos_b = math.fsum((90.0, h, -phi, -dec)), math.fsum((90.0, h, phi, dec))
-    cos_a, cos_b = (c if c <= 180.0 else 360.0 - c for c in (cos_a, cos_b))
+    if cos_a > 180.0:
+        cos_a = 360.0 - cos_a
+    if cos_b > 180.0:
+        cos_b = 360.0 - cos_b
     if min(sin_a, sin_b, cos_a, cos_b) <= TOUCH_DEG:
         return None
     half = math.radians(0.5)
@@ -329,21 +352,12 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
                    for k in range(int(round(90.0 / step)))] + [zen]
     horizon = almucantars[0]
 
-    # vertical j = round(A m / 180) mod m takes the first multiple
-    # A = k * step mod 180 that reaches it: with n steps per turn, m = n/2
-    # if n is even (A and A + 180 pair up), else m = n
-    n_az = int(round(360.0 / cfg.azimuth_step))
-    m_az = n_az // 2 if n_az % 2 == 0 else n_az
-    first = {}
-    for k in range(n_az):
-        a = (k * cfg.azimuth_step) % 180.0
-        first.setdefault(round(a * m_az / 180.0) % m_az, a)
     la = math.radians(phi)
     sin_phi, cos_phi = math.sin(la), math.cos(la)
     y_c, p_c = _azimuth_axis(phi, s)
     azimuths = []
-    for _, a in sorted(first.items()):
-        if abs(math.cos(math.radians(a))) < 1e-11:
+    for a, ar, cos_a in _vertical_azimuths(cfg.azimuth_step):
+        if abs(cos_a) < 1e-11:
             north_y = _y_lower(phi, 0.0, s)
             south_y = min(s / math.tan(math.radians(phi / 2.0)), r_b)
             azimuths.append(Segment(PlanePoint(0.0, north_y), PlanePoint(0.0, south_y)))
@@ -352,7 +366,7 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
         # plate toward compass azimuth 270 - A, and back toward 90 - A
         ahead = _vertical_end_from(cfg, sin_phi, cos_phi, r_b, 270.0 - a)
         behind = _vertical_end_from(cfg, sin_phi, cos_phi, r_b, 90.0 - a)
-        circ = _azimuth_circle(y_c, p_c, a)
+        circ = _azimuth_circle(y_c, p_c, ar, cos_a)
         if circ.radius > STRAIGHT_REL * r_b:
             azimuths.append(Segment(behind, ahead))
             continue

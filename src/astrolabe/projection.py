@@ -210,9 +210,15 @@ def stereographic_radius(dec: float, scale: float) -> float:
 
 def from_plate_polar(radius: float, angle_deg: float) -> PlanePoint:
     """Plate point at the given radius and plate angle (degrees,
-    clockwise from +y): (r*sin, r*cos)."""
-    a = math.radians(angle_deg)
-    return PlanePoint(radius * math.sin(a), radius * math.cos(a))
+    clockwise from +y): (r*sin, r*cos).  Raises ValueError naming the
+    radius or the angle where either is not finite."""
+    try:
+        a = math.radians(angle_deg)
+        return PlanePoint(radius * math.sin(a), radius * math.cos(a))
+    except ValueError:  # checked here, not on the plates' hundreds of calls
+        FINITE.check(radius, "radius")
+        FINITE.check(angle_deg, "plate angle")
+        raise
 
 
 def plate_angle_deg(p: PlanePoint) -> float:
@@ -231,7 +237,14 @@ def _cos_sin_deg(angle: float) -> tuple[float, float]:
     quarter = round(angle / 90.0)
     rest = math.radians(angle - 90.0 * quarter)
     c, s = math.cos(rest), math.sin(rest)
-    return ((c, s), (-s, c), (-c, -s), (s, -c))[quarter % 4]
+    quarter %= 4
+    if quarter == 0:
+        return c, s
+    if quarter == 1:
+        return -s, c
+    if quarter == 2:
+        return -c, -s
+    return s, -c
 
 
 def _sky_angles(sin_phi: float, cos_phi: float, sin_h: float, cos_h: float,

@@ -9,24 +9,27 @@ Each layer is an id and a function that returns its rows of text: the
 model's own circles, arcs, segments and star markers, and the fixed
 scales (limb ticks, sine quadrant, shadow square, the zodiac's long and
 short ticks, labels) straight from the boundary radius or the degree
-index.  One pen per document holds a printf-style row template for each
-element kind (`<line>`, `<circle>`, an arc's path text, a label's x and y),
-built once from the precision with the indent and newline in it; a model
-element is one row, and a run of lines is one `%` format of the repeated
-line template over one flat tuple of signed values (x1, y1, x2, y2, ...).
-`_Pen.lines` signs a flat sequence of model values in one `map` pass;
-the zodiac's ticks are signed as they are computed; the limb's and the
-calendar's come from `_Pen.ticks`, which multiplies a flat unit table
-(sin, cos, sin, cos per tick: `_WHOLE_DEGREES` for the limb, and for the
-calendar one cached from its model's own angles) by radii with the signs
-folded in.
+index.  One pen per document holds a printf-style bytes template for
+each row kind (`<line>`, `<circle>`, a star marker, an arc's `<path>`),
+built once from the precision with the indent and newline in it.  A run
+of rows (a layer's model elements, or a run of lines) is printed by one
+`%` of its rows' templates joined over one flat tuple of signed values,
+and decoded once (`_Pen.run`); an element drawn alone is a run of one.
+`_Pen.lines` signs a flat sequence of model values (x1, y1, x2, y2, ...)
+in one `map` pass; the zodiac's ticks are signed as they are computed;
+the limb's and the calendar's come from `_Pen.ticks`, which multiplies a
+flat unit table (sin, cos, sin, cos per tick: `_WHOLE_DEGREES` for the
+limb, and for the calendar one cached from its model's own angles) by
+radii with the signs folded in.  Bytes and str `%` print a float through
+the same routine, so the bytes are those of a str format.  A label stays
+str: its x and y are formatted apart, and its text is never formatted.
 Model coordinates are mathematical (y up); the pen negates y, and x
 too under `mirror_ew`, and inverts an arc's sweep flag when sx*sy < 0.
 One rule prints a number that rounds to zero unsigned: at precision p
 such a number prints as exactly "-0." and p zeros, followed by a
-non-digit, so one exact `str.replace` of that text by its unsigned form
-(`_zeros`), run on formatted numbers only (never on label text), drops
-the sign.
+non-digit, so one exact `replace` of that text by its unsigned form
+(`_zeros`), run on a run's formatted bytes or a label's formatted x and
+y (never on label text), drops the sign.
 Rounding is symmetric in sign, so a `mirror_ew` document is the exact
 x-negation of the plain one, except that a label anchored at its start
 or end swaps the two, so that it still runs away from its marker.
@@ -132,20 +135,30 @@ _calendar_table = functools.lru_cache(maxsize=1)(_unit_table)
 
 class _Pen:
     """Writes indented SVG element rows from plain model coordinates
-    (y up): each x and y is multiplied by its sign factor and formatted
-    through the pen's row templates."""
+    (y up): each x and y is multiplied by its sign factor, and each run
+    of rows is printed through the pen's bytes row templates by `run`."""
 
     def __init__(self, precision: int, sx: float, sy: float):
         self.sx, self.sy = sx, sy
         self.signs = (sx, sy, sx, sy)
         f = f"%.{precision}f"
         self.zeros = _zeros(precision)
-        self.line_row = f'  <line x1="{f}" y1="{f}" x2="{f}" y2="{f}"/>\n'
-        self.circle_row = f'  <circle cx="{f}" cy="{f}" r="{f}"%s/>\n'
-        self.path = f"M {f} {f} A {f} {f} 0 %d %d {f} {f}"
+        self.bytes_zeros = tuple(z.encode() for z in self.zeros)
+        self.line_row = f'  <line x1="{f}" y1="{f}" x2="{f}" y2="{f}"/>\n'.encode()
+        self.circle_row = f'  <circle cx="{f}" cy="{f}" r="{f}"/>\n'.encode()
+        self.marker_row = (f'  <circle cx="{f}" cy="{f}" r="{_fmt(_STAR_MARKER_R, precision)}" '
+                           'fill="#000" stroke="none"/>\n').encode()
+        self.path = f"M {f} {f} A {f} {f} 0 %d %d {f} {f}".encode()
+        self.path_row = b'  <path d="' + self.path + b'"/>\n'
+        self.point = f"{f} {f}".encode()
         self.xy = f'x="{f}" y="{f}"'
         # a mirrored label runs the other way from its anchor point
         self.anchors = {"start": "end", "end": "start"} if sx < 0 else {}
+
+    def run(self, template: bytes, values) -> str:
+        """A run of rows: one `%` of its joined bytes templates over its
+        signed values, the numbers that print as zero unsigned, decoded once."""
+        return (template % tuple(values)).replace(*self.bytes_zeros).decode("ascii")
 
     def lines(self, values) -> str:
         """One <line> row per four model values x1, y1, x2, y2 of a flat
@@ -153,8 +166,8 @@ class _Pen:
         return self.signed_lines(tuple(map(operator.mul, self.signs * (len(values) // 4), values)))
 
     def signed_lines(self, signed) -> str:
-        """One <line> row per four values already signed, in one format call."""
-        return ((self.line_row * (len(signed) // 4)) % tuple(signed)).replace(*self.zeros)
+        """One <line> row per four values already signed, in one run."""
+        return self.run(self.line_row * (len(signed) // 4), signed)
 
     def ticks(self, unit, r_out, r_long, r_short) -> str:
         """One tick per run of four in a unit table (`_unit_table`), in from
@@ -177,44 +190,58 @@ class _Pen:
             f'fill="#000" stroke="none">{text}</text>\n'
         )
 
-    def arc(self, el: Arc) -> tuple[str, bool]:
-        """An arc's path text, M to its start and one A command to its end,
-        and its large-arc flag, set only for sweeps beyond a semicircle.
-        `emit` prints a large arc whose ends print as one point as its circle."""
+    def arc(self, el: Arc) -> tuple:
+        """The values of an arc's path (`path`), M to its start and one A
+        command to its end; its large-arc flag is set only for sweeps
+        beyond a semicircle."""
         sx, sy = self.sx, self.sy
         p0, p1, r = el.start_point, el.end_point, el.circle.radius
         large = abs(math.degrees(el.sweep)) > 180.0 + 1e-12
         # a reflection in one axis reverses the sense of rotation
         flag = (el.orientation == "ccw") != (sx * sy < 0)
-        d = self.path % (sx * p0.x, sy * p0.y, r, r, large, flag, sx * p1.x, sy * p1.y)
-        return d.replace(*self.zeros), large
+        return (sx * p0.x, sy * p0.y, r, r, large, flag, sx * p1.x, sy * p1.y)
+
+    def elements(self, elements) -> str:
+        """One row per model-owned element (Circle, Arc, Segment or star
+        marker), in one run."""
+        sx, sy = self.sx, self.sy
+        point, zeros = self.point, self.bytes_zeros
+        rows, values = [], []
+        for el in elements:
+            if isinstance(el, Arc):
+                arc = self.arc(el)
+                if not (arc[4] and (point % arc[:2]).replace(*zeros)
+                        == (point % arc[6:]).replace(*zeros)):
+                    rows.append(self.path_row)
+                    values += arc
+                    continue
+                # SVG draws no arc between equal points: this large one is its circle to
+                # the precision
+                el = el.circle
+            if isinstance(el, Circle):
+                rows.append(self.circle_row)
+                values += (sx * el.center.x, sy * el.center.y, el.radius)
+            elif isinstance(el, Segment):
+                rows.append(self.line_row)
+                values += (sx * el.a.x, sy * el.a.y, sx * el.b.x, sy * el.b.y)
+            elif isinstance(el, PlanePoint):
+                rows.append(self.marker_row)
+                values += (sx * el.x, sy * el.y)
+            else:
+                raise TypeError(f"cannot emit {type(el).__name__}")
+        return self.run(b"".join(rows), values)
 
     def emit(self, el) -> str:
-        """A model-owned element: Circle, Arc, Segment or star marker."""
-        sx, sy = self.sx, self.sy
-        if isinstance(el, Circle):
-            row = self.circle_row % (sx * el.center.x, sy * el.center.y, el.radius, "")
-        elif isinstance(el, Arc):
-            d, large = self.arc(el)
-            if large and d.split(" ")[1:3] == d.split(" ")[-2:]:
-                # SVG draws no arc between equal points: this one is its circle to the precision
-                return self.emit(el.circle)
-            return f'  <path d="{d}"/>\n'
-        elif isinstance(el, Segment):
-            return self.lines((el.a.x, el.a.y, el.b.x, el.b.y))
-        elif isinstance(el, PlanePoint):
-            row = self.circle_row % (sx * el.x, sy * el.y, _STAR_MARKER_R,
-                                     ' fill="#000" stroke="none"')
-        else:
-            raise TypeError(f"cannot emit {type(el).__name__}")
-        return row.replace(*self.zeros)
+        """A model-owned element alone: a run of one."""
+        return self.elements((el,))
 
 
 def arc_to_path(arc: Arc, precision: int = 4) -> str:
     """SVG path fragment for any arc (`_Pen.arc`): M to the start point, one
     elliptical arc command to the end point.  The sweep flag follows the
     arc's orientation in coordinate algebra (ccw = positive-angle = 1)."""
-    return _Pen(precision, 1.0, 1.0).arc(arc)[0]
+    pen = _Pen(precision, 1.0, 1.0)
+    return pen.run(pen.path, pen.arc(arc))
 
 
 # ---- per-model layers: (id, draw), draw(pen) -> element rows -------------
@@ -222,7 +249,7 @@ def arc_to_path(arc: Arc, precision: int = 4) -> str:
 
 def _plate_layers(m: PlateModel) -> list:
     def rows(elements):
-        return lambda pen: "".join(map(pen.emit, elements))
+        return lambda pen: pen.elements(elements)
 
     layers = [
         ("limb", rows([m.boundary])),
@@ -253,7 +280,7 @@ def _rete_layers(m: ReteModel) -> list:
         return pen.emit(m.ecliptic) + pen.signed_lines(ticks) + "".join(labels)
 
     def stars(pen):
-        return "".join(pen.emit(pt) for _, pt in m.pointers) + "".join(
+        return pen.elements([pt for _, pt in m.pointers]) + "".join(
             pen.label(pt.x + 1.5, pt.y + 1.5, star.name, "start") for star, pt in m.pointers
         )
 
@@ -276,8 +303,8 @@ def _back_layers(m: BackModel) -> list:
 
     def calendar(pen):
         return (
-            pen.emit(Circle(PlanePoint(0.0, 0.0), r * 0.88))
-            + pen.emit(Circle(PlanePoint(0.0, 0.0), r * 0.84))
+            pen.elements((Circle(PlanePoint(0.0, 0.0), r * 0.88),
+                          Circle(PlanePoint(0.0, 0.0), r * 0.84)))
             + pen.ticks(_calendar_table(tuple(m.calendar_angles)), r * 0.88, r * 0.84, r * 0.86)
         )
 

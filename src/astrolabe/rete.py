@@ -89,6 +89,7 @@ def ecliptic_point(longitude: float, scale: float, obliquity: float) -> PlanePoi
     """
     OBLIQUITIES.check(obliquity, "obliquity")
     SCALE.check(scale, "scale")
+    FINITE.check(longitude, "longitude")
     cosd, den, sa, ca = _ecliptic_trig(longitude, obliquity)
     r = scale * cosd / den
     return PlanePoint(r * sa, r * ca)
