@@ -35,6 +35,7 @@ from astrolabe import (
     build_back,
     build_plate,
     build_rete,
+    chord_length,
     ecliptic_circle,
     render_full,
     project_point,
@@ -49,7 +50,7 @@ from astrolabe.plate import (MIN_LATITUDE, STRAIGHT_REL, _vertical_end, crossing
                              night_hours)
 from astrolabe.projection import (ALTITUDE, BAND_STEP, DECLINATION, FINITE, FRACTION, LATITUDE,
                                   LENGTH, OBLIQUITIES, RADIANS, SCALE, SIGNED_LENGTH,
-                                  SIGNED_RADIANS, _stereographic, from_plate_polar,
+                                  SIGNED_RADIANS, Range, _stereographic, from_plate_polar,
                                   horizon_to_sphere)
 from astrolabe.render import _fmt, _Pen
 from test_geometry import arc_holds, point_at
@@ -349,21 +350,29 @@ def test_fmt_matches_the_round_trip_rule(case):
 @example(case=(-(0.5e-4 + math.ulp(0.5e-4)), 4), mirror=True)
 @example(case=(-(0.5e-4 - math.ulp(0.5e-4)), 4), mirror=False)
 def test_every_element_kind_prints_numbers_by_the_round_trip_rule(case, mirror):
-    # a segment, a circle, an arc and a label at those coordinates: each
-    # printed number is the signed model value printed by the round trip
+    # a segment, a circle, a small and a large arc, a star marker and a label at
+    # those coordinates: each printed number is the signed model value printed by
+    # the round trip, alone through `emit` and in one run
     v, precision = case
     sx, sy = (-1.0 if mirror else 1.0), -1.0
     pen = _Pen(precision, sx, sy)
     arc = Arc(Circle(PlanePoint(v, v), 1.0), PlanePoint(v + 1.0, v), PlanePoint(v, v + 1.0))
-    p0, p1 = arc.start_point, arc.end_point
-    cases = [
-        (pen.emit(Segment(PlanePoint(v, -v), PlanePoint(-v, v))),
-         [sx * v, -sy * v, -sx * v, sy * v]),
-        (pen.emit(Circle(PlanePoint(-v, v), 1.0)), [-sx * v, sy * v, 1.0]),
-        (pen.emit(arc), [sx * p0.x, sy * p0.y, 1.0, 1.0, sx * p1.x, sy * p1.y]),
-        (pen.emit(PlanePoint(v, -v)), [sx * v, -sy * v, 0.8]),
-        (pen.label(v, -v, "-0.0"), [sx * v, -sy * v]),
-    ]
+    large = Arc(arc.circle, PlanePoint(v + 1.0, v), PlanePoint(v, v - 1.0))
+    elements = [Segment(PlanePoint(v, -v), PlanePoint(-v, v)), Circle(PlanePoint(-v, v), 1.0),
+                arc, large, PlanePoint(v, -v)]
+    cases = [(pen.emit(el), values) for el, values in zip(elements, [
+        [sx * v, -sy * v, -sx * v, sy * v],
+        [-sx * v, sy * v, 1.0],
+        [sx * (v + 1.0), sy * v, 1.0, 1.0, sx * v, sy * (v + 1.0)],
+        [sx * (v + 1.0), sy * v, 1.0, 1.0, sx * v, sy * (v - 1.0)],
+        [sx * v, -sy * v, 0.8],
+    ])]
+    assert pen.elements(elements) == "".join(row for row, _ in cases)
+    # a label's text is never a number: one that reads as a signed zero keeps its sign
+    zero = "-0." + "0" * precision
+    label = pen.label(v, -v, zero)
+    assert label.endswith(f">{zero}</text>\n")
+    cases.append((label, [sx * v, -sy * v]))
     for row, values in cases:
         printed = re.findall(r'(?<=[" ])-?[0-9]+\.[0-9]+(?=[" ])', row)
         assert printed == [_fmt_by_round_trip(x, precision) for x in values], row
@@ -596,12 +605,33 @@ FLOAT_FUNCTIONS = {
 }
 
 
+# public functions that take a circle, then floats: the circle is built from the range
+# entries of its own fields, its center's x and y and its radius, each drawn from the
+# values its entry accepts; the floats after it are drawn as above
+CIRCLE_FIELDS = (FINITE, FINITE, Range(0.0, math.inf, True, True, "must be positive"))
+CIRCLE_FUNCTIONS = {
+    "chord_length": (FINITE, FINITE),
+}
+
+
 def edge_values(domain) -> list[float]:
     """Each end of a range entry with the floats one ulp either side of it,
     and the values that every float input must survive."""
     values = [0.0, -0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
     for end in (float(domain.lo), float(domain.hi)):
         values += [math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)]
+    return values
+
+
+def accepted(domain) -> list[float]:
+    """The edge values that a range entry lets through."""
+    values = []
+    for v in edge_values(domain):
+        try:
+            domain.check(v, "value")
+        except ValueError:
+            continue
+        values.append(v)
     return values
 
 
@@ -630,19 +660,34 @@ def test_the_float_table_holds_every_public_float_function():
             public.add(name)
             floats = [p for p in params if p.annotation in ("float", float)]
             assert len(FLOAT_FUNCTIONS.get(name, ())) == len(floats), name
-    assert public == set(FLOAT_FUNCTIONS)
+        elif (required and required[0].annotation == "Circle"
+              and all(p.annotation == "float" for p in required[1:])):
+            public.add(name)
+            assert len(CIRCLE_FUNCTIONS.get(name, ())) == len(required) - 1, name
+    assert public == set(FLOAT_FUNCTIONS) | set(CIRCLE_FUNCTIONS)
 
 
-@pytest.mark.parametrize("name", sorted(FLOAT_FUNCTIONS))
+@pytest.mark.parametrize("name", sorted(FLOAT_FUNCTIONS) + sorted(CIRCLE_FUNCTIONS))
 @settings(REPRODUCIBLE, max_examples=150)
 @given(data=st.data())
 def test_every_float_function_returns_finite_numbers_or_a_documented_error(name, data):
-    # never OverflowError, ZeroDivisionError, TypeError or a nan: those fall through
+    # never OverflowError, ZeroDivisionError, TypeError or a nan: those fall through; a
+    # ValueError names the input it refuses, as a range entry does: "..., got <value>"
     function = getattr(astrolabe, name)
-    args = data.draw(st.tuples(*(st.sampled_from(edge_values(d)) for d in FLOAT_FUNCTIONS[name])))
+    if name in CIRCLE_FUNCTIONS:
+        fields = data.draw(st.tuples(*(st.sampled_from(accepted(d)) for d in CIRCLE_FIELDS)))
+        floats = data.draw(st.tuples(*(st.sampled_from(edge_values(d))
+                                       for d in CIRCLE_FUNCTIONS[name])))
+        args = (Circle(PlanePoint(*fields[:2]), fields[2]), *floats)
+        floats = fields + floats
+    else:
+        args = floats = data.draw(st.tuples(*(st.sampled_from(edge_values(d))
+                                              for d in FLOAT_FUNCTIONS[name])))
     try:
         result = function(*args)
-    except ValueError:
+    except ValueError as exc:
+        assert any(str(exc).endswith(f", got {v!r}") for v in floats), (
+            f"{name}{args}: {exc!r} names no input")
         return
     except AstrolabeError as exc:
         named = [c.__name__ for c in type(exc).__mro__
@@ -650,3 +695,24 @@ def test_every_float_function_returns_finite_numbers_or_a_documented_error(name,
         assert any(n in function.__doc__ for n in named), f"{name}{args}: {exc!r} is not documented"
         return
     assert all(map(math.isfinite, returned_floats(result))), f"{name}{args} = {result!r}"
+
+
+UNIT = Circle(PlanePoint(0.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    ((from_plate_polar, 10.0, math.inf), "plate angle must be a finite number, got inf"),
+    ((from_plate_polar, 10.0, math.nan), "plate angle must be a finite number, got nan"),
+    ((from_plate_polar, -math.inf, 10.0), "radius must be a finite number, got -inf"),
+    ((chord_length, UNIT, math.inf, 0.0), "theta1 must be a finite number, got inf"),
+    ((chord_length, UNIT, 0.0, math.nan), "theta2 must be a finite number, got nan"),
+    ((chord_length, UNIT, math.inf, math.inf), "theta1 must be a finite number, got inf"),
+    ((chord_length, Circle(PlanePoint(0.0, 0.0), 1e308), 0.0, math.pi),
+     "circle radius is too large for a finite chord, got 1e+308"),
+])
+def test_the_polar_point_and_the_chord_name_what_they_refuse(call, message):
+    with pytest.raises(ValueError) as info:
+        call[0](*call[1:])
+    assert str(info.value) == message
+    # finite angles whose difference is beyond the float range still have a chord
+    assert chord_length(UNIT, -1e308, 1e308) == 2.0 * abs(math.sin(1e308))

@@ -24,6 +24,7 @@ from astrolabe import (
     PlanePoint,
     PlateConfig,
     RenderStyle,
+    Segment,
     StarEntry,
     arc_to_path,
     build_back,
@@ -448,10 +449,12 @@ def test_unknown_model_type_rejected():
 
 @pytest.fixture
 def emitted(monkeypatch):
-    """A list that counts each element the pen emits from here on: a render
-    whose faces all reuse their rows adds nothing to it."""
-    count, emit = [], render._Pen.emit
-    monkeypatch.setattr(render._Pen, "emit", lambda pen, el: count.append(1) or emit(pen, el))
+    """A list that counts each run of rows the pen prints from here on (every
+    element, line and tick goes through `_Pen.run`): a render whose faces all
+    reuse their rows adds nothing to it."""
+    count, run = [], render._Pen.run
+    monkeypatch.setattr(render._Pen, "run",
+                        lambda pen, template, values: count.append(1) or run(pen, template, values))
     return count
 
 
@@ -490,10 +493,18 @@ def test_memo_keys_on_the_object_and_the_whole_style(emitted):
         before = len(emitted)
         assert render_svg(a, other) == render_svg(plate_model(), other)
         assert len(emitted) > before
-    doc = render_svg(a, RenderStyle(precision=5, include_layers={"hours", "tropics"}))
+    style = RenderStyle(precision=5, include_layers={"hours", "tropics"})
+    doc = render_svg(a, style)
     before = len(emitted)
     assert render_svg(a, RenderStyle(precision=5, include_layers={"tropics", "hours"})) == doc
     assert len(emitted) == before  # an equal style, built anew, hits
+    # the memo keeps the object it drew, so no model built after it is let go can
+    # take its address and hit: here one without hour lines, built straight after
+    fields = a._fields(a)
+    del a
+    c = PlateModel(*fields[:-1], ())
+    assert 'id="hours"' in doc and 'id="hours"' not in render_svg(c, style)
+    assert len(emitted) > before
 
 
 def test_memo_warns_on_every_call_to_an_empty_selection(emitted):
@@ -540,6 +551,30 @@ def reference_lines(rows, precision, sx, sy):
         f'  <line x1="{printed(sx * x1, precision)}" y1="{printed(sy * y1, precision)}" '
         f'x2="{printed(sx * x2, precision)}" y2="{printed(sy * y2, precision)}"/>\n'
         for x1, y1, x2, y2 in rows)
+
+
+def reference_row(el, precision, sx, sy):
+    """A model element's row as a per-row str emission printed it: each
+    number formatted alone, x signed as sx * x and y as sy * y; a large arc
+    whose two ends print as one point is its circle."""
+    def p(value):
+        return printed(value, precision)
+
+    if isinstance(el, Arc):
+        ends = [(p(sx * q.x), p(sy * q.y)) for q in (el.start_point, el.end_point)]
+        large = abs(math.degrees(el.sweep)) > 180.0 + 1e-12
+        if not (large and ends[0] == ends[1]):
+            flag = (el.orientation == "ccw") != (sx * sy < 0)
+            (x0, y0), (x1, y1), r = *ends, p(el.circle.radius)
+            return f'  <path d="M {x0} {y0} A {r} {r} 0 {large:d} {flag:d} {x1} {y1}"/>\n'
+        el = el.circle
+    if isinstance(el, Circle):
+        return (f'  <circle cx="{p(sx * el.center.x)}" cy="{p(sy * el.center.y)}" '
+                f'r="{p(el.radius)}"/>\n')
+    if isinstance(el, Segment):
+        return reference_lines([(el.a.x, el.a.y, el.b.x, el.b.y)], precision, sx, sy)
+    return (f'  <circle cx="{p(sx * el.x)}" cy="{p(sy * el.y)}" r="{p(0.8)}" '
+            'fill="#000" stroke="none"/>\n')
 
 
 def reference_ticks(degrees, r_out, r_long, r_short):
@@ -615,6 +650,36 @@ def test_lines_prints_each_run_of_four_values_as_one_reference_row(precision, mi
     assert pen.signed_lines([v * s for v, s in zip(values, pen.signs * 100)]) == want
     assert pen.ticks(render._WHOLE_DEGREES, 1.0, 1.0, 1.0) == reference_lines(
         reference_ticks(range(360), 1.0, 1.0, 1.0), precision, sx, sy)
+    # every element kind at those values, in one run and each alone
+    points = [PlanePoint(x, y) for x, y in zip(values[::2], values[1::2])]
+    elements = [Segment(a, b) for a, b in zip(points[::2], points[1::2])]
+    elements += points  # star markers
+    elements += [Circle(p, abs(r)) for p, r in zip(points, reversed(values)) if r]
+    elements += [angle_arc(Circle(p, 1.0), 0.0, a, o) for p in points[:12]
+                 for a, o in ((0.5 * math.pi, "ccw"), (1.5 * math.pi, "ccw"), (0.5 * math.pi, "cw"))]
+    # large arcs either side of the circle rule: ends a thousandth of a unit apart print
+    # as one point (the last pair's x either side of 0, so only once unsigned), ten
+    # units apart as two; a small arc stays a path either way
+    c, gap = Circle(PlanePoint(1.0, 2.0), 10.0), 1e-4 * 10.0 ** -precision
+    top = Circle(PlanePoint(0.0, -10.0), 10.0)
+    near = [angle_arc(c, 0.0, 2.0 * math.pi - gap, "ccw"), angle_arc(c, 0.0, gap, "cw"),
+            angle_arc(top, 0.5 * (math.pi + gap), 0.5 * (math.pi - gap), "ccw")]
+    apart = [angle_arc(c, 0.0, 2.0 * math.pi - 10.0 ** (1 - precision), "ccw"),
+             angle_arc(c, 0.0, 10.0 ** (1 - precision), "cw"),
+             angle_arc(c, 0.0, gap, "ccw")]
+    assert [pen.emit(arc) for arc in near] == [pen.emit(c)] * 2 + [pen.emit(top)]
+    assert all(pen.emit(arc).startswith("  <path") for arc in apart)
+    elements += near + apart
+    random.Random(precision).shuffle(elements)
+    want = "".join(reference_row(el, precision, sx, sy) for el in elements)
+    assert pen.elements(elements) == "".join(map(pen.emit, elements)) == want
+    # and the model elements of each plate layer, one run per layer
+    plate = plate_model()
+    owned = {"limb": [plate.boundary], "tropics": plate.tropics, "horizon": [plate.horizon],
+             "almucantars": plate.almucantars, "azimuths": plate.azimuths,
+             "hours": plate.hour_lines}
+    for name, layer in render._plate_layers(plate):
+        assert layer(pen) == "".join(reference_row(el, precision, sx, sy) for el in owned[name])
 
 
 def test_the_calendar_ticks_follow_the_model_angles():
