@@ -365,8 +365,9 @@ def chord_length(circle: Circle, theta1: float, theta2: float) -> float:
 
         FINITE.check(theta1, "theta1")
         FINITE.check(theta2, "theta2")
-    # the halves' difference, which no two finite angles overflow, and the radius
-    # times the sine doubled last, the bits of 2 r |sin| short of overflow
+    # halving each angle first keeps the difference of two finite angles finite, and
+    # doubling last lets r |sin| use the whole float range; both scalings are exact,
+    # so the bits are those of 2 r |sin((theta2 - theta1) / 2)| wherever that is finite
     chord = 2.0 * (circle.radius * abs(math.sin(theta2 / 2.0 - theta1 / 2.0)))
     if chord == math.inf:
         raise ValueError(f"circle radius is too large for a finite chord, got {circle.radius!r}")
