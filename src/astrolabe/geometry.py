@@ -145,7 +145,8 @@ class Circle(_Record):
 
     def __init__(self, center: PlanePoint, radius: float):
         if not (0.0 < radius < math.inf):
-            _require_finite(radius)
+            if not math.isfinite(radius):
+                raise ValueError(f"circle radius must be a finite positive number, got {radius!r}")
             raise ValueError(f"circle radius must be positive, got {radius!r}")
         _set_center(self, center)
         _set_radius(self, radius)

@@ -43,6 +43,19 @@ computes once per plate (sin and cos of phi, the tropic radii, y_c and
 p_c).  The public helpers (`almucantar_solution`, `azimuth_circle`,
 `hour_lines`, ...) run their checks and then the same kernels, so each
 prints the same floats as the plate.
+
+The plate is symmetric about its meridian, and only its western half
+(x > 0, positive hour angles) is computed: the verticals with A in
+[0, 90), each almucantar arc's western end, and hour lines 1-5.  The
+western half is reflected, x -> -x exactly, for the eastern one, so the
+two halves are mirror images bit for bit, and the elements on the
+meridian (the almucantars' centers, the meridian, the prime vertical's
+center and the midnight line) have x == 0.0.  `azimuth_circle` and
+`_vertical_end` take the eastern half as the reflection of the western
+one too, so at an eastern vertical's own azimuth A they print the
+plate's floats wherever 180 - A is its twin's azimuth exactly: for every
+step of whole or binary-fraction degrees, but not for a step such as 7.2,
+whose multiples miss 180 - A by rounding.
 """
 
 from __future__ import annotations
@@ -108,15 +121,20 @@ class PlateModel(_Record):
     - `almucantars[k]` is altitude k * almucantar_step; the last entry
       (altitude 90) is the zenith point;
     - `azimuths[j]` is vertical j of the m distinct ones (m = n/2 for an
-      even count n = 360 / azimuth_step, n for an odd one), at the first
-      multiple A = k * azimuth_step mod 180 within rounding of j * 180 / m,
-      measured from the prime vertical (each also covers its A + 180
-      pair); the 90-degree entry, if any, is the meridian Segment, and so
-      is a vertical whose circle is over STRAIGHT_REL boundary radii wide
-      (near the pole), from one of its ends to the other;
+      even count n = 360 / azimuth_step, n for an odd one).  For j < m/2
+      it is at the first multiple A = k * azimuth_step mod 180 within
+      rounding of j * 180 / m, measured from the prime vertical (each also
+      covers its A + 180 pair); for j > m/2 it is the exact reflection,
+      x -> -x, of vertical m - j.  The 90-degree entry (j = m/2), if any,
+      is the meridian Segment, and so is a vertical whose circle is over
+      STRAIGHT_REL boundary radii wide (near the pole), from one of its
+      ends to the other;
     - `hour_lines[k - 1]` is unequal-hour boundary k (1..11): an Arc, or
-      a Segment where its three points are collinear (midnight); empty
-      at arctic latitudes (latitude >= 90 - obliquity).
+      a Segment where its three points are collinear (midnight, on the
+      meridian); boundary 12 - k is the exact reflection of boundary k;
+      empty at arctic latitudes (latitude >= 90 - obliquity).
+
+    Only the western half is computed; the eastern half is its reflection.
     """
 
     __slots__ = ("config", "boundary", "tropics", "horizon", "almucantars", "azimuths",
@@ -178,16 +196,23 @@ def zenith_point(latitude: float, scale: float) -> PlanePoint:
 
 def azimuth_circle(latitude: float, azimuth: float, scale: float) -> Circle:
     """Full circle carrying the azimuth-A vertical (A in degrees from
-    the prime vertical; A and A+180 share a circle).  Raises DomainError
+    the prime vertical; A and A+180 share a circle).  For A mod 180 in
+    (90, 180) it is the reflection, x -> -x, of the circle of 180 - A mod
+    180, as the plate draws its eastern verticals.  Raises DomainError
     for A = 90 mod 180, where the vertical is the straight meridian."""
     LATITUDE.check(latitude, "latitude")
     SCALE.check(scale, "scale")
     FINITE.check(azimuth, "azimuth")
-    ar = math.radians(azimuth % 360.0)
+    a = azimuth % 180.0
+    east = a > 90.0
+    if east:
+        a = 180.0 - a  # exact: a lies in (90, 180)
+    ar = math.radians(a)
     cos_a = math.cos(ar)
-    if abs(cos_a) < 1e-11:
+    if cos_a < 1e-11:
         raise DomainError("azimuth 90/270 is the meridian line, not a circle")
-    return _azimuth_circle(*_azimuth_axis(latitude, scale), ar, cos_a)
+    circle = _azimuth_circle(*_azimuth_axis(latitude, scale), ar, cos_a)
+    return Circle(_mirror(circle.center), circle.radius) if east else circle
 
 
 def _azimuth_axis(latitude: float, scale: float) -> tuple[float, float]:
@@ -198,26 +223,47 @@ def _azimuth_axis(latitude: float, scale: float) -> tuple[float, float]:
 
 
 def _azimuth_circle(y_c: float, p_c: float, ar: float, cos_a: float) -> Circle:
-    """`azimuth_circle` from its latitude's y_c and p_c and the azimuth in
-    radians with its cosine, unchecked."""
-    return Circle(PlanePoint(p_c * math.tan(ar), y_c), p_c / abs(cos_a))
+    """The circle of the azimuth A in [0, 90) from its latitude's y_c and
+    p_c and A in radians with its cosine, unchecked."""
+    return Circle(PlanePoint(p_c * math.tan(ar), y_c), p_c / cos_a)
+
+
+def _mirror(p: PlanePoint) -> PlanePoint:
+    """p reflected across the meridian: x -> -x, exactly."""
+    return PlanePoint(-p.x, p.y)
+
+
+def _reflect(el: Arc | Segment, keep_turn: bool) -> Arc | Segment:
+    """The exact reflection, x -> -x, of a vertical or an hour line.  A
+    Segment keeps its ends in order.  An Arc's reflection turns the other
+    way between the same ends, or with `keep_turn` the same way from its
+    end to its start."""
+    if el.__class__ is Segment:
+        return Segment(_mirror(el.a), _mirror(el.b))
+    circle = Circle(_mirror(el.circle.center), el.circle.radius)
+    start, end = _mirror(el.start_point), _mirror(el.end_point)
+    if keep_turn:
+        return Arc(circle, end, start, el.orientation)
+    return Arc(circle, start, end, "cw" if el.orientation == "ccw" else "ccw")
 
 
 @functools.lru_cache(maxsize=8)
-def _vertical_azimuths(step: float) -> tuple[tuple[float, float, float], ...]:
-    """Each distinct vertical's azimuth A (degrees from the prime vertical),
-    in vertical order, with A in radians and its cosine, computed once per
-    step.  Vertical j = round(A m / 180) mod m takes the first multiple
-    A = k * step mod 180 that reaches it: with n steps per turn, m = n/2
-    if n is even (A and A + 180 pair up), else m = n."""
+def _vertical_azimuths(step: float) -> tuple[int, tuple[tuple[float, float, float], ...]]:
+    """The count m of distinct verticals, and each computed vertical's
+    azimuth A (degrees from the prime vertical, in [0, 90)) in vertical
+    order, with A in radians and its cosine, computed once per step.
+    Vertical j = round(A m / 180) mod m takes the first multiple A = k *
+    step mod 180 that reaches it: with n steps per turn, m = n/2 if n is
+    even (A and A + 180 pair up), else m = n.  Verticals j < m/2 are
+    computed; j = m/2 is the meridian, and j > m/2 the reflection of m - j."""
     n_az = int(round(360.0 / step))
     m_az = n_az // 2 if n_az % 2 == 0 else n_az
     first = {}
     for k in range(n_az):
         a = (k * step) % 180.0
         first.setdefault(round(a * m_az / 180.0) % m_az, a)
-    return tuple((a, math.radians(a), math.cos(math.radians(a)))
-                 for _, a in sorted(first.items()))
+    return m_az, tuple((a, math.radians(a), math.cos(math.radians(a)))
+                       for j, a in sorted(first.items()) if 2 * j < m_az)
 
 
 def crossing_hour_angle(latitude: float, declination: float, altitude: float = 0.0):
@@ -255,20 +301,26 @@ def _inside_boundary(circle: Circle, cfg: PlateConfig, altitude: float,
     """The altitude circle's part inside the boundary, the declination
     -obliquity circle of the given radius: the whole circle where the two
     touch or miss, else the arc from the eastern crossing counterclockwise
-    (through the north point) to the western one."""
+    (through the north point) to the western one, whose reflection the
+    eastern one is."""
     hc = crossing_hour_angle(cfg.latitude, -cfg.obliquity, altitude)
     if hc is None:
         return circle
-    return Arc(circle, from_plate_polar(boundary_radius, -hc % 360.0),
-               from_plate_polar(boundary_radius, hc % 360.0), "ccw")
+    west = from_plate_polar(boundary_radius, hc)
+    return Arc(circle, _mirror(west), west, "ccw")
 
 
 def _vertical_end(cfg: PlateConfig, azimuth: float) -> PlanePoint:
     """Where the vertical of this compass azimuth, walked down from the
-    zenith, leaves the plate: at altitude 0, or on the boundary above it."""
+    zenith, leaves the plate: at altitude 0, or on the boundary above it.
+    A compass azimuth mod 360 in [90, 180) or (270, 360) gives the
+    reflection of the end at 360 minus it, as the plate draws it."""
     la = math.radians(cfg.latitude)
-    return _vertical_end_from(cfg, math.sin(la), math.cos(la),
-                              stereographic_radius(-cfg.obliquity, cfg.scale), azimuth)
+    args = (cfg, math.sin(la), math.cos(la), stereographic_radius(-cfg.obliquity, cfg.scale))
+    z = azimuth % 360.0
+    if 90.0 <= z < 180.0 or z > 270.0:
+        return _mirror(_vertical_end_from(*args, 360.0 - z))
+    return _vertical_end_from(*args, azimuth)
 
 
 def _vertical_end_from(cfg: PlateConfig, sin_phi: float, cos_phi: float,
@@ -308,9 +360,10 @@ def hour_lines(cfg: PlateConfig) -> tuple[Element, ...]:
     through the three k-th division points, kept as the arc from the
     Capricorn point to the Cancer point that passes the equator point;
     entry k - 1 is boundary k.  Where the three points are collinear
-    (the midnight boundary at k = 6) or coincide (tropics closer than
-    rounding), the boundary is the Segment from the Capricorn point to
-    the Cancer point.
+    (the midnight boundary at k = 6, on the meridian) or coincide
+    (tropics closer than rounding), the boundary is the Segment from the
+    Capricorn point to the Cancer point.  Boundaries 1-5 are computed and
+    boundary 12 - k is the exact reflection, x -> -x, of boundary k.
     Raises ArcticLatitude (from `night_hours`) where the tropics do not
     set, from TOUCH_DEG below 90 - obliquity.
     """
@@ -318,11 +371,15 @@ def hour_lines(cfg: PlateConfig) -> tuple[Element, ...]:
 
 
 def _hour_lines(cfg: PlateConfig, radii: tuple[float, float, float]) -> tuple[Element, ...]:
-    """`hour_lines` from the (capricorn, equator, cancer) tropic radii, unchecked."""
+    """`hour_lines` from the (capricorn, equator, cancer) tropic radii,
+    unchecked: boundaries 1-5 through their knots, at hour angles in (0,
+    180), the midnight one at hour angle 180, and their reflections."""
     decs = (-cfg.obliquity, 0.0, cfg.obliquity)
-    knots = [[from_plate_polar(r, h % 360.0) for h in night_hours(cfg.latitude, dec)[1:12]]
+    knots = [[from_plate_polar(r, h) for h in night_hours(cfg.latitude, dec)[1:6]]
              for dec, r in zip(decs, radii)]
-    return tuple(arc_through(*points) for points in zip(*knots))
+    west = [arc_through(*points) for points in zip(*knots)]
+    midnight = Segment(PlanePoint(0.0, -radii[0]), PlanePoint(0.0, -radii[2]))
+    return (*west, midnight, *(_reflect(el, keep_turn=False) for el in reversed(west)))
 
 
 def build_plate(cfg: PlateConfig) -> PlateModel:
@@ -340,7 +397,9 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
     every azimuth circle's zenith lie strictly inside the plate.  A
     vertical whose circle is over STRAIGHT_REL boundary radii wide (near
     the pole) is the Segment between its two ends.  Hour lines are left
-    out only when the latitude is arctic for the obliquity.
+    out only when the latitude is arctic for the obliquity.  Only the
+    western half is computed: each eastern vertical, almucantar end and
+    hour line is the exact reflection, x -> -x, of its western twin.
     """
     phi, s = cfg.latitude, cfg.scale
     boundary, eq, can = tropic_circles(cfg)  # checks the scale and the obliquity
@@ -355,17 +414,15 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
     la = math.radians(phi)
     sin_phi, cos_phi = math.sin(la), math.cos(la)
     y_c, p_c = _azimuth_axis(phi, s)
+    m_az, computed = _vertical_azimuths(cfg.azimuth_step)
     azimuths = []
-    for a, ar, cos_a in _vertical_azimuths(cfg.azimuth_step):
-        if abs(cos_a) < 1e-11:
-            north_y = _y_lower(phi, 0.0, s)
-            south_y = min(s / math.tan(math.radians(phi / 2.0)), r_b)
-            azimuths.append(Segment(PlanePoint(0.0, north_y), PlanePoint(0.0, south_y)))
-            continue
+    for a, ar, cos_a in computed:
         # from the zenith the vertical heads along (cos A, sin A) on the
-        # plate toward compass azimuth 270 - A, and back toward 90 - A
+        # plate toward compass azimuth 270 - A, and back toward 90 - A; the
+        # prime vertical's back end is the reflection of its front end
         ahead = _vertical_end_from(cfg, sin_phi, cos_phi, r_b, 270.0 - a)
-        behind = _vertical_end_from(cfg, sin_phi, cos_phi, r_b, 90.0 - a)
+        behind = (_mirror(ahead) if a == 0.0
+                  else _vertical_end_from(cfg, sin_phi, cos_phi, r_b, 90.0 - a))
         circ = _azimuth_circle(y_c, p_c, ar, cos_a)
         if circ.radius > STRAIGHT_REL * r_b:
             azimuths.append(Segment(behind, ahead))
@@ -373,6 +430,12 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
         if not turns_ccw(ahead, zen, behind):  # so that the ccw arc holds the zenith
             ahead, behind = behind, ahead
         azimuths.append(Arc(circ, ahead, behind, "ccw"))
+    if m_az % 2 == 0:
+        north_y = _y_lower(phi, 0.0, s)
+        south_y = min(s / math.tan(math.radians(phi / 2.0)), r_b)
+        azimuths.append(Segment(PlanePoint(0.0, north_y), PlanePoint(0.0, south_y)))
+    azimuths += [_reflect(azimuths[m_az - j], keep_turn=True)
+                 for j in range(len(azimuths), m_az)]
 
     try:
         hours = _hour_lines(cfg, (r_b, eq.radius, can.radius))

@@ -41,6 +41,36 @@ def arc_holds(arc, p):
     return offset <= abs(arc.sweep) + 1e-12 or offset >= math.tau - 1e-12
 
 
+def as_drawn(el):
+    """An element as the curve it draws, whichever way it runs: an Arc as
+    its circle with its ends in ccw order, a Segment as the set of its ends."""
+    if isinstance(el, Arc):
+        ends = (el.start_point, el.end_point)
+        return (el.circle, *(ends if el.orientation == "ccw" else ends[::-1]))
+    if isinstance(el, Segment):
+        return frozenset((el.a, el.b))
+    return el
+
+
+def mirrored(p):
+    """A point's exact reflection x -> -x."""
+    return PlanePoint(-p.x, p.y)
+
+
+def mirror_image(el):
+    """`as_drawn` of an element's exact reflection x -> -x, which turns
+    the other way: the ccw arc from s to e reflects to the ccw arc from
+    the reflection of e to that of s."""
+    if isinstance(el, PlanePoint):
+        return mirrored(el)
+    if isinstance(el, Circle):
+        return Circle(mirrored(el.center), el.radius)
+    if isinstance(el, Segment):
+        return as_drawn(Segment(mirrored(el.a), mirrored(el.b)))
+    return as_drawn(Arc(mirror_image(el.circle), mirrored(el.end_point),
+                        mirrored(el.start_point), el.orientation))
+
+
 def bisector_circumcenter(p1, p2, p3):
     """Independent route: intersect the two perpendicular bisectors."""
     a = np.array(
@@ -130,7 +160,8 @@ def test_circle_rejects_bad_radius():
       for v in (math.nan, math.inf, -math.inf)),
     # the first of two non-finite coordinates is the one named
     (lambda: PlanePoint(-math.inf, math.nan), "non-finite coordinate: -inf"),
-    *((lambda v=v: Circle(PlanePoint(0.0, 0.0), v), f"non-finite coordinate: {v!r}")
+    *((lambda v=v: Circle(PlanePoint(0.0, 0.0), v),
+       f"circle radius must be a finite positive number, got {v!r}")
       for v in (math.nan, math.inf, -math.inf)),
     *((lambda v=v: Circle(PlanePoint(0.0, 0.0), v), f"circle radius must be positive, got {v!r}")
       for v in (0.0, -0.0, -1.0, -5e-324)),

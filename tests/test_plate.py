@@ -45,7 +45,7 @@ from astrolabe.plate import (
     crossing_hour_angle,
     night_hours,
 )
-from test_geometry import arc_holds, arc_point
+from test_geometry import arc_holds, arc_point, as_drawn, mirror_image
 
 S = 100.0
 
@@ -286,7 +286,7 @@ def test_one_element_per_distinct_vertical(step, verticals):
 def test_each_vertical_keeps_its_value_bit_for_bit(step):
     # the values sorted({k * step % 180}) drew before duplicates were
     # dropped; of each run within 1e-9 degree (those near 180 join 0's),
-    # the vertical keeps the one of smallest k
+    # the western vertical keeps the one of smallest k
     n = int(round(360.0 / step))
     multiples = sorted(((k * step) % 180.0, k) for k in range(n))
     groups = []
@@ -299,9 +299,15 @@ def test_each_vertical_keeps_its_value_bit_for_bit(step):
             groups.append([(a, k)])
     kept = [min(g, key=lambda ak: ak[1])[0] for g in groups]
     model = build_plate(PlateConfig(latitude=40.0, scale=S, azimuth_step=step))
-    assert len(model.azimuths) == len(kept)
-    for a, el in zip(kept, model.azimuths):
-        if isinstance(el, Segment):
+    m = len(kept)
+    assert len(model.azimuths) == m
+    for j, (a, el) in enumerate(zip(kept, model.azimuths)):
+        if 2 * j > m:
+            # an eastern vertical is the exact reflection of its western twin
+            # m - j, whose value is 180 - A to rounding, by index
+            assert abs((180.0 - a) - kept[m - j]) < 1e-9
+            assert as_drawn(el) == mirror_image(model.azimuths[m - j])
+        elif isinstance(el, Segment):
             assert abs(math.cos(math.radians(a))) < 1e-11  # the meridian
         else:
             assert el.circle == azimuth_circle(40.0, a, S)

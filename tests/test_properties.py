@@ -53,7 +53,7 @@ from astrolabe.projection import (ALTITUDE, BAND_STEP, DECLINATION, FINITE, FRAC
                                   SIGNED_RADIANS, Range, _stereographic, from_plate_polar,
                                   horizon_to_sphere)
 from astrolabe.render import _fmt, _Pen
-from test_geometry import arc_holds, point_at
+from test_geometry import arc_holds, as_drawn, mirror_image, mirrored, point_at
 from test_projection import ray_plane_radius
 
 S = 100.0
@@ -503,26 +503,30 @@ def test_plate_curve_ends_are_the_projected_sphere_points(
     model = build_plate(cfg)
     obl = cfg.obliquity
 
+    # the western half, that is: the eastern half is its reflection, and the
+    # midnight line lies on the meridian (test_the_plate_is_its_own_mirror_image)
     for k, el in enumerate(model.almucantars[:-1]):
         hc = crossing_hour_angle(latitude, -obl, k * almucantar_step)
         assert isinstance(el, Arc) == (hc is not None)
         if hc is not None:
-            assert el.start_point == project_point(SpherePoint(-obl, -hc), scale)
             assert el.end_point == project_point(SpherePoint(-obl, hc), scale)
+            assert el.start_point == mirrored(el.end_point)
 
-    for a, el in zip(vertical_azimuths(azimuth_step), model.azimuths, strict=True):
+    azimuths = vertical_azimuths(azimuth_step)
+    for a, el in zip(azimuths[:len(azimuths) // 2 + 1], model.azimuths):
         if abs(math.cos(math.radians(a))) < 1e-11:
             continue  # the meridian, whose ends are closed-form y values
         ends = (el.start_point, el.end_point) if isinstance(el, Arc) else (el.a, el.b)
-        want = (vertical_end_by_sphere_points(cfg, 270.0 - a),
-                vertical_end_by_sphere_points(cfg, 90.0 - a))
+        ahead = vertical_end_by_sphere_points(cfg, 270.0 - a)
+        want = (ahead, mirrored(ahead) if a == 0.0
+                else vertical_end_by_sphere_points(cfg, 90.0 - a))
         assert ends in (want, want[::-1])
 
     if not model.hour_lines:
         with pytest.raises(ArcticLatitude):
             for dec in (-obl, 0.0, obl):
                 night_hours(latitude, dec)
-    for k, el in enumerate(model.hour_lines, start=1):
+    for k, el in enumerate(model.hour_lines[:5], start=1):
         knots = [project_point(SpherePoint(dec, night_hours(latitude, dec)[k]), scale)
                  for dec in (-obl, 0.0, obl)]
         assert el == arc_through(*knots)
@@ -550,10 +554,16 @@ def test_plate_kernels_equal_the_public_helpers(latitude, scale, obliquity, almu
         h = k * almucantar_step
         circle = almucantar_solution(latitude, h, scale).circle
         hc = crossing_hour_angle(latitude, -obliquity, h)
-        assert el == (circle if hc is None else Arc(
-            circle, from_plate_polar(r_b, -hc % 360.0), from_plate_polar(r_b, hc % 360.0), "ccw"))
+        if hc is None:
+            assert el == circle
+        else:
+            west = from_plate_polar(r_b, hc)
+            assert el == Arc(circle, mirrored(west), west, "ccw")
 
-    for a, el in zip(vertical_azimuths(azimuth_step), model.azimuths, strict=True):
+    # the western verticals, A in [0, 90), and the meridian; each eastern one is the
+    # reflection of its twin (test_the_plate_is_its_own_mirror_image)
+    azimuths = vertical_azimuths(azimuth_step)
+    for a, el in zip(azimuths[:len(azimuths) // 2 + 1], model.azimuths):
         if abs(math.cos(math.radians(a))) < 1e-11:
             north_y = almucantar_solution(latitude, 0.0, scale).y_lower
             south_y = min(scale / math.tan(math.radians(latitude / 2.0)), r_b)
@@ -561,7 +571,10 @@ def test_plate_kernels_equal_the_public_helpers(latitude, scale, obliquity, almu
             continue
         ahead, behind = _vertical_end(cfg, 270.0 - a), _vertical_end(cfg, 90.0 - a)
         assert ahead == vertical_end_by_sphere_points(cfg, 270.0 - a)
-        assert behind == vertical_end_by_sphere_points(cfg, 90.0 - a)
+        if a == 0.0:  # the prime vertical's other end is the reflection of the first
+            assert behind == mirrored(ahead)
+        else:
+            assert behind == vertical_end_by_sphere_points(cfg, 90.0 - a)
         if isinstance(el, Segment):
             assert el == Segment(behind, ahead)
         else:
@@ -573,6 +586,50 @@ def test_plate_kernels_equal_the_public_helpers(latitude, scale, obliquity, almu
         d = math.radians(dec)
         assert repr(axis_projection_radius(dec, STEREOGRAPHIC, scale)) == repr(
             _stereographic(math.sin(d), math.cos(d), scale))
+
+
+@REPRODUCIBLE
+@given(
+    latitude=LATITUDES,
+    scale=st.floats(*map(math.log, SCALE_RANGE)).map(
+        lambda t: min(max(math.exp(t), SCALE_RANGE[0]), SCALE_RANGE[1])),
+    obliquity=st.floats(0.0, 30.0, exclude_min=True, exclude_max=True),
+    almucantar_step=st.sampled_from((0.75, 1.0, 5.0, 10.0)),
+    # multiples of 7.2 and 360 / 14 miss 180 by an ulp; 40 has an odd count of steps
+    azimuth_step=st.sampled_from((1.0, 7.2, 360.0 / 14, 40.0, 10.0, 1.2)),
+)
+# every vertical straight; the least latitude, whose hour lines are 3e7 mm wide
+@example(latitude=math.nextafter(90.0, 0.0), scale=S, obliquity=23.44, almucantar_step=1.0,
+         azimuth_step=1.0)
+@example(latitude=MIN_LATITUDE, scale=S, obliquity=23.44, almucantar_step=1.0, azimuth_step=1.0)
+def test_the_plate_is_its_own_mirror_image(latitude, scale, obliquity, almucantar_step,
+                                           azimuth_step):
+    # the plate is symmetric about its meridian, x -> -x, bit for bit: vertical
+    # m - j is the reflection of vertical j by index (the prime vertical, j = 0,
+    # and the meridian, j = m/2, are their own), hour line 12 - k that of hour
+    # line k, and each almucantar arc's ends are each other's reflection
+    model = build_plate(PlateConfig(latitude, scale, obliquity, almucantar_step, azimuth_step))
+    m = len(model.azimuths)
+    for j, el in enumerate(model.azimuths):
+        assert as_drawn(model.azimuths[-j % m]) == mirror_image(el)
+    for k, el in enumerate(model.hour_lines):
+        assert as_drawn(model.hour_lines[10 - k]) == mirror_image(el)
+    for el in model.almucantars[:-1]:
+        if isinstance(el, Arc):
+            assert el.start_point == mirrored(el.end_point)
+    # the elements on the meridian have x == 0.0 exactly
+    xs = [c.center.x for c in model.tropics] + [model.almucantars[-1].x]
+    xs += [(el.circle if isinstance(el, Arc) else el).center.x for el in model.almucantars[:-1]]
+    if isinstance(model.azimuths[0], Arc):
+        xs.append(model.azimuths[0].circle.center.x)
+    if m % 2 == 0:
+        meridian = model.azimuths[m // 2]
+        xs += [meridian.a.x, meridian.b.x]
+    if model.hour_lines:
+        midnight = model.hour_lines[5]
+        assert isinstance(midnight, Segment)
+        xs += [midnight.a.x, midnight.b.x]
+    assert xs == [0.0] * len(xs)
 
 
 # ---- the library's contract: finite numbers or a documented error ----
