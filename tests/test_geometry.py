@@ -42,14 +42,13 @@ def arc_holds(arc, p):
 
 
 def as_drawn(el):
-    """An element as the curve it draws, whichever way it runs: an Arc as
-    its circle with its ends in ccw order, a Segment as the set of its ends."""
-    if isinstance(el, Arc):
-        ends = (el.start_point, el.end_point)
-        return (el.circle, *(ends if el.orientation == "ccw" else ends[::-1]))
+    """An Arc or a Segment as the curve it draws, whichever way it runs: an
+    Arc as its circle with its ends in ccw order, a Segment as the set of
+    its ends."""
     if isinstance(el, Segment):
         return frozenset((el.a, el.b))
-    return el
+    ends = (el.start_point, el.end_point)
+    return (el.circle, *(ends if el.orientation == "ccw" else ends[::-1]))
 
 
 def mirrored(p):
@@ -58,17 +57,13 @@ def mirrored(p):
 
 
 def mirror_image(el):
-    """`as_drawn` of an element's exact reflection x -> -x, which turns
-    the other way: the ccw arc from s to e reflects to the ccw arc from
-    the reflection of e to that of s."""
-    if isinstance(el, PlanePoint):
-        return mirrored(el)
-    if isinstance(el, Circle):
-        return Circle(mirrored(el.center), el.radius)
+    """`as_drawn` of an Arc's or a Segment's exact reflection x -> -x, which
+    turns the other way: the ccw arc from s to e reflects to the ccw arc
+    from the reflection of e to that of s."""
     if isinstance(el, Segment):
         return as_drawn(Segment(mirrored(el.a), mirrored(el.b)))
-    return as_drawn(Arc(mirror_image(el.circle), mirrored(el.end_point),
-                        mirrored(el.start_point), el.orientation))
+    circle = Circle(mirrored(el.circle.center), el.circle.radius)
+    return as_drawn(Arc(circle, mirrored(el.end_point), mirrored(el.start_point), el.orientation))
 
 
 def bisector_circumcenter(p1, p2, p3):

@@ -513,6 +513,7 @@ def test_plate_curve_ends_are_the_projected_sphere_points(
             assert el.start_point == mirrored(el.end_point)
 
     azimuths = vertical_azimuths(azimuth_step)
+    assert len(model.azimuths) == len(azimuths)
     for a, el in zip(azimuths[:len(azimuths) // 2 + 1], model.azimuths):
         if abs(math.cos(math.radians(a))) < 1e-11:
             continue  # the meridian, whose ends are closed-form y values
@@ -530,6 +531,9 @@ def test_plate_curve_ends_are_the_projected_sphere_points(
         knots = [project_point(SpherePoint(dec, night_hours(latitude, dec)[k]), scale)
                  for dec in (-obl, 0.0, obl)]
         assert el == arc_through(*knots)
+    if model.hour_lines:  # midnight: the tropics' points at hour angle 180, on the meridian
+        ends = [project_point(SpherePoint(dec, 180.0), scale) for dec in (-obl, obl)]
+        assert model.hour_lines[5] == Segment(*(PlanePoint(0.0, p.y) for p in ends))
 
 
 @REPRODUCIBLE
@@ -563,6 +567,7 @@ def test_plate_kernels_equal_the_public_helpers(latitude, scale, obliquity, almu
     # the western verticals, A in [0, 90), and the meridian; each eastern one is the
     # reflection of its twin (test_the_plate_is_its_own_mirror_image)
     azimuths = vertical_azimuths(azimuth_step)
+    assert len(model.azimuths) == len(azimuths)
     for a, el in zip(azimuths[:len(azimuths) // 2 + 1], model.azimuths):
         if abs(math.cos(math.radians(a))) < 1e-11:
             north_y = almucantar_solution(latitude, 0.0, scale).y_lower
