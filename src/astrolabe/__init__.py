@@ -90,7 +90,7 @@ from .projection import (
     stereographic_radius,
     unproject_point,
 )
-from .render import LAYER_IDS, RenderStyle, arc_to_path, render_full, render_svg
+from .render import LAYER_IDS, RenderStyle, render_full, render_svg
 from .rete import (
     ReteModel,
     StarEntry,

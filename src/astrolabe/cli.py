@@ -245,7 +245,10 @@ def _cmd_analyze_arc(args) -> list:
 
 
 def _cmd_analyze_chords(args) -> list:
-    marks = [float(v) for v in args.marks.split(",")]
+    where = "astrolabe analyze quadrant-chords: argument --marks"
+    marks = [_value(_Flag(float, "mark"), v, where) for v in args.marks.split(",")]
+    for m in marks:  # each checked as a float flag is
+        FINITE.check(m, "--marks")
     circle = Circle(PlanePoint(0.0, 0.0), args.radius)
     verdict = ea.quadrant_chord_diagnosis(circle, marks, args.tol)
     return [

@@ -60,7 +60,6 @@ whose multiples miss 180 - A by rounding.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .exceptions import ArcticLatitude, DomainError
@@ -122,13 +121,13 @@ class PlateModel(_Record):
       (altitude 90) is the zenith point;
     - `azimuths[j]` is vertical j of the m distinct ones (m = n/2 for an
       even count n = 360 / azimuth_step, n for an odd one).  For j < m/2
-      it is at the first multiple A = k * azimuth_step mod 180 within
-      rounding of j * 180 / m, measured from the prime vertical (each also
-      covers its A + 180 pair); for j > m/2 it is the exact reflection,
-      x -> -x, of vertical m - j.  The 90-degree entry (j = m/2), if any,
-      is the meridian Segment, and so is a vertical whose circle is over
-      STRAIGHT_REL boundary radii wide (near the pole), from one of its
-      ends to the other;
+      it is at A = k * azimuth_step mod 180 from the prime vertical (each
+      also covers its A + 180 pair), with k = j for an even n, and for an
+      odd one k = j/2 for an even j, (j + n)/2 for an odd j; for j > m/2
+      it is the exact reflection, x -> -x, of vertical m - j.  The
+      90-degree entry (j = m/2), if any, is the meridian Segment, and so
+      is a vertical whose circle is over STRAIGHT_REL boundary radii wide
+      (near the pole), from one of its ends to the other;
     - `hour_lines[k - 1]` is unequal-hour boundary k (1..11): an Arc, or
       a Segment where its three points are collinear (midnight, on the
       meridian); boundary 12 - k is the exact reflection of boundary k;
@@ -247,23 +246,21 @@ def _reflect(el: Arc | Segment, keep_turn: bool) -> Arc | Segment:
     return Arc(circle, start, end, "cw" if el.orientation == "ccw" else "ccw")
 
 
-@functools.lru_cache(maxsize=8)
 def _vertical_azimuths(step: float) -> tuple[int, tuple[tuple[float, float, float], ...]]:
     """The count m of distinct verticals, and each computed vertical's
     azimuth A (degrees from the prime vertical, in [0, 90)) in vertical
-    order, with A in radians and its cosine, computed once per step.
-    Vertical j = round(A m / 180) mod m takes the first multiple A = k *
-    step mod 180 that reaches it: with n steps per turn, m = n/2 if n is
-    even (A and A + 180 pair up), else m = n.  Verticals j < m/2 are
-    computed; j = m/2 is the meridian, and j > m/2 the reflection of m - j."""
+    order, with A in radians and its cosine.  With n steps per turn, m =
+    n/2 if n is even (A and A + 180 pair up), else m = n.  Verticals j <
+    m/2 are computed, at A = k * step mod 180: k = j for an even n; for an
+    odd one the multiples below 180 land on the even j and those past it
+    on the odd j, so k = j/2 or (j + n)/2.  j = m/2 is the meridian, and j
+    > m/2 the reflection of m - j."""
     n_az = int(round(360.0 / step))
     m_az = n_az // 2 if n_az % 2 == 0 else n_az
-    first = {}
-    for k in range(n_az):
-        a = (k * step) % 180.0
-        first.setdefault(round(a * m_az / 180.0) % m_az, a)
+    odd = n_az % 2
+    ks = [(j + n_az * (j % 2)) // 2 if odd else j for j in range((m_az + 1) // 2)]
     return m_az, tuple((a, math.radians(a), math.cos(math.radians(a)))
-                       for j, a in sorted(first.items()) if 2 * j < m_az)
+                       for a in ((k * step) % 180.0 for k in ks))
 
 
 def crossing_hour_angle(latitude: float, declination: float, altitude: float = 0.0):

@@ -11,20 +11,21 @@ scales (limb ticks, sine quadrant, shadow square, the zodiac's long and
 short ticks, labels) straight from the boundary radius or the degree
 index.  One pen per document holds a printf-style bytes template for
 each row kind (`<line>`, `<circle>`, a star marker, an arc's `<path>`),
-built once from the precision with the indent and newline in it.  A run
-of rows (a layer's model elements, or a run of lines) is printed by one
-`%` of its rows' templates joined over one flat tuple of signed values,
-and decoded once (`_Pen.run`); an element drawn alone is a run of one.
-`_Pen.lines` signs a flat sequence of model values (x1, y1, x2, y2, ...)
-in one `map` pass; the zodiac's ticks are signed as they are computed;
-the limb's and the calendar's come from `_Pen.ticks`, which multiplies a
-flat unit table (sin, cos, sin, cos per tick: `_WHOLE_DEGREES` for the
-limb, and for the calendar one cached from its model's own angles) by
-radii with the signs folded in.  Bytes and str `%` print a float through
-the same routine, so the bytes are those of a str format.  A label stays
-str: its x and y are formatted apart, and its text is never formatted.
-Model coordinates are mathematical (y up); the pen negates y, and x
-too under `mirror_ew`, and inverts an arc's sweep flag when sx*sy < 0.
+built once from the precision with the indent and newline in it, and
+`_Pen.elements` is the one printer of an Arc.  A run of rows (a layer's
+model elements, or a run of lines) is printed by one `%` of its rows'
+templates joined over one flat tuple of signed values, and decoded once
+(`_Pen.run`); an element drawn alone is a run of one.  `_Pen.lines`
+signs a flat sequence of model values (x1, y1, x2, y2, ...) in one `map`
+pass; the zodiac's ticks are signed as they are computed; the limb's and
+the calendar's come from `_Pen.ticks`, which multiplies a flat unit
+table (sin, cos, sin, cos per tick, from `_unit_table`: the one tick
+table cache, filled on first use) by radii with the signs folded in.
+Bytes and str `%` print a float through the same routine, so the bytes
+are those of a str format.  A label stays str: its x and y are formatted
+apart, and its text is never formatted.  Model coordinates are
+mathematical (y up); the pen negates y, and x too under `mirror_ew`,
+and inverts an arc's sweep flag when sx*sy < 0.
 One rule prints a number that rounds to zero unsigned: at precision p
 such a number prints as exactly "-0." and p zeros, followed by a
 non-digit, so one exact `replace` of that text by its unsigned form
@@ -117,17 +118,12 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}f}".replace(*_zeros(precision))
 
 
+# the limb's range(360), and the calendar's angles: every built back holds one tuple
+@functools.lru_cache(maxsize=2)
 def _unit_table(degrees) -> tuple:
     """A scale's unit table for `_Pen.ticks`: (sin, cos, sin, cos) of each
     angle in degrees, flat, one run of four per tick."""
     return tuple(v for a in map(math.radians, degrees) for v in (math.sin(a), math.cos(a)) * 2)
-
-
-# the limb's unit table: one tick per whole-degree plate angle, sin, cos, sin, cos each
-_WHOLE_DEGREES = _unit_table(range(360))
-# the calendar's, from a back model's own angles; kept for the last angles drawn,
-# since every built back holds calendar_ring()'s one tuple
-_calendar_table = functools.lru_cache(maxsize=1)(_unit_table)
 
 
 # ---- element emission --------------------------------------------------
@@ -148,8 +144,7 @@ class _Pen:
         self.circle_row = f'  <circle cx="{f}" cy="{f}" r="{f}"/>\n'.encode()
         self.marker_row = (f'  <circle cx="{f}" cy="{f}" r="{_fmt(_STAR_MARKER_R, precision)}" '
                            'fill="#000" stroke="none"/>\n').encode()
-        self.path = f"M {f} {f} A {f} {f} 0 %d %d {f} {f}".encode()
-        self.path_row = b'  <path d="' + self.path + b'"/>\n'
+        self.path_row = f'  <path d="M {f} {f} A {f} {f} 0 %d %d {f} {f}"/>\n'.encode()
         self.point = f"{f} {f}".encode()
         self.xy = f'x="{f}" y="{f}"'
         # a mirrored label runs the other way from its anchor point
@@ -190,30 +185,24 @@ class _Pen:
             f'fill="#000" stroke="none">{text}</text>\n'
         )
 
-    def arc(self, el: Arc) -> tuple:
-        """The values of an arc's path (`path`), M to its start and one A
-        command to its end; its large-arc flag is set only for sweeps
-        beyond a semicircle."""
-        sx, sy = self.sx, self.sy
-        p0, p1, r = el.start_point, el.end_point, el.circle.radius
-        large = abs(math.degrees(el.sweep)) > 180.0 + 1e-12
-        # a reflection in one axis reverses the sense of rotation
-        flag = (el.orientation == "ccw") != (sx * sy < 0)
-        return (sx * p0.x, sy * p0.y, r, r, large, flag, sx * p1.x, sy * p1.y)
-
     def elements(self, elements) -> str:
         """One row per model-owned element (Circle, Arc, Segment or star
-        marker), in one run."""
+        marker), in one run.  An arc is a <path> of M to its start and one
+        A command to its end, its large-arc flag set only for sweeps
+        beyond a semicircle: the only place an Arc is printed."""
         sx, sy = self.sx, self.sy
+        flip = sx * sy < 0  # a reflection in one axis reverses the sense of rotation
         point, zeros = self.point, self.bytes_zeros
         rows, values = [], []
         for el in elements:
             if isinstance(el, Arc):
-                arc = self.arc(el)
-                if not (arc[4] and (point % arc[:2]).replace(*zeros)
-                        == (point % arc[6:]).replace(*zeros)):
+                p0, p1, r = el.start_point, el.end_point, el.circle.radius
+                x0, y0, x1, y1 = sx * p0.x, sy * p0.y, sx * p1.x, sy * p1.y
+                large = abs(math.degrees(el.sweep)) > 180.0 + 1e-12
+                if not (large and (point % (x0, y0)).replace(*zeros)
+                        == (point % (x1, y1)).replace(*zeros)):
                     rows.append(self.path_row)
-                    values += arc
+                    values += (x0, y0, r, r, large, (el.orientation == "ccw") != flip, x1, y1)
                     continue
                 # SVG draws no arc between equal points: this large one is its circle to
                 # the precision
@@ -234,14 +223,6 @@ class _Pen:
     def emit(self, el) -> str:
         """A model-owned element alone: a run of one."""
         return self.elements((el,))
-
-
-def arc_to_path(arc: Arc, precision: int = 4) -> str:
-    """SVG path fragment for any arc (`_Pen.arc`): M to the start point, one
-    elliptical arc command to the end point.  The sweep flag follows the
-    arc's orientation in coordinate algebra (ccw = positive-angle = 1)."""
-    pen = _Pen(precision, 1.0, 1.0)
-    return pen.run(pen.path, pen.arc(arc))
 
 
 # ---- per-model layers: (id, draw), draw(pen) -> element rows -------------
@@ -296,7 +277,7 @@ def _back_layers(m: BackModel) -> list:
     def limb(pen):  # 360 one-degree ticks, long every tenth, numbered every 30
         return (
             pen.emit(m.boundary)
-            + pen.ticks(_WHOLE_DEGREES, r, r * 0.94, r * 0.97)
+            + pen.ticks(_unit_table(range(360)), r, r * 0.94, r * 0.97)
             + "".join(pen.label(p.x, p.y, f"{a}") for a, p in
                       ((a, from_plate_polar(r * 0.905, a)) for a in range(0, 360, 30)))
         )
@@ -305,7 +286,7 @@ def _back_layers(m: BackModel) -> list:
         return (
             pen.elements((Circle(PlanePoint(0.0, 0.0), r * 0.88),
                           Circle(PlanePoint(0.0, 0.0), r * 0.84)))
-            + pen.ticks(_calendar_table(tuple(m.calendar_angles)), r * 0.88, r * 0.84, r * 0.86)
+            + pen.ticks(_unit_table(tuple(m.calendar_angles)), r * 0.88, r * 0.84, r * 0.86)
         )
 
     def sine_quadrant(pen):  # 60 radius divisions; the k = 60 chords have no length

@@ -456,6 +456,15 @@ def test_range_errors_name_the_flag_and_the_commands_range(capsys, argv, message
      "--radius must lie in (0, 1e+09] mm, got 1e+308"),
     (("analyze", "quadrant-chords", "--radius", "100", "--marks", "0,90,180,270",
       "--tol", "1e308"), "--tol must lie in [0, 1e+09] mm, got 1e+308"),
+    # each mark is read and checked as a float flag's value is
+    (("analyze", "quadrant-chords", "--radius", "10", "--marks=", "--tol", "0.1"),
+     "astrolabe analyze quadrant-chords: argument --marks: invalid float value: ''"),
+    (("analyze", "quadrant-chords", "--radius", "10", "--marks", "0,90,x,270", "--tol", "0.1"),
+     "astrolabe analyze quadrant-chords: argument --marks: invalid float value: 'x'"),
+    (("analyze", "quadrant-chords", "--radius", "10", "--marks", "0,90,nan,270", "--tol", "0.1"),
+     "--marks must be a finite number, got nan"),
+    (("analyze", "quadrant-chords", "--radius", "10", "--marks", "0,90,inf,270", "--tol", "0.1"),
+     "--marks must be a finite number, got inf"),
     (("analyze", "band", "--lat", "40", "--altitude", "10", "--radius-error-fraction", "1e308"),
      "--radius-error-fraction must lie in [-1, 1], got 1e+308"),
     (("project", "--dec", "10", "--hour-angle", "1e308"),
@@ -464,6 +473,7 @@ def test_range_errors_name_the_flag_and_the_commands_range(capsys, argv, message
      "--q must lie in (1, 1e+09], got 1e+308"),
 ], ids=["alidade-length", "alidade-offset-rad", "alidade-offset-deg", "alidade-rotation-deg",
         "alidade-rotation-mm", "arc-ds", "arc-dp", "arc-dalpha", "arc-radius", "chords-tol",
+        "chords-marks-empty", "chords-marks-x", "chords-marks-nan", "chords-marks-inf",
         "band-fraction", "project-hour-angle", "project-q"])
 def test_report_numbers_outside_their_range_exit_one_naming_the_flag(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")

@@ -46,8 +46,8 @@ from astrolabe import (
 )
 from astrolabe.exceptions import AstrolabeError
 from astrolabe.geometry import _Record, arc_through, circumcircle
-from astrolabe.plate import (MIN_LATITUDE, STRAIGHT_REL, _vertical_end, crossing_hour_angle,
-                             night_hours)
+from astrolabe.plate import (MIN_LATITUDE, STRAIGHT_REL, _vertical_azimuths, _vertical_end,
+                             crossing_hour_angle, night_hours)
 from astrolabe.projection import (ALTITUDE, BAND_STEP, DECLINATION, FINITE, FRACTION, LATITUDE,
                                   LENGTH, OBLIQUITIES, RADIANS, SCALE, SIGNED_LENGTH,
                                   SIGNED_RADIANS, Range, _stereographic, from_plate_polar,
@@ -483,6 +483,36 @@ def vertical_azimuths(step):
         a = (k * step) % 180.0
         first.setdefault(round(a * m / 180.0) % m, a)
     return [a for _, a in sorted(first.items())]
+
+
+def accepted_azimuth_steps(n):
+    """360 / n, the floats either side of it, and the farthest steps either
+    side that PlateConfig still takes for n steps per turn."""
+    step = 360.0 / n
+    steps = {step, math.nextafter(step, 0.0), math.nextafter(step, math.inf),
+             360.0 / (n + 0.9e-9), 360.0 / (n - 0.9e-9)}
+    kept = []
+    for s in sorted(steps):
+        try:
+            PlateConfig(40.0, S, azimuth_step=s)
+        except ValueError:
+            continue
+        kept.append(s)
+    return kept
+
+
+def test_the_closed_form_vertical_azimuths_are_the_search_bit_for_bit():
+    # every count up to 720 steps per turn, and the finest ones down to MIN_STEP
+    checked = 0
+    for n in [*range(1, 721), 7200, 10799, 10800, 21599, 21600]:
+        for step in accepted_azimuth_steps(n):
+            m, computed = _vertical_azimuths(step)
+            search = vertical_azimuths(step)
+            assert m == len(search) and len(computed) == (m + 1) // 2, (n, step)
+            assert [a for a, _, _ in computed] == search[:len(computed)], (n, step)
+            assert all(ar == math.radians(a) and c == math.cos(ar) for a, ar, c in computed)
+            checked += 1
+    assert checked > 4 * 725  # all but a few of the five steps of each count are accepted
 
 
 @REPRODUCIBLE

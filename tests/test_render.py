@@ -26,7 +26,6 @@ from astrolabe import (
     RenderStyle,
     Segment,
     StarEntry,
-    arc_to_path,
     build_back,
     build_plate,
     build_rete,
@@ -58,6 +57,13 @@ def parse_arc_path(d):
     return (
         float(x1), float(y1), float(r1), int(large), int(sweep), float(x2), float(y2),
     )
+
+
+def path_d(arc, precision=4):
+    """The d attribute of an arc's row, as an unmirrored document pen prints it."""
+    m = re.fullmatch(r'  <path d="([^"]*)"/>\n', _Pen(precision, 1.0, 1.0).emit(arc))
+    assert m, arc
+    return m.group(1)
 
 
 def svg_arc_points(x1, y1, r, large, sweep, x2, y2, ts):
@@ -97,7 +103,7 @@ def test_arc_path_matches_svg_evaluator():
         orient = "ccw" if rng.integers(2) else "cw"
         a1 = a0 + sweep if orient == "ccw" else a0 - sweep
         arc = angle_arc(Circle(PlanePoint(float(cx), float(cy)), r), a0, a1, orient)
-        d = arc_to_path(arc, precision=8)
+        d = path_d(arc, precision=8)
         rendered = svg_arc_points(*parse_arc_path(d), ts=ts)
         for (gx, gy), t in zip(rendered, ts):
             want = arc_point(arc, float(t))
@@ -106,15 +112,15 @@ def test_arc_path_matches_svg_evaluator():
 
 def test_arc_path_flags():
     c = Circle(PlanePoint(0.0, 0.0), 10.0)
-    quarter_ccw = arc_to_path(angle_arc(c, 0.0, math.pi / 2.0, "ccw"))
+    quarter_ccw = path_d(angle_arc(c, 0.0, math.pi / 2.0, "ccw"))
     assert " 0 1 " in quarter_ccw  # small arc, positive-angle sweep
-    quarter_cw = arc_to_path(angle_arc(c, math.pi / 2.0, 0.0, "cw"))
+    quarter_cw = path_d(angle_arc(c, math.pi / 2.0, 0.0, "cw"))
     assert " 0 0 " in quarter_cw
-    major_ccw = arc_to_path(angle_arc(c, 0.0, 3.0 * math.pi / 2.0, "ccw"))
+    major_ccw = path_d(angle_arc(c, 0.0, 3.0 * math.pi / 2.0, "ccw"))
     assert " 1 1 " in major_ccw  # three-quarter turn sets the large flag
-    major_cw = arc_to_path(angle_arc(c, 0.0, math.pi / 2.0, "cw"))
+    major_cw = path_d(angle_arc(c, 0.0, math.pi / 2.0, "cw"))
     assert " 1 0 " in major_cw
-    semi = arc_to_path(angle_arc(c, 0.0, math.pi, "ccw"))
+    semi = path_d(angle_arc(c, 0.0, math.pi, "ccw"))
     assert " 0 1 " in semi  # exactly half a turn is not "large"
 
 
@@ -128,16 +134,6 @@ def test_an_arc_whose_ends_print_as_one_point_is_its_circle():
         assert pen.emit(angle_arc(c, 0.0, 2.0 * math.pi - 1e-3, "ccw")).startswith("  <path")
         assert pen.emit(angle_arc(c, 0.0, 1e-6, "ccw")).startswith("  <path")
     assert _Pen(9, 1.0, 1.0).emit(angle_arc(c, 0.0, 2.0 * math.pi - 1e-6, "ccw")).startswith("  <path")
-
-
-def test_arc_to_path_is_an_arc_command_for_every_arc():
-    # a document prints this near-full arc as its circle; its path is still M ... A ...
-    c = Circle(PlanePoint(0.0, 0.0), 10.0)
-    arc = Arc(c, PlanePoint(10.0, 0.0),
-              PlanePoint(10.0 * math.cos(1e-7), -10.0 * math.sin(1e-7)), "ccw")
-    assert _Pen(4, 1.0, 1.0).emit(arc) == _Pen(4, 1.0, 1.0).emit(c)
-    assert arc_to_path(arc) == "M 10.0000 0.0000 A 10.0000 10.0000 0 1 1 10.0000 0.0000"
-    assert parse_arc_path(arc_to_path(arc, precision=9))[3:5] == (1, 1)
 
 
 def test_a_near_pole_vertical_prints_its_computed_ends():
@@ -163,7 +159,7 @@ def test_a_near_pole_vertical_prints_its_computed_ends():
 
 def test_negative_zero_never_printed():
     arc = angle_arc(Circle(PlanePoint(-10.0 - 1e-9, 0.0), 10.0), 0.0, math.pi / 2.0, "ccw")
-    d = arc_to_path(arc, precision=4)
+    d = path_d(arc, precision=4)
     assert d.startswith("M 0.0000 ")
     assert "-0.0000" not in d
 
@@ -648,7 +644,7 @@ def test_lines_prints_each_run_of_four_values_as_one_reference_row(precision, mi
     pen = _Pen(precision, sx, sy)
     assert pen.lines(values) == pen.lines(tuple(values)) == want
     assert pen.signed_lines([v * s for v, s in zip(values, pen.signs * 100)]) == want
-    assert pen.ticks(render._WHOLE_DEGREES, 1.0, 1.0, 1.0) == reference_lines(
+    assert pen.ticks(render._unit_table(range(360)), 1.0, 1.0, 1.0) == reference_lines(
         reference_ticks(range(360), 1.0, 1.0, 1.0), precision, sx, sy)
     # every element kind at those values, in one run and each alone
     points = [PlanePoint(x, y) for x, y in zip(values[::2], values[1::2])]
