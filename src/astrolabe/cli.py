@@ -249,6 +249,8 @@ def _cmd_analyze_chords(args) -> list:
     marks = [_value(_Flag(float, "mark"), v, where) for v in args.marks.split(",")]
     for m in marks:  # each checked as a float flag is
         FINITE.check(m, "--marks")
+    if len(marks) != 4:
+        raise ValueError(f"--marks must list exactly 4 marks, got {len(marks)}")
     circle = Circle(PlanePoint(0.0, 0.0), args.radius)
     verdict = ea.quadrant_chord_diagnosis(circle, marks, args.tol)
     return [

@@ -180,12 +180,6 @@ def _y_lower(latitude: float, altitude: float, scale: float) -> float:
     return -scale * math.tan(math.radians((latitude - altitude) / 2.0))
 
 
-def _almucantar_circle(latitude: float, altitude: float, scale: float) -> Circle:
-    """`almucantar_solution(...).circle`, unchecked."""
-    _, _, y_center, radius = _meridian(latitude, altitude, scale)
-    return Circle(PlanePoint(0.0, y_center), radius)
-
-
 def zenith_point(latitude: float, scale: float) -> PlanePoint:
     """Projection of the zenith: (0, scale * tan(45 - phi/2))."""
     LATITUDE.check(latitude, "latitude")
@@ -404,8 +398,10 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
     r_b = boundary.radius
 
     step = cfg.almucantar_step
-    almucantars = [_inside_boundary(_almucantar_circle(phi, k * step, s), cfg, k * step, r_b)
-                   for k in range(int(round(90.0 / step)))] + [zen]
+    altitudes = [k * step for k in range(int(round(90.0 / step)))]
+    solutions = [_meridian(phi, h, s) for h in altitudes]  # one per altitude, the horizon first
+    almucantars = [_inside_boundary(Circle(PlanePoint(0.0, center), radius), cfg, h, r_b)
+                   for h, (_, _, center, radius) in zip(altitudes, solutions)] + [zen]
     horizon = almucantars[0]
 
     la = math.radians(phi)
@@ -427,10 +423,9 @@ def build_plate(cfg: PlateConfig) -> PlateModel:
         if not turns_ccw(ahead, zen, behind):  # so that the ccw arc holds the zenith
             ahead, behind = behind, ahead
         azimuths.append(Arc(circ, ahead, behind, "ccw"))
-    if m_az % 2 == 0:
-        north_y = _y_lower(phi, 0.0, s)
-        south_y = min(s / math.tan(math.radians(phi / 2.0)), r_b)
-        azimuths.append(Segment(PlanePoint(0.0, north_y), PlanePoint(0.0, south_y)))
+    if m_az % 2 == 0:  # the meridian: from the horizon's meridian crossings, cut at r_b
+        south_y, north_y = solutions[0][:2]
+        azimuths.append(Segment(PlanePoint(0.0, north_y), PlanePoint(0.0, min(south_y, r_b))))
     azimuths += [_reflect(azimuths[m_az - j], keep_turn=True)
                  for j in range(len(azimuths), m_az)]
 

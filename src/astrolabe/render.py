@@ -21,16 +21,17 @@ pass; the zodiac's ticks are signed as they are computed; the limb's and
 the calendar's come from `_Pen.ticks`, which multiplies a flat unit
 table (sin, cos, sin, cos per tick, from `_unit_table`: the one tick
 table cache, filled on first use) by radii with the signs folded in.
-Bytes and str `%` print a float through the same routine, so the bytes
-are those of a str format.  A label stays str: its x and y are formatted
-apart, and its text is never formatted.  Model coordinates are
-mathematical (y up); the pen negates y, and x too under `mirror_ew`,
-and inverts an arc's sweep flag when sx*sy < 0.
+Every number a document prints at its precision is printed by
+`_Pen.run`: the rows, a label's x and y (its text is never formatted),
+the star marker's radius, the document's size and viewBox, and
+`render_full`'s translates; only the fixed stroke widths are written by
+`:g`, and the label font size is literal text.  Model coordinates are
+mathematical (y up); the pen negates y, and x too under `mirror_ew`, and
+inverts an arc's sweep flag when sx*sy < 0.
 One rule prints a number that rounds to zero unsigned: at precision p
 such a number prints as exactly "-0." and p zeros, followed by a
 non-digit, so one exact `replace` of that text by its unsigned form
-(`_zeros`), run on a run's formatted bytes or a label's formatted x and
-y (never on label text), drops the sign.
+(the pen's `zeros`), run on each run's formatted bytes, drops the sign.
 Rounding is symmetric in sign, so a `mirror_ew` document is the exact
 x-negation of the plain one, except that a label anchored at its start
 or end swaps the two, so that it still runs away from its marker.
@@ -80,8 +81,6 @@ _ZODIAC = (
 
 _STAR_MARKER_R = 0.8
 
-_LABEL_FONT_SIZE = 3.0
-
 
 class RenderStyle(_Record):
     """Presentation settings.  `precision` is the coordinate decimal
@@ -106,18 +105,6 @@ class RenderStyle(_Record):
         super().__init__(precision, mirror_ew, include_layers)
 
 
-def _zeros(precision: int) -> tuple[str, str]:
-    """The text of a number that rounds to zero at the precision, signed and
-    unsigned: in numbers printed at that precision, `.replace(*_zeros(p))`
-    unsigns each such number and touches no other."""
-    zero = "0." + "0" * precision
-    return "-" + zero, zero
-
-
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}f}".replace(*_zeros(precision))
-
-
 # the limb's range(360), and the calendar's angles: every built back holds one tuple
 @functools.lru_cache(maxsize=2)
 def _unit_table(degrees) -> tuple:
@@ -138,22 +125,27 @@ class _Pen:
         self.sx, self.sy = sx, sy
         self.signs = (sx, sy, sx, sy)
         f = f"%.{precision}f"
-        self.zeros = _zeros(precision)
-        self.bytes_zeros = tuple(z.encode() for z in self.zeros)
+        # the text of a number that rounds to zero at the precision, signed and unsigned:
+        # in numbers printed at that precision, replacing one by the other unsigns each
+        # such number and touches no other
+        zero = b"0." + b"0" * precision
+        self.zeros = (b"-" + zero, zero)
+        self.number = f.encode()
         self.line_row = f'  <line x1="{f}" y1="{f}" x2="{f}" y2="{f}"/>\n'.encode()
         self.circle_row = f'  <circle cx="{f}" cy="{f}" r="{f}"/>\n'.encode()
-        self.marker_row = (f'  <circle cx="{f}" cy="{f}" r="{_fmt(_STAR_MARKER_R, precision)}" '
+        marker_r = self.run(self.number, (_STAR_MARKER_R,))
+        self.marker_row = (f'  <circle cx="{f}" cy="{f}" r="{marker_r}" '
                            'fill="#000" stroke="none"/>\n').encode()
         self.path_row = f'  <path d="M {f} {f} A {f} {f} 0 %d %d {f} {f}"/>\n'.encode()
         self.point = f"{f} {f}".encode()
-        self.xy = f'x="{f}" y="{f}"'
+        self.xy = f'x="{f}" y="{f}"'.encode()
         # a mirrored label runs the other way from its anchor point
         self.anchors = {"start": "end", "end": "start"} if sx < 0 else {}
 
     def run(self, template: bytes, values) -> str:
         """A run of rows: one `%` of its joined bytes templates over its
         signed values, the numbers that print as zero unsigned, decoded once."""
-        return (template % tuple(values)).replace(*self.bytes_zeros).decode("ascii")
+        return (template % tuple(values)).replace(*self.zeros).decode("ascii")
 
     def lines(self, values) -> str:
         """One <line> row per four model values x1, y1, x2, y2 of a flat
@@ -179,8 +171,8 @@ class _Pen:
         # xml.sax.saxutils.escape, without its import: `&` first
         text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         return (
-            f"  <text {(self.xy % (self.sx * x, self.sy * y)).replace(*self.zeros)} "
-            f'font-size="{_LABEL_FONT_SIZE:g}" '
+            f"  <text {self.run(self.xy, (self.sx * x, self.sy * y))} "
+            'font-size="3" '
             f'text-anchor="{self.anchors.get(anchor, anchor)}" '
             f'fill="#000" stroke="none">{text}</text>\n'
         )
@@ -192,7 +184,7 @@ class _Pen:
         beyond a semicircle: the only place an Arc is printed."""
         sx, sy = self.sx, self.sy
         flip = sx * sy < 0  # a reflection in one axis reverses the sense of rotation
-        point, zeros = self.point, self.bytes_zeros
+        point, zeros = self.point, self.zeros
         rows, values = [], []
         for el in elements:
             if isinstance(el, Arc):
@@ -365,10 +357,13 @@ def _layer_rows(model, style: RenderStyle, pen: _Pen) -> list:
     return rows
 
 
-def _bodies(style: RenderStyle, faces) -> list[str]:
-    """The joined layer groups of each (id prefix, model) face.  The
-    document negates y, and x too under `mirror_ew`."""
-    pen = _Pen(style.precision, -1.0 if style.mirror_ew else 1.0, -1.0)
+def _document_pen(style: RenderStyle) -> _Pen:
+    """The pen of a document: it negates y, and x too under `mirror_ew`."""
+    return _Pen(style.precision, -1.0 if style.mirror_ew else 1.0, -1.0)
+
+
+def _bodies(style: RenderStyle, pen: _Pen, faces) -> list[str]:
+    """The joined layer groups of each (id prefix, model) face."""
     bodies = []
     for prefix, model in faces:
         if type(model) not in _LAYERS:
@@ -383,18 +378,14 @@ def _bodies(style: RenderStyle, faces) -> list[str]:
     return bodies
 
 
-def _document(body: str, half_extent: float, style: RenderStyle, width: float = None) -> str:
-    p = style.precision
+def _document(body: str, pen: _Pen, half_extent: float, width: float = None) -> str:
     w = width if width is not None else 2.0 * half_extent
-    vb = (
-        f"{_fmt(-half_extent, p)} {_fmt(-half_extent, p)} "
-        f"{_fmt(w, p)} {_fmt(2.0 * half_extent, p)}"
-    )
+    h = 2.0 * half_extent
+    size = b'width="%smm" height="%smm" viewBox="%s %s %s %s"' % ((pen.number,) * 6)
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(w, p)}mm" height="{_fmt(2.0 * half_extent, p)}mm" '
-        f'viewBox="{vb}">\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'{pen.run(size, (w, h, -half_extent, -half_extent, w, h))}>\n'
         f"{body}\n"
         "</svg>\n"
     )
@@ -405,8 +396,9 @@ def render_svg(model, style: RenderStyle | None = None) -> str:
     document.  Layer selection via style.include_layers; an empty
     selection warns (EmptyModelWarning) and draws the boundary alone."""
     style = style or RenderStyle()
-    (body,) = _bodies(style, [("", model)])
-    return _document(body, model.boundary.radius * 1.05, style)
+    pen = _document_pen(style)
+    (body,) = _bodies(style, pen, [("", model)])
+    return _document(body, pen, model.boundary.radius * 1.05)
 
 
 def render_full(
@@ -421,10 +413,11 @@ def render_full(
     style = style or RenderStyle()
     faces = {"plate": plate_model, "rete": rete_model, "back": back_model}
     half = max(m.boundary.radius for m in faces.values()) * 1.05
-    bodies = _bodies(style, [(f"{top}-", m) for top, m in faces.items()])
+    pen = _document_pen(style)
+    bodies = _bodies(style, pen, [(f"{top}-", m) for top, m in faces.items()])
     parts = [
-        f'<g id="{top}" transform="translate({_fmt(2.0 * half * i, style.precision)} 0)">'
+        f'<g id="{top}" transform="translate({pen.run(pen.number, (2.0 * half * i,))} 0)">'
         f"\n{inner}\n</g>"
         for i, (top, inner) in enumerate(zip(faces, bodies))
     ]
-    return _document("\n".join(parts), half, style, width=6.0 * half)
+    return _document("\n".join(parts), pen, half, width=6.0 * half)

@@ -465,6 +465,10 @@ def test_range_errors_name_the_flag_and_the_commands_range(capsys, argv, message
      "--marks must be a finite number, got nan"),
     (("analyze", "quadrant-chords", "--radius", "10", "--marks", "0,90,inf,270", "--tol", "0.1"),
      "--marks must be a finite number, got inf"),
+    (("analyze", "quadrant-chords", "--radius", "10", "--marks", "0,90,180", "--tol", "0.1"),
+     "--marks must list exactly 4 marks, got 3"),
+    (("analyze", "quadrant-chords", "--radius", "10", "--marks", "0,90,180,270,45",
+      "--tol", "0.1"), "--marks must list exactly 4 marks, got 5"),
     (("analyze", "band", "--lat", "40", "--altitude", "10", "--radius-error-fraction", "1e308"),
      "--radius-error-fraction must lie in [-1, 1], got 1e+308"),
     (("project", "--dec", "10", "--hour-angle", "1e308"),
@@ -474,7 +478,7 @@ def test_range_errors_name_the_flag_and_the_commands_range(capsys, argv, message
 ], ids=["alidade-length", "alidade-offset-rad", "alidade-offset-deg", "alidade-rotation-deg",
         "alidade-rotation-mm", "arc-ds", "arc-dp", "arc-dalpha", "arc-radius", "chords-tol",
         "chords-marks-empty", "chords-marks-x", "chords-marks-nan", "chords-marks-inf",
-        "band-fraction", "project-hour-angle", "project-q"])
+        "chords-marks-three", "chords-marks-five", "band-fraction", "project-hour-angle", "project-q"])
 def test_report_numbers_outside_their_range_exit_one_naming_the_flag(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 

@@ -35,7 +35,7 @@ from astrolabe import (
 )
 from astrolabe.plate import STRAIGHT_REL, PlateModel, _vertical_end
 from astrolabe import render
-from astrolabe.render import _Pen, _fmt
+from astrolabe.render import _Pen
 from test_geometry import arc_point, point_at
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -57,6 +57,12 @@ def parse_arc_path(d):
     return (
         float(x1), float(y1), float(r1), int(large), int(sweep), float(x2), float(y2),
     )
+
+
+def printed(value, precision):
+    """One number as a document prints it: the pen's one-number template, by `_Pen.run`."""
+    pen = _Pen(precision, 1.0, 1.0)
+    return pen.run(pen.number, (value,))
 
 
 def path_d(arc, precision=4):
@@ -151,7 +157,7 @@ def test_a_near_pole_vertical_prints_its_computed_ends():
         arcs += 1
         m = re.fullmatch(r'  <path d="M (\S+) (\S+) A \S+ \S+ 0 [01] [01] (\S+) (\S+)"/>\n',
                          pen.emit(el))
-        ends = {(_fmt(p.x, 9), _fmt(-p.y, 9))
+        ends = {(printed(p.x, 9), printed(-p.y, 9))
                 for p in (_vertical_end(cfg, 270.0 - a), _vertical_end(cfg, 90.0 - a))}
         assert {m.group(1, 2), m.group(3, 4)} == ends
     assert arcs > 10 and model.boundary.radius * STRAIGHT_REL > 1.2e7
@@ -165,9 +171,9 @@ def test_negative_zero_never_printed():
 
 
 @pytest.mark.parametrize("precision", range(1, 10))
-def test_fmt_unsigns_exactly_the_numbers_that_round_to_zero(precision):
-    assert _fmt(-1e-300, precision) == _fmt(-0.0, precision) == "0." + "0" * precision
-    assert _fmt(-10.0 ** -precision, precision) == "-0." + "0" * (precision - 1) + "1"
+def test_the_pen_unsigns_exactly_the_numbers_that_round_to_zero(precision):
+    assert printed(-1e-300, precision) == printed(-0.0, precision) == "0." + "0" * precision
+    assert printed(-10.0 ** -precision, precision) == "-0." + "0" * (precision - 1) + "1"
 
 
 def plate_model():
@@ -446,11 +452,18 @@ def test_unknown_model_type_rejected():
 @pytest.fixture
 def emitted(monkeypatch):
     """A list that counts each run of rows the pen prints from here on (every
-    element, line and tick goes through `_Pen.run`): a render whose faces all
-    reuse their rows adds nothing to it."""
+    element, line and tick goes through `_Pen.run`, in a template of rows,
+    each ending in a newline; a document's header and labels print their
+    numbers by `run` too, in templates that end in none): a render whose
+    faces all reuse their rows adds nothing to it."""
     count, run = [], render._Pen.run
-    monkeypatch.setattr(render._Pen, "run",
-                        lambda pen, template, values: count.append(1) or run(pen, template, values))
+
+    def counted(pen, template, values):
+        if template.endswith(b"\n"):
+            count.append(1)
+        return run(pen, template, values)
+
+    monkeypatch.setattr(render._Pen, "run", counted)
     return count
 
 
