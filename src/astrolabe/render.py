@@ -119,7 +119,8 @@ def _unit_table(degrees) -> tuple:
 class _Pen:
     """Writes indented SVG element rows from plain model coordinates
     (y up): each x and y is multiplied by its sign factor, and each run
-    of rows is printed through the pen's bytes row templates by `run`."""
+    of rows is printed through the pen's bytes row templates by `run`,
+    as every other number of its document is."""
 
     def __init__(self, precision: int, sx: float, sy: float):
         self.sx, self.sy = sx, sy
@@ -143,8 +144,9 @@ class _Pen:
         self.anchors = {"start": "end", "end": "start"} if sx < 0 else {}
 
     def run(self, template: bytes, values) -> str:
-        """A run of rows: one `%` of its joined bytes templates over its
-        signed values, the numbers that print as zero unsigned, decoded once."""
+        """A run of rows (or a document's or a label's numbers): one `%` of
+        its joined bytes templates over its signed values, the numbers that
+        print as zero unsigned, decoded once."""
         return (template % tuple(values)).replace(*self.zeros).decode("ascii")
 
     def lines(self, values) -> str:

@@ -306,7 +306,7 @@ def test_arc_through_orients_by_area_as_by_angles(center, radius, start, sweep, 
     assert abs(arc.sweep) == pytest.approx(sweep, abs=1e-6)
 
 
-def _fmt_by_round_trip(value, precision):
+def _printed_by_round_trip(value, precision):
     # the rule the pen's zero rule replaces: parse the printed string back to test for zero
     s = f"{value:.{precision}f}"
     if float(s) == 0.0:
@@ -339,7 +339,7 @@ def values_near_rounding_to_zero(draw):
 def test_the_pen_prints_a_number_by_the_round_trip_rule(case):
     value, precision = case
     pen = _Pen(precision, 1.0, 1.0)
-    assert pen.run(pen.number, (value,)) == _fmt_by_round_trip(value, precision)
+    assert pen.run(pen.number, (value,)) == _printed_by_round_trip(value, precision)
 
 
 @REPRODUCIBLE
@@ -376,7 +376,7 @@ def test_every_element_kind_prints_numbers_by_the_round_trip_rule(case, mirror):
     cases.append((label, [sx * v, -sy * v]))
     for row, values in cases:
         printed = re.findall(r'(?<=[" ])-?[0-9]+\.[0-9]+(?=[" ])', row)
-        assert printed == [_fmt_by_round_trip(x, precision) for x in values], row
+        assert printed == [_printed_by_round_trip(x, precision) for x in values], row
 
 
 def band_by_band(latitude, scale, altitude, fraction, band_step):
