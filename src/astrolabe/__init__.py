@@ -54,8 +54,11 @@ from .geometry import (
     Arc,
     Circle,
     FitResult,
+    Label,
+    Lines,
     PlanePoint,
     Segment,
+    Ticks,
     chord_length,
     circle_circle_intersection,
     circumcircle,

@@ -1,6 +1,7 @@
 """Back-face scales: the solar calendar ring, midday altitude curves and
 qibla bearings.  The limb graduation, sine quadrant and shadow square
-follow from the limb radius alone, so the renderer draws them from it.
+follow from the limb radius alone.  `build_back` computes every element
+that the back face draws, and the renderer only prints them.
 
 The solar model is a two-term equation of center
 
@@ -28,7 +29,7 @@ import os
 from collections.abc import Iterable
 
 from .exceptions import DomainError, UndefinedBearing
-from .geometry import Arc, Circle, PlanePoint, Segment, _Record, arc_through
+from .geometry import Arc, Circle, Label, Lines, PlanePoint, Segment, Ticks, _Record, arc_through
 from .projection import (DECLINATION, FINITE, LATITUDE, OBLIQUITIES, OBLIQUITY, SCALE,
                          from_plate_polar, horizon_to_sphere)
 from .rete import _load_csv
@@ -77,18 +78,30 @@ class BackConfig(_Record):
 
 
 class BackModel(_Record):
-    """The back face: `config`, the limb `boundary`, `calendar_angles`,
-    `midday` and `qibla_marks`, (Locality, bearing in degrees) pairs.  Its
-    fixed scales are drawn by the renderer from the boundary radius r
-    alone: on the limb, 360 one-degree ticks, a long one every tenth and a
-    number every 30 degrees; in the upper-left quadrant, a sine quadrant of
-    radius r with 60 equal divisions; below the center, a shadow square of
-    side 0.45*r with 12 digits on each of its two scales.  The calendar
-    ring holds one tick angle (degrees) per day; `midday` is the config
-    latitude's midday curve (`midday_curve`), an Arc, or a Segment at an
-    obliquity too small to bend it."""
+    """The back face, every element it draws as `build_back` computes it:
+    on the limb `boundary` of radius r, `limb_ticks` (360, a long one
+    every tenth) and `limb_labels` (every 30 degrees); `calendar_angles`,
+    one tick angle (degrees) per day, drawn as `calendar_ticks` between
+    the two `calendar_rings`; a sine quadrant of radius r, upper left
+    (`quadrant_frame`, and its axes and 59 sines and cosines as
+    `quadrant_chords`); the `shadow_square` of side 0.45*r below the
+    center, 12 digits on each scale; `midday`, the latitude's midday curve
+    (`midday_curve`: an Arc, or a Segment at an obliquity too small to
+    bend it), and its `midday_label`; `qibla_marks`, (Locality, bearing in
+    degrees) pairs, with one of `qibla_rays` and of `qibla_labels` each."""
 
-    __slots__ = ("config", "boundary", "calendar_angles", "midday", "qibla_marks")
+    __slots__ = ("config", "boundary", "limb_ticks", "limb_labels", "calendar_angles",
+                 "calendar_rings", "calendar_ticks", "quadrant_frame", "quadrant_chords",
+                 "shadow_square", "midday", "midday_label", "qibla_marks", "qibla_rays",
+                 "qibla_labels")
+
+
+# the limb's range(360), and the calendar's angles: every built back holds one tuple
+@functools.lru_cache(maxsize=2)
+def _unit_table(degrees) -> tuple:
+    """A scale's `Ticks.unit`: (sin, cos, sin, cos) of each angle in
+    degrees, flat, one run of four per tick."""
+    return tuple(v for a in map(math.radians, degrees) for v in (math.sin(a), math.cos(a)) * 2)
 
 
 def equation_of_center(mean_anomaly: float) -> float:
@@ -232,12 +245,50 @@ def build_back(cfg: BackConfig, localities: Iterable[Locality] = ()) -> BackMode
     """Assemble the full back face.  Qibla bearings use the 3D oracle;
     UndefinedBearing from a degenerate locality propagates."""
     marks = tuple((loc, bearing_oracle(loc, MECCA)) for loc in localities)
+    r = cfg.radius
+    origin = PlanePoint(0.0, 0.0)
+    angles = calendar_ring()
+
+    d = [k * (r / 60) for k in range(1, 60)]  # the k = 60 chords have no length
+    reach = [math.sqrt(r * r - dk * dk) for dk in d]
+    chords = [-r, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, r]
+    for dk, w in zip(d, reach):  # sines
+        chords += (-w, dk, 0.0, dk)
+    for dk, w in zip(d, reach):  # cosines
+        chords += (-dk, 0.0, -dk, w)
+
+    side = 0.45 * r
+    half = side / 2.0
+    digits = [k / 12 for k in range(1, 13)]
+    square = [-half, 0.0, half, 0.0, -half, 0.0, -half, -side,
+              half, 0.0, half, -side, -half, -side, half, -side]
+    for f in digits:  # umbra recta: 12 digits along the bottom
+        square += (-half + f * side, -side, -half + f * side, -side + 1.5)
+    for f in digits:  # umbra versa: 12 digits down the right side
+        square += (half, -f * side, half - 1.5, -f * side)
+
+    # the latitude, 2 mm above the midday curve's equinox point
+    equinox = from_plate_polar(r * (1.0 - midday_altitude(cfg.latitude, 0.0) / 90.0), 0.0)
+    # a ray from the center toward each bearing, named along it
+    rays = [(loc, from_plate_polar(r * 0.82, b), from_plate_polar(r * 0.6, b))
+            for loc, b in marks]
     return BackModel(
         config=cfg,
-        boundary=Circle(PlanePoint(0.0, 0.0), cfg.radius),
-        calendar_angles=calendar_ring(),
-        midday=midday_curve(cfg.latitude, cfg.obliquity, cfg.radius),
+        boundary=Circle(origin, r),
+        limb_ticks=Ticks(_unit_table(range(360)), r, r * 0.94, r * 0.97),
+        limb_labels=tuple(Label(p.x, p.y, f"{a}", "middle") for a, p in
+                          ((a, from_plate_polar(r * 0.905, a)) for a in range(0, 360, 30))),
+        calendar_angles=angles,
+        calendar_rings=(Circle(origin, r * 0.88), Circle(origin, r * 0.84)),
+        calendar_ticks=Ticks(_unit_table(angles), r * 0.88, r * 0.84, r * 0.86),
+        quadrant_frame=Arc(Circle(origin, r), PlanePoint(0.0, r), PlanePoint(-r, 0.0), "ccw"),
+        quadrant_chords=Lines(tuple(chords)),
+        shadow_square=Lines(tuple(square)),
+        midday=midday_curve(cfg.latitude, cfg.obliquity, r),
+        midday_label=Label(equinox.x, equinox.y + 2.0, f"{cfg.latitude:g}", "middle"),
         qibla_marks=marks,
+        qibla_rays=Lines(tuple(v for _, p, _ in rays for v in (p.x, p.y, 0.0, 0.0))),
+        qibla_labels=tuple(Label(q.x, q.y, loc.name, "start") for loc, _, q in rays),
     )
 
 

@@ -194,6 +194,26 @@ class Arc(_Record):
 _set_circle, _set_start_point, _set_end_point, _set_orientation = Arc._setters
 
 
+class Lines(_Record):
+    """Straight lines as one flat tuple `values`: x1, y1, x2, y2, ..."""
+
+    __slots__ = ("values",)
+
+
+class Ticks(_Record):
+    """A scale's ticks: `unit` holds (sin, cos, sin, cos) of each tick's
+    angle, flat; tick k runs from radius r_out in to r_long when k is a
+    multiple of ten, else to r_short."""
+
+    __slots__ = ("unit", "r_out", "r_long", "r_short")
+
+
+class Label(_Record):
+    """Text at (x, y), anchored there at its "start", "middle" or "end"."""
+
+    __slots__ = ("x", "y", "text", "anchor")
+
+
 class FitResult(_Record):
     """A fitted circle (`circle`) with its radial residual summary:
     `rms_residual` and `max_residual`, mm."""

@@ -5,26 +5,17 @@ with a stable id, elements in construction order, and every coordinate
 rounded to a fixed number of decimals (so the same model and style
 always produce byte-identical documents).
 
-Each layer is an id and a function that returns its rows of text: the
-model's own circles, arcs, segments and star markers, and the fixed
-scales (limb ticks, sine quadrant, shadow square, the zodiac's long and
-short ticks, labels) straight from the boundary radius or the degree
-index.  One pen per document holds a printf-style bytes template for
-each row kind (`<line>`, `<circle>`, a star marker, an arc's `<path>`),
-built once from the precision with the indent and newline in it, and
-`_Pen.elements` is the one printer of an Arc.  A run of rows (a layer's
-model elements, or a run of lines) is printed by one `%` of its rows'
-templates joined over one flat tuple of signed values, and decoded once
-(`_Pen.run`); an element drawn alone is a run of one.  `_Pen.lines`
-signs a flat sequence of model values (x1, y1, x2, y2, ...) in one `map`
-pass; the zodiac's ticks are signed as they are computed; the limb's and
-the calendar's come from `_Pen.ticks`, which multiplies a flat unit
-table (sin, cos, sin, cos per tick, from `_unit_table`: the one tick
-table cache, filled on first use) by radii with the signs folded in.
-Every number a document prints at its precision is printed by
-`_Pen.run`: the rows, a label's x and y (its text is never formatted),
-the star marker's radius, the document's size and viewBox, and
-`render_full`'s translates; only the fixed stroke widths are written by
+The renderer computes no geometry: it prints the builders' model fields.
+One table, `_LAYERS`, maps each model type's layer ids to the fields
+each layer prints, in order; `hours` and `qibla` are drawn only when they
+have rows.  One printer, `_Pen.elements`, prints every element kind
+(Circle, Arc, Segment, star marker, Lines, Ticks, Label) through the
+pen's printf-style bytes row templates, built once from the precision: a
+layer's rows are one `%` of their joined templates over one flat tuple
+of signed values, decoded once (`_Pen.run`), and its labels follow, their
+x and y in one more run and their text never formatted.  Ticks fold the
+signs into their radii.  Every number a document prints at its precision
+goes through `_Pen.run`; only the fixed stroke widths are written by
 `:g`, and the label font size is literal text.  Model coordinates are
 mathematical (y up); the pen negates y, and x too under `mirror_ew`, and
 inverts an arc's sweep flag when sx*sy < 0.
@@ -45,15 +36,14 @@ fresh emission would print.  An empty layer selection is not kept.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 
-from .back import BackModel, midday_altitude
+from .back import BackModel
 from .exceptions import EmptyModelWarning
-from .geometry import Arc, Circle, PlanePoint, Segment, _Record
+from .geometry import Arc, Circle, Label, Lines, PlanePoint, Segment, Ticks, _Record
 from .plate import PlateModel
-from .projection import PRECISION, from_plate_polar
+from .projection import PRECISION
 from .rete import ReteModel
 
 # every layer id with its one stroke width (mm), in LAYER_IDS order
@@ -73,11 +63,6 @@ _STROKES = {
     "qibla": 0.3,
 }
 LAYER_IDS = tuple(_STROKES)
-
-_ZODIAC = (
-    "Aries", "Taurus", "Gemini", "Cancer", "Leo", "Virgo",
-    "Libra", "Scorpio", "Sagittarius", "Capricorn", "Aquarius", "Pisces",
-)
 
 _STAR_MARKER_R = 0.8
 
@@ -103,14 +88,6 @@ class RenderStyle(_Record):
             # sorted, so that equal sets iterate (and print) alike once a copy rebuilt one
             include_layers = frozenset(sorted(include_layers))
         super().__init__(precision, mirror_ew, include_layers)
-
-
-# the limb's range(360), and the calendar's angles: every built back holds one tuple
-@functools.lru_cache(maxsize=2)
-def _unit_table(degrees) -> tuple:
-    """A scale's unit table for `_Pen.ticks`: (sin, cos, sin, cos) of each
-    angle in degrees, flat, one run of four per tick."""
-    return tuple(v for a in map(math.radians, degrees) for v in (math.sin(a), math.cos(a)) * 2)
 
 
 # ---- element emission --------------------------------------------------
@@ -149,45 +126,17 @@ class _Pen:
         print as zero unsigned, decoded once."""
         return (template % tuple(values)).replace(*self.zeros).decode("ascii")
 
-    def lines(self, values) -> str:
-        """One <line> row per four model values x1, y1, x2, y2 of a flat
-        sequence, signed in one pass."""
-        return self.signed_lines(tuple(map(operator.mul, self.signs * (len(values) // 4), values)))
-
-    def signed_lines(self, signed) -> str:
-        """One <line> row per four values already signed, in one run."""
-        return self.run(self.line_row * (len(signed) // 4), signed)
-
-    def ticks(self, unit, r_out, r_long, r_short) -> str:
-        """One tick per run of four in a unit table (`_unit_table`), in from
-        r_out: the first of every ten to r_long, the rest to r_short.  The
-        signs are folded into the radii; since they are exactly +-1, each
-        (sx * r) * s is the bits of sx * (r * s)."""
-        sx, sy = self.sx, self.sy
-        long = (sx * r_out, sy * r_out, sx * r_long, sy * r_long)
-        short = (sx * r_out, sy * r_out, sx * r_short, sy * r_short)
-        pattern = (long + short * 9) * -(-len(unit) // 40)
-        return self.signed_lines(tuple(map(operator.mul, pattern, unit)))
-
-    def label(self, x: float, y: float, text: str, anchor: str = "middle") -> str:
-        # xml.sax.saxutils.escape, without its import: `&` first
-        text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        return (
-            f"  <text {self.run(self.xy, (self.sx * x, self.sy * y))} "
-            'font-size="3" '
-            f'text-anchor="{self.anchors.get(anchor, anchor)}" '
-            f'fill="#000" stroke="none">{text}</text>\n'
-        )
-
     def elements(self, elements) -> str:
-        """One row per model-owned element (Circle, Arc, Segment or star
-        marker), in one run.  An arc is a <path> of M to its start and one
-        A command to its end, its large-arc flag set only for sweeps
-        beyond a semicircle: the only place an Arc is printed."""
+        """The rows of a layer's model elements (Circle, Arc, Segment, star
+        marker, Lines and Ticks) in one run, then those of its labels.  An
+        arc is a <path> of M to its start and one A command to its end, its
+        large-arc flag set only for sweeps beyond a semicircle.  A Ticks'
+        signs are folded into its radii; since they are exactly +-1, each
+        (sx * r) * s is the bits of sx * (r * s)."""
         sx, sy = self.sx, self.sy
         flip = sx * sy < 0  # a reflection in one axis reverses the sense of rotation
         point, zeros = self.point, self.zeros
-        rows, values = [], []
+        rows, values, labels = [], [], []
         for el in elements:
             if isinstance(el, Arc):
                 p0, p1, r = el.start_point, el.end_point, el.circle.radius
@@ -207,127 +156,69 @@ class _Pen:
             elif isinstance(el, Segment):
                 rows.append(self.line_row)
                 values += (sx * el.a.x, sy * el.a.y, sx * el.b.x, sy * el.b.y)
+            elif isinstance(el, Lines):
+                n = len(el.values) // 4
+                rows.append(self.line_row * n)
+                values += map(operator.mul, self.signs * n, el.values)
+            elif isinstance(el, Ticks):
+                r_out, r_long, r_short = el.r_out, el.r_long, el.r_short
+                long = (sx * r_out, sy * r_out, sx * r_long, sy * r_long)
+                short = (sx * r_out, sy * r_out, sx * r_short, sy * r_short)
+                rows.append(self.line_row * (len(el.unit) // 4))
+                values += map(operator.mul, (long + short * 9) * -(-len(el.unit) // 40), el.unit)
             elif isinstance(el, PlanePoint):
                 rows.append(self.marker_row)
                 values += (sx * el.x, sy * el.y)
+            elif isinstance(el, Label):
+                labels.append(el)
             else:
                 raise TypeError(f"cannot emit {type(el).__name__}")
-        return self.run(b"".join(rows), values)
+        text = self.run(b"".join(rows), values)
+        if not labels:
+            return text
+        # every label's x and y in one run; its text is never formatted
+        xys = self.run(b"\n".join([self.xy] * len(labels)),
+                       [v for el in labels for v in (sx * el.x, sy * el.y)]).split("\n")
+        return text + "".join(
+            f'  <text {xy} font-size="3" '
+            f'text-anchor="{self.anchors.get(el.anchor, el.anchor)}" fill="#000" stroke="none">'
+            # xml.sax.saxutils.escape, without its import: `&` first
+            f'{el.text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")}</text>\n'
+            for xy, el in zip(xys, labels))
 
     def emit(self, el) -> str:
         """A model-owned element alone: a run of one."""
         return self.elements((el,))
 
 
-# ---- per-model layers: (id, draw), draw(pen) -> element rows -------------
+# ---- per-model layers: id -> the model fields it prints, in order ----------
 
+_LAYERS = {
+    PlateModel: {
+        "limb": ("boundary",),
+        "tropics": ("tropics",),
+        "horizon": ("horizon",),
+        "almucantars": ("almucantars",),
+        "azimuths": ("azimuths",),
+        "hours": ("hour_lines",),
+    },
+    ReteModel: {
+        "limb": ("boundary",),
+        "ecliptic": ("ecliptic", "zodiac_ticks", "zodiac_labels"),
+        "stars": ("star_markers", "star_labels"),
+    },
+    BackModel: {
+        "limb": ("boundary", "limb_ticks", "limb_labels"),
+        "calendar": ("calendar_rings", "calendar_ticks"),
+        "sine-quadrant": ("quadrant_frame", "quadrant_chords"),
+        "shadow-square": ("shadow_square",),
+        "midday": ("midday", "midday_label"),
+        "qibla": ("qibla_rays", "qibla_labels"),
+    },
+}
 
-def _plate_layers(m: PlateModel) -> list:
-    def rows(elements):
-        return lambda pen: pen.elements(elements)
-
-    layers = [
-        ("limb", rows([m.boundary])),
-        ("tropics", rows(m.tropics)),
-        ("horizon", rows([m.horizon])),
-        ("almucantars", rows(m.almucantars)),
-        ("azimuths", rows(m.azimuths)),
-    ]
-    if m.hour_lines:
-        layers.append(("hours", rows(m.hour_lines)))
-    return layers
-
-
-def _rete_layers(m: ReteModel) -> list:
-    def ecliptic(pen):
-        ticks, labels = [], []
-        sx, sy = pen.sx, pen.sy
-        cx, cy = m.ecliptic.center.x, m.ecliptic.center.y
-        for lam, pt in enumerate(m.zodiac_points):  # one tick per degree of longitude
-            px, py = pt.x, pt.y
-            dx, dy = cx - px, cy - py
-            norm = math.hypot(dx, dy)
-            ln = 2.8 if lam % 30 == 0 else 1.2
-            ticks += (sx * px, sy * py, sx * (px + dx / norm * ln), sy * (py + dy / norm * ln))
-            if lam % 30 == 15:
-                lx, ly = px + dx / norm * 7.0, py + dy / norm * 7.0
-                labels.append(pen.label(lx, ly, _ZODIAC[lam // 30]))
-        return pen.emit(m.ecliptic) + pen.signed_lines(ticks) + "".join(labels)
-
-    def stars(pen):
-        return pen.elements([pt for _, pt in m.pointers]) + "".join(
-            pen.label(pt.x + 1.5, pt.y + 1.5, star.name, "start") for star, pt in m.pointers
-        )
-
-    boundary = ("limb", lambda pen: pen.emit(m.boundary))
-    return [boundary, ("ecliptic", ecliptic), ("stars", stars)]
-
-
-def _back_layers(m: BackModel) -> list:
-    r = m.boundary.radius
-    side = 0.45 * r
-    half = side / 2.0
-
-    def limb(pen):  # 360 one-degree ticks, long every tenth, numbered every 30
-        return (
-            pen.emit(m.boundary)
-            + pen.ticks(_unit_table(range(360)), r, r * 0.94, r * 0.97)
-            + "".join(pen.label(p.x, p.y, f"{a}") for a, p in
-                      ((a, from_plate_polar(r * 0.905, a)) for a in range(0, 360, 30)))
-        )
-
-    def calendar(pen):
-        return (
-            pen.elements((Circle(PlanePoint(0.0, 0.0), r * 0.88),
-                          Circle(PlanePoint(0.0, 0.0), r * 0.84)))
-            + pen.ticks(_unit_table(tuple(m.calendar_angles)), r * 0.88, r * 0.84, r * 0.86)
-        )
-
-    def sine_quadrant(pen):  # 60 radius divisions; the k = 60 chords have no length
-        frame = Arc(Circle(PlanePoint(0.0, 0.0), r), PlanePoint(0.0, r), PlanePoint(-r, 0.0), "ccw")
-        d = [k * (r / 60) for k in range(1, 60)]
-        reach = [math.sqrt(r * r - dk * dk) for dk in d]
-        chords = [-r, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, r]
-        for dk, w in zip(d, reach):  # sines
-            chords += (-w, dk, 0.0, dk)
-        for dk, w in zip(d, reach):  # cosines
-            chords += (-dk, 0.0, -dk, w)
-        return pen.emit(frame) + pen.lines(chords)
-
-    def shadow_square(pen):
-        digits = [k / 12 for k in range(1, 13)]
-        lines = [-half, 0.0, half, 0.0, -half, 0.0, -half, -side,
-                 half, 0.0, half, -side, -half, -side, half, -side]
-        for f in digits:  # umbra recta: 12 digits along the bottom
-            lines += (-half + f * side, -side, -half + f * side, -side + 1.5)
-        for f in digits:  # umbra versa: 12 digits down the right side
-            lines += (half, -f * side, half - 1.5, -f * side)
-        return pen.lines(lines)
-
-    def midday(pen):  # labelled with the latitude 2 mm above its equinox point
-        lat = m.config.latitude
-        equinox = from_plate_polar(r * (1.0 - midday_altitude(lat, 0.0) / 90.0), 0.0)
-        return pen.emit(m.midday) + pen.label(equinox.x, equinox.y + 2.0, f"{lat:g}")
-
-    def qibla(pen):  # a ray from the center toward each bearing, labelled along it
-        marks = [(loc, from_plate_polar(r * 0.82, b), from_plate_polar(r * 0.6, b))
-                 for loc, b in m.qibla_marks]
-        return pen.lines([v for _, p, _ in marks for v in (p.x, p.y, 0.0, 0.0)]) + "".join(
-            pen.label(q.x, q.y, loc.name, "start") for loc, _, q in marks)
-
-    layers = [
-        ("limb", limb),
-        ("calendar", calendar),
-        ("sine-quadrant", sine_quadrant),
-        ("shadow-square", shadow_square),
-        ("midday", midday),
-    ]
-    if m.qibla_marks:
-        layers.append(("qibla", qibla))
-    return layers
-
-
-_LAYERS = {PlateModel: _plate_layers, ReteModel: _rete_layers, BackModel: _back_layers}
+# drawn only when they have rows: on a plate without hour lines, a back without localities
+_OPTIONAL = frozenset({"hours", "qibla"})
 
 
 # ---- document assembly ---------------------------------------------------
@@ -345,16 +236,23 @@ def _layer_rows(model, style: RenderStyle, pen: _Pen) -> list:
     last = _LAST.get(type(model))
     if last is not None and last[0] is model and last[1] == style:
         return last[2]
-    layers = _LAYERS[type(model)](model)
-    if style.include_layers is not None:
-        layers = [l for l in layers if l[0] in style.include_layers]
-    if not layers:
+    rows = []
+    for name, fields in _LAYERS[type(model)].items():
+        if style.include_layers is not None and name not in style.include_layers:
+            continue
+        elements = []
+        for field in fields:  # an element, or a collection of them
+            value = getattr(model, field)
+            elements += (value,) if isinstance(value, _Record) else value
+        text = pen.elements(elements)
+        if text or name not in _OPTIONAL:
+            rows.append((name, text))
+    if not rows:
         import warnings
 
         warnings.warn("model has no layers to draw; emitting the boundary only",
                       EmptyModelWarning, stacklevel=4)
         return [("limb", pen.emit(model.boundary))]
-    rows = [(name, draw(pen)) for name, draw in layers]
     _LAST[type(model)] = (model, style, rows)
     return rows
 

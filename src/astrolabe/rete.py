@@ -21,12 +21,18 @@ import os
 from collections.abc import Iterable
 
 from .exceptions import DuplicateStarName, OutsidePlate, ParseError
-from .geometry import Circle, PlanePoint, _Record
+from .geometry import Circle, Label, Lines, PlanePoint, _Record
 from .projection import (DECLINATION, FINITE, OBLIQUITIES, OBLIQUITY, SCALE, from_plate_polar,
                          stereographic_radius)
 
 # pointers at or beyond this fraction of the boundary radius are off-plate
 _BOUNDARY_REL = 1.0 - 1e-12
+
+# the signs of the zodiac, from longitude 0 in steps of 30 degrees
+_SIGNS = (
+    "Aries", "Taurus", "Gemini", "Cancer", "Leo", "Virgo",
+    "Libra", "Scorpio", "Sagittarius", "Capricorn", "Aquarius", "Pisces",
+)
 
 
 class StarEntry(_Record):
@@ -44,11 +50,15 @@ class StarEntry(_Record):
 
 
 class ReteModel(_Record):
-    """The `ecliptic` ring; `zodiac_points`, the plate point of each whole
-    degree of ecliptic longitude (index = longitude); `pointers` and
-    `skipped`, (StarEntry, PlanePoint or reason) pairs; the `boundary`."""
+    """The rete, every element it draws as `build_rete` computes it: the
+    `ecliptic` ring; `zodiac_ticks`, one per whole degree of longitude
+    (index = longitude), in from that longitude's point toward the ring's
+    center, and `zodiac_labels`, the signs; `pointers` and `skipped`,
+    (StarEntry, PlanePoint or reason) pairs, with one of `star_markers`
+    and of `star_labels` per pointer; the `boundary`."""
 
-    __slots__ = ("ecliptic", "zodiac_points", "pointers", "skipped", "boundary")
+    __slots__ = ("ecliptic", "zodiac_ticks", "zodiac_labels", "pointers", "star_markers",
+                 "star_labels", "skipped", "boundary")
 
 
 def ecliptic_circle(scale: float, obliquity: float) -> Circle:
@@ -116,10 +126,11 @@ def _pointer(star: StarEntry, scale: float, r_cap: float) -> PlanePoint:
 def build_rete(
     catalog: Iterable[StarEntry], scale: float, obliquity: float = OBLIQUITY
 ) -> ReteModel:
-    """Assemble the rete: ecliptic ring, the points of the 360 one-degree
-    zodiac ticks, and one pointer per catalog star.  Stars outside the
-    boundary are skipped and reported, not fatal; duplicate names raise
-    DuplicateStarName, and a scale outside SCALE_RANGE raises ValueError."""
+    """Assemble the rete: ecliptic ring, its 360 one-degree zodiac ticks
+    and 12 sign names, and one named pointer per catalog star.  Stars
+    outside the boundary are skipped and reported, not fatal; duplicate
+    names raise DuplicateStarName, and a scale outside SCALE_RANGE raises
+    ValueError."""
     SCALE.check(scale, "scale")
     OBLIQUITIES.check(obliquity, "obliquity")
     r_cap = stereographic_radius(-obliquity, scale)
@@ -130,8 +141,20 @@ def build_rete(
             raise DuplicateStarName(f"star {s.name!r} appears more than once")
         seen.add(s.name)
 
-    points = tuple(PlanePoint((r := scale * cosd / den) * sa, r * ca)
-                   for cosd, den, sa, ca in _zodiac_trig(obliquity))
+    ecliptic = ecliptic_circle(scale, obliquity)
+    cx, cy = ecliptic.center.x, ecliptic.center.y
+    ticks, labels = [], []
+    # one tick per degree of longitude, from its point px, py toward the center
+    for lam, (cosd, den, sa, ca) in enumerate(_zodiac_trig(obliquity)):
+        r = scale * cosd / den
+        px, py = r * sa, r * ca
+        dx, dy = cx - px, cy - py
+        norm = math.hypot(dx, dy)
+        ln = 2.8 if lam % 30 == 0 else 1.2
+        ticks += (px, py, px + dx / norm * ln, py + dy / norm * ln)
+        if lam % 30 == 15:
+            labels.append(Label(px + dx / norm * 7.0, py + dy / norm * 7.0, _SIGNS[lam // 30],
+                                "middle"))
 
     pointers = []
     skipped = []
@@ -142,9 +165,13 @@ def build_rete(
             skipped.append((s, str(exc)))
 
     return ReteModel(
-        ecliptic=ecliptic_circle(scale, obliquity),
-        zodiac_points=points,
+        ecliptic=ecliptic,
+        zodiac_ticks=Lines(tuple(ticks)),
+        zodiac_labels=tuple(labels),
         pointers=tuple(pointers),
+        star_markers=tuple(pt for _, pt in pointers),
+        star_labels=tuple(Label(pt.x + 1.5, pt.y + 1.5, star.name, "start")
+                          for star, pt in pointers),
         skipped=tuple(skipped),
         boundary=Circle(PlanePoint(0.0, 0.0), r_cap),
     )

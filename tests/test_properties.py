@@ -45,7 +45,7 @@ from astrolabe import (
     zenith_point,
 )
 from astrolabe.exceptions import AstrolabeError
-from astrolabe.geometry import _Record, arc_through, circumcircle
+from astrolabe.geometry import Label, Lines, Ticks, _Record, arc_through, circumcircle
 from astrolabe.plate import (MIN_LATITUDE, STRAIGHT_REL, _vertical_azimuths, _vertical_end,
                              crossing_hour_angle, night_hours)
 from astrolabe.projection import (ALTITUDE, BAND_STEP, DECLINATION, FINITE, FRACTION, LATITUDE,
@@ -351,29 +351,35 @@ def test_the_pen_prints_a_number_by_the_round_trip_rule(case):
 @example(case=(-(0.5e-4 + math.ulp(0.5e-4)), 4), mirror=True)
 @example(case=(-(0.5e-4 - math.ulp(0.5e-4)), 4), mirror=False)
 def test_every_element_kind_prints_numbers_by_the_round_trip_rule(case, mirror):
-    # a segment, a circle, a small and a large arc, a star marker and a label at
-    # those coordinates: each printed number is the signed model value printed by
-    # the round trip, alone through `emit` and in one run
+    # a segment, a circle, a small and a large arc, a star marker, lines, ticks and a
+    # label at those coordinates: each printed number is the signed model value printed
+    # by the round trip, alone through `emit` and in one run
     v, precision = case
     sx, sy = (-1.0 if mirror else 1.0), -1.0
     pen = _Pen(precision, sx, sy)
     arc = Arc(Circle(PlanePoint(v, v), 1.0), PlanePoint(v + 1.0, v), PlanePoint(v, v + 1.0))
     large = Arc(arc.circle, PlanePoint(v + 1.0, v), PlanePoint(v, v - 1.0))
     elements = [Segment(PlanePoint(v, -v), PlanePoint(-v, v)), Circle(PlanePoint(-v, v), 1.0),
-                arc, large, PlanePoint(v, -v)]
+                arc, large, PlanePoint(v, -v), Lines((v, -v, -v, v)),
+                Ticks((v, -v, v, -v), 1.0, 1.0, 1.0)]
     cases = [(pen.emit(el), values) for el, values in zip(elements, [
         [sx * v, -sy * v, -sx * v, sy * v],
         [-sx * v, sy * v, 1.0],
         [sx * (v + 1.0), sy * v, 1.0, 1.0, sx * v, sy * (v + 1.0)],
         [sx * (v + 1.0), sy * v, 1.0, 1.0, sx * v, sy * (v - 1.0)],
         [sx * v, -sy * v, 0.8],
+        [sx * v, -sy * v, -sx * v, sy * v],
+        [sx * v, -sy * v, sx * v, -sy * v],
     ])]
     assert pen.elements(elements) == "".join(row for row, _ in cases)
     # a label's text is never a number: one that reads as a signed zero keeps its sign
     zero = "-0." + "0" * precision
-    label = pen.label(v, -v, zero)
-    assert label.endswith(f">{zero}</text>\n")
-    cases.append((label, [sx * v, -sy * v]))
+    label = Label(v, -v, zero, "middle")
+    text = pen.emit(label)
+    assert text.endswith(f">{zero}</text>\n")
+    # and a layer's labels print after its other rows
+    assert pen.elements([label, *elements]) == "".join(row for row, _ in cases) + text
+    cases.append((text, [sx * v, -sy * v]))
     for row, values in cases:
         printed = re.findall(r'(?<=[" ])-?[0-9]+\.[0-9]+(?=[" ])', row)
         assert printed == [_printed_by_round_trip(x, precision) for x in values], row

@@ -1,4 +1,4 @@
-"""Value semantics of the record types, one table over all twenty.
+"""Value semantics of the record types, one table over all twenty-three.
 
 Each record is an immutable slotted value object: equal when the type and
 the fields are equal, hashed as the tuple of its fields, shown as
@@ -21,6 +21,8 @@ from astrolabe import (
     Circle,
     ErrorReport,
     FitResult,
+    Label,
+    Lines,
     Locality,
     MeridianSolution,
     PerturbationSpec,
@@ -34,6 +36,7 @@ from astrolabe import (
     SphereCircleSpec,
     SpherePoint,
     StarEntry,
+    Ticks,
 )
 from astrolabe.projection import OBLIQUITY
 
@@ -45,6 +48,9 @@ CFG = PlateConfig(40.0, 100.0)
 BACK = BackConfig(40.0, 150.0)
 STAR = StarEntry("Vega", 279.23, 38.78, 0.03)
 MECCA = Locality("Mecca", 21.4225, 39.8262)
+LINES = Lines((1.0, 2.0, -4.0, 6.5))
+TICKS = Ticks((0.0, 1.0, 0.0, 1.0), 10.0, 9.0, 9.5)
+LABEL = Label(1.0, 2.0, "Vega", "start")
 
 # (class, every field in order with a value it keeps as given, the old defaults)
 RECORDS = [
@@ -53,6 +59,10 @@ RECORDS = [
     (Circle, {"center": Q, "radius": 7.25}, {}),
     (Arc, {"circle": C, "start_point": PlanePoint(4.0, 2.0), "end_point": P, "orientation": "cw"},
      {"orientation": "ccw"}),
+    (Lines, {"values": (1.0, -2.5, 3.0, 0.0)}, {}),
+    (Ticks, {"unit": (0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0), "r_out": 100.0, "r_long": 94.0,
+             "r_short": 97.0}, {}),
+    (Label, {"x": 1.0, "y": -2.5, "text": "Aries", "anchor": "middle"}, {}),
     (FitResult, {"circle": C, "rms_residual": 1e-12, "max_residual": 3e-12}, {}),
     (SpherePoint, {"dec": -12.5, "hour_angle": 300.0}, {}),
     (SphereCircleSpec, {"pole_dec": 20.0, "pole_ha": 30.0, "angular_radius": 40.0}, {}),
@@ -66,13 +76,18 @@ RECORDS = [
                   "almucantars": (C, P), "azimuths": (Segment(P, Q),), "hour_lines": ()},
      {}),
     (StarEntry, {"name": "Sirius", "ra": 101.29, "dec": -16.72, "magnitude": -1.46}, {}),
-    (ReteModel, {"ecliptic": C, "zodiac_points": (P, Q), "pointers": ((STAR, P),),
+    (ReteModel, {"ecliptic": C, "zodiac_ticks": LINES, "zodiac_labels": (LABEL,),
+                 "pointers": ((STAR, P),), "star_markers": (P,), "star_labels": (LABEL,),
                  "skipped": ((STAR, "off the plate"),), "boundary": C}, {}),
     (Locality, {"name": "Berlin", "latitude": 52.52, "longitude": -13.5}, {}),
     (BackConfig, {"latitude": 33.5, "radius": 120.0, "obliquity": 23.5},
      {"obliquity": OBLIQUITY}),
-    (BackModel, {"config": BACK, "boundary": C, "calendar_angles": (0.5, 1.5),
-                 "midday": ARC, "qibla_marks": ((MECCA, 12.5),)}, {}),
+    (BackModel, {"config": BACK, "boundary": C, "limb_ticks": TICKS, "limb_labels": (LABEL,),
+                 "calendar_angles": (0.5, 1.5), "calendar_rings": (C, C),
+                 "calendar_ticks": TICKS, "quadrant_frame": ARC, "quadrant_chords": LINES,
+                 "shadow_square": LINES, "midday": ARC, "midday_label": LABEL,
+                 "qibla_marks": ((MECCA, 12.5),), "qibla_rays": LINES,
+                 "qibla_labels": (LABEL,)}, {}),
     (PerturbationSpec, {"center_sigma": 0.01, "radius_sigma": 0.02,
                         "graduation_sigma": 0.05, "seed": 7},
      {"center_sigma": 0.0, "radius_sigma": 0.0, "graduation_sigma": 0.0, "seed": 0}),

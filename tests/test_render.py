@@ -20,20 +20,24 @@ from astrolabe import (
     Circle,
     EmptyModelWarning,
     LAYER_IDS,
+    Lines,
     Locality,
     PlanePoint,
     PlateConfig,
     RenderStyle,
     Segment,
     StarEntry,
+    Ticks,
     build_back,
     build_plate,
     build_rete,
     calendar_ring,
+    ecliptic_point,
     render_full,
     render_svg,
 )
 from astrolabe.plate import STRAIGHT_REL, PlateModel, _vertical_end
+from astrolabe.projection import OBLIQUITY
 from astrolabe import render
 from astrolabe.render import _Pen
 from test_geometry import arc_point, point_at
@@ -263,6 +267,23 @@ def test_include_layers_filter():
     assert ids == ["tropics", "horizon"]
 
 
+@pytest.mark.parametrize("build, layer, kept", [
+    (lambda: build_rete([], 100.0), "stars", True),
+    (lambda: build_back(BackConfig(40.0, 100.0)), "qibla", False),
+    (lambda: build_plate(PlateConfig(70.0, 100.0)), "hours", False),
+], ids=["rete-without-stars", "back-without-localities", "arctic-plate"])
+def test_of_the_empty_layers_only_hours_and_qibla_are_left_out(build, layer, kept):
+    model = build()
+    groups = {g.get("id"): g for g in ET.fromstring(render_svg(model)).findall(f"{SVG}g")}
+    assert (layer in groups) == kept
+    if kept:  # an empty group
+        assert len(groups[layer]) == 0
+        assert render_svg(model, RenderStyle(include_layers={layer})).count("<g ") == 1
+    else:  # selected alone, it leaves nothing to draw
+        with pytest.warns(EmptyModelWarning):
+            render_svg(model, RenderStyle(include_layers={layer}))
+
+
 def test_empty_layer_selection_warns_and_draws_boundary():
     style = RenderStyle(include_layers=frozenset({"qibla"}))  # plate has no qibla
     with pytest.warns(EmptyModelWarning):
@@ -453,9 +474,9 @@ def test_unknown_model_type_rejected():
 def emitted(monkeypatch):
     """A list that counts each run of rows the pen prints from here on (every
     element, line and tick goes through `_Pen.run`, in a template of rows,
-    each ending in a newline; a document's header and labels print their
-    numbers by `run` too, in templates that end in none): a render whose
-    faces all reuse their rows adds nothing to it."""
+    each ending in a newline; a document's header and each layer's labels
+    print their numbers by `run` too, in templates that end in none): a
+    render whose faces all reuse their rows adds nothing to it."""
     count, run = [], render._Pen.run
 
     def counted(pen, template, values):
@@ -597,12 +618,14 @@ def reference_ticks(degrees, r_out, r_long, r_short):
     return rows
 
 
-def reference_zodiac(m):
-    """The rete's one-degree ticks as rows: in from each zodiac point toward
-    the ecliptic's center, 2.8 mm at each sign's start and 1.2 mm elsewhere."""
+def reference_zodiac(m, scale, obliquity):
+    """The rete's one-degree ticks as rows: in from each longitude's
+    `ecliptic_point` toward the ecliptic's center, 2.8 mm at each sign's
+    start and 1.2 mm elsewhere."""
     rows = []
     cx, cy = m.ecliptic.center.x, m.ecliptic.center.y
-    for lam, pt in enumerate(m.zodiac_points):
+    for lam in range(360):
+        pt = ecliptic_point(float(lam), scale, obliquity)
         dx, dy = cx - pt.x, cy - pt.y
         norm = math.hypot(dx, dy)
         ln = 2.8 if lam % 30 == 0 else 1.2
@@ -614,8 +637,17 @@ def line_rows(text):
     return "".join(row for row in text.splitlines(keepends=True) if row.startswith("  <line"))
 
 
-def draw(layers, name, pen):
-    return line_rows(dict(layers)[name](pen))
+def layer_rows(model, name, precision, mirror):
+    """The rows of one layer of a model, as `render_svg` prints that layer alone."""
+    doc = render_svg(model, RenderStyle(precision=precision, mirror_ew=mirror,
+                                        include_layers=frozenset({name})))
+    return "".join(row for row in doc.splitlines(keepends=True) if row.startswith("  <"))
+
+
+def unit_table(degrees):
+    """(sin, cos, sin, cos) of each angle in degrees, flat: a Ticks' unit."""
+    return tuple(v for a in degrees for v in (math.sin(math.radians(a)),
+                                              math.cos(math.radians(a))) * 2)
 
 
 # SCALE's two ends and four radii spread over it, log-uniform
@@ -627,7 +659,6 @@ RADII = (1e-6, 1e9) + tuple(10.0 ** random.Random(29).uniform(-6.0, 9.0) for _ i
 @pytest.mark.parametrize("precision", range(1, 10))
 def test_every_scale_tick_prints_the_per_row_reference(precision, mirror, radius):
     sx, sy = (-1.0 if mirror else 1.0), -1.0
-    pen = _Pen(precision, sx, sy)
     back, rete = build_back(BackConfig(40.0, radius)), build_rete([], radius)
     r = radius
     want = {
@@ -636,10 +667,11 @@ def test_every_scale_tick_prints_the_per_row_reference(precision, mirror, radius
     }
     for name, rows in want.items():
         assert len(rows) in (360, 365)
-        assert draw(render._back_layers(back), name, pen) == reference_lines(rows, precision, sx, sy)
-    zodiac = reference_zodiac(rete)
+        assert line_rows(layer_rows(back, name, precision, mirror)) == reference_lines(
+            rows, precision, sx, sy)
+    zodiac = reference_zodiac(rete, radius, OBLIQUITY)
     assert len(zodiac) == 360
-    assert draw(render._rete_layers(rete), "ecliptic", pen) == reference_lines(
+    assert line_rows(layer_rows(rete, "ecliptic", precision, mirror)) == reference_lines(
         zodiac, precision, sx, sy)
 
 
@@ -655,9 +687,8 @@ def test_lines_prints_each_run_of_four_values_as_one_reference_row(precision, mi
     rows = list(zip(*[iter(values)] * 4))
     want = reference_lines(rows, precision, sx, sy)
     pen = _Pen(precision, sx, sy)
-    assert pen.lines(values) == pen.lines(tuple(values)) == want
-    assert pen.signed_lines([v * s for v, s in zip(values, pen.signs * 100)]) == want
-    assert pen.ticks(render._unit_table(range(360)), 1.0, 1.0, 1.0) == reference_lines(
+    assert pen.elements([Lines(values)]) == pen.emit(Lines(tuple(values))) == want
+    assert pen.emit(Ticks(unit_table(range(360)), 1.0, 1.0, 1.0)) == reference_lines(
         reference_ticks(range(360), 1.0, 1.0, 1.0), precision, sx, sy)
     # every element kind at those values, in one run and each alone
     points = [PlanePoint(x, y) for x, y in zip(values[::2], values[1::2])]
@@ -687,8 +718,9 @@ def test_lines_prints_each_run_of_four_values_as_one_reference_row(precision, mi
     owned = {"limb": [plate.boundary], "tropics": plate.tropics, "horizon": [plate.horizon],
              "almucantars": plate.almucantars, "azimuths": plate.azimuths,
              "hours": plate.hour_lines}
-    for name, layer in render._plate_layers(plate):
-        assert layer(pen) == "".join(reference_row(el, precision, sx, sy) for el in owned[name])
+    for name, elements in owned.items():
+        assert layer_rows(plate, name, precision, mirror) == "".join(
+            reference_row(el, precision, sx, sy) for el in elements)
 
 
 def test_the_calendar_ticks_follow_the_model_angles():
@@ -696,15 +728,15 @@ def test_the_calendar_ticks_follow_the_model_angles():
     fields = {name: getattr(back, name) for name in BackModel.__slots__}
     ring = back.calendar_angles
     assert ring is calendar_ring()
-    # a hand-built model with its own 37 angles, as a list, draws its own ticks
-    angles = [a + 0.5 for a in ring[:37]]
-    own = BackModel(**dict(fields, calendar_angles=angles))
-    pen = _Pen(6, -1.0, -1.0)
     r = 100.0
-    for model, degrees in ((own, angles), (back, ring), (own, angles)):  # no table is reused
-        assert draw(render._back_layers(model), "calendar", pen) == reference_lines(
+    assert back.calendar_ticks == Ticks(unit_table(ring), r * 0.88, r * 0.84, r * 0.86)
+    # a hand-built model with its own 37 angles and their ticks draws its own ticks
+    angles = [a + 0.5 for a in ring[:37]]
+    own = BackModel(**dict(fields, calendar_angles=angles,
+                           calendar_ticks=Ticks(unit_table(angles), r * 0.88, r * 0.84, r * 0.86)))
+    for model, degrees in ((own, angles), (back, ring), (own, angles)):  # no rows are reused
+        assert line_rows(layer_rows(model, "calendar", 6, True)) == reference_lines(
             reference_ticks(degrees, r * 0.88, r * 0.84, r * 0.86), 6, -1.0, -1.0)
     doc = render_svg(own, RenderStyle(precision=6, mirror_ew=True,
                                       include_layers=frozenset({"calendar"})))
     assert doc.count("<line ") == 37
-    assert line_rows(doc) == draw(render._back_layers(own), "calendar", pen)

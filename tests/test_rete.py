@@ -10,6 +10,7 @@ from astrolabe import (
     DuplicateStarName,
     OutsidePlate,
     ParseError,
+    PlanePoint,
     RenderStyle,
     StarEntry,
     build_rete,
@@ -28,6 +29,12 @@ from astrolabe import (
 S = 100.0
 EPS = 23.44
 SVG = "{http://www.w3.org/2000/svg}"
+
+
+def tick_starts(model):
+    """The first point of each zodiac tick: the point of that whole degree of longitude."""
+    v = model.zodiac_ticks.values
+    return [PlanePoint(v[i], v[i + 1]) for i in range(0, len(v), 4)]
 
 
 def sun_dec(longitude, obliquity=EPS):
@@ -81,8 +88,8 @@ def test_ecliptic_solstice_points_on_the_colure():
 
 def test_zodiac_ticks_on_circle_and_major_flags():
     model = build_rete([], S, EPS)
-    assert len(model.zodiac_points) == 360
-    for lam, point in enumerate(model.zodiac_points):
+    assert len(model.zodiac_ticks.values) == 4 * 360
+    for lam, point in enumerate(tick_starts(model)):
         assert abs(model.ecliptic.signed_distance(point)) < 1e-9 * S
         assert point == ecliptic_point(float(lam), S, EPS)
     # each sign opens with a long tick (2.8 mm) in the rendered layer; the
@@ -112,8 +119,10 @@ def parent_ecliptic_point(lam, scale, obliquity):
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 100.0, 1e6])
 @pytest.mark.parametrize("obliquity", [1e-9, 10.0, 23.44, 29.999])
 def test_zodiac_table_points_are_the_ecliptic_points_bit_for_bit(obliquity, scale):
-    points = build_rete([], scale, obliquity).zodiac_points
-    assert build_rete([], scale, obliquity).zodiac_points == points  # from the cached table
+    model = build_rete([], scale, obliquity)
+    assert build_rete([], scale, obliquity).zodiac_ticks == model.zodiac_ticks  # cached table
+    points = tick_starts(model)
+    assert len(points) == 360
     for lam, point in enumerate(points):
         assert point == ecliptic_point(float(lam), scale, obliquity)
         assert point == parent_ecliptic_point(float(lam), scale, obliquity)
@@ -129,7 +138,7 @@ def test_ecliptic_point_validates_scale_and_obliquity(args):
 
 
 def test_zodiac_opposition_half_turn_apart():
-    points = build_rete([], S, EPS).zodiac_points
+    points = tick_starts(build_rete([], S, EPS))
     for lam in range(180):
         a = plate_angle_deg(points[lam])
         b = plate_angle_deg(points[lam + 180])
